@@ -19,6 +19,7 @@ import time
 from . import __version__
 from .errors import (
     HomotorError,
+    InvariantBroken,
     ParamOutOfRange,
     ParseError,
     UnknownCommand,
@@ -489,7 +490,7 @@ def main(argv=None) -> int:
             "error": {"type": type(exc).__name__, "message": str(exc)},
         }
         sys.stdout.write(json.dumps(diag, indent=2, sort_keys=True) + "\n")
-        return 2
+        return 3 if isinstance(exc, InvariantBroken) else 2
     _emit(report, flags, started)
     return 0 if all(a["passed"] for a in report["assertions"]) else 1
 

@@ -41,6 +41,10 @@ class FiltrationViolation(HomotorError):
     """A differential does not preserve the given filtration."""
 
 
+class InvariantBroken(HomotorError):
+    """An identity the engine maintains by construction failed: a bug, not bad input."""
+
+
 class InvalidKind(HomotorError):
     """Unknown selector / builder / variant keyword."""
 

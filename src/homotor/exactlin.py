@@ -1,14 +1,14 @@
 """Exact linear algebra over a prime field GF(p).
 
 Everything downstream (homology tables, spectral sequence pages) reduces to
-ranks and subspace arithmetic of small matrices over GF(p).  Matrices are
-kept sparse as (row, col, value) triples and eliminated with a deterministic
-pivot rule; dense numpy elimination takes over past a density threshold.
+ranks of small matrices over GF(p).  Matrices are kept sparse as (row, col,
+value) triples and eliminated with a deterministic pivot rule; dense numpy
+elimination takes over past a density threshold.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -243,138 +243,3 @@ def homology_dims(c: FiberComplex, f: PrimeField = GF()) -> list:
         h = c.dim(i) - ranks.get(i, 0) - ranks.get(i + 1, 0)
         out.append((i, h))
     return out
-
-
-# ---------------------------------------------------------------------------
-# Dense echelon-form subspace arithmetic (used by the spectral engine).
-# Subspaces are row spaces of RREF matrices, which makes every derived basis
-# deterministic.
-
-def rref(mat: np.ndarray, p: int):
-    """Reduced row echelon form mod p; returns (R, pivots), zero rows dropped."""
-    a = np.array(mat, dtype=np.int64) % p
-    if a.ndim != 2:
-        raise ValueError("rref needs a 2d array")
-    rows, cols = a.shape
-    pivots = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        pr = r + int(nz[0])
-        if pr != r:
-            a[[r, pr]] = a[[pr, r]]
-        inv = pow(int(a[r, c]), p - 2, p)
-        a[r] = (a[r] * inv) % p
-        col = a[:, c].copy()
-        col[r] = 0
-        mask = col != 0
-        if mask.any():
-            a[mask] = (a[mask] - np.outer(col[mask], a[r])) % p
-        pivots.append(c)
-        r += 1
-    return a[:r], pivots
-
-
-def nullspace(mat: np.ndarray, p: int) -> np.ndarray:
-    """Rows spanning {x : mat @ x = 0 mod p}."""
-    mat = np.atleast_2d(np.asarray(mat, dtype=np.int64))
-    rows, cols = mat.shape
-    if cols == 0:
-        return np.zeros((0, 0), dtype=np.int64)
-    if rows == 0:
-        return np.eye(cols, dtype=np.int64)
-    red, pivots = rref(mat, p)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = np.zeros((len(free), cols), dtype=np.int64)
-    for k, c in enumerate(free):
-        basis[k, c] = 1
-        for r, pc in enumerate(pivots):
-            basis[k, pc] = (-int(red[r, c])) % p
-    return basis
-
-
-@dataclass
-class Subspace:
-    """Row space of ``basis`` inside GF(p)^ambient; basis kept in RREF."""
-
-    ambient: int
-    p: int
-    basis: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        if self.basis is None:
-            self.basis = np.zeros((0, self.ambient), dtype=np.int64)
-        else:
-            b = np.atleast_2d(np.asarray(self.basis, dtype=np.int64))
-            if b.size == 0:
-                b = b.reshape(0, self.ambient)
-            if b.shape[1] != self.ambient:
-                raise ValueError("basis width != ambient dimension")
-            self.basis, _ = rref(b, self.p)
-
-    @classmethod
-    def zero(cls, ambient: int, p: int) -> "Subspace":
-        return cls(ambient, p)
-
-    @classmethod
-    def full(cls, ambient: int, p: int) -> "Subspace":
-        return cls(ambient, p, np.eye(ambient, dtype=np.int64))
-
-    @classmethod
-    def coordinate(cls, ambient: int, p: int, coords) -> "Subspace":
-        b = np.zeros((len(coords), ambient), dtype=np.int64)
-        for k, c in enumerate(coords):
-            b[k, c] = 1
-        return cls(ambient, p, b)
-
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[0]
-
-    def sum(self, other: "Subspace") -> "Subspace":
-        return Subspace(self.ambient, self.p, np.vstack([self.basis, other.basis]))
-
-    def intersect(self, other: "Subspace") -> "Subspace":
-        # Zassenhaus: rref of [[A A],[B 0]]; rows with zero left half carry
-        # the intersection in their right half.
-        a, b = self.basis, other.basis
-        if a.shape[0] == 0 or b.shape[0] == 0:
-            return Subspace.zero(self.ambient, self.p)
-        m = self.ambient
-        block = np.zeros((a.shape[0] + b.shape[0], 2 * m), dtype=np.int64)
-        block[: a.shape[0], :m] = a
-        block[: a.shape[0], m:] = a
-        block[a.shape[0] :, :m] = b
-        red, _ = rref(block, self.p)
-        zero_left = ~red[:, :m].any(axis=1)
-        return Subspace(self.ambient, self.p, red[zero_left, m:])
-
-    def image_under(self, d: np.ndarray, target_ambient: int) -> "Subspace":
-        """Image of this subspace under the map with matrix d (columns act)."""
-        if self.dim == 0 or target_ambient == 0:
-            return Subspace.zero(target_ambient, self.p)
-        img = (self.basis @ d.T) % self.p
-        return Subspace(target_ambient, self.p, img)
-
-    def preimage_under(self, d: np.ndarray, source_ambient: int) -> "Subspace":
-        """{x : d @ x in self}; d maps GF(p)^source_ambient to GF(p)^ambient."""
-        if source_ambient == 0:
-            return Subspace.zero(0, self.p)
-        if self.dim == self.ambient or self.ambient == 0:
-            return Subspace.full(source_ambient, self.p)
-        # residual-after-elimination matrix: q @ x == 0 iff x in self
-        w, pivots = rref(self.basis, self.p)
-        q = np.eye(self.ambient, dtype=np.int64)
-        if pivots:
-            sel = np.zeros((len(pivots), self.ambient), dtype=np.int64)
-            for k, c in enumerate(pivots):
-                sel[k, c] = 1
-            q = (q - w.T @ sel) % self.p
-        return Subspace(source_ambient, self.p, nullspace((q @ d) % self.p, self.p))
-
-    def contains(self, other: "Subspace") -> bool:
-        return self.sum(other).dim == self.dim

@@ -1,22 +1,32 @@
 """Spectral sequences of filtered complexes of GF(p) vector spaces.
 
-The engine computes every page by the subspace formula
+Every filtration here is a coordinate filtration: each basis vector of
+degree i has one level in 0..N, and F_p is spanned by the vectors of level
+<= p.  Every page is then an integer combination of ranks of blocks of d.
+With F_i(p) the number of degree-i vectors of level <= p, and R_i(a, b) the
+rank of the block of d_i whose source vectors have level <= b and whose
+target vectors have level > a, so that dim(F_b ∩ d^{-1}F_a) = F_i(b) - R_i(a, b):
 
-    E^r_p = (F_p ∩ d^{-1}F_{p-r} + F_{p-1}) / (d(F_{p+r-1}) ∩ F_p + F_{p-1})
+    num_r(i, p)     = [F_i(p) - R_i(p-r, p)] - [F_i(p-1) - R_i(p-r, p-1)]
+    dim E^r_{p,i-p} = num_r(i, p) - [R_{i+1}(p-1, p+r-1) - R_{i+1}(p, p+r-1)]
+    rank of d^r out of (p, i) = num_r(i, p) - num_{r+1}(i, p)
 
-degree by degree, iterating until stabilization, and always verifies the
-abutment against the homology of the underlying total complex.  Builders
-produce the four filtrations attached to an N^n multicomplex (Koszul cone,
-its hypercube-augmented variant, the support-count filtration and its
-augmented variant) plus the two Mayer-Vietoris double complexes.
+num_r is the dimension of (F_p ∩ d^{-1}F_{p-r} + F_{p-1}) / F_{p-1}, the
+bracket that of (d(F_{p+r-1}) ∩ F_p + F_{p-1}) / F_{p-1}, and E^r_p is the
+first over the second.  Every page is checked against the page-bookkeeping
+identity, and the abutment against the homology of the underlying total
+complex.  Builders produce the four filtrations attached to an N^n
+multicomplex (Koszul cone, its hypercube-augmented variant, the
+support-count filtration and its augmented variant) plus the two
+Mayer-Vietoris double complexes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .errors import FiltrationViolation, InvalidKind, UnitIdeal
-from .exactlin import GF, FiberComplex, PrimeField, Subspace, homology_dims
+from .errors import FiltrationViolation, InvalidKind, InvariantBroken, UnitIdeal
+from .exactlin import GF, FiberComplex, PrimeField, ScalarMatrix, homology_dims, rank
 from .gcomplex import GradedComplex, taylor_resolution, tensor_complexes
 from .monomial import Multidegree, MonomialIdeal
 from .multicomplex import (
@@ -28,54 +38,37 @@ from .multicomplex import (
 
 
 class FilteredFiberComplex:
-    """A fiber complex with a bounded ascending filtration F_0 ⊆ ... ⊆ F_N.
+    """A fiber complex with a coordinate filtration F_0 ⊆ ... ⊆ F_N.
 
-    The filtration is given per homological degree as Subspace objects; the
-    differentials must respect it.
+    ``levels[i][k]`` is the level (0..N) of basis vector k of degree i; a
+    degree missing from ``levels`` has every vector at level 0.  The
+    differentials must respect the filtration: no nonzero entry of d_i may
+    map a vector into a higher level.
     """
 
-    def __init__(self, base: FiberComplex, filtration: dict, levels: int,
+    def __init__(self, base: FiberComplex, levels: dict, N: int,
                  field: PrimeField = GF()):
         self.base = base
         self.field = field
-        self.levels = int(levels)
-        self.dense = {
-            i: base.differential(i).to_dense(field.p) for i in base.window()
+        self.N = int(N)
+        for i, lv in levels.items():
+            if len(lv) != base.dim(i):
+                raise FiltrationViolation(
+                    f"{len(lv)} levels for the {base.dim(i)} vectors of degree {i}"
+                )
+            if any(not 0 <= v <= self.N for v in lv):
+                raise FiltrationViolation(f"a level at degree {i} is outside 0..{self.N}")
+        self.levels = {
+            i: list(levels.get(i, [0] * base.dim(i))) for i in base.window()
         }
-        self.filtration = {}
-        for i in base.window():
-            chain = filtration.get(i)
-            dim = base.dim(i)
-            if chain is None:
-                chain = [Subspace.full(dim, field.p)] * (self.levels + 1)
-            if len(chain) != self.levels + 1:
-                raise ValueError("filtration chain has wrong length")
-            if chain[-1].dim != dim:
-                raise FiltrationViolation(f"filtration at degree {i} is not exhaustive")
-            for lo, hi in zip(chain, chain[1:]):
-                if not hi.contains(lo):
-                    raise FiltrationViolation(f"filtration at degree {i} is not ascending")
-            self.filtration[i] = list(chain)
-        for i in base.window():
-            d = self.dense[i]
-            if d.size == 0:
-                continue
-            for p in range(self.levels + 1):
-                img = self.filtration[i][p].image_under(d, base.dim(i - 1))
-                if not self._level(i - 1, p).contains(img):
+        for i, d in base.diffs.items():
+            src, tgt = self.levels[i], self.levels[i - 1]
+            for (r, c), v in d.entries.items():
+                if v % field.p and tgt[r] > src[c]:
                     raise FiltrationViolation(
-                        f"d(F_{p}) not inside F_{p} between degrees {i} and {i-1}"
+                        f"d(F_{src[c]}) not inside F_{src[c]} between degrees "
+                        f"{i} and {i - 1}"
                     )
-
-    def _level(self, i: int, p: int) -> Subspace:
-        dim = self.base.dim(i)
-        if p < 0:
-            return Subspace.zero(dim, self.field.p)
-        p = min(p, self.levels)
-        chain = self.filtration.get(i)
-        if chain is None:
-            return Subspace.full(dim, self.field.p)
-        return chain[p]
 
 
 @dataclass
@@ -108,83 +101,66 @@ class SpectralPages:
 
 def pages(f: FilteredFiberComplex, fld: PrimeField | None = None) -> SpectralPages:
     """All pages of the filtration spectral sequence of f, with convergence
-    verified against the homology of the base complex."""
+    verified against the homology of the base complex.
+
+    d^r = 0 for r > N, so pages are computed for r = 1..N+2 and kept up to
+    r_stab, the least r >= 2 with d^s = 0 for every s >= r - 1.
+    """
     fld = f.field if fld is None else fld
     base = f.base
     window = list(base.window())
-    N = f.levels
+    N = f.N
+    counts = {
+        i: [sum(1 for v in lv if v <= p) for p in range(N + 1)]
+        for i, lv in f.levels.items()
+    }
+    block_ranks = {}
 
-    def numerator_denominator(i, p, r):
-        dim_prev = base.dim(i - 1)
-        d = f.dense[i]
-        z = f._level(i, p).intersect(
-            f._level(i - 1, p - r).preimage_under(d, base.dim(i))
-            if d.size
-            else Subspace.full(base.dim(i), fld.p)
-        )
-        znum = z.sum(f._level(i, p - 1))
-        d_in = f.dense.get(i + 1)
-        if d_in is not None and d_in.size:
-            img = f._level(i + 1, p + r - 1).image_under(d_in, base.dim(i))
-        else:
-            img = Subspace.zero(base.dim(i), fld.p)
-        bnum = img.intersect(f._level(i, p)).sum(f._level(i, p - 1))
-        return z, znum, bnum
+    def F(i, p):
+        if p < 0 or i not in counts:
+            return 0
+        return counts[i][min(p, N)]
+
+    def R(i, a, b):
+        key = (i, max(a, -1), min(b, N))
+        if key not in block_ranks:
+            _, a, b = key
+            d = base.diffs.get(i)
+            if d is None or b < 0 or a >= N:
+                block_ranks[key] = 0
+            else:
+                cols = _positions(f.levels[i], lambda v: v <= b)
+                rows = _positions(f.levels[i - 1], lambda v: v > a)
+                block = ScalarMatrix(len(rows), len(cols), [
+                    (rows[r], cols[c], v) for (r, c), v in d.entries.items()
+                    if r in rows and c in cols
+                ])
+                block_ranks[key] = rank(block, fld)
+        return block_ranks[key]
+
+    def num(i, p, r):
+        return (F(i, p) - R(i, p - r, p)) - (F(i, p - 1) - R(i, p - r, p - 1))
 
     page_tables = []
     rank_tables = []
-    r = 1
-    prev_dims = None
-    while True:
+    for r in range(1, N + 3):
         dims = {}
-        zs = {}
-        denoms = {}
-        for i in window:
-            for p in range(N + 1):
-                z, znum, bnum = numerator_denominator(i, p, r)
-                e = znum.dim - bnum.dim
-                zs[(p, i)] = z
-                denoms[(p, i)] = bnum
-                if e:
-                    dims[(p, i - p)] = e
         ranks = {}
         for i in window:
             for p in range(N + 1):
-                if (p, i - p) not in dims:
-                    continue
-                tp = p - r
-                if tp < 0 or (tp, (i - 1) - tp) not in dims:
-                    continue
-                d = f.dense[i]
-                img = zs[(p, i)].image_under(d, base.dim(i - 1)) if d.size else \
-                    Subspace.zero(base.dim(i - 1), fld.p)
-                den = denoms[(tp, i - 1)]
-                rk = img.sum(den).dim - den.dim
+                n_r = num(i, p, r)
+                e = n_r - (R(i + 1, p - 1, p + r - 1) - R(i + 1, p, p + r - 1))
+                rk = n_r - num(i, p, r + 1)
+                if e:
+                    dims[(p, i - p)] = e
                 if rk:
                     ranks[(p, i - p)] = rk
+        _check_page(r, dims, ranks, page_tables, rank_tables)
         page_tables.append(dims)
         rank_tables.append(ranks)
-        if prev_dims is not None:
-            # dim E^{r} = dim E^{r-1} - rank in - rank out, a structural
-            # identity of the subspace formula; failure means an engine bug
-            prev_ranks = rank_tables[-2]
-            for key in set(prev_dims) | set(dims):
-                p, q = key
-                out_rk = prev_ranks.get(key, 0)
-                in_rk = prev_ranks.get((p + (r - 1), q - (r - 1) + 1), 0)
-                expect = prev_dims.get(key, 0) - out_rk - in_rk
-                if dims.get(key, 0) != expect:
-                    raise AssertionError(
-                        f"page bookkeeping broken at r={r}, (p,q)={key}"
-                    )
-        if prev_dims == dims and not ranks and r > 1:
-            break
-        if r > N + 3 and not ranks:
-            break
-        prev_dims = dims
-        r += 1
-        if r > N + 12:
-            raise AssertionError("spectral sequence failed to stabilize")
+    last_moving = max((s for s, rk in enumerate(rank_tables, 1) if rk), default=0)
+    r_stab = max(2, last_moving + 2)
+    del page_tables[r_stab:], rank_tables[r_stab:]
     e_inf = page_tables[-1]
     base_h = dict(homology_dims(base, fld))
     check = {}
@@ -204,31 +180,51 @@ def pages(f: FilteredFiberComplex, fld: PrimeField | None = None) -> SpectralPag
         e_infinity=e_inf,
         abutment_check=check,
         converged=converged,
-        r_stab=len(page_tables),
+        r_stab=r_stab,
         levels=N,
     )
+
+
+def _positions(levels, keep) -> dict:
+    """{index in levels: index among the kept entries} for entries with keep(level)."""
+    return {k: n for n, k in enumerate(k for k, v in enumerate(levels) if keep(v))}
+
+
+def _check_page(r, dims, ranks, page_tables, rank_tables):
+    """Page r against page r-1: dim E^r = dim E^{r-1} - rank out - rank in,
+    and every dimension and d^r rank nonnegative, each rank at most the
+    dimensions of its source and target.  Raises InvariantBroken."""
+    for (p, q), rk in ranks.items():
+        if rk < 0 or rk > min(dims.get((p, q), 0), dims.get((p - r, q + r - 1), 0)):
+            raise InvariantBroken(f"rank {rk} of d^{r} out of (p,q)={(p, q)} at r={r}")
+    for key, e in dims.items():
+        if e < 0:
+            raise InvariantBroken(f"negative page dimension at r={r}, (p,q)={key}")
+    if not page_tables:
+        return
+    prev_dims, prev_ranks = page_tables[-1], rank_tables[-1]
+    s = r - 1
+    for key in set(prev_dims) | set(dims):
+        p, q = key
+        out_rk = prev_ranks.get(key, 0)
+        in_rk = prev_ranks.get((p + s, q - s + 1), 0)
+        if dims.get(key, 0) != prev_dims.get(key, 0) - out_rk - in_rk:
+            raise InvariantBroken(f"page bookkeeping broken at r={r}, (p,q)={key}")
 
 
 # ---------------------------------------------------------------------------
 # Filtration builders for the four multicomplex spectral sequences
 
 
-def _filtered_from_total(total: GradedComplex, gamma, weight, levels,
+def _filtered_from_total(total: GradedComplex, gamma, weight, N,
                          fld: PrimeField) -> FilteredFiberComplex:
     """Coordinate filtration of the fiber of a totalization, with the level
     of each surviving summand computed from its (q, label) tag."""
-    fib = total.fiber(gamma)
-    filtration = {}
-    for i in total.window():
-        weights = [weight(s.label) for s in total.summands(i) if s.alive(gamma)]
-        chain = [
-            Subspace.coordinate(
-                len(weights), fld.p, [k for k, w in enumerate(weights) if w <= j]
-            )
-            for j in range(levels + 1)
-        ]
-        filtration[i] = chain
-    return FilteredFiberComplex(fib, filtration, levels, fld)
+    levels = {
+        i: [weight(s.label) for s in total.summands(i) if s.alive(gamma)]
+        for i in total.window()
+    }
+    return FilteredFiberComplex(total.fiber(gamma), levels, N, fld)
 
 
 def build_filtration(m: Multicomplex, gamma, kind: str,

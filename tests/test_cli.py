@@ -125,6 +125,31 @@ def test_cli_spectral_command(problem_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_spectral_converges_past_a_zero_d2(tmp_path, capsys):
+    """At degree (0, 3) kcone has d^1 = d^2 = 0 but d^3 != 0."""
+    path = tmp_path / "prob.json"
+    path.write_text(json.dumps({
+        "characteristic": 32003,
+        "variables": ["x", "y"],
+        "ideals": {"I1": [[0, 2]], "I2": [[0, 1], [1, 0]], "I3": [[0, 1]]},
+    }))
+    assert main(["spectral", str(path), "--kind", "kcone"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert all(pg["converged"] for pg in report["results"]["pages"].values())
+    assert report["results"]["pages"]["0,3"]["r_stab"] == 5
+
+
+def test_cli_invariant_failure_exit_code(problem_path, capsys, monkeypatch):
+    from homotor import exactlin, spectral
+
+    monkeypatch.setattr(
+        spectral, "rank", lambda m, fld: exactlin.rank(m, fld) + bool(m.nnz)
+    )
+    assert main(["spectral", problem_path, "--kind", "interior"]) == 3
+    diag = json.loads(capsys.readouterr().out)
+    assert diag["error"]["type"] == "InvariantBroken"
+
+
 def test_cli_support_command(problem_path, capsys):
     assert main(["support", problem_path]) == 0
     report = json.loads(capsys.readouterr().out)

@@ -1,6 +1,5 @@
-"""Exact GF(p) linear algebra: ranks, fiber homology, subspace arithmetic."""
+"""Exact GF(p) linear algebra: ranks and fiber homology."""
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -10,12 +9,9 @@ from homotor.exactlin import (
     FiberComplex,
     PrimeField,
     ScalarMatrix,
-    Subspace,
     _rank_dense,
     homology_dims,
-    nullspace,
     rank,
-    rref,
 )
 
 
@@ -153,58 +149,3 @@ def test_homology_invariant_under_permutation():
         {1: ScalarMatrix(2, 2, [(1, 1, 1), (1, 0, 2), (0, 0, 1)])},
     )
     assert homology_dims(base, f) == homology_dims(permuted, f)
-
-
-# -- subspace arithmetic ------------------------------------------------------
-
-
-def _span(vectors, p):
-    """Brute-force span of row vectors inside GF(p)^n, as a frozenset."""
-    import itertools
-
-    vectors = [tuple(int(x) % p for x in v) for v in vectors]
-    n = len(vectors[0]) if vectors else 0
-    out = set()
-    for coeffs in itertools.product(range(p), repeat=len(vectors)):
-        acc = tuple(
-            sum(c * v[i] for c, v in zip(coeffs, vectors)) % p for i in range(n)
-        )
-        out.add(acc)
-    return frozenset(out)
-
-
-def test_subspace_ops_against_enumeration():
-    p = 3
-    a = Subspace(3, p, np.array([[1, 0, 1], [0, 1, 1]]))
-    b = Subspace(3, p, np.array([[1, 1, 2], [1, 2, 0]]))
-    ea, eb = _span(a.basis, p), _span(b.basis, p)
-    assert _span(a.sum(b).basis, p) == frozenset(
-        tuple((x + y) % p for x, y in zip(u, v)) for u in ea for v in eb
-    )
-    assert _span(a.intersect(b).basis, p) == ea & eb
-
-    d = np.array([[1, 2, 0], [0, 1, 1]])  # GF(3)^3 -> GF(3)^2
-    target = Subspace(2, p, np.array([[1, 1]]))
-    pre = target.preimage_under(d, 3)
-    expected = {
-        v for v in _span(np.eye(3, dtype=int), p)
-        if tuple(int(x) % p for x in d @ np.array(v)) in _span(target.basis, p)
-    }
-    assert _span(pre.basis, p) == expected
-
-
-def test_nullspace_and_rref():
-    p = 5
-    m = np.array([[1, 2, 3], [2, 4, 6]])
-    red, pivots = rref(m, p)
-    assert pivots == [0]
-    ns = nullspace(m, p)
-    assert ns.shape[0] == 2
-    assert not ((m @ ns.T) % p).any()
-
-
-def test_coordinate_subspace():
-    s = Subspace.coordinate(4, 5, [1, 3])
-    assert s.dim == 2
-    assert Subspace.full(4, 5).contains(s)
-    assert not s.contains(Subspace.full(4, 5))

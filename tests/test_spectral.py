@@ -1,16 +1,19 @@
 """The filtered-complex spectral sequence engine and its builders."""
 
 import itertools
+import math
+import random
 
 import pytest
 
-from homotor.errors import FiltrationViolation, InvalidKind, UnitIdeal
+from homotor import spectral
+from homotor.errors import FiltrationViolation, InvalidKind, InvariantBroken, UnitIdeal
 from homotor.exactlin import (
     GF,
     FiberComplex,
     ScalarMatrix,
-    Subspace,
     homology_dims,
+    rank,
 )
 from homotor.gcomplex import taylor_resolution
 from homotor.monomial import MonomialIdeal, Multidegree, iter_box
@@ -34,11 +37,8 @@ P = GF().p
 
 def test_zero_differential_gives_associated_graded():
     base = FiberComplex({0: 2, 1: 3}, {})
-    filt = {
-        0: [Subspace.coordinate(2, P, [0]), Subspace.full(2, P)],
-        1: [Subspace.coordinate(3, P, [0, 1]), Subspace.full(3, P)],
-    }
-    pg = pages(FilteredFiberComplex(base, filt, 1))
+    levels = {0: [0, 1], 1: [0, 0, 1]}
+    pg = pages(FilteredFiberComplex(base, levels, 1))
     assert pg.e1 == {(0, 0): 1, (1, -1): 1, (0, 1): 2, (1, 0): 1}
     assert pg.e_infinity == pg.e1
     assert pg.converged
@@ -46,11 +46,7 @@ def test_zero_differential_gives_associated_graded():
 
 def test_identity_complex_two_step_filtration():
     base = FiberComplex({0: 1, 1: 1}, {1: ScalarMatrix(1, 1, [(0, 0, 1)])})
-    filt = {
-        0: [Subspace.full(1, P), Subspace.full(1, P)],
-        1: [Subspace.zero(1, P), Subspace.full(1, P)],
-    }
-    pg = pages(FilteredFiberComplex(base, filt, 1))
+    pg = pages(FilteredFiberComplex(base, {0: [0], 1: [1]}, 1))
     assert pg.e1 == {(0, 0): 1, (1, 0): 1}
     assert pg.ranks[0] == {(1, 0): 1}  # d^1 is an isomorphism
     assert pg.page(2) == {}
@@ -59,19 +55,146 @@ def test_identity_complex_two_step_filtration():
 
 def test_filtration_violation_detected():
     base = FiberComplex({0: 1, 1: 1}, {1: ScalarMatrix(1, 1, [(0, 0, 1)])})
-    filt = {
-        0: [Subspace.zero(1, P), Subspace.full(1, P)],
-        1: [Subspace.full(1, P), Subspace.full(1, P)],
-    }
     with pytest.raises(FiltrationViolation):
-        FilteredFiberComplex(base, filt, 1)
+        FilteredFiberComplex(base, {0: [1], 1: [0]}, 1)
+    # an entry that vanishes mod p maps nothing up a level
+    base = FiberComplex({0: 1, 1: 1}, {1: ScalarMatrix(1, 1, [(0, 0, P)])})
+    FilteredFiberComplex(base, {0: [1], 1: [0]}, 1)
 
 
 def test_non_exhaustive_filtration_rejected():
     base = FiberComplex({0: 2}, {})
-    filt = {0: [Subspace.zero(2, P), Subspace.coordinate(2, P, [0])]}
-    with pytest.raises(FiltrationViolation):
-        FilteredFiberComplex(base, filt, 1)
+    for levels in ({0: [0, 2]}, {0: [0, -1]}, {0: [0]}, {0: [0, 0, 0]}, {1: [0]}):
+        with pytest.raises(FiltrationViolation):
+            FilteredFiberComplex(base, levels, 1)
+
+
+def test_missing_degree_sits_at_level_zero():
+    base = FiberComplex({0: 1, 1: 1}, {1: ScalarMatrix(1, 1, [(0, 0, 1)])})
+    pg = pages(FilteredFiberComplex(base, {1: [0]}, 2))
+    assert pg.e1 == {} and pg.r_stab == 2 and pg.converged
+
+
+def test_broken_block_rank_is_an_invariant_failure(monkeypatch):
+    base = FiberComplex({0: 1, 1: 1}, {1: ScalarMatrix(1, 1, [(0, 0, 1)])})
+    f = FilteredFiberComplex(base, {0: [0], 1: [1]}, 1)
+    monkeypatch.setattr(spectral, "rank", lambda m, fld: rank(m, fld) + bool(m.nnz))
+    with pytest.raises(InvariantBroken):
+        pages(f)
+
+
+# -- the pages against their definitions, by enumeration over GF(3) ----------
+
+
+def _span(vectors, dim, p):
+    """All GF(p) combinations of vectors in GF(p)^dim, as a frozenset."""
+    out = {(0,) * dim}
+    for v in vectors:
+        out = {tuple((a + c * b) % p for a, b in zip(u, v)) for u in out for c in range(p)}
+    return frozenset(out)
+
+
+def _plus(a, b, p):
+    return frozenset(tuple((x + y) % p for x, y in zip(u, v)) for u in a for v in b)
+
+
+def _dim(space, p):
+    return round(math.log(len(space), p))
+
+
+def _apply(entries, x, rows, p):
+    y = [0] * rows
+    for (r, c), v in entries.items():
+        y[r] = (y[r] + v * x[c]) % p
+    return tuple(y)
+
+
+def _random_filtered_complex(rng, p):
+    """Three degrees of at most 4 vectors, N in 1..3, d_1 d_2 = 0: the rows
+    of d_1 are drawn from the filtration-respecting vectors that kill d_2."""
+    N = rng.randint(1, 3)
+    dims = [rng.randint(1, 4) for _ in range(3)]
+    levels = {i: [rng.randint(0, N) for _ in range(dims[i])] for i in range(3)}
+    d2 = {
+        (r, c): rng.randrange(1, p)
+        for r in range(dims[1]) for c in range(dims[2])
+        if levels[1][r] <= levels[2][c] and rng.random() < 0.6
+    }
+    d1 = {}
+    for r in range(dims[0]):
+        rows = [
+            u for u in itertools.product(range(p), repeat=dims[1])
+            if all(u[c] == 0 for c in range(dims[1]) if levels[1][c] < levels[0][r])
+            and all(sum(u[m] * d2.get((m, c), 0) for m in range(dims[1])) % p == 0
+                    for c in range(dims[2]))
+        ]
+        for c, v in enumerate(rng.choice(rows)):
+            if v:
+                d1[(r, c)] = v
+    diffs = {
+        i: ScalarMatrix(dims[i - 1], dims[i], [(r, c, v) for (r, c), v in d.items()])
+        for i, d in ((1, d1), (2, d2))
+    }
+    return FiberComplex(dict(enumerate(dims)), diffs), levels, N, dims, {1: d1, 2: d2}
+
+
+def _pages_by_enumeration(levels, N, dims, d, p):
+    """E^r and the ranks of d^r for r = 1..N+1, from Z^r_p = F_p ∩ d^{-1}F_{p-r}
+    + F_{p-1} and B^r_p = d(F_{p+r-1}) ∩ F_p + F_{p-1}."""
+    def dim(i):
+        return dims[i] if 0 <= i < 3 else 0
+
+    def filt(i, p_):
+        n = dim(i)
+        basis = [tuple(int(k == c) for k in range(n))
+                 for c in range(n) if levels[i][c] <= p_]
+        return _span(basis, n, p)
+
+    def image(i, space):
+        if i not in d:
+            return frozenset({(0,) * dim(i - 1)})
+        return frozenset(_apply(d[i], x, dim(i - 1), p) for x in space)
+
+    def cycles(i, p_, r):
+        if i not in d:
+            return filt(i, p_)
+        target = filt(i - 1, p_ - r)
+        return frozenset(x for x in filt(i, p_) if _apply(d[i], x, dim(i - 1), p) in target)
+
+    def boundaries(i, p_, r):
+        return _plus(image(i + 1, filt(i + 1, p_ + r - 1)) & filt(i, p_), filt(i, p_ - 1), p)
+
+    out = []
+    for r in range(1, N + 2):
+        page, ranks = {}, {}
+        for i in range(3):
+            for p_ in range(N + 1):
+                e = (_dim(_plus(cycles(i, p_, r), filt(i, p_ - 1), p), p)
+                     - _dim(boundaries(i, p_, r), p))
+                if e:
+                    page[(p_, i - p_)] = e
+                target = boundaries(i - 1, p_ - r, r)
+                rk = _dim(_plus(image(i, cycles(i, p_, r)), target, p), p) - _dim(target, p)
+                if rk:
+                    ranks[(p_, i - p_)] = rk
+        out.append((page, ranks))
+    return out
+
+
+def test_pages_against_enumeration():
+    p = 3
+    fld = GF(p)
+    rng = random.Random(3)
+    for _ in range(80):
+        base, levels, N, dims, d = _random_filtered_complex(rng, p)
+        pg = pages(FilteredFiberComplex(base, levels, N, fld))
+        want = _pages_by_enumeration(levels, N, dims, d, p)
+        moving = [s for s, (_, ranks) in enumerate(want, 1) if ranks]
+        assert pg.r_stab == max([2] + [s + 2 for s in moving])
+        for r, (page, ranks) in enumerate(want, 1):
+            assert pg.page(r) == page, (levels, d, r)
+            assert (pg.ranks[r - 1] if r <= pg.r_stab else {}) == ranks, (levels, d, r)
+        assert pg.converged
 
 
 def res(*gens):
