@@ -25,7 +25,7 @@ from .errors import (
     UnknownCommand,
     ValidationError,
 )
-from .exactlin import GF, _is_prime
+from .exactlin import GF
 from .monomial import MonomialIdeal, Multidegree, iter_box
 from .spectral import build_filtration, mv_double, pages
 from .sumprod import (
@@ -114,9 +114,7 @@ def parse_problem(path) -> ProblemFile:
         raise ParseError(f"{path}:{exc.lineno}: {exc.msg}") from exc
     if not isinstance(raw, dict):
         raise ValidationError("problem file must be a JSON object")
-    char = raw.get("characteristic", GF().p)
-    if not isinstance(char, int) or not _is_prime(char):
-        raise ValidationError(f"characteristic {char!r} is not a prime integer")
+    char = GF(raw.get("characteristic", GF().p)).p
     variables = raw.get("variables")
     if not isinstance(variables, list) or not variables or \
             len(set(variables)) != len(variables):
@@ -209,7 +207,10 @@ def run(command: str, problem: ProblemFile | None, flags: dict) -> dict:
     """Execute one CLI command and build its report."""
     if command not in COMMANDS:
         raise UnknownCommand(f"unknown command {command!r}")
-    fld = GF(flags.get("field") or (problem.characteristic if problem else GF().p))
+    field = flags.get("field")
+    if field is None:
+        field = problem.characteristic if problem else GF().p
+    fld = GF(field)
     report = {
         "command": command,
         "inputs": {
@@ -437,6 +438,17 @@ def _emit(report, flags, started):
     sys.stdout.write(text)
 
 
+def _int_list(flag, text):
+    """Comma-separated non-negative integers from a command-line flag."""
+    try:
+        values = [int(v) for v in text.split(",")]
+        if all(v >= 0 for v in values):
+            return values
+    except ValueError:
+        pass
+    raise ValidationError(f"{flag} must be comma-separated non-negative integers")
+
+
 def main(argv=None) -> int:
     started = time.time()
     parser = argparse.ArgumentParser(
@@ -473,9 +485,9 @@ def main(argv=None) -> int:
     }
     try:
         if args.box:
-            flags["box"] = Multidegree(int(v) for v in args.box.split(","))
+            flags["box"] = Multidegree(_int_list("--box", args.box))
         if args.subset:
-            flags["subset"] = [int(v) for v in args.subset.split(",")]
+            flags["subset"] = _int_list("--subset", args.subset)
         if args.command not in COMMANDS:
             raise UnknownCommand(f"unknown command {args.command!r}")
         problem = None

@@ -2,22 +2,21 @@
 
 Everything downstream (homology tables, spectral sequence pages) reduces to
 ranks of small matrices over GF(p).  Matrices are kept sparse as (row, col,
-value) triples and eliminated with a deterministic pivot rule; dense numpy
-elimination takes over past a density threshold.
+value) triples and eliminated with a deterministic pivot rule in Python
+integers, so no product overflows for any supported p.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import CompositionNonzero
+from .errors import CompositionNonzero, ValidationError
 
 DEFAULT_CHARACTERISTIC = 32003
 
-#: nnz / (rows * cols) above which elimination goes dense.
-DENSE_THRESHOLD = 0.25
+#: Characteristics must lie below this bound; it also caps the cost of the
+#: trial-division primality test.
+MAX_CHARACTERISTIC = 2**31
 
 
 def _is_prime(n: int) -> bool:
@@ -40,8 +39,11 @@ class PrimeField:
     characteristic: int = DEFAULT_CHARACTERISTIC
 
     def __post_init__(self):
-        if not _is_prime(self.characteristic):
-            raise ValueError(f"characteristic {self.characteristic} is not prime")
+        p = self.characteristic
+        if not isinstance(p, int) or p >= MAX_CHARACTERISTIC or not _is_prime(p):
+            raise ValidationError(
+                f"characteristic {p!r} is not a prime below 2^31"
+            )
 
     @property
     def p(self) -> int:
@@ -92,14 +94,6 @@ class ScalarMatrix:
         return ScalarMatrix(
             self.cols, self.rows, [(c, r, v) for (r, c), v in self.entries.items()]
         )
-
-    def to_dense(self, p: int | None = None) -> np.ndarray:
-        a = np.zeros((self.rows, self.cols), dtype=np.int64)
-        for (r, c), v in self.entries.items():
-            a[r, c] = v
-        if p is not None:
-            a %= p
-        return a
 
     def compose(self, other: "ScalarMatrix") -> "ScalarMatrix":
         """self @ other, over the integers (sparse)."""
@@ -152,35 +146,10 @@ def _rank_sparse(m: ScalarMatrix, p: int) -> int:
     return rank
 
 
-def _rank_dense(a: np.ndarray, p: int) -> int:
-    a = a % p
-    rows, cols = a.shape
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        pr = r + int(nz[0])
-        if pr != r:
-            a[[r, pr]] = a[[pr, r]]
-        inv = pow(int(a[r, c]), p - 2, p)
-        a[r] = (a[r] * inv) % p
-        col = a[r + 1 :, c]
-        mask = col != 0
-        if mask.any():
-            a[r + 1 :][mask] = (a[r + 1 :][mask] - np.outer(col[mask], a[r])) % p
-        r += 1
-    return r
-
-
 def rank(m: ScalarMatrix, f: PrimeField = GF()) -> int:
     """Rank of m over GF(p); deterministic pivot order."""
     if m.nnz == 0:
         return 0
-    if m.density() > DENSE_THRESHOLD:
-        return _rank_dense(m.to_dense(), f.p)
     return _rank_sparse(m, f.p)
 
 
@@ -231,7 +200,7 @@ class FiberComplex:
                     raise CompositionNonzero(f"d∘d != 0 between degrees {i} and {i-2}")
 
     def euler_characteristic(self) -> int:
-        return sum((-1) ** i * d for i, d in self.terms.items())
+        return sum(-d if i % 2 else d for i, d in self.terms.items())
 
 
 def homology_dims(c: FiberComplex, f: PrimeField = GF()) -> list:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import reduce
 
 from .errors import BoxTooSmall, LengthMismatch, MixedKinds, UnitIdeal
 from .exactlin import GF, FiberComplex, PrimeField, ScalarMatrix, rank
@@ -120,6 +121,10 @@ class GradedComplex:
             tgt_terms = self.terms.get(i - 1, ())
             merged: dict = {}
             for src, tgt, coeff in es:
+                if not isinstance(coeff, int):
+                    raise ValueError(
+                        f"coefficient {coeff!r} at degree {i} is not an int"
+                    )
                 if coeff == 0:
                     continue
                 merged[(src, tgt)] = merged.get((src, tgt), 0) + coeff
@@ -345,8 +350,33 @@ def module_homology_table(c: GradedComplex, field: PrimeField = GF(),
 # Builders
 
 
-def _subsets(items, size):
-    return itertools.combinations(range(len(items)), size)
+def exterior_complex(m: int, summand, orientation: str = "chain"):
+    """Terms and entries of an exterior-algebra complex on m generators.
+
+    ``summand(S)`` gives the summand on each subset S of range(m), a sorted
+    tuple; subsets of one size are listed in ``itertools.combinations``
+    order.  The chain differential is d(e_S) = sum_l (-1)^l e_{S - S[l]}, and
+    the cochain complex is its transpose with size-p subsets at index -p.
+    """
+    terms = {}
+    index = {}
+    for p in range(m + 1):
+        subs = list(itertools.combinations(range(m), p))
+        terms[p] = tuple(summand(s) for s in subs)
+        index.update((s, k) for k, s in enumerate(subs))
+    entries = {p: [] for p in range(1, m + 1)}
+    for s, k in index.items():
+        for l in range(len(s)):
+            face = index[s[:l] + s[l + 1:]]
+            entries[len(s)].append((k, face, -1 if l % 2 else 1))
+    if orientation == "chain":
+        return terms, entries
+    if orientation == "cochain":
+        return (
+            {-p: ss for p, ss in terms.items()},
+            {1 - p: [(t, s, c) for s, t, c in es] for p, es in entries.items()},
+        )
+    raise ValueError(f"bad orientation {orientation!r}")
 
 
 def koszul_units(n: int, orientation: str = "chain") -> GradedComplex:
@@ -354,39 +384,21 @@ def koszul_units(n: int, orientation: str = "chain") -> GradedComplex:
     if n < 1:
         raise ValueError("koszul_units needs n >= 1")
     zero = Multidegree.zero(n)
-    terms = {}
-    entries = {}
-    index = {}
-    if orientation == "chain":
-        for p in range(n + 1):
-            subs = list(itertools.combinations(range(n), p))
-            terms[p] = tuple(free_summand(zero, label=s) for s in subs)
-            index[p] = {s: k for k, s in enumerate(subs)}
-        for p in range(1, n + 1):
-            es = []
-            for s, si in index[p].items():
-                for l, j in enumerate(s):
-                    t = tuple(x for x in s if x != j)
-                    es.append((si, index[p - 1][t], (-1) ** l))
-            entries[p] = es
-        return GradedComplex(n, terms, entries, "chain")
-    if orientation == "cochain":
-        for p in range(n + 1):
-            subs = list(itertools.combinations(range(n), p))
-            terms[-p] = tuple(free_summand(zero, label=s) for s in subs)
-            index[p] = {s: k for k, s in enumerate(subs)}
-        for p in range(n):
-            es = []
-            for s, si in index[p].items():
-                for j in range(n):
-                    if j in s:
-                        continue
-                    t = tuple(sorted(s + (j,)))
-                    sign = (-1) ** sum(1 for x in s if x < j)
-                    es.append((si, index[p + 1][t], sign))
-            entries[-p] = es
-        return GradedComplex(n, terms, entries, "cochain")
-    raise ValueError(f"bad orientation {orientation!r}")
+    terms, entries = exterior_complex(
+        n, lambda s: free_summand(zero, label=s), orientation
+    )
+    return GradedComplex(n, terms, entries, orientation)
+
+
+def _joined_shifts(n: int, gens, join) -> GradedComplex:
+    """The complex on subsets of ``gens`` with free summands shifted by the
+    ``join`` of the generators in each subset."""
+    zero = Multidegree.zero(n)
+    terms, entries = exterior_complex(
+        len(gens),
+        lambda s: free_summand(reduce(join, (gens[i] for i in s), zero), label=s),
+    )
+    return GradedComplex(n, terms, entries, "chain")
 
 
 def koszul_variables(gens) -> GradedComplex:
@@ -399,28 +411,7 @@ def koszul_variables(gens) -> GradedComplex:
     n = gens[0].n
     if any(g.n != n for g in gens):
         raise LengthMismatch("generators of mixed lengths")
-    m = len(gens)
-    terms = {}
-    entries = {}
-    index = {}
-    for p in range(m + 1):
-        subs = list(itertools.combinations(range(m), p))
-        summands = []
-        for s in subs:
-            shift = Multidegree.zero(n)
-            for i in s:
-                shift = shift.add(gens[i])
-            summands.append(free_summand(shift, label=s))
-        terms[p] = tuple(summands)
-        index[p] = {s: k for k, s in enumerate(subs)}
-    for p in range(1, m + 1):
-        es = []
-        for s, si in index[p].items():
-            for l, j in enumerate(s):
-                t = tuple(x for x in s if x != j)
-                es.append((si, index[p - 1][t], (-1) ** l))
-        entries[p] = es
-    return GradedComplex(n, terms, entries, "chain")
+    return _joined_shifts(n, gens, Multidegree.add)
 
 
 def taylor_resolution(ideal: MonomialIdeal) -> GradedComplex:
@@ -428,30 +419,7 @@ def taylor_resolution(ideal: MonomialIdeal) -> GradedComplex:
     shift = their lcm.  Non-minimal in general but always a resolution."""
     if ideal.is_unit():
         raise UnitIdeal("no Taylor resolution for the unit ideal")
-    gens = list(ideal.gens)
-    n = ideal.n
-    m = len(gens)
-    terms = {}
-    entries = {}
-    index = {}
-    for p in range(m + 1):
-        subs = list(itertools.combinations(range(m), p))
-        summands = []
-        for s in subs:
-            shift = Multidegree.zero(n)
-            for i in s:
-                shift = lcm_deg(shift, gens[i])
-            summands.append(free_summand(shift, label=s))
-        terms[p] = tuple(summands)
-        index[p] = {s: k for k, s in enumerate(subs)}
-    for p in range(1, m + 1):
-        es = []
-        for s, si in index[p].items():
-            for l, j in enumerate(s):
-                t = tuple(x for x in s if x != j)
-                es.append((si, index[p - 1][t], (-1) ** l))
-        entries[p] = es
-    return GradedComplex(n, terms, entries, "chain")
+    return _joined_shifts(ideal.n, list(ideal.gens), lcm_deg)
 
 
 def fiber(c: GradedComplex, gamma) -> FiberComplex:
@@ -522,7 +490,7 @@ def tensor_complexes(a: GradedComplex, b: GradedComplex) -> GradedComplex:
                     entries.setdefault(deg, []).append((spos, tpos, coeff))
     for j, es in b.entries.items():
         for i, sa in a.terms.items():
-            sign = (-1) ** i
+            sign = -1 if i % 2 else 1
             for src, tgt, coeff in es:
                 for ka in range(len(sa)):
                     deg, spos = index[(i, ka, j, src)]

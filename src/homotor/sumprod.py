@@ -19,6 +19,7 @@ from .gcomplex import (
     GradedComplex,
     TorTable,
     cyclic_summand,
+    exterior_complex,
     ideal_summand,
     module_homology_table,
     taylor_resolution,
@@ -28,10 +29,6 @@ from .monomial import MonomialIdeal, Multidegree, combine, lcm_deg
 from .multicomplex import hypercube_augment, interior, tensor
 from .spectral import build_filtration, pages
 from .torlab import _validate_family, multi_tor, tensor_total
-
-
-def _cochain_sign(subset, j):
-    return (-1) ** sum(1 for t in subset if t < j)
 
 
 @dataclass
@@ -68,24 +65,6 @@ class ProductComplex:
     ideals: tuple
 
 
-def _wedge_terms(ideals, op, make, start):
-    """Terms and Koszul entries for the S/P shapes; ``make`` builds a summand
-    from a combined ideal, ``start`` handles the degree-0 term."""
-    n = len(ideals)
-    terms = {}
-    index = {}
-    for p in range(1, n + 1):
-        subs = list(itertools.combinations(range(n), p))
-        terms[p] = tuple(
-            make(combine([ideals[i] for i in s], op), s) for s in subs
-        )
-        index[p] = {s: k for k, s in enumerate(subs)}
-    if start is not None:
-        terms[0] = (start,)
-        index[0] = {(): 0}
-    return terms, index
-
-
 def build_s_complex(ideals, variant: str = "quotient",
                     s0: str = "product") -> SumComplex:
     """The sum complex of the family; ``s0`` picks the bottom term of the
@@ -97,28 +76,16 @@ def build_s_complex(ideals, variant: str = "quotient",
         raise InvalidKind(f"unknown variant {variant!r}")
     if s0 not in ("product", "intersection"):
         raise InvalidKind(f"unknown s0 option {s0!r}")
-    bottom_ideal = combine(ideals, s0)
-    if variant == "quotient":
-        make = lambda ideal, s: cyclic_summand(ideal, label=s)
-        start = cyclic_summand(bottom_ideal, label=())
-    else:
-        make = lambda ideal, s: ideal_summand(ideal, label=s)
-        start = ideal_summand(bottom_ideal, label=())
-    terms, index = _wedge_terms(ideals, "sum", make, start)
-    stored = {-p: ss for p, ss in terms.items()}
-    entries = {}
-    for p in range(n):
-        es = []
-        for s, si in index[p].items():
-            for j in range(n):
-                if j in s:
-                    continue
-                t = tuple(sorted(s + (j,)))
-                es.append((si, index[p + 1][t], _cochain_sign(s, j)))
-        if es:
-            entries[-p] = es
+    make = cyclic_summand if variant == "quotient" else ideal_summand
+    bottom = combine(ideals, s0)
+    terms, entries = exterior_complex(
+        n,
+        lambda s: make(combine([ideals[i] for i in s], "sum") if s else bottom,
+                       label=s),
+        "cochain",
+    )
     return SumComplex(
-        GradedComplex(n_vars, stored, entries, "cochain"), variant, n, tuple(ideals)
+        GradedComplex(n_vars, terms, entries, "cochain"), variant, n, tuple(ideals)
     )
 
 
@@ -132,25 +99,15 @@ def build_p_complex(ideals, variant: str = "quotient",
         raise InvalidKind(f"unknown variant {variant!r}")
     if p0 not in ("unit", "sum"):
         raise InvalidKind(f"unknown p0 option {p0!r}")
-    if variant == "quotient":
-        make = lambda ideal, s: cyclic_summand(ideal, label=s)
-        start = None if p0 == "unit" else cyclic_summand(combine(ideals, "sum"), label=())
-    else:
-        make = lambda ideal, s: ideal_summand(ideal, label=s)
-        bottom = MonomialIdeal.unit(n_vars) if p0 == "unit" else combine(ideals, "sum")
-        start = ideal_summand(bottom, label=())
-    terms, index = _wedge_terms(ideals, "product", make, start)
-    entries = {}
-    for p in range(2, n + 1):
-        es = []
-        for s, si in index[p].items():
-            for l, j in enumerate(s):
-                t = tuple(x for x in s if x != j)
-                es.append((si, index[p - 1][t], (-1) ** l))
-        entries[p] = es
-    if 0 in terms:
-        es = [(index[1][(i,)], 0, 1) for i in range(n)]
-        entries[1] = es
+    make = cyclic_summand if variant == "quotient" else ideal_summand
+    bottom = MonomialIdeal.unit(n_vars) if p0 == "unit" else combine(ideals, "sum")
+    terms, entries = exterior_complex(
+        n,
+        lambda s: make(combine([ideals[i] for i in s], "product") if s else bottom,
+                       label=s),
+    )
+    if variant == "quotient" and p0 == "unit":
+        del terms[0], entries[1]  # P_0 = R/R is zero
     return ProductComplex(
         GradedComplex(n_vars, terms, entries, "chain"), variant, n, tuple(ideals)
     )

@@ -139,6 +139,37 @@ def test_cli_spectral_converges_past_a_zero_d2(tmp_path, capsys):
     assert report["results"]["pages"]["0,3"]["r_stab"] == 5
 
 
+def test_cli_spectral_sum_to_product_with_a_module(tmp_path, capsys):
+    """The sum complex is a cochain complex stored in negative degrees, so
+    the Koszul sign (-1)^i of its tensor with the module's resolution has
+    negative i and must still be an integer."""
+    path = tmp_path / "prob.json"
+    path.write_text(json.dumps({
+        "characteristic": 32003,
+        "variables": ["x", "y", "z"],
+        "ideals": {"I1": [[2, 2, 2]], "I2": [[0, 1, 2], [0, 2, 1]],
+                   "I3": [[1, 0, 1]],
+                   "M": [[0, 2, 2], [1, 0, 2], [2, 1, 0]]},
+    }))
+    assert main(["spectral", str(path), "--kind", "sum_to_product",
+                 "--module", "M"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert all(pg["converged"] for pg in report["results"]["pages"].values())
+
+
+@pytest.mark.parametrize("flags", [
+    ["--box", "a,b"],
+    ["--box", "1,-1"],
+    ["--subset", "x"],
+    ["--field", "4"],
+    ["--field", "4294967311"],
+])
+def test_cli_malformed_flags_exit_2(problem_path, capsys, flags):
+    assert main(["tor", problem_path, *flags]) == 2
+    diag = json.loads(capsys.readouterr().out)
+    assert diag["error"]["type"] == "ValidationError"
+
+
 def test_cli_invariant_failure_exit_code(problem_path, capsys, monkeypatch):
     from homotor import exactlin, spectral
 

@@ -1,23 +1,31 @@
 """Exact GF(p) linear algebra: ranks and fiber homology."""
 
+import itertools
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, strategies as st
 
-from homotor.errors import CompositionNonzero
+from homotor.errors import CompositionNonzero, ValidationError
 from homotor.exactlin import (
     GF,
     FiberComplex,
     PrimeField,
     ScalarMatrix,
-    _rank_dense,
     homology_dims,
     rank,
 )
 
+LARGEST_PRIME = 2**31 - 1
+
 
 def test_prime_field_rejects_composites():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         PrimeField(6)
+    # the supported envelope ends below 2^31
+    assert PrimeField(LARGEST_PRIME).p == LARGEST_PRIME
+    with pytest.raises(ValidationError):
+        PrimeField(4294967311)
     assert GF().p == 32003
     assert GF(7).inv(3) == 5  # 3*5 = 15 = 1 mod 7
 
@@ -64,21 +72,53 @@ def test_rank_transpose_invariant(entries):
     assert rank(m, GF(7)) == rank(m.transpose(), GF(7))
 
 
-@given(
-    st.lists(
-        st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(1, 31)),
-        max_size=14,
-    )
-)
-def test_sparse_and_dense_ranks_agree(entries):
-    merged = {}
-    for r, c, v in entries:
-        merged[(r, c)] = v
-    m = ScalarMatrix(5, 5, [(r, c, v) for (r, c), v in merged.items()])
-    from homotor.exactlin import _rank_sparse
+@st.composite
+def dense_matrices(draw, max_rows, max_cols, values):
+    rows = draw(st.integers(1, max_rows))
+    cols = draw(st.integers(1, max_cols))
+    row = st.lists(values, min_size=cols, max_size=cols)
+    return draw(st.lists(row, min_size=rows, max_size=rows))
 
-    if m.nnz:
-        assert _rank_sparse(m, 31) == _rank_dense(m.to_dense(), 31)
+
+def _sparse(a):
+    return ScalarMatrix(
+        len(a), len(a[0]),
+        [(r, c, v) for r, row in enumerate(a) for c, v in enumerate(row)],
+    )
+
+
+@given(dense_matrices(4, 5, st.integers(-6, 6)))
+def test_rank_counts_the_row_space(a):
+    """Over GF(5) the row space of a rank-r matrix has exactly 5^r vectors."""
+    p = 5
+    span = {
+        tuple(sum(k * x for k, x in zip(ks, col)) % p for col in zip(*a))
+        for ks in itertools.product(range(p), repeat=len(a))
+    }
+    assert p ** rank(_sparse(a), GF(p)) == len(span)
+
+
+def _rank_over_rationals(a):
+    rows = [[Fraction(v) for v in row] for row in a]
+    r = 0
+    for c in range(len(rows[0])):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        for i in range(r + 1, len(rows)):
+            f = rows[i][c] / rows[r][c]
+            rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        r += 1
+    return r
+
+
+@given(dense_matrices(6, 6, st.integers(0, 3)))
+def test_rank_at_the_largest_prime_matches_the_rationals(a):
+    """Every minor of a matrix of size at most 6x6 with entries 0..3 is below
+    6!*3^6 < p in absolute value, so it vanishes mod p exactly when it
+    vanishes over Q."""
+    assert rank(_sparse(a), GF(LARGEST_PRIME)) == _rank_over_rationals(a)
 
 
 def _two_term(dim_hi, dim_lo, entries):

@@ -38,6 +38,17 @@ def test_koszul_units_shapes_and_exactness():
     assert not module_homology_table(kc).entries
 
 
+def test_koszul_cochain_is_the_negated_transpose():
+    for n in range(1, 5):
+        chain, cochain = koszul_units(n), koszul_units(n, "cochain")
+        assert cochain.terms == {-i: ss for i, ss in chain.terms.items()}
+        transposed = {
+            1 - i: tuple(sorted((t, s, c) for s, t, c in es))
+            for i, es in chain.entries.items()
+        }
+        assert cochain.entries == transposed
+
+
 def test_koszul_variables_resolves_coordinate_quotient():
     gens = [Multidegree((1, 0)), Multidegree((0, 1))]
     k = koszul_variables(gens)
@@ -117,6 +128,9 @@ def test_homogeneity_rejected():
         GradedComplex(2, {0: (b,), 1: (a,)}, {1: [(0, 0, 1)]})
     # the reverse inclusion is fine
     GradedComplex(2, {0: (a,), 1: (b,)}, {1: [(0, 0, 1)]})
+    # coefficients are exact integers: a float sign is rejected
+    with pytest.raises(ValueError):
+        GradedComplex(2, {0: (a,), 1: (b,)}, {1: [(0, 0, -1.0)]})
 
 
 def test_mixed_kinds_rejected():

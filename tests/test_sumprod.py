@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import stream
+from homotor.cli import random_instance
 from homotor.errors import InvalidKind
-from homotor.gcomplex import module_homology_table
+from homotor.gcomplex import koszul_units, module_homology_table
 from homotor.monomial import MonomialIdeal, combine, iter_box
 from homotor.sumprod import (
     augmented_interior_H,
@@ -76,6 +77,24 @@ def test_p_complex_shapes(kxy):
     t = complex_homology_table(p1)
     for g in iter_box(t.box):
         assert t.dim(1, g) == (0 if kxy["x"].contains(g) else 1)
+
+
+def test_s_and_p_carry_the_unit_koszul_differentials():
+    """Both complexes are the unit Koszul complex on the subsets of the
+    family with other summands, in the degrees they share with it."""
+    for n in range(1, 5):
+        family = random_instance(n, n_vars=2, n_ideals=n)
+        for variant in ("quotient", "tilde"):
+            for built, koszul in (
+                (build_p_complex(family, variant).underlying, koszul_units(n)),
+                (build_s_complex(family, variant).underlying,
+                 koszul_units(n, "cochain")),
+            ):
+                for i, ss in built.terms.items():
+                    assert [s.label for s in ss] == [s.label for s in koszul.terms[i]]
+                shared = {i: es for i, es in koszul.entries.items()
+                          if i in built.terms and i - 1 in built.terms}
+                assert built.entries == shared
 
 
 def test_h1_of_p_is_quotient_by_sum_on_stream():
