@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 import time
@@ -193,14 +194,25 @@ def _report_assertions(check_report):
 
 
 def _sample_degrees(box, cap=12):
-    cells = list(iter_box(box))
-    if len(cells) <= cap:
-        return cells
-    stride = max(1, len(cells) // (cap - 1))
-    picked = cells[::stride][: cap - 1]
-    if cells[-1] not in picked:
-        picked.append(cells[-1])
-    return picked
+    """At most ``cap`` cells of the box: the lexicographic indices 0, stride,
+    2 stride, ... and the last one, unranked without listing the box."""
+    sizes = [b + 1 for b in box]
+    volume = math.prod(sizes)
+    if volume <= cap:
+        indices = list(range(volume))
+    else:
+        stride = max(1, volume // (cap - 1))
+        indices = list(range(0, stride * (cap - 1), stride))
+        if indices[-1] != volume - 1:
+            indices.append(volume - 1)
+    cells = []
+    for index in indices:
+        cell = []
+        for size in reversed(sizes):
+            index, digit = divmod(index, size)
+            cell.append(digit)
+        cells.append(Multidegree(reversed(cell)))
+    return cells
 
 
 def run(command: str, problem: ProblemFile | None, flags: dict) -> dict:

@@ -115,35 +115,31 @@ class ScalarMatrix:
 
 
 def _rank_sparse(m: ScalarMatrix, p: int) -> int:
-    # rows as {col: val} dicts; pivot = lowest column, then lowest row index
+    # rows as {col: val} dicts, reduced in row order against a table of
+    # pivot rows keyed by their lowest column and normalised to 1 there
     rows = {}
     for (r, c), v in m.entries.items():
         v %= p
         if v:
             rows.setdefault(r, {})[c] = v
-    work = [rows[r] for r in sorted(rows)]
-    rank = 0
-    while work:
-        piv_col = min(min(row) for row in work)
-        piv_idx = next(i for i, row in enumerate(work) if piv_col in row)
-        piv_row = work.pop(piv_idx)
-        inv = pow(piv_row[piv_col], p - 2, p)
-        rank += 1
-        nxt = []
-        for row in work:
-            coeff = row.get(piv_col)
-            if coeff is not None:
-                factor = (coeff * inv) % p
-                for c, v in piv_row.items():
-                    nv = (row.get(c, 0) - factor * v) % p
-                    if nv:
-                        row[c] = nv
-                    else:
-                        row.pop(c, None)
-            if row:
-                nxt.append(row)
-        work = nxt
-    return rank
+    pivots = {}
+    for r in sorted(rows):
+        row = rows[r]
+        while row:
+            col = min(row)
+            pivot = pivots.get(col)
+            if pivot is None:
+                inv = pow(row[col], p - 2, p)
+                pivots[col] = {c: v * inv % p for c, v in row.items()}
+                break
+            factor = row[col]
+            for c, v in pivot.items():
+                nv = (row.get(c, 0) - factor * v) % p
+                if nv:
+                    row[c] = nv
+                else:
+                    row.pop(c, None)
+    return len(pivots)
 
 
 def rank(m: ScalarMatrix, f: PrimeField = GF()) -> int:

@@ -14,6 +14,7 @@ every multidegree fiber.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import reduce
 
@@ -90,6 +91,60 @@ def _entry_valid(src: Summand, tgt: Summand) -> bool:
     return all(tgt.ideal.contains(g.add(delta)) for g in src.ideal.gens)
 
 
+def _threshold_table(corners, cuts):
+    """Threshold bitsets of ``corners``, a list of (bit, degree) pairs with
+    distinct one-bit masks: the OR of all the bits, and for each coordinate
+    k a column holding at position v the OR of the bits whose degree has
+    coordinate k at most cuts[k][v]."""
+    columns = []
+    for k, cut in enumerate(cuts):
+        column = [0] * len(cut)
+        for bit, d in corners:
+            column[bisect_left(cut, d[k])] |= bit
+        for v in range(1, len(column)):
+            column[v] |= column[v - 1]
+        columns.append(column)
+    return sum(bit for bit, _ in corners), columns
+
+
+def _below(table, position) -> int:
+    """Bits of the table's corners that are componentwise <= the degree
+    whose coordinates sit at ``position`` among the cuts."""
+    mask, columns = table
+    for column, v in zip(columns, position):
+        mask &= column[v]
+    return mask
+
+
+def _fibre_tables(terms: dict, n: int):
+    """The cuts of every coordinate, and per term the threshold table of
+    its shifts and the tables of its generator slots.
+
+    Corners are the shifts and, for cyclic and ideal summands, shift +
+    gens[j] for each generator slot j (a summand with fewer generators has
+    no corner in that slot).  The cuts of coordinate k are 0 and every
+    corner coordinate k, so that aliveness is constant between two cuts and
+    beyond the last one.
+    """
+    corners = {}
+    for i, ss in terms.items():
+        width = max((len(s.ideal.gens) for s in ss if s.ideal is not None), default=0)
+        corners[i] = [[(1 << k, s.shift) for k, s in enumerate(ss)]] + [
+            [(1 << k, s.shift.add(s.ideal.gens[j]))
+             for k, s in enumerate(ss) if j < len(s.ideal.gens)]
+            for j in range(width)
+        ]
+    cuts = [
+        sorted({0}.union(d[k] for cs in corners.values() for c in cs for _, d in c))
+        for k in range(n)
+    ]
+    tables = {
+        i: (_threshold_table(cs[0], cuts), [_threshold_table(c, cuts) for c in cs[1:]])
+        for i, cs in corners.items()
+    }
+    return cuts, tables
+
+
 class GradedComplex:
     """A finite complex with terms indexed by integers; d lowers index by 1.
 
@@ -145,6 +200,7 @@ class GradedComplex:
         self.entries = cleaned
         self._check_dd_zero()
         self._rank_cache: dict = {}
+        self._thresholds = None  # built by the first alive_masks call
 
     # -- structure ------------------------------------------------------------
 
@@ -186,16 +242,24 @@ class GradedComplex:
         return box
 
     def alive_masks(self, gamma) -> dict:
+        """{i: bitmask of the summands of term i alive at gamma}."""
         if len(gamma) != self.n:
             raise LengthMismatch(f"degree length {len(gamma)} != {self.n}")
-        gamma = Multidegree(gamma)
+        if any(g < 0 for g in gamma):
+            raise ValueError(f"negative exponent in {tuple(gamma)}")
+        if self._thresholds is None:
+            self._thresholds = _fibre_tables(self.terms, self.n)
+        cuts, tables = self._thresholds
+        position = [bisect_right(cut, g) - 1 for cut, g in zip(cuts, gamma)]
         masks = {}
-        for i, ss in self.terms.items():
-            m = 0
-            for k, s in enumerate(ss):
-                if s.alive(gamma):
-                    m |= 1 << k
-            masks[i] = m
+        for i, (leq, slots) in tables.items():
+            mask = _below(leq, position)
+            if self.kind != FREE:
+                member = 0
+                for slot in slots:
+                    member |= _below(slot, position)
+                mask = mask & member if self.kind == IDEAL else mask & ~member
+            masks[i] = mask
         return masks
 
     def fiber(self, gamma) -> FiberComplex:

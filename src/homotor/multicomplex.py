@@ -145,11 +145,13 @@ class Multicomplex:
 
 
 def _compose(second: dict, first: dict) -> dict:
+    out_of: dict = {}
+    for (m, t), c2 in second.items():
+        out_of.setdefault(m, []).append((t, c2))
     acc: dict = {}
     for (s, m), c1 in first.items():
-        for (m2, t), c2 in second.items():
-            if m2 == m:
-                acc[(s, t)] = acc.get((s, t), 0) + c1 * c2
+        for t, c2 in out_of.get(m, ()):
+            acc[(s, t)] = acc.get((s, t), 0) + c1 * c2
     return {k: v for k, v in acc.items() if v}
 
 

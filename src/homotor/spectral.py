@@ -220,8 +220,10 @@ def _filtered_from_total(total: GradedComplex, gamma, weight, N,
                          fld: PrimeField) -> FilteredFiberComplex:
     """Coordinate filtration of the fiber of a totalization, with the level
     of each surviving summand computed from its (q, label) tag."""
+    masks = total.alive_masks(gamma)
     levels = {
-        i: [weight(s.label) for s in total.summands(i) if s.alive(gamma)]
+        i: [weight(s.label) for k, s in enumerate(total.summands(i))
+            if masks.get(i, 0) >> k & 1]
         for i in total.window()
     }
     return FilteredFiberComplex(total.fiber(gamma), levels, N, fld)

@@ -50,8 +50,7 @@ class SumComplex:
 
     def bottom_dims(self, gamma) -> int:
         """Fiber dimension of S^0 (or the tilde bottom term) at gamma."""
-        bottom = self.underlying.summands(0)
-        return sum(1 for s in bottom if s.alive(Multidegree(gamma)))
+        return self.underlying.alive_masks(gamma).get(0, 0).bit_count()
 
 
 @dataclass

@@ -1,12 +1,13 @@
 """Problem parsing, command dispatch, exit codes, output determinism."""
 
+import itertools
 import json
 
 import pytest
 
-from homotor.cli import main, parse_problem, random_instance, run
+from homotor.cli import _sample_degrees, main, parse_problem, random_instance, run
 from homotor.errors import ParamOutOfRange, ParseError, UnknownCommand, ValidationError
-from homotor.monomial import MonomialIdeal
+from homotor.monomial import MonomialIdeal, iter_box
 
 
 @pytest.fixture
@@ -216,3 +217,21 @@ def test_random_instance_contract():
         random_instance(0, n_vars=5)
     with pytest.raises(ParamOutOfRange):
         random_instance(0, max_exp=3)
+
+
+def _sample_from_the_list(box, cap=12):
+    cells = list(iter_box(box))
+    if len(cells) <= cap:
+        return cells
+    stride = max(1, len(cells) // (cap - 1))
+    picked = cells[::stride][: cap - 1]
+    if cells[-1] not in picked:
+        picked.append(cells[-1])
+    return picked
+
+
+def test_sample_degrees_unranks_the_listed_choice():
+    boxes = [box for n in (1, 2, 3) for box in itertools.product(range(5), repeat=n)]
+    assert (1, 2, 0) in boxes  # 6 cells: all of them are taken
+    for box in boxes:
+        assert _sample_degrees(box) == _sample_from_the_list(box), box

@@ -121,6 +121,30 @@ def test_rank_at_the_largest_prime_matches_the_rationals(a):
     assert rank(_sparse(a), GF(LARGEST_PRIME)) == _rank_over_rationals(a)
 
 
+@st.composite
+def redundant_matrices(draw):
+    """Up to 8 rows of length at most 4: up to 4 rows with entries 0..3, and
+    copies or pairwise sums of them, shuffled."""
+    cols = draw(st.integers(1, 4))
+    row = st.lists(st.integers(0, 3), min_size=cols, max_size=cols)
+    base = draw(st.lists(row, min_size=1, max_size=4))
+    pick = st.integers(0, len(base) - 1)
+    derived = draw(st.lists(st.tuples(pick, pick, st.booleans()),
+                            max_size=8 - len(base)))
+    rows = base + [
+        base[i] if copy else [x + y for x, y in zip(base[i], base[j])]
+        for i, j, copy in derived
+    ]
+    return [rows[k] for k in draw(st.permutations(range(len(rows))))]
+
+
+@given(redundant_matrices())
+def test_rank_of_tall_redundant_matrices_matches_the_rationals(a):
+    """Rows that reduce to zero against the earlier pivots.  Entries are at
+    most 6, so every minor is below 4!*6^4 < p in absolute value."""
+    assert rank(_sparse(a), GF(LARGEST_PRIME)) == _rank_over_rationals(a)
+
+
 def _two_term(dim_hi, dim_lo, entries):
     return FiberComplex(
         {0: dim_lo, 1: dim_hi}, {1: ScalarMatrix(dim_lo, dim_hi, entries)}

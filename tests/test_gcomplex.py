@@ -1,9 +1,18 @@
 """Graded complexes: Koszul and Taylor builders, fibers, stability boxes,
 homology tables."""
 
-import pytest
+import itertools
 
-from homotor.errors import BoxTooSmall, CompositionNonzero, MixedKinds, UnitIdeal
+import pytest
+from hypothesis import given, strategies as st
+
+from homotor.errors import (
+    BoxTooSmall,
+    CompositionNonzero,
+    LengthMismatch,
+    MixedKinds,
+    UnitIdeal,
+)
 from homotor.exactlin import homology_dims
 from homotor.gcomplex import (
     GradedComplex,
@@ -18,6 +27,7 @@ from homotor.gcomplex import (
     with_coefficient,
 )
 from homotor.monomial import MonomialIdeal, Multidegree, iter_box
+from homotor.sumprod import build_p_complex, build_s_complex
 
 
 def ranks_of(c):
@@ -187,3 +197,85 @@ def test_stability_pullback_for_taylor():
         clamped = tuple(min(g, b) for g, b in zip(gamma, box))
         for i in t.window():
             assert table.dim(i, gamma) == small.dim(i, clamped)
+
+
+@st.composite
+def proper_ideals(draw, n):
+    exponent = st.tuples(*[st.integers(0, 2)] * n).filter(any)
+    return MonomialIdeal(n, draw(st.lists(exponent, min_size=1, max_size=3)))
+
+
+@st.composite
+def complexes_of_every_kind(draw):
+    """Free: a tensor of Taylor resolutions.  Cyclic: a resolution with a
+    quotient coefficient, or the quotient S complex.  Ideal: the tilde S and
+    P complexes.  The S and P terms carry sums and products of the ideals,
+    so their generator counts differ from summand to summand."""
+    n = draw(st.integers(1, 3))
+    ideals = draw(st.lists(proper_ideals(n), min_size=2, max_size=3))
+    a, b = ideals[:2]
+    build = draw(st.sampled_from(["tensor", "coefficient", "quotient", "tilde", "p"]))
+    if build == "tensor":
+        return tensor_complexes(taylor_resolution(a), taylor_resolution(b))
+    if build == "coefficient":
+        return with_coefficient(taylor_resolution(a), b)
+    if build == "p":
+        return build_p_complex(ideals, "tilde").underlying
+    return build_s_complex(ideals, build).underlying
+
+
+def _assert_masks_match_summands(c, degrees=None):
+    """Bit k of alive_masks(gamma)[i] is Summand.alive at every gamma of
+    ``degrees``, by default the stability box grown by 2 in each coordinate."""
+    if degrees is None:
+        degrees = iter_box(tuple(b + 2 for b in c.stable_box()))
+    for gamma in degrees:
+        masks = c.alive_masks(gamma)
+        assert set(masks) == set(c.terms)
+        for i, ss in c.terms.items():
+            expected = sum(1 << k for k, s in enumerate(ss) if s.alive(gamma))
+            assert masks[i] == expected, (i, tuple(gamma))
+
+
+@given(complexes_of_every_kind())
+def test_alive_masks_match_summand_alive(c):
+    _assert_masks_match_summands(c)
+
+
+def test_alive_masks_with_unequal_generator_counts():
+    ideals = [
+        MonomialIdeal(3, [(2, 0, 0), (0, 1, 1), (1, 1, 0)]),
+        MonomialIdeal(3, [(0, 0, 2)]),
+        MonomialIdeal(3, [(0, 2, 0), (1, 0, 1)]),
+    ]
+    for variant in ("quotient", "tilde"):
+        c = build_s_complex(ideals, variant).underlying
+        counts = {len(s.ideal.gens) for ss in c.terms.values() for s in ss}
+        assert len(counts) > 2
+        _assert_masks_match_summands(c)
+    shifted = with_coefficient(taylor_resolution(ideals[0]), ideals[2])
+    _assert_masks_match_summands(shifted)
+
+
+def test_alive_masks_at_large_exponents():
+    """The tables hold one entry per distinct threshold, not per exponent
+    value, so a huge exponent costs nothing; degrees on both sides of each
+    threshold agree with Summand.alive."""
+    big = 10**9
+    a = MonomialIdeal(2, [(big, 0), (0, 1)])
+    b = MonomialIdeal(2, [(1, 1)])
+    for c in (with_coefficient(taylor_resolution(a), b),
+              build_s_complex([a, b], "tilde").underlying):
+        values = (0, 1, 2, big - 1, big, big + 1, 2 * big)
+        _assert_masks_match_summands(c, itertools.product(values, repeat=2))
+
+
+def test_alive_masks_rejects_bad_degrees():
+    c = build_s_complex([MonomialIdeal(2, [(1, 0)]), MonomialIdeal(2, [(0, 1)])],
+                        "tilde").underlying
+    with pytest.raises(LengthMismatch):
+        c.alive_masks((1, 1, 1))
+    with pytest.raises(LengthMismatch):
+        c.alive_masks((1,))
+    with pytest.raises(ValueError):
+        c.alive_masks((1, -1))
