@@ -12,6 +12,7 @@ nothing changes.
 from homotor import (
     MonomialIdeal,
     betti_table,
+    cancel_units,
     family_box,
     iter_box,
     multi_tor,
@@ -26,11 +27,18 @@ print("m  =", m)
 print("i  =", i)
 
 # The Taylor resolution of R/i: basis = subsets of the generators, twisted
-# by their least common multiples.
-t = taylor_resolution(i)
-print("\nTaylor resolution of R/i:", t)
-for deg, summands in sorted(t.terms.items()):
-    print(f"  degree {deg}: shifts {[tuple(s.shift) for s in summands]}")
+# by their least common multiples.  Cancelling its entries of coefficient
+# ±1 between summands with the same shift gives a smaller resolution with
+# the same Tor; Tor and Betti tables are computed from these.  For (x^2, xy)
+# the Taylor resolution is already minimal; for (x^2, xy, y^2) the top
+# summand cancels against the face {x^2, y^2}, which has the same lcm.
+j = MonomialIdeal(2, [(2, 0), (1, 1), (0, 2)])
+for ideal, name in ((i, "R/i"), (j, "R/(x^2,xy,y^2)")):
+    t = taylor_resolution(ideal)
+    for label, c in (("Taylor", t), ("reduced", cancel_units(t))):
+        print(f"\n{label} resolution of {name}:", c)
+        for deg, summands in sorted(c.terms.items()):
+            print(f"  degree {deg}: shifts {[tuple(s.shift) for s in summands]}")
 
 # Tor of the pair (R/m, R/i): a table of dimensions indexed by homological
 # degree and multidegree.  The box is where all the action happens.

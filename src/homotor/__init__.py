@@ -20,6 +20,7 @@ from .gcomplex import (
     GradedComplex,
     Summand,
     TorTable,
+    cancel_units,
     fiber,
     koszul_units,
     koszul_variables,

@@ -105,6 +105,11 @@ class ProblemFile:
         }
 
 
+def _is_natural(value) -> bool:
+    """A non-negative JSON integer; true and false are not numbers here."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
 def parse_problem(path) -> ProblemFile:
     try:
         with open(path) as fh:
@@ -130,7 +135,7 @@ def parse_problem(path) -> ProblemFile:
             raise ValidationError(f"ideal {name!r}: generators must be a list")
         for g in gens:
             if not isinstance(g, list) or len(g) != n or \
-                    any(not isinstance(e, int) or e < 0 for e in g):
+                    not all(_is_natural(e) for e in g):
                 raise ValidationError(
                     f"ideal {name!r}: exponent vector {g!r} must have "
                     f"{n} non-negative integer entries"
@@ -147,7 +152,7 @@ def parse_problem(path) -> ProblemFile:
     box = raw.get("box")
     if box is not None:
         if not isinstance(box, list) or len(box) != n or \
-                any(not isinstance(b, int) or b < 0 for b in box):
+                not all(_is_natural(b) for b in box):
             raise ValidationError(f"box must be {n} non-negative integers")
         box = Multidegree(box)
     return ProblemFile(char, variables, ideals, module, grading, box)

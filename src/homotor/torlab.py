@@ -17,6 +17,7 @@ from .errors import EmptyInput, UnitIdeal, ZeroModule
 from .exactlin import GF, PrimeField, ScalarMatrix, rank
 from .gcomplex import (
     TorTable,
+    cancel_units,
     koszul_variables,
     module_homology_table,
     taylor_resolution,
@@ -55,9 +56,11 @@ def family_box(ideals, coefficient: MonomialIdeal | None = None) -> Multidegree:
 
 
 def tensor_total(ideals, coefficient: MonomialIdeal | None = None):
-    """Totalization of the tensor of Taylor resolutions, with an optional
-    quotient coefficient applied termwise."""
-    total = totalize(tensor([taylor_resolution(ideal) for ideal in ideals]))
+    """Totalization of the tensor of the unit-cancelled Taylor resolutions,
+    with an optional quotient coefficient applied termwise."""
+    total = totalize(
+        tensor([cancel_units(taylor_resolution(ideal)) for ideal in ideals])
+    )
     if coefficient is not None and not coefficient.is_zero():
         total = with_coefficient(total, coefficient)
     return total
@@ -215,7 +218,7 @@ def betti_table(ideal: MonomialIdeal, fld: PrimeField = GF()) -> BettiReport:
         raise UnitIdeal("R/I is zero")
     n = ideal.n
     variables = koszul_variables([Multidegree.unit(n, i) for i in range(n)])
-    total = totalize(tensor([taylor_resolution(ideal), variables]))
+    total = totalize(tensor([cancel_units(taylor_resolution(ideal)), variables]))
     table = module_homology_table(total, fld, ideals=[ideal])
     pd = table.max_nonzero_index() or 0
     depth = n - pd

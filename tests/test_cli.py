@@ -171,6 +171,22 @@ def test_cli_malformed_flags_exit_2(problem_path, capsys, flags):
     assert diag["error"]["type"] == "ValidationError"
 
 
+@pytest.mark.parametrize("fields", [
+    {"ideals": {"I": [[True, 0]]}},
+    {"ideals": {"I": [[1, False]]}},
+    {"ideals": {"I": [[1, 0]]}, "box": [True, False]},
+    {"ideals": {"I": [[1, 0]]}, "box": [2, True]},
+])
+def test_cli_boolean_exponents_exit_2(tmp_path, capsys, fields):
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps({"variables": ["x", "y"], **fields}))
+    with pytest.raises(ValidationError):
+        parse_problem(str(path))
+    assert main(["tor", str(path)]) == 2
+    diag = json.loads(capsys.readouterr().out)
+    assert diag["error"]["type"] == "ValidationError"
+
+
 def test_cli_invariant_failure_exit_code(problem_path, capsys, monkeypatch):
     from homotor import exactlin, spectral
 

@@ -4,7 +4,7 @@ homology tables."""
 import itertools
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from homotor.errors import (
     BoxTooSmall,
@@ -13,9 +13,10 @@ from homotor.errors import (
     MixedKinds,
     UnitIdeal,
 )
-from homotor.exactlin import homology_dims
+from homotor.exactlin import GF, homology_dims
 from homotor.gcomplex import (
     GradedComplex,
+    cancel_units,
     cyclic_summand,
     free_summand,
     ideal_summand,
@@ -27,6 +28,7 @@ from homotor.gcomplex import (
     with_coefficient,
 )
 from homotor.monomial import MonomialIdeal, Multidegree, iter_box
+from homotor.multicomplex import tensor, totalize
 from homotor.sumprod import build_p_complex, build_s_complex
 
 
@@ -279,3 +281,52 @@ def test_alive_masks_rejects_bad_degrees():
         c.alive_masks((1,))
     with pytest.raises(ValueError):
         c.alive_masks((1, -1))
+
+
+@st.composite
+def resolutions_to_reduce(draw):
+    """Taylor resolutions (1-6 generators) and Koszul complexes on monomials,
+    totals of tensors of two Taylor resolutions, and any of these with a
+    quotient coefficient, in 1-3 variables.  The generators share one total
+    degree, so they are minimal and their lcms often coincide: those are the
+    Taylor summands that cancel."""
+    n = draw(st.integers(1, 3))
+    degree = draw(st.integers(1, 3))
+    monomials = [m for m in itertools.product(range(degree + 1), repeat=n)
+                 if sum(m) == degree]
+    generators = st.lists(st.sampled_from(monomials), min_size=1, max_size=6,
+                          unique=True)
+    gens = draw(generators)
+    build = draw(st.sampled_from(["taylor", "koszul", "tensor"]))
+    if build == "taylor":
+        c = taylor_resolution(MonomialIdeal(n, gens))
+    elif build == "koszul":
+        c = koszul_variables(gens)
+    else:
+        a, b = MonomialIdeal(n, gens[:3]), MonomialIdeal(n, draw(generators)[:3])
+        c = totalize(tensor([taylor_resolution(a), taylor_resolution(b)]))
+    if draw(st.booleans()):
+        c = with_coefficient(c, draw(proper_ideals(n)))
+    return c
+
+
+def _nonzero(homology: dict) -> dict:
+    return {i: h for i, h in homology.items() if h}
+
+
+@settings(max_examples=200, deadline=None)
+@given(resolutions_to_reduce())
+def test_cancel_units_keeps_every_fibre(c):
+    """The reduced complex has the homology of c at every degree of c's
+    stability box, over GF(2) and GF(32003), the same box, and no unit
+    entry left to cancel."""
+    reduced = cancel_units(c)
+    box = c.stable_box()
+    assert reduced.stable_box() == box
+    for gamma in iter_box(box):
+        for p in (2, 32003):
+            assert _nonzero(reduced.homology_at(gamma, GF(p))) == \
+                _nonzero(c.homology_at(gamma, GF(p))), (p, tuple(gamma))
+    again = cancel_units(reduced)
+    assert again.terms == reduced.terms
+    assert again.entries == reduced.entries

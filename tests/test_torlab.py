@@ -5,7 +5,13 @@ import pytest
 
 from conftest import stream
 from homotor.errors import EmptyInput, UnitIdeal, ZeroModule
-from homotor.gcomplex import koszul_variables, module_homology_table
+from homotor.gcomplex import (
+    cancel_units,
+    koszul_variables,
+    module_homology_table,
+    taylor_resolution,
+    with_coefficient,
+)
 from homotor.monomial import MonomialIdeal, Multidegree, iter_box
 from homotor.multicomplex import tensor, totalize
 from homotor.torlab import (
@@ -162,3 +168,47 @@ def test_family_box_with_coefficient(kxy):
     assert tuple(family_box([kxy["x"]], coefficient=kxy["xy"])) == (2, 1)
     total = tensor_total([kxy["m"], kxy["x2xy"]])
     assert tuple(total.stable_box()) == (3, 2)
+
+
+def _families_with_cancellations():
+    """Random families, and families of equal-degree ideals whose Taylor
+    resolutions lose summands to cancel_units."""
+    yield from stream(13000, 4, n_vars=3, n_ideals=4, max_gens=3, max_exp=2)
+    x2 = MonomialIdeal(3, [(2, 0, 0), (1, 1, 0), (0, 2, 0), (0, 1, 1)])
+    m2 = MonomialIdeal(3, [(1, 1, 0), (1, 0, 1), (0, 1, 1), (0, 0, 2)])
+    yz = MonomialIdeal(3, [(0, 1, 0), (0, 0, 1)])
+    yield [x2, m2, yz, MonomialIdeal(3, [(1, 0, 0), (0, 2, 0)])]
+    xy2 = MonomialIdeal(3, [(2, 0, 0), (1, 1, 0), (0, 2, 0)])
+    yield [xy2, m2, yz, MonomialIdeal(3, [(1, 1, 1)])]
+
+
+def test_tables_match_the_unreduced_taylor_tensor():
+    """multi_tor and betti_table tensor unit-cancelled Taylor resolutions;
+    their tables equal the homology of the plain Taylor tensor over the
+    same box."""
+    for fam in _families_with_cancellations():
+        coeff = fam[3]
+        for family, coefficient in ((fam[:2], None), (fam[:3], None),
+                                    (fam[:2], coeff), (fam[:3], coeff)):
+            table = multi_tor(family, coefficient=coefficient)
+            plain = totalize(tensor([taylor_resolution(i) for i in family]))
+            if coefficient is not None:
+                plain = with_coefficient(plain, coefficient)
+            assert module_homology_table(plain, box=table.box) == table
+        for ideal in fam:
+            betti = betti_table(ideal).betti
+            variables = koszul_variables([Multidegree.unit(3, i) for i in range(3)])
+            plain = totalize(tensor([taylor_resolution(ideal), variables]))
+            assert module_homology_table(plain, box=betti.box) == betti
+
+
+def test_reduced_taylor_of_x2_xy_y2_is_minimal():
+    """Taylor of (x^2, xy, y^2) has 8 summands; the top one cancels against
+    the face with the same lcm x^2y^2, leaving 6, the total Betti number."""
+    ideal = MonomialIdeal(2, [(2, 0), (1, 1), (0, 2)])
+    taylor = taylor_resolution(ideal)
+    assert sum(map(len, taylor.terms.values())) == 8
+    reduced = cancel_units(taylor)
+    assert {i: len(ss) for i, ss in reduced.terms.items()} == {0: 1, 1: 3, 2: 2}
+    total_betti = sum(r["dim"] for r in betti_table(ideal).betti.records())
+    assert total_betti == 6
