@@ -56,6 +56,9 @@ agree = all(table.dim(1, g) == oracle.dim(1, g) for g in iter_box(box))
 print("\nTor_1 oracle agrees with the resolution computation:", agree)
 
 # Betti numbers, projective dimension, depth and the Cohen-Macaulay test.
+# beta_{i,a} = dim Tor_i(R/I, k)_a with k = R/(x, y), so a Betti table is
+# multi_tor of R/I against the coefficient (x, y): each summand R(-a) of the
+# reduced resolution becomes k(-a), which lives only at degree a.
 for ideal, name in ((m, "R/m"), (i, "R/(x^2,xy)")):
     b = betti_table(ideal)
     print(f"\n{name}: pd = {b.pd}, depth = {b.depth}, dim = {b.dim}, "

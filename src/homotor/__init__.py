@@ -21,11 +21,8 @@ from .gcomplex import (
     Summand,
     TorTable,
     cancel_units,
-    fiber,
     koszul_units,
-    koszul_variables,
     module_homology_table,
-    stable_box,
     taylor_resolution,
     with_coefficient,
 )

@@ -146,9 +146,14 @@ def parse_problem(path) -> ProblemFile:
         raise ValidationError(f"module {module!r} does not name an ideal")
     grading = raw.get("grading")
     if grading is not None:
-        if not isinstance(grading, list) or \
-                any(not isinstance(r, list) or len(r) != n for r in grading):
-            raise ValidationError(f"grading must be a list of length-{n} rows")
+        if not isinstance(grading, list) or not grading or any(
+            not isinstance(r, list) or len(r) != n or
+            not all(isinstance(v, int) and not isinstance(v, bool) for v in r)
+            for r in grading
+        ):
+            raise ValidationError(
+                f"grading must be a nonempty list of length-{n} rows of integers"
+            )
     box = raw.get("box")
     if box is not None:
         if not isinstance(box, list) or len(box) != n or \

@@ -337,16 +337,11 @@ class TorTable:
     of index i is identically zero iff the module H_i is zero.
     """
 
-    def __init__(self, entries: dict, box, degrees, orientation="chain",
-                 ideals=None, coefficient=None):
+    def __init__(self, entries: dict, box):
         self.box = Multidegree(box)
         self.entries = {
             (int(i), tuple(g)): int(d) for (i, g), d in entries.items() if d
         }
-        self.degrees = sorted(set(int(i) for i in degrees))
-        self.orientation = orientation
-        self.ideals = tuple(ideals) if ideals else None
-        self.coefficient = coefficient
 
     def dim(self, i: int, gamma) -> int:
         return self.entries.get((i, tuple(gamma)), 0)
@@ -389,7 +384,7 @@ class TorTable:
 
 
 def module_homology_table(c: GradedComplex, field: PrimeField = GF(),
-                          box=None, ideals=None, coefficient=None) -> TorTable:
+                          box=None) -> TorTable:
     """Dimensions of H_i(c)_gamma for every i in the window and gamma <= box.
 
     The box defaults to the stability box; a user box must dominate it so
@@ -407,8 +402,7 @@ def module_homology_table(c: GradedComplex, field: PrimeField = GF(),
         for i, h in c.homology_at(gamma, field).items():
             if h:
                 entries[(i, tuple(gamma))] = h
-    return TorTable(entries, box, c.window(), c.orientation,
-                    ideals=ideals, coefficient=coefficient)
+    return TorTable(entries, box)
 
 
 def cancel_units(c: GradedComplex) -> GradedComplex:
@@ -531,45 +525,21 @@ def koszul_units(n: int, orientation: str = "chain") -> GradedComplex:
     return GradedComplex(n, terms, entries, orientation)
 
 
-def _joined_shifts(n: int, gens, join) -> GradedComplex:
-    """The complex on subsets of ``gens`` with free summands shifted by the
-    ``join`` of the generators in each subset."""
-    zero = Multidegree.zero(n)
-    terms, entries = exterior_complex(
-        len(gens),
-        lambda s: free_summand(reduce(join, (gens[i] for i in s), zero), label=s),
-    )
-    return GradedComplex(n, terms, entries, "chain")
-
-
-def koszul_variables(gens) -> GradedComplex:
-    """The Koszul complex on the listed (distinct) monomial degrees."""
-    gens = [Multidegree(g) for g in gens]
-    if not gens:
-        raise ValueError("koszul_variables needs at least one monomial")
-    if len(set(gens)) != len(gens):
-        raise ValueError("koszul generators must be pairwise distinct")
-    n = gens[0].n
-    if any(g.n != n for g in gens):
-        raise LengthMismatch("generators of mixed lengths")
-    return _joined_shifts(n, gens, Multidegree.add)
-
-
 def taylor_resolution(ideal: MonomialIdeal) -> GradedComplex:
     """The Taylor resolution of R/I: basis = subsets of the generators,
     shift = their lcm.  Non-minimal in general but always a resolution;
-    ``cancel_units`` shrinks it towards the minimal one."""
+    ``cancel_units`` shrinks it towards the minimal one.  On distinct
+    variables lcm is the sum, so this is also the Koszul complex resolving
+    R/(x_j : j in J) when I is ``MonomialIdeal.variables(n, J)``."""
     if ideal.is_unit():
         raise UnitIdeal("no Taylor resolution for the unit ideal")
-    return _joined_shifts(ideal.n, list(ideal.gens), lcm_deg)
-
-
-def fiber(c: GradedComplex, gamma) -> FiberComplex:
-    return c.fiber(gamma)
-
-
-def stable_box(c) -> Multidegree:
-    return c.stable_box()
+    gens = ideal.gens
+    zero = Multidegree.zero(ideal.n)
+    terms, entries = exterior_complex(
+        len(gens),
+        lambda s: free_summand(reduce(lcm_deg, (gens[i] for i in s), zero), label=s),
+    )
+    return GradedComplex(ideal.n, terms, entries, "chain")
 
 
 def with_coefficient(c: GradedComplex, coefficient: MonomialIdeal) -> GradedComplex:

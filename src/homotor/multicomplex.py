@@ -120,7 +120,7 @@ class Multicomplex:
                     continue
                 first = self.entry_map(q, k)
                 second = self.entry_map(self._step(q, k), k)
-                if not _compose_is(second, first, {}):
+                if _compose(second, first):
                     raise ValueError(f"axis {k} differential does not square to zero at {q}")
             for j, k in itertools.combinations(range(self.n_axes), 2):
                 if q[j] == 0 or q[k] == 0:
@@ -153,10 +153,6 @@ def _compose(second: dict, first: dict) -> dict:
         for t, c2 in out_of.get(m, ()):
             acc[(s, t)] = acc.get((s, t), 0) + c1 * c2
     return {k: v for k, v in acc.items() if v}
-
-
-def _compose_is(second: dict, first: dict, expected: dict) -> bool:
-    return _compose(second, first) == expected
 
 
 def tensor(factors) -> Multicomplex:

@@ -119,7 +119,7 @@ def complex_homology_table(c, fld: PrimeField = GF(), box=None) -> TorTable:
     table = module_homology_table(g, fld, box)
     if g.orientation == "cochain":
         entries = {(-i, gam): d for (i, gam), d in table.entries.items()}
-        return TorTable(entries, table.box, [-i for i in table.degrees], "cochain")
+        return TorTable(entries, table.box)
     return table
 
 
@@ -140,7 +140,7 @@ def augmented_interior_H(ideals, subset, coefficient: MonomialIdeal | None = Non
         aug = with_coefficient(aug, coefficient)
     table = module_homology_table(aug, fld, box)
     entries = {(i - p, gam): d for (i, gam), d in table.entries.items()}
-    return TorTable(entries, table.box, [i - p for i in table.degrees])
+    return TorTable(entries, table.box)
 
 
 # ---------------------------------------------------------------------------

@@ -81,11 +81,6 @@ def region_compare(a: SupportRegion, b: SupportRegion) -> dict:
     }
 
 
-def _tor_region(ideal, coefficient, fld, box) -> tuple:
-    table = multi_tor([ideal], coefficient=coefficient, fld=fld, box=box)
-    return table, support_region(table)
-
-
 def supportoftors_check(partitions, coefficient: MonomialIdeal,
                         p: int, fld: PrimeField = GF(),
                         max_spectral_degrees: int = 8) -> CheckReport:
@@ -125,16 +120,17 @@ def supportoftors_check(partitions, coefficient: MonomialIdeal,
 
     report = CheckReport()
     report.context["box"] = list(box)
-    prod_regions = {}
-    sum_regions = {}
-    for T in combos:
-        _, prod_regions[T] = _tor_region(prods[T], coeff, fld, box)
-        _, sum_regions[T] = _tor_region(sums[T], coeff, fld, box)
+    prod_tables = {
+        T: multi_tor([prods[T]], coefficient=coeff, fld=fld, box=box) for T in combos
+    }
+    sum_tables = {
+        T: multi_tor([sums[T]], coefficient=coeff, fld=fld, box=box) for T in combos
+    }
     left = SupportRegion(box, frozenset())
     right = SupportRegion(box, frozenset())
     for T in combos:
-        left = left.union(prod_regions[T])
-        right = right.union(sum_regions[T])
+        left = left.union(support_region(prod_tables[T]))
+        right = right.union(support_region(sum_tables[T]))
     cmp = region_compare(left, right)
     report.context["union_cells"] = [list(c) for c in left.sorted_cells()]
     report.add(
@@ -161,8 +157,8 @@ def supportoftors_check(partitions, coefficient: MonomialIdeal,
     for T in combos:
         family = [ideals[i] for i in T]
         u = len(family)
-        prod_table = multi_tor([prods[T]], coefficient=coeff, fld=fld, box=box)
-        sum_table = multi_tor([sums[T]], coefficient=coeff, fld=fld, box=box)
+        prod_table = prod_tables[T]
+        sum_table = sum_tables[T]
         for g in tested:
             pg = mv_double("sum_to_product", family, coeff, Multidegree(g), fld)
             if not pg.converged:

@@ -18,7 +18,6 @@ from .exactlin import GF, PrimeField, ScalarMatrix, rank
 from .gcomplex import (
     TorTable,
     cancel_units,
-    koszul_variables,
     module_homology_table,
     taylor_resolution,
     with_coefficient,
@@ -85,8 +84,7 @@ def multi_tor(ideals, coefficient: MonomialIdeal | None = None,
         if hit is not None:
             return hit
     total = tensor_total(ideals, coefficient)
-    table = module_homology_table(total, fld, box,
-                                  ideals=ideals, coefficient=coefficient)
+    table = module_homology_table(total, fld, box)
     if _cache is not None:
         _cache[key] = table
     return table
@@ -126,7 +124,7 @@ def tor1_oracle(ideals, fld: PrimeField = GF(), box=None) -> TorTable:
         d = kernel_dim - p_dim
         if d:
             entries[(1, tuple(gamma))] = d
-    return TorTable(entries, box, [1], ideals=ideals)
+    return TorTable(entries, box)
 
 
 @dataclass
@@ -213,13 +211,16 @@ class BettiReport:
 
 def betti_table(ideal: MonomialIdeal, fld: PrimeField = GF()) -> BettiReport:
     """Graded Betti numbers beta_{i,gamma} = dim Tor_i(R/I, k)_gamma together
-    with pd, depth (Auslander-Buchsbaum), Krull dimension and the CM flag."""
+    with pd, depth (Auslander-Buchsbaum), Krull dimension and the CM flag.
+
+    The residue field is k = R/(x_1, ..., x_n), so the table is ``multi_tor``
+    of R/I against that coefficient: the unit-cancelled Taylor resolution
+    of R/I with every summand R(-a) turned into k(-a), which lives only at
+    degree a.  Its box is lcm(gens) + (1, ..., 1)."""
     if ideal.is_unit():
         raise UnitIdeal("R/I is zero")
     n = ideal.n
-    variables = koszul_variables([Multidegree.unit(n, i) for i in range(n)])
-    total = totalize(tensor([cancel_units(taylor_resolution(ideal)), variables]))
-    table = module_homology_table(total, fld, ideals=[ideal])
+    table = multi_tor([ideal], MonomialIdeal.variables(n, range(n)), fld)
     pd = table.max_nonzero_index() or 0
     depth = n - pd
     dim, codim = quotient_dimension(ideal)

@@ -187,6 +187,40 @@ def test_cli_boolean_exponents_exit_2(tmp_path, capsys, fields):
     assert diag["error"]["type"] == "ValidationError"
 
 
+@pytest.mark.parametrize("grading", [
+    [[True, "a"]],
+    [],
+    [[1, 0], [True, 1]],
+    [[1, 0.5]],
+    [[1, "1"]],
+    [[1, None]],
+    [[1, 0, 0]],
+    [[1]],
+    {"x": [1, 0]},
+    [1, 0],
+])
+def test_cli_bad_grading_exit_2(tmp_path, capsys, grading):
+    path = tmp_path / "grading.json"
+    path.write_text(json.dumps({"variables": ["x", "y"],
+                                "ideals": {"I": [[1, 0]]}, "grading": grading}))
+    with pytest.raises(ValidationError):
+        parse_problem(str(path))
+    assert main(["tor", str(path)]) == 2
+    diag = json.loads(capsys.readouterr().out)
+    assert diag["error"]["type"] == "ValidationError"
+
+
+def test_cli_grading_takes_negative_integers(tmp_path, capsys):
+    path = tmp_path / "grading.json"
+    grading = [[1, 1], [-2, 0]]
+    path.write_text(json.dumps({"variables": ["x", "y"],
+                                "ideals": {"I": [[1, 0]]}, "grading": grading}))
+    assert parse_problem(str(path)).grading == grading
+    assert main(["tor", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["inputs"]["problem"]["grading"] == grading
+
+
 def test_cli_invariant_failure_exit_code(problem_path, capsys, monkeypatch):
     from homotor import exactlin, spectral
 

@@ -4,7 +4,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from homotor.errors import CompositionNonzero, ValidationError
 from homotor.exactlin import (
@@ -87,6 +87,7 @@ def _sparse(a):
     )
 
 
+@settings(deadline=None)
 @given(dense_matrices(4, 5, st.integers(-6, 6)))
 def test_rank_counts_the_row_space(a):
     """Over GF(5) the row space of a rank-r matrix has exactly 5^r vectors."""
@@ -113,6 +114,7 @@ def _rank_over_rationals(a):
     return r
 
 
+@settings(deadline=None)
 @given(dense_matrices(6, 6, st.integers(0, 3)))
 def test_rank_at_the_largest_prime_matches_the_rationals(a):
     """Every minor of a matrix of size at most 6x6 with entries 0..3 is below
@@ -138,6 +140,7 @@ def redundant_matrices(draw):
     return [rows[k] for k in draw(st.permutations(range(len(rows))))]
 
 
+@settings(deadline=None)
 @given(redundant_matrices())
 def test_rank_of_tall_redundant_matrices_matches_the_rationals(a):
     """Rows that reduce to zero against the earlier pivots.  Entries are at

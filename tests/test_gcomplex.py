@@ -1,6 +1,7 @@
 """Graded complexes: Koszul and Taylor builders, fibers, stability boxes,
 homology tables."""
 
+import functools
 import itertools
 
 import pytest
@@ -18,10 +19,10 @@ from homotor.gcomplex import (
     GradedComplex,
     cancel_units,
     cyclic_summand,
+    exterior_complex,
     free_summand,
     ideal_summand,
     koszul_units,
-    koszul_variables,
     module_homology_table,
     taylor_resolution,
     tensor_complexes,
@@ -59,26 +60,6 @@ def test_koszul_cochain_is_the_negated_transpose():
             for i, es in chain.entries.items()
         }
         assert cochain.entries == transposed
-
-
-def test_koszul_variables_resolves_coordinate_quotient():
-    gens = [Multidegree((1, 0)), Multidegree((0, 1))]
-    k = koszul_variables(gens)
-    table = module_homology_table(k)
-    # resolution of R/(x,y): H_0 = k at the origin, nothing else
-    assert table.records() == [{"i": 0, "degree": [0, 0], "dim": 1}]
-
-    single = koszul_variables([Multidegree((1, 0))])
-    assert ranks_of(single) == {0: 1, 1: 1}
-    assert tuple(single.summands(1)[0].shift) == (1, 0)
-
-    k3 = koszul_variables([Multidegree.unit(3, i) for i in range(3)])
-    assert ranks_of(k3) == {0: 1, 1: 3, 2: 3, 3: 1}
-
-
-def test_koszul_variables_rejects_duplicates():
-    with pytest.raises(ValueError):
-        koszul_variables([Multidegree((1, 0)), Multidegree((1, 0))])
 
 
 def test_taylor_shapes():
@@ -239,6 +220,7 @@ def _assert_masks_match_summands(c, degrees=None):
             assert masks[i] == expected, (i, tuple(gamma))
 
 
+@settings(deadline=None)
 @given(complexes_of_every_kind())
 def test_alive_masks_match_summand_alive(c):
     _assert_masks_match_summands(c)
@@ -283,6 +265,20 @@ def test_alive_masks_rejects_bad_degrees():
         c.alive_masks((1, -1))
 
 
+def _koszul_on_monomials(n, gens):
+    """The Koszul complex on distinct monomials: free summands shifted by
+    the sum (not the lcm) of the monomials in each subset."""
+    zero = Multidegree.zero(n)
+    terms, entries = exterior_complex(
+        len(gens),
+        lambda s: free_summand(
+            functools.reduce(Multidegree.add, (Multidegree(gens[i]) for i in s), zero),
+            label=s,
+        ),
+    )
+    return GradedComplex(n, terms, entries)
+
+
 @st.composite
 def resolutions_to_reduce(draw):
     """Taylor resolutions (1-6 generators) and Koszul complexes on monomials,
@@ -301,7 +297,7 @@ def resolutions_to_reduce(draw):
     if build == "taylor":
         c = taylor_resolution(MonomialIdeal(n, gens))
     elif build == "koszul":
-        c = koszul_variables(gens)
+        c = _koszul_on_monomials(n, gens)
     else:
         a, b = MonomialIdeal(n, gens[:3]), MonomialIdeal(n, draw(generators)[:3])
         c = totalize(tensor([taylor_resolution(a), taylor_resolution(b)]))

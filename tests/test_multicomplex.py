@@ -6,7 +6,6 @@ import pytest
 from homotor.errors import EmptySelection, InvalidKind, MixedKinds
 from homotor.exactlin import GF
 from homotor.gcomplex import (
-    koszul_variables,
     module_homology_table,
     taylor_resolution,
     with_coefficient,
@@ -52,10 +51,10 @@ def test_tensor_rejects_cyclic_factors():
 
 
 def test_tensor_of_variable_koszuls_totalizes_to_joint_koszul():
-    kx = koszul_variables([Multidegree((1, 0))])
-    ky = koszul_variables([Multidegree((0, 1))])
+    kx = taylor_resolution(MonomialIdeal.variables(2, [0]))
+    ky = taylor_resolution(MonomialIdeal.variables(2, [1]))
     total = totalize(tensor([kx, ky]))
-    joint = koszul_variables([Multidegree((1, 0)), Multidegree((0, 1))])
+    joint = taylor_resolution(MonomialIdeal.variables(2, [0, 1]))
     assert module_homology_table(total).entries == module_homology_table(joint).entries
     assert {i: len(ss) for i, ss in total.terms.items()} == {0: 1, 1: 2, 2: 1}
 

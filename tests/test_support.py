@@ -16,7 +16,7 @@ from homotor.torlab import multi_tor
 
 
 def test_support_region_basics(kxy):
-    empty = support_region(TorTable({}, (1, 1), [0]))
+    empty = support_region(TorTable({}, (1, 1)))
     assert empty.is_empty()
     table = multi_tor([kxy["m"], kxy["x"]])
     r1 = support_region(table, j=1)

@@ -2,17 +2,18 @@
 rigidity and the proper-intersection equivalence."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import stream
+from homotor.exactlin import GF
 from homotor.errors import EmptyInput, UnitIdeal, ZeroModule
 from homotor.gcomplex import (
     cancel_units,
-    koszul_variables,
     module_homology_table,
     taylor_resolution,
     with_coefficient,
 )
-from homotor.monomial import MonomialIdeal, Multidegree, iter_box
+from homotor.monomial import MonomialIdeal, iter_box
 from homotor.multicomplex import tensor, totalize
 from homotor.torlab import (
     betti_table,
@@ -79,12 +80,14 @@ def test_coefficient_consistency(kxy):
 
 
 def test_resolution_independence(kxy):
-    """Swapping Taylor for the variable Koszul resolution leaves Tor alone."""
+    """The Koszul complexes on the variables, left unreduced, give the same
+    Tor as multi_tor.  For ideals generated by variables the Taylor
+    resolution is that Koszul complex."""
     m, x = kxy["m"], kxy["x"]
     default = multi_tor([m, x])
     swapped = totalize(
-        tensor([koszul_variables([Multidegree((1, 0)), Multidegree((0, 1))]),
-                koszul_variables([Multidegree((1, 0))])])
+        tensor([taylor_resolution(MonomialIdeal.variables(2, [0, 1])),
+                taylor_resolution(MonomialIdeal.variables(2, [0]))])
     )
     table = module_homology_table(swapped, box=default.box)
     assert table.entries == default.entries
@@ -182,6 +185,35 @@ def _families_with_cancellations():
     yield [xy2, m2, yz, MonomialIdeal(3, [(1, 1, 1)])]
 
 
+def _plain_betti(ideal, fld=GF()):
+    """Tor(R/I, k) from the unreduced Taylor resolution of R/I tensored with
+    the Koszul complex on the variables, over its own stability box."""
+    n = ideal.n
+    variables = taylor_resolution(MonomialIdeal.variables(n, range(n)))
+    total = totalize(tensor([taylor_resolution(ideal), variables]))
+    return module_homology_table(total, fld)
+
+
+@st.composite
+def ideals_and_zero(draw):
+    """Ideals with 1-6 generators of exponents 0..2 in 1-4 variables, and
+    the zero ideal."""
+    n = draw(st.integers(1, 4))
+    exponent = st.tuples(*[st.integers(0, 2)] * n).filter(any)
+    return MonomialIdeal(n, draw(st.one_of(st.just([]),
+                                            st.lists(exponent, min_size=1, max_size=6))))
+
+
+@settings(deadline=None)
+@given(ideals_and_zero())
+def test_betti_table_is_tor_against_the_residue_field(ideal):
+    """betti_table (Tor of R/I against R/(x_1, ..., x_n) through multi_tor)
+    equals the homology of the Taylor resolution tensored with the Koszul
+    complex on the variables, entries and box, over GF(2) and GF(32003)."""
+    for p in (2, 32003):
+        assert betti_table(ideal, GF(p)).betti == _plain_betti(ideal, GF(p))
+
+
 def test_tables_match_the_unreduced_taylor_tensor():
     """multi_tor and betti_table tensor unit-cancelled Taylor resolutions;
     their tables equal the homology of the plain Taylor tensor over the
@@ -196,10 +228,7 @@ def test_tables_match_the_unreduced_taylor_tensor():
                 plain = with_coefficient(plain, coefficient)
             assert module_homology_table(plain, box=table.box) == table
         for ideal in fam:
-            betti = betti_table(ideal).betti
-            variables = koszul_variables([Multidegree.unit(3, i) for i in range(3)])
-            plain = totalize(tensor([taylor_resolution(ideal), variables]))
-            assert module_homology_table(plain, box=betti.box) == betti
+            assert betti_table(ideal).betti == _plain_betti(ideal)
 
 
 def test_reduced_taylor_of_x2_xy_y2_is_minimal():
