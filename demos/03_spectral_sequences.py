@@ -56,8 +56,9 @@ x = MonomialIdeal(1, [(1,)])
 pair = [x, x]
 inter = combine(pair, "intersection")
 prod = combine(pair, "product")
+totals = {}  # one total complex, built at the first degree and reused
 for g in ((0,), (1,)):
-    pg = mv_double("sum_to_product", pair, None, Multidegree(g))
+    pg = mv_double("sum_to_product", pair, None, Multidegree(g), _cache=totals)
     h1 = pg.total_dims().get(1, 0)
     dim_rij = 0 if prod.contains(g) else 1
     print(f"degree {g}: H_1(total) = {h1} = dim R/(x cap x), "

@@ -316,11 +316,12 @@ def run(command: str, problem: ProblemFile | None, flags: dict) -> dict:
         report["box"] = list(use_box)
         all_ok = True
         out = {}
+        totals: dict = {}
         for gamma in _sample_degrees(use_box):
             if kind in SPECTRAL_KINDS:
                 pg = pages(build_filtration(m, gamma, kind, fld), fld)
             else:
-                pg = mv_double(kind, family, coeff, gamma, fld)
+                pg = mv_double(kind, family, coeff, gamma, fld, _cache=totals)
             all_ok = all_ok and pg.converged
             out[",".join(map(str, gamma))] = {
                 "e1": _page_records(pg.e1),
@@ -338,7 +339,13 @@ def run(command: str, problem: ProblemFile | None, flags: dict) -> dict:
         if partitions is not None:
             coeff_ideal = coeff if coeff is not None else MonomialIdeal.zero(problem.n)
             subset = flags.get("subset")
-            ps = [len(subset)] if subset else list(range(1, len(partitions) + 1))
+            s = len(partitions)
+            if subset and (len(set(subset)) != len(subset)
+                           or any(not 0 <= i < s for i in subset)):
+                raise ValidationError(
+                    f"--subset must name distinct ideal indices in 0..{s - 1}"
+                )
+            ps = [len(subset)] if subset else list(range(1, s + 1))
             all_ok = True
             for p in ps:
                 rep = supportoftors_check(partitions, coeff_ideal, p, fld)

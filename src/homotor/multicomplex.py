@@ -105,6 +105,7 @@ class Multicomplex:
                 self.diffs[(q, k)] = out
         if validate:
             self._check_axes()
+        self._totals: dict = {}  # filtered totals, filled by spectral.build_filtration
 
     @staticmethod
     def _step(q, k):

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from .errors import FiltrationViolation, InvalidKind, InvariantBroken, UnitIdeal
 from .exactlin import GF, FiberComplex, PrimeField, ScalarMatrix, homology_dims, rank
-from .gcomplex import GradedComplex, taylor_resolution, tensor_complexes
+from .gcomplex import taylor_resolution, tensor_complexes
 from .monomial import Multidegree, MonomialIdeal
 from .multicomplex import (
     Multicomplex,
@@ -216,10 +216,13 @@ def _check_page(r, dims, ranks, page_tables, rank_tables):
 # Filtration builders for the four multicomplex spectral sequences
 
 
-def _filtered_from_total(total: GradedComplex, gamma, weight, N,
-                         fld: PrimeField) -> FilteredFiberComplex:
-    """Coordinate filtration of the fiber of a totalization, with the level
-    of each surviving summand computed from its (q, label) tag."""
+def _filtered_from_total(entry, gamma, fld: PrimeField) -> FilteredFiberComplex:
+    """Coordinate filtration of the fiber at gamma of a filtered total
+    ``entry = (total, weight, N, box)``: gamma is clamped to the stability
+    box and each surviving summand gets the level weight(label) of its
+    (q, label) tag."""
+    total, weight, N, box = entry
+    gamma = Multidegree(tuple(min(g, b) for g, b in zip(gamma, box)))
     masks = total.alive_masks(gamma)
     levels = {
         i: [weight(s.label) for k, s in enumerate(total.summands(i))
@@ -237,10 +240,21 @@ def build_filtration(m: Multicomplex, gamma, kind: str,
     by the cone index; interior / interior_augmented filter the (augmented)
     multicomplex by the number of nonzero coordinates.  gamma is clamped to
     the stability box.
+
+    The total complex of each kind, with its weight, level count and the
+    stability box of m, is built on the first call for that kind and kept
+    on m for as long as m lives, so later degrees reuse it together with
+    the fibre threshold tables the total builds on its first fiber.
     """
+    entry = m._totals.get(kind)
+    if entry is None:
+        entry = m._totals[kind] = _filtered_total(m, kind)
+    return _filtered_from_total(entry, gamma, fld)
+
+
+def _filtered_total(m: Multicomplex, kind: str):
+    """(total, weight, N, box) of one of the four filtrations of m."""
     n = m.n_axes
-    box = m.stable_box()
-    gamma = Multidegree(tuple(min(g, b) for g, b in zip(gamma, box)))
     if kind == "kcone":
         total = totalize(koszul_cone(m))
 
@@ -267,7 +281,7 @@ def build_filtration(m: Multicomplex, gamma, kind: str,
 
     else:
         raise InvalidKind(f"unknown filtration kind {kind!r}")
-    return _filtered_from_total(total, gamma, weight, n, fld)
+    return total, weight, n, m.stable_box()
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +289,8 @@ def build_filtration(m: Multicomplex, gamma, kind: str,
 
 
 def mv_total_complex(kind: str, ideals, coefficient: MonomialIdeal | None = None):
-    """Total complex and filtration weight of the S_-/P double complex.
+    """(total, weight, N, box) of the S_-/P double complex: its total
+    complex, filtration weight, level count and stability box.
 
     sum_to_product: S^1 -> ... -> S^n tensored with a resolution of M,
     re-indexed so a summand S^p ⊗ F_q sits in degree n - p + q with
@@ -309,19 +324,32 @@ def mv_total_complex(kind: str, ideals, coefficient: MonomialIdeal | None = None
 
     else:
         raise InvalidKind(f"unknown mv kind {kind!r}")
-    return total, weight, n
+    return total, weight, n, total.stable_box()
 
 
 def mv_double(kind: str, ideals, coefficient: MonomialIdeal | None,
-              gamma, fld: PrimeField = GF()) -> SpectralPages:
+              gamma, fld: PrimeField = GF(),
+              _cache: dict | None = None) -> SpectralPages:
     """Pages of a Mayer-Vietoris double complex at one multidegree.
 
     The first page of sum_to_product has E^1_{n-p,q} = ⊕ Tor_q(M, R/(sum of
     a p-subset)); product_to_sum has E^1_{p,q} = ⊕ Tor_q(M, R/(product of a
     p-subset)).
+
+    With a ``_cache`` dict, the total complex, its weight, level count and
+    stability box are kept there under (kind, ideals, coefficient), so every
+    call given the same dict reuses them; the caller decides how long the
+    dict lives.  Without one, the total is built for this call only.
     """
-    total, weight, n = mv_total_complex(kind, ideals, coefficient)
-    box = total.stable_box()
-    gamma = Multidegree(tuple(min(g, b) for g, b in zip(gamma, box)))
-    f = _filtered_from_total(total, gamma, weight, n, fld)
-    return pages(f, fld)
+    ideals = list(ideals)
+    key = (
+        kind,
+        tuple(i.key() for i in ideals),
+        coefficient.key() if coefficient is not None else None,
+    )
+    entry = None if _cache is None else _cache.get(key)
+    if entry is None:
+        entry = mv_total_complex(kind, ideals, coefficient)
+        if _cache is not None:
+            _cache[key] = entry
+    return pages(_filtered_from_total(entry, gamma, fld), fld)

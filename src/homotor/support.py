@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import OverlappingPartitions
+from .errors import OverlappingPartitions, ParamOutOfRange
 from .exactlin import GF, PrimeField
 from .gcomplex import TorTable
 from .monomial import GradingMap, MonomialIdeal, Multidegree, combine, iter_box, lcm_deg
@@ -100,7 +100,7 @@ def supportoftors_check(partitions, coefficient: MonomialIdeal,
         seen |= set(J)
     s = len(sets)
     if not 1 <= p <= s:
-        raise ValueError(f"p={p} outside 1..{s}")
+        raise ParamOutOfRange(f"p={p} outside 1..{s}")
     ideals = [MonomialIdeal.variables(n, J) for J in sets]
     coeff = None if coefficient.is_zero() else coefficient
 
@@ -154,13 +154,15 @@ def supportoftors_check(partitions, coefficient: MonomialIdeal,
     ok_stp = True
     ok_pts = True
     witnesses = []
+    mv_totals: dict = {}
     for T in combos:
         family = [ideals[i] for i in T]
         u = len(family)
         prod_table = prod_tables[T]
         sum_table = sum_tables[T]
         for g in tested:
-            pg = mv_double("sum_to_product", family, coeff, Multidegree(g), fld)
+            pg = mv_double("sum_to_product", family, coeff, Multidegree(g), fld,
+                           _cache=mv_totals)
             if not pg.converged:
                 ok_stp = False
                 witnesses.append({"kind": "sum_to_product", "subset": list(T),
@@ -178,7 +180,8 @@ def supportoftors_check(partitions, coefficient: MonomialIdeal,
                          "degree": list(g), "i": i, "actual": d,
                          "expected": expect}
                     )
-            pg2 = mv_double("product_to_sum", family, coeff, Multidegree(g), fld)
+            pg2 = mv_double("product_to_sum", family, coeff, Multidegree(g), fld,
+                            _cache=mv_totals)
             if not pg2.converged:
                 ok_pts = False
                 witnesses.append({"kind": "product_to_sum", "subset": list(T),

@@ -239,6 +239,31 @@ def test_cli_support_command(problem_path, capsys):
     assert report["results"]["p=2"]["passed"]
 
 
+@pytest.fixture
+def partition_path(tmp_path):
+    """Two variable blocks: (x) and (y, z)."""
+    path = tmp_path / "partition.json"
+    path.write_text(json.dumps({
+        "variables": ["x", "y", "z"],
+        "ideals": {"A": [[1, 0, 0]], "B": [[0, 1, 0], [0, 0, 1]]},
+    }))
+    return str(path)
+
+
+@pytest.mark.parametrize("subset", ["0,1,2", "0,0", "2"])
+def test_cli_support_bad_subset_exit_2(partition_path, capsys, subset):
+    """--subset names distinct ideals of the family; its length is p."""
+    assert main(["support", partition_path, "--subset", subset]) == 2
+    diag = json.loads(capsys.readouterr().out)
+    assert diag["error"]["type"] == "ValidationError"
+
+
+def test_cli_support_subset_sets_p(partition_path, capsys):
+    assert main(["support", partition_path, "--subset", "1,0"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert list(report["results"]) == ["p=2"]
+
+
 def test_cli_more_commands(problem_path, capsys):
     for cmd in ("betti", "indep", "scomplex", "pcomplex", "rigidity", "a8",
                 "equiv-exactness"):

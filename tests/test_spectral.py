@@ -5,8 +5,9 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from homotor import spectral
+from homotor import cli, spectral, support
 from homotor.errors import FiltrationViolation, InvalidKind, InvariantBroken, UnitIdeal
 from homotor.exactlin import (
     GF,
@@ -31,6 +32,7 @@ from homotor.spectral import (
     mv_double,
     pages,
 )
+from homotor.torlab import family_box
 
 P = GF().p
 
@@ -437,3 +439,99 @@ def test_pair_tor1_recovered_from_sum_to_product():
         # the H_1 of the sum-to-product total complex carries R/(I cap J)
         pg = mv_double("sum_to_product", fam, None, g)
         assert pg.total_dims().get(1, 0) == dim_rint
+
+
+# -- totals built once per command ---------------------------------------------
+
+
+KINDS = ["kcone", "kcone_augmented", "interior", "interior_augmented"]
+
+
+@st.composite
+def families(draw):
+    """2-3 proper ideals of 1-2 generators, exponents 0..2, in 2-3 variables."""
+    n = draw(st.integers(2, 3))
+    exponent = st.tuples(*[st.integers(0, 2)] * n).filter(any)
+    ideal = st.lists(exponent, min_size=1, max_size=2).map(
+        lambda gens: MonomialIdeal(n, gens)
+    )
+    return draw(st.lists(ideal, min_size=2, max_size=3))
+
+
+def _beyond(box):
+    """Every degree of the box and one past it, which is clamped back."""
+    return list(iter_box(box)) + [Multidegree(tuple(b + 1 for b in box))]
+
+
+def _same_pages(a, b):
+    return (a.pages, a.ranks, a.e_infinity, a.r_stab, a.converged) == (
+        b.pages, b.ranks, b.e_infinity, b.r_stab, b.converged
+    )
+
+
+@settings(deadline=None, max_examples=15)  # each example rebuilds up to 112 totals
+@given(families())
+def test_memoised_filtrations_match_fresh_multicomplexes(family):
+    """build_filtration on one reused multicomplex, its totals memoised per
+    kind, gives the pages of a multicomplex built afresh for each degree."""
+    reused = tensor([taylor_resolution(i) for i in family])
+    for gamma in _beyond(reused.stable_box()):
+        for kind in KINDS:
+            fresh = tensor([taylor_resolution(i) for i in family])
+            memo = pages(build_filtration(reused, gamma, kind))
+            plain = pages(build_filtration(fresh, gamma, kind))
+            assert _same_pages(memo, plain), (kind, gamma)
+    assert set(reused._totals) == set(KINDS)
+
+
+@settings(deadline=None, max_examples=12)
+@given(families())
+def test_cached_mv_totals_match_uncached(family):
+    """mv_double with one _cache shared by both kinds, with and without a
+    coefficient, gives the pages of mv_double without one."""
+    totals: dict = {}
+    for coefficient in (None, family[-1]):
+        for gamma in _beyond(family_box(family, coefficient)):
+            for kind in ("sum_to_product", "product_to_sum"):
+                cached = mv_double(kind, family, coefficient, gamma, _cache=totals)
+                plain = mv_double(kind, family, coefficient, gamma)
+                assert _same_pages(cached, plain), (kind, coefficient, gamma)
+    assert len(totals) == 4
+
+
+class _Counter:
+    """Wraps a builder and records the arguments of every call."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.calls = []
+
+    def __call__(self, *args, **kwargs):
+        self.calls.append(args)
+        return self.fn(*args, **kwargs)
+
+
+@pytest.mark.parametrize("kind", KINDS + ["sum_to_product", "product_to_sum"])
+def test_spectral_command_builds_one_total(kind, monkeypatch):
+    totals = _Counter(spectral.totalize)
+    mv_totals = _Counter(spectral.mv_total_complex)
+    monkeypatch.setattr(spectral, "totalize", totals)
+    monkeypatch.setattr(spectral, "mv_total_complex", mv_totals)
+    problem = cli.ProblemFile(32003, ["x", "y"], {
+        "I": MonomialIdeal(2, [(2, 0), (1, 1)]),
+        "J": MonomialIdeal(2, [(0, 2), (1, 0)]),
+    })
+    report = cli.run("spectral", problem, {"kind": kind})
+    assert len(report["results"]["pages"]) > 1
+    assert (len(totals.calls), len(mv_totals.calls)) == (
+        (1, 0) if kind in KINDS else (0, 1)
+    )
+
+
+def test_support_check_builds_one_mv_total_per_kind_and_subset(monkeypatch):
+    mv_totals = _Counter(spectral.mv_total_complex)
+    monkeypatch.setattr(spectral, "mv_total_complex", mv_totals)
+    report = support.supportoftors_check([[0], [1], [2]], MonomialIdeal.zero(3), 3)
+    assert report.passed and len(report.context["union_cells"]) > 1
+    built = [(kind, tuple(ideals)) for kind, ideals, _ in mv_totals.calls]
+    assert len(built) == len(set(built)) == 2 * 7  # two kinds, 7 nonempty subsets

@@ -3,7 +3,7 @@ blocks."""
 
 import pytest
 
-from homotor.errors import OverlappingPartitions
+from homotor.errors import OverlappingPartitions, ParamOutOfRange
 from homotor.gcomplex import TorTable
 from homotor.monomial import GradingMap, MonomialIdeal, Multidegree
 from homotor.support import (
@@ -75,6 +75,12 @@ def test_supportoftors_rejects_overlap():
         supportoftors_check([[0, 1], [1]], MonomialIdeal.zero(2), 1)
     with pytest.raises(OverlappingPartitions):
         supportoftors_check([[0], []], MonomialIdeal.zero(2), 1)
+
+
+@pytest.mark.parametrize("p", [0, 3])
+def test_supportoftors_rejects_p_outside_the_family(p):
+    with pytest.raises(ParamOutOfRange):
+        supportoftors_check([[0], [1]], MonomialIdeal.zero(2), p)
 
 
 def test_supportoftors_with_module_coefficients():
