@@ -5,7 +5,7 @@ homological identities they satisfy."""
 
 __version__ = "0.1.0"
 
-from .exactlin import GF, FiberComplex, PrimeField, ScalarMatrix, homology_dims, rank
+from .exactlin import GF, PrimeField, ScalarMatrix, rank
 from .monomial import (
     GradingMap,
     MonomialIdeal,
@@ -39,6 +39,7 @@ from .multicomplex import (
 )
 from .spectral import (
     FilteredFiberComplex,
+    FilteredTotal,
     SpectralPages,
     build_filtration,
     mv_double,

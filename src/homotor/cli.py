@@ -345,6 +345,8 @@ def run(command: str, problem: ProblemFile | None, flags: dict) -> dict:
                 raise ValidationError(
                     f"--subset must name distinct ideal indices in 0..{s - 1}"
                 )
+            if subset:
+                partitions = [partitions[i] for i in sorted(subset)]
             ps = [len(subset)] if subset else list(range(1, s + 1))
             all_ok = True
             for p in ps:

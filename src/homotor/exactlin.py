@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import CompositionNonzero, ValidationError
+from .errors import ValidationError
 
 DEFAULT_CHARACTERISTIC = 32003
 
@@ -90,26 +90,6 @@ class ScalarMatrix:
             return 0.0
         return self.nnz / (self.rows * self.cols)
 
-    def transpose(self) -> "ScalarMatrix":
-        return ScalarMatrix(
-            self.cols, self.rows, [(c, r, v) for (r, c), v in self.entries.items()]
-        )
-
-    def compose(self, other: "ScalarMatrix") -> "ScalarMatrix":
-        """self @ other, over the integers (sparse)."""
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch in composition")
-        by_row: dict = {}
-        for (r, c), v in other.entries.items():
-            by_row.setdefault(r, []).append((c, v))
-        acc: dict = {}
-        for (r, mid), v in self.entries.items():
-            for c, w in by_row.get(mid, ()):
-                acc[(r, c)] = acc.get((r, c), 0) + v * w
-        return ScalarMatrix(
-            self.rows, other.cols, [(r, c, v) for (r, c), v in acc.items() if v]
-        )
-
     def __repr__(self):
         return f"ScalarMatrix({self.rows}x{self.cols}, nnz={self.nnz})"
 
@@ -147,64 +127,3 @@ def rank(m: ScalarMatrix, f: PrimeField = GF()) -> int:
     if m.nnz == 0:
         return 0
     return _rank_sparse(m, f.p)
-
-
-class FiberComplex:
-    """A finite complex of GF(p)-vector spaces.
-
-    ``terms[i]`` is the dimension at homological degree i for i in a finite
-    integer window; ``diffs[i]`` maps term i to term i-1.  Cochain complexes
-    are stored with negated indices by their builders, so a single chain
-    convention suffices here.
-    """
-
-    def __init__(self, terms: dict, diffs: dict):
-        self.terms = {i: d for i, d in terms.items() if d}
-        self.diffs = {}
-        for i, m in diffs.items():
-            src = terms.get(i, 0)
-            tgt = terms.get(i - 1, 0)
-            if m.cols != src or m.rows != tgt:
-                raise ValueError(
-                    f"differential at {i} has shape {m.rows}x{m.cols}, "
-                    f"expected {tgt}x{src}"
-                )
-            if m.nnz:
-                self.diffs[i] = m
-
-    def window(self):
-        if not self.terms:
-            return range(0, 0)
-        lo = min(self.terms)
-        hi = max(self.terms)
-        return range(lo, hi + 1)
-
-    def dim(self, i: int) -> int:
-        return self.terms.get(i, 0)
-
-    def differential(self, i: int) -> ScalarMatrix:
-        m = self.diffs.get(i)
-        if m is None:
-            return ScalarMatrix(self.dim(i - 1), self.dim(i))
-        return m
-
-    def check_composition(self, f: PrimeField = GF()):
-        for i in list(self.diffs):
-            if i - 1 in self.diffs:
-                comp = self.diffs[i - 1].compose(self.diffs[i])
-                if any(v % f.p for v in comp.entries.values()):
-                    raise CompositionNonzero(f"d∘d != 0 between degrees {i} and {i-2}")
-
-    def euler_characteristic(self) -> int:
-        return sum(-d if i % 2 else d for i, d in self.terms.items())
-
-
-def homology_dims(c: FiberComplex, f: PrimeField = GF()) -> list:
-    """[(i, dim H_i)] over the window of c; raises if d∘d != 0."""
-    c.check_composition(f)
-    ranks = {i: rank(m, f) for i, m in c.diffs.items()}
-    out = []
-    for i in c.window():
-        h = c.dim(i) - ranks.get(i, 0) - ranks.get(i + 1, 0)
-        out.append((i, h))
-    return out

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from functools import reduce
 from heapq import heappop, heappush
 
-from .errors import BoxTooSmall, LengthMismatch, MixedKinds, UnitIdeal
-from .exactlin import GF, FiberComplex, PrimeField, ScalarMatrix, rank
+from .errors import BoxTooSmall, CompositionNonzero, LengthMismatch, MixedKinds, UnitIdeal
+from .exactlin import GF, PrimeField, ScalarMatrix, rank
 from .monomial import MonomialIdeal, Multidegree, combine, iter_box, lcm_deg
 
 FREE = "free"
@@ -228,8 +228,6 @@ class GradedComplex:
                     acc[key] = acc.get(key, 0) + c1 * c2
             bad = {k: v for k, v in acc.items() if v}
             if bad:
-                from .errors import CompositionNonzero
-
                 raise CompositionNonzero(f"d∘d != 0 from degree {i}: {bad}")
 
     # -- degreewise evaluation --------------------------------------------------
@@ -262,30 +260,6 @@ class GradedComplex:
                 mask = mask & member if self.kind == IDEAL else mask & ~member
             masks[i] = mask
         return masks
-
-    def fiber(self, gamma) -> FiberComplex:
-        """The degree-gamma piece as a complex of GF(p) vector spaces."""
-        masks = self.alive_masks(gamma)
-        positions = {}
-        dims = {}
-        for i, mask in masks.items():
-            pos = {}
-            for k in range(len(self.terms[i])):
-                if mask >> k & 1:
-                    pos[k] = len(pos)
-            positions[i] = pos
-            dims[i] = len(pos)
-        diffs = {}
-        for i, es in self.entries.items():
-            src_pos = positions.get(i, {})
-            tgt_pos = positions.get(i - 1, {})
-            triples = [
-                (tgt_pos[t], src_pos[s], c)
-                for s, t, c in es
-                if s in src_pos and t in tgt_pos
-            ]
-            diffs[i] = ScalarMatrix(len(tgt_pos), len(src_pos), triples)
-        return FiberComplex(dims, diffs)
 
     def _masked_rank(self, i: int, src_mask: int, tgt_mask: int, field: PrimeField) -> int:
         key = (field.p, i, src_mask, tgt_mask)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from functools import reduce
 
-from .errors import EmptyInput, LengthMismatch, UnitIdeal
+from .errors import EmptyInput, LengthMismatch, ParamOutOfRange, UnitIdeal
 
 MAX_VARS_FOR_DIMENSION = 16
 
@@ -211,7 +211,9 @@ def quotient_dimension(ideal: MonomialIdeal):
         raise UnitIdeal("R/I is zero for the unit ideal")
     n = ideal.n
     if n > MAX_VARS_FOR_DIMENSION:
-        raise ValueError(f"dimension search supports at most {MAX_VARS_FOR_DIMENSION} variables")
+        raise ParamOutOfRange(
+            f"dimension search supports at most {MAX_VARS_FOR_DIMENSION} variables"
+        )
     supports = [g.support() for g in ideal.gens]
     for size in range(n + 1):
         for cover in itertools.combinations(range(n), size):

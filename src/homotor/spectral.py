@@ -1,11 +1,16 @@
-"""Spectral sequences of filtered complexes of GF(p) vector spaces.
+"""Spectral sequences of filtered graded complexes over GF(p).
 
-Every filtration here is a coordinate filtration: each basis vector of
-degree i has one level in 0..N, and F_p is spanned by the vectors of level
-<= p.  Every page is then an integer combination of ranks of blocks of d.
-With F_i(p) the number of degree-i vectors of level <= p, and R_i(a, b) the
-rank of the block of d_i whose source vectors have level <= b and whose
-target vectors have level > a, so that dim(F_b ∩ d^{-1}F_a) = F_i(b) - R_i(a, b):
+Every filtration here is a coordinate filtration of a filtered total: each
+summand of term i has one level in 0..N, and F_p is spanned by the summands
+of level <= p.  The levels are checked once per total, over Z, on every
+entry of its differential.  The fibre at a degree gamma is read through the
+total's alive masks, and every page is an integer combination of ranks of
+masked blocks of d, taken by ``GradedComplex._masked_rank`` and shared
+through its cache by every degree evaluated on the same total.
+With F_i(p) the number of alive degree-i summands of level <= p, and
+R_i(a, b) the rank of the block of d_i whose source summands have level
+<= b and whose target summands have level > a, so that
+dim(F_b ∩ d^{-1}F_a) = F_i(b) - R_i(a, b):
 
     num_r(i, p)     = [F_i(p) - R_i(p-r, p)] - [F_i(p-1) - R_i(p-r, p-1)]
     dim E^r_{p,i-p} = num_r(i, p) - [R_{i+1}(p-1, p+r-1) - R_{i+1}(p, p+r-1)]
@@ -14,9 +19,9 @@ target vectors have level > a, so that dim(F_b ∩ d^{-1}F_a) = F_i(b) - R_i(a, 
 num_r is the dimension of (F_p ∩ d^{-1}F_{p-r} + F_{p-1}) / F_{p-1}, the
 bracket that of (d(F_{p+r-1}) ∩ F_p + F_{p-1}) / F_{p-1}, and E^r_p is the
 first over the second.  Every page is checked against the page-bookkeeping
-identity, and the abutment against the homology of the underlying total
-complex.  Builders produce the four filtrations attached to an N^n
-multicomplex (Koszul cone, its hypercube-augmented variant, the
+identity, and the abutment against the homology of the fibre, the same
+unfiltered block ranks.  Builders produce the four filtrations attached to
+an N^n multicomplex (Koszul cone, its hypercube-augmented variant, the
 support-count filtration and its augmented variant) plus the two
 Mayer-Vietoris double complexes.
 """
@@ -26,9 +31,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import FiltrationViolation, InvalidKind, InvariantBroken, UnitIdeal
-from .exactlin import GF, FiberComplex, PrimeField, ScalarMatrix, homology_dims, rank
-from .gcomplex import taylor_resolution, tensor_complexes
-from .monomial import Multidegree, MonomialIdeal
+from .exactlin import GF, PrimeField
+from .gcomplex import GradedComplex, taylor_resolution, tensor_complexes
+from .monomial import MonomialIdeal
 from .multicomplex import (
     Multicomplex,
     hypercube_extend,
@@ -37,38 +42,52 @@ from .multicomplex import (
 )
 
 
-class FilteredFiberComplex:
-    """A fiber complex with a coordinate filtration F_0 ⊆ ... ⊆ F_N.
+class FilteredTotal:
+    """A graded complex with a coordinate filtration F_0 ⊆ ... ⊆ F_N.
 
-    ``levels[i][k]`` is the level (0..N) of basis vector k of degree i; a
-    degree missing from ``levels`` has every vector at level 0.  The
-    differentials must respect the filtration: no nonzero entry of d_i may
-    map a vector into a higher level.
+    ``levels[i][k]`` is the level (0..N) of summand k of term i; a term
+    missing from ``levels`` has every summand at level 0.  The differential
+    must respect the filtration: no nonzero integer entry of d_i may map a
+    summand into a higher level, whichever degrees the summands are alive
+    at.  ``below[i][p]`` is the bitmask of the summands of term i at level
+    <= p.
     """
 
-    def __init__(self, base: FiberComplex, levels: dict, N: int,
-                 field: PrimeField = GF()):
-        self.base = base
-        self.field = field
+    def __init__(self, total: GradedComplex, levels: dict, N: int):
+        self.total = total
         self.N = int(N)
         for i, lv in levels.items():
-            if len(lv) != base.dim(i):
+            if len(lv) != len(total.summands(i)):
                 raise FiltrationViolation(
-                    f"{len(lv)} levels for the {base.dim(i)} vectors of degree {i}"
+                    f"{len(lv)} levels for the {len(total.summands(i))} summands "
+                    f"of term {i}"
                 )
             if any(not 0 <= v <= self.N for v in lv):
-                raise FiltrationViolation(f"a level at degree {i} is outside 0..{self.N}")
-        self.levels = {
-            i: list(levels.get(i, [0] * base.dim(i))) for i in base.window()
-        }
-        for i, d in base.diffs.items():
-            src, tgt = self.levels[i], self.levels[i - 1]
-            for (r, c), v in d.entries.items():
-                if v % field.p and tgt[r] > src[c]:
+                raise FiltrationViolation(f"a level at term {i} is outside 0..{self.N}")
+        levels = {i: levels.get(i, [0] * len(ss)) for i, ss in total.terms.items()}
+        for i, es in total.entries.items():
+            src, tgt = levels[i], levels[i - 1]
+            for s, t, _ in es:
+                if tgt[t] > src[s]:
                     raise FiltrationViolation(
-                        f"d(F_{src[c]}) not inside F_{src[c]} between degrees "
+                        f"d(F_{src[s]}) not inside F_{src[s]} between terms "
                         f"{i} and {i - 1}"
                     )
+        self.below = {
+            i: [sum(1 << k for k, v in enumerate(lv) if v <= p)
+                for p in range(self.N + 1)]
+            for i, lv in levels.items()
+        }
+
+
+class FilteredFiberComplex:
+    """The fibre at gamma of a filtered total: the total with its alive
+    masks at gamma, and the field its pages are taken over."""
+
+    def __init__(self, filtered: FilteredTotal, gamma, field: PrimeField = GF()):
+        self.filtered = filtered
+        self.field = field
+        self.masks = filtered.total.alive_masks(gamma)
 
 
 @dataclass
@@ -101,42 +120,28 @@ class SpectralPages:
 
 def pages(f: FilteredFiberComplex, fld: PrimeField | None = None) -> SpectralPages:
     """All pages of the filtration spectral sequence of f, with convergence
-    verified against the homology of the base complex.
+    verified against the homology of its fibre.
 
     d^r = 0 for r > N, so pages are computed for r = 1..N+2 and kept up to
     r_stab, the least r >= 2 with d^s = 0 for every s >= r - 1.
     """
     fld = f.field if fld is None else fld
-    base = f.base
-    window = list(base.window())
-    N = f.N
-    counts = {
-        i: [sum(1 for v in lv if v <= p) for p in range(N + 1)]
-        for i, lv in f.levels.items()
-    }
-    block_ranks = {}
+    total, below, N = f.filtered.total, f.filtered.below, f.filtered.N
+    alive = f.masks
+    window = [i for i, mask in sorted(alive.items()) if mask]
+
+    def level(i, p):
+        """The alive summands of term i at level <= p."""
+        if p < 0 or i not in below:
+            return 0
+        return alive[i] & below[i][min(p, N)]
 
     def F(i, p):
-        if p < 0 or i not in counts:
-            return 0
-        return counts[i][min(p, N)]
+        return level(i, p).bit_count()
 
     def R(i, a, b):
-        key = (i, max(a, -1), min(b, N))
-        if key not in block_ranks:
-            _, a, b = key
-            d = base.diffs.get(i)
-            if d is None or b < 0 or a >= N:
-                block_ranks[key] = 0
-            else:
-                cols = _positions(f.levels[i], lambda v: v <= b)
-                rows = _positions(f.levels[i - 1], lambda v: v > a)
-                block = ScalarMatrix(len(rows), len(cols), [
-                    (rows[r], cols[c], v) for (r, c), v in d.entries.items()
-                    if r in rows and c in cols
-                ])
-                block_ranks[key] = rank(block, fld)
-        return block_ranks[key]
+        src, tgt = level(i, b), alive.get(i - 1, 0) & ~level(i - 1, a)
+        return total._masked_rank(i, src, tgt, fld) if src and tgt else 0
 
     def num(i, p, r):
         return (F(i, p) - R(i, p - r, p)) - (F(i, p - 1) - R(i, p - r, p - 1))
@@ -162,7 +167,8 @@ def pages(f: FilteredFiberComplex, fld: PrimeField | None = None) -> SpectralPag
     r_stab = max(2, last_moving + 2)
     del page_tables[r_stab:], rank_tables[r_stab:]
     e_inf = page_tables[-1]
-    base_h = dict(homology_dims(base, fld))
+    # the unfiltered blocks: the keys homology_at caches for this fibre
+    base_h = {i: F(i, N) - R(i, -1, N) - R(i + 1, -1, N) for i in window}
     check = {}
     totals = {}
     for (p, q), d in e_inf.items():
@@ -183,11 +189,6 @@ def pages(f: FilteredFiberComplex, fld: PrimeField | None = None) -> SpectralPag
         r_stab=r_stab,
         levels=N,
     )
-
-
-def _positions(levels, keep) -> dict:
-    """{index in levels: index among the kept entries} for entries with keep(level)."""
-    return {k: n for n, k in enumerate(k for k, v in enumerate(levels) if keep(v))}
 
 
 def _check_page(r, dims, ranks, page_tables, rank_tables):
@@ -216,20 +217,12 @@ def _check_page(r, dims, ranks, page_tables, rank_tables):
 # Filtration builders for the four multicomplex spectral sequences
 
 
-def _filtered_from_total(entry, gamma, fld: PrimeField) -> FilteredFiberComplex:
-    """Coordinate filtration of the fiber at gamma of a filtered total
-    ``entry = (total, weight, N, box)``: gamma is clamped to the stability
-    box and each surviving summand gets the level weight(label) of its
-    (q, label) tag."""
-    total, weight, N, box = entry
-    gamma = Multidegree(tuple(min(g, b) for g, b in zip(gamma, box)))
-    masks = total.alive_masks(gamma)
-    levels = {
-        i: [weight(s.label) for k, s in enumerate(total.summands(i))
-            if masks.get(i, 0) >> k & 1]
-        for i in total.window()
-    }
-    return FilteredFiberComplex(total.fiber(gamma), levels, N, fld)
+def _by_weight(total: GradedComplex, weight, N: int) -> FilteredTotal:
+    """The filtration of total that puts each summand at the level
+    weight(label) of its (q, label) tag."""
+    return FilteredTotal(
+        total, {i: [weight(s.label) for s in ss] for i, ss in total.terms.items()}, N
+    )
 
 
 def build_filtration(m: Multicomplex, gamma, kind: str,
@@ -238,22 +231,21 @@ def build_filtration(m: Multicomplex, gamma, kind: str,
 
     kcone / kcone_augmented filter the (augmented) Koszul-cone construction
     by the cone index; interior / interior_augmented filter the (augmented)
-    multicomplex by the number of nonzero coordinates.  gamma is clamped to
-    the stability box.
+    multicomplex by the number of nonzero coordinates.  Degrees beyond the
+    stability box have the alive masks of the box.
 
-    The total complex of each kind, with its weight, level count and the
-    stability box of m, is built on the first call for that kind and kept
-    on m for as long as m lives, so later degrees reuse it together with
-    the fibre threshold tables the total builds on its first fiber.
+    The filtered total of each kind is built and checked on the first call
+    for that kind and kept on m for as long as m lives, so later degrees
+    reuse it together with its fibre threshold tables and block ranks.
     """
     entry = m._totals.get(kind)
     if entry is None:
         entry = m._totals[kind] = _filtered_total(m, kind)
-    return _filtered_from_total(entry, gamma, fld)
+    return FilteredFiberComplex(entry, gamma, fld)
 
 
-def _filtered_total(m: Multicomplex, kind: str):
-    """(total, weight, N, box) of one of the four filtrations of m."""
+def _filtered_total(m: Multicomplex, kind: str) -> FilteredTotal:
+    """The filtered total of one of the four filtrations of m."""
     n = m.n_axes
     if kind == "kcone":
         total = totalize(koszul_cone(m))
@@ -281,16 +273,16 @@ def _filtered_total(m: Multicomplex, kind: str):
 
     else:
         raise InvalidKind(f"unknown filtration kind {kind!r}")
-    return total, weight, n, m.stable_box()
+    return _by_weight(total, weight, n)
 
 
 # ---------------------------------------------------------------------------
 # Mayer-Vietoris double complexes
 
 
-def mv_total_complex(kind: str, ideals, coefficient: MonomialIdeal | None = None):
-    """(total, weight, N, box) of the S_-/P double complex: its total
-    complex, filtration weight, level count and stability box.
+def mv_total_complex(kind: str, ideals, coefficient: MonomialIdeal | None = None
+                     ) -> FilteredTotal:
+    """The filtered total of the S_-/P double complex.
 
     sum_to_product: S^1 -> ... -> S^n tensored with a resolution of M,
     re-indexed so a summand S^p ⊗ F_q sits in degree n - p + q with
@@ -324,7 +316,7 @@ def mv_total_complex(kind: str, ideals, coefficient: MonomialIdeal | None = None
 
     else:
         raise InvalidKind(f"unknown mv kind {kind!r}")
-    return total, weight, n, total.stable_box()
+    return _by_weight(total, weight, n)
 
 
 def mv_double(kind: str, ideals, coefficient: MonomialIdeal | None,
@@ -336,10 +328,10 @@ def mv_double(kind: str, ideals, coefficient: MonomialIdeal | None,
     a p-subset)); product_to_sum has E^1_{p,q} = ⊕ Tor_q(M, R/(product of a
     p-subset)).
 
-    With a ``_cache`` dict, the total complex, its weight, level count and
-    stability box are kept there under (kind, ideals, coefficient), so every
-    call given the same dict reuses them; the caller decides how long the
-    dict lives.  Without one, the total is built for this call only.
+    With a ``_cache`` dict, the filtered total is kept there under (kind,
+    ideals, coefficient), so every call given the same dict reuses it and
+    its block ranks; the caller decides how long the dict lives.  Without
+    one, the total is built for this call only.
     """
     ideals = list(ideals)
     key = (
@@ -352,4 +344,4 @@ def mv_double(kind: str, ideals, coefficient: MonomialIdeal | None,
         entry = mv_total_complex(kind, ideals, coefficient)
         if _cache is not None:
             _cache[key] = entry
-    return pages(_filtered_from_total(entry, gamma, fld), fld)
+    return pages(FilteredFiberComplex(entry, gamma, fld), fld)

@@ -220,10 +220,10 @@ def betti_table(ideal: MonomialIdeal, fld: PrimeField = GF()) -> BettiReport:
     if ideal.is_unit():
         raise UnitIdeal("R/I is zero")
     n = ideal.n
+    dim, codim = quotient_dimension(ideal)  # first: it bounds the variable count
     table = multi_tor([ideal], MonomialIdeal.variables(n, range(n)), fld)
     pd = table.max_nonzero_index() or 0
     depth = n - pd
-    dim, codim = quotient_dimension(ideal)
     return BettiReport(table, pd, depth, dim, codim, is_cm=depth == dim)
 
 

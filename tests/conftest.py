@@ -3,6 +3,7 @@ from hypothesis import settings
 
 from homotor import MonomialIdeal
 from homotor.cli import random_instance
+from homotor.gcomplex import GradedComplex, free_summand
 
 settings.register_profile("det", derandomize=True, max_examples=60)
 settings.load_profile("det")
@@ -11,6 +12,18 @@ settings.load_profile("det")
 def stream(seed, count, **params):
     """Deterministic family stream used across the suites."""
     return [random_instance(seed + t, **params) for t in range(count)]
+
+
+def free_complex(dims, diffs=None):
+    """The free complex in one variable with dims[i] zero-shift summands in
+    term i and d_i = diffs[i], a ScalarMatrix: its fibre at (0,) is the
+    matrix complex itself."""
+    terms = {i: [free_summand((0,))] * d for i, d in dims.items()}
+    entries = {
+        i: [(c, r, v) for (r, c), v in m.entries.items()]
+        for i, m in (diffs or {}).items()
+    }
+    return GradedComplex(1, terms, entries)
 
 
 @pytest.fixture

@@ -8,7 +8,6 @@ import itertools
 
 from conftest import stream
 from homotor.cli import random_instance
-from homotor.exactlin import homology_dims
 from homotor.gcomplex import module_homology_table, taylor_resolution
 from homotor.monomial import MonomialIdeal, Multidegree, combine, iter_box
 from homotor.multicomplex import (
@@ -148,19 +147,19 @@ def _direct_e1(m, gamma, kind):
                 if kind == "kcone_augmented" and p == n:
                     continue
                 sub = totalize(select(m, face(*S, starred=True)))
-                for q, d in homology_dims(sub.fiber(gamma)):
+                for q, d in sub.homology_at(gamma).items():
                     if d:
                         out[(p, q)] = out.get((p, q), 0) + d
             elif kind == "interior":
                 sub = totalize(select(m, interior(*S)))
-                for i, d in homology_dims(sub.fiber(gamma)):
+                for i, d in sub.homology_at(gamma).items():
                     if d:
                         out[(p, i - p)] = out.get((p, i - p), 0) + d
             else:
                 if p == 0:
                     continue
                 sub = hypercube_augment(m, interior(*S))
-                for i, d in homology_dims(sub.fiber(gamma)):
+                for i, d in sub.homology_at(gamma).items():
                     if d:
                         out[(p, i - p)] = out.get((p, i - p), 0) + d
     return out

@@ -8,6 +8,7 @@ import pytest
 from homotor.cli import _sample_degrees, main, parse_problem, random_instance, run
 from homotor.errors import ParamOutOfRange, ParseError, UnknownCommand, ValidationError
 from homotor.monomial import MonomialIdeal, iter_box
+from homotor.support import supportoftors_check
 
 
 @pytest.fixture
@@ -222,10 +223,10 @@ def test_cli_grading_takes_negative_integers(tmp_path, capsys):
 
 
 def test_cli_invariant_failure_exit_code(problem_path, capsys, monkeypatch):
-    from homotor import exactlin, spectral
+    from homotor import exactlin, gcomplex
 
     monkeypatch.setattr(
-        spectral, "rank", lambda m, fld: exactlin.rank(m, fld) + bool(m.nnz)
+        gcomplex, "rank", lambda m, fld: exactlin.rank(m, fld) + bool(m.nnz)
     )
     assert main(["spectral", problem_path, "--kind", "interior"]) == 3
     diag = json.loads(capsys.readouterr().out)
@@ -262,6 +263,31 @@ def test_cli_support_subset_sets_p(partition_path, capsys):
     assert main(["support", partition_path, "--subset", "1,0"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert list(report["results"]) == ["p=2"]
+
+
+def test_cli_support_subset_names_the_ideals(partition_path, capsys):
+    """--subset 0 checks the block (x) alone and --subset 1 the block (y, z)."""
+    results = {}
+    for subset, block in (("0", [0]), ("1", [1, 2])):
+        assert main(["support", partition_path, "--subset", subset]) == 0
+        report = json.loads(capsys.readouterr().out)
+        alone = supportoftors_check([block], MonomialIdeal.zero(3), 1).to_json()
+        assert report["results"] == {"p=1": json.loads(json.dumps(alone))}
+        results[subset] = report["results"]["p=1"]
+    assert results["0"]["context"] != results["1"]["context"]
+
+
+@pytest.mark.parametrize("command", ["betti", "a8", "rigidity"])
+def test_cli_more_than_16_variables_exit_2(tmp_path, capsys, command):
+    """The Krull dimension search is bounded before any table is built."""
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({
+        "variables": [f"x{k}" for k in range(17)],
+        "ideals": {"I": [[1] + [0] * 16]},
+    }))
+    assert main([command, str(path)]) == 2
+    diag = json.loads(capsys.readouterr().out)
+    assert diag["error"]["type"] == "ParamOutOfRange"
 
 
 def test_cli_more_commands(problem_path, capsys):

@@ -14,7 +14,7 @@ from homotor.errors import (
     MixedKinds,
     UnitIdeal,
 )
-from homotor.exactlin import GF, homology_dims
+from homotor.exactlin import GF
 from homotor.gcomplex import (
     GradedComplex,
     cancel_units,
@@ -93,12 +93,11 @@ def test_taylor_is_resolution():
 def test_fiber_examples():
     m = MonomialIdeal(2, [(1, 0), (0, 1)])
     t = taylor_resolution(m)
-    f0 = t.fiber((0, 0))
-    assert [f0.dim(i) for i in (0, 1, 2)] == [1, 0, 0]
-    f11 = t.fiber((1, 1))
-    assert [f11.dim(i) for i in (0, 1, 2)] == [1, 2, 1]
-    h = dict(homology_dims(f11))
-    assert h == {0: 0, 1: 0, 2: 0}
+    f0 = t.alive_masks((0, 0))
+    assert [f0.get(i, 0).bit_count() for i in (0, 1, 2)] == [1, 0, 0]
+    f11 = t.alive_masks((1, 1))
+    assert [f11.get(i, 0).bit_count() for i in (0, 1, 2)] == [1, 2, 1]
+    assert t.homology_at((1, 1)) == {0: 0, 1: 0, 2: 0}
 
 
 def test_stable_box_examples():

@@ -4,7 +4,6 @@ the hypercube augmentation."""
 import pytest
 
 from homotor.errors import EmptySelection, InvalidKind, MixedKinds
-from homotor.exactlin import GF
 from homotor.gcomplex import (
     module_homology_table,
     taylor_resolution,
@@ -83,9 +82,7 @@ def test_select_face_full_is_identity():
 def test_totalize_signs_square_to_zero():
     # three dependent factors make every mixed square appear
     m = tensor([res((1, 0, 0), (0, 1, 0)), res((0, 1, 1)), res((1, 0, 1))])
-    total = totalize(m)  # GradedComplex constructor checks d∘d = 0
-    for gamma in [(0, 0, 0), (1, 1, 1), (2, 1, 2)]:
-        total.fiber(gamma).check_composition(GF())
+    totalize(m)  # GradedComplex constructor checks d∘d = 0
 
 
 def test_totalize_shift():

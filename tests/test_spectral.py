@@ -7,16 +7,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from homotor import cli, spectral, support
+from conftest import free_complex
+from homotor import cli, gcomplex, spectral, support
 from homotor.errors import FiltrationViolation, InvalidKind, InvariantBroken, UnitIdeal
-from homotor.exactlin import (
-    GF,
-    FiberComplex,
-    ScalarMatrix,
-    homology_dims,
-    rank,
-)
-from homotor.gcomplex import taylor_resolution
+from homotor.exactlin import GF, ScalarMatrix, rank
+from homotor.gcomplex import GradedComplex, free_summand, taylor_resolution
 from homotor.monomial import MonomialIdeal, Multidegree, iter_box
 from homotor.multicomplex import (
     face,
@@ -28,6 +23,7 @@ from homotor.multicomplex import (
 )
 from homotor.spectral import (
     FilteredFiberComplex,
+    FilteredTotal,
     build_filtration,
     mv_double,
     pages,
@@ -35,20 +31,24 @@ from homotor.spectral import (
 from homotor.torlab import family_box
 
 P = GF().p
+ID = {1: ScalarMatrix(1, 1, [(0, 0, 1)])}
+
+
+def _filtered(dims, diffs, levels, N, fld=GF()):
+    filtered = FilteredTotal(free_complex(dims, diffs), levels, N)
+    return FilteredFiberComplex(filtered, (0,), fld)
 
 
 def test_zero_differential_gives_associated_graded():
-    base = FiberComplex({0: 2, 1: 3}, {})
     levels = {0: [0, 1], 1: [0, 0, 1]}
-    pg = pages(FilteredFiberComplex(base, levels, 1))
+    pg = pages(_filtered({0: 2, 1: 3}, {}, levels, 1))
     assert pg.e1 == {(0, 0): 1, (1, -1): 1, (0, 1): 2, (1, 0): 1}
     assert pg.e_infinity == pg.e1
     assert pg.converged
 
 
 def test_identity_complex_two_step_filtration():
-    base = FiberComplex({0: 1, 1: 1}, {1: ScalarMatrix(1, 1, [(0, 0, 1)])})
-    pg = pages(FilteredFiberComplex(base, {0: [0], 1: [1]}, 1))
+    pg = pages(_filtered({0: 1, 1: 1}, ID, {0: [0], 1: [1]}, 1))
     assert pg.e1 == {(0, 0): 1, (1, 0): 1}
     assert pg.ranks[0] == {(1, 0): 1}  # d^1 is an isomorphism
     assert pg.page(2) == {}
@@ -56,31 +56,40 @@ def test_identity_complex_two_step_filtration():
 
 
 def test_filtration_violation_detected():
-    base = FiberComplex({0: 1, 1: 1}, {1: ScalarMatrix(1, 1, [(0, 0, 1)])})
     with pytest.raises(FiltrationViolation):
-        FilteredFiberComplex(base, {0: [1], 1: [0]}, 1)
-    # an entry that vanishes mod p maps nothing up a level
-    base = FiberComplex({0: 1, 1: 1}, {1: ScalarMatrix(1, 1, [(0, 0, P)])})
-    FilteredFiberComplex(base, {0: [1], 1: [0]}, 1)
+        FilteredTotal(free_complex({0: 1, 1: 1}, ID), {0: [1], 1: [0]}, 1)
+    # checked over Z: an entry that vanishes mod p still raises the level
+    total = free_complex({0: 1, 1: 1}, {1: ScalarMatrix(1, 1, [(0, 0, P)])})
+    with pytest.raises(FiltrationViolation):
+        FilteredTotal(total, {0: [1], 1: [0]}, 1)
+
+
+def test_filtration_checked_on_summands_dead_at_every_evaluated_degree():
+    """The entry between the shift-1 summands raises the level; no degree
+    where only the zero-shift summands are alive can hide it."""
+    terms = {i: [free_summand((0,)), free_summand((1,))] for i in (0, 1)}
+    total = GradedComplex(1, terms, {1: [(0, 0, 1), (1, 1, 1)]})
+    assert total.alive_masks((0,)) == {0: 0b01, 1: 0b01}
+    with pytest.raises(FiltrationViolation):
+        FilteredTotal(total, {0: [0, 1], 1: [0, 0]}, 1)
+    FilteredTotal(total, {0: [0, 1], 1: [0, 1]}, 1)
 
 
 def test_non_exhaustive_filtration_rejected():
-    base = FiberComplex({0: 2}, {})
+    total = free_complex({0: 2})
     for levels in ({0: [0, 2]}, {0: [0, -1]}, {0: [0]}, {0: [0, 0, 0]}, {1: [0]}):
         with pytest.raises(FiltrationViolation):
-            FilteredFiberComplex(base, levels, 1)
+            FilteredTotal(total, levels, 1)
 
 
 def test_missing_degree_sits_at_level_zero():
-    base = FiberComplex({0: 1, 1: 1}, {1: ScalarMatrix(1, 1, [(0, 0, 1)])})
-    pg = pages(FilteredFiberComplex(base, {1: [0]}, 2))
+    pg = pages(_filtered({0: 1, 1: 1}, ID, {1: [0]}, 2))
     assert pg.e1 == {} and pg.r_stab == 2 and pg.converged
 
 
 def test_broken_block_rank_is_an_invariant_failure(monkeypatch):
-    base = FiberComplex({0: 1, 1: 1}, {1: ScalarMatrix(1, 1, [(0, 0, 1)])})
-    f = FilteredFiberComplex(base, {0: [0], 1: [1]}, 1)
-    monkeypatch.setattr(spectral, "rank", lambda m, fld: rank(m, fld) + bool(m.nnz))
+    f = _filtered({0: 1, 1: 1}, ID, {0: [0], 1: [1]}, 1)
+    monkeypatch.setattr(gcomplex, "rank", lambda m, fld: rank(m, fld) + bool(m.nnz))
     with pytest.raises(InvariantBroken):
         pages(f)
 
@@ -111,23 +120,24 @@ def _apply(entries, x, rows, p):
     return tuple(y)
 
 
-def _random_filtered_complex(rng, p):
-    """Three degrees of at most 4 vectors, N in 1..3, d_1 d_2 = 0: the rows
-    of d_1 are drawn from the filtration-respecting vectors that kill d_2."""
+def _random_filtered_complex(rng):
+    """Three degrees of at most 4 vectors, N in 1..3, entries in -1..1 and
+    d_1 d_2 = 0 over Z: the rows of d_1 are drawn from the
+    filtration-respecting vectors that kill d_2."""
     N = rng.randint(1, 3)
     dims = [rng.randint(1, 4) for _ in range(3)]
     levels = {i: [rng.randint(0, N) for _ in range(dims[i])] for i in range(3)}
     d2 = {
-        (r, c): rng.randrange(1, p)
+        (r, c): rng.choice((-1, 1))
         for r in range(dims[1]) for c in range(dims[2])
         if levels[1][r] <= levels[2][c] and rng.random() < 0.6
     }
     d1 = {}
     for r in range(dims[0]):
         rows = [
-            u for u in itertools.product(range(p), repeat=dims[1])
+            u for u in itertools.product((-1, 0, 1), repeat=dims[1])
             if all(u[c] == 0 for c in range(dims[1]) if levels[1][c] < levels[0][r])
-            and all(sum(u[m] * d2.get((m, c), 0) for m in range(dims[1])) % p == 0
+            and all(sum(u[m] * d2.get((m, c), 0) for m in range(dims[1])) == 0
                     for c in range(dims[2]))
         ]
         for c, v in enumerate(rng.choice(rows)):
@@ -137,7 +147,7 @@ def _random_filtered_complex(rng, p):
         i: ScalarMatrix(dims[i - 1], dims[i], [(r, c, v) for (r, c), v in d.items()])
         for i, d in ((1, d1), (2, d2))
     }
-    return FiberComplex(dict(enumerate(dims)), diffs), levels, N, dims, {1: d1, 2: d2}
+    return dict(enumerate(dims)), diffs, levels, N, dims, {1: d1, 2: d2}
 
 
 def _pages_by_enumeration(levels, N, dims, d, p):
@@ -188,8 +198,8 @@ def test_pages_against_enumeration():
     fld = GF(p)
     rng = random.Random(3)
     for _ in range(80):
-        base, levels, N, dims, d = _random_filtered_complex(rng, p)
-        pg = pages(FilteredFiberComplex(base, levels, N, fld))
+        terms, diffs, levels, N, dims, d = _random_filtered_complex(rng)
+        pg = pages(_filtered(terms, diffs, levels, N, fld))
         want = _pages_by_enumeration(levels, N, dims, d, p)
         moving = [s for s, (_, ranks) in enumerate(want, 1) if ranks]
         assert pg.r_stab == max([2] + [s + 2 for s in moving])
@@ -223,19 +233,19 @@ def direct_e1(m, gamma, kind):
                 if kind == "kcone_augmented" and p == n:
                     continue
                 sub = totalize(select(m, face(*S, starred=True)))
-                for q, d in homology_dims(sub.fiber(gamma)):
+                for q, d in sub.homology_at(gamma).items():
                     if d:
                         out[(p, q)] = out.get((p, q), 0) + d
             elif kind == "interior":
                 sub = totalize(select(m, interior(*S)))
-                for i, d in homology_dims(sub.fiber(gamma)):
+                for i, d in sub.homology_at(gamma).items():
                     if d:
                         out[(p, i - p)] = out.get((p, i - p), 0) + d
             elif kind == "interior_augmented":
                 if p == 0:
                     continue
                 sub = hypercube_augment(m, interior(*S))
-                for i, d in homology_dims(sub.fiber(gamma)):
+                for i, d in sub.homology_at(gamma).items():
                     if d:
                         out[(p, i - p)] = out.get((p, i - p), 0) + d
     return out
@@ -269,21 +279,13 @@ def test_builder_abutments_match_target_complexes():
     box = m.stable_box()
     for gamma in iter_box(box):
         got = pages(build_filtration(m, gamma, "kcone")).total_dims()
-        want = {
-            i: d
-            for i, d in homology_dims(totalize(select(m, interior(0, 1))).fiber(gamma))
-            if d
-        }
-        assert got == want
+        h = totalize(select(m, interior(0, 1))).homology_at(gamma)
+        assert got == {i: d for i, d in h.items() if d}
         got = pages(build_filtration(m, gamma, "kcone_augmented")).total_dims()
-        want = {
-            i: d
-            for i, d in homology_dims(hypercube_augment(m, interior(0, 1)).fiber(gamma))
-            if d
-        }
-        assert got == want
+        h = hypercube_augment(m, interior(0, 1)).homology_at(gamma)
+        assert got == {i: d for i, d in h.items() if d}
         got = pages(build_filtration(m, gamma, "interior_augmented")).total_dims()
-        want = {i: d for i, d in homology_dims(totalize(m).fiber(gamma)) if d}
+        want = {i: d for i, d in totalize(m).homology_at(gamma).items() if d}
         assert got == want
 
 
@@ -303,7 +305,7 @@ def test_build_filtration_unknown_kind():
 def test_kcone_columns_exact_off_interior():
     """The cone-axis columns are exact unless the position has full support,
     where they collapse to the single original term."""
-    from homotor.gcomplex import GradedComplex, module_homology_table
+    from homotor.gcomplex import module_homology_table
     from homotor.multicomplex import koszul_cone
 
     m = build_m([[(1, 0), (0, 1)], [(2, 0)]])
@@ -331,9 +333,9 @@ def test_s_complex_fiber_at_origin(kxy):
     from homotor.sumprod import build_s_complex
 
     s = build_s_complex([kxy["x"], kxy["y"]]).underlying
-    fib = s.fiber((0, 0))
-    assert [fib.dim(i) for i in (0, -1, -2)] == [1, 2, 1]
-    assert dict(homology_dims(fib)) == {0: 0, -1: 0, -2: 0}
+    masks = s.alive_masks((0, 0))
+    assert [masks.get(i, 0).bit_count() for i in (0, -1, -2)] == [1, 2, 1]
+    assert s.homology_at((0, 0)) == {0: 0, -1: 0, -2: 0}
     assert tuple(s.stable_box()) == (1, 1)
 
 

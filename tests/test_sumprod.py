@@ -167,8 +167,8 @@ def test_euler_characteristic_of_s_fibers(kxy):
     s = build_s_complex(fam).underlying
     table = module_homology_table(s)
     for g in iter_box(table.box):
-        fib = s.fiber(g)
-        chi_terms = fib.euler_characteristic()
+        chi_terms = sum((-1) ** i * mask.bit_count()
+                        for i, mask in s.alive_masks(g).items())
         chi_h = sum((-1) ** i * d for i, d in
                     ((i, table.dim(i, g)) for i in s.window()))
         assert chi_terms == chi_h
