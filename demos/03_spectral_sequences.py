@@ -15,7 +15,7 @@ from homotor import (
     MonomialIdeal,
     Multidegree,
     build_filtration,
-    mv_double,
+    mv_total_complex,
     pages,
     taylor_resolution,
     tensor,
@@ -27,7 +27,7 @@ multi = tensor([taylor_resolution(i) for i in family])
 gamma = Multidegree((1, 1))
 
 for kind in ("kcone", "kcone_augmented", "interior", "interior_augmented"):
-    pg = pages(build_filtration(multi, gamma, kind))
+    pg = pages(build_filtration(multi, kind=kind), gamma)
     print(f"{kind:20s} E1 = {pg.e1}")
     print(f"{'':20s} E_inf = {pg.e_infinity}, stabilized at page {pg.r_stab}, "
           f"convergent = {pg.converged}")
@@ -37,12 +37,12 @@ for kind in ("kcone", "kcone_augmented", "interior", "interior_augmented"):
 # abutment is the homology of the total complex.
 origin = Multidegree((0, 0))
 print("\nsum-to-product double complex at", tuple(origin))
-pg = mv_double("sum_to_product", family, None, origin)
+pg = pages(mv_total_complex("sum_to_product", family), origin)
 print("  E1:", pg.e1)
 print("  E_inf by total degree:", pg.total_dims())
 
 print("\nproduct-to-sum double complex at", tuple(origin))
-pg = mv_double("product_to_sum", family, None, origin)
+pg = pages(mv_total_complex("product_to_sum", family), origin)
 print("  E1:", pg.e1)
 print("  E_inf by total degree:", pg.total_dims())
 
@@ -56,9 +56,9 @@ x = MonomialIdeal(1, [(1,)])
 pair = [x, x]
 inter = combine(pair, "intersection")
 prod = combine(pair, "product")
-totals = {}  # one total complex, built at the first degree and reused
+stp = mv_total_complex("sum_to_product", pair)  # one total for every degree
 for g in ((0,), (1,)):
-    pg = mv_double("sum_to_product", pair, None, Multidegree(g), _cache=totals)
+    pg = pages(stp, Multidegree(g))
     h1 = pg.total_dims().get(1, 0)
     dim_rij = 0 if prod.contains(g) else 1
     print(f"degree {g}: H_1(total) = {h1} = dim R/(x cap x), "

@@ -38,11 +38,10 @@ from .multicomplex import (
     totalize,
 )
 from .spectral import (
-    FilteredFiberComplex,
     FilteredTotal,
     SpectralPages,
     build_filtration,
-    mv_double,
+    mv_total_complex,
     pages,
 )
 from .torlab import (

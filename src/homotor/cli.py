@@ -28,7 +28,7 @@ from .errors import (
 )
 from .exactlin import GF
 from .monomial import MonomialIdeal, Multidegree, iter_box
-from .spectral import build_filtration, mv_double, pages
+from .spectral import build_filtration, mv_total_complex, pages
 from .sumprod import (
     build_p_complex,
     build_s_complex,
@@ -311,17 +311,15 @@ def run(command: str, problem: ProblemFile | None, flags: dict) -> dict:
         if kind in SPECTRAL_KINDS:
             m = tensor([taylor_resolution(i) for i in family])
             use_box = box if box is not None else m.stable_box()
+            filtered = build_filtration(m, kind=kind)
         else:
             use_box = box if box is not None else family_box(family, coeff)
+            filtered = mv_total_complex(kind, family, coeff)
         report["box"] = list(use_box)
         all_ok = True
         out = {}
-        totals: dict = {}
         for gamma in _sample_degrees(use_box):
-            if kind in SPECTRAL_KINDS:
-                pg = pages(build_filtration(m, gamma, kind, fld), fld)
-            else:
-                pg = mv_double(kind, family, coeff, gamma, fld, _cache=totals)
+            pg = pages(filtered, gamma, fld)
             all_ok = all_ok and pg.converged
             out[",".join(map(str, gamma))] = {
                 "e1": _page_records(pg.e1),

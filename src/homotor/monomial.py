@@ -50,10 +50,6 @@ class Multidegree(tuple):
             raise ValueError(f"{self} - {other} leaves N^n")
         return Multidegree(diff)
 
-    def min_with(self, other) -> "Multidegree":
-        self._match(other)
-        return Multidegree(min(a, b) for a, b in zip(self, other))
-
     def support(self) -> frozenset:
         return frozenset(i for i, e in enumerate(self) if e)
 
@@ -133,9 +129,6 @@ class MonomialIdeal:
 
     def is_unit(self) -> bool:
         return bool(self.gens) and self.gens[0].total() == 0
-
-    def is_proper(self) -> bool:
-        return not self.is_unit()
 
     def contains(self, gamma) -> bool:
         return membership(gamma, self)

@@ -105,7 +105,6 @@ class Multicomplex:
                 self.diffs[(q, k)] = out
         if validate:
             self._check_axes()
-        self._totals: dict = {}  # FilteredTotal per kind, see spectral.build_filtration
 
     @staticmethod
     def _step(q, k):

@@ -23,7 +23,9 @@ identity, and the abutment against the homology of the fibre, the same
 unfiltered block ranks.  Builders produce the four filtrations attached to
 an N^n multicomplex (Koszul cone, its hypercube-augmented variant, the
 support-count filtration and its augmented variant) plus the two
-Mayer-Vietoris double complexes.
+Mayer-Vietoris double complexes.  Each builder returns a new filtered
+total; a caller reading many degrees builds it once and passes it to
+``pages`` at each degree.
 """
 
 from __future__ import annotations
@@ -80,16 +82,6 @@ class FilteredTotal:
         }
 
 
-class FilteredFiberComplex:
-    """The fibre at gamma of a filtered total: the total with its alive
-    masks at gamma, and the field its pages are taken over."""
-
-    def __init__(self, filtered: FilteredTotal, gamma, field: PrimeField = GF()):
-        self.filtered = filtered
-        self.field = field
-        self.masks = filtered.total.alive_masks(gamma)
-
-
 @dataclass
 class SpectralPages:
     """Dimension tables E^r_{p,q} for r = 1..r_stab, the page-differential
@@ -118,16 +110,15 @@ class SpectralPages:
         return out
 
 
-def pages(f: FilteredFiberComplex, fld: PrimeField | None = None) -> SpectralPages:
-    """All pages of the filtration spectral sequence of f, with convergence
-    verified against the homology of its fibre.
+def pages(filtered: FilteredTotal, gamma, fld: PrimeField = GF()) -> SpectralPages:
+    """All pages of the filtration spectral sequence of the fibre of filtered
+    at gamma, with convergence verified against the homology of that fibre.
 
     d^r = 0 for r > N, so pages are computed for r = 1..N+2 and kept up to
     r_stab, the least r >= 2 with d^s = 0 for every s >= r - 1.
     """
-    fld = f.field if fld is None else fld
-    total, below, N = f.filtered.total, f.filtered.below, f.filtered.N
-    alive = f.masks
+    total, below, N = filtered.total, filtered.below, filtered.N
+    alive = total.alive_masks(gamma)
     window = [i for i, mask in sorted(alive.items()) if mask]
 
     def level(i, p):
@@ -225,27 +216,16 @@ def _by_weight(total: GradedComplex, weight, N: int) -> FilteredTotal:
     )
 
 
-def build_filtration(m: Multicomplex, gamma, kind: str,
-                     fld: PrimeField = GF()) -> FilteredFiberComplex:
-    """The fiber at gamma of one of the four filtrations attached to m.
+def build_filtration(m: Multicomplex, *, kind: str) -> FilteredTotal:
+    """The filtered total of one of the four filtrations attached to m.
 
     kcone / kcone_augmented filter the (augmented) Koszul-cone construction
     by the cone index; interior / interior_augmented filter the (augmented)
-    multicomplex by the number of nonzero coordinates.  Degrees beyond the
-    stability box have the alive masks of the box.
-
-    The filtered total of each kind is built and checked on the first call
-    for that kind and kept on m for as long as m lives, so later degrees
-    reuse it together with its fibre threshold tables and block ranks.
+    multicomplex by the number of nonzero coordinates.  Each call builds and
+    checks a new total; a caller evaluating many degrees builds it once and
+    hands it to ``pages`` for each, so they share its block ranks.  Degrees
+    beyond the stability box have the alive masks of the box.
     """
-    entry = m._totals.get(kind)
-    if entry is None:
-        entry = m._totals[kind] = _filtered_total(m, kind)
-    return FilteredFiberComplex(entry, gamma, fld)
-
-
-def _filtered_total(m: Multicomplex, kind: str) -> FilteredTotal:
-    """The filtered total of one of the four filtrations of m."""
     n = m.n_axes
     if kind == "kcone":
         total = totalize(koszul_cone(m))
@@ -286,8 +266,9 @@ def mv_total_complex(kind: str, ideals, coefficient: MonomialIdeal | None = None
 
     sum_to_product: S^1 -> ... -> S^n tensored with a resolution of M,
     re-indexed so a summand S^p ⊗ F_q sits in degree n - p + q with
-    filtration weight n - p.  product_to_sum: P_p ⊗ F_q in degree p + q,
-    weight p.
+    filtration weight n - p; its first page has E^1_{n-p,q} = ⊕ Tor_q(M,
+    R/(sum of a p-subset)).  product_to_sum: P_p ⊗ F_q in degree p + q,
+    weight p; E^1_{p,q} = ⊕ Tor_q(M, R/(product of a p-subset)).
     """
     from . import sumprod  # deferred: sumprod imports this module
 
@@ -295,7 +276,7 @@ def mv_total_complex(kind: str, ideals, coefficient: MonomialIdeal | None = None
     n = len(ideals)
     for ideal in ideals:
         if ideal.is_unit():
-            raise UnitIdeal("mv_double needs proper ideals")
+            raise UnitIdeal("mv_total_complex needs proper ideals")
     n_vars = ideals[0].n
     if coefficient is None:
         coefficient = MonomialIdeal.zero(n_vars)
@@ -317,31 +298,3 @@ def mv_total_complex(kind: str, ideals, coefficient: MonomialIdeal | None = None
     else:
         raise InvalidKind(f"unknown mv kind {kind!r}")
     return _by_weight(total, weight, n)
-
-
-def mv_double(kind: str, ideals, coefficient: MonomialIdeal | None,
-              gamma, fld: PrimeField = GF(),
-              _cache: dict | None = None) -> SpectralPages:
-    """Pages of a Mayer-Vietoris double complex at one multidegree.
-
-    The first page of sum_to_product has E^1_{n-p,q} = ⊕ Tor_q(M, R/(sum of
-    a p-subset)); product_to_sum has E^1_{p,q} = ⊕ Tor_q(M, R/(product of a
-    p-subset)).
-
-    With a ``_cache`` dict, the filtered total is kept there under (kind,
-    ideals, coefficient), so every call given the same dict reuses it and
-    its block ranks; the caller decides how long the dict lives.  Without
-    one, the total is built for this call only.
-    """
-    ideals = list(ideals)
-    key = (
-        kind,
-        tuple(i.key() for i in ideals),
-        coefficient.key() if coefficient is not None else None,
-    )
-    entry = None if _cache is None else _cache.get(key)
-    if entry is None:
-        entry = mv_total_complex(kind, ideals, coefficient)
-        if _cache is not None:
-            _cache[key] = entry
-    return pages(FilteredFiberComplex(entry, gamma, fld), fld)

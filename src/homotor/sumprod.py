@@ -25,7 +25,7 @@ from .gcomplex import (
     taylor_resolution,
     with_coefficient,
 )
-from .monomial import MonomialIdeal, Multidegree, combine, lcm_deg
+from .monomial import MonomialIdeal, combine, lcm_deg
 from .multicomplex import hypercube_augment, interior, tensor
 from .spectral import build_filtration, pages
 from .torlab import _validate_family, multi_tor, tensor_total
@@ -48,10 +48,6 @@ class SumComplex:
         entries = {i: es for i, es in self.underlying.entries.items() if i != 0}
         return GradedComplex(self.underlying.n, terms, entries, "cochain")
 
-    def bottom_dims(self, gamma) -> int:
-        """Fiber dimension of S^0 (or the tilde bottom term) at gamma."""
-        return self.underlying.alive_masks(gamma).get(0, 0).bit_count()
-
 
 @dataclass
 class ProductComplex:
@@ -64,19 +60,15 @@ class ProductComplex:
     ideals: tuple
 
 
-def build_s_complex(ideals, variant: str = "quotient",
-                    s0: str = "product") -> SumComplex:
-    """The sum complex of the family; ``s0`` picks the bottom term of the
-    tilde variant (product of the ideals, or their intersection for
-    experiments -- theorem checkers use the product)."""
+def build_s_complex(ideals, variant: str = "quotient") -> SumComplex:
+    """The sum complex of the family; the bottom term is the product of the
+    ideals."""
     ideals, n_vars = _validate_family(ideals)
     n = len(ideals)
     if variant not in ("quotient", "tilde"):
         raise InvalidKind(f"unknown variant {variant!r}")
-    if s0 not in ("product", "intersection"):
-        raise InvalidKind(f"unknown s0 option {s0!r}")
     make = cyclic_summand if variant == "quotient" else ideal_summand
-    bottom = combine(ideals, s0)
+    bottom = combine(ideals, "product")
     terms, entries = exterior_complex(
         n,
         lambda s: make(combine([ideals[i] for i in s], "sum") if s else bottom,
@@ -88,24 +80,21 @@ def build_s_complex(ideals, variant: str = "quotient",
     )
 
 
-def build_p_complex(ideals, variant: str = "quotient",
-                    p0: str = "unit") -> ProductComplex:
-    """The product complex; ``p0`` picks the tilde bottom term (R, or the sum
-    of the ideals).  With the default, the quotient variant has P_0 = 0."""
+def build_p_complex(ideals, variant: str = "quotient") -> ProductComplex:
+    """The product complex; the tilde bottom term is R, so the quotient
+    variant has P_0 = 0."""
     ideals, n_vars = _validate_family(ideals)
     n = len(ideals)
     if variant not in ("quotient", "tilde"):
         raise InvalidKind(f"unknown variant {variant!r}")
-    if p0 not in ("unit", "sum"):
-        raise InvalidKind(f"unknown p0 option {p0!r}")
     make = cyclic_summand if variant == "quotient" else ideal_summand
-    bottom = MonomialIdeal.unit(n_vars) if p0 == "unit" else combine(ideals, "sum")
+    bottom = MonomialIdeal.unit(n_vars)
     terms, entries = exterior_complex(
         n,
         lambda s: make(combine([ideals[i] for i in s], "product") if s else bottom,
                        label=s),
     )
-    if variant == "quotient" and p0 == "unit":
+    if variant == "quotient":
         del terms[0], entries[1]  # P_0 = R/R is zero
     return ProductComplex(
         GradedComplex(n_vars, terms, entries, "chain"), variant, n, tuple(ideals)
@@ -207,13 +196,12 @@ def verify_identities(ideals, fld: PrimeField = GF()) -> CheckReport:
     """
     ideals, n_vars = _validate_family(ideals)
     n = len(ideals)
-    cache: dict = {}
     report = CheckReport()
 
     sub_tables = {}
     for size in range(2, n):
         for sub in itertools.combinations(range(n), size):
-            sub_tables[sub] = multi_tor([ideals[i] for i in sub], fld=fld, _cache=cache)
+            sub_tables[sub] = multi_tor([ideals[i] for i in sub], fld=fld)
     strict_ok = all(
         all(i <= 0 for i in t.nonzero_indices()) for t in sub_tables.values()
     )
@@ -383,7 +371,7 @@ def verify_identities(ideals, fld: PrimeField = GF()) -> CheckReport:
     # isomorphism under V_{s+2}; dimensionwise: >= resp. ==
     s_max = max(top - n, 0)
 
-    def v_condition(t):
+    def V(t):
         if n <= 2:
             return True
         for p in range(2, n):
@@ -392,13 +380,6 @@ def verify_identities(ideals, fld: PrimeField = GF()) -> CheckReport:
                     if not sub_tables[sub].is_zero(q):
                         return False
         return True
-
-    v_cache = {}
-
-    def V(t):
-        if t not in v_cache:
-            v_cache[t] = v_condition(t)
-        return v_cache[t]
 
     wit = []
     ok = True
@@ -432,12 +413,11 @@ def exactness_equivalences(ideals, fld: PrimeField = GF()) -> CheckReport:
     ideals, n_vars = _validate_family(ideals)
     n = len(ideals)
     report = CheckReport()
-    cache: dict = {}
 
-    cond1 = independence(ideals, fld=fld, strong=True, _cache=cache).independent
+    cond1 = independence(ideals, fld=fld, strong=True).independent
 
     h_tables = {}
-    for size in range(1, n + 1):
+    for size in range(2, n + 1):
         for sub in itertools.combinations(range(n), size):
             h_tables[sub] = augmented_interior_H(ideals, list(sub), None, fld)
 
@@ -469,9 +449,10 @@ def exactness_equivalences(ideals, fld: PrimeField = GF()) -> CheckReport:
                     for (q, g) in h_tables[t].entries:
                         if q >= 0:
                             gammas.add(tuple(min(a, b) for a, b in zip(g, box)))
+            filtered = build_filtration(m, kind="interior_augmented")
             exact_here = True
             for g in sorted(gammas):
-                pg = pages(build_filtration(m, Multidegree(g), "interior_augmented", fld), fld)
+                pg = pages(filtered, g, fld)
                 e2 = pg.page(2)
                 for (p, q), d in e2.items():
                     if q >= 0 and p >= 2 and d:

@@ -18,9 +18,11 @@ from .errors import OverlappingPartitions, ParamOutOfRange
 from .exactlin import GF, PrimeField
 from .gcomplex import TorTable
 from .monomial import GradingMap, MonomialIdeal, Multidegree, combine, iter_box, lcm_deg
-from .spectral import mv_double
+from .spectral import mv_total_complex, pages
 from .sumprod import CheckReport
 from .torlab import family_box, multi_tor
+
+SPECTRAL_DEGREES = 8  # support cells cross-checked through both MV sequences
 
 
 @dataclass(frozen=True)
@@ -82,8 +84,7 @@ def region_compare(a: SupportRegion, b: SupportRegion) -> dict:
 
 
 def supportoftors_check(partitions, coefficient: MonomialIdeal,
-                        p: int, fld: PrimeField = GF(),
-                        max_spectral_degrees: int = 8) -> CheckReport:
+                        p: int, fld: PrimeField = GF()) -> CheckReport:
     """Union-equality of Tor supports over products versus sums of the
     variable-generated ideals of a disjoint partition family, for all
     p-subsets, plus the spectral-sequence containment cross-checks."""
@@ -148,21 +149,21 @@ def supportoftors_check(partitions, coefficient: MonomialIdeal,
     # spectral cross-checks: the sum-to-product sequence abuts (here, under
     # the strong independence of disjoint variable ideals) to Tor against
     # the product, the product-to-sum one to Tor against the sum
-    tested = sorted(left.cells | right.cells)[:max_spectral_degrees]
+    tested = sorted(left.cells | right.cells)[:SPECTRAL_DEGREES]
     if not tested:
         tested = [tuple(Multidegree.zero(n))]
     ok_stp = True
     ok_pts = True
     witnesses = []
-    mv_totals: dict = {}
     for T in combos:
         family = [ideals[i] for i in T]
         u = len(family)
         prod_table = prod_tables[T]
         sum_table = sum_tables[T]
+        stp = mv_total_complex("sum_to_product", family, coeff)
+        pts = mv_total_complex("product_to_sum", family, coeff)
         for g in tested:
-            pg = mv_double("sum_to_product", family, coeff, Multidegree(g), fld,
-                           _cache=mv_totals)
+            pg = pages(stp, g, fld)
             if not pg.converged:
                 ok_stp = False
                 witnesses.append({"kind": "sum_to_product", "subset": list(T),
@@ -180,8 +181,7 @@ def supportoftors_check(partitions, coefficient: MonomialIdeal,
                          "degree": list(g), "i": i, "actual": d,
                          "expected": expect}
                     )
-            pg2 = mv_double("product_to_sum", family, coeff, Multidegree(g), fld,
-                            _cache=mv_totals)
+            pg2 = pages(pts, g, fld)
             if not pg2.converged:
                 ok_pts = False
                 witnesses.append({"kind": "product_to_sum", "subset": list(T),

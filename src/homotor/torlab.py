@@ -66,28 +66,13 @@ def tensor_total(ideals, coefficient: MonomialIdeal | None = None):
 
 
 def multi_tor(ideals, coefficient: MonomialIdeal | None = None,
-              fld: PrimeField = GF(), box=None, _cache: dict | None = None) -> TorTable:
+              fld: PrimeField = GF(), box=None) -> TorTable:
     """Tor_i of the family of quotients R/I (optionally against R/coefficient),
     as a table of fiber dimensions over the box."""
     ideals, n = _validate_family(ideals)
     if coefficient is not None and coefficient.is_unit():
         raise ZeroModule("coefficient module R/I is zero")
-    key = None
-    if _cache is not None:
-        key = (
-            tuple(i.key() for i in ideals),
-            coefficient.key() if coefficient is not None else None,
-            tuple(box) if box is not None else None,
-            fld.p,
-        )
-        hit = _cache.get(key)
-        if hit is not None:
-            return hit
-    total = tensor_total(ideals, coefficient)
-    table = module_homology_table(total, fld, box)
-    if _cache is not None:
-        _cache[key] = table
-    return table
+    return module_homology_table(tensor_total(ideals, coefficient), fld, box)
 
 
 def tor1_oracle(ideals, fld: PrimeField = GF(), box=None) -> TorTable:
@@ -153,21 +138,20 @@ def _table_independent(table: TorTable) -> bool:
     return all(i <= 0 for i in table.nonzero_indices())
 
 
-def independence(ideals, fld: PrimeField = GF(), strong: bool = False,
-                 _cache: dict | None = None) -> IndependenceReport:
+def independence(ideals, fld: PrimeField = GF(), strong: bool = False
+                 ) -> IndependenceReport:
     """Tor-independence of the family; in strong mode every subset is tested
     and the answer is cross-validated against the pairwise recursion
     criterion (largest index against the sum of the others)."""
     ideals, n = _validate_family(ideals)
-    cache = {} if _cache is None else _cache
     if not strong:
-        ok = _table_independent(multi_tor(ideals, fld=fld, _cache=cache))
+        ok = _table_independent(multi_tor(ideals, fld=fld))
         return IndependenceReport(independent=ok, strong=False)
     s = len(ideals)
     subset_results = {}
     for size in range(2, s + 1):
         for sub in itertools.combinations(range(s), size):
-            table = multi_tor([ideals[i] for i in sub], fld=fld, _cache=cache)
+            table = multi_tor([ideals[i] for i in sub], fld=fld)
             subset_results[sub] = _table_independent(table)
     by_subsets = all(subset_results.values())
     recursion_results = {}
@@ -177,7 +161,7 @@ def independence(ideals, fld: PrimeField = GF(), strong: bool = False,
             rest = [ideals[i] for i in sub if i != j1]
             pair = [ideals[j1], combine(rest, "sum")]
             recursion_results[sub] = _table_independent(
-                multi_tor(pair, fld=fld, _cache=cache)
+                multi_tor(pair, fld=fld)
             )
     by_recursion = all(recursion_results.values())
     return IndependenceReport(
@@ -251,15 +235,13 @@ class RigidityReport:
         }
 
 
-def rigidity_check(ideals, fld: PrimeField = GF(),
-                   exhaustive_subsets: bool = False) -> RigidityReport:
+def rigidity_check(ideals, fld: PrimeField = GF()) -> RigidityReport:
     """Empirical falsification of the rigidity statements: once some Tor_i
-    vanishes all higher ones must; vanishing passes to prefix (or all)
-    subfamilies; and 0 <= eps := dim R + j - sum pd, with eps = 0 forced when
-    the top Tor is artinian.  Any violation is reported with a witness."""
+    vanishes all higher ones must; vanishing passes to prefix subfamilies;
+    and 0 <= eps := dim R + j - sum pd, with eps = 0 forced when the top Tor
+    is artinian.  Any violation is reported with a witness."""
     ideals, n = _validate_family(ideals, error=ZeroModule)
-    cache: dict = {}
-    table = multi_tor(ideals, fld=fld, _cache=cache)
+    table = multi_tor(ideals, fld=fld)
     max_index = sum(len(i.gens) for i in ideals)
     vanishing = {i: table.is_zero(i) for i in range(max_index + 1)}
     violations = []
@@ -277,29 +259,19 @@ def rigidity_check(ideals, fld: PrimeField = GF(),
                     "witness": {"degree": list(gamma), "dim": table.dim(i, gamma)},
                 }
             )
-    s = len(ideals)
-    if s > 1:
-        if exhaustive_subsets:
-            subfamilies = [
-                sub
-                for size in range(1, s)
-                for sub in itertools.combinations(range(s), size)
-            ]
-        else:
-            subfamilies = [tuple(range(t)) for t in range(1, s)]
-        for sub in subfamilies:
-            sub_table = multi_tor([ideals[i] for i in sub], fld=fld, _cache=cache)
-            for i in range(1, max_index + 1):
-                if vanishing[i] and not sub_table.is_zero(i):
-                    gamma = sorted(sub_table.slice(i))[0]
-                    violations.append(
-                        {
-                            "rule": "prefix_vanishing",
-                            "index": i,
-                            "subfamily": list(sub),
-                            "witness": {"degree": list(gamma)},
-                        }
-                    )
+    for t in range(1, len(ideals)):
+        sub_table = multi_tor(ideals[:t], fld=fld)
+        for i in range(1, max_index + 1):
+            if vanishing[i] and not sub_table.is_zero(i):
+                gamma = sorted(sub_table.slice(i))[0]
+                violations.append(
+                    {
+                        "rule": "prefix_vanishing",
+                        "index": i,
+                        "subfamily": list(range(t)),
+                        "witness": {"degree": list(gamma)},
+                    }
+                )
     j = table.max_nonzero_index() or 0
     sum_pd = sum(betti_table(i, fld).pd for i in ideals)
     epsilon = n + j - sum_pd

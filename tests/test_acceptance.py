@@ -18,7 +18,7 @@ from homotor.multicomplex import (
     tensor,
     totalize,
 )
-from homotor.spectral import build_filtration, mv_double, pages
+from homotor.spectral import build_filtration, mv_total_complex, pages
 from homotor.sumprod import (
     build_p_complex,
     build_s_complex,
@@ -121,15 +121,17 @@ def test_criterion_3_spectral_convergence():
         coeff = None
         for kind in ("kcone", "kcone_augmented", "interior",
                      "interior_augmented"):
+            filtered = build_filtration(m, kind=kind)
             for g in _test_degrees(m.stable_box()):
-                pg = pages(build_filtration(m, Multidegree(g), kind))
+                pg = pages(filtered, Multidegree(g))
                 checked += 1
                 if not pg.converged or any(a != b for a, b in
                                            pg.abutment_check.values()):
                     failures.append((kind, [i.gens for i in fam], g))
         for kind in ("sum_to_product", "product_to_sum"):
+            filtered = mv_total_complex(kind, fam, coeff)
             for g in _test_degrees(family_box(fam)):
-                pg = mv_double(kind, fam, coeff, Multidegree(g))
+                pg = pages(filtered, Multidegree(g))
                 checked += 1
                 if not pg.converged:
                     failures.append((kind, [i.gens for i in fam], g))
@@ -173,8 +175,9 @@ def test_criterion_4_theorem_e1_identification():
         degs = _test_degrees(m.stable_box(), count=2)
         for kind in ("kcone", "kcone_augmented", "interior",
                      "interior_augmented"):
+            filtered = build_filtration(m, kind=kind)
             for g in degs:
-                pg = pages(build_filtration(m, Multidegree(g), kind))
+                pg = pages(filtered, Multidegree(g))
                 if pg.e1 != _direct_e1(m, Multidegree(g), kind):
                     failures.append((kind, [i.gens for i in fam], g))
         count += 1

@@ -21,34 +21,27 @@ from homotor.multicomplex import (
     tensor,
     totalize,
 )
-from homotor.spectral import (
-    FilteredFiberComplex,
-    FilteredTotal,
-    build_filtration,
-    mv_double,
-    pages,
-)
+from homotor.spectral import FilteredTotal, build_filtration, mv_total_complex, pages
 from homotor.torlab import family_box
 
 P = GF().p
 ID = {1: ScalarMatrix(1, 1, [(0, 0, 1)])}
 
 
-def _filtered(dims, diffs, levels, N, fld=GF()):
-    filtered = FilteredTotal(free_complex(dims, diffs), levels, N)
-    return FilteredFiberComplex(filtered, (0,), fld)
+def _pages(dims, diffs, levels, N, fld=GF()):
+    return pages(FilteredTotal(free_complex(dims, diffs), levels, N), (0,), fld)
 
 
 def test_zero_differential_gives_associated_graded():
     levels = {0: [0, 1], 1: [0, 0, 1]}
-    pg = pages(_filtered({0: 2, 1: 3}, {}, levels, 1))
+    pg = _pages({0: 2, 1: 3}, {}, levels, 1)
     assert pg.e1 == {(0, 0): 1, (1, -1): 1, (0, 1): 2, (1, 0): 1}
     assert pg.e_infinity == pg.e1
     assert pg.converged
 
 
 def test_identity_complex_two_step_filtration():
-    pg = pages(_filtered({0: 1, 1: 1}, ID, {0: [0], 1: [1]}, 1))
+    pg = _pages({0: 1, 1: 1}, ID, {0: [0], 1: [1]}, 1)
     assert pg.e1 == {(0, 0): 1, (1, 0): 1}
     assert pg.ranks[0] == {(1, 0): 1}  # d^1 is an isomorphism
     assert pg.page(2) == {}
@@ -83,15 +76,14 @@ def test_non_exhaustive_filtration_rejected():
 
 
 def test_missing_degree_sits_at_level_zero():
-    pg = pages(_filtered({0: 1, 1: 1}, ID, {1: [0]}, 2))
+    pg = _pages({0: 1, 1: 1}, ID, {1: [0]}, 2)
     assert pg.e1 == {} and pg.r_stab == 2 and pg.converged
 
 
 def test_broken_block_rank_is_an_invariant_failure(monkeypatch):
-    f = _filtered({0: 1, 1: 1}, ID, {0: [0], 1: [1]}, 1)
     monkeypatch.setattr(gcomplex, "rank", lambda m, fld: rank(m, fld) + bool(m.nnz))
     with pytest.raises(InvariantBroken):
-        pages(f)
+        _pages({0: 1, 1: 1}, ID, {0: [0], 1: [1]}, 1)
 
 
 # -- the pages against their definitions, by enumeration over GF(3) ----------
@@ -199,7 +191,7 @@ def test_pages_against_enumeration():
     rng = random.Random(3)
     for _ in range(80):
         terms, diffs, levels, N, dims, d = _random_filtered_complex(rng)
-        pg = pages(_filtered(terms, diffs, levels, N, fld))
+        pg = _pages(terms, diffs, levels, N, fld)
         want = _pages_by_enumeration(levels, N, dims, d, p)
         moving = [s for s, (_, ranks) in enumerate(want, 1) if ranks]
         assert pg.r_stab == max([2] + [s + 2 for s in moving])
@@ -268,38 +260,43 @@ def test_builder_e1_and_convergence(kind):
         box = m.stable_box()
         gammas = [Multidegree((0,) * m.n_vars), box,
                   Multidegree(tuple(min(1, b) for b in box))]
+        filtered = build_filtration(m, kind=kind)
         for gamma in gammas:
-            pg = pages(build_filtration(m, gamma, kind))
+            pg = pages(filtered, gamma)
             assert pg.converged, (gens, kind, tuple(gamma), pg.abutment_check)
             assert pg.e1 == direct_e1(m, gamma, kind), (gens, kind, tuple(gamma))
 
 
 def test_builder_abutments_match_target_complexes():
     m = build_m([[(1, 0), (0, 1)], [(1, 0), (0, 1)]])
-    box = m.stable_box()
-    for gamma in iter_box(box):
-        got = pages(build_filtration(m, gamma, "kcone")).total_dims()
+    kcone, kcone_aug, interior_aug = (
+        build_filtration(m, kind=kind)
+        for kind in ("kcone", "kcone_augmented", "interior_augmented")
+    )
+    for gamma in iter_box(m.stable_box()):
+        got = pages(kcone, gamma).total_dims()
         h = totalize(select(m, interior(0, 1))).homology_at(gamma)
         assert got == {i: d for i, d in h.items() if d}
-        got = pages(build_filtration(m, gamma, "kcone_augmented")).total_dims()
+        got = pages(kcone_aug, gamma).total_dims()
         h = hypercube_augment(m, interior(0, 1)).homology_at(gamma)
         assert got == {i: d for i, d in h.items() if d}
-        got = pages(build_filtration(m, gamma, "interior_augmented")).total_dims()
+        got = pages(interior_aug, gamma).total_dims()
         want = {i: d for i, d in totalize(m).homology_at(gamma).items() if d}
         assert got == want
 
 
 def test_build_filtration_clamps_gamma():
     m = build_m([[(1, 0)], [(0, 1)]])
-    a = pages(build_filtration(m, Multidegree((9, 9)), "interior"))
-    b = pages(build_filtration(m, m.stable_box(), "interior"))
+    filtered = build_filtration(m, kind="interior")
+    a = pages(filtered, Multidegree((9, 9)))
+    b = pages(filtered, m.stable_box())
     assert a.e1 == b.e1 and a.e_infinity == b.e_infinity
 
 
 def test_build_filtration_unknown_kind():
     m = build_m([[(1, 0)], [(0, 1)]])
     with pytest.raises(InvalidKind):
-        build_filtration(m, Multidegree((0, 0)), "diagonal")
+        build_filtration(m, kind="diagonal")
 
 
 def test_kcone_columns_exact_off_interior():
@@ -343,11 +340,12 @@ def test_kcone_on_one_axis_degenerates():
     m = build_m([[(1,), ]])
     # one axis: only the d^1 column inclusion can fire, so everything
     # stabilizes at the second page
+    kcone = build_filtration(m, kind="kcone")
     for g in ((0,), (1,)):
-        pg = pages(build_filtration(m, Multidegree(g), "kcone"))
+        pg = pages(kcone, Multidegree(g))
         assert pg.converged
         assert pg.page(2) == pg.e_infinity
-    pg = pages(build_filtration(m, Multidegree((1,)), "kcone"))
+    pg = pages(kcone, Multidegree((1,)))
     assert pg.e1 == pg.e_infinity
 
 
@@ -357,7 +355,7 @@ def test_kcone_on_one_axis_degenerates():
 def test_mv_product_to_sum_pair():
     x = MonomialIdeal(2, [(1, 0)])
     y = MonomialIdeal(2, [(0, 1)])
-    pg = mv_double("product_to_sum", [x, y], None, Multidegree((0, 0)))
+    pg = pages(mv_total_complex("product_to_sum", [x, y]), Multidegree((0, 0)))
     # E^1 row: P_1 (two summands alive) and P_2 (one), at q = 0
     assert pg.e1 == {(1, 0): 2, (2, 0): 1}
     assert pg.converged
@@ -367,9 +365,10 @@ def test_mv_product_to_sum_pair():
 
 def test_mv_sum_to_product_pair_in_one_variable():
     x = MonomialIdeal(1, [(1,)])
+    stp = mv_total_complex("sum_to_product", [x, x])
     table = {}
     for g in ((0,), (1,), (2,)):
-        pg = mv_double("sum_to_product", [x, x], None, Multidegree(g))
+        pg = pages(stp, Multidegree(g))
         assert pg.converged
         table[g] = pg.total_dims()
     # abutment of the S-side double complex is H(S_- tensor R), computed to
@@ -385,9 +384,11 @@ def test_mv_e1_matches_tor_of_sums_and_products():
     fam = [MonomialIdeal(2, [(1, 0), (0, 1)]), MonomialIdeal(2, [(1, 1)])]
     coeff = MonomialIdeal(2, [(2, 0)])
     n = len(fam)
+    stp_total = mv_total_complex("sum_to_product", fam, coeff)
+    pts_total = mv_total_complex("product_to_sum", fam, coeff)
     for gamma in [(0, 0), (1, 1), (2, 2)]:
-        stp = mv_double("sum_to_product", fam, coeff, Multidegree(gamma))
-        pts = mv_double("product_to_sum", fam, coeff, Multidegree(gamma))
+        stp = pages(stp_total, Multidegree(gamma))
+        pts = pages(pts_total, Multidegree(gamma))
         assert stp.converged and pts.converged
         # column totals: sum over subsets of Tor_q dims
         for (w, q), dim in stp.e1.items():
@@ -410,8 +411,9 @@ def test_mv_degenerates_for_disjoint_variables():
     populated, and the sequence stops moving after the second page."""
     fam = [MonomialIdeal(3, [(1, 0, 0)]), MonomialIdeal(3, [(0, 1, 0)]),
            MonomialIdeal(3, [(0, 0, 1)])]
+    stp = mv_total_complex("sum_to_product", fam)
     for g in ((0, 0, 0), (1, 1, 0)):
-        pg = mv_double("sum_to_product", fam, None, Multidegree(g))
+        pg = pages(stp, Multidegree(g))
         assert all(q == 0 for (_, q) in pg.e1)
         assert pg.page(2) == pg.e_infinity
         assert pg.converged
@@ -419,8 +421,7 @@ def test_mv_degenerates_for_disjoint_variables():
 
 def test_mv_rejects_unit_ideal():
     with pytest.raises(UnitIdeal):
-        mv_double("product_to_sum", [MonomialIdeal.unit(2)], None,
-                  Multidegree((0, 0)))
+        mv_total_complex("product_to_sum", [MonomialIdeal.unit(2)])
 
 
 def test_pair_tor1_recovered_from_sum_to_product():
@@ -434,12 +435,13 @@ def test_pair_tor1_recovered_from_sum_to_product():
     tor = multi_tor(fam, box=box)
     prod = combine(fam, "product")
     inter = combine(fam, "intersection")
+    stp = mv_total_complex("sum_to_product", fam)
     for g in iter_box(box):
         dim_rij = 0 if prod.contains(g) else 1
         dim_rint = 0 if inter.contains(g) else 1
         assert tor.dim(1, g) == dim_rij - dim_rint
         # the H_1 of the sum-to-product total complex carries R/(I cap J)
-        pg = mv_double("sum_to_product", fam, None, g)
+        pg = pages(stp, g)
         assert pg.total_dims().get(1, 0) == dim_rint
 
 
@@ -471,34 +473,34 @@ def _same_pages(a, b):
     )
 
 
-@settings(deadline=None, max_examples=15)  # each example rebuilds up to 112 totals
+@settings(deadline=None, max_examples=15)  # each example builds up to 112 totals
 @given(families())
 def test_memoised_filtrations_match_fresh_multicomplexes(family):
-    """build_filtration on one reused multicomplex, its totals memoised per
-    kind, gives the pages of a multicomplex built afresh for each degree."""
-    reused = tensor([taylor_resolution(i) for i in family])
-    for gamma in _beyond(reused.stable_box()):
-        for kind in KINDS:
-            fresh = tensor([taylor_resolution(i) for i in family])
-            memo = pages(build_filtration(reused, gamma, kind))
-            plain = pages(build_filtration(fresh, gamma, kind))
-            assert _same_pages(memo, plain), (kind, gamma)
-    assert set(reused._totals) == set(KINDS)
+    """One filtered total per kind, held across every degree of the box and
+    one past it, gives the pages of a total built from a multicomplex made
+    afresh for each degree."""
+    m = tensor([taylor_resolution(i) for i in family])
+    for kind in KINDS:
+        reused = build_filtration(m, kind=kind)
+        for gamma in _beyond(m.stable_box()):
+            fresh_m = tensor([taylor_resolution(i) for i in family])
+            fresh = build_filtration(fresh_m, kind=kind)
+            assert _same_pages(pages(reused, gamma), pages(fresh, gamma)), (kind, gamma)
 
 
 @settings(deadline=None, max_examples=12)
 @given(families())
 def test_cached_mv_totals_match_uncached(family):
-    """mv_double with one _cache shared by both kinds, with and without a
-    coefficient, gives the pages of mv_double without one."""
-    totals: dict = {}
+    """The same for both Mayer-Vietoris kinds, with and without a
+    coefficient: one total held across the degrees against one built afresh
+    for each degree."""
     for coefficient in (None, family[-1]):
-        for gamma in _beyond(family_box(family, coefficient)):
-            for kind in ("sum_to_product", "product_to_sum"):
-                cached = mv_double(kind, family, coefficient, gamma, _cache=totals)
-                plain = mv_double(kind, family, coefficient, gamma)
-                assert _same_pages(cached, plain), (kind, coefficient, gamma)
-    assert len(totals) == 4
+        for kind in ("sum_to_product", "product_to_sum"):
+            reused = mv_total_complex(kind, family, coefficient)
+            for gamma in _beyond(family_box(family, coefficient)):
+                fresh = mv_total_complex(kind, family, coefficient)
+                assert _same_pages(pages(reused, gamma), pages(fresh, gamma)), (
+                    kind, coefficient, gamma)
 
 
 class _Counter:
@@ -516,9 +518,9 @@ class _Counter:
 @pytest.mark.parametrize("kind", KINDS + ["sum_to_product", "product_to_sum"])
 def test_spectral_command_builds_one_total(kind, monkeypatch):
     totals = _Counter(spectral.totalize)
-    mv_totals = _Counter(spectral.mv_total_complex)
+    mv_totals = _Counter(cli.mv_total_complex)
     monkeypatch.setattr(spectral, "totalize", totals)
-    monkeypatch.setattr(spectral, "mv_total_complex", mv_totals)
+    monkeypatch.setattr(cli, "mv_total_complex", mv_totals)
     problem = cli.ProblemFile(32003, ["x", "y"], {
         "I": MonomialIdeal(2, [(2, 0), (1, 1)]),
         "J": MonomialIdeal(2, [(0, 2), (1, 0)]),
@@ -531,9 +533,21 @@ def test_spectral_command_builds_one_total(kind, monkeypatch):
 
 
 def test_support_check_builds_one_mv_total_per_kind_and_subset(monkeypatch):
-    mv_totals = _Counter(spectral.mv_total_complex)
-    monkeypatch.setattr(spectral, "mv_total_complex", mv_totals)
+    mv_totals = _Counter(support.mv_total_complex)
+    monkeypatch.setattr(support, "mv_total_complex", mv_totals)
     report = support.supportoftors_check([[0], [1], [2]], MonomialIdeal.zero(3), 3)
     assert report.passed and len(report.context["union_cells"]) > 1
     built = [(kind, tuple(ideals)) for kind, ideals, _ in mv_totals.calls]
     assert len(built) == len(set(built)) == 2 * 7  # two kinds, 7 nonempty subsets
+
+
+def test_exactness_check_builds_one_total_per_subfamily(monkeypatch):
+    """Only (m, m) and the triple have nonvanishing rows, so only they need
+    an interior_augmented total."""
+    totals = _Counter(spectral.totalize)
+    monkeypatch.setattr(spectral, "totalize", totals)
+    m, xy = MonomialIdeal(2, [(1, 0), (0, 1)]), MonomialIdeal(2, [(1, 1)])
+    problem = cli.ProblemFile(32003, ["x", "y"], {"A": m, "B": m, "C": xy})
+    report = cli.run("equiv-exactness", problem, {})
+    assert not report["results"]["context"]["rows_exact"]
+    assert len(totals.calls) == 2

@@ -1,11 +1,10 @@
 """Sum and product complexes and the homology identification suites."""
 
 import numpy as np
-import pytest
 
 from conftest import stream
+from homotor import sumprod
 from homotor.cli import random_instance
-from homotor.errors import InvalidKind
 from homotor.gcomplex import koszul_units, module_homology_table
 from homotor.monomial import MonomialIdeal, combine, iter_box
 from homotor.sumprod import (
@@ -129,6 +128,7 @@ def test_tilde_variants_shift_homology(kxy):
     for fam in fams:
         s = build_s_complex(fam)
         st = build_s_complex(fam, variant="tilde")
+        assert st.underlying.summands(0)[0].ideal == combine(fam, "product")
         box = s.underlying.stable_box()
         a = complex_homology_table(s, box=box)
         b = complex_homology_table(st, box=box)
@@ -141,25 +141,6 @@ def test_tilde_variants_shift_homology(kxy):
         b = complex_homology_table(pt, box=box)
         for i in range(0, len(fam) + 2):
             assert a.slice(i) == b.slice(i - 1), (i, [f.gens for f in fam])
-
-
-def test_s_complex_alternative_bottom(kxy):
-    """The intersection option changes the tilde bottom term only."""
-    fam = [kxy["x"], kxy["x"]]
-    default = build_s_complex(fam, variant="tilde")
-    alt = build_s_complex(fam, variant="tilde", s0="intersection")
-    assert default.underlying.summands(0)[0].ideal == combine(fam, "product")
-    assert alt.underlying.summands(0)[0].ideal == combine(fam, "intersection")
-    with pytest.raises(InvalidKind):
-        build_s_complex(fam, s0="quotient")
-
-
-def test_p_complex_alternative_bottom(kxy):
-    fam = [kxy["x"], kxy["y"]]
-    alt = build_p_complex(fam, p0="sum")
-    assert ranks_of(alt.underlying) == {0: 1, 1: 2, 2: 1}
-    t = complex_homology_table(alt)
-    assert t.slice(1) == {}  # the augmentation kills H_1
 
 
 def test_euler_characteristic_of_s_fibers(kxy):
@@ -242,6 +223,20 @@ def test_exactness_equivalences_curated(kxy, kxyz):
     ):
         rep = exactness_equivalences(fam)
         assert rep.passed, rep.to_json()
+
+
+def test_exactness_tables_only_for_subfamilies_of_two_or_more(kxyz, monkeypatch):
+    """Only subfamilies of size >= 2 have their H tables read: three pairs and
+    the triple."""
+    calls = []
+
+    def counted(ideals, subset, *args):
+        calls.append(tuple(subset))
+        return augmented_interior_H(ideals, subset, *args)
+
+    monkeypatch.setattr(sumprod, "augmented_interior_H", counted)
+    exactness_equivalences([kxyz["x"], kxyz["y"], kxyz["xy"]])
+    assert sorted(calls) == [(0, 1), (0, 1, 2), (0, 2), (1, 2)]
 
 
 def test_exactness_equivalences_truth_values(kxy, kxyz):

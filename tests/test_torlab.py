@@ -152,11 +152,6 @@ def test_rigidity_examples(kxy):
     assert rep.passed and rep.top_index == 1 and rep.epsilon == 0
 
 
-def test_rigidity_exhaustive_subsets(kxy):
-    rep = rigidity_check([kxy["x"], kxy["y"], kxy["m"]], exhaustive_subsets=True)
-    assert rep.passed
-
-
 def test_serre_examples(kxy):
     assert serre_a8_check([kxy["x"], kxy["y"]]).triple == (True, True, True)
     x1 = MonomialIdeal(2, [(1, 0)])
