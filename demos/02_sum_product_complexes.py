@@ -28,7 +28,7 @@ m = MonomialIdeal(2, [(1, 0), (0, 1)])
 #   0 -> R/xy -> R/x + R/y -> R/(x,y) -> 0
 # and it is exact because the two ideals are Tor-independent.
 s = build_s_complex([x, y])
-print("S complex ranks:", {-i: len(ss) for i, ss in sorted(s.underlying.terms.items())})
+print("S complex ranks:", {-i: len(ss) for i, ss in sorted(s.terms.items())})
 print("S homology records:", complex_homology_table(s).records() or "exact")
 
 # The product complex of a dependent pair is not exact: its H_2 is Tor_1.
@@ -40,7 +40,7 @@ print("Tor_1(R/m, R/m) slice:   ", multi_tor([m, m]).slice(1))
 # The tilde variants live inside the unit Koszul complex and shift homology
 # by one; build_s_complex exposes both.
 st = build_s_complex([m, m], variant="tilde")
-print("\ntilde-S bottom term ideal:", st.underlying.summands(0)[0].ideal)
+print("\ntilde-S bottom term ideal:", st.summands(0)[0].ideal)
 
 # verify_identities figures out which hypotheses a family satisfies and
 # checks every identification whose hypothesis holds, degree by degree.

@@ -54,8 +54,6 @@ from .torlab import (
     tor1_oracle,
 )
 from .sumprod import (
-    ProductComplex,
-    SumComplex,
     augmented_interior_H,
     build_p_complex,
     build_s_complex,

@@ -273,7 +273,7 @@ def run(command: str, problem: ProblemFile | None, flags: dict) -> dict:
     elif command == "betti":
         names = [flags["module"]] if flags.get("module") else list(problem.ideals)
         for name in names:
-            report["results"][name] = betti_table(problem.ideals[name], fld).to_json()
+            report["results"][name] = betti_table(_named_ideal(problem, name), fld).to_json()
 
     elif command == "indep":
         rep = independence(problem.family(), fld=fld, strong=flags.get("strong", False))
@@ -291,7 +291,7 @@ def run(command: str, problem: ProblemFile | None, flags: dict) -> dict:
         table = complex_homology_table(c, fld, box)
         report["box"] = list(table.box)
         report["results"]["ranks"] = {
-            str(i): len(ss) for i, ss in sorted(c.underlying.terms.items())
+            str(i): len(ss) for i, ss in sorted(c.terms.items())
         }
         report["results"]["homology"] = table.records()
 
@@ -309,12 +309,13 @@ def run(command: str, problem: ProblemFile | None, flags: dict) -> dict:
         family = problem.family()
         coeff = _flag_coefficient(problem, flags)
         if kind in SPECTRAL_KINDS:
-            m = tensor([taylor_resolution(i) for i in family])
-            use_box = box if box is not None else m.stable_box()
-            filtered = build_filtration(m, kind=kind)
+            if coeff is not None:
+                raise ValidationError(f"--kind {kind} takes no module")
+            filtered = build_filtration(tensor([taylor_resolution(i) for i in family]),
+                                        kind=kind)
         else:
-            use_box = box if box is not None else family_box(family, coeff)
             filtered = mv_total_complex(kind, family, coeff)
+        use_box = box if box is not None else family_box(family, coeff)
         report["box"] = list(use_box)
         all_ok = True
         out = {}
@@ -401,8 +402,10 @@ def _page_records(table):
 
 def _flag_coefficient(problem, flags):
     name = flags.get("module") or (problem.module if problem else None)
-    if name is None:
-        return None
+    return None if name is None else _named_ideal(problem, name)
+
+
+def _named_ideal(problem, name):
     if name not in problem.ideals:
         raise ValidationError(f"--module {name!r} does not name an ideal")
     return problem.ideals[name]

@@ -534,53 +534,3 @@ def with_coefficient(c: GradedComplex, coefficient: MonomialIdeal) -> GradedComp
 
     terms = {i: tuple(convert(s) for s in ss) for i, ss in c.terms.items()}
     return GradedComplex(c.n, terms, dict(c.entries), c.orientation)
-
-
-def tensor_complexes(a: GradedComplex, b: GradedComplex) -> GradedComplex:
-    """Tensor product over R of two complexes (no ideal-kind summands).
-
-    Term (i, j) sits in degree i + j; the b-direction differential carries
-    the Koszul sign (-1)^i.
-    """
-    if a.kind == IDEAL or b.kind == IDEAL:
-        raise MixedKinds("tensor_complexes does not support ideal summands")
-    if a.n != b.n:
-        raise LengthMismatch("factors live in different variable counts")
-    n = a.n
-
-    def combine_summands(x: Summand, y: Summand, label) -> Summand:
-        shift = x.shift.add(y.shift)
-        if x.kind == FREE and y.kind == FREE:
-            return free_summand(shift, label)
-        ideals = [s.ideal for s in (x, y) if s.kind == CYCLIC]
-        return cyclic_summand(combine(ideals, "sum") if len(ideals) > 1 else ideals[0],
-                              shift, label)
-
-    terms: dict = {}
-    index: dict = {}
-    for i, sa in sorted(a.terms.items()):
-        for j, sb in sorted(b.terms.items()):
-            deg = i + j
-            lst = terms.setdefault(deg, [])
-            for ka, x in enumerate(sa):
-                for kb, y in enumerate(sb):
-                    index[(i, ka, j, kb)] = (deg, len(lst))
-                    lst.append(combine_summands(x, y, ((i, x.label), (j, y.label))))
-    entries: dict = {}
-    for i, es in a.entries.items():
-        for j, sb in b.terms.items():
-            for src, tgt, coeff in es:
-                for kb in range(len(sb)):
-                    deg, spos = index[(i, src, j, kb)]
-                    _, tpos = index[(i - 1, tgt, j, kb)]
-                    entries.setdefault(deg, []).append((spos, tpos, coeff))
-    for j, es in b.entries.items():
-        for i, sa in a.terms.items():
-            sign = -1 if i % 2 else 1
-            for src, tgt, coeff in es:
-                for ka in range(len(sa)):
-                    deg, spos = index[(i, ka, j, src)]
-                    _, tpos = index[(i, ka, j - 1, tgt)]
-                    entries.setdefault(deg, []).append((spos, tpos, sign * coeff))
-    terms = {d: tuple(ss) for d, ss in terms.items()}
-    return GradedComplex(n, terms, entries, a.orientation)

@@ -1,4 +1,4 @@
-"""N^n-indexed commuting multicomplexes of free summands.
+"""N^n-indexed commuting multicomplexes of free or cyclic summands.
 
 A multicomplex has one differential per axis, each lowering that coordinate
 by one; all axis squares commute and each axis differential squares to zero
@@ -12,9 +12,15 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import EmptySelection, InvalidKind, LengthMismatch, MixedKinds
-from .gcomplex import FREE, GradedComplex, Summand, free_summand
-from .monomial import Multidegree, lcm_deg
+from .errors import (
+    CompositionNonzero,
+    EmptySelection,
+    InvalidKind,
+    LengthMismatch,
+    MixedKinds,
+)
+from .gcomplex import CYCLIC, IDEAL, GradedComplex, Summand, cyclic_summand, free_summand
+from .monomial import Multidegree, combine
 
 
 @dataclass(frozen=True)
@@ -66,8 +72,8 @@ def complement(*indices, starred=False) -> RegionSelector:
 
 
 class Multicomplex:
-    """Finite family of free-summand terms indexed by N^n with n commuting
-    differentials; ``diffs[(q, k)]`` maps term q to term q - e_k."""
+    """Finite family of free or cyclic summand terms indexed by N^n with n
+    commuting differentials; ``diffs[(q, k)]`` maps term q to term q - e_k."""
 
     def __init__(self, n_axes: int, n_vars: int, terms: dict, diffs: dict,
                  validate: bool = True):
@@ -81,8 +87,8 @@ class Multicomplex:
             if any(v < 0 for v in q):
                 raise ValueError(f"position {q} outside N^n")
             summands = tuple(summands)
-            if any(s.kind != FREE for s in summands):
-                raise MixedKinds("multicomplex terms must be free summands")
+            if any(s.kind == IDEAL for s in summands):
+                raise MixedKinds("multicomplex terms must be free or cyclic summands")
             if summands:
                 self.terms[q] = summands
         self.diffs = {}
@@ -121,21 +127,16 @@ class Multicomplex:
                 first = self.entry_map(q, k)
                 second = self.entry_map(self._step(q, k), k)
                 if _compose(second, first):
-                    raise ValueError(f"axis {k} differential does not square to zero at {q}")
+                    raise CompositionNonzero(
+                        f"axis {k} differential does not square to zero at {q}"
+                    )
             for j, k in itertools.combinations(range(self.n_axes), 2):
                 if q[j] == 0 or q[k] == 0:
                     continue
                 path1 = _compose(self.entry_map(self._step(q, j), k), self.entry_map(q, j))
                 path2 = _compose(self.entry_map(self._step(q, k), j), self.entry_map(q, k))
                 if path1 != path2:
-                    raise ValueError(f"axes {j},{k} do not commute at {q}")
-
-    def stable_box(self) -> Multidegree:
-        box = Multidegree.zero(self.n_vars)
-        for ss in self.terms.values():
-            for s in ss:
-                box = lcm_deg(box, s.box_bound())
-        return box
+                    raise CompositionNonzero(f"axes {j},{k} do not commute at {q}")
 
     def __repr__(self):
         return (
@@ -156,19 +157,20 @@ def _compose(second: dict, first: dict) -> dict:
 
 
 def tensor(factors) -> Multicomplex:
-    """The tensor product multicomplex of chain complexes of free summands.
+    """The tensor product multicomplex of chain complexes of free or cyclic
+    summands in non-negative degrees.
 
     Axis k applies factor k's differential with no extra sign; labels are
-    tuples of the factor labels.
+    tuples of the factor labels.  A product of summands is shifted by the sum
+    of their shifts, and is R/(sum of the ideals of its cyclic factors) when
+    it has any.  The orientation tag of a factor is not read.
     """
     factors = list(factors)
     if not factors:
         raise ValueError("tensor needs at least one factor")
     for f in factors:
-        if f.kind != FREE:
-            raise MixedKinds("tensor factors must consist of free summands")
-        if f.orientation != "chain":
-            raise ValueError("tensor factors must be chain complexes")
+        if f.kind == IDEAL:
+            raise MixedKinds("tensor factors must consist of free or cyclic summands")
         if min(f.window(), default=0) < 0:
             raise ValueError("tensor factors must live in non-negative degrees")
     n_vars = factors[0].n
@@ -176,15 +178,13 @@ def tensor(factors) -> Multicomplex:
         raise LengthMismatch("factors live in different variable counts")
     n_axes = len(factors)
     windows = [sorted(f.terms) for f in factors]
-    terms = {}
-    for q in itertools.product(*windows):
-        summands = []
-        for combo in itertools.product(*(enumerate(f.terms[qi]) for f, qi in zip(factors, q))):
-            shift = Multidegree.zero(n_vars)
-            for _, s in combo:
-                shift = shift.add(s.shift)
-            summands.append(free_summand(shift, label=tuple(s.label for _, s in combo)))
-        terms[q] = tuple(summands)
+    terms = {
+        q: tuple(
+            _product_summand(combo, n_vars)
+            for combo in itertools.product(*(f.terms[qi] for f, qi in zip(factors, q)))
+        )
+        for q in itertools.product(*windows)
+    }
     # position of a combo inside terms[q] follows the same product order
     sizes = {q: [len(f.terms[qi]) for f, qi in zip(factors, q)] for q in terms}
 
@@ -214,6 +214,18 @@ def tensor(factors) -> Multicomplex:
             if es:
                 diffs[(q, k)] = es
     return Multicomplex(n_axes, n_vars, terms, diffs)
+
+
+def _product_summand(combo, n_vars: int) -> Summand:
+    shift = Multidegree.zero(n_vars)
+    for s in combo:
+        shift = shift.add(s.shift)
+    label = tuple(s.label for s in combo)
+    ideals = [s.ideal for s in combo if s.kind == CYCLIC]
+    if not ideals:
+        return free_summand(shift, label=label)
+    return cyclic_summand(ideals[0] if len(ideals) == 1 else combine(ideals, "sum"),
+                          shift, label)
 
 
 def select(m: Multicomplex, selector: RegionSelector) -> Multicomplex:

@@ -34,12 +34,13 @@ from dataclasses import dataclass
 
 from .errors import FiltrationViolation, InvalidKind, InvariantBroken, UnitIdeal
 from .exactlin import GF, PrimeField
-from .gcomplex import GradedComplex, taylor_resolution, tensor_complexes
+from .gcomplex import GradedComplex, taylor_resolution
 from .monomial import MonomialIdeal
 from .multicomplex import (
     Multicomplex,
     hypercube_extend,
     koszul_cone,
+    tensor,
     totalize,
 )
 
@@ -262,13 +263,14 @@ def build_filtration(m: Multicomplex, *, kind: str) -> FilteredTotal:
 
 def mv_total_complex(kind: str, ideals, coefficient: MonomialIdeal | None = None
                      ) -> FilteredTotal:
-    """The filtered total of the S_-/P double complex.
+    """The filtered total of the S_-/P double complex, the tensor of a
+    complex X with the Taylor resolution F of M, filtered by the X position.
 
-    sum_to_product: S^1 -> ... -> S^n tensored with a resolution of M,
-    re-indexed so a summand S^p ⊗ F_q sits in degree n - p + q with
-    filtration weight n - p; its first page has E^1_{n-p,q} = ⊕ Tor_q(M,
-    R/(sum of a p-subset)).  product_to_sum: P_p ⊗ F_q in degree p + q,
-    weight p; E^1_{p,q} = ⊕ Tor_q(M, R/(product of a p-subset)).
+    sum_to_product: X is S^1 -> ... -> S^n moved to chain positions n - p,
+    so a summand S^p ⊗ F_q sits in degree n - p + q with filtration weight
+    n - p; its first page has E^1_{n-p,q} = ⊕ Tor_q(M, R/(sum of a
+    p-subset)).  product_to_sum: X = P, P_p ⊗ F_q in degree p + q, weight p;
+    E^1_{p,q} = ⊕ Tor_q(M, R/(product of a p-subset)).
     """
     from . import sumprod  # deferred: sumprod imports this module
 
@@ -280,21 +282,11 @@ def mv_total_complex(kind: str, ideals, coefficient: MonomialIdeal | None = None
     n_vars = ideals[0].n
     if coefficient is None:
         coefficient = MonomialIdeal.zero(n_vars)
-    resolution = taylor_resolution(coefficient)
     if kind == "sum_to_product":
-        s = sumprod.build_s_complex(ideals).truncated()
-        total = tensor_complexes(s, resolution).shifted(n)
-
-        def weight(label):
-            return n + label[0][0]  # stored S index is -p
-
+        x = sumprod.truncated(sumprod.build_s_complex(ideals)).shifted(n)
     elif kind == "product_to_sum":
-        p_complex = sumprod.build_p_complex(ideals).underlying
-        total = tensor_complexes(p_complex, resolution)
-
-        def weight(label):
-            return label[0][0]
-
+        x = sumprod.build_p_complex(ideals)
     else:
         raise InvalidKind(f"unknown mv kind {kind!r}")
-    return _by_weight(total, weight, n)
+    total = totalize(tensor([x, taylor_resolution(coefficient)]))
+    return _by_weight(total, lambda label: label[0][0], n)

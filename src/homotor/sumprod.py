@@ -25,44 +25,17 @@ from .gcomplex import (
     taylor_resolution,
     with_coefficient,
 )
-from .monomial import MonomialIdeal, combine, lcm_deg
+from .monomial import MonomialIdeal, combine, iter_box, membership
 from .multicomplex import hypercube_augment, interior, tensor
 from .spectral import build_filtration, pages
-from .torlab import _validate_family, multi_tor, tensor_total
+from .torlab import _validate_family, family_box, multi_tor, tensor_total
 
 
-@dataclass
-class SumComplex:
-    """S^0 = R/(product), S^p = sum of R/(I_{i_1}+...+I_{i_p}) over p-subsets,
-    as a cochain complex with unit Koszul differentials (stored at index -p).
-    The tilde variant keeps the ideals themselves inside K^(1,...,1;R)."""
-
-    underlying: GradedComplex
-    variant: str
-    n: int
-    ideals: tuple
-
-    def truncated(self) -> GradedComplex:
-        """S^1 -> ... -> S^n, the degree-1 truncation (drops index 0)."""
-        terms = {i: ss for i, ss in self.underlying.terms.items() if i != 0}
-        entries = {i: es for i, es in self.underlying.entries.items() if i != 0}
-        return GradedComplex(self.underlying.n, terms, entries, "cochain")
-
-
-@dataclass
-class ProductComplex:
-    """P_p = sum of R/(I_{i_1}...I_{i_p}) over p-subsets, a chain complex
-    with unit Koszul differentials; P_0 = 0 in the quotient variant."""
-
-    underlying: GradedComplex
-    variant: str
-    n: int
-    ideals: tuple
-
-
-def build_s_complex(ideals, variant: str = "quotient") -> SumComplex:
-    """The sum complex of the family; the bottom term is the product of the
-    ideals."""
+def build_s_complex(ideals, variant: str = "quotient") -> GradedComplex:
+    """S^0 = R/(product), S^p = sum of R/(I_{i_1}+...+I_{i_p}) over
+    p-subsets: a cochain complex with unit Koszul differentials, S^p stored
+    at index -p.  The tilde variant keeps the ideals themselves inside
+    K^(1,...,1;R), so its bottom term is the product of the ideals."""
     ideals, n_vars = _validate_family(ideals)
     n = len(ideals)
     if variant not in ("quotient", "tilde"):
@@ -75,14 +48,21 @@ def build_s_complex(ideals, variant: str = "quotient") -> SumComplex:
                        label=s),
         "cochain",
     )
-    return SumComplex(
-        GradedComplex(n_vars, terms, entries, "cochain"), variant, n, tuple(ideals)
-    )
+    return GradedComplex(n_vars, terms, entries, "cochain")
 
 
-def build_p_complex(ideals, variant: str = "quotient") -> ProductComplex:
-    """The product complex; the tilde bottom term is R, so the quotient
-    variant has P_0 = 0."""
+def truncated(s: GradedComplex) -> GradedComplex:
+    """S^1 -> ... -> S^n, the degree-1 truncation of a sum complex (drops
+    index 0)."""
+    terms = {i: ss for i, ss in s.terms.items() if i != 0}
+    entries = {i: es for i, es in s.entries.items() if i != 0}
+    return GradedComplex(s.n, terms, entries, s.orientation)
+
+
+def build_p_complex(ideals, variant: str = "quotient") -> GradedComplex:
+    """P_p = sum of R/(I_{i_1}...I_{i_p}) over p-subsets, a chain complex
+    with unit Koszul differentials.  The tilde variant keeps the ideals, and
+    its bottom term is R, so the quotient variant has P_0 = R/R = 0."""
     ideals, n_vars = _validate_family(ideals)
     n = len(ideals)
     if variant not in ("quotient", "tilde"):
@@ -96,17 +76,15 @@ def build_p_complex(ideals, variant: str = "quotient") -> ProductComplex:
     )
     if variant == "quotient":
         del terms[0], entries[1]  # P_0 = R/R is zero
-    return ProductComplex(
-        GradedComplex(n_vars, terms, entries, "chain"), variant, n, tuple(ideals)
-    )
+    return GradedComplex(n_vars, terms, entries, "chain")
 
 
-def complex_homology_table(c, fld: PrimeField = GF(), box=None) -> TorTable:
+def complex_homology_table(c: GradedComplex, fld: PrimeField = GF(),
+                           box=None) -> TorTable:
     """(Co)homology table of a sum/product complex; cochain complexes are
     reported with positive upper indices."""
-    g = c.underlying if isinstance(c, (SumComplex, ProductComplex)) else c
-    table = module_homology_table(g, fld, box)
-    if g.orientation == "cochain":
+    table = module_homology_table(c, fld, box)
+    if c.orientation == "cochain":
         entries = {(-i, gam): d for (i, gam), d in table.entries.items()}
         return TorTable(entries, table.box)
     return table
@@ -161,14 +139,6 @@ class CheckReport:
                 "passed": self.passed}
 
 
-def _common_box(*complexes):
-    boxes = [c.stable_box() for c in complexes]
-    box = boxes[0]
-    for b in boxes[1:]:
-        box = lcm_deg(box, b)
-    return box
-
-
 def _diff_tables(lhs, rhs, limit=4):
     """Witnesses where two gamma -> dim maps differ."""
     witnesses = []
@@ -185,6 +155,17 @@ def _diff_tables(lhs, rhs, limit=4):
             if len(witnesses) >= limit:
                 break
     return witnesses
+
+
+def _compare_slices(report, name, checked, pairs):
+    """Add the assertion that the two slices of each (i, lhs, rhs) in pairs
+    agree, with the witnesses of every i in order.  pairs is read only when
+    the assertion is checked."""
+    if not checked:
+        report.add(name, False, None)
+        return
+    wit = [{"i": i, **w} for i, lhs, rhs in pairs for w in _diff_tables(lhs, rhs)]
+    report.add(name, True, not wit, wit)
 
 
 def verify_identities(ideals, fld: PrimeField = GF()) -> CheckReport:
@@ -207,43 +188,46 @@ def verify_identities(ideals, fld: PrimeField = GF()) -> CheckReport:
     )
     report.context["strict_subfamilies_independent"] = strict_ok
 
-    total = tensor_total(ideals)
     s_complex = build_s_complex(ideals)
-    p_complex = build_p_complex(ideals)
-    trunc = s_complex.truncated()
-    m = tensor([taylor_resolution(i) for i in ideals])
-    aug = hypercube_augment(m, interior(*range(n)))
-    box = _common_box(total, s_complex.underlying, p_complex.underlying, aug)
+    aug = hypercube_augment(tensor([taylor_resolution(i) for i in ideals]),
+                            interior(*range(n)))
+    box = family_box(ideals)
     report.context["box"] = list(box)
 
-    tor = module_homology_table(total, fld, box)
+    tor = module_homology_table(tensor_total(ideals), fld, box)
     s_tab = complex_homology_table(s_complex, fld, box)
-    p_tab = complex_homology_table(p_complex, fld, box)
-    trunc_tab = complex_homology_table(SumComplex(trunc, "quotient", n, tuple(ideals)), fld, box)
+    p_tab = complex_homology_table(build_p_complex(ideals), fld, box)
+    h1 = complex_homology_table(truncated(s_complex), fld, box).slice(1)
     aug_tab = module_homology_table(aug, fld, box)
     top = sum(len(i.gens) for i in ideals)
     prod_ideal = combine(ideals, "product")
 
-    from .monomial import iter_box, membership
+    cells = [tuple(g) for g in iter_box(box)]
+    s0 = {g: 0 if membership(g, prod_ideal) else 1 for g in cells}
 
-    cells = list(iter_box(box))
-    s0 = {tuple(g): 0 if membership(g, prod_ideal) else 1 for g in cells}
+    def four_term(name, table, j):
+        """S^0 - H^1(S_-) against table_j - table_{j-1} at every cell, with
+        table_j alone at n = 2."""
+        if not (strict_ok and n >= 2):
+            report.add(name, False, None)
+            return
+        wit = []
+        ok = True
+        for g in cells:
+            lhs = s0[g] - h1.get(g, 0)
+            rhs = table.dim(j, g) - (table.dim(j - 1, g) if n >= 3 else 0)
+            if lhs != rhs:
+                ok = False
+                if len(wit) < 4:
+                    wit.append({"degree": list(g), "actual": lhs, "expected": rhs})
+        report.add(name, True, ok, wit)
 
     # sum-side identification H^i(S) = Tor_{n-i-1}; it carries content for
     # 2 <= i <= n-2 (positive Tor index).  At i = n-1 the stated range
     # overshoots: S is exact there whenever the family is strongly
     # independent while Tor_0 = R/(sum) never vanishes.
-    if strict_ok:
-        wit = []
-        ok = True
-        for i in range(2, n - 1):
-            w = _diff_tables(s_tab.slice(i), tor.slice(n - i - 1))
-            if w:
-                ok = False
-                wit.extend({"i": i, **x} for x in w)
-        report.add("sum_homology_vs_tor", True, ok, wit)
-    else:
-        report.add("sum_homology_vs_tor", False, None)
+    _compare_slices(report, "sum_homology_vs_tor", strict_ok,
+                    ((i, s_tab.slice(i), tor.slice(n - i - 1)) for i in range(2, n - 1)))
 
     # structural boundary facts: H^n(S) = 0 always (n >= 2), and H^{n-1}(S)
     # = 0 for n >= 3 (the abutment vanishes below the corner degree)
@@ -263,50 +247,16 @@ def verify_identities(ideals, fld: PrimeField = GF()) -> CheckReport:
 
     # four-term bookkeeping for S^0 and H^1(S_-); at n = 2 the closing map to Tor_0 is
     # carried by S^1 on the first page, so the count closes with Tor_1 alone
-    if strict_ok and n >= 2:
-        wit = []
-        ok = True
-        h1 = trunc_tab.slice(1)
-        for gamma in cells:
-            g = tuple(gamma)
-            lhs = s0[g] - h1.get(g, 0)
-            if n >= 3:
-                rhs = tor.dim(n - 1, g) - tor.dim(n - 2, g)
-            else:
-                rhs = tor.dim(1, g)
-            if lhs != rhs:
-                ok = False
-                if len(wit) < 4:
-                    wit.append({"degree": list(g), "actual": lhs, "expected": rhs})
-        report.add("four_term_bookkeeping", True, ok, wit)
-    else:
-        report.add("four_term_bookkeeping", False, None)
+    four_term("four_term_bookkeeping", tor, n - 1)
 
     # top range: Tor_{n+i} = H_{n+i}(augmented interior)
-    if strict_ok:
-        wit = []
-        ok = True
-        for i in range(0, max(top - n, 0) + 1):
-            w = _diff_tables(tor.slice(n + i), aug_tab.slice(n + i))
-            if w:
-                ok = False
-                wit.extend({"i": i, **x} for x in w)
-        report.add("top_tor_vs_augmented", True, ok, wit)
-    else:
-        report.add("top_tor_vs_augmented", False, None)
+    _compare_slices(report, "top_tor_vs_augmented", strict_ok,
+                    ((i, tor.slice(n + i), aug_tab.slice(n + i))
+                     for i in range(0, max(top - n, 0) + 1)))
 
     # product-side identification: H_i(P) = Tor_{i-1} for i <= n
-    if strict_ok:
-        wit = []
-        ok = True
-        for i in range(1, n + 1):
-            w = _diff_tables(p_tab.slice(i), tor.slice(i - 1))
-            if w:
-                ok = False
-                wit.extend({"i": i, **x} for x in w)
-        report.add("product_homology_vs_tor", True, ok, wit)
-    else:
-        report.add("product_homology_vs_tor", False, None)
+    _compare_slices(report, "product_homology_vs_tor", strict_ok,
+                    ((i, p_tab.slice(i), tor.slice(i - 1)) for i in range(1, n + 1)))
 
     # partial range: with p* = largest p < n such that every subfamily of size
     # <= p is independent, Tor_i = H_{i+1}(P) for 1 <= i <= p*
@@ -320,52 +270,17 @@ def verify_identities(ideals, fld: PrimeField = GF()) -> CheckReport:
         else:
             break
     report.context["partial_independence_bound"] = p_star
-    if n >= 2:
-        wit = []
-        ok = True
-        for i in range(1, p_star + 1):
-            w = _diff_tables(tor.slice(i), p_tab.slice(i + 1))
-            if w:
-                ok = False
-                wit.extend({"i": i, **x} for x in w)
-        report.add("partial_product_range", True, ok, wit)
-    else:
-        report.add("partial_product_range", False, None)
+    _compare_slices(report, "partial_product_range", n >= 2,
+                    ((i, tor.slice(i), p_tab.slice(i + 1)) for i in range(1, p_star + 1)))
 
     # product-vs-sum comparison H_i(P) = H^{n-i}(S); valid at i = 0 and 2 <= i <= n-2.
     # At i = 1 the stated range overshoots: H_1(P) = R/(sum) never vanishes
     # while H^{n-1}(S) always does for n >= 3.
-    if strict_ok:
-        wit = []
-        ok = True
-        for i in [0] + list(range(2, n - 1)):
-            w = _diff_tables(p_tab.slice(i), s_tab.slice(n - i))
-            if w:
-                ok = False
-                wit.extend({"i": i, **x} for x in w)
-        report.add("product_vs_sum_homology", True, ok, wit)
-    else:
-        report.add("product_vs_sum_homology", False, None)
+    _compare_slices(report, "product_vs_sum_homology", strict_ok,
+                    ((i, p_tab.slice(i), s_tab.slice(n - i)) for i in [0, *range(2, n - 1)]))
 
     # the product-side four-term bookkeeping
-    if strict_ok and n >= 2:
-        wit = []
-        ok = True
-        h1 = trunc_tab.slice(1)
-        for gamma in cells:
-            g = tuple(gamma)
-            lhs = s0[g] - h1.get(g, 0)
-            if n >= 3:
-                rhs = p_tab.dim(n, g) - p_tab.dim(n - 1, g)
-            else:
-                rhs = p_tab.dim(2, g)
-            if lhs != rhs:
-                ok = False
-                if len(wit) < 4:
-                    wit.append({"degree": list(g), "actual": lhs, "expected": rhs})
-        report.add("four_term_product", True, ok, wit)
-    else:
-        report.add("four_term_product", False, None)
+    four_term("four_term_product", p_tab, n)
 
     # under V_{s+1} there is a surjection Tor_{n+s} -> H_{n,s}, an
     # isomorphism under V_{s+2}; dimensionwise: >= resp. ==
@@ -441,8 +356,9 @@ def exactness_equivalences(ideals, fld: PrimeField = GF()) -> CheckReport:
                 continue
             # rows with nonzero entries: settle exactness with the engine at
             # the degrees where something survives
-            m = tensor([taylor_resolution(ideals[i]) for i in sub])
-            box = m.stable_box()
+            family = [ideals[i] for i in sub]
+            m = tensor([taylor_resolution(i) for i in family])
+            box = family_box(family)
             gammas = set()
             for p in range(2, len(sub) + 1):
                 for t in itertools.combinations(sub, p):

@@ -122,7 +122,7 @@ def test_criterion_3_spectral_convergence():
         for kind in ("kcone", "kcone_augmented", "interior",
                      "interior_augmented"):
             filtered = build_filtration(m, kind=kind)
-            for g in _test_degrees(m.stable_box()):
+            for g in _test_degrees(family_box(fam)):
                 pg = pages(filtered, Multidegree(g))
                 checked += 1
                 if not pg.converged or any(a != b for a, b in
@@ -172,7 +172,7 @@ def test_criterion_4_theorem_e1_identification():
     count = 0
     for fam in mixed_stream(104000, 52):
         m = tensor([taylor_resolution(i) for i in fam])
-        degs = _test_degrees(m.stable_box(), count=2)
+        degs = _test_degrees(family_box(fam), count=2)
         for kind in ("kcone", "kcone_augmented", "interior",
                      "interior_augmented"):
             filtered = build_filtration(m, kind=kind)
@@ -342,9 +342,9 @@ def test_criterion_11_stability_validation():
     for fam in mixed_stream(111000, 60):
         complexes.append(totalize(tensor([taylor_resolution(i) for i in fam])))
     for fam in mixed_stream(111500, 20):
-        complexes.append(build_s_complex(fam).underlying)
+        complexes.append(build_s_complex(fam))
     for fam in mixed_stream(111700, 20):
-        complexes.append(build_p_complex(fam).underlying)
+        complexes.append(build_p_complex(fam))
     assert len(complexes) >= 100
     for c in complexes:
         box = c.stable_box()

@@ -240,6 +240,33 @@ def test_cli_support_command(problem_path, capsys):
     assert report["results"]["p=2"]["passed"]
 
 
+def test_cli_betti_unknown_module_exit_2(problem_path, capsys):
+    assert main(["betti", problem_path, "--module", "Z"]) == 2
+    diag = json.loads(capsys.readouterr().out)
+    assert diag["error"]["type"] == "ValidationError"
+    assert main(["betti", problem_path, "--module", "I2"]) == 0
+    assert list(json.loads(capsys.readouterr().out)["results"]) == ["I2"]
+
+
+@pytest.mark.parametrize("kind", ["kcone", "kcone_augmented", "interior",
+                                  "interior_augmented"])
+def test_cli_spectral_filtration_kinds_reject_a_module(tmp_path, capsys, kind):
+    """The four multicomplex filtrations have no coefficient module: a module
+    from the flag or from the problem file exits 2 instead of being
+    ignored."""
+    ideals = {"I": [[2, 0], [1, 1]], "J": [[0, 2], [1, 0]]}
+    for module, flag in ((None, ["--module", "J"]), ("J", [])):
+        path = tmp_path / "prob.json"
+        path.write_text(json.dumps({"variables": ["x", "y"], "ideals": ideals,
+                                    "module": module}))
+        assert main(["spectral", str(path), "--kind", kind, *flag]) == 2
+        diag = json.loads(capsys.readouterr().out)
+        assert diag["error"]["type"] == "ValidationError"
+        assert main(["spectral", str(path), "--kind", "product_to_sum", *flag]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["box"] == [4, 5]  # (3, 3) for the family, plus J's (1, 2)
+
+
 @pytest.fixture
 def partition_path(tmp_path):
     """Two variable blocks: (x) and (y, z)."""

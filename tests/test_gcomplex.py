@@ -25,7 +25,6 @@ from homotor.gcomplex import (
     koszul_units,
     module_homology_table,
     taylor_resolution,
-    tensor_complexes,
     with_coefficient,
 )
 from homotor.monomial import MonomialIdeal, Multidegree, iter_box
@@ -104,7 +103,7 @@ def test_stable_box_examples():
     m = MonomialIdeal(2, [(1, 0), (0, 1)])
     assert tuple(taylor_resolution(m).stable_box()) == (1, 1)
     x = MonomialIdeal(1, [(1,)])
-    squared = tensor_complexes(taylor_resolution(x), taylor_resolution(x))
+    squared = totalize(tensor([taylor_resolution(x), taylor_resolution(x)]))
     assert tuple(squared.stable_box()) == (2,)
 
 
@@ -198,12 +197,12 @@ def complexes_of_every_kind(draw):
     a, b = ideals[:2]
     build = draw(st.sampled_from(["tensor", "coefficient", "quotient", "tilde", "p"]))
     if build == "tensor":
-        return tensor_complexes(taylor_resolution(a), taylor_resolution(b))
+        return totalize(tensor([taylor_resolution(a), taylor_resolution(b)]))
     if build == "coefficient":
         return with_coefficient(taylor_resolution(a), b)
     if build == "p":
-        return build_p_complex(ideals, "tilde").underlying
-    return build_s_complex(ideals, build).underlying
+        return build_p_complex(ideals, "tilde")
+    return build_s_complex(ideals, build)
 
 
 def _assert_masks_match_summands(c, degrees=None):
@@ -232,7 +231,7 @@ def test_alive_masks_with_unequal_generator_counts():
         MonomialIdeal(3, [(0, 2, 0), (1, 0, 1)]),
     ]
     for variant in ("quotient", "tilde"):
-        c = build_s_complex(ideals, variant).underlying
+        c = build_s_complex(ideals, variant)
         counts = {len(s.ideal.gens) for ss in c.terms.values() for s in ss}
         assert len(counts) > 2
         _assert_masks_match_summands(c)
@@ -248,14 +247,14 @@ def test_alive_masks_at_large_exponents():
     a = MonomialIdeal(2, [(big, 0), (0, 1)])
     b = MonomialIdeal(2, [(1, 1)])
     for c in (with_coefficient(taylor_resolution(a), b),
-              build_s_complex([a, b], "tilde").underlying):
+              build_s_complex([a, b], "tilde")):
         values = (0, 1, 2, big - 1, big, big + 1, 2 * big)
         _assert_masks_match_summands(c, itertools.product(values, repeat=2))
 
 
 def test_alive_masks_rejects_bad_degrees():
     c = build_s_complex([MonomialIdeal(2, [(1, 0)]), MonomialIdeal(2, [(0, 1)])],
-                        "tilde").underlying
+                        "tilde")
     with pytest.raises(LengthMismatch):
         c.alive_masks((1, 1, 1))
     with pytest.raises(LengthMismatch):

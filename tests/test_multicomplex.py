@@ -2,15 +2,20 @@
 the hypercube augmentation."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from homotor.errors import EmptySelection, InvalidKind, MixedKinds
+from homotor.errors import CompositionNonzero, EmptySelection, InvalidKind, MixedKinds
+from homotor.exactlin import GF
 from homotor.gcomplex import (
+    cancel_units,
+    free_summand,
     module_homology_table,
     taylor_resolution,
     with_coefficient,
 )
-from homotor.monomial import MonomialIdeal, Multidegree, iter_box
+from homotor.monomial import MonomialIdeal, Multidegree, combine, iter_box
 from homotor.multicomplex import (
+    Multicomplex,
     complement,
     face,
     hypercube_augment,
@@ -20,6 +25,7 @@ from homotor.multicomplex import (
     tensor,
     totalize,
 )
+from homotor.sumprod import build_s_complex
 
 
 def res(*gens):
@@ -43,10 +49,57 @@ def test_tensor_single_factor_is_identity():
     assert module_homology_table(total).entries == module_homology_table(t).entries
 
 
-def test_tensor_rejects_cyclic_factors():
-    t = with_coefficient(res((1, 0)), MonomialIdeal(2, [(0, 1)]))
+def test_tensor_rejects_ideal_factors_and_negative_degrees():
+    x, y = MonomialIdeal(2, [(1, 0)]), MonomialIdeal(2, [(0, 1)])
     with pytest.raises(MixedKinds):
-        tensor([t])
+        tensor([build_s_complex([x, y], "tilde").shifted(2)])
+    with pytest.raises(ValueError):
+        tensor([build_s_complex([x, y])])
+
+
+@st.composite
+def factors_and_ideals(draw):
+    """Two free complexes (Taylor resolutions, reduced or not) in 1-3
+    variables and two coefficient ideals, the zero ideal among them."""
+    n = draw(st.integers(1, 3))
+    exponent = st.tuples(*[st.integers(0, 2)] * n).filter(any)
+
+    def ideal(min_size):
+        return MonomialIdeal(n, draw(st.lists(exponent, min_size=min_size, max_size=3)))
+
+    a, b = (taylor_resolution(ideal(1)) for _ in range(2))
+    if draw(st.booleans()):
+        a = cancel_units(a)
+    return a, b, ideal(0), ideal(0)
+
+
+@settings(deadline=None)
+@given(factors_and_ideals())
+def test_tensor_with_cyclic_factors_matches_with_coefficient(case):
+    """A cyclic factor R/J carries J into every product summand, so the
+    total is the free total tensored with R/J, and with R/(J + K) when the
+    other factor is cyclic over K."""
+    a, b, j, k = case
+    free_total = totalize(tensor([a, b]))
+    for fld in (GF(2), GF()):
+        assert module_homology_table(totalize(tensor([with_coefficient(a, j), b])), fld) \
+            == module_homology_table(with_coefficient(free_total, j), fld)
+        both = totalize(tensor([with_coefficient(a, j), with_coefficient(b, k)]))
+        assert module_homology_table(both, fld) == module_homology_table(
+            with_coefficient(free_total, combine([j, k], "sum")), fld)
+
+
+def test_axis_checks_raise_composition_nonzero():
+    one = (free_summand((0,)),)
+    with pytest.raises(CompositionNonzero, match="square to zero"):
+        Multicomplex(1, 1, {(0,): one, (1,): one, (2,): one},
+                     {((1,), 0): [(0, 0, 1)], ((2,), 0): [(0, 0, 1)]})
+    square = {q: one for q in ((0, 0), (1, 0), (0, 1), (1, 1))}
+    edges = {((1, 0), 0): [(0, 0, 1)], ((0, 1), 1): [(0, 0, 1)],
+             ((1, 1), 0): [(0, 0, 1)]}
+    Multicomplex(2, 1, square, {**edges, ((1, 1), 1): [(0, 0, 1)]})
+    with pytest.raises(CompositionNonzero, match="do not commute"):
+        Multicomplex(2, 1, square, {**edges, ((1, 1), 1): [(0, 0, -1)]})
 
 
 def test_tensor_of_variable_koszuls_totalizes_to_joint_koszul():

@@ -257,7 +257,7 @@ GEN_CHOICES = [
 def test_builder_e1_and_convergence(kind):
     for gens in GEN_CHOICES:
         m = build_m(gens)
-        box = m.stable_box()
+        box = totalize(m).stable_box()
         gammas = [Multidegree((0,) * m.n_vars), box,
                   Multidegree(tuple(min(1, b) for b in box))]
         filtered = build_filtration(m, kind=kind)
@@ -273,7 +273,7 @@ def test_builder_abutments_match_target_complexes():
         build_filtration(m, kind=kind)
         for kind in ("kcone", "kcone_augmented", "interior_augmented")
     )
-    for gamma in iter_box(m.stable_box()):
+    for gamma in iter_box(totalize(m).stable_box()):
         got = pages(kcone, gamma).total_dims()
         h = totalize(select(m, interior(0, 1))).homology_at(gamma)
         assert got == {i: d for i, d in h.items() if d}
@@ -289,7 +289,7 @@ def test_build_filtration_clamps_gamma():
     m = build_m([[(1, 0)], [(0, 1)]])
     filtered = build_filtration(m, kind="interior")
     a = pages(filtered, Multidegree((9, 9)))
-    b = pages(filtered, m.stable_box())
+    b = pages(filtered, totalize(m).stable_box())
     assert a.e1 == b.e1 and a.e_infinity == b.e_infinity
 
 
@@ -329,7 +329,7 @@ def test_kcone_columns_exact_off_interior():
 def test_s_complex_fiber_at_origin(kxy):
     from homotor.sumprod import build_s_complex
 
-    s = build_s_complex([kxy["x"], kxy["y"]]).underlying
+    s = build_s_complex([kxy["x"], kxy["y"]])
     masks = s.alive_masks((0, 0))
     assert [masks.get(i, 0).bit_count() for i in (0, -1, -2)] == [1, 2, 1]
     assert s.homology_at((0, 0)) == {0: 0, -1: 0, -2: 0}
@@ -482,7 +482,7 @@ def test_memoised_filtrations_match_fresh_multicomplexes(family):
     m = tensor([taylor_resolution(i) for i in family])
     for kind in KINDS:
         reused = build_filtration(m, kind=kind)
-        for gamma in _beyond(m.stable_box()):
+        for gamma in _beyond(family_box(family)):
             fresh_m = tensor([taylor_resolution(i) for i in family])
             fresh = build_filtration(fresh_m, kind=kind)
             assert _same_pages(pages(reused, gamma), pages(fresh, gamma)), (kind, gamma)
@@ -527,8 +527,9 @@ def test_spectral_command_builds_one_total(kind, monkeypatch):
     })
     report = cli.run("spectral", problem, {"kind": kind})
     assert len(report["results"]["pages"]) > 1
+    # a Mayer-Vietoris total is itself one totalize call
     assert (len(totals.calls), len(mv_totals.calls)) == (
-        (1, 0) if kind in KINDS else (0, 1)
+        (1, 0) if kind in KINDS else (1, 1)
     )
 
 

@@ -1,12 +1,16 @@
 """Sum and product complexes and the homology identification suites."""
 
+import functools
+
 import numpy as np
+from hypothesis import given, settings, strategies as st
 
 from conftest import stream
 from homotor import sumprod
 from homotor.cli import random_instance
-from homotor.gcomplex import koszul_units, module_homology_table
-from homotor.monomial import MonomialIdeal, combine, iter_box
+from homotor.gcomplex import koszul_units, module_homology_table, taylor_resolution
+from homotor.monomial import MonomialIdeal, combine, iter_box, lcm_deg
+from homotor.multicomplex import hypercube_augment, interior, tensor
 from homotor.sumprod import (
     augmented_interior_H,
     build_p_complex,
@@ -15,7 +19,7 @@ from homotor.sumprod import (
     exactness_equivalences,
     verify_identities,
 )
-from homotor.torlab import independence, multi_tor
+from homotor.torlab import family_box, independence, multi_tor, tensor_total
 
 
 def ranks_of(c):
@@ -24,15 +28,15 @@ def ranks_of(c):
 
 def test_s_complex_pair_shape(kxy):
     s = build_s_complex([kxy["x"], kxy["y"]])
-    assert ranks_of(s.underlying) == {-2: 1, -1: 2, 0: 1}
+    assert ranks_of(s) == {-2: 1, -1: 2, 0: 1}
     # 0 -> R/xy -> R/x + R/y -> R/(x,y) -> 0 is exact
     assert complex_homology_table(s).records() == []
 
 
 def test_s_complex_single_ideal(kxy):
     s = build_s_complex([kxy["x2xy"]])
-    assert ranks_of(s.underlying) == {-1: 1, 0: 1}
-    assert s.underlying.entries[0] == ((0, 0, 1),)
+    assert ranks_of(s) == {-1: 1, 0: 1}
+    assert s.entries[0] == ((0, 0, 1),)
     assert complex_homology_table(s).records() == []
 
 
@@ -40,9 +44,9 @@ def test_s_complex_triple_matrix_pattern(kxyz):
     """The S^1 -> S^2 entries realize the alternating pair matrix up to
     sign normalization of the bases."""
     s = build_s_complex([kxyz["x"], kxyz["y"], kxyz["z"]])
-    entries = s.underlying.entries[-1]
+    entries = s.entries[-1]
     mat = np.zeros((3, 3), dtype=int)
-    targets = [s.underlying.summands(-2)[k].label for k in range(3)]
+    targets = [s.summands(-2)[k].label for k in range(3)]
     assert targets == [(0, 1), (0, 2), (1, 2)]
     for src, tgt, coeff in entries:
         mat[tgt, src] = coeff
@@ -61,7 +65,7 @@ def test_s_complex_triple_matrix_pattern(kxyz):
 
 def test_p_complex_shapes(kxy):
     p = build_p_complex([kxy["x"], kxy["y"]])
-    assert ranks_of(p.underlying) == {1: 2, 2: 1}
+    assert ranks_of(p) == {1: 2, 2: 1}
     t = complex_homology_table(p)
     # H_1(P) = R/(x,y) pattern
     assert t.slice(1) == {(0, 0): 1}
@@ -70,7 +74,7 @@ def test_p_complex_shapes(kxy):
     f4 = [MonomialIdeal(4, [tuple(1 if j == i else 0 for j in range(4))])
           for i in range(4)]
     p4 = build_p_complex(f4)
-    assert [len(p4.underlying.summands(i)) for i in (4, 3, 2, 1)] == [1, 4, 6, 4]
+    assert [len(p4.summands(i)) for i in (4, 3, 2, 1)] == [1, 4, 6, 4]
 
     p1 = build_p_complex([kxy["x"]])
     t = complex_homology_table(p1)
@@ -85,8 +89,8 @@ def test_s_and_p_carry_the_unit_koszul_differentials():
         family = random_instance(n, n_vars=2, n_ideals=n)
         for variant in ("quotient", "tilde"):
             for built, koszul in (
-                (build_p_complex(family, variant).underlying, koszul_units(n)),
-                (build_s_complex(family, variant).underlying,
+                (build_p_complex(family, variant), koszul_units(n)),
+                (build_s_complex(family, variant),
                  koszul_units(n, "cochain")),
             ):
                 for i, ss in built.terms.items():
@@ -128,15 +132,15 @@ def test_tilde_variants_shift_homology(kxy):
     for fam in fams:
         s = build_s_complex(fam)
         st = build_s_complex(fam, variant="tilde")
-        assert st.underlying.summands(0)[0].ideal == combine(fam, "product")
-        box = s.underlying.stable_box()
+        assert st.summands(0)[0].ideal == combine(fam, "product")
+        box = s.stable_box()
         a = complex_homology_table(s, box=box)
         b = complex_homology_table(st, box=box)
         for i in range(0, len(fam) + 1):
             assert a.slice(i) == b.slice(i + 1), (i, [f.gens for f in fam])
         p = build_p_complex(fam)
         pt = build_p_complex(fam, variant="tilde")
-        box = p.underlying.stable_box()
+        box = p.stable_box()
         a = complex_homology_table(p, box=box)
         b = complex_homology_table(pt, box=box)
         for i in range(0, len(fam) + 2):
@@ -145,7 +149,7 @@ def test_tilde_variants_shift_homology(kxy):
 
 def test_euler_characteristic_of_s_fibers(kxy):
     fam = [kxy["m"], kxy["xy"]]
-    s = build_s_complex(fam).underlying
+    s = build_s_complex(fam)
     table = module_homology_table(s)
     for g in iter_box(table.box):
         chi_terms = sum((-1) ** i * mask.bit_count()
@@ -153,6 +157,29 @@ def test_euler_characteristic_of_s_fibers(kxy):
         chi_h = sum((-1) ** i * d for i, d in
                     ((i, table.dim(i, g)) for i in s.window()))
         assert chi_terms == chi_h
+
+
+@st.composite
+def families(draw):
+    """1-3 ideals of 0-3 generators (0 gives the zero ideal), exponents
+    0..2, in 1-3 variables."""
+    n = draw(st.integers(1, 3))
+    exponent = st.tuples(*[st.integers(0, 2)] * n).filter(any)
+    ideal = st.lists(exponent, max_size=3).map(lambda gens: MonomialIdeal(n, gens))
+    return draw(st.lists(ideal, min_size=1, max_size=3))
+
+
+@settings(deadline=None)
+@given(families())
+def test_family_box_is_the_common_box_of_the_verified_complexes(family):
+    """verify_identities tabulates the reduced Taylor tensor, S, P and the
+    augmented interior over family_box: the lcm of their stability boxes."""
+    aug = hypercube_augment(tensor([taylor_resolution(i) for i in family]),
+                            interior(*range(len(family))))
+    complexes = (tensor_total(family), build_s_complex(family),
+                 build_p_complex(family), aug)
+    boxes = [c.stable_box() for c in complexes]
+    assert family_box(family) == functools.reduce(lcm_deg, boxes)
 
 
 def test_verify_identities_curated(kxy, kxyz):
