@@ -171,7 +171,7 @@ def families(draw):
 
 @settings(deadline=None)
 @given(families())
-def test_family_box_is_the_common_box_of_the_verified_complexes(family):
+def test_family_box_is_the_lcm_of_the_verified_stable_boxes(family):
     """verify_identities tabulates the reduced Taylor tensor, S, P and the
     augmented interior over family_box: the lcm of their stability boxes."""
     aug = hypercube_augment(tensor([taylor_resolution(i) for i in family]),
