@@ -62,7 +62,8 @@ class ParseError(HomotorError):
 
 
 class ValidationError(HomotorError):
-    """A problem file that parses but violates its schema."""
+    """An input that parses but violates its schema: a problem file, a
+    module name, or a complex outside non-negative degrees."""
 
 
 class UnknownCommand(HomotorError):

@@ -14,10 +14,12 @@ from dataclasses import dataclass
 
 from .errors import (
     CompositionNonzero,
+    EmptyInput,
     EmptySelection,
     InvalidKind,
     LengthMismatch,
     MixedKinds,
+    ValidationError,
 )
 from .gcomplex import CYCLIC, IDEAL, GradedComplex, Summand, cyclic_summand, free_summand
 from .monomial import Multidegree, combine
@@ -85,7 +87,7 @@ class Multicomplex:
             if len(q) != self.n_axes:
                 raise LengthMismatch(f"position {q} has wrong arity")
             if any(v < 0 for v in q):
-                raise ValueError(f"position {q} outside N^n")
+                raise ValidationError(f"position {q} outside N^n")
             summands = tuple(summands)
             if any(s.kind == IDEAL for s in summands):
                 raise MixedKinds("multicomplex terms must be free or cyclic summands")
@@ -167,12 +169,12 @@ def tensor(factors) -> Multicomplex:
     """
     factors = list(factors)
     if not factors:
-        raise ValueError("tensor needs at least one factor")
+        raise EmptyInput("tensor needs at least one factor")
     for f in factors:
         if f.kind == IDEAL:
             raise MixedKinds("tensor factors must consist of free or cyclic summands")
         if min(f.window(), default=0) < 0:
-            raise ValueError("tensor factors must live in non-negative degrees")
+            raise ValidationError("tensor factors must live in non-negative degrees")
     n_vars = factors[0].n
     if any(f.n != n_vars for f in factors):
         raise LengthMismatch("factors live in different variable counts")

@@ -28,7 +28,7 @@ from .gcomplex import (
 from .monomial import MonomialIdeal, combine, iter_box, membership
 from .multicomplex import hypercube_augment, interior, tensor
 from .spectral import build_filtration, pages
-from .torlab import _validate_family, family_box, multi_tor, tensor_total
+from .torlab import _validate_family, family_box, multi_tor
 
 
 def build_s_complex(ideals, variant: str = "quotient") -> GradedComplex:
@@ -194,7 +194,7 @@ def verify_identities(ideals, fld: PrimeField = GF()) -> CheckReport:
     box = family_box(ideals)
     report.context["box"] = list(box)
 
-    tor = module_homology_table(tensor_total(ideals), fld, box)
+    tor = multi_tor(ideals, fld=fld, box=box)
     s_tab = complex_homology_table(s_complex, fld, box)
     p_tab = complex_homology_table(build_p_complex(ideals), fld, box)
     h1 = complex_homology_table(truncated(s_complex), fld, box).slice(1)

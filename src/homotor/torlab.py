@@ -16,11 +16,12 @@ from dataclasses import dataclass, field
 from .errors import EmptyInput, UnitIdeal, ZeroModule
 from .exactlin import GF, PrimeField, ScalarMatrix, rank
 from .gcomplex import (
+    GradedComplex,
     TorTable,
     cancel_units,
+    cyclic_summand,
     module_homology_table,
     taylor_resolution,
-    with_coefficient,
 )
 from .monomial import MonomialIdeal, Multidegree, combine, iter_box, quotient_dimension
 from .multicomplex import tensor, totalize
@@ -54,25 +55,31 @@ def family_box(ideals, coefficient: MonomialIdeal | None = None) -> Multidegree:
     return Multidegree(box)
 
 
-def tensor_total(ideals, coefficient: MonomialIdeal | None = None):
-    """Totalization of the tensor of the unit-cancelled Taylor resolutions,
-    with an optional quotient coefficient applied termwise."""
-    total = totalize(
-        tensor([cancel_units(taylor_resolution(ideal)) for ideal in ideals])
-    )
-    if coefficient is not None and not coefficient.is_zero():
-        total = with_coefficient(total, coefficient)
-    return total
-
-
 def multi_tor(ideals, coefficient: MonomialIdeal | None = None,
               fld: PrimeField = GF(), box=None) -> TorTable:
     """Tor_i of the family of quotients R/I (optionally against R/coefficient),
-    as a table of fiber dimensions over the box."""
+    as a table of fiber dimensions over the box, ``family_box`` by default.
+
+    Tor is balanced (Weibel, An Introduction to Homological Algebra, 2.7):
+    it is the homology of the tensor of resolutions of all modules but one
+    with that last module itself.  Each module, R/coefficient included
+    unless the coefficient is zero, gets its unit-cancelled Taylor
+    resolution; the one with the most summands (the first in family order
+    on a tie, R/coefficient last) stays unresolved and enters the tensor as
+    the cyclic complex R/I in degree 0."""
     ideals, n = _validate_family(ideals)
     if coefficient is not None and coefficient.is_unit():
         raise ZeroModule("coefficient module R/I is zero")
-    return module_homology_table(tensor_total(ideals, coefficient), fld, box)
+    modules = list(ideals)
+    if coefficient is not None and not coefficient.is_zero():
+        modules.append(coefficient)
+    factors = [cancel_units(taylor_resolution(ideal)) for ideal in modules]
+    sizes = [sum(map(len, f.terms.values())) for f in factors]
+    u = sizes.index(max(sizes))
+    factors[u] = GradedComplex(n, {0: (cyclic_summand(modules[u]),)}, {})
+    if box is None:
+        box = family_box(ideals, coefficient)
+    return module_homology_table(totalize(tensor(factors)), fld, box)
 
 
 def tor1_oracle(ideals, fld: PrimeField = GF(), box=None) -> TorTable:
@@ -198,9 +205,12 @@ def betti_table(ideal: MonomialIdeal, fld: PrimeField = GF()) -> BettiReport:
     with pd, depth (Auslander-Buchsbaum), Krull dimension and the CM flag.
 
     The residue field is k = R/(x_1, ..., x_n), so the table is ``multi_tor``
-    of R/I against that coefficient: the unit-cancelled Taylor resolution
-    of R/I with every summand R(-a) turned into k(-a), which lives only at
-    degree a.  Its box is lcm(gens) + (1, ..., 1)."""
+    of R/I against that coefficient, the balanced tensor of the two.  When
+    the unit-cancelled Taylor resolution of R/I has at least the 2^n
+    summands of the Koszul complex K(x) resolving k, the table is the Koszul
+    homology H(K(x) ⊗ R/I); otherwise it is that reduced resolution of R/I
+    with every summand R(-a) turned into k(-a), which lives only at degree
+    a.  Its box is lcm(gens) + (1, ..., 1)."""
     if ideal.is_unit():
         raise UnitIdeal("R/I is zero")
     n = ideal.n

@@ -3,7 +3,14 @@ from hypothesis import settings
 
 from homotor import MonomialIdeal
 from homotor.cli import random_instance
-from homotor.gcomplex import GradedComplex, free_summand
+from homotor.gcomplex import (
+    GradedComplex,
+    cancel_units,
+    free_summand,
+    taylor_resolution,
+    with_coefficient,
+)
+from homotor.multicomplex import tensor, totalize
 
 settings.register_profile("det", derandomize=True, max_examples=60)
 settings.load_profile("det")
@@ -12,6 +19,18 @@ settings.load_profile("det")
 def stream(seed, count, **params):
     """Deterministic family stream used across the suites."""
     return [random_instance(seed + t, **params) for t in range(count)]
+
+
+def tensor_total(ideals, coefficient=None):
+    """Every module resolved: the total of the tensor of the unit-cancelled
+    Taylor resolutions, with R/coefficient applied termwise.  Its homology
+    is the Tor table that the balanced ``multi_tor`` must reproduce."""
+    total = totalize(
+        tensor([cancel_units(taylor_resolution(ideal)) for ideal in ideals])
+    )
+    if coefficient is not None and not coefficient.is_zero():
+        total = with_coefficient(total, coefficient)
+    return total
 
 
 def free_complex(dims, diffs=None):

@@ -9,6 +9,7 @@ from homotor.cli import _sample_degrees, main, parse_problem, random_instance, r
 from homotor.errors import ParamOutOfRange, ParseError, UnknownCommand, ValidationError
 from homotor.monomial import MonomialIdeal, iter_box
 from homotor.support import supportoftors_check
+from homotor.torlab import family_box
 
 
 @pytest.fixture
@@ -246,6 +247,24 @@ def test_cli_betti_unknown_module_exit_2(problem_path, capsys):
     assert diag["error"]["type"] == "ValidationError"
     assert main(["betti", problem_path, "--module", "I2"]) == 0
     assert list(json.loads(capsys.readouterr().out)["results"]) == ["I2"]
+
+
+@pytest.mark.parametrize("flags", [[], ["--module", "J"]])
+def test_cli_tor_box_is_the_family_box(tmp_path, capsys, flags):
+    """tor and tor --module tabulate over family_box by default; a --box
+    that misses it in one coordinate exits 2 with BoxTooSmall."""
+    path = tmp_path / "prob.json"
+    path.write_text(json.dumps({"variables": ["x", "y"],
+                                "ideals": {"I": [[1, 0]], "J": [[2, 0], [1, 1], [0, 2]]}}))
+    problem = parse_problem(str(path))
+    coeff = problem.ideals["J"] if flags else None
+    box = list(family_box(problem.family(), coeff))
+    assert main(["tor", str(path), *flags]) == 0
+    assert json.loads(capsys.readouterr().out)["box"] == box
+    for k in range(2):
+        smaller = [b - (j == k) for j, b in enumerate(box)]
+        assert main(["tor", str(path), *flags, "--box", ",".join(map(str, smaller))]) == 2
+        assert json.loads(capsys.readouterr().out)["error"]["type"] == "BoxTooSmall"
 
 
 @pytest.mark.parametrize("kind", ["kcone", "kcone_augmented", "interior",

@@ -4,7 +4,14 @@ the hypercube augmentation."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from homotor.errors import CompositionNonzero, EmptySelection, InvalidKind, MixedKinds
+from homotor.errors import (
+    CompositionNonzero,
+    EmptyInput,
+    EmptySelection,
+    InvalidKind,
+    MixedKinds,
+    ValidationError,
+)
 from homotor.exactlin import GF
 from homotor.gcomplex import (
     cancel_units,
@@ -53,8 +60,12 @@ def test_tensor_rejects_ideal_factors_and_negative_degrees():
     x, y = MonomialIdeal(2, [(1, 0)]), MonomialIdeal(2, [(0, 1)])
     with pytest.raises(MixedKinds):
         tensor([build_s_complex([x, y], "tilde").shifted(2)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         tensor([build_s_complex([x, y])])
+    with pytest.raises(EmptyInput):
+        tensor([])
+    with pytest.raises(ValidationError):
+        Multicomplex(1, 1, {(-1,): (free_summand((0,)),)}, {})
 
 
 @st.composite

@@ -5,7 +5,7 @@ import functools
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from conftest import stream
+from conftest import stream, tensor_total
 from homotor import sumprod
 from homotor.cli import random_instance
 from homotor.gcomplex import koszul_units, module_homology_table, taylor_resolution
@@ -19,7 +19,7 @@ from homotor.sumprod import (
     exactness_equivalences,
     verify_identities,
 )
-from homotor.torlab import family_box, independence, multi_tor, tensor_total
+from homotor.torlab import family_box, independence, multi_tor
 
 
 def ranks_of(c):
@@ -172,8 +172,9 @@ def families(draw):
 @settings(deadline=None)
 @given(families())
 def test_family_box_is_the_lcm_of_the_verified_stable_boxes(family):
-    """verify_identities tabulates the reduced Taylor tensor, S, P and the
-    augmented interior over family_box: the lcm of their stability boxes."""
+    """verify_identities tabulates Tor, S, P and the augmented interior over
+    family_box: the lcm of their stability boxes, with Tor's taken on the
+    fully resolved tensor."""
     aug = hypercube_augment(tensor([taylor_resolution(i) for i in family]),
                             interior(*range(len(family))))
     complexes = (tensor_total(family), build_s_complex(family),

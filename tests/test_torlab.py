@@ -4,9 +4,9 @@ rigidity and the proper-intersection equivalence."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import stream
+from conftest import stream, tensor_total
 from homotor.exactlin import GF
-from homotor.errors import EmptyInput, UnitIdeal, ZeroModule
+from homotor.errors import BoxTooSmall, EmptyInput, UnitIdeal, ZeroModule
 from homotor.gcomplex import (
     cancel_units,
     module_homology_table,
@@ -22,7 +22,6 @@ from homotor.torlab import (
     multi_tor,
     rigidity_check,
     serre_a8_check,
-    tensor_total,
     tor1_oracle,
 )
 
@@ -236,3 +235,69 @@ def test_reduced_taylor_of_x2_xy_y2_is_minimal():
     assert {i: len(ss) for i, ss in reduced.terms.items()} == {0: 1, 1: 3, 2: 2}
     total_betti = sum(r["dim"] for r in betti_table(ideal).betti.records())
     assert total_betti == 6
+
+
+DEGREE_TWO = [(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1, 1)]
+
+
+@st.composite
+def families_and_coefficients(draw):
+    """1-3 ideals with exponents 0..2 in 1-3 variables and an optional
+    coefficient.  In 3 variables one ideal may have 5-6 degree-2
+    generators, whose Taylor resolution cancel_units shrinks; a repeated
+    ideal or a coefficient equal to the first ideal ties the reduced sizes."""
+    n = draw(st.integers(1, 3))
+    exponent = st.tuples(*[st.integers(0, 2)] * n).filter(any)
+    ideal = st.lists(exponent, max_size=3).map(lambda gens: MonomialIdeal(n, gens))
+    family = draw(st.lists(ideal, min_size=1, max_size=3))
+    if n == 3 and draw(st.booleans()):
+        gens = st.lists(st.sampled_from(DEGREE_TWO), min_size=5, max_size=6, unique=True)
+        family[draw(st.integers(0, len(family) - 1))] = MonomialIdeal(3, draw(gens))
+    if len(family) > 1 and draw(st.booleans()):
+        family[-1] = family[0]
+    coefficient = draw(st.one_of(st.none(), ideal, st.just(family[0])))
+    return family, coefficient
+
+
+@settings(deadline=None)
+@given(families_and_coefficients())
+def test_balanced_multi_tor_matches_the_fully_resolved_tensor(case):
+    """multi_tor leaves its largest module unresolved; its table, box
+    included, equals the homology of the tensor of every module's reduced
+    resolution over family_box, over GF(2), GF(3) and GF(32003)."""
+    family, coefficient = case
+    resolved = tensor_total(family, coefficient)
+    box = family_box(family, coefficient)
+    for p in (2, 3, 32003):
+        table = multi_tor(family, coefficient, GF(p))
+        assert table == module_homology_table(resolved, GF(p), box)
+
+
+def test_exactly_one_module_stays_unresolved():
+    """Merging two unresolved modules R/I_2 and R/J into R/(I_2 + J) gives
+    dim Tor_1 = 1 at (2, 0); the correct table has 2 there."""
+    i1 = MonomialIdeal(2, [(0, 1), (2, 0)])
+    i2 = MonomialIdeal(2, [(2, 0)])
+    table = multi_tor([i1, i2], coefficient=i1)
+    assert table.dim(1, (2, 0)) == 2
+
+
+def test_default_box_is_the_family_box_and_smaller_boxes_are_refused(kxy):
+    """The default box of multi_tor and betti_table is family_box; a box
+    that misses family_box in any coordinate raises BoxTooSmall, whichever
+    module stays unresolved."""
+    big = MonomialIdeal(2, [(3, 0), (2, 1), (1, 2), (0, 3)])
+    cases = [([kxy["m"], kxy["x2xy"]], None), ([kxy["x"], big], kxy["y"]),
+             ([kxy["x2xy"]], big), ([big], None), ([MonomialIdeal.zero(2)], None)]
+    for family, coefficient in cases:
+        box = family_box(family, coefficient)
+        assert multi_tor(family, coefficient).box == box
+        for k in range(2):
+            if box[k]:
+                smaller = list(box)
+                smaller[k] -= 1
+                with pytest.raises(BoxTooSmall):
+                    multi_tor(family, coefficient, box=smaller)
+    variables = MonomialIdeal.variables(2, range(2))
+    for ideal in (kxy["m"], kxy["x2xy"], big, MonomialIdeal.zero(2)):
+        assert betti_table(ideal).betti.box == family_box([ideal], variables)
