@@ -209,9 +209,9 @@ def test_betti_table_is_tor_against_the_residue_field(ideal):
 
 
 def test_tables_match_the_unreduced_taylor_tensor():
-    """multi_tor and betti_table tensor unit-cancelled Taylor resolutions;
-    their tables equal the homology of the plain Taylor tensor over the
-    same box."""
+    """multi_tor and betti_table tensor unit-cancelled Taylor resolutions
+    of all modules but one; their tables equal the homology of the plain
+    Taylor tensor over the same box."""
     for fam in _families_with_cancellations():
         coeff = fam[3]
         for family, coefficient in ((fam[:2], None), (fam[:3], None),
