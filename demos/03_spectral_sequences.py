@@ -2,7 +2,8 @@
 Spectral sequences of multicomplexes
 ====================================
 
-Tensoring the Taylor resolutions of an ideal family gives an N^n-indexed
+Tensoring the resolutions of an ideal family (Taylor resolutions with
+their unit entries cancelled, ``resolution``) gives an N^n-indexed
 multicomplex with commuting differentials.  Four filtrations of natural
 constructions on it (the Koszul cone, its hypercube-augmented version, the
 support-count filtration and its augmentation) produce convergent spectral
@@ -17,13 +18,13 @@ from homotor import (
     build_filtration,
     mv_total_complex,
     pages,
-    taylor_resolution,
+    resolution,
     tensor,
 )
 
 m = MonomialIdeal(2, [(1, 0), (0, 1)])
 family = [m, m]
-multi = tensor([taylor_resolution(i) for i in family])
+multi = tensor([resolution(i) for i in family])
 gamma = Multidegree((1, 1))
 
 for kind in ("kcone", "kcone_augmented", "interior", "interior_augmented"):
@@ -57,9 +58,11 @@ pair = [x, x]
 inter = combine(pair, "intersection")
 prod = combine(pair, "product")
 stp = mv_total_complex("sum_to_product", pair)  # one total for every degree
+tor = multi_tor(pair)
 for g in ((0,), (1,)):
     pg = pages(stp, Multidegree(g))
     h1 = pg.total_dims().get(1, 0)
     dim_rij = 0 if prod.contains(g) else 1
     print(f"degree {g}: H_1(total) = {h1} = dim R/(x cap x), "
-          f"Tor_1 = {dim_rij - h1} = {multi_tor(pair).dim_stable(1, g)}")
+          f"Tor_1 = {dim_rij - h1} = "
+          f"{tor.dim(1, tuple(min(a, b) for a, b in zip(g, tor.box)))}")

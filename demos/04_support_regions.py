@@ -11,7 +11,6 @@ three-way proper-intersection equivalence are checked on any family.
 """
 
 from homotor import (
-    GradingMap,
     MonomialIdeal,
     multi_tor,
     rigidity_check,
@@ -30,10 +29,6 @@ region = support_region(table, j=1)
 print("Tor_1((x),(x)) support cells:", region.sorted_cells(),
       "inside box", tuple(region.box))
 print("degree (1, 9) in the region:", region.member((1, 9)))
-
-# coarse gradings are applied cellwise
-total_degree = GradingMap([[1, 1]])
-print("total-degree image of the cells:", region.project_cells(total_degree))
 
 # Union equality for disjoint variable blocks, cross-checked through both
 # Mayer-Vietoris spectral sequences.

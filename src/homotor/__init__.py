@@ -7,7 +7,6 @@ __version__ = "0.1.0"
 
 from .exactlin import GF, PrimeField, ScalarMatrix, rank
 from .monomial import (
-    GradingMap,
     MonomialIdeal,
     Multidegree,
     combine,
@@ -21,19 +20,14 @@ from .gcomplex import (
     Summand,
     TorTable,
     cancel_units,
-    koszul_units,
     module_homology_table,
+    resolution,
     taylor_resolution,
     with_coefficient,
 )
 from .multicomplex import (
     Multicomplex,
-    RegionSelector,
-    complement,
-    face,
     hypercube_augment,
-    interior,
-    select,
     tensor,
     totalize,
 )

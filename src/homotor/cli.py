@@ -3,9 +3,10 @@
 Problem files are JSON: a prime characteristic, an ordered variable list,
 named ideals as lists of exponent vectors, an optional coefficient module
 (named ideal), an optional coarse grading matrix and an optional box
-override.  Reports echo their inputs and serialize every table as a sorted
-array of {"i", "degree", "dim"} records, so identical inputs produce
-byte-identical output; wall-clock timing is opt-in for that reason.
+override.  The grading is validated and echoed in every report, but no
+command reads it.  Reports echo their inputs and serialize every table as
+a sorted array of {"i", "degree", "dim"} records, so identical inputs
+produce byte-identical output; wall-clock timing is opt-in for that reason.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .torlab import (
     tor1_oracle,
 )
 from .multicomplex import tensor
-from .gcomplex import taylor_resolution
+from .gcomplex import resolution
 
 COMMANDS = (
     "tor",
@@ -311,7 +312,7 @@ def run(command: str, problem: ProblemFile | None, flags: dict) -> dict:
         if kind in SPECTRAL_KINDS:
             if coeff is not None:
                 raise ValidationError(f"--kind {kind} takes no module")
-            filtered = build_filtration(tensor([taylor_resolution(i) for i in family]),
+            filtered = build_filtration(tensor([resolution(i) for i in family]),
                                         kind=kind)
         else:
             filtered = mv_total_complex(kind, family, coeff)
@@ -335,6 +336,10 @@ def run(command: str, problem: ProblemFile | None, flags: dict) -> dict:
         family = problem.family()
         coeff = _flag_coefficient(problem, flags)
         partitions = _variable_partitions(family)
+        if partitions is None and flags.get("subset"):
+            raise ValidationError(
+                "--subset needs a family of disjoint variable-generated ideals"
+            )
         if partitions is not None:
             coeff_ideal = coeff if coeff is not None else MonomialIdeal.zero(problem.n)
             subset = flags.get("subset")
@@ -388,6 +393,8 @@ def run(command: str, problem: ProblemFile | None, flags: dict) -> dict:
     elif command == "selftest":
         seed = flags.get("seed", 0)
         trials = flags.get("trials", 10)
+        if trials < 0:
+            raise ValidationError(f"--trials must be non-negative, got {trials}")
         report["results"]["summary"] = _selftest(seed, trials, fld, report["assertions"])
 
     return report

@@ -34,7 +34,7 @@ class MixedKinds(HomotorError):
 
 
 class EmptySelection(HomotorError):
-    """A region selector with an empty axis set where axes are required."""
+    """An empty axis set or ideal subset where at least one is required."""
 
 
 class FiltrationViolation(HomotorError):
@@ -46,7 +46,7 @@ class InvariantBroken(HomotorError):
 
 
 class InvalidKind(HomotorError):
-    """Unknown selector / builder / variant keyword."""
+    """Unknown builder / filtration / variant keyword."""
 
 
 class OverlappingPartitions(HomotorError):

@@ -320,11 +320,6 @@ class TorTable:
     def dim(self, i: int, gamma) -> int:
         return self.entries.get((i, tuple(gamma)), 0)
 
-    def dim_stable(self, i: int, gamma) -> int:
-        """Dimension at any gamma in N^n, via the min(gamma, box) pullback."""
-        clamped = tuple(min(g, b) for g, b in zip(gamma, self.box))
-        return self.entries.get((i, clamped), 0)
-
     def slice(self, i: int) -> dict:
         return {g: d for (j, g), d in self.entries.items() if j == i}
 
@@ -394,9 +389,10 @@ def cancel_units(c: GradedComplex) -> GradedComplex:
     reduced in increasing order and sources by index, so the result is
     deterministic, and no entry of the result is such a unit.
 
-    Surviving summands keep their labels, but a cancelled pair may straddle
-    two levels of a filtration read from the labels, which would change its
-    spectral sequence: the filtered complexes are not reduced.
+    Surviving summands keep their labels.  Applied to a filtered total, a
+    cancelled pair could straddle two filtration levels and change its
+    spectral sequence, so totals are not reduced; their factors are, through
+    ``resolution``.
     """
     out = {i: {} for i in c.entries}  # out[i][s] = {t: d_i(s -> t)}
     into = {i: {} for i in c.entries}  # into[i][t] = {s: d_i(s -> t)}
@@ -488,21 +484,10 @@ def exterior_complex(m: int, summand, orientation: str = "chain"):
     raise ValueError(f"bad orientation {orientation!r}")
 
 
-def koszul_units(n: int, orientation: str = "chain") -> GradedComplex:
-    """K(1,...,1;R) on n exterior generators (or its cochain dual); exact."""
-    if n < 1:
-        raise ValueError("koszul_units needs n >= 1")
-    zero = Multidegree.zero(n)
-    terms, entries = exterior_complex(
-        n, lambda s: free_summand(zero, label=s), orientation
-    )
-    return GradedComplex(n, terms, entries, orientation)
-
-
 def taylor_resolution(ideal: MonomialIdeal) -> GradedComplex:
     """The Taylor resolution of R/I: basis = subsets of the generators,
     shift = their lcm.  Non-minimal in general but always a resolution;
-    ``cancel_units`` shrinks it towards the minimal one.  On distinct
+    ``resolution`` shrinks it towards the minimal one.  On distinct
     variables lcm is the sum, so this is also the Koszul complex resolving
     R/(x_j : j in J) when I is ``MonomialIdeal.variables(n, J)``."""
     if ideal.is_unit():
@@ -514,6 +499,23 @@ def taylor_resolution(ideal: MonomialIdeal) -> GradedComplex:
         lambda s: free_summand(reduce(lcm_deg, (gens[i] for i in s), zero), label=s),
     )
     return GradedComplex(ideal.n, terms, entries, "chain")
+
+
+def resolution(ideal: MonomialIdeal) -> GradedComplex:
+    """The free resolution of R/I that every Tor table, S/P check and
+    multicomplex is built from: the Taylor resolution reduced by
+    ``cancel_units``.
+
+    The reduction is a homotopy equivalence that keeps degrees 0 and 1 (a
+    degree-1 shift is a generator, never the degree-0 shift 0), so in a
+    tensor of such factors every cancelled pair sits at positions whose
+    coordinate for that factor is at least 1.  Supports of positions, the
+    corner and cone indices are unchanged, and so is the spectral sequence
+    of every filtration read from positions.  The stability box is
+    unchanged too: no degree-2 shift, an lcm of two minimal generators,
+    equals a generator, so the degree-1 summands all survive, and their
+    shifts reach the lcm of all generators in every coordinate."""
+    return cancel_units(taylor_resolution(ideal))
 
 
 def with_coefficient(c: GradedComplex, coefficient: MonomialIdeal) -> GradedComplex:

@@ -76,26 +76,6 @@ def lcm_deg(a: Multidegree, b: Multidegree) -> Multidegree:
     return Multidegree(max(x, y) for x, y in zip(a, b))
 
 
-class GradingMap:
-    """An integer d x n matrix projecting fine degrees into G = Z^d."""
-
-    def __init__(self, matrix):
-        rows = [tuple(int(v) for v in row) for row in matrix]
-        if not rows:
-            raise EmptyInput("grading matrix needs at least one row")
-        widths = {len(r) for r in rows}
-        if len(widths) != 1:
-            raise LengthMismatch("ragged grading matrix")
-        self.matrix = tuple(rows)
-        self.d = len(rows)
-        self.n = widths.pop()
-
-    def apply(self, gamma) -> tuple:
-        if len(gamma) != self.n:
-            raise LengthMismatch(f"degree length {len(gamma)} != {self.n}")
-        return tuple(sum(r[j] * gamma[j] for j in range(self.n)) for r in self.matrix)
-
-
 def _minimalize(gens):
     """Drop generators divisible by another; deduplicate; sort for determinism."""
     uniq = sorted(set(gens))

@@ -10,13 +10,11 @@ totalization: axis k carries (-1)^(q_1+...+q_{k-1}).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .errors import (
     CompositionNonzero,
     EmptyInput,
     EmptySelection,
-    InvalidKind,
     LengthMismatch,
     MixedKinds,
     ValidationError,
@@ -25,60 +23,11 @@ from .gcomplex import CYCLIC, IDEAL, GradedComplex, Summand, cyclic_summand, fre
 from .monomial import Multidegree, combine
 
 
-@dataclass(frozen=True)
-class RegionSelector:
-    """A face / interior / complement region of the cone N^n.
-
-    ``starred`` switches to the complementary-index convention: the selector
-    then names the axes that are *zero* on the face.
-    """
-
-    kind: str
-    indices: tuple
-    starred: bool = False
-
-    def __post_init__(self):
-        if self.kind not in ("face", "interior", "complement"):
-            raise InvalidKind(f"unknown region kind {self.kind!r}")
-        idx = tuple(sorted(set(int(i) for i in self.indices)))
-        object.__setattr__(self, "indices", idx)
-
-    def resolve(self, n_axes: int) -> frozenset:
-        idx = set(self.indices)
-        if any(i < 0 or i >= n_axes for i in idx):
-            raise IndexError(f"axis indices {sorted(idx)} outside 0..{n_axes - 1}")
-        if self.starred:
-            idx = set(range(n_axes)) - idx
-        return frozenset(idx)
-
-    def member(self, q, n_axes: int) -> bool:
-        axes = self.resolve(n_axes)
-        supp = {i for i, v in enumerate(q) if v}
-        if self.kind == "face":
-            return supp <= axes
-        if self.kind == "interior":
-            return supp == axes
-        return not supp <= axes  # complement
-
-
-def face(*indices, starred=False) -> RegionSelector:
-    return RegionSelector("face", indices, starred)
-
-
-def interior(*indices, starred=False) -> RegionSelector:
-    return RegionSelector("interior", indices, starred)
-
-
-def complement(*indices, starred=False) -> RegionSelector:
-    return RegionSelector("complement", indices, starred)
-
-
 class Multicomplex:
     """Finite family of free or cyclic summand terms indexed by N^n with n
     commuting differentials; ``diffs[(q, k)]`` maps term q to term q - e_k."""
 
-    def __init__(self, n_axes: int, n_vars: int, terms: dict, diffs: dict,
-                 validate: bool = True):
+    def __init__(self, n_axes: int, n_vars: int, terms: dict, diffs: dict):
         self.n_axes = int(n_axes)
         self.n_vars = int(n_vars)
         self.terms = {}
@@ -111,8 +60,7 @@ class Multicomplex:
             )
             if out:
                 self.diffs[(q, k)] = out
-        if validate:
-            self._check_axes()
+        self._check_axes()
 
     @staticmethod
     def _step(q, k):
@@ -230,21 +178,6 @@ def _product_summand(combo, n_vars: int) -> Summand:
                           shift, label)
 
 
-def select(m: Multicomplex, selector: RegionSelector) -> Multicomplex:
-    """Restrict to a face (subcomplex), complement or interior (quotients).
-
-    For free-summand multicomplexes all three amount to keeping the terms
-    inside the region and the entries with both endpoints inside it.
-    """
-    keep = {q: ss for q, ss in m.terms.items() if selector.member(q, m.n_axes)}
-    diffs = {
-        (q, k): es
-        for (q, k), es in m.diffs.items()
-        if q in keep and Multicomplex._step(q, k) in keep
-    }
-    return Multicomplex(m.n_axes, m.n_vars, keep, diffs, validate=False)
-
-
 def totalize(m: Multicomplex, shift: int = 0) -> GradedComplex:
     """Total complex: degree i gathers positions with |q| = i (+ shift).
 
@@ -285,46 +218,24 @@ def _compose_chain(m: Multicomplex, q, axes_desc) -> dict:
     return acc
 
 
-def hypercube_augment(m: Multicomplex, selector: RegionSelector, shift: int = 0) -> GradedComplex:
-    """Totalization of the interior region with the corner module added one
-    degree below its start, attached along the composed axis differentials."""
-    if selector.kind != "interior":
-        raise InvalidKind("hypercube_augment needs an interior selector")
-    axes = sorted(selector.resolve(m.n_axes))
-    if not axes:
+def hypercube_augment(m: Multicomplex) -> GradedComplex:
+    """Totalization of the interior of m, the positions with every
+    coordinate nonzero, with the corner module m_0 added in degree n - 1 and
+    attached along the composed axis differentials out of (1, ..., 1)."""
+    n = m.n_axes
+    if not n:
         raise EmptySelection("hypercube augmentation needs at least one axis")
-    p = len(axes)
-    inner = select(m, selector)
-    total = totalize(inner, shift=shift)
-    corner_src = tuple(1 if i in axes else 0 for i in range(m.n_axes))
-    origin = (0,) * m.n_axes
-    corner_summands = m.terms.get(origin, ())
-    if not corner_summands:
-        return total
-    terms = {d: list(ss) for d, ss in total.terms.items()}
-    entries = {d: list(es) for d, es in total.entries.items()}
-    corner_deg = p - 1 + shift
-    lst = terms.setdefault(corner_deg, [])
-    corner_pos = {}
-    for idx, s in enumerate(corner_summands):
-        corner_pos[idx] = len(lst)
-        lst.append(Summand(s.kind, s.shift, s.ideal, ("corner", s.label)))
-    if corner_src in m.terms:
-        # locate the corner-source summands inside the totalization; totalize
-        # keeps each position's summands contiguous and in original order
-        src_deg = p + shift
-        src_pos = {}
-        for pos, s in enumerate(total.terms.get(src_deg, ())):
-            if s.label[0] == corner_src:
-                src_pos[len(src_pos)] = pos
-        psi = _compose_chain(m, corner_src, list(reversed(axes)))
-        es = entries.setdefault(src_deg, [])
-        for (src, tgt), coeff in sorted(psi.items()):
-            es.append((src_pos[src], corner_pos[tgt], coeff))
+    inner = {q: ss for q, ss in m.terms.items() if all(q)}
+    total = totalize(Multicomplex(n, m.n_vars, inner, m.diffs))
+    # degree n of the interior is the single position (1, ..., 1), its
+    # summands in their original order, and nothing of it lies below
+    psi = _compose_chain(m, (1,) * n, list(reversed(range(n))))
+    corner = tuple(Summand(s.kind, s.shift, s.ideal, ("corner", s.label))
+                   for s in m.terms.get((0,) * n, ()))
     return GradedComplex(
         m.n_vars,
-        {d: tuple(ss) for d, ss in terms.items()},
-        entries,
+        {**total.terms, n - 1: corner},
+        {**total.entries, n: [(s, t, c) for (s, t), c in sorted(psi.items())]},
     )
 
 

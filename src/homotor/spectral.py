@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 from .errors import FiltrationViolation, InvalidKind, InvariantBroken, UnitIdeal
 from .exactlin import GF, PrimeField
-from .gcomplex import GradedComplex, taylor_resolution
+from .gcomplex import GradedComplex, resolution
 from .monomial import MonomialIdeal
 from .multicomplex import (
     Multicomplex,
@@ -264,7 +264,7 @@ def build_filtration(m: Multicomplex, *, kind: str) -> FilteredTotal:
 def mv_total_complex(kind: str, ideals, coefficient: MonomialIdeal | None = None
                      ) -> FilteredTotal:
     """The filtered total of the S_-/P double complex, the tensor of a
-    complex X with the Taylor resolution F of M, filtered by the X position.
+    complex X with the free resolution F of M, filtered by the X position.
 
     sum_to_product: X is S^1 -> ... -> S^n moved to chain positions n - p,
     so a summand S^p ⊗ F_q sits in degree n - p + q with filtration weight
@@ -288,5 +288,5 @@ def mv_total_complex(kind: str, ideals, coefficient: MonomialIdeal | None = None
         x = sumprod.build_p_complex(ideals)
     else:
         raise InvalidKind(f"unknown mv kind {kind!r}")
-    total = totalize(tensor([x, taylor_resolution(coefficient)]))
+    total = totalize(tensor([x, resolution(coefficient)]))
     return _by_weight(total, lambda label: label[0][0], n)

@@ -22,11 +22,11 @@ from .gcomplex import (
     exterior_complex,
     ideal_summand,
     module_homology_table,
-    taylor_resolution,
+    resolution,
     with_coefficient,
 )
 from .monomial import MonomialIdeal, combine, iter_box, membership
-from .multicomplex import hypercube_augment, interior, tensor
+from .multicomplex import hypercube_augment, tensor
 from .spectral import build_filtration, pages
 from .torlab import _validate_family, family_box, multi_tor
 
@@ -94,17 +94,19 @@ def augmented_interior_H(ideals, subset, coefficient: MonomialIdeal | None = Non
                          fld: PrimeField = GF(), box=None) -> TorTable:
     """The table H_{p,q} = H_{p+q}(augmented interior complex ⊗ M) for the
     chosen subset of the family, keyed by q (so q = -1 row reproduces the
-    M ⊗ P_p dimensions)."""
+    M ⊗ P_p dimensions).  The box defaults to ``family_box`` of the chosen
+    ideals and the coefficient, as in ``multi_tor``."""
     subset = sorted(set(subset))
     if not subset:
         raise EmptySelection("augmented_interior_H needs a nonempty subset")
     chosen = [ideals[i] for i in subset]
     chosen, _ = _validate_family(chosen)
     p = len(chosen)
-    m = tensor([taylor_resolution(i) for i in chosen])
-    aug = hypercube_augment(m, interior(*range(p)))
+    aug = hypercube_augment(tensor([resolution(i) for i in chosen]))
     if coefficient is not None and not coefficient.is_zero():
         aug = with_coefficient(aug, coefficient)
+    if box is None:
+        box = family_box(chosen, coefficient)
     table = module_homology_table(aug, fld, box)
     entries = {(i - p, gam): d for (i, gam), d in table.entries.items()}
     return TorTable(entries, table.box)
@@ -189,8 +191,7 @@ def verify_identities(ideals, fld: PrimeField = GF()) -> CheckReport:
     report.context["strict_subfamilies_independent"] = strict_ok
 
     s_complex = build_s_complex(ideals)
-    aug = hypercube_augment(tensor([taylor_resolution(i) for i in ideals]),
-                            interior(*range(n)))
+    aug = hypercube_augment(tensor([resolution(i) for i in ideals]))
     box = family_box(ideals)
     report.context["box"] = list(box)
 
@@ -357,7 +358,7 @@ def exactness_equivalences(ideals, fld: PrimeField = GF()) -> CheckReport:
             # rows with nonzero entries: settle exactness with the engine at
             # the degrees where something survives
             family = [ideals[i] for i in sub]
-            m = tensor([taylor_resolution(i) for i in family])
+            m = tensor([resolution(i) for i in family])
             box = family_box(family)
             gammas = set()
             for p in range(2, len(sub) + 1):

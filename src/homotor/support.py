@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .errors import OverlappingPartitions, ParamOutOfRange
 from .exactlin import GF, PrimeField
 from .gcomplex import TorTable
-from .monomial import GradingMap, MonomialIdeal, Multidegree, combine, iter_box, lcm_deg
+from .monomial import MonomialIdeal, Multidegree, combine, iter_box, lcm_deg
 from .spectral import mv_total_complex, pages
 from .sumprod import CheckReport
 from .torlab import family_box, multi_tor
@@ -47,11 +47,6 @@ class SupportRegion:
         box = lcm_deg(self.box, other.box)
         a, b = self.rebase(box), other.rebase(box)
         return SupportRegion(box, a.cells | b.cells)
-
-    def project_cells(self, grading: GradingMap):
-        """Images of the cells under a coarse grading (cellwise; the closure
-        rule is not expanded)."""
-        return sorted({grading.apply(c) for c in self.cells})
 
     def is_empty(self) -> bool:
         return not self.cells

@@ -18,10 +18,9 @@ from .exactlin import GF, PrimeField, ScalarMatrix, rank
 from .gcomplex import (
     GradedComplex,
     TorTable,
-    cancel_units,
     cyclic_summand,
     module_homology_table,
-    taylor_resolution,
+    resolution,
 )
 from .monomial import MonomialIdeal, Multidegree, combine, iter_box, quotient_dimension
 from .multicomplex import tensor, totalize
@@ -63,17 +62,17 @@ def multi_tor(ideals, coefficient: MonomialIdeal | None = None,
     Tor is balanced (Weibel, An Introduction to Homological Algebra, 2.7):
     it is the homology of the tensor of resolutions of all modules but one
     with that last module itself.  Each module, R/coefficient included
-    unless the coefficient is zero, gets its unit-cancelled Taylor
-    resolution; the one with the most summands (the first in family order
-    on a tie, R/coefficient last) stays unresolved and enters the tensor as
-    the cyclic complex R/I in degree 0."""
+    unless the coefficient is zero, gets its ``resolution``; the one with
+    the most summands (the first in family order on a tie, R/coefficient
+    last) stays unresolved and enters the tensor as the cyclic complex R/I
+    in degree 0."""
     ideals, n = _validate_family(ideals)
     if coefficient is not None and coefficient.is_unit():
         raise ZeroModule("coefficient module R/I is zero")
     modules = list(ideals)
     if coefficient is not None and not coefficient.is_zero():
         modules.append(coefficient)
-    factors = [cancel_units(taylor_resolution(ideal)) for ideal in modules]
+    factors = [resolution(ideal) for ideal in modules]
     sizes = [sum(map(len, f.terms.values())) for f in factors]
     u = sizes.index(max(sizes))
     factors[u] = GradedComplex(n, {0: (cyclic_summand(modules[u]),)}, {})

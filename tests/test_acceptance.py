@@ -4,20 +4,11 @@ Every check is exact (integer dimension equality over the stated boxes);
 random families are drawn from the seeded deterministic generator.
 """
 
-import itertools
-
-from conftest import stream
+from conftest import direct_e1, stream
 from homotor.cli import random_instance
 from homotor.gcomplex import module_homology_table, taylor_resolution
 from homotor.monomial import MonomialIdeal, Multidegree, combine, iter_box
-from homotor.multicomplex import (
-    face,
-    hypercube_augment,
-    interior,
-    select,
-    tensor,
-    totalize,
-)
+from homotor.multicomplex import tensor, totalize
 from homotor.spectral import build_filtration, mv_total_complex, pages
 from homotor.sumprod import (
     build_p_complex,
@@ -140,45 +131,19 @@ def test_criterion_3_spectral_convergence():
            failures)
 
 
-def _direct_e1(m, gamma, kind):
-    n = m.n_axes
-    out = {}
-    for p in range(n + 1):
-        for S in itertools.combinations(range(n), p):
-            if kind in ("kcone", "kcone_augmented"):
-                if kind == "kcone_augmented" and p == n:
-                    continue
-                sub = totalize(select(m, face(*S, starred=True)))
-                for q, d in sub.homology_at(gamma).items():
-                    if d:
-                        out[(p, q)] = out.get((p, q), 0) + d
-            elif kind == "interior":
-                sub = totalize(select(m, interior(*S)))
-                for i, d in sub.homology_at(gamma).items():
-                    if d:
-                        out[(p, i - p)] = out.get((p, i - p), 0) + d
-            else:
-                if p == 0:
-                    continue
-                sub = hypercube_augment(m, interior(*S))
-                for i, d in sub.homology_at(gamma).items():
-                    if d:
-                        out[(p, i - p)] = out.get((p, i - p), 0) + d
-    return out
-
-
 def test_criterion_4_theorem_e1_identification():
     failures = []
     count = 0
     for fam in mixed_stream(104000, 52):
-        m = tensor([taylor_resolution(i) for i in fam])
+        factors = [taylor_resolution(i) for i in fam]
+        m = tensor(factors)
         degs = _test_degrees(family_box(fam), count=2)
         for kind in ("kcone", "kcone_augmented", "interior",
                      "interior_augmented"):
             filtered = build_filtration(m, kind=kind)
             for g in degs:
                 pg = pages(filtered, Multidegree(g))
-                if pg.e1 != _direct_e1(m, Multidegree(g), kind):
+                if pg.e1 != direct_e1(factors, Multidegree(g), kind):
                     failures.append((kind, [i.gens for i in fam], g))
         count += 1
     assert count >= 50

@@ -323,6 +323,17 @@ def test_cli_support_subset_names_the_ideals(partition_path, capsys):
     assert results["0"]["context"] != results["1"]["context"]
 
 
+def test_cli_support_subset_needs_a_variable_partition(tmp_path, capsys):
+    """--subset names blocks of a disjoint variable partition; on any other
+    family it exits 2 instead of being echoed and ignored."""
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps({"variables": ["x", "y"],
+                                "ideals": {"I": [[1, 1]], "J": [[0, 1]]}}))
+    assert main(["support", str(path), "--subset", "0"]) == 2
+    assert json.loads(capsys.readouterr().out)["error"]["type"] == "ValidationError"
+    assert main(["support", str(path)]) == 0
+
+
 @pytest.mark.parametrize("command", ["betti", "a8", "rigidity"])
 def test_cli_more_than_16_variables_exit_2(tmp_path, capsys, command):
     """The Krull dimension search is bounded before any table is built."""
@@ -350,6 +361,12 @@ def test_selftest_deterministic(capsys):
     first = capsys.readouterr().out
     assert main(["selftest", "--seed", "42", "--trials", "5"]) == 0
     assert capsys.readouterr().out == first
+
+
+def test_selftest_rejects_negative_trials(capsys):
+    assert main(["selftest", "--trials", "-1"]) == 2
+    assert json.loads(capsys.readouterr().out)["error"]["type"] == "ValidationError"
+    assert main(["selftest", "--trials", "0"]) == 0
 
 
 def test_random_instance_contract():

@@ -7,6 +7,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import unit_koszul
 from homotor.errors import (
     BoxTooSmall,
     CompositionNonzero,
@@ -22,7 +23,6 @@ from homotor.gcomplex import (
     exterior_complex,
     free_summand,
     ideal_summand,
-    koszul_units,
     module_homology_table,
     taylor_resolution,
     with_coefficient,
@@ -37,22 +37,22 @@ def ranks_of(c):
 
 
 def test_koszul_units_shapes_and_exactness():
-    k1 = koszul_units(1)
+    k1 = unit_koszul(1)
     assert ranks_of(k1) == {0: 1, 1: 1}
     assert k1.entries[1] == ((0, 0, 1),)
-    k2 = koszul_units(2)
+    k2 = unit_koszul(2)
     assert ranks_of(k2) == {0: 1, 1: 2, 2: 1}
-    k3 = koszul_units(3)
+    k3 = unit_koszul(3)
     assert ranks_of(k3) == {0: 1, 1: 3, 2: 3, 3: 1}
     for k in (k1, k2, k3):
         assert not module_homology_table(k).entries  # exact at every fiber
-    kc = koszul_units(2, "cochain")
+    kc = unit_koszul(2, "cochain")
     assert not module_homology_table(kc).entries
 
 
 def test_koszul_cochain_is_the_negated_transpose():
     for n in range(1, 5):
-        chain, cochain = koszul_units(n), koszul_units(n, "cochain")
+        chain, cochain = unit_koszul(n), unit_koszul(n, "cochain")
         assert cochain.terms == {-i: ss for i, ss in chain.terms.items()}
         transposed = {
             1 - i: tuple(sorted((t, s, c) for s, t, c in es))

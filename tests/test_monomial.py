@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 
 from homotor.errors import EmptyInput, LengthMismatch, UnitIdeal
 from homotor.monomial import (
-    GradingMap,
     MonomialIdeal,
     Multidegree,
     combine,
@@ -120,17 +119,6 @@ def test_quotient_dimension_against_prime_enumeration(gens):
     dim, codim = quotient_dimension(ideal)
     assert dim == best
     assert codim == 4 - best
-
-
-def test_grading_map():
-    g = GradingMap([[1, 1], [0, 2]])
-    assert g.apply((2, 3)) == (5, 6)
-    a, b = Multidegree((1, 0)), Multidegree((0, 2))
-    assert g.apply(a.add(b)) == tuple(
-        x + y for x, y in zip(g.apply(a), g.apply(b))
-    )
-    with pytest.raises(LengthMismatch):
-        g.apply((1, 2, 3))
 
 
 def test_iter_box_order():

@@ -1,5 +1,5 @@
-"""Multicomplexes: tensor construction, region selectors, totalization and
-the hypercube augmentation."""
+"""Multicomplexes: tensor construction, totalization and the hypercube
+augmentation."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +8,6 @@ from homotor.errors import (
     CompositionNonzero,
     EmptyInput,
     EmptySelection,
-    InvalidKind,
     MixedKinds,
     ValidationError,
 )
@@ -23,12 +22,8 @@ from homotor.gcomplex import (
 from homotor.monomial import MonomialIdeal, Multidegree, combine, iter_box
 from homotor.multicomplex import (
     Multicomplex,
-    complement,
-    face,
     hypercube_augment,
     hypercube_extend,
-    interior,
-    select,
     tensor,
     totalize,
 )
@@ -122,27 +117,6 @@ def test_tensor_of_variable_koszuls_totalizes_to_joint_koszul():
     assert {i: len(ss) for i, ss in total.terms.items()} == {0: 1, 1: 2, 2: 1}
 
 
-def test_select_regions():
-    m = tensor([res((1, 0)), res((0, 1))])
-    inner = select(m, interior(0, 1))
-    assert set(inner.terms) == {(1, 1)}
-    corner = select(m, face())
-    assert set(corner.terms) == {(0, 0)}
-    comp = select(m, complement(0))
-    # complement of the first axis face kills exactly the q2 = 0 row
-    assert set(comp.terms) == {(0, 1), (1, 1)}
-    starred = select(m, face(0, starred=True))
-    assert set(starred.terms) == {(0, 0), (0, 1)}
-
-
-def test_select_face_full_is_identity():
-    m = tensor([res((1, 0)), res((0, 1))])
-    full = select(m, face(0, 1))
-    assert full.terms.keys() == m.terms.keys()
-    single = totalize(select(m, face()))
-    assert list(single.window()) == [0]
-
-
 def test_totalize_signs_square_to_zero():
     # three dependent factors make every mixed square appear
     m = tensor([res((1, 0, 0), (0, 1, 0)), res((0, 1, 1)), res((1, 0, 1))])
@@ -158,14 +132,16 @@ def test_totalize_shift():
 def test_hypercube_augment_one_axis():
     # +C over a single axis glues the resolution back together
     m = tensor([res((1,))])
-    aug = hypercube_augment(m, interior(0))
+    aug = hypercube_augment(m)
     table = module_homology_table(aug)
     assert table.records() == [{"i": 0, "degree": [0], "dim": 1}]
+    with pytest.raises(EmptySelection):
+        hypercube_augment(Multicomplex(0, 1, {(): m.terms[(0,)]}, {}))
 
 
 def test_hypercube_augment_two_principal():
     m = tensor([res((1, 0)), res((0, 1))])
-    aug = hypercube_augment(m, interior(0, 1))
+    aug = hypercube_augment(m)
     table = module_homology_table(aug)
     # H_1 = R/(xy) pattern, nothing else
     prod = MonomialIdeal(2, [(1, 1)])
@@ -177,18 +153,10 @@ def test_hypercube_augment_two_principal():
 def test_hypercube_augment_maximal_ideal_pair():
     m2 = MonomialIdeal(2, [(1, 0), (0, 1)])
     m = tensor([taylor_resolution(m2), taylor_resolution(m2)])
-    aug = hypercube_augment(m, interior(0, 1))
+    aug = hypercube_augment(m)
     table = module_homology_table(aug)
     # kernel of m (x) m -> m^2 is one-dimensional, in degree (1,1)
     assert table.slice(2) == {(1, 1): 1}
-
-
-def test_hypercube_augment_requires_interior():
-    m = tensor([res((1, 0)), res((0, 1))])
-    with pytest.raises(InvalidKind):
-        hypercube_augment(m, face(0, 1))
-    with pytest.raises(EmptySelection):
-        hypercube_augment(m, interior())
 
 
 def test_hypercube_extension_preserves_homology():

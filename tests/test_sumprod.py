@@ -5,12 +5,14 @@ import functools
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from conftest import stream, tensor_total
-from homotor import sumprod
+from conftest import stream, tensor_total, unit_koszul
+from homotor import spectral, sumprod
 from homotor.cli import random_instance
-from homotor.gcomplex import koszul_units, module_homology_table, taylor_resolution
-from homotor.monomial import MonomialIdeal, combine, iter_box, lcm_deg
-from homotor.multicomplex import hypercube_augment, interior, tensor
+from homotor.exactlin import GF
+from homotor.gcomplex import module_homology_table, resolution, taylor_resolution
+from homotor.monomial import MonomialIdeal, Multidegree, combine, iter_box, lcm_deg
+from homotor.multicomplex import hypercube_augment, tensor
+from homotor.spectral import build_filtration, mv_total_complex, pages
 from homotor.sumprod import (
     augmented_interior_H,
     build_p_complex,
@@ -89,9 +91,8 @@ def test_s_and_p_carry_the_unit_koszul_differentials():
         family = random_instance(n, n_vars=2, n_ideals=n)
         for variant in ("quotient", "tilde"):
             for built, koszul in (
-                (build_p_complex(family, variant), koszul_units(n)),
-                (build_s_complex(family, variant),
-                 koszul_units(n, "cochain")),
+                (build_p_complex(family, variant), unit_koszul(n)),
+                (build_s_complex(family, variant), unit_koszul(n, "cochain")),
             ):
                 for i, ss in built.terms.items():
                     assert [s.label for s in ss] == [s.label for s in koszul.terms[i]]
@@ -175,8 +176,7 @@ def test_family_box_is_the_lcm_of_the_verified_stable_boxes(family):
     """verify_identities tabulates Tor, S, P and the augmented interior over
     family_box: the lcm of their stability boxes, with Tor's taken on the
     fully resolved tensor."""
-    aug = hypercube_augment(tensor([taylor_resolution(i) for i in family]),
-                            interior(*range(len(family))))
+    aug = hypercube_augment(tensor([taylor_resolution(i) for i in family]))
     complexes = (tensor_total(family), build_s_complex(family),
                  build_p_complex(family), aug)
     boxes = [c.stable_box() for c in complexes]
@@ -313,3 +313,69 @@ def test_product_vs_sum_at_index_one_fails(kxyz):
     s_tab = complex_homology_table(build_s_complex(fam), box=p_tab.box)
     assert p_tab.dim(1, (0, 0, 0)) == 1
     assert s_tab.dim(2, (0, 0, 0)) == 0
+
+
+# -- raw Taylor factors against reduced ones ------------------------------------
+
+
+@st.composite
+def wide_families(draw):
+    """[I, J] in 2 or 3 variables: I has five generators (first exponents
+    rising, second falling, so they form an antichain), J one or two, and
+    the coefficient is I or J."""
+    n = draw(st.integers(2, 3))
+    rising = sorted(draw(st.lists(st.integers(0, 5), min_size=5, max_size=5,
+                                  unique=True)))
+    last = draw(st.lists(st.integers(0, 1), min_size=5, max_size=5))
+    wide = MonomialIdeal(n, [(a, 5 - a, c)[:n] for a, c in zip(rising, last)])
+    exponent = st.tuples(*[st.integers(0, 2)] * n).filter(any)
+    narrow = MonomialIdeal(n, draw(st.lists(exponent, min_size=1, max_size=2)))
+    family = [wide, narrow]
+    return family, draw(st.sampled_from(family))
+
+
+def test_raw_and_reduced_factors_agree(monkeypatch):
+    """Every consumer of ``resolution`` gives the answers of the raw Taylor
+    resolution it replaced: the pages, page-differential ranks and r_stab
+    of all six kinds, augmented_interior_H with and without a coefficient,
+    and the verify_identities report, over three fields."""
+    fields = [GF(2), GF(3), GF(32003)]
+    shrunk = []
+
+    def answers(family, coefficient, factors):
+        box = family_box(family, coefficient)
+        degrees = {Multidegree(box), Multidegree(b // 2 for b in box),
+                   Multidegree(min(1, b) for b in box)}
+        filtered = {kind: build_filtration(tensor(factors), kind=kind)
+                    for kind in ("kcone", "kcone_augmented", "interior",
+                                 "interior_augmented")}
+        for kind in ("sum_to_product", "product_to_sum"):
+            filtered[kind] = mv_total_complex(kind, family, coefficient)
+        out = {}
+        for fld in fields:
+            for kind, total in filtered.items():
+                for g in degrees:
+                    pg = pages(total, g, fld)
+                    out[kind, fld.p, g] = (pg.pages, pg.ranks, pg.r_stab)
+            for coeff in (None, coefficient):
+                out["aug", fld.p, coeff] = augmented_interior_H(
+                    family, [0, 1], coeff, fld)
+            out["verify", fld.p] = verify_identities(family, fld).to_json()
+        return out
+
+    @settings(deadline=None, max_examples=4)
+    @given(wide_families())
+    def check(drawn):
+        family, coefficient = drawn
+        raw = [taylor_resolution(i) for i in family]
+        reduced = [resolution(i) for i in family]
+        shrunk.append([sum(map(len, c.terms.values())) for c in raw]
+                      != [sum(map(len, c.terms.values())) for c in reduced])
+        with monkeypatch.context() as patch:
+            for module in (sumprod, spectral):
+                patch.setattr(module, "resolution", taylor_resolution)
+            want = answers(family, coefficient, raw)
+        assert answers(family, coefficient, reduced) == want
+
+    check()
+    assert any(shrunk)
