@@ -56,9 +56,10 @@ def region(m, keep):
 def direct_e1(factors, gamma, kind):
     """First page at gamma of one of the four filtrations of
     tensor(factors), computed directly: at (p, .) the homology of the faces
-    with p zero axes (kcone kinds, the full-support one left out for
-    kcone_augmented), of the p-axis interiors (interior), or of the
-    augmented interiors of the p-factor subfamilies (interior_augmented)."""
+    with p axes set to zero (kcone kinds; kcone_augmented leaves out the
+    origin, where all n are), of the interiors of the p-axis faces
+    (interior), or of the augmented interiors of the p-factor subfamilies
+    (interior_augmented)."""
     m = tensor(factors)
     n = m.n_axes
     out = {}
