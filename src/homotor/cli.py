@@ -66,6 +66,9 @@ COMMANDS = (
     "selftest",
 )
 
+#: The commands that read a box; every other command rejects --box.
+BOX_COMMANDS = ("tor", "tor1-oracle", "scomplex", "pcomplex", "spectral")
+
 SPECTRAL_KINDS = ("kcone", "kcone_augmented", "interior", "interior_augmented")
 MV_KINDS = ("sum_to_product", "product_to_sum")
 
@@ -230,6 +233,10 @@ def run(command: str, problem: ProblemFile | None, flags: dict) -> dict:
     """Execute one CLI command and build its report."""
     if command not in COMMANDS:
         raise UnknownCommand(f"unknown command {command!r}")
+    if flags.get("box") is not None and command not in BOX_COMMANDS:
+        raise ValidationError(
+            f"{command} reads no box; --box applies to {', '.join(BOX_COMMANDS)}"
+        )
     field = flags.get("field")
     if field is None:
         field = problem.characteristic if problem else GF().p

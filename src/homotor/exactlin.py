@@ -1,9 +1,10 @@
 """Exact linear algebra over a prime field GF(p).
 
-Everything downstream (homology tables, spectral sequence pages) reduces to
-ranks of small matrices over GF(p).  Matrices are kept sparse as (row, col,
-value) triples and eliminated with a deterministic pivot rule in Python
-integers, so no product overflows for any supported p.
+Everything downstream reduces to one elimination of small sparse matrices
+over GF(p): its rank for homology tables, its pivot pairs for spectral
+sequence pages.  Matrices are kept sparse as (row, col, value) triples and
+eliminated with a deterministic pivot rule in Python integers, so no
+product overflows for any supported p.
 """
 
 from __future__ import annotations
@@ -94,23 +95,26 @@ class ScalarMatrix:
         return f"ScalarMatrix({self.rows}x{self.cols}, nnz={self.nnz})"
 
 
-def _rank_sparse(m: ScalarMatrix, p: int) -> int:
-    # rows as {col: val} dicts, reduced in row order against a table of
-    # pivot rows keyed by their lowest column and normalised to 1 there
-    rows = {}
-    for (r, c), v in m.entries.items():
-        v %= p
-        if v:
-            rows.setdefault(r, {})[c] = v
+def pivot_pairs(rows, p: int) -> list:
+    """Row echelon form over GF(p) by one deterministic rule.
+
+    ``rows`` are (key, {col: val}) pairs with values reduced mod p, taken in
+    the order given: each row is reduced against the earlier pivot rows,
+    keyed by their lowest column and normalised to 1 there, until its own
+    lowest column has no pivot row, and then becomes that column's pivot
+    row.  Returns the (key, col) pair of every row that became a pivot row;
+    there are rank many.  The row dicts are consumed.
+    """
     pivots = {}
-    for r in sorted(rows):
-        row = rows[r]
+    pairs = []
+    for key, row in rows:
         while row:
             col = min(row)
             pivot = pivots.get(col)
             if pivot is None:
                 inv = pow(row[col], p - 2, p)
                 pivots[col] = {c: v * inv % p for c, v in row.items()}
+                pairs.append((key, col))
                 break
             factor = row[col]
             for c, v in pivot.items():
@@ -119,7 +123,16 @@ def _rank_sparse(m: ScalarMatrix, p: int) -> int:
                     row[c] = nv
                 else:
                     row.pop(c, None)
-    return len(pivots)
+    return pairs
+
+
+def _rank_sparse(m: ScalarMatrix, p: int) -> int:
+    rows = {}
+    for (r, c), v in m.entries.items():
+        v %= p
+        if v:
+            rows.setdefault(r, {})[c] = v
+    return len(pivot_pairs(sorted(rows.items()), p))
 
 
 def rank(m: ScalarMatrix, f: PrimeField = GF()) -> int:

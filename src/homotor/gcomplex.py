@@ -45,16 +45,6 @@ class Summand:
         if self.kind != FREE and self.ideal is None:
             raise ValueError(f"{self.kind} summand needs an ideal")
 
-    def alive(self, gamma) -> bool:
-        """Whether this summand contributes one basis vector at degree gamma."""
-        if not self.shift.leq(gamma):
-            return False
-        if self.kind == FREE:
-            return True
-        inner = Multidegree(g - s for g, s in zip(gamma, self.shift))
-        member = self.ideal.contains(inner)
-        return member if self.kind == IDEAL else not member
-
     def box_bound(self) -> Multidegree:
         """Componentwise threshold beyond which survival no longer changes."""
         bound = self.shift

@@ -4,28 +4,32 @@ Every filtration here is a coordinate filtration of a filtered total: each
 summand of term i has one level in 0..N, and F_p is spanned by the summands
 of level <= p.  The levels are checked once per total, over Z, on every
 entry of its differential.  The fibre at a degree gamma is read through the
-total's alive masks, and every page is an integer combination of ranks of
-masked blocks of d, taken by ``GradedComplex._masked_rank`` and shared
-through its cache by every degree evaluated on the same total.
-With F_i(p) the number of alive degree-i summands of level <= p, and
-R_i(a, b) the rank of the block of d_i whose source summands have level
-<= b and whose target summands have level > a, so that
-dim(F_b ∩ d^{-1}F_a) = F_i(b) - R_i(a, b):
+total's alive masks, and all its pages come from one filtered reduction,
+the level-ordered persistence pairing (Edelsbrunner-Letscher-Zomorodian,
+Topological persistence and simplification, 2002).  For each term i, the
+alive summands of terms i and i-1 are ordered by (level, index), and the
+alive block of d_i is column-reduced over GF(p), sources in that order;
+each column left nonzero pairs its source d (in term i) with its pivot b
+(in term i-1), its target of highest (level, index).  The gap of the pair
+is level(d) - level(b).  The pages are read off the pairs (Basu-Parida,
+Spectral sequences, exact couples and persistent homology of filtrations,
+2017):
 
-    num_r(i, p)     = [F_i(p) - R_i(p-r, p)] - [F_i(p-1) - R_i(p-r, p-1)]
-    dim E^r_{p,i-p} = num_r(i, p) - [R_{i+1}(p-1, p+r-1) - R_{i+1}(p, p+r-1)]
-    rank of d^r out of (p, i) = num_r(i, p) - num_{r+1}(i, p)
+    dim E^r_{p,i-p} = the unpaired alive term-i summands at level p
+                      + the pairs with gap >= r having an end (b or d)
+                        in term i at level p
+    rank of d^r out of (p, i-p) = the pairs with gap r whose d is in
+                                  term i at level p
 
-num_r is the dimension of (F_p ∩ d^{-1}F_{p-r} + F_{p-1}) / F_{p-1}, the
-bracket that of (d(F_{p+r-1}) ∩ F_p + F_{p-1}) / F_{p-1}, and E^r_p is the
-first over the second.  Every page is checked against the page-bookkeeping
-identity, and the abutment against the homology of the fibre, the same
-unfiltered block ranks.  Builders produce the four filtrations attached to
-an N^n multicomplex (Koszul cone, its hypercube-augmented variant, the
-support-count filtration and its augmented variant) plus the two
-Mayer-Vietoris double complexes.  Each builder returns a new filtered
-total; a caller reading many degrees builds it once and passes it to
-``pages`` at each degree.
+and d^r = 0 for r beyond the largest gap.  Every page is checked against
+the page-bookkeeping identity, the pairs of each term against the rank of
+the unfiltered block of d_i, and the abutment against the homology of the
+fibre; those ranks are the ones ``homology_at`` caches in the total.
+Builders produce the four filtrations attached to an N^n multicomplex
+(Koszul cone, its hypercube-augmented variant, the support-count
+filtration and its augmented variant) plus the two Mayer-Vietoris double
+complexes.  Each builder returns a new filtered total; a caller reading
+many degrees builds it once and passes it to ``pages`` at each degree.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import FiltrationViolation, InvalidKind, InvariantBroken, UnitIdeal
-from .exactlin import GF, PrimeField
+from .exactlin import GF, PrimeField, pivot_pairs
 from .gcomplex import GradedComplex, resolution
 from .monomial import MonomialIdeal
 from .multicomplex import (
@@ -49,11 +53,10 @@ class FilteredTotal:
     """A graded complex with a coordinate filtration F_0 ⊆ ... ⊆ F_N.
 
     ``levels[i][k]`` is the level (0..N) of summand k of term i; a term
-    missing from ``levels`` has every summand at level 0.  The differential
-    must respect the filtration: no nonzero integer entry of d_i may map a
-    summand into a higher level, whichever degrees the summands are alive
-    at.  ``below[i][p]`` is the bitmask of the summands of term i at level
-    <= p.
+    missing from the ``levels`` argument has every summand at level 0.  The
+    differential must respect the filtration: no nonzero integer entry of
+    d_i may map a summand into a higher level, whichever degrees the
+    summands are alive at.
     """
 
     def __init__(self, total: GradedComplex, levels: dict, N: int):
@@ -67,20 +70,15 @@ class FilteredTotal:
                 )
             if any(not 0 <= v <= self.N for v in lv):
                 raise FiltrationViolation(f"a level at term {i} is outside 0..{self.N}")
-        levels = {i: levels.get(i, [0] * len(ss)) for i, ss in total.terms.items()}
+        self.levels = {i: levels.get(i, [0] * len(ss)) for i, ss in total.terms.items()}
         for i, es in total.entries.items():
-            src, tgt = levels[i], levels[i - 1]
+            src, tgt = self.levels[i], self.levels[i - 1]
             for s, t, _ in es:
                 if tgt[t] > src[s]:
                     raise FiltrationViolation(
                         f"d(F_{src[s]}) not inside F_{src[s]} between terms "
                         f"{i} and {i - 1}"
                     )
-        self.below = {
-            i: [sum(1 << k for k, v in enumerate(lv) if v <= p)
-                for p in range(self.N + 1)]
-            for i, lv in levels.items()
-        }
 
 
 @dataclass
@@ -111,56 +109,77 @@ class SpectralPages:
         return out
 
 
+def persistence_pairs(filtered: FilteredTotal, i: int, alive: dict,
+                      fld: PrimeField = GF()) -> list:
+    """The pairs (b, d) of the level-ordered reduction of the alive block of
+    d_i: d a summand of term i, b its pivot in term i-1."""
+    src_lv, tgt_lv = filtered.levels[i], filtered.levels[i - 1]
+    src_mask, tgt_mask = alive.get(i, 0), alive.get(i - 1, 0)
+    n = len(tgt_lv)
+    columns: dict = {}
+    for s, t, c in filtered.total.entries.get(i, ()):
+        if src_mask >> s & 1 and tgt_mask >> t & 1:
+            c %= fld.p
+            if c:
+                # the lowest key is the target of highest (level, index)
+                columns.setdefault(s, {})[-(tgt_lv[t] * n + t)] = c
+    order = sorted(columns.items(), key=lambda sc: (src_lv[sc[0]], sc[0]))
+    return [(-key % n, s) for s, key in pivot_pairs(order, fld.p)]
+
+
 def pages(filtered: FilteredTotal, gamma, fld: PrimeField = GF()) -> SpectralPages:
     """All pages of the filtration spectral sequence of the fibre of filtered
     at gamma, with convergence verified against the homology of that fibre.
 
-    d^r = 0 for r > N, so pages are computed for r = 1..N+2 and kept up to
-    r_stab, the least r >= 2 with d^s = 0 for every s >= r - 1.
+    Pages are kept up to r_stab = max(2, largest gap + 2), the least r >= 2
+    with d^s = 0 for every s >= r - 1.  Raises InvariantBroken if the pairs
+    of a term disagree with the rank of its unfiltered block or a page
+    breaks the page bookkeeping.
     """
-    total, below, N = filtered.total, filtered.below, filtered.N
+    total, levels, N = filtered.total, filtered.levels, filtered.N
     alive = total.alive_masks(gamma)
     window = [i for i, mask in sorted(alive.items()) if mask]
-
-    def level(i, p):
-        """The alive summands of term i at level <= p."""
-        if p < 0 or i not in below:
-            return 0
-        return alive[i] & below[i][min(p, N)]
-
-    def F(i, p):
-        return level(i, p).bit_count()
-
-    def R(i, a, b):
-        src, tgt = level(i, b), alive.get(i - 1, 0) & ~level(i - 1, a)
-        return total._masked_rank(i, src, tgt, fld) if src and tgt else 0
-
-    def num(i, p, r):
-        return (F(i, p) - R(i, p - r, p)) - (F(i, p - 1) - R(i, p - r, p - 1))
-
+    free = {(i, p): 0 for i in window for p in range(N + 1)}  # unpaired summands
+    moving = []  # (i, level of b, level of d) of each pair of d_i with a positive gap
+    rank = {}
+    for i in window:
+        for k, v in enumerate(levels[i]):
+            if alive[i] >> k & 1:
+                free[(i, v)] += 1
+        if not alive.get(i - 1):
+            continue
+        pairs = persistence_pairs(filtered, i, alive, fld)
+        # the unfiltered block: the key homology_at caches for this fibre
+        rank[i] = total._masked_rank(i, alive[i], alive[i - 1], fld)
+        if len(pairs) != rank[i]:
+            raise InvariantBroken(
+                f"{len(pairs)} persistence pairs for the rank {rank[i]} of d_{i}"
+            )
+        for b, d in pairs:
+            lb, ld = levels[i - 1][b], levels[i][d]
+            free[(i - 1, lb)] -= 1
+            free[(i, ld)] -= 1
+            if ld > lb:
+                moving.append((i, lb, ld))
+    r_stab = max([2] + [ld - lb + 2 for _, lb, ld in moving])
     page_tables = []
     rank_tables = []
-    for r in range(1, N + 3):
-        dims = {}
+    for r in range(1, r_stab + 1):
+        counts = dict(free)
         ranks = {}
-        for i in window:
-            for p in range(N + 1):
-                n_r = num(i, p, r)
-                e = n_r - (R(i + 1, p - 1, p + r - 1) - R(i + 1, p, p + r - 1))
-                rk = n_r - num(i, p, r + 1)
-                if e:
-                    dims[(p, i - p)] = e
-                if rk:
-                    ranks[(p, i - p)] = rk
+        for i, lb, ld in moving:
+            if ld - lb >= r:
+                counts[(i - 1, lb)] += 1
+                counts[(i, ld)] += 1
+            if ld - lb == r:
+                ranks[(ld, i - ld)] = ranks.get((ld, i - ld), 0) + 1
+        dims = {(p, i - p): e for (i, p), e in counts.items() if e}
         _check_page(r, dims, ranks, page_tables, rank_tables)
         page_tables.append(dims)
         rank_tables.append(ranks)
-    last_moving = max((s for s, rk in enumerate(rank_tables, 1) if rk), default=0)
-    r_stab = max(2, last_moving + 2)
-    del page_tables[r_stab:], rank_tables[r_stab:]
     e_inf = page_tables[-1]
-    # the unfiltered blocks: the keys homology_at caches for this fibre
-    base_h = {i: F(i, N) - R(i, -1, N) - R(i + 1, -1, N) for i in window}
+    base_h = {i: alive[i].bit_count() - rank.get(i, 0) - rank.get(i + 1, 0)
+              for i in window}
     check = {}
     totals = {}
     for (p, q), d in e_inf.items():

@@ -173,6 +173,31 @@ def test_cli_malformed_flags_exit_2(problem_path, capsys, flags):
     assert diag["error"]["type"] == "ValidationError"
 
 
+@pytest.mark.parametrize("command", [
+    "betti", "indep", "verify", "support", "rigidity", "a8", "equiv-exactness",
+])
+@pytest.mark.parametrize("box", ["1,1", "1"])
+def test_cli_box_rejected_where_unread(problem_path, capsys, command, box):
+    """Only tor, tor1-oracle, scomplex, pcomplex and spectral read a box;
+    the other commands reject --box instead of echoing and ignoring it."""
+    assert main([command, problem_path, "--box", box]) == 2
+    diag = json.loads(capsys.readouterr().out)
+    assert diag["error"]["type"] == "ValidationError"
+
+
+def test_cli_selftest_rejects_box(capsys):
+    assert main(["selftest", "--trials", "0", "--box", "1,1"]) == 2
+    assert json.loads(capsys.readouterr().out)["error"]["type"] == "ValidationError"
+
+
+@pytest.mark.parametrize("argv", [
+    ["tor1-oracle"], ["scomplex"], ["pcomplex"], ["spectral", "--kind", "interior"],
+])
+def test_cli_box_read_where_accepted(problem_path, capsys, argv):
+    assert main([argv[0], problem_path, *argv[1:], "--box", "2,2"]) in (0, 1)
+    assert json.loads(capsys.readouterr().out)["box"] == [2, 2]
+
+
 @pytest.mark.parametrize("fields", [
     {"ideals": {"I": [[True, 0]]}},
     {"ideals": {"I": [[1, False]]}},

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import free_complex
 from homotor.errors import ValidationError
-from homotor.exactlin import GF, PrimeField, ScalarMatrix, rank
+from homotor.exactlin import GF, PrimeField, ScalarMatrix, pivot_pairs, rank
 
 LARGEST_PRIME = 2**31 - 1
 
@@ -41,6 +41,15 @@ def test_rank_characteristic_matters():
     m = ScalarMatrix(1, 1, [(0, 0, 2)])
     assert rank(m, GF(2)) == 0
     assert rank(m, GF(3)) == 1
+
+
+def test_pivot_pairs_take_rows_in_the_given_order():
+    """Each row becomes the pivot row of its lowest column left after
+    reduction; a row that reduces to zero pairs with nothing."""
+    rows = [("a", {0: 1, 1: 1}), ("b", {0: 2, 1: 2}), ("c", {1: 3, 2: 1})]
+    assert pivot_pairs(rows, 5) == [("a", 0), ("c", 1)]
+    rows = [("c", {1: 3, 2: 1}), ("b", {0: 2, 1: 2}), ("a", {0: 1, 1: 1})]
+    assert pivot_pairs(rows, 5) == [("c", 1), ("b", 0)]
 
 
 def test_scalar_matrix_invariants():

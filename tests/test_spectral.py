@@ -7,7 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import direct_e1, free_complex, region
+from conftest import block_rank_pages, direct_e1, free_complex, region
 from homotor import cli, gcomplex, spectral, support
 from homotor.errors import FiltrationViolation, InvalidKind, InvariantBroken, UnitIdeal
 from homotor.exactlin import GF, ScalarMatrix, rank
@@ -77,6 +77,30 @@ def test_broken_block_rank_is_an_invariant_failure(monkeypatch):
     monkeypatch.setattr(gcomplex, "rank", lambda m, fld: rank(m, fld) + bool(m.nnz))
     with pytest.raises(InvariantBroken):
         _pages({0: 1, 1: 1}, ID, {0: [0], 1: [1]}, 1)
+
+
+def test_dropped_pair_is_an_invariant_failure(monkeypatch):
+    """Without its pair the two summands would be unpaired: the pages still
+    keep their bookkeeping, but the pair count no longer equals the rank of
+    the unfiltered block."""
+    pairing = spectral.persistence_pairs
+    monkeypatch.setattr(spectral, "persistence_pairs", lambda *a: pairing(*a)[:-1])
+    with pytest.raises(InvariantBroken):
+        _pages({0: 1, 1: 1}, ID, {0: [0], 1: [1]}, 1)
+
+
+def test_pairs_follow_the_level_order():
+    """d_1 sends both sources to the sum of the targets.  Sources are taken
+    by (level, index), so the level-0 source 1 pairs with the target of
+    highest (level, index), target 1, and source 0 reduces to zero."""
+    total = free_complex({0: 2, 1: 2}, {1: ScalarMatrix(
+        2, 2, [(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)])})
+    filtered = FilteredTotal(total, {0: [0, 0], 1: [1, 0]}, 1)
+    alive = total.alive_masks((0,))
+    assert spectral.persistence_pairs(filtered, 1, alive) == [(1, 1)]
+    pg = pages(filtered, (0,))
+    assert pg.e1 == {(0, 0): 1, (1, 0): 1} == pg.e_infinity
+    assert pg.r_stab == 2 and pg.converged
 
 
 # -- the pages against their definitions, by enumeration over GF(3) ----------
@@ -469,6 +493,27 @@ def test_cached_mv_totals_match_uncached(family):
                 fresh = mv_total_complex(kind, family, coefficient)
                 assert _same_pages(pages(reused, gamma), pages(fresh, gamma)), (
                     kind, coefficient, gamma)
+
+
+@settings(deadline=None, max_examples=15)  # up to 234 fibres an example, twice each
+@given(families(), st.booleans())
+def test_pairing_matches_block_rank_oracle(family, with_module):
+    """The pages read off the persistence pairs equal those of the masked
+    block-rank formulas, for all six kinds over GF(2), GF(3) and GF(32003),
+    at the degrees the spectral command samples and one past the box."""
+    coefficient = family[-1] if with_module else None
+    totals = [build_filtration(tensor([taylor_resolution(i) for i in family]), kind=kind)
+              for kind in KINDS]
+    totals += [mv_total_complex(kind, family, coefficient)
+               for kind in ("sum_to_product", "product_to_sum")]
+    box = family_box(family, coefficient)
+    degrees = cli._sample_degrees(box) + [Multidegree(tuple(b + 1 for b in box))]
+    for filtered in totals:
+        for p in (2, 3, 32003):
+            for gamma in degrees:
+                got = pages(filtered, gamma, GF(p))
+                want = block_rank_pages(filtered, gamma, GF(p))
+                assert _same_pages(got, want), (p, tuple(gamma))
 
 
 class _Counter:
