@@ -30,12 +30,11 @@ IDEAL = "ideal"
 
 @dataclass(frozen=True)
 class Summand:
-    """One summand R(-shift), R/J(-shift) or J(-shift) with an opaque label."""
+    """One summand R(-shift), R/J(-shift) or J(-shift)."""
 
     kind: str
     shift: Multidegree
     ideal: MonomialIdeal | None = None
-    label: object = None
 
     def __post_init__(self):
         if self.kind not in (FREE, CYCLIC, IDEAL):
@@ -54,18 +53,18 @@ class Summand:
         return bound
 
 
-def free_summand(shift, label=None) -> Summand:
-    return Summand(FREE, Multidegree(shift), None, label)
+def free_summand(shift) -> Summand:
+    return Summand(FREE, Multidegree(shift))
 
 
-def cyclic_summand(ideal, shift=None, label=None) -> Summand:
+def cyclic_summand(ideal, shift=None) -> Summand:
     shift = Multidegree.zero(ideal.n) if shift is None else Multidegree(shift)
-    return Summand(CYCLIC, shift, ideal, label)
+    return Summand(CYCLIC, shift, ideal)
 
 
-def ideal_summand(ideal, shift=None, label=None) -> Summand:
+def ideal_summand(ideal, shift=None) -> Summand:
     shift = Multidegree.zero(ideal.n) if shift is None else Multidegree(shift)
-    return Summand(IDEAL, shift, ideal, label)
+    return Summand(IDEAL, shift, ideal)
 
 
 def _entry_valid(src: Summand, tgt: Summand) -> bool:
@@ -379,7 +378,7 @@ def cancel_units(c: GradedComplex) -> GradedComplex:
     reduced in increasing order and sources by index, so the result is
     deterministic, and no entry of the result is such a unit.
 
-    Surviving summands keep their labels.  Applied to a filtered total, a
+    Surviving summands keep their order.  Applied to a filtered total, a
     cancelled pair could straddle two filtration levels and change its
     spectral sequence, so totals are not reduced; their factors are, through
     ``resolution``.
@@ -404,9 +403,8 @@ def cancel_units(c: GradedComplex) -> GradedComplex:
         while queue:
             s = heappop(queue)
             row = rows.get(s, {})
-            t = next((t for t in sorted(row) if row[t] in (1, -1)
-                      and src[s].shift == tgt[t].shift
-                      and src[s].ideal == tgt[t].ideal), None)
+            t = next((t for t in sorted(row)
+                      if row[t] in (1, -1) and src[s] == tgt[t]), None)
             if t is None:
                 continue
             pivot = row[t]
@@ -486,7 +484,7 @@ def taylor_resolution(ideal: MonomialIdeal) -> GradedComplex:
     zero = Multidegree.zero(ideal.n)
     terms, entries = exterior_complex(
         len(gens),
-        lambda s: free_summand(reduce(lcm_deg, (gens[i] for i in s), zero), label=s),
+        lambda s: free_summand(reduce(lcm_deg, (gens[i] for i in s), zero)),
     )
     return GradedComplex(ideal.n, terms, entries, "chain")
 
@@ -521,8 +519,8 @@ def with_coefficient(c: GradedComplex, coefficient: MonomialIdeal) -> GradedComp
 
     def convert(s: Summand) -> Summand:
         if s.kind == FREE:
-            return cyclic_summand(coefficient, s.shift, s.label)
-        return cyclic_summand(combine([s.ideal, coefficient], "sum"), s.shift, s.label)
+            return cyclic_summand(coefficient, s.shift)
+        return cyclic_summand(combine([s.ideal, coefficient], "sum"), s.shift)
 
     terms = {i: tuple(convert(s) for s in ss) for i, ss in c.terms.items()}
     return GradedComplex(c.n, terms, dict(c.entries), c.orientation)

@@ -110,10 +110,10 @@ def tensor(factors) -> Multicomplex:
     """The tensor product multicomplex of chain complexes of free or cyclic
     summands in non-negative degrees.
 
-    Axis k applies factor k's differential with no extra sign; labels are
-    tuples of the factor labels.  A product of summands is shifted by the sum
-    of their shifts, and is R/(sum of the ideals of its cyclic factors) when
-    it has any.  The orientation tag of a factor is not read.
+    Axis k applies factor k's differential with no extra sign.  A product
+    of summands is shifted by the sum of their shifts, and is R/(sum of the
+    ideals of its cyclic factors) when it has any.  The orientation tag of a
+    factor is not read.
     """
     factors = list(factors)
     if not factors:
@@ -170,38 +170,46 @@ def _product_summand(combo, n_vars: int) -> Summand:
     shift = Multidegree.zero(n_vars)
     for s in combo:
         shift = shift.add(s.shift)
-    label = tuple(s.label for s in combo)
     ideals = [s.ideal for s in combo if s.kind == CYCLIC]
     if not ideals:
-        return free_summand(shift, label=label)
+        return free_summand(shift)
     return cyclic_summand(ideals[0] if len(ideals) == 1 else combine(ideals, "sum"),
-                          shift, label)
+                          shift)
+
+
+def layout(m: Multicomplex, shift: int = 0) -> dict:
+    """{i: [the position q of each summand of term i]} of the total of m:
+    positions in sorted order, the summands of each in their order, in
+    degree |q| + shift.  ``totalize`` builds its terms in this order and the
+    spectral filtrations read their levels from it."""
+    out: dict = {}
+    for q in sorted(m.terms):
+        out.setdefault(sum(q) + shift, []).extend([q] * len(m.terms[q]))
+    return out
 
 
 def totalize(m: Multicomplex, shift: int = 0) -> GradedComplex:
-    """Total complex: degree i gathers positions with |q| = i (+ shift).
-
-    Axis k contributes with sign (-1)^(q_1+...+q_{k-1}); summand labels are
-    (q, original label).
-    """
-    positions = sorted(m.terms)
-    terms: dict = {}
-    where: dict = {}
-    for q in positions:
-        deg = sum(q) + shift
-        lst = terms.setdefault(deg, [])
-        for idx, s in enumerate(m.terms[q]):
-            where[(q, idx)] = (deg, len(lst))
-            lst.append(Summand(s.kind, s.shift, s.ideal, (q, s.label)))
+    """Total complex in the order of ``layout``: degree i gathers the
+    positions with |q| + shift = i.  Axis k contributes with sign
+    (-1)^(q_1+...+q_{k-1})."""
+    terms = layout(m, shift)
+    start = {}  # the index in its term of the first summand of each position
+    for qs in terms.values():
+        for k, q in enumerate(qs):
+            start.setdefault(q, k)
     entries: dict = {}
     for (q, k), es in m.diffs.items():
         sign = (-1) ** (sum(q[:k]) % 2)
-        tgt_q = Multicomplex._step(q, k)
-        for src, tgt, coeff in es:
-            deg, spos = where[(q, src)]
-            _, tpos = where[(tgt_q, tgt)]
-            entries.setdefault(deg, []).append((spos, tpos, sign * coeff))
-    return GradedComplex(m.n_vars, {d: tuple(ss) for d, ss in terms.items()}, entries)
+        a, b = start[q], start[Multicomplex._step(q, k)]
+        entries.setdefault(sum(q) + shift, []).extend(
+            (a + src, b + tgt, sign * coeff) for src, tgt, coeff in es
+        )
+    return GradedComplex(
+        m.n_vars,
+        {i: tuple(m.terms[q][k - start[q]] for k, q in enumerate(qs))
+         for i, qs in terms.items()},
+        entries,
+    )
 
 
 def _compose_chain(m: Multicomplex, q, axes_desc) -> dict:
@@ -230,11 +238,9 @@ def hypercube_augment(m: Multicomplex) -> GradedComplex:
     # degree n of the interior is the single position (1, ..., 1), its
     # summands in their original order, and nothing of it lies below
     psi = _compose_chain(m, (1,) * n, list(reversed(range(n))))
-    corner = tuple(Summand(s.kind, s.shift, s.ideal, ("corner", s.label))
-                   for s in m.terms.get((0,) * n, ()))
     return GradedComplex(
         m.n_vars,
-        {**total.terms, n - 1: corner},
+        {**total.terms, n - 1: m.terms.get((0,) * n, ())},
         {**total.entries, n: [(s, t, c) for (s, t), c in sorted(psi.items())]},
     )
 
@@ -246,20 +252,12 @@ def hypercube_extend(m: Multicomplex) -> Multicomplex:
     n = m.n_axes
     origin = (0,) * n
     corner = m.terms.get(origin, ())
-    terms = {}
-    diffs = {}
-    for q, ss in m.terms.items():
-        terms[q + (1,)] = tuple(
-            Summand(s.kind, s.shift, s.ideal, ("C", s.label)) for s in ss
-        )
-    for (q, k), es in m.diffs.items():
-        diffs[(q + (1,), k)] = es
+    terms = {q + (1,): ss for q, ss in m.terms.items()}
+    diffs = {(q + (1,), k): es for (q, k), es in m.diffs.items()}
     if corner:
-        cube = [c for c in itertools.product((0, 1), repeat=n)]
+        cube = list(itertools.product((0, 1), repeat=n))
         for c in cube:
-            terms[c + (0,)] = tuple(
-                Summand(s.kind, s.shift, s.ideal, ("T", c, s.label)) for s in corner
-            )
+            terms[c + (0,)] = corner
         ident = [(i, i, 1) for i in range(len(corner))]
         for c in cube:
             for k in range(n):
@@ -287,48 +285,27 @@ def koszul_cone(m: Multicomplex, face_axes: int | None = None) -> Multicomplex:
     fa = n if face_axes is None else int(face_axes)
     subsets = {p: list(itertools.combinations(range(fa), p)) for p in range(fa + 1)}
     terms = {}
-    where = {}
+    start = {}  # (q, S) -> the index in term q + (p,) of the copy of m_q on S
     for q, ss in m.terms.items():
         supp = {i for i in range(fa) if q[i]}
         for p in range(fa + 1):
             compatible = [S for S in subsets[p] if not supp & set(S)]
-            if not compatible:
-                continue
-            lst = []
-            for S in compatible:
-                for idx, s in enumerate(ss):
-                    where[(q, S, idx)] = (q + (p,), len(lst))
-                    lst.append(Summand(s.kind, s.shift, s.ideal, (S, s.label)))
-            if lst:
-                terms[q + (p,)] = tuple(lst)
+            for j, S in enumerate(compatible):
+                start[(q, S)] = j * len(ss)
+            terms[q + (p,)] = ss * len(compatible)  # Multicomplex drops empty terms
     diffs = {}
     for (q, k), es in m.diffs.items():
         tgt_q = Multicomplex._step(q, k)
-        supp = {i for i in range(fa) if q[i]}
         for p in range(fa + 1):
-            out = []
-            for S in subsets[p]:
-                if supp & set(S):
-                    continue
-                for src, tgt, coeff in es:
-                    _, spos = where[(q, S, src)]
-                    _, tpos = where[(tgt_q, S, tgt)]
-                    out.append((spos, tpos, coeff))
+            out = [(start[(q, S)] + src, start[(tgt_q, S)] + tgt, coeff)
+                   for S in subsets[p] if (q, S) in start for src, tgt, coeff in es]
             if out:
                 diffs[(q + (p,), k)] = out
     for q, ss in m.terms.items():
-        supp = {i for i in range(fa) if q[i]}
         for p in range(1, fa + 1):
-            out = []
-            for S in subsets[p]:
-                if supp & set(S):
-                    continue
-                for l, j in enumerate(S):
-                    T = tuple(x for x in S if x != j)
-                    for idx in range(len(ss)):
-                        _, spos = where[(q, S, idx)]
-                        _, tpos = where[(q, T, idx)]
-                        out.append((spos, tpos, (-1) ** l))
+            out = [(start[(q, S)] + idx, start[(q, S[:l] + S[l + 1:])] + idx, (-1) ** l)
+                   for S in subsets[p] if (q, S) in start
+                   for l in range(p) for idx in range(len(ss))]
             if out:
                 diffs[(q + (p,), n)] = out
     return Multicomplex(n + 1, m.n_vars, terms, diffs)

@@ -44,6 +44,7 @@ from .multicomplex import (
     Multicomplex,
     hypercube_extend,
     koszul_cone,
+    layout,
     tensor,
     totalize,
 )
@@ -228,12 +229,12 @@ def _check_page(r, dims, ranks, page_tables, rank_tables):
 # Filtration builders for the four multicomplex spectral sequences
 
 
-def _by_weight(total: GradedComplex, weight, N: int) -> FilteredTotal:
-    """The filtration of total that puts each summand at the level
-    weight(label) of its (q, label) tag."""
-    return FilteredTotal(
-        total, {i: [weight(s.label) for s in ss] for i, ss in total.terms.items()}, N
-    )
+def _by_weight(m: Multicomplex, weight, N: int, shift: int = 0) -> FilteredTotal:
+    """The total of m (``totalize(m, shift)``) filtered by position: each
+    summand sits at level weight(q) of the position q that ``layout`` lists
+    for it."""
+    levels = {i: [weight(q) for q in qs] for i, qs in layout(m, shift).items()}
+    return FilteredTotal(totalize(m, shift), levels, N)
 
 
 def build_filtration(m: Multicomplex, *, kind: str) -> FilteredTotal:
@@ -248,32 +249,16 @@ def build_filtration(m: Multicomplex, *, kind: str) -> FilteredTotal:
     """
     n = m.n_axes
     if kind == "kcone":
-        total = totalize(koszul_cone(m))
-
-        def weight(label):
-            return label[0][-1]
-
-    elif kind == "kcone_augmented":
-        total = totalize(koszul_cone(hypercube_extend(m), face_axes=n), shift=-1)
-
-        def weight(label):
-            return label[0][-1]
-
-    elif kind == "interior":
-        total = totalize(m)
-
-        def weight(label):
-            return sum(1 for v in label[0] if v)
-
-    elif kind == "interior_augmented":
-        total = totalize(hypercube_extend(m), shift=-1)
-
-        def weight(label):
-            return sum(1 for v in label[0][:n] if v)
-
-    else:
-        raise InvalidKind(f"unknown filtration kind {kind!r}")
-    return _by_weight(total, weight, n)
+        return _by_weight(koszul_cone(m), lambda q: q[-1], n)
+    if kind == "kcone_augmented":
+        return _by_weight(koszul_cone(hypercube_extend(m), face_axes=n),
+                          lambda q: q[-1], n, shift=-1)
+    if kind == "interior":
+        return _by_weight(m, lambda q: sum(1 for v in q if v), n)
+    if kind == "interior_augmented":
+        return _by_weight(hypercube_extend(m), lambda q: sum(1 for v in q[:n] if v), n,
+                          shift=-1)
+    raise InvalidKind(f"unknown filtration kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -307,5 +292,4 @@ def mv_total_complex(kind: str, ideals, coefficient: MonomialIdeal | None = None
         x = sumprod.build_p_complex(ideals)
     else:
         raise InvalidKind(f"unknown mv kind {kind!r}")
-    total = totalize(tensor([x, resolution(coefficient)]))
-    return _by_weight(total, lambda label: label[0][0], n)
+    return _by_weight(tensor([x, resolution(coefficient)]), lambda q: q[0], n)

@@ -44,8 +44,7 @@ def build_s_complex(ideals, variant: str = "quotient") -> GradedComplex:
     bottom = combine(ideals, "product")
     terms, entries = exterior_complex(
         n,
-        lambda s: make(combine([ideals[i] for i in s], "sum") if s else bottom,
-                       label=s),
+        lambda s: make(combine([ideals[i] for i in s], "sum") if s else bottom),
         "cochain",
     )
     return GradedComplex(n_vars, terms, entries, "cochain")
@@ -71,8 +70,7 @@ def build_p_complex(ideals, variant: str = "quotient") -> GradedComplex:
     bottom = MonomialIdeal.unit(n_vars)
     terms, entries = exterior_complex(
         n,
-        lambda s: make(combine([ideals[i] for i in s], "product") if s else bottom,
-                       label=s),
+        lambda s: make(combine([ideals[i] for i in s], "product") if s else bottom),
     )
     if variant == "quotient":
         del terms[0], entries[1]  # P_0 = R/R is zero

@@ -133,9 +133,7 @@ def block_rank_pages(filtered, gamma, fld=GF()):
 def unit_koszul(n, orientation="chain"):
     """K(1,...,1;R) on n exterior generators (or its cochain dual); exact."""
     zero = Multidegree.zero(n)
-    terms, entries = exterior_complex(
-        n, lambda s: free_summand(zero, label=s), orientation
-    )
+    terms, entries = exterior_complex(n, lambda s: free_summand(zero), orientation)
     return GradedComplex(n, terms, entries, orientation)
 
 

@@ -270,8 +270,7 @@ def _koszul_on_monomials(n, gens):
     terms, entries = exterior_complex(
         len(gens),
         lambda s: free_summand(
-            functools.reduce(Multidegree.add, (Multidegree(gens[i]) for i in s), zero),
-            label=s,
+            functools.reduce(Multidegree.add, (Multidegree(gens[i]) for i in s), zero)
         ),
     )
     return GradedComplex(n, terms, entries)

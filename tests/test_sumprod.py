@@ -1,6 +1,7 @@
 """Sum and product complexes and the homology identification suites."""
 
 import functools
+import itertools
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -45,11 +46,14 @@ def test_s_complex_single_ideal(kxy):
 def test_s_complex_triple_matrix_pattern(kxyz):
     """The S^1 -> S^2 entries realize the alternating pair matrix up to
     sign normalization of the bases."""
-    s = build_s_complex([kxyz["x"], kxyz["y"], kxyz["z"]])
+    family = [kxyz["x"], kxyz["y"], kxyz["z"]]
+    s = build_s_complex(family)
     entries = s.entries[-1]
     mat = np.zeros((3, 3), dtype=int)
-    targets = [s.summands(-2)[k].label for k in range(3)]
-    assert targets == [(0, 1), (0, 2), (1, 2)]
+    # target k is R/(sum over the k-th pair): (0, 1), (0, 2), (1, 2)
+    targets = [s.summands(-2)[k].ideal for k in range(3)]
+    assert targets == [combine([family[i] for i in pair], "sum")
+                       for pair in itertools.combinations(range(3), 2)]
     for src, tgt, coeff in entries:
         mat[tgt, src] = coeff
     # reorder rows to complement order (target (1,2) pairs with source 0 ...)
@@ -86,16 +90,21 @@ def test_p_complex_shapes(kxy):
 
 def test_s_and_p_carry_the_unit_koszul_differentials():
     """Both complexes are the unit Koszul complex on the subsets of the
-    family with other summands, in the degrees they share with it."""
+    family with other summands, in the degrees they share with it: summand
+    k of term ±p is on the k-th p-subset in ``combinations`` order."""
     for n in range(1, 5):
         family = random_instance(n, n_vars=2, n_ideals=n)
+        bottom = {"product": MonomialIdeal.unit(2), "sum": combine(family, "product")}
         for variant in ("quotient", "tilde"):
-            for built, koszul in (
-                (build_p_complex(family, variant), unit_koszul(n)),
-                (build_s_complex(family, variant), unit_koszul(n, "cochain")),
+            for built, koszul, op in (
+                (build_p_complex(family, variant), unit_koszul(n), "product"),
+                (build_s_complex(family, variant), unit_koszul(n, "cochain"), "sum"),
             ):
                 for i, ss in built.terms.items():
-                    assert [s.label for s in ss] == [s.label for s in koszul.terms[i]]
+                    assert [s.ideal for s in ss] == [
+                        combine([family[j] for j in S], op) if S else bottom[op]
+                        for S in itertools.combinations(range(n), abs(i))
+                    ]
                 shared = {i: es for i, es in koszul.entries.items()
                           if i in built.terms and i - 1 in built.terms}
                 assert built.entries == shared
