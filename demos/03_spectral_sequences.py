@@ -55,7 +55,6 @@ from homotor import combine, multi_tor
 
 x = MonomialIdeal(1, [(1,)])
 pair = [x, x]
-inter = combine(pair, "intersection")
 prod = combine(pair, "product")
 stp = mv_total_complex("sum_to_product", pair)  # one total for every degree
 tor = multi_tor(pair)
@@ -63,6 +62,7 @@ for g in ((0,), (1,)):
     pg = pages(stp, Multidegree(g))
     h1 = pg.total_dims().get(1, 0)
     dim_rij = 0 if prod.contains(g) else 1
-    print(f"degree {g}: H_1(total) = {h1} = dim R/(x cap x), "
+    dim_rint = 0 if x.contains(g) else 1  # (x) cap (x) = (x)
+    print(f"degree {g}: H_1(total) = {h1} = dim R/(x cap x) = {dim_rint}, "
           f"Tor_1 = {dim_rij - h1} = "
           f"{tor.dim(1, tuple(min(a, b) for a, b in zip(g, tor.box)))}")

@@ -66,8 +66,14 @@ COMMANDS = (
     "selftest",
 )
 
-#: The commands that read a box; every other command rejects --box.
-BOX_COMMANDS = ("tor", "tor1-oracle", "scomplex", "pcomplex", "spectral")
+#: The commands that read each of these flags; every other command rejects
+#: the flag when it is given (a value of None is not given).
+FLAG_COMMANDS = {
+    "box": ("tor", "tor1-oracle", "scomplex", "pcomplex", "spectral"),
+    "subset": ("support",),
+    "kind": ("scomplex", "pcomplex", "spectral"),
+    "module": ("tor", "betti", "spectral", "support"),
+}
 
 SPECTRAL_KINDS = ("kcone", "kcone_augmented", "interior", "interior_augmented")
 MV_KINDS = ("sum_to_product", "product_to_sum")
@@ -233,10 +239,11 @@ def run(command: str, problem: ProblemFile | None, flags: dict) -> dict:
     """Execute one CLI command and build its report."""
     if command not in COMMANDS:
         raise UnknownCommand(f"unknown command {command!r}")
-    if flags.get("box") is not None and command not in BOX_COMMANDS:
-        raise ValidationError(
-            f"{command} reads no box; --box applies to {', '.join(BOX_COMMANDS)}"
-        )
+    for flag, readers in FLAG_COMMANDS.items():
+        if flags.get(flag) is not None and command not in readers:
+            raise ValidationError(
+                f"{command} reads no {flag}; --{flag} applies to {', '.join(readers)}"
+            )
     field = flags.get("field")
     if field is None:
         field = problem.characteristic if problem else GF().p

@@ -19,7 +19,15 @@ from dataclasses import dataclass
 from functools import reduce
 from heapq import heappop, heappush
 
-from .errors import BoxTooSmall, CompositionNonzero, LengthMismatch, MixedKinds, UnitIdeal
+from .errors import (
+    BoxTooSmall,
+    CompositionNonzero,
+    InvalidKind,
+    LengthMismatch,
+    MixedKinds,
+    UnitIdeal,
+    ValidationError,
+)
 from .exactlin import GF, PrimeField, ScalarMatrix, rank
 from .monomial import MonomialIdeal, Multidegree, combine, iter_box, lcm_deg
 
@@ -38,11 +46,11 @@ class Summand:
 
     def __post_init__(self):
         if self.kind not in (FREE, CYCLIC, IDEAL):
-            raise ValueError(f"unknown summand kind {self.kind!r}")
+            raise InvalidKind(f"unknown summand kind {self.kind!r}")
         if self.kind == FREE and self.ideal is not None:
-            raise ValueError("free summands carry no ideal")
+            raise ValidationError("free summands carry no ideal")
         if self.kind != FREE and self.ideal is None:
-            raise ValueError(f"{self.kind} summand needs an ideal")
+            raise ValidationError(f"{self.kind} summand needs an ideal")
 
     def box_bound(self) -> Multidegree:
         """Componentwise threshold beyond which survival no longer changes."""
@@ -145,7 +153,7 @@ class GradedComplex:
 
     def __init__(self, n: int, terms: dict, entries: dict, orientation: str = "chain"):
         if orientation not in ("chain", "cochain"):
-            raise ValueError(f"bad orientation {orientation!r}")
+            raise InvalidKind(f"bad orientation {orientation!r}")
         self.n = int(n)
         self.orientation = orientation
         self.terms = {
@@ -167,7 +175,7 @@ class GradedComplex:
             merged: dict = {}
             for src, tgt, coeff in es:
                 if not isinstance(coeff, int):
-                    raise ValueError(
+                    raise ValidationError(
                         f"coefficient {coeff!r} at degree {i} is not an int"
                     )
                 if coeff == 0:
@@ -178,9 +186,11 @@ class GradedComplex:
                 if coeff == 0:
                     continue
                 if not (0 <= src < len(src_terms) and 0 <= tgt < len(tgt_terms)):
-                    raise IndexError(f"entry ({src},{tgt}) out of range at degree {i}")
+                    raise ValidationError(
+                        f"entry ({src},{tgt}) out of range at degree {i}"
+                    )
                 if not _entry_valid(src_terms[src], tgt_terms[tgt]):
-                    raise ValueError(
+                    raise ValidationError(
                         f"inhomogeneous or ill-defined entry at degree {i}: "
                         f"{src_terms[src]} -> {tgt_terms[tgt]}"
                     )
@@ -234,7 +244,7 @@ class GradedComplex:
         if len(gamma) != self.n:
             raise LengthMismatch(f"degree length {len(gamma)} != {self.n}")
         if any(g < 0 for g in gamma):
-            raise ValueError(f"negative exponent in {tuple(gamma)}")
+            raise ValidationError(f"negative exponent in {tuple(gamma)}")
         if self._thresholds is None:
             self._thresholds = _fibre_tables(self.terms, self.n)
         cuts, tables = self._thresholds
@@ -469,7 +479,7 @@ def exterior_complex(m: int, summand, orientation: str = "chain"):
             {-p: ss for p, ss in terms.items()},
             {1 - p: [(t, s, c) for s, t, c in es] for p, es in entries.items()},
         )
-    raise ValueError(f"bad orientation {orientation!r}")
+    raise InvalidKind(f"bad orientation {orientation!r}")
 
 
 def taylor_resolution(ideal: MonomialIdeal) -> GradedComplex:

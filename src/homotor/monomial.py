@@ -9,7 +9,6 @@ counts.
 from __future__ import annotations
 
 import itertools
-from functools import reduce
 
 from .errors import EmptyInput, LengthMismatch, ParamOutOfRange, UnitIdeal
 
@@ -148,13 +147,8 @@ def membership(gamma, ideal: MonomialIdeal) -> bool:
     return any(g.leq(gamma) for g in ideal.gens)
 
 
-def _pair_intersection(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
-    gens = [lcm_deg(g, h) for g in a.gens for h in b.gens]
-    return MonomialIdeal(a.n, gens)
-
-
 def combine(ideals, op: str) -> MonomialIdeal:
-    """Minimal generators of the sum, product or intersection of a family."""
+    """Minimal generators of the sum or product of a family."""
     ideals = list(ideals)
     if not ideals:
         raise EmptyInput("combine needs at least one ideal")
@@ -168,8 +162,6 @@ def combine(ideals, op: str) -> MonomialIdeal:
         for ideal in ideals:
             gens = [g.add(h) for g in gens for h in ideal.gens]
         return MonomialIdeal(n, gens)
-    if op == "intersection":
-        return reduce(_pair_intersection, ideals)
     raise ValueError(f"unknown combine op {op!r}")
 
 

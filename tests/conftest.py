@@ -16,6 +16,7 @@ from homotor.gcomplex import (
     taylor_resolution,
     with_coefficient,
 )
+from homotor.monomial import lcm_deg
 from homotor.multicomplex import Multicomplex, hypercube_augment, tensor, totalize
 from homotor.spectral import SpectralPages, _check_page
 
@@ -38,6 +39,12 @@ def tensor_total(ideals, coefficient=None):
     if coefficient is not None and not coefficient.is_zero():
         total = with_coefficient(total, coefficient)
     return total
+
+
+def pair_intersection(a, b):
+    """The intersection of two monomial ideals, generated by the lcms of a
+    generator of each: the reference for the intersections the tests use."""
+    return MonomialIdeal(a.n, [lcm_deg(g, h) for g in a.gens for h in b.gens])
 
 
 def summand_alive(s, gamma) -> bool:

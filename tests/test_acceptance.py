@@ -4,7 +4,7 @@ Every check is exact (integer dimension equality over the stated boxes);
 random families are drawn from the seeded deterministic generator.
 """
 
-from conftest import direct_e1, stream
+from conftest import direct_e1, pair_intersection, stream
 from homotor.cli import random_instance
 from homotor.gcomplex import module_homology_table, taylor_resolution
 from homotor.monomial import MonomialIdeal, Multidegree, combine, iter_box
@@ -81,7 +81,7 @@ def test_criterion_2_pair_mayer_vietoris():
         box = family_box(fam)
         tor = multi_tor(fam, box=box)
         prod = combine(fam, "product")
-        inter = combine(fam, "intersection")
+        inter = pair_intersection(*fam)
         total = combine(fam, "sum")
         for g in iter_box(box):
             t1 = tor.dim(1, g)

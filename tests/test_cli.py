@@ -5,7 +5,14 @@ import json
 
 import pytest
 
-from homotor.cli import _sample_degrees, main, parse_problem, random_instance, run
+from homotor.cli import (
+    COMMANDS,
+    _sample_degrees,
+    main,
+    parse_problem,
+    random_instance,
+    run,
+)
 from homotor.errors import ParamOutOfRange, ParseError, UnknownCommand, ValidationError
 from homotor.monomial import MonomialIdeal, iter_box
 from homotor.support import supportoftors_check
@@ -173,14 +180,25 @@ def test_cli_malformed_flags_exit_2(problem_path, capsys, flags):
     assert diag["error"]["type"] == "ValidationError"
 
 
-@pytest.mark.parametrize("command", [
-    "betti", "indep", "verify", "support", "rigidity", "a8", "equiv-exactness",
+def _unread(flag, values, readers):
+    """A case per value and per command with a problem file that does not
+    read the flag, with the id value-command."""
+    return [pytest.param(command, [flag, value], id=f"{value}-{command}")
+            for value in values for command in COMMANDS
+            if command != "selftest" and command not in readers]
+
+
+@pytest.mark.parametrize("command, argv", [
+    *_unread("--box", ["1,1", "1"], ("tor", "tor1-oracle", "scomplex", "pcomplex",
+                                     "spectral")),
+    *_unread("--subset", ["0", "5,5"], ("support",)),
+    *_unread("--kind", ["foo"], ("scomplex", "pcomplex", "spectral")),
+    *_unread("--module", ["I1"], ("tor", "betti", "spectral", "support")),
 ])
-@pytest.mark.parametrize("box", ["1,1", "1"])
-def test_cli_box_rejected_where_unread(problem_path, capsys, command, box):
-    """Only tor, tor1-oracle, scomplex, pcomplex and spectral read a box;
-    the other commands reject --box instead of echoing and ignoring it."""
-    assert main([command, problem_path, "--box", box]) == 2
+def test_cli_box_rejected_where_unread(problem_path, capsys, command, argv):
+    """A command rejects --box, --subset, --kind or --module when it does
+    not read it, instead of echoing and ignoring it."""
+    assert main([command, problem_path, *argv]) == 2
     diag = json.loads(capsys.readouterr().out)
     assert diag["error"]["type"] == "ValidationError"
 
@@ -196,6 +214,15 @@ def test_cli_selftest_rejects_box(capsys):
 def test_cli_box_read_where_accepted(problem_path, capsys, argv):
     assert main([argv[0], problem_path, *argv[1:], "--box", "2,2"]) in (0, 1)
     assert json.loads(capsys.readouterr().out)["box"] == [2, 2]
+
+
+@pytest.mark.parametrize("argv", [
+    ["scomplex", "--kind", "tilde"], ["pcomplex", "--kind", "tilde"],
+    ["support", "--module", "I2"],
+])
+def test_cli_flag_read_where_accepted(problem_path, capsys, argv):
+    assert main([argv[0], problem_path, *argv[1:]]) == 0
+    assert json.loads(capsys.readouterr().out)["inputs"]["flags"][argv[1][2:]] == argv[2]
 
 
 @pytest.mark.parametrize("fields", [

@@ -11,13 +11,18 @@ from conftest import summand_alive, unit_koszul
 from homotor.errors import (
     BoxTooSmall,
     CompositionNonzero,
+    InvalidKind,
     LengthMismatch,
     MixedKinds,
     UnitIdeal,
+    ValidationError,
 )
 from homotor.exactlin import GF
 from homotor.gcomplex import (
+    CYCLIC,
+    FREE,
     GradedComplex,
+    Summand,
     cancel_units,
     cyclic_summand,
     exterior_complex,
@@ -110,17 +115,17 @@ def test_stable_box_examples():
 def test_homogeneity_rejected():
     # free -> free entry must not raise the shift
     terms = {0: (free_summand((1, 0)),), 1: (free_summand((0, 0)),)}
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         GradedComplex(2, terms, {1: [(0, 0, 1)]})
     # cyclic -> cyclic needs the induced map to be defined
     a = cyclic_summand(MonomialIdeal(2, [(1, 0)]))
     b = cyclic_summand(MonomialIdeal(2, [(2, 0)]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         GradedComplex(2, {0: (b,), 1: (a,)}, {1: [(0, 0, 1)]})
     # the reverse inclusion is fine
     GradedComplex(2, {0: (a,), 1: (b,)}, {1: [(0, 0, 1)]})
     # coefficients are exact integers: a float sign is rejected
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         GradedComplex(2, {0: (a,), 1: (b,)}, {1: [(0, 0, -1.0)]})
 
 
@@ -128,6 +133,23 @@ def test_mixed_kinds_rejected():
     terms = {0: (free_summand((0, 0)), cyclic_summand(MonomialIdeal(2, [(1, 0)])))}
     with pytest.raises(MixedKinds):
         GradedComplex(2, terms, {})
+
+
+def test_malformed_summands_entries_and_orientations_rejected():
+    zero, x = Multidegree.zero(2), MonomialIdeal(2, [(1, 0)])
+    with pytest.raises(InvalidKind):
+        Summand("twisted", zero)
+    with pytest.raises(ValidationError):
+        Summand(FREE, zero, x)
+    with pytest.raises(ValidationError):
+        Summand(CYCLIC, zero)
+    terms = {0: (free_summand(zero),), 1: (free_summand(zero),)}
+    with pytest.raises(ValidationError):
+        GradedComplex(2, terms, {1: [(0, 1, 1)]})
+    with pytest.raises(InvalidKind):
+        GradedComplex(2, terms, {}, "cochains")
+    with pytest.raises(InvalidKind):
+        exterior_complex(1, lambda s: free_summand(zero), "cochains")
 
 
 def test_dd_zero_checked_symbolically():
@@ -259,7 +281,7 @@ def test_alive_masks_rejects_bad_degrees():
         c.alive_masks((1, 1, 1))
     with pytest.raises(LengthMismatch):
         c.alive_masks((1,))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         c.alive_masks((1, -1))
 
 

@@ -4,6 +4,7 @@ augmentation."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from homotor.cli import random_instance
 from homotor.errors import (
     CompositionNonzero,
     EmptyInput,
@@ -16,6 +17,7 @@ from homotor.gcomplex import (
     cancel_units,
     free_summand,
     module_homology_table,
+    resolution,
     taylor_resolution,
     with_coefficient,
 )
@@ -24,6 +26,8 @@ from homotor.multicomplex import (
     Multicomplex,
     hypercube_augment,
     hypercube_extend,
+    koszul_cone,
+    layout,
     tensor,
     totalize,
 )
@@ -127,6 +131,32 @@ def test_totalize_shift():
     m = tensor([res((1, 0)), res((0, 1))])
     shifted = totalize(m, shift=-1)
     assert min(shifted.window()) == -1
+
+
+@pytest.mark.parametrize("shift", [0, -1])
+@pytest.mark.parametrize("build", [
+    lambda m: m,
+    koszul_cone,
+    lambda m: koszul_cone(hypercube_extend(m), face_axes=m.n_axes),
+    hypercube_extend,
+], ids=["tensor", "kcone", "kcone_extended", "extended"])
+def test_totalize_follows_layout(build, shift):
+    """layout lists each summand of m once, positions in sorted order and
+    the summands of each in their order, in degree |q| + shift; term i of
+    the total is those very summands in that order."""
+    for seed, n_ideals in ((0, 2), (1, 2), (2, 3)):
+        family = random_instance(seed, n_vars=2, n_ideals=n_ideals, max_gens=2, max_exp=2)
+        m = build(tensor([resolution(i) for i in family]))
+        listed = layout(m, shift)
+        total = totalize(m, shift)
+        assert set(listed) == set(total.terms)
+        assert sorted(q for qs in listed.values() for q in qs) == sorted(
+            q for q, ss in m.terms.items() for _ in ss)
+        for i, qs in listed.items():
+            assert qs == sorted(qs) and all(sum(q) + shift == i for q in qs)
+            expected = [s for q in dict.fromkeys(qs) for s in m.terms[q]]
+            assert len(total.terms[i]) == len(expected)
+            assert all(a is b for a, b in zip(total.terms[i], expected))
 
 
 def test_hypercube_augment_one_axis():

@@ -7,14 +7,22 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import block_rank_pages, direct_e1, free_complex, region
+from conftest import block_rank_pages, direct_e1, free_complex, pair_intersection, region
 from homotor import cli, gcomplex, spectral, support
 from homotor.errors import FiltrationViolation, InvalidKind, InvariantBroken, UnitIdeal
 from homotor.exactlin import GF, ScalarMatrix, rank
 from homotor.gcomplex import GradedComplex, free_summand, taylor_resolution
 from homotor.monomial import MonomialIdeal, Multidegree, iter_box
-from homotor.multicomplex import hypercube_augment, tensor, totalize
+from homotor.multicomplex import (
+    hypercube_augment,
+    hypercube_extend,
+    koszul_cone,
+    layout,
+    tensor,
+    totalize,
+)
 from homotor.spectral import FilteredTotal, build_filtration, mv_total_complex, pages
+from homotor.sumprod import build_p_complex, build_s_complex, truncated
 from homotor.torlab import family_box
 
 P = GF().p
@@ -275,6 +283,39 @@ def test_builder_abutments_match_target_complexes():
         assert got == want
 
 
+def test_levels_are_weights_of_the_layout_positions():
+    """Each of the six filtered totals is the total of its multicomplex,
+    and the summand that layout lists at position q sits at level weight(q):
+    the cone index, the number of nonzero coordinates (of the first n for
+    the extended multicomplex), or the position of the S/P factor."""
+    for seed, n in ((3, 2), (4, 3)):
+        family = cli.random_instance(seed, n_vars=2, n_ideals=n, max_gens=2, max_exp=2)
+        m = tensor([gcomplex.resolution(i) for i in family])
+        resolved = gcomplex.resolution(MonomialIdeal.zero(2))
+        cases = {
+            "kcone": (koszul_cone(m), 0, lambda q: q[-1]),
+            "kcone_augmented": (koszul_cone(hypercube_extend(m), face_axes=n), -1,
+                                lambda q: q[-1]),
+            "interior": (m, 0, lambda q: sum(1 for v in q if v)),
+            "interior_augmented": (hypercube_extend(m), -1,
+                                   lambda q: sum(1 for v in q[:n] if v)),
+            "sum_to_product": (
+                tensor([truncated(build_s_complex(family)).shifted(n), resolved]), 0,
+                lambda q: q[0]),
+            "product_to_sum": (tensor([build_p_complex(family), resolved]), 0,
+                               lambda q: q[0]),
+        }
+        for kind, (mc, shift, weight) in cases.items():
+            if kind in cli.MV_KINDS:
+                filtered = mv_total_complex(kind, family)
+            else:
+                filtered = build_filtration(m, kind=kind)
+            assert filtered.total.terms == totalize(mc, shift).terms, kind
+            assert filtered.levels == {
+                i: [weight(q) for q in qs] for i, qs in layout(mc, shift).items()
+            }, kind
+
+
 def test_build_filtration_clamps_gamma():
     m = build_m([[(1, 0)], [(0, 1)]])
     filtered = build_filtration(m, kind="interior")
@@ -426,7 +467,7 @@ def test_pair_tor1_recovered_from_sum_to_product():
     box = (4,)
     tor = multi_tor(fam, box=box)
     prod = combine(fam, "product")
-    inter = combine(fam, "intersection")
+    inter = pair_intersection(*fam)
     stp = mv_total_complex("sum_to_product", fam)
     for g in iter_box(box):
         dim_rij = 0 if prod.contains(g) else 1
