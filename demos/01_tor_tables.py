@@ -58,10 +58,10 @@ print("\nTor_1 oracle agrees with the resolution computation:", agree)
 # Betti numbers, projective dimension, depth and the Cohen-Macaulay test.
 # beta_{i,a} = dim Tor_i(R/I, k)_a with k = R/(x, y), so a Betti table is
 # multi_tor of R/I against the coefficient (x, y).  Tor is balanced, so
-# multi_tor resolves every module but the one with the larger reduced
-# resolution, which enters as itself.  Here both reduced resolutions of R/I
-# have 4 summands, as many as the Koszul complex K(x, y) resolving k, and
-# R/I wins the tie: each table is the Koszul homology H(K(x, y) ⊗ R/I).
+# multi_tor leaves the module with the most minimal generators unresolved
+# and resolves only the other.  Here both ideals have 2 generators, as many
+# as (x, y), and R/I wins the tie (the coefficient comes last): each table
+# is the Koszul homology H(K(x, y) ⊗ R/I), K(x, y) resolving k.
 for ideal, name in ((m, "R/m"), (i, "R/(x^2,xy)")):
     b = betti_table(ideal)
     print(f"\n{name}: pd = {b.pd}, depth = {b.depth}, dim = {b.dim}, "

@@ -73,7 +73,15 @@ FLAG_COMMANDS = {
     "subset": ("support",),
     "kind": ("scomplex", "pcomplex", "spectral"),
     "module": ("tor", "betti", "spectral", "support"),
+    "strong": ("indep",),
+    "seed": ("selftest",),
+    "trials": ("selftest",),
 }
+
+#: The values ``main`` fills in for these flags after checking that no
+#: command is given one it does not read; every report echoes them, and
+#: ``run`` takes them from any command.
+FLAG_DEFAULTS = {"strong": False, "seed": 0, "trials": 10}
 
 SPECTRAL_KINDS = ("kcone", "kcone_augmented", "interior", "interior_augmented")
 MV_KINDS = ("sum_to_product", "product_to_sum")
@@ -239,11 +247,7 @@ def run(command: str, problem: ProblemFile | None, flags: dict) -> dict:
     """Execute one CLI command and build its report."""
     if command not in COMMANDS:
         raise UnknownCommand(f"unknown command {command!r}")
-    for flag, readers in FLAG_COMMANDS.items():
-        if flags.get(flag) is not None and command not in readers:
-            raise ValidationError(
-                f"{command} reads no {flag}; --{flag} applies to {', '.join(readers)}"
-            )
+    _check_flags(command, flags, FLAG_DEFAULTS)
     field = flags.get("field")
     if field is None:
         field = problem.characteristic if problem else GF().p
@@ -291,7 +295,8 @@ def run(command: str, problem: ProblemFile | None, flags: dict) -> dict:
             report["results"][name] = betti_table(_named_ideal(problem, name), fld).to_json()
 
     elif command == "indep":
-        rep = independence(problem.family(), fld=fld, strong=flags.get("strong", False))
+        strong = flags.get("strong", FLAG_DEFAULTS["strong"])
+        rep = independence(problem.family(), fld=fld, strong=strong)
         report["results"]["independence"] = rep.to_json()
         if rep.strong:
             report["assertions"].append(_assertion("criteria_agree", rep.agreement))
@@ -405,13 +410,24 @@ def run(command: str, problem: ProblemFile | None, flags: dict) -> dict:
         report["assertions"] = _report_assertions(rep)
 
     elif command == "selftest":
-        seed = flags.get("seed", 0)
-        trials = flags.get("trials", 10)
+        seed = flags.get("seed", FLAG_DEFAULTS["seed"])
+        trials = flags.get("trials", FLAG_DEFAULTS["trials"])
         if trials < 0:
             raise ValidationError(f"--trials must be non-negative, got {trials}")
         report["results"]["summary"] = _selftest(seed, trials, fld, report["assertions"])
 
     return report
+
+
+def _check_flags(command, flags, defaults):
+    """Reject each flag given to a command that does not read it; a value
+    of None, or the flag's value in ``defaults``, is not given."""
+    for flag, readers in FLAG_COMMANDS.items():
+        value = flags.get(flag)
+        if value is not None and value != defaults.get(flag) and command not in readers:
+            raise ValidationError(
+                f"{command} reads no {flag}; --{flag} applies to {', '.join(readers)}"
+            )
 
 
 def _page_records(table):
@@ -513,13 +529,13 @@ def main(argv=None) -> int:
     parser.add_argument("problem", nargs="?", help="problem JSON file")
     parser.add_argument("--field", type=int, help="prime characteristic override")
     parser.add_argument("--box", help="comma-separated degree box override")
-    parser.add_argument("--strong", action="store_true",
+    parser.add_argument("--strong", action="store_true", default=None,
                         help="strong (all-subsets) independence")
     parser.add_argument("--subset", help="comma-separated index subset")
     parser.add_argument("--module", help="coefficient module (ideal name)")
     parser.add_argument("--kind", help="builder kind / complex variant")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--trials", type=int, default=10)
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--trials", type=int)
     parser.add_argument("--json", help="also write the report to this file")
     parser.add_argument("--timing", action="store_true",
                         help="include wall-clock timing (breaks byte-stability)")
@@ -543,6 +559,10 @@ def main(argv=None) -> int:
             flags["subset"] = _int_list("--subset", args.subset)
         if args.command not in COMMANDS:
             raise UnknownCommand(f"unknown command {args.command!r}")
+        _check_flags(args.command, flags, {})
+        for flag, default in FLAG_DEFAULTS.items():
+            if flags[flag] is None:
+                flags[flag] = default
         problem = None
         if args.command != "selftest":
             if not args.problem:

@@ -74,11 +74,11 @@ class ScalarMatrix:
         merged: dict = {}
         for r, c, v in entries:
             if not (0 <= r < rows and 0 <= c < cols):
-                raise IndexError(f"entry ({r},{c}) outside {rows}x{cols}")
+                raise ValidationError(f"entry ({r},{c}) outside {rows}x{cols}")
             if v:
                 key = (r, c)
                 if key in merged:
-                    raise ValueError(f"duplicate entry at {key}")
+                    raise ValidationError(f"duplicate entry at {key}")
                 merged[key] = v
         self.entries = merged
 

@@ -18,6 +18,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import reduce
 from heapq import heappop, heappush
+from operator import add, and_, or_
 
 from .errors import (
     BoxTooSmall,
@@ -29,7 +30,7 @@ from .errors import (
     ValidationError,
 )
 from .exactlin import GF, PrimeField, ScalarMatrix, rank
-from .monomial import MonomialIdeal, Multidegree, combine, iter_box, lcm_deg
+from .monomial import MonomialIdeal, Multidegree, combine, lcm_deg
 
 FREE = "free"
 CYCLIC = "cyclic"
@@ -51,14 +52,6 @@ class Summand:
             raise ValidationError("free summands carry no ideal")
         if self.kind != FREE and self.ideal is None:
             raise ValidationError(f"{self.kind} summand needs an ideal")
-
-    def box_bound(self) -> Multidegree:
-        """Componentwise threshold beyond which survival no longer changes."""
-        bound = self.shift
-        if self.kind != FREE:
-            for g in self.ideal.gens:
-                bound = lcm_deg(bound, self.shift.add(g))
-        return bound
 
 
 def free_summand(shift) -> Summand:
@@ -105,30 +98,24 @@ def _threshold_table(corners, cuts):
     return sum(bit for bit, _ in corners), columns
 
 
-def _below(table, position) -> int:
-    """Bits of the table's corners that are componentwise <= the degree
-    whose coordinates sit at ``position`` among the cuts."""
-    mask, columns = table
-    for column, v in zip(columns, position):
-        mask &= column[v]
-    return mask
-
-
 def _fibre_tables(terms: dict, n: int):
-    """The cuts of every coordinate, and per term the threshold table of
-    its shifts and the tables of its generator slots.
+    """The cuts of every coordinate and the threshold tables of every term,
+    flattened into one tuple of tables.
 
     Corners are the shifts and, for cyclic and ideal summands, shift +
     gens[j] for each generator slot j (a summand with fewer generators has
     no corner in that slot).  The cuts of coordinate k are 0 and every
     corner coordinate k, so that aliveness is constant between two cuts and
-    beyond the last one.
+    beyond the last one.  Returns ``(cuts, full, rows, layout)``: ``full``
+    holds the OR of each table's bits, ``rows[k][v]`` each table's column
+    entry at cut position v of coordinate k, and ``layout`` per term i the
+    index of its shift table and the number of slot tables after it.
     """
     corners = {}
     for i, ss in terms.items():
         width = max((len(s.ideal.gens) for s in ss if s.ideal is not None), default=0)
         corners[i] = [[(1 << k, s.shift) for k, s in enumerate(ss)]] + [
-            [(1 << k, s.shift.add(s.ideal.gens[j]))
+            [(1 << k, tuple(map(add, s.shift, s.ideal.gens[j])))
              for k, s in enumerate(ss) if j < len(s.ideal.gens)]
             for j in range(width)
         ]
@@ -136,11 +123,28 @@ def _fibre_tables(terms: dict, n: int):
         sorted({0}.union(d[k] for cs in corners.values() for c in cs for _, d in c))
         for k in range(n)
     ]
-    tables = {
-        i: (_threshold_table(cs[0], cuts), [_threshold_table(c, cuts) for c in cs[1:]])
-        for i, cs in corners.items()
-    }
-    return cuts, tables
+    tables, layout = [], []
+    for i, cs in corners.items():
+        layout.append((i, len(tables), len(cs) - 1))
+        tables.extend(_threshold_table(c, cuts) for c in cs)
+    full = tuple(mask for mask, _ in tables)
+    rows = [
+        [tuple(columns[k][v] for _, columns in tables) for v in range(len(cut))]
+        for k, cut in enumerate(cuts)
+    ]
+    return cuts, full, rows, layout
+
+
+def _narrow(state: tuple, row: tuple) -> tuple:
+    """Each table's bits that are also at or below one cut of one coordinate."""
+    return tuple(map(and_, state, row))
+
+
+def _runs(cut, top: int):
+    """(cut position, values) for the values 0..top, grouped by the last cut
+    at or below them."""
+    bounds = [c for c in cut if c <= top] + [top + 1]
+    return [(v, range(lo, hi)) for v, (lo, hi) in enumerate(zip(bounds, bounds[1:]))]
 
 
 class GradedComplex:
@@ -200,7 +204,7 @@ class GradedComplex:
         self.entries = cleaned
         self._check_dd_zero()
         self._rank_cache: dict = {}
-        self._thresholds = None  # built by the first alive_masks call
+        self._thresholds = None  # built by the first _tables call
 
     # -- structure ------------------------------------------------------------
 
@@ -231,13 +235,28 @@ class GradedComplex:
 
     # -- degreewise evaluation --------------------------------------------------
 
+    def _tables(self):
+        if self._thresholds is None:
+            self._thresholds = _fibre_tables(self.terms, self.n)
+        return self._thresholds
+
     def stable_box(self) -> Multidegree:
-        """Componentwise bound D: fibers at gamma depend only on min(gamma, D)."""
-        box = Multidegree.zero(self.n)
-        for ss in self.terms.values():
-            for s in ss:
-                box = lcm_deg(box, s.box_bound())
-        return box
+        """Componentwise bound D: fibers at gamma depend only on min(gamma, D).
+        It is the last cut of each coordinate."""
+        return Multidegree(cut[-1] for cut in self._tables()[0])
+
+    def _term_masks(self, state: tuple) -> dict:
+        """{i: alive bitmask of term i} from the running masks of every table:
+        alive = at or above the shift, and (ideal) in or (cyclic) out of the
+        shifted ideal, i.e. above some generator-slot corner."""
+        masks = {}
+        for i, at, width in self._tables()[3]:
+            mask = state[at]
+            if self.kind != FREE:
+                member = reduce(or_, state[at + 1:at + 1 + width], 0)
+                mask = mask & member if self.kind == IDEAL else mask & ~member
+            masks[i] = mask
+        return masks
 
     def alive_masks(self, gamma) -> dict:
         """{i: bitmask of the summands of term i alive at gamma}."""
@@ -245,20 +264,33 @@ class GradedComplex:
             raise LengthMismatch(f"degree length {len(gamma)} != {self.n}")
         if any(g < 0 for g in gamma):
             raise ValidationError(f"negative exponent in {tuple(gamma)}")
-        if self._thresholds is None:
-            self._thresholds = _fibre_tables(self.terms, self.n)
-        cuts, tables = self._thresholds
-        position = [bisect_right(cut, g) - 1 for cut, g in zip(cuts, gamma)]
-        masks = {}
-        for i, (leq, slots) in tables.items():
-            mask = _below(leq, position)
-            if self.kind != FREE:
-                member = 0
-                for slot in slots:
-                    member |= _below(slot, position)
-                mask = mask & member if self.kind == IDEAL else mask & ~member
-            masks[i] = mask
-        return masks
+        cuts, state, rows, _ = self._tables()
+        for cut, row, g in zip(cuts, rows, gamma):
+            state = _narrow(state, row[bisect_right(cut, g) - 1])
+        return self._term_masks(state)
+
+    def _mask_runs(self, box):
+        """(degrees, alive masks) over the box in lexicographic order: one
+        sweep that narrows the tables by each coordinate's cut only when
+        that cut changes.  Each run is the consecutive degrees, plain
+        tuples, that share one cut of the last coordinate, so share masks."""
+        cuts, full, rows, _ = self._tables()
+        runs = [_runs(cut, top) for cut, top in zip(cuts, box)]
+        last = self.n - 1
+
+        def walk(k, prefix, state):
+            if k > last:  # n = 0: the box is the one empty degree
+                yield [prefix], self._term_masks(state)
+                return
+            for v, values in runs[k]:
+                narrowed = _narrow(state, rows[k][v])
+                if k == last:
+                    yield [prefix + (g,) for g in values], self._term_masks(narrowed)
+                else:
+                    for g in values:
+                        yield from walk(k + 1, prefix + (g,), narrowed)
+
+        return walk(0, (), full)
 
     def _masked_rank(self, i: int, src_mask: int, tgt_mask: int, field: PrimeField) -> int:
         key = (field.p, i, src_mask, tgt_mask)
@@ -278,16 +310,19 @@ class GradedComplex:
         self._rank_cache[key] = r
         return r
 
-    def homology_at(self, gamma, field: PrimeField = GF()) -> dict:
-        """{i: dim H_i at degree gamma} using the mask/rank cache."""
-        masks = self.alive_masks(gamma)
+    def _homology(self, masks: dict, field: PrimeField) -> dict:
+        """{i: dim H_i} of the fibre whose alive summands are ``masks``."""
         out = {}
         for i in self.window():
-            dim = (masks.get(i, 0)).bit_count()
-            r_out = self._masked_rank(i, masks.get(i, 0), masks.get(i - 1, 0), field)
-            r_in = self._masked_rank(i + 1, masks.get(i + 1, 0), masks.get(i, 0), field)
-            out[i] = dim - r_out - r_in
+            here = masks.get(i, 0)
+            r_out = self._masked_rank(i, here, masks.get(i - 1, 0), field)
+            r_in = self._masked_rank(i + 1, masks.get(i + 1, 0), here, field)
+            out[i] = here.bit_count() - r_out - r_in
         return out
+
+    def homology_at(self, gamma, field: PrimeField = GF()) -> dict:
+        """{i: dim H_i at degree gamma} using the mask/rank cache."""
+        return self._homology(self.alive_masks(gamma), field)
 
     def shifted(self, k: int) -> "GradedComplex":
         """Degree shift: index i of the result holds what sat at index i - k."""
@@ -356,7 +391,10 @@ def module_homology_table(c: GradedComplex, field: PrimeField = GF(),
     """Dimensions of H_i(c)_gamma for every i in the window and gamma <= box.
 
     The box defaults to the stability box; a user box must dominate it so
-    that module-level vanishing remains decidable from the table.
+    that module-level vanishing remains decidable from the table.  One
+    sweep gives the alive masks of every degree of the box, and homology is
+    computed once per fibre class (degrees with the same masks have the same
+    fibre).  Entries are listed by degree, lexicographically, then by i.
     """
     sb = c.stable_box()
     if box is None:
@@ -365,11 +403,16 @@ def module_homology_table(c: GradedComplex, field: PrimeField = GF(),
         box = Multidegree(box)
         if not sb.leq(box):
             raise BoxTooSmall(f"box {tuple(box)} does not dominate {tuple(sb)}")
+    classes = {}
     entries = {}
-    for gamma in iter_box(box):
-        for i, h in c.homology_at(gamma, field).items():
-            if h:
-                entries[(i, tuple(gamma))] = h
+    for degrees, masks in c._mask_runs(box):
+        key = tuple(masks.values())
+        dims = classes.get(key)
+        if dims is None:
+            dims = classes[key] = [(i, h) for i, h in c._homology(masks, field).items() if h]
+        for gamma in degrees:
+            for i, h in dims:
+                entries[(i, gamma)] = h
     return TorTable(entries, box)
 
 

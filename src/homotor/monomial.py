@@ -10,7 +10,14 @@ from __future__ import annotations
 
 import itertools
 
-from .errors import EmptyInput, LengthMismatch, ParamOutOfRange, UnitIdeal
+from .errors import (
+    EmptyInput,
+    InvalidKind,
+    LengthMismatch,
+    ParamOutOfRange,
+    UnitIdeal,
+    ValidationError,
+)
 
 MAX_VARS_FOR_DIMENSION = 16
 
@@ -26,7 +33,7 @@ class Multidegree(tuple):
     def __new__(cls, exponents):
         exps = tuple(int(e) for e in exponents)
         if any(e < 0 for e in exps):
-            raise ValueError(f"negative exponent in {exps}")
+            raise ValidationError(f"negative exponent in {exps}")
         return super().__new__(cls, exps)
 
     @property
@@ -46,7 +53,7 @@ class Multidegree(tuple):
         self._match(other)
         diff = [a - b for a, b in zip(self, other)]
         if any(d < 0 for d in diff):
-            raise ValueError(f"{self} - {other} leaves N^n")
+            raise ValidationError(f"{self} - {other} leaves N^n")
         return Multidegree(diff)
 
     def support(self) -> frozenset:
@@ -162,7 +169,7 @@ def combine(ideals, op: str) -> MonomialIdeal:
         for ideal in ideals:
             gens = [g.add(h) for g in gens for h in ideal.gens]
         return MonomialIdeal(n, gens)
-    raise ValueError(f"unknown combine op {op!r}")
+    raise InvalidKind(f"unknown combine op {op!r}")
 
 
 def quotient_dimension(ideal: MonomialIdeal):

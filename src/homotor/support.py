@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import OverlappingPartitions, ParamOutOfRange
+from .errors import BoxTooSmall, OverlappingPartitions, ParamOutOfRange, ValidationError
 from .exactlin import GF, PrimeField
 from .gcomplex import TorTable
 from .monomial import MonomialIdeal, Multidegree, combine, iter_box, lcm_deg
@@ -37,7 +37,7 @@ class SupportRegion:
     def rebase(self, new_box) -> "SupportRegion":
         new_box = Multidegree(new_box)
         if not self.box.leq(new_box):
-            raise ValueError("rebase target must dominate the region box")
+            raise BoxTooSmall("rebase target must dominate the region box")
         cells = frozenset(
             tuple(g) for g in iter_box(new_box) if self.member(g)
         )
@@ -92,7 +92,7 @@ def supportoftors_check(partitions, coefficient: MonomialIdeal,
         if seen & set(J):
             raise OverlappingPartitions(f"overlapping variable sets at {J}")
         if any(i < 0 or i >= n for i in J):
-            raise IndexError(f"variable index out of range in {J}")
+            raise ValidationError(f"variable index out of range in {J}")
         seen |= set(J)
     s = len(sets)
     if not 1 <= p <= s:

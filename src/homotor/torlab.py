@@ -61,21 +61,24 @@ def multi_tor(ideals, coefficient: MonomialIdeal | None = None,
 
     Tor is balanced (Weibel, An Introduction to Homological Algebra, 2.7):
     it is the homology of the tensor of resolutions of all modules but one
-    with that last module itself.  Each module, R/coefficient included
-    unless the coefficient is zero, gets its ``resolution``; the one with
-    the most summands (the first in family order on a tie, R/coefficient
-    last) stays unresolved and enters the tensor as the cyclic complex R/I
-    in degree 0."""
+    with that last module itself.  The one left unresolved is picked first:
+    the module, R/coefficient included unless the coefficient is zero, with
+    the most minimal generators (its Taylor size 2^g bounds its reduced
+    size; the first in family order on a tie, R/coefficient last).  It
+    enters the tensor as the cyclic complex R/I in degree 0, and only the
+    others get their ``resolution``."""
     ideals, n = _validate_family(ideals)
     if coefficient is not None and coefficient.is_unit():
         raise ZeroModule("coefficient module R/I is zero")
     modules = list(ideals)
     if coefficient is not None and not coefficient.is_zero():
         modules.append(coefficient)
-    factors = [resolution(ideal) for ideal in modules]
-    sizes = [sum(map(len, f.terms.values())) for f in factors]
+    sizes = [len(ideal.gens) for ideal in modules]
     u = sizes.index(max(sizes))
-    factors[u] = GradedComplex(n, {0: (cyclic_summand(modules[u]),)}, {})
+    factors = [
+        GradedComplex(n, {0: (cyclic_summand(ideal),)}, {}) if k == u else resolution(ideal)
+        for k, ideal in enumerate(modules)
+    ]
     if box is None:
         box = family_box(ideals, coefficient)
     return module_homology_table(totalize(tensor(factors)), fld, box)
@@ -205,11 +208,11 @@ def betti_table(ideal: MonomialIdeal, fld: PrimeField = GF()) -> BettiReport:
 
     The residue field is k = R/(x_1, ..., x_n), so the table is ``multi_tor``
     of R/I against that coefficient, the balanced tensor of the two.  When
-    the unit-cancelled Taylor resolution of R/I has at least the 2^n
-    summands of the Koszul complex K(x) resolving k, the table is the Koszul
-    homology H(K(x) ⊗ R/I); otherwise it is that reduced resolution of R/I
-    with every summand R(-a) turned into k(-a), which lives only at degree
-    a.  Its box is lcm(gens) + (1, ..., 1)."""
+    I has at least n minimal generators, R/I stays unresolved and the table
+    is the Koszul homology H(K(x) ⊗ R/I), K(x) resolving k; otherwise it is
+    the reduced resolution of R/I with every summand R(-a) turned into
+    k(-a), which lives only at degree a.  Only one of the two is resolved.
+    Its box is lcm(gens) + (1, ..., 1)."""
     if ideal.is_unit():
         raise UnitIdeal("R/I is zero")
     n = ideal.n

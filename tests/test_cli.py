@@ -7,6 +7,7 @@ import pytest
 
 from homotor.cli import (
     COMMANDS,
+    FLAG_DEFAULTS,
     _sample_degrees,
     main,
     parse_problem,
@@ -182,8 +183,10 @@ def test_cli_malformed_flags_exit_2(problem_path, capsys, flags):
 
 def _unread(flag, values, readers):
     """A case per value and per command with a problem file that does not
-    read the flag, with the id value-command."""
-    return [pytest.param(command, [flag, value], id=f"{value}-{command}")
+    read the flag, with the id value-command; a flag without a value
+    (values [None]) has the id flag-command."""
+    return [pytest.param(command, [flag] if value is None else [flag, value],
+                         id=f"{value or flag[2:]}-{command}")
             for value in values for command in COMMANDS
             if command != "selftest" and command not in readers]
 
@@ -194,10 +197,14 @@ def _unread(flag, values, readers):
     *_unread("--subset", ["0", "5,5"], ("support",)),
     *_unread("--kind", ["foo"], ("scomplex", "pcomplex", "spectral")),
     *_unread("--module", ["I1"], ("tor", "betti", "spectral", "support")),
+    *_unread("--strong", [None], ("indep",)),
+    *_unread("--seed", ["0", "7"], ("selftest",)),
+    *_unread("--trials", ["10", "3"], ("selftest",)),
 ])
 def test_cli_box_rejected_where_unread(problem_path, capsys, command, argv):
-    """A command rejects --box, --subset, --kind or --module when it does
-    not read it, instead of echoing and ignoring it."""
+    """A command rejects --box, --subset, --kind, --module, --strong, --seed
+    or --trials when it does not read it, instead of echoing and ignoring
+    it, even when the value given is the default."""
     assert main([command, problem_path, *argv]) == 2
     diag = json.loads(capsys.readouterr().out)
     assert diag["error"]["type"] == "ValidationError"
@@ -206,6 +213,25 @@ def test_cli_box_rejected_where_unread(problem_path, capsys, command, argv):
 def test_cli_selftest_rejects_box(capsys):
     assert main(["selftest", "--trials", "0", "--box", "1,1"]) == 2
     assert json.loads(capsys.readouterr().out)["error"]["type"] == "ValidationError"
+    assert main(["selftest", "--trials", "0", "--strong"]) == 2
+    assert json.loads(capsys.readouterr().out)["error"]["type"] == "ValidationError"
+
+
+def test_cli_defaults_of_unread_flags_are_echoed(problem_path, capsys):
+    """main fills --strong, --seed and --trials in after the check, so every
+    report echoes them; run takes those defaults from any command, as the
+    flags of a command line, but not another value."""
+    assert main(["tor", problem_path]) == 0
+    echoed = json.loads(capsys.readouterr().out)["inputs"]["flags"]
+    assert echoed == {**FLAG_DEFAULTS, "timing": False}
+    assert FLAG_DEFAULTS == {"strong": False, "seed": 0, "trials": 10}
+    problem = parse_problem(problem_path)
+    flags = {"field": None, "strong": False, "module": None, "kind": None,
+             "seed": 0, "trials": 10, "json": None, "timing": False}
+    assert run("tor", problem, flags)["inputs"]["flags"] == echoed
+    for flag, value in (("strong", True), ("seed", 7), ("trials", 3)):
+        with pytest.raises(ValidationError):
+            run("tor", problem, {**flags, flag: value})
 
 
 @pytest.mark.parametrize("argv", [

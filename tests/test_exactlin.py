@@ -53,9 +53,9 @@ def test_pivot_pairs_take_rows_in_the_given_order():
 
 
 def test_scalar_matrix_invariants():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         ScalarMatrix(2, 2, [(0, 0, 1), (0, 0, 2)])
-    with pytest.raises(IndexError):
+    with pytest.raises(ValidationError):
         ScalarMatrix(1, 1, [(1, 0, 1)])
     # stored zeros are dropped
     assert ScalarMatrix(2, 2, [(0, 0, 0)]).nnz == 0

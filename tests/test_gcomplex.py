@@ -21,6 +21,7 @@ from homotor.exactlin import GF
 from homotor.gcomplex import (
     CYCLIC,
     FREE,
+    IDEAL,
     GradedComplex,
     Summand,
     cancel_units,
@@ -225,6 +226,40 @@ def complexes_of_every_kind(draw):
     if build == "p":
         return build_p_complex(ideals, "tilde")
     return build_s_complex(ideals, build)
+
+
+@st.composite
+def complexes_and_growth(draw):
+    """A complex of every kind, the free and cyclic ones also with a
+    quotient coefficient, and a growth of 1-2 per coordinate."""
+    c = draw(complexes_of_every_kind())
+    if c.kind != IDEAL and draw(st.booleans()):
+        c = with_coefficient(c, draw(proper_ideals(c.n)))
+    return c, draw(st.lists(st.integers(1, 2), min_size=c.n, max_size=c.n))
+
+
+@settings(deadline=None)
+@given(complexes_and_growth())
+def test_table_sweep_matches_the_per_degree_walk(case):
+    """module_homology_table, one sweep and one homology per fibre class,
+    equals homology_at at every degree of the stable box and of the box
+    grown by 1-2, entries in the same order (degree, then i), over GF(2),
+    GF(3) and GF(32003); a box short of the stable box is refused."""
+    c, growth = case
+    stable = c.stable_box()
+    for box in (None, tuple(b + g for b, g in zip(stable, growth))):
+        for p in (2, 3, 32003):
+            table = module_homology_table(c, GF(p), box)
+            walk = {(i, tuple(gamma)): h for gamma in iter_box(table.box)
+                    for i, h in c.homology_at(gamma, GF(p)).items() if h}
+            assert table.entries == walk
+            assert list(table.entries) == list(walk)
+    for k, b in enumerate(stable):
+        if b:
+            short = list(stable)
+            short[k] -= 1
+            with pytest.raises(BoxTooSmall):
+                module_homology_table(c, box=short)
 
 
 def _assert_masks_match_summands(c, degrees=None):

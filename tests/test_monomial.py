@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import pair_intersection
-from homotor.errors import EmptyInput, LengthMismatch, UnitIdeal
+from homotor.errors import (
+    EmptyInput,
+    InvalidKind,
+    LengthMismatch,
+    UnitIdeal,
+    ValidationError,
+)
 from homotor.monomial import (
     MonomialIdeal,
     Multidegree,
@@ -33,9 +39,9 @@ def test_lcm_examples():
 
 
 def test_multidegree_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         Multidegree((-1, 0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         Multidegree((1, 0)).sub(Multidegree((2, 0)))
 
 
@@ -65,7 +71,7 @@ def test_combine_examples():
     assert pair_intersection(m, x) == x
     with pytest.raises(EmptyInput):
         combine([], "sum")
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidKind):
         combine([x, y], "intersection")
 
 

@@ -3,7 +3,12 @@ blocks."""
 
 import pytest
 
-from homotor.errors import OverlappingPartitions, ParamOutOfRange
+from homotor.errors import (
+    BoxTooSmall,
+    OverlappingPartitions,
+    ParamOutOfRange,
+    ValidationError,
+)
 from homotor.gcomplex import TorTable
 from homotor.monomial import MonomialIdeal, Multidegree
 from homotor.support import (
@@ -51,6 +56,8 @@ def test_region_compare_and_rebase():
     assert cmp["left_minus_right"] == [[1, 1]]
     # a union rebases both regions to the common box first
     assert a.union(c).cells == {(1, 1), (2, 1)}
+    with pytest.raises(BoxTooSmall):
+        c.rebase((1, 1))
 
 
 def test_supportoftors_examples():
@@ -67,6 +74,8 @@ def test_supportoftors_rejects_overlap():
         supportoftors_check([[0, 1], [1]], MonomialIdeal.zero(2), 1)
     with pytest.raises(OverlappingPartitions):
         supportoftors_check([[0], []], MonomialIdeal.zero(2), 1)
+    with pytest.raises(ValidationError):
+        supportoftors_check([[0], [2]], MonomialIdeal.zero(2), 1)
 
 
 @pytest.mark.parametrize("p", [0, 3])

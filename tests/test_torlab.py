@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import stream, tensor_total
+from homotor import torlab
 from homotor.exactlin import GF
 from homotor.errors import BoxTooSmall, EmptyInput, UnitIdeal, ZeroModule
 from homotor.gcomplex import (
     cancel_units,
     module_homology_table,
+    resolution,
     taylor_resolution,
     with_coefficient,
 )
@@ -301,3 +303,26 @@ def test_default_box_is_the_family_box_and_smaller_boxes_are_refused(kxy):
     variables = MonomialIdeal.variables(2, range(2))
     for ideal in (kxy["m"], kxy["x2xy"], big, MonomialIdeal.zero(2)):
         assert betti_table(ideal).betti.box == family_box([ideal], variables)
+
+
+def test_only_the_modules_the_tensor_uses_are_resolved(monkeypatch):
+    """The module with the most minimal generators is picked before any
+    resolution is built and is never resolved: a Betti table of a
+    7-generator ideal in 3 variables resolves only the residue field, and
+    multi_tor of a 4- and a 5-generator ideal resolves only the first."""
+    calls = []
+
+    def counting(ideal):
+        calls.append(ideal)
+        return resolution(ideal)
+
+    monkeypatch.setattr(torlab, "resolution", counting)
+    seven = MonomialIdeal(3, [(3, 0, 0), (0, 3, 0), (0, 0, 3), (2, 1, 0),
+                              (1, 2, 0), (0, 2, 1), (1, 1, 1)])
+    betti_table(seven)
+    assert calls == [MonomialIdeal.variables(3, range(3))]
+    calls.clear()
+    i4 = MonomialIdeal(3, [(2, 0, 0), (0, 2, 0), (1, 1, 0), (0, 1, 1)])
+    j5 = MonomialIdeal(3, [(3, 0, 0), (0, 3, 0), (0, 0, 3), (1, 1, 1), (2, 0, 1)])
+    multi_tor([i4, j5])
+    assert calls == [i4]
