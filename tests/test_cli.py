@@ -181,12 +181,17 @@ def test_cli_malformed_flags_exit_2(problem_path, capsys, flags):
     assert diag["error"]["type"] == "ValidationError"
 
 
-def _unread(flag, values, readers):
+def _unread(flag, values, readers, named=False):
     """A case per value and per command with a problem file that does not
-    read the flag, with the id value-command; a flag without a value
-    (values [None]) has the id flag-command."""
+    read the flag, with the id value-command, or flag=value-command when
+    named (so --seed 0 and --subset 0 get distinct ids); a flag without a
+    value (values [None]) has the id flag-command."""
+    def case_id(value, command):
+        if value is None:
+            return f"{flag[2:]}-{command}"
+        return f"{flag[2:]}={value}-{command}" if named else f"{value}-{command}"
     return [pytest.param(command, [flag] if value is None else [flag, value],
-                         id=f"{value or flag[2:]}-{command}")
+                         id=case_id(value, command))
             for value in values for command in COMMANDS
             if command != "selftest" and command not in readers]
 
@@ -198,8 +203,8 @@ def _unread(flag, values, readers):
     *_unread("--kind", ["foo"], ("scomplex", "pcomplex", "spectral")),
     *_unread("--module", ["I1"], ("tor", "betti", "spectral", "support")),
     *_unread("--strong", [None], ("indep",)),
-    *_unread("--seed", ["0", "7"], ("selftest",)),
-    *_unread("--trials", ["10", "3"], ("selftest",)),
+    *_unread("--seed", ["0", "7"], ("selftest",), named=True),
+    *_unread("--trials", ["10", "3"], ("selftest",), named=True),
 ])
 def test_cli_box_rejected_where_unread(problem_path, capsys, command, argv):
     """A command rejects --box, --subset, --kind, --module, --strong, --seed
