@@ -17,6 +17,7 @@ import math
 import random
 import sys
 import time
+from functools import partial
 
 from . import __version__
 from .errors import (
@@ -50,33 +51,9 @@ from .torlab import (
 from .multicomplex import tensor
 from .gcomplex import resolution
 
-COMMANDS = (
-    "tor",
-    "tor1-oracle",
-    "betti",
-    "indep",
-    "scomplex",
-    "pcomplex",
-    "verify",
-    "spectral",
-    "support",
-    "rigidity",
-    "a8",
-    "equiv-exactness",
-    "selftest",
-)
-
-#: The commands that read each of these flags; every other command rejects
-#: the flag when it is given (a value of None is not given).
-FLAG_COMMANDS = {
-    "box": ("tor", "tor1-oracle", "scomplex", "pcomplex", "spectral"),
-    "subset": ("support",),
-    "kind": ("scomplex", "pcomplex", "spectral"),
-    "module": ("tor", "betti", "spectral", "support"),
-    "strong": ("indep",),
-    "seed": ("selftest",),
-    "trials": ("selftest",),
-}
+#: The flags a command rejects when it does not read them (a value of None
+#: is not given), in the order they are checked.
+CHECKED_FLAGS = ("box", "subset", "kind", "module", "strong", "seed", "trials")
 
 #: The values ``main`` fills in for these flags after checking that no
 #: command is given one it does not read; every report echoes them, and
@@ -210,17 +187,6 @@ def _assertion(name, passed, witnesses=None):
     return {"name": name, "passed": bool(passed), "witnesses": witnesses or []}
 
 
-def _report_assertions(check_report):
-    out = []
-    for a in check_report.assertions:
-        if not a["checked"]:
-            out.append({"name": a["name"], "passed": True, "skipped": True,
-                        "witnesses": []})
-        else:
-            out.append(_assertion(a["name"], a["passed"], a["witnesses"]))
-    return out
-
-
 def _sample_degrees(box, cap=12):
     """At most ``cap`` cells of the box: the lexicographic indices 0, stride,
     2 stride, ... and the last one, unranked without listing the box."""
@@ -243,15 +209,218 @@ def _sample_degrees(box, cap=12):
     return cells
 
 
+# -- commands: each handler fills in the report of one command --------------
+
+
+def _tor(problem, flags, fld, box, report):
+    family = problem.family()
+    coeff = _flag_coefficient(problem, flags)
+    use_box = box if box is not None else family_box(family, coeff)
+    table = multi_tor(family, coefficient=coeff, fld=fld, box=use_box)
+    report["box"] = list(table.box)
+    report["results"]["tor"] = table.records()
+
+
+def _tor1_mismatches(family, fld, box):
+    """The Tor_1 oracle table over the box, and the degrees of the box
+    where multi_tor's Tor_1 differs from it."""
+    table = multi_tor(family, fld=fld, box=box)
+    oracle = tor1_oracle(family, fld=fld, box=box)
+    mismatches = [
+        {"degree": list(g), "expected": oracle.dim(1, g), "actual": table.dim(1, g)}
+        for g in iter_box(box) if table.dim(1, g) != oracle.dim(1, g)
+    ]
+    return oracle, mismatches
+
+
+def _tor1_oracle(problem, flags, fld, box, report):
+    family = problem.family()
+    use_box = box if box is not None else family_box(family)
+    oracle, mismatches = _tor1_mismatches(family, fld, use_box)
+    report["box"] = list(use_box)
+    report["results"]["tor1"] = oracle.records()
+    report["assertions"].append(
+        _assertion("tor1_oracle_equivalence", not mismatches, mismatches[:8])
+    )
+
+
+def _betti(problem, flags, fld, box, report):
+    names = [flags["module"]] if flags.get("module") else list(problem.ideals)
+    for name in names:
+        report["results"][name] = betti_table(_named_ideal(problem, name), fld).to_json()
+
+
+def _indep(problem, flags, fld, box, report):
+    strong = flags.get("strong", FLAG_DEFAULTS["strong"])
+    rep = independence(problem.family(), fld=fld, strong=strong)
+    report["results"]["independence"] = rep.to_json()
+    if rep.strong:
+        report["assertions"].append(_assertion("criteria_agree", rep.agreement))
+
+
+def _complex(build, problem, flags, fld, box, report):
+    """scomplex and pcomplex: the term ranks and homology of S or P."""
+    c = build(problem.family(), variant=flags.get("kind") or "quotient")
+    table = complex_homology_table(c, fld, box)
+    report["box"] = list(table.box)
+    report["results"]["ranks"] = {str(i): len(ss) for i, ss in sorted(c.terms.items())}
+    report["results"]["homology"] = table.records()
+
+
+def _checks(check, problem, flags, fld, box, report):
+    """verify and equiv-exactness: the context and assertions of a CheckReport."""
+    rep = check(problem.family(), fld)
+    report["results"]["context"] = rep.context
+    report["assertions"] = [
+        _assertion(a["name"], a["passed"], a["witnesses"]) if a["checked"] else
+        {"name": a["name"], "passed": True, "skipped": True, "witnesses": []}
+        for a in rep.assertions
+    ]
+
+
+def _spectral(problem, flags, fld, box, report):
+    kind = flags.get("kind")
+    if kind not in SPECTRAL_KINDS + MV_KINDS:
+        raise ValidationError(f"--kind must be one of {SPECTRAL_KINDS + MV_KINDS}")
+    family = problem.family()
+    coeff = _flag_coefficient(problem, flags)
+    if kind in SPECTRAL_KINDS:
+        if coeff is not None:
+            raise ValidationError(f"--kind {kind} takes no module")
+        filtered = build_filtration(tensor([resolution(i) for i in family]), kind=kind)
+    else:
+        filtered = mv_total_complex(kind, family, coeff)
+    use_box = box if box is not None else family_box(family, coeff)
+    report["box"] = list(use_box)
+    all_ok = True
+    out = {}
+    for gamma in _sample_degrees(use_box):
+        pg = pages(filtered, gamma, fld)
+        all_ok = all_ok and pg.converged
+        out[",".join(map(str, gamma))] = {
+            "e1": _page_records(pg.e1),
+            "e_infinity": _page_records(pg.e_infinity),
+            "r_stab": pg.r_stab,
+            "converged": pg.converged,
+        }
+    report["results"]["pages"] = out
+    report["assertions"].append(_assertion("convergence", all_ok))
+
+
+def _support(problem, flags, fld, box, report):
+    family = problem.family()
+    coeff = _flag_coefficient(problem, flags)
+    partitions = _variable_partitions(family)
+    subset = flags.get("subset")
+    if partitions is None and subset:
+        raise ValidationError(
+            "--subset needs a family of disjoint variable-generated ideals"
+        )
+    if partitions is not None:
+        coeff_ideal = coeff if coeff is not None else MonomialIdeal.zero(problem.n)
+        s = len(partitions)
+        if subset and (len(set(subset)) != len(subset)
+                       or any(not 0 <= i < s for i in subset)):
+            raise ValidationError(
+                f"--subset must name distinct ideal indices in 0..{s - 1}"
+            )
+        if subset:
+            partitions = [partitions[i] for i in sorted(subset)]
+        ps = [len(subset)] if subset else list(range(1, s + 1))
+        all_ok = True
+        for p in ps:
+            rep = supportoftors_check(partitions, coeff_ideal, p, fld)
+            report["results"][f"p={p}"] = rep.to_json()
+            all_ok = all_ok and rep.passed
+        report["assertions"].append(_assertion("support_union_equality", all_ok))
+    else:
+        regions = {}
+        for name, ideal in problem.ideals.items():
+            table = multi_tor([ideal], coefficient=coeff, fld=fld)
+            regions[name] = support_region(table)
+            report["results"][name] = [list(c) for c in regions[name].sorted_cells()]
+        names = list(regions)
+        if len(names) >= 2:
+            report["results"]["compare_first_two"] = region_compare(
+                regions[names[0]], regions[names[1]]
+            )
+
+
+def _rigidity(problem, flags, fld, box, report):
+    rep = rigidity_check(problem.family(), fld)
+    report["results"]["rigidity"] = rep.to_json()
+    report["assertions"].append(
+        _assertion("no_rigidity_violations", rep.passed, rep.violations)
+    )
+
+
+def _a8(problem, flags, fld, box, report):
+    rep = serre_a8_check(problem.family(), fld)
+    report["results"]["a8"] = rep.to_json()
+    report["assertions"].append(
+        _assertion("three_way_equivalence", rep.passed,
+                   [] if rep.passed else [{"triple": list(rep.triple)}])
+    )
+
+
+def _selftest(problem, flags, fld, box, report):
+    """Deterministic random-instance sweep over the main checkers."""
+    seed = flags.get("seed", FLAG_DEFAULTS["seed"])
+    trials = flags.get("trials", FLAG_DEFAULTS["trials"])
+    if trials < 0:
+        raise ValidationError(f"--trials must be non-negative, got {trials}")
+    summary = {"trials": trials, "families": []}
+    failures = []
+    for t in range(trials):
+        family = random_instance(seed * 100003 + t, n_vars=2 + t % 2,
+                                 n_ideals=2 + t % 2, max_gens=2, max_exp=2)
+        summary["families"].append([[list(g) for g in ideal.gens] for ideal in family])
+        _, mismatches = _tor1_mismatches(family, fld, family_box(family))
+        if mismatches:
+            failures.append({"trial": t, "check": "tor1_oracle",
+                             "degree": mismatches[0]["degree"]})
+        rep = rigidity_check(family, fld)
+        if not rep.passed:
+            failures.append({"trial": t, "check": "rigidity",
+                             "violations": rep.violations[:2]})
+        a8 = serre_a8_check(family, fld)
+        if not a8.passed:
+            failures.append({"trial": t, "check": "a8", "triple": list(a8.triple)})
+    report["assertions"].append(_assertion("selftest", not failures, failures[:8]))
+    summary["failures"] = len(failures)
+    report["results"]["summary"] = summary
+
+
+#: Every command: the flags it reads (of CHECKED_FLAGS; ``box`` also covers
+#: the problem file's box) and its handler, in the order of the help text.
+COMMANDS = {
+    "tor": (("box", "module"), _tor),
+    "tor1-oracle": (("box",), _tor1_oracle),
+    "betti": (("module",), _betti),
+    "indep": (("strong",), _indep),
+    "scomplex": (("box", "kind"), partial(_complex, build_s_complex)),
+    "pcomplex": (("box", "kind"), partial(_complex, build_p_complex)),
+    "verify": ((), partial(_checks, verify_identities)),
+    "spectral": (("box", "kind", "module"), _spectral),
+    "support": (("subset", "module"), _support),
+    "rigidity": ((), _rigidity),
+    "a8": ((), _a8),
+    "equiv-exactness": ((), partial(_checks, exactness_equivalences)),
+    "selftest": (("seed", "trials"), _selftest),
+}
+
+
 def run(command: str, problem: ProblemFile | None, flags: dict) -> dict:
     """Execute one CLI command and build its report."""
     if command not in COMMANDS:
         raise UnknownCommand(f"unknown command {command!r}")
     _check_flags(command, flags, FLAG_DEFAULTS)
+    reads, handler = COMMANDS[command]
+    if problem is not None and problem.box is not None and "box" not in reads:
+        raise ValidationError(f"{command} reads no box, so its problem file sets none")
     field = flags.get("field")
     if field is None:
         field = problem.characteristic if problem else GF().p
-    fld = GF(field)
     report = {
         "command": command,
         "inputs": {
@@ -263,168 +432,18 @@ def run(command: str, problem: ProblemFile | None, flags: dict) -> dict:
         "assertions": [],
     }
     box = flags.get("box") or (problem.box if problem else None)
-
-    if command == "tor":
-        family = problem.family()
-        coeff = _flag_coefficient(problem, flags)
-        use_box = box if box is not None else family_box(family, coeff)
-        table = multi_tor(family, coefficient=coeff, fld=fld, box=use_box)
-        report["box"] = list(table.box)
-        report["results"]["tor"] = table.records()
-
-    elif command == "tor1-oracle":
-        family = problem.family()
-        use_box = box if box is not None else family_box(family)
-        table = multi_tor(family, fld=fld, box=use_box)
-        oracle = tor1_oracle(family, fld=fld, box=use_box)
-        report["box"] = list(use_box)
-        report["results"]["tor1"] = oracle.records()
-        mismatches = []
-        for g in iter_box(use_box):
-            a = table.dim(1, g)
-            b = oracle.dim(1, g)
-            if a != b:
-                mismatches.append({"degree": list(g), "expected": b, "actual": a})
-        report["assertions"].append(
-            _assertion("tor1_oracle_equivalence", not mismatches, mismatches[:8])
-        )
-
-    elif command == "betti":
-        names = [flags["module"]] if flags.get("module") else list(problem.ideals)
-        for name in names:
-            report["results"][name] = betti_table(_named_ideal(problem, name), fld).to_json()
-
-    elif command == "indep":
-        strong = flags.get("strong", FLAG_DEFAULTS["strong"])
-        rep = independence(problem.family(), fld=fld, strong=strong)
-        report["results"]["independence"] = rep.to_json()
-        if rep.strong:
-            report["assertions"].append(_assertion("criteria_agree", rep.agreement))
-
-    elif command in ("scomplex", "pcomplex"):
-        variant = flags.get("kind") or "quotient"
-        family = problem.family()
-        if command == "scomplex":
-            c = build_s_complex(family, variant=variant)
-        else:
-            c = build_p_complex(family, variant=variant)
-        table = complex_homology_table(c, fld, box)
-        report["box"] = list(table.box)
-        report["results"]["ranks"] = {
-            str(i): len(ss) for i, ss in sorted(c.terms.items())
-        }
-        report["results"]["homology"] = table.records()
-
-    elif command == "verify":
-        rep = verify_identities(problem.family(), fld)
-        report["results"]["context"] = rep.context
-        report["assertions"] = _report_assertions(rep)
-
-    elif command == "spectral":
-        kind = flags.get("kind")
-        if kind not in SPECTRAL_KINDS + MV_KINDS:
-            raise ValidationError(
-                f"--kind must be one of {SPECTRAL_KINDS + MV_KINDS}"
-            )
-        family = problem.family()
-        coeff = _flag_coefficient(problem, flags)
-        if kind in SPECTRAL_KINDS:
-            if coeff is not None:
-                raise ValidationError(f"--kind {kind} takes no module")
-            filtered = build_filtration(tensor([resolution(i) for i in family]),
-                                        kind=kind)
-        else:
-            filtered = mv_total_complex(kind, family, coeff)
-        use_box = box if box is not None else family_box(family, coeff)
-        report["box"] = list(use_box)
-        all_ok = True
-        out = {}
-        for gamma in _sample_degrees(use_box):
-            pg = pages(filtered, gamma, fld)
-            all_ok = all_ok and pg.converged
-            out[",".join(map(str, gamma))] = {
-                "e1": _page_records(pg.e1),
-                "e_infinity": _page_records(pg.e_infinity),
-                "r_stab": pg.r_stab,
-                "converged": pg.converged,
-            }
-        report["results"]["pages"] = out
-        report["assertions"].append(_assertion("convergence", all_ok))
-
-    elif command == "support":
-        family = problem.family()
-        coeff = _flag_coefficient(problem, flags)
-        partitions = _variable_partitions(family)
-        if partitions is None and flags.get("subset"):
-            raise ValidationError(
-                "--subset needs a family of disjoint variable-generated ideals"
-            )
-        if partitions is not None:
-            coeff_ideal = coeff if coeff is not None else MonomialIdeal.zero(problem.n)
-            subset = flags.get("subset")
-            s = len(partitions)
-            if subset and (len(set(subset)) != len(subset)
-                           or any(not 0 <= i < s for i in subset)):
-                raise ValidationError(
-                    f"--subset must name distinct ideal indices in 0..{s - 1}"
-                )
-            if subset:
-                partitions = [partitions[i] for i in sorted(subset)]
-            ps = [len(subset)] if subset else list(range(1, s + 1))
-            all_ok = True
-            for p in ps:
-                rep = supportoftors_check(partitions, coeff_ideal, p, fld)
-                report["results"][f"p={p}"] = rep.to_json()
-                all_ok = all_ok and rep.passed
-            report["assertions"].append(_assertion("support_union_equality", all_ok))
-        else:
-            regions = {}
-            for name, ideal in problem.ideals.items():
-                table = multi_tor([ideal], coefficient=coeff, fld=fld)
-                regions[name] = support_region(table)
-                report["results"][name] = [list(c) for c in regions[name].sorted_cells()]
-            names = list(regions)
-            if len(names) >= 2:
-                report["results"]["compare_first_two"] = region_compare(
-                    regions[names[0]], regions[names[1]]
-                )
-
-    elif command == "rigidity":
-        rep = rigidity_check(problem.family(), fld)
-        report["results"]["rigidity"] = rep.to_json()
-        report["assertions"].append(
-            _assertion("no_rigidity_violations", rep.passed, rep.violations)
-        )
-
-    elif command == "a8":
-        rep = serre_a8_check(problem.family(), fld)
-        report["results"]["a8"] = rep.to_json()
-        report["assertions"].append(
-            _assertion("three_way_equivalence", rep.passed,
-                       [] if rep.passed else [{"triple": list(rep.triple)}])
-        )
-
-    elif command == "equiv-exactness":
-        rep = exactness_equivalences(problem.family(), fld)
-        report["results"]["context"] = rep.context
-        report["assertions"] = _report_assertions(rep)
-
-    elif command == "selftest":
-        seed = flags.get("seed", FLAG_DEFAULTS["seed"])
-        trials = flags.get("trials", FLAG_DEFAULTS["trials"])
-        if trials < 0:
-            raise ValidationError(f"--trials must be non-negative, got {trials}")
-        report["results"]["summary"] = _selftest(seed, trials, fld, report["assertions"])
-
+    handler(problem, flags, GF(field), box, report)
     return report
 
 
 def _check_flags(command, flags, defaults):
     """Reject each flag given to a command that does not read it; a value
     of None, or the flag's value in ``defaults``, is not given."""
-    for flag, readers in FLAG_COMMANDS.items():
+    for flag in CHECKED_FLAGS:
         value = flags.get(flag)
-        if value is not None and value != defaults.get(flag) and command not in readers:
+        if value is not None and value != defaults.get(flag) and \
+                flag not in COMMANDS[command][0]:
+            readers = [name for name, (reads, _) in COMMANDS.items() if flag in reads]
             raise ValidationError(
                 f"{command} reads no {flag}; --{flag} applies to {', '.join(readers)}"
             )
@@ -464,35 +483,6 @@ def _variable_partitions(family):
         seen |= indices
         partitions.append(sorted(indices))
     return partitions
-
-
-def _selftest(seed, trials, fld, assertions):
-    """Deterministic random-instance sweep over the main checkers."""
-    summary = {"trials": trials, "families": []}
-    failures = []
-    for t in range(trials):
-        family = random_instance(seed * 100003 + t, n_vars=2 + t % 2,
-                                 n_ideals=2 + t % 2, max_gens=2, max_exp=2)
-        echo = [[list(g) for g in ideal.gens] for ideal in family]
-        summary["families"].append(echo)
-        box = family_box(family)
-        table = multi_tor(family, fld=fld, box=box)
-        oracle = tor1_oracle(family, fld=fld, box=box)
-        for g in iter_box(box):
-            if table.dim(1, g) != oracle.dim(1, g):
-                failures.append({"trial": t, "check": "tor1_oracle",
-                                 "degree": list(g)})
-                break
-        rep = rigidity_check(family, fld)
-        if not rep.passed:
-            failures.append({"trial": t, "check": "rigidity",
-                             "violations": rep.violations[:2]})
-        a8 = serre_a8_check(family, fld)
-        if not a8.passed:
-            failures.append({"trial": t, "check": "a8", "triple": list(a8.triple)})
-    assertions.append(_assertion("selftest", not failures, failures[:8]))
-    summary["failures"] = len(failures)
-    return summary
 
 
 def _emit(report, flags, started):
@@ -542,21 +532,10 @@ def main(argv=None) -> int:
     parser.add_argument("--version", action="version", version=__version__)
     args = parser.parse_args(argv)
 
-    flags = {
-        "field": args.field,
-        "strong": args.strong,
-        "module": args.module,
-        "kind": args.kind,
-        "seed": args.seed,
-        "trials": args.trials,
-        "json": args.json,
-        "timing": args.timing,
-    }
+    flags = {k: v for k, v in vars(args).items() if k not in ("command", "problem")}
     try:
-        if args.box:
-            flags["box"] = Multidegree(_int_list("--box", args.box))
-        if args.subset:
-            flags["subset"] = _int_list("--subset", args.subset)
+        flags["box"] = Multidegree(_int_list("--box", args.box)) if args.box else None
+        flags["subset"] = _int_list("--subset", args.subset) if args.subset else None
         if args.command not in COMMANDS:
             raise UnknownCommand(f"unknown command {args.command!r}")
         _check_flags(args.command, flags, {})

@@ -50,12 +50,6 @@ class PrimeField:
     def p(self) -> int:
         return self.characteristic
 
-    def inv(self, a: int) -> int:
-        a %= self.p
-        if a == 0:
-            raise ZeroDivisionError("inverse of 0 in GF(p)")
-        return pow(a, self.p - 2, self.p)
-
 
 GF = PrimeField  # short alias used throughout the package
 

@@ -150,16 +150,13 @@ def _runs(cut, top: int):
 class GradedComplex:
     """A finite complex with terms indexed by integers; d lowers index by 1.
 
-    ``orientation`` is a reporting tag: cochain complexes are stored with
-    negated indices (term S^p sits at index -p) so a single chain convention
-    drives all homology computations.
+    A cochain complex is stored with negated indices (term S^p sits at
+    index -p, so at non-positive indices only), so a single chain
+    convention drives all homology computations.
     """
 
-    def __init__(self, n: int, terms: dict, entries: dict, orientation: str = "chain"):
-        if orientation not in ("chain", "cochain"):
-            raise InvalidKind(f"bad orientation {orientation!r}")
+    def __init__(self, n: int, terms: dict, entries: dict):
         self.n = int(n)
-        self.orientation = orientation
         self.terms = {
             int(i): tuple(summands) for i, summands in terms.items() if summands
         }
@@ -276,21 +273,23 @@ class GradedComplex:
         tuples, that share one cut of the last coordinate, so share masks."""
         cuts, full, rows, _ = self._tables()
         runs = [_runs(cut, top) for cut, top in zip(cuts, box)]
-        last = self.n - 1
+        return self._walk(runs, rows, 0, (), full)
 
-        def walk(k, prefix, state):
-            if k > last:  # n = 0: the box is the one empty degree
-                yield [prefix], self._term_masks(state)
-                return
-            for v, values in runs[k]:
-                narrowed = _narrow(state, rows[k][v])
-                if k == last:
-                    yield [prefix + (g,) for g in values], self._term_masks(narrowed)
-                else:
-                    for g in values:
-                        yield from walk(k + 1, prefix + (g,), narrowed)
-
-        return walk(0, (), full)
+    def _walk(self, runs, rows, k, prefix, state):
+        """The runs of ``_mask_runs`` from coordinate k on, for the degrees
+        that start with ``prefix``, whose tables are narrowed to ``state``.
+        A method, not a closure over self: a recursive closure is a
+        reference cycle that would keep the complex alive until a GC pass."""
+        if k == self.n:  # n = 0: the box is the one empty degree
+            yield [prefix], self._term_masks(state)
+            return
+        for v, values in runs[k]:
+            narrowed = _narrow(state, rows[k][v])
+            if k == self.n - 1:
+                yield [prefix + (g,) for g in values], self._term_masks(narrowed)
+            else:
+                for g in values:
+                    yield from self._walk(runs, rows, k + 1, prefix + (g,), narrowed)
 
     def _masked_rank(self, i: int, src_mask: int, tgt_mask: int, field: PrimeField) -> int:
         key = (field.p, i, src_mask, tgt_mask)
@@ -326,16 +325,12 @@ class GradedComplex:
 
     def shifted(self, k: int) -> "GradedComplex":
         """Degree shift: index i of the result holds what sat at index i - k."""
-        return GradedComplex(
-            self.n,
-            {i + k: ss for i, ss in self.terms.items()},
-            {i + k: es for i, es in self.entries.items()},
-            self.orientation,
-        )
+        return GradedComplex(self.n, {i + k: ss for i, ss in self.terms.items()},
+                             {i + k: es for i, es in self.entries.items()})
 
     def __repr__(self):
         shape = {i: len(ss) for i, ss in sorted(self.terms.items())}
-        return f"GradedComplex(n={self.n}, {self.orientation}, ranks={shape})"
+        return f"GradedComplex(n={self.n}, ranks={shape})"
 
 
 class TorTable:
@@ -489,7 +484,7 @@ def cancel_units(c: GradedComplex) -> GradedComplex:
             for s, row in rows.items() for t, v in row.items()]
         for i, rows in out.items()
     }
-    return GradedComplex(c.n, terms, entries, c.orientation)
+    return GradedComplex(c.n, terms, entries)
 
 
 # ---------------------------------------------------------------------------
@@ -539,7 +534,7 @@ def taylor_resolution(ideal: MonomialIdeal) -> GradedComplex:
         len(gens),
         lambda s: free_summand(reduce(lcm_deg, (gens[i] for i in s), zero)),
     )
-    return GradedComplex(ideal.n, terms, entries, "chain")
+    return GradedComplex(ideal.n, terms, entries)
 
 
 def resolution(ideal: MonomialIdeal) -> GradedComplex:
@@ -576,4 +571,4 @@ def with_coefficient(c: GradedComplex, coefficient: MonomialIdeal) -> GradedComp
         return cyclic_summand(combine([s.ideal, coefficient], "sum"), s.shift)
 
     terms = {i: tuple(convert(s) for s in ss) for i, ss in c.terms.items()}
-    return GradedComplex(c.n, terms, dict(c.entries), c.orientation)
+    return GradedComplex(c.n, terms, dict(c.entries))

@@ -112,8 +112,7 @@ def tensor(factors) -> Multicomplex:
 
     Axis k applies factor k's differential with no extra sign.  A product
     of summands is shifted by the sum of their shifts, and is R/(sum of the
-    ideals of its cyclic factors) when it has any.  The orientation tag of a
-    factor is not read.
+    ideals of its cyclic factors) when it has any.
     """
     factors = list(factors)
     if not factors:

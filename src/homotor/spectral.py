@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import FiltrationViolation, InvalidKind, InvariantBroken, UnitIdeal
+from .errors import FiltrationViolation, InvalidKind, InvariantBroken
 from .exactlin import GF, PrimeField, pivot_pairs
 from .gcomplex import GradedComplex, resolution
 from .monomial import MonomialIdeal
@@ -48,6 +48,7 @@ from .multicomplex import (
     tensor,
     totalize,
 )
+from .torlab import _validate_family
 
 
 class FilteredTotal:
@@ -278,12 +279,8 @@ def mv_total_complex(kind: str, ideals, coefficient: MonomialIdeal | None = None
     """
     from . import sumprod  # deferred: sumprod imports this module
 
-    ideals = list(ideals)
+    ideals, n_vars = _validate_family(ideals)
     n = len(ideals)
-    for ideal in ideals:
-        if ideal.is_unit():
-            raise UnitIdeal("mv_total_complex needs proper ideals")
-    n_vars = ideals[0].n
     if coefficient is None:
         coefficient = MonomialIdeal.zero(n_vars)
     if kind == "sum_to_product":

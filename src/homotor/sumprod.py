@@ -47,7 +47,7 @@ def build_s_complex(ideals, variant: str = "quotient") -> GradedComplex:
         lambda s: make(combine([ideals[i] for i in s], "sum") if s else bottom),
         "cochain",
     )
-    return GradedComplex(n_vars, terms, entries, "cochain")
+    return GradedComplex(n_vars, terms, entries)
 
 
 def truncated(s: GradedComplex) -> GradedComplex:
@@ -55,7 +55,7 @@ def truncated(s: GradedComplex) -> GradedComplex:
     index 0)."""
     terms = {i: ss for i, ss in s.terms.items() if i != 0}
     entries = {i: es for i, es in s.entries.items() if i != 0}
-    return GradedComplex(s.n, terms, entries, s.orientation)
+    return GradedComplex(s.n, terms, entries)
 
 
 def build_p_complex(ideals, variant: str = "quotient") -> GradedComplex:
@@ -74,15 +74,16 @@ def build_p_complex(ideals, variant: str = "quotient") -> GradedComplex:
     )
     if variant == "quotient":
         del terms[0], entries[1]  # P_0 = R/R is zero
-    return GradedComplex(n_vars, terms, entries, "chain")
+    return GradedComplex(n_vars, terms, entries)
 
 
 def complex_homology_table(c: GradedComplex, fld: PrimeField = GF(),
                            box=None) -> TorTable:
-    """(Co)homology table of a sum/product complex; cochain complexes are
-    reported with positive upper indices."""
+    """(Co)homology table of a sum/product complex.  A cochain complex (S,
+    the one stored at non-positive indices only) is reported with positive
+    upper indices."""
     table = module_homology_table(c, fld, box)
-    if c.orientation == "cochain":
+    if max(c.terms, default=0) <= 0:
         entries = {(-i, gam): d for (i, gam), d in table.entries.items()}
         return TorTable(entries, table.box)
     return table

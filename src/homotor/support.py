@@ -143,59 +143,31 @@ def supportoftors_check(partitions, coefficient: MonomialIdeal,
 
     # spectral cross-checks: the sum-to-product sequence abuts (here, under
     # the strong independence of disjoint variable ideals) to Tor against
-    # the product, the product-to-sum one to Tor against the sum
+    # the product, moved up by u - 1 for a u-subset, the product-to-sum one
+    # to Tor against the sum, moved up by 1
     tested = sorted(left.cells | right.cells)[:SPECTRAL_DEGREES]
     if not tested:
         tested = [tuple(Multidegree.zero(n))]
-    ok_stp = True
-    ok_pts = True
-    witnesses = []
+    witnesses = {"sum_to_product": [], "product_to_sum": []}
     for T in combos:
         family = [ideals[i] for i in T]
-        u = len(family)
-        prod_table = prod_tables[T]
-        sum_table = sum_tables[T]
-        stp = mv_total_complex("sum_to_product", family, coeff)
-        pts = mv_total_complex("product_to_sum", family, coeff)
-        for g in tested:
-            pg = pages(stp, g, fld)
-            if not pg.converged:
-                ok_stp = False
-                witnesses.append({"kind": "sum_to_product", "subset": list(T),
-                                  "degree": list(g), "reason": "not convergent"})
-                continue
-            totals = pg.total_dims()
-            table_is = {j + u - 1 for (j, gm) in prod_table.entries if gm == tuple(g)}
-            for i in sorted(set(totals) | table_is):
-                d = totals.get(i, 0)
-                expect = prod_table.dim(i - u + 1, g)
-                if d != expect:
-                    ok_stp = False
-                    witnesses.append(
-                        {"kind": "sum_to_product", "subset": list(T),
-                         "degree": list(g), "i": i, "actual": d,
-                         "expected": expect}
-                    )
-            pg2 = pages(pts, g, fld)
-            if not pg2.converged:
-                ok_pts = False
-                witnesses.append({"kind": "product_to_sum", "subset": list(T),
-                                  "degree": list(g), "reason": "not convergent"})
-                continue
-            totals2 = pg2.total_dims()
-            table_is2 = {j + 1 for (j, gm) in sum_table.entries if gm == tuple(g)}
-            for i in sorted(set(totals2) | table_is2):
-                d = totals2.get(i, 0)
-                expect = sum_table.dim(i - 1, g)
-                if d != expect:
-                    ok_pts = False
-                    witnesses.append(
-                        {"kind": "product_to_sum", "subset": list(T),
-                         "degree": list(g), "i": i, "actual": d,
-                         "expected": expect}
-                    )
-    report.add("sum_to_product_containment", True, ok_stp,
-               [w for w in witnesses if w["kind"] == "sum_to_product"])
-    report.add("product_to_sum_containment", True, ok_pts,
-               [w for w in witnesses if w["kind"] == "product_to_sum"])
+        for kind, offset, table in (("sum_to_product", len(T) - 1, prod_tables[T]),
+                                    ("product_to_sum", 1, sum_tables[T])):
+            filtered = mv_total_complex(kind, family, coeff)
+            for g in tested:
+                pg = pages(filtered, g, fld)
+                where = {"kind": kind, "subset": list(T), "degree": list(g)}
+                if not pg.converged:
+                    witnesses[kind].append({**where, "reason": "not convergent"})
+                    continue
+                totals = pg.total_dims()
+                expected = {j + offset: d for (j, gm), d in table.entries.items() if gm == g}
+                witnesses[kind].extend(
+                    {**where, "i": i, "actual": totals.get(i, 0),
+                     "expected": expected.get(i, 0)}
+                    for i in sorted(set(totals) | set(expected))
+                    if totals.get(i, 0) != expected.get(i, 0)
+                )
+    for kind, found in witnesses.items():
+        report.add(f"{kind}_containment", True, not found, found)
     return report

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .errors import EmptyInput, UnitIdeal, ZeroModule
+from .errors import EmptyInput, LengthMismatch, UnitIdeal, ZeroModule
 from .exactlin import GF, PrimeField, ScalarMatrix, rank
 from .gcomplex import (
     GradedComplex,
@@ -35,14 +35,14 @@ def _validate_family(ideals, error=UnitIdeal):
             raise error("unit ideal: the quotient module is zero")
     n = ideals[0].n
     if any(i.n != n for i in ideals):
-        from .errors import LengthMismatch
-
         raise LengthMismatch("ideals live in different variable counts")
     return ideals, n
 
 
 def family_box(ideals, coefficient: MonomialIdeal | None = None) -> Multidegree:
     """Stability box of the tensor of Taylor resolutions (+ coefficient)."""
+    if not ideals:
+        raise EmptyInput("family_box needs at least one ideal")
     n = ideals[0].n
     box = [0] * n
     for ideal in ideals:

@@ -137,11 +137,65 @@ def block_rank_pages(filtered, gamma, fld=GF()):
     )
 
 
+def _rank_mod(rows, p):
+    """The rank over GF(p) of a list of integer rows of one length, by dense
+    Gaussian elimination: a reference that shares no code with exactlin."""
+    rows = [[v % p for v in row] for row in rows]
+    r = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((k for k in range(r, len(rows)) if rows[k][col]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = pow(rows[r][col], p - 2, p)
+        for k in range(r + 1, len(rows)):
+            f = rows[k][col] * inv % p
+            rows[k] = [(a - f * b) % p for a, b in zip(rows[k], rows[r])]
+        r += 1
+    return r
+
+
+def koszul_betti(ideal, p):
+    """{(i, b): beta_{i,b}(R/I)} over GF(p), nonzero entries only, from the
+    upper Koszul simplicial complexes K^b(I) = {squarefree tau in supp b :
+    x^(b - tau) in I}: beta_{i,b}(I) = dim H~_{i-1}(K^b(I)) (Miller-Sturmfels,
+    Combinatorial Commutative Algebra, Thm 1.34), so beta_{i,b}(R/I) is
+    dim H~_{i-2}(K^b(I)) for i >= 1, and beta_{0,0}(R/I) = 1.  Only the b of
+    the lcm lattice of the generators can carry an entry.  It reads only the
+    generators: no resolution, no tensor, no box and no homotor rank."""
+    gens = [tuple(g) for g in ideal.gens]
+    lattice = set()
+    for g in gens:
+        lattice |= {g} | {tuple(map(max, g, b)) for b in lattice}
+    out = {(0, (0,) * ideal.n): 1}
+    for b in lattice:
+        support = [j for j, e in enumerate(b) if e]
+        faces = [
+            [tau for tau in itertools.combinations(support, k)
+             if any(all(g[j] <= b[j] - (j in tau) for j in range(ideal.n)) for g in gens)]
+            for k in range(len(support) + 1)
+        ]
+        index = {tau: k for fs in faces for k, tau in enumerate(fs)}
+        ranks = [0] * (len(faces) + 1)  # ranks[k]: boundary of the k-faces
+        for k in range(1, len(faces)):
+            rows = [[0] * len(faces[k - 1]) for _ in faces[k]]
+            for row, tau in zip(rows, faces[k]):
+                for l in range(k):
+                    row[index[tau[:l] + tau[l + 1:]]] = (-1) ** l
+            ranks[k] = _rank_mod(rows, p)
+        for k, fs in enumerate(faces):
+            h = len(fs) - ranks[k] - ranks[k + 1]
+            if h:
+                out[(k + 1, b)] = h
+    return out
+
+
 def unit_koszul(n, orientation="chain"):
-    """K(1,...,1;R) on n exterior generators (or its cochain dual); exact."""
+    """K(1,...,1;R) on n exterior generators (or its cochain dual, at
+    non-positive indices); exact."""
     zero = Multidegree.zero(n)
     terms, entries = exterior_complex(n, lambda s: free_summand(zero), orientation)
-    return GradedComplex(n, terms, entries, orientation)
+    return GradedComplex(n, terms, entries)
 
 
 def region(m, keep):

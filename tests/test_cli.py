@@ -215,6 +215,23 @@ def test_cli_box_rejected_where_unread(problem_path, capsys, command, argv):
     assert diag["error"]["type"] == "ValidationError"
 
 
+@pytest.mark.parametrize("command", ["betti", "indep", "verify", "support",
+                                     "rigidity", "a8", "equiv-exactness"])
+def test_cli_problem_box_rejected_where_unread(tmp_path, capsys, command):
+    """A problem file's box exits 2 on a command that reads no box, as
+    --box does, and stays the box of a command that reads one."""
+    path = tmp_path / "prob.json"
+    path.write_text(json.dumps({"variables": ["x", "y"], "box": [2, 2],
+                                "ideals": {"I1": [[1, 0]], "I2": [[0, 1]]}}))
+    assert main([command, str(path)]) == 2
+    diag = json.loads(capsys.readouterr().out)
+    assert diag["error"] == {"type": "ValidationError",
+                             "message": f"{command} reads no box, so its problem "
+                                        "file sets none"}
+    assert main(["tor", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["box"] == [2, 2]
+
+
 def test_cli_selftest_rejects_box(capsys):
     assert main(["selftest", "--trials", "0", "--box", "1,1"]) == 2
     assert json.loads(capsys.readouterr().out)["error"]["type"] == "ValidationError"

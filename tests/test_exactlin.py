@@ -21,7 +21,6 @@ def test_prime_field_rejects_composites():
     with pytest.raises(ValidationError):
         PrimeField(4294967311)
     assert GF().p == 32003
-    assert GF(7).inv(3) == 5  # 3*5 = 15 = 1 mod 7
 
 
 def test_rank_identity_and_zero():

@@ -9,7 +9,13 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import block_rank_pages, direct_e1, free_complex, pair_intersection, region
 from homotor import cli, gcomplex, spectral, support
-from homotor.errors import FiltrationViolation, InvalidKind, InvariantBroken, UnitIdeal
+from homotor.errors import (
+    EmptyInput,
+    FiltrationViolation,
+    InvalidKind,
+    InvariantBroken,
+    UnitIdeal,
+)
 from homotor.exactlin import GF, ScalarMatrix, rank
 from homotor.gcomplex import GradedComplex, free_summand, taylor_resolution
 from homotor.monomial import MonomialIdeal, Multidegree, iter_box
@@ -455,6 +461,14 @@ def test_mv_degenerates_for_disjoint_variables():
 def test_mv_rejects_unit_ideal():
     with pytest.raises(UnitIdeal):
         mv_total_complex("product_to_sum", [MonomialIdeal.unit(2)])
+
+
+def test_an_empty_family_raises_empty_input():
+    with pytest.raises(EmptyInput):
+        family_box([])
+    for kind in ("sum_to_product", "product_to_sum"):
+        with pytest.raises(EmptyInput):
+            mv_total_complex(kind, [])
 
 
 def test_pair_tor1_recovered_from_sum_to_product():

@@ -1,10 +1,12 @@
 """Multiple Tor tables, the Tor_1 oracle, independence, Betti invariants,
 rigidity and the proper-intersection equivalence."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import stream, tensor_total
+from conftest import koszul_betti, stream, tensor_total
 from homotor import torlab
 from homotor.exactlin import GF
 from homotor.errors import BoxTooSmall, EmptyInput, UnitIdeal, ZeroModule
@@ -208,6 +210,69 @@ def test_betti_table_is_tor_against_the_residue_field(ideal):
     complex on the variables, entries and box, over GF(2) and GF(32003)."""
     for p in (2, 32003):
         assert betti_table(ideal, GF(p)).betti == _plain_betti(ideal, GF(p))
+
+
+@settings(deadline=None)
+@given(ideals_and_zero())
+def test_betti_table_matches_the_koszul_simplicial_oracle(ideal):
+    """betti_table equals conftest.koszul_betti, read off the upper Koszul
+    simplicial complexes on the lcm lattice with no resolution, over GF(2),
+    GF(3) and GF(32003)."""
+    for p in (2, 3, 32003):
+        assert betti_table(ideal, GF(p)).betti.entries == koszul_betti(ideal, p)
+
+
+@pytest.mark.parametrize("unresolved", [True, False], ids=["R/I-unresolved", "R/I-resolved"])
+def test_multi_tor_against_the_maximal_ideal_matches_the_koszul_oracle(
+        monkeypatch, unresolved):
+    """multi_tor([I], m) equals the Koszul simplicial oracle both when R/I
+    has at least n minimal generators and is left unresolved (only the
+    residue field R/m is resolved) and when it has fewer and is resolved."""
+    calls = []
+
+    def counting(ideal):
+        calls.append(ideal)
+        return resolution(ideal)
+
+    monkeypatch.setattr(torlab, "resolution", counting)
+    ideals = [fam[0] for fam in stream(17000, 40, n_vars=2, n_ideals=1, max_gens=3)
+              if (len(fam[0].gens) >= 2) == unresolved]
+    assert len(ideals) >= 5
+    m = MonomialIdeal.variables(2, range(2))
+    for ideal in ideals:
+        for p in (2, 3, 32003):
+            calls.clear()
+            assert multi_tor([ideal], m, GF(p)).entries == koszul_betti(ideal, p)
+            assert calls == [m if unresolved else ideal]
+
+
+RP2_FACETS = [{0, 1, 2}, {0, 2, 3}, {0, 3, 4}, {0, 4, 5}, {0, 1, 5},
+              {1, 2, 4}, {1, 3, 4}, {1, 3, 5}, {2, 3, 5}, {2, 4, 5}]
+
+
+def test_rp2_betti_tables_depend_on_the_characteristic():
+    """The Stanley-Reisner ideal of the 6-vertex RP^2 is generated by its 10
+    minimal nonfaces, squarefree cubics.  RP^2 has reduced homology over
+    GF(2) only, so by Hochster's formula beta_{3,(1..1)}(R/I) and
+    beta_{4,(1..1)} are 1 over GF(2) and 0 over GF(3) (Reisner;
+    Bruns-Herzog 5.3).  The reduced resolution keeps one entry between
+    summands of equal shift, 2 from term 4 to term 3, which no unit
+    cancellation may remove."""
+    nonfaces = [t for t in itertools.combinations(range(6), 3) if set(t) not in RP2_FACETS]
+    ideal = MonomialIdeal(6, [tuple(int(v in t) for v in range(6)) for t in nonfaces])
+    assert len(ideal.gens) == 10
+    top = (1,) * 6
+    for p, totals, pd in ((2, {0: 1, 1: 10, 2: 15, 3: 7, 4: 1}, 4),
+                          (3, {0: 1, 1: 10, 2: 15, 3: 6}, 3)):
+        rep = betti_table(ideal, GF(p))
+        assert rep.betti.entries == koszul_betti(ideal, p)
+        assert len(rep.betti.entries) == sum(totals.values())  # 34 and 32
+        assert {i: sum(rep.betti.slice(i).values()) for i in totals} == totals
+        assert rep.pd == pd == rep.betti.max_nonzero_index()
+        assert [rep.betti.dim(i, top) for i in (3, 4)] == ([1, 1] if p == 2 else [0, 0])
+    r = resolution(ideal)
+    assert [(i, abs(v)) for i, es in r.entries.items() for s, t, v in es
+            if r.terms[i][s].shift == r.terms[i - 1][t].shift] == [(4, 2)]
 
 
 def test_tables_match_the_unreduced_taylor_tensor():
