@@ -23,7 +23,6 @@ from .gcomplex import (
     module_homology_table,
     resolution,
     taylor_resolution,
-    with_coefficient,
 )
 from .multicomplex import (
     Multicomplex,

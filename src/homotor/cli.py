@@ -81,11 +81,6 @@ class ProblemFile:
     def family(self):
         return list(self.ideals.values())
 
-    def coefficient(self):
-        if self.module is None:
-            return None
-        return self.ideals[self.module]
-
     def echo(self):
         return {
             "characteristic": self.characteristic,
@@ -416,6 +411,8 @@ def run(command: str, problem: ProblemFile | None, flags: dict) -> dict:
         raise UnknownCommand(f"unknown command {command!r}")
     _check_flags(command, flags, FLAG_DEFAULTS)
     reads, handler = COMMANDS[command]
+    if problem is None and command != "selftest":
+        raise ParseError(f"command {command!r} needs a problem file")
     if problem is not None and problem.box is not None and "box" not in reads:
         raise ValidationError(f"{command} reads no box, so its problem file sets none")
     field = flags.get("field")
@@ -543,9 +540,7 @@ def main(argv=None) -> int:
             if flags[flag] is None:
                 flags[flag] = default
         problem = None
-        if args.command != "selftest":
-            if not args.problem:
-                raise ParseError(f"command {args.command!r} needs a problem file")
+        if args.command != "selftest" and args.problem:
             problem = parse_problem(args.problem)
         report = run(args.command, problem, flags)
     except HomotorError as exc:

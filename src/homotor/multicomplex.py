@@ -10,6 +10,7 @@ totalization: axis k carries (-1)^(q_1+...+q_{k-1}).
 from __future__ import annotations
 
 import itertools
+import math
 
 from .errors import (
     CompositionNonzero,
@@ -19,7 +20,7 @@ from .errors import (
     MixedKinds,
     ValidationError,
 )
-from .gcomplex import CYCLIC, IDEAL, GradedComplex, Summand, cyclic_summand, free_summand
+from .gcomplex import CYCLIC, FREE, IDEAL, GradedComplex, Summand, _compose
 from .monomial import Multidegree, combine
 
 
@@ -95,17 +96,6 @@ class Multicomplex:
         )
 
 
-def _compose(second: dict, first: dict) -> dict:
-    out_of: dict = {}
-    for (m, t), c2 in second.items():
-        out_of.setdefault(m, []).append((t, c2))
-    acc: dict = {}
-    for (s, m), c1 in first.items():
-        for t, c2 in out_of.get(m, ()):
-            acc[(s, t)] = acc.get((s, t), 0) + c1 * c2
-    return {k: v for k, v in acc.items() if v}
-
-
 def tensor(factors) -> Multicomplex:
     """The tensor product multicomplex of chain complexes of free or cyclic
     summands in non-negative degrees.
@@ -125,55 +115,43 @@ def tensor(factors) -> Multicomplex:
     n_vars = factors[0].n
     if any(f.n != n_vars for f in factors):
         raise LengthMismatch("factors live in different variable counts")
-    n_axes = len(factors)
     windows = [sorted(f.terms) for f in factors]
     terms = {
         q: tuple(
-            _product_summand(combo, n_vars)
+            _product_summand(combo)
             for combo in itertools.product(*(f.terms[qi] for f, qi in zip(factors, q)))
         )
         for q in itertools.product(*windows)
     }
-    # position of a combo inside terms[q] follows the same product order
-    sizes = {q: [len(f.terms[qi]) for f, qi in zip(factors, q)] for q in terms}
-
-    def pos(q, combo_idx):
-        p = 0
-        for sz, ci in zip(sizes[q], combo_idx):
-            p = p * sz + ci
-        return p
-
+    # a summand of terms[q] is indexed by the mixed-radix number of its
+    # combo, factor 0 the most significant digit: the entry s -> t of
+    # factor k maps (h m_k + s) L + l to (h m'_k + t) L + l, for the digits
+    # h above k and l below k, with L the number of combos below k
     diffs = {}
     for q in terms:
+        sizes = [len(f.terms[qi]) for f, qi in zip(factors, q)]
         for k, f in enumerate(factors):
-            if q[k] - 1 not in f.terms:
+            es = f.entries.get(q[k])
+            if not es:
                 continue
-            tgt_q = Multicomplex._step(q, k)
-            if tgt_q not in terms:
-                continue
-            es = []
-            ranges = [range(len(fac.terms[qi])) for fac, qi in zip(factors, q)]
-            axis_entries = [e for e in f.entries.get(q[k], ())]
-            for combo in itertools.product(*ranges):
-                for src, tgt, coeff in axis_entries:
-                    if combo[k] != src:
-                        continue
-                    tgt_combo = combo[:k] + (tgt,) + combo[k + 1 :]
-                    es.append((pos(q, combo), pos(tgt_q, tgt_combo), coeff))
-            if es:
-                diffs[(q, k)] = es
-    return Multicomplex(n_axes, n_vars, terms, diffs)
+            m_src, m_tgt = sizes[k], len(f.terms[q[k] - 1])
+            low = math.prod(sizes[k + 1:])
+            diffs[(q, k)] = [
+                ((h * m_src + s) * low + l, (h * m_tgt + t) * low + l, coeff)
+                for h in range(math.prod(sizes[:k]))
+                for s, t, coeff in es
+                for l in range(low)
+            ]
+    return Multicomplex(len(factors), n_vars, terms, diffs)
 
 
-def _product_summand(combo, n_vars: int) -> Summand:
-    shift = Multidegree.zero(n_vars)
-    for s in combo:
-        shift = shift.add(s.shift)
+def _product_summand(combo) -> Summand:
+    shift = Multidegree(map(sum, zip(*(s.shift for s in combo))))
     ideals = [s.ideal for s in combo if s.kind == CYCLIC]
     if not ideals:
-        return free_summand(shift)
-    return cyclic_summand(ideals[0] if len(ideals) == 1 else combine(ideals, "sum"),
-                          shift)
+        return Summand(FREE, shift)
+    return Summand(CYCLIC, shift,
+                   ideals[0] if len(ideals) == 1 else combine(ideals, "sum"))
 
 
 def layout(m: Multicomplex, shift: int = 0) -> dict:
@@ -191,6 +169,11 @@ def totalize(m: Multicomplex, shift: int = 0) -> GradedComplex:
     """Total complex in the order of ``layout``: degree i gathers the
     positions with |q| + shift = i.  Axis k contributes with sign
     (-1)^(q_1+...+q_{k-1})."""
+    return GradedComplex(m.n_vars, *_total(m, shift))
+
+
+def _total(m: Multicomplex, shift: int):
+    """The terms and entries of ``totalize(m, shift)``."""
     terms = layout(m, shift)
     start = {}  # the index in its term of the first summand of each position
     for qs in terms.values():
@@ -203,25 +186,19 @@ def totalize(m: Multicomplex, shift: int = 0) -> GradedComplex:
         entries.setdefault(sum(q) + shift, []).extend(
             (a + src, b + tgt, sign * coeff) for src, tgt, coeff in es
         )
-    return GradedComplex(
-        m.n_vars,
-        {i: tuple(m.terms[q][k - start[q]] for k, q in enumerate(qs))
-         for i, qs in terms.items()},
-        entries,
-    )
+    terms = {i: tuple(m.terms[q][k - start[q]] for k, q in enumerate(qs))
+             for i, qs in terms.items()}
+    return terms, entries
 
 
 def _compose_chain(m: Multicomplex, q, axes_desc) -> dict:
     """Entries of d_{.,a1} ∘ ... ∘ d_{q,ap} starting at position q, applying
-    the axes in the order given (each step lowers that coordinate)."""
-    acc = None
-    cur = tuple(q)
+    the axes in the order given (each step lowers that coordinate): the
+    identity of m_q when no axis is given."""
+    acc = {(i, i): 1 for i in range(len(m.terms.get(q, ())))}
     for k in axes_desc:
-        step = m.entry_map(cur, k)
-        acc = step if acc is None else _compose(step, acc)
-        cur = Multicomplex._step(cur, k)
-    if acc is None:
-        acc = {}
+        acc = _compose(m.entry_map(q, k), acc)
+        q = Multicomplex._step(q, k)
     return acc
 
 
@@ -233,15 +210,13 @@ def hypercube_augment(m: Multicomplex) -> GradedComplex:
     if not n:
         raise EmptySelection("hypercube augmentation needs at least one axis")
     inner = {q: ss for q, ss in m.terms.items() if all(q)}
-    total = totalize(Multicomplex(n, m.n_vars, inner, m.diffs))
+    terms, entries = _total(Multicomplex(n, m.n_vars, inner, m.diffs), 0)
     # degree n of the interior is the single position (1, ..., 1), its
     # summands in their original order, and nothing of it lies below
-    psi = _compose_chain(m, (1,) * n, list(reversed(range(n))))
-    return GradedComplex(
-        m.n_vars,
-        {**total.terms, n - 1: m.terms.get((0,) * n, ())},
-        {**total.entries, n: [(s, t, c) for (s, t), c in sorted(psi.items())]},
-    )
+    psi = _compose_chain(m, (1,) * n, reversed(range(n)))
+    terms[n - 1] = m.terms.get((0,) * n, ())
+    entries[n] = [(s, t, c) for (s, t), c in sorted(psi.items())]
+    return GradedComplex(m.n_vars, terms, entries)
 
 
 def hypercube_extend(m: Multicomplex) -> Multicomplex:
@@ -267,9 +242,7 @@ def hypercube_extend(m: Multicomplex) -> Multicomplex:
             if c + (1,) not in terms:
                 continue
             axes = [i for i in range(n) if c[i]]
-            psi = _compose_chain(m, c, list(reversed(axes))) if axes else {
-                (i, i): 1 for i in range(len(corner))
-            }
+            psi = _compose_chain(m, c, reversed(axes))
             es = [(s, t, v) for (s, t), v in sorted(psi.items())]
             if es:
                 diffs[(c + (1,), n)] = es

@@ -122,11 +122,11 @@ def supportoftors_check(partitions, coefficient: MonomialIdeal,
     sum_tables = {
         T: multi_tor([sums[T]], coefficient=coeff, fld=fld, box=box) for T in combos
     }
-    left = SupportRegion(box, frozenset())
-    right = SupportRegion(box, frozenset())
-    for T in combos:
-        left = left.union(support_region(prod_tables[T]))
-        right = right.union(support_region(sum_tables[T]))
+    # every table is over the one box, so the unions are of plain cell sets
+    left = SupportRegion(box, frozenset().union(
+        *(support_region(t).cells for t in prod_tables.values())))
+    right = SupportRegion(box, frozenset().union(
+        *(support_region(t).cells for t in sum_tables.values())))
     cmp = region_compare(left, right)
     report.context["union_cells"] = [list(c) for c in left.sorted_cells()]
     report.add(

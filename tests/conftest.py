@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import pytest
@@ -5,19 +6,27 @@ from hypothesis import settings
 
 from homotor import MonomialIdeal, Multidegree
 from homotor.cli import random_instance
+from homotor.errors import MixedKinds, UnitIdeal
 from homotor.exactlin import GF
 from homotor.gcomplex import (
+    CYCLIC,
     FREE,
     IDEAL,
     GradedComplex,
     cancel_units,
+    cyclic_summand,
     exterior_complex,
     free_summand,
     taylor_resolution,
-    with_coefficient,
 )
-from homotor.monomial import lcm_deg
-from homotor.multicomplex import Multicomplex, hypercube_augment, tensor, totalize
+from homotor.monomial import combine, lcm_deg
+from homotor.multicomplex import (
+    Multicomplex,
+    _compose_chain,
+    hypercube_augment,
+    tensor,
+    totalize,
+)
 from homotor.spectral import SpectralPages, _check_page
 
 settings.register_profile("det", derandomize=True, max_examples=60)
@@ -39,6 +48,88 @@ def tensor_total(ideals, coefficient=None):
     if coefficient is not None and not coefficient.is_zero():
         total = with_coefficient(total, coefficient)
     return total
+
+
+def with_coefficient(c, coefficient):
+    """Tensor a free or cyclic complex with the quotient module R/coefficient
+    summand by summand: free R(-a) becomes R/coefficient(-a), cyclic
+    R/J(-a) becomes R/(J + coefficient)(-a), and the scalar entries are
+    unchanged.  The reference for the cyclic factors of ``tensor``."""
+    if coefficient.is_unit():
+        raise UnitIdeal("coefficient module R/I is zero")
+    if c.kind == IDEAL:
+        raise MixedKinds("cannot tensor an ideal-summand complex with a quotient")
+
+    def convert(s):
+        if s.kind == FREE:
+            return cyclic_summand(coefficient, s.shift)
+        return cyclic_summand(combine([s.ideal, coefficient], "sum"), s.shift)
+
+    terms = {i: tuple(convert(s) for s in ss) for i, ss in c.terms.items()}
+    return GradedComplex(c.n, terms, dict(c.entries))
+
+
+def tensor_by_search(factors):
+    """The tensor multicomplex of ``factors`` (free or cyclic, in
+    non-negative degrees), its entries found by scanning every combo of
+    summand indices against every entry of the acting factor and placing
+    each combo by its position in the product order: the reference for the
+    mixed-radix indexing of ``tensor``."""
+    factors = list(factors)
+    n_vars = factors[0].n
+    windows = [sorted(f.terms) for f in factors]
+
+    def product_summand(combo):
+        shift = functools.reduce(Multidegree.add, (s.shift for s in combo),
+                                 Multidegree.zero(n_vars))
+        ideals = [s.ideal for s in combo if s.kind == CYCLIC]
+        if not ideals:
+            return free_summand(shift)
+        return cyclic_summand(combine(ideals, "sum"), shift)
+
+    terms = {
+        q: tuple(product_summand(combo) for combo in
+                 itertools.product(*(f.terms[qi] for f, qi in zip(factors, q))))
+        for q in itertools.product(*windows)
+    }
+
+    def pos(q, combo):
+        p = 0
+        for f, qi, ci in zip(factors, q, combo):
+            p = p * len(f.terms[qi]) + ci
+        return p
+
+    diffs = {}
+    for q in terms:
+        for k, f in enumerate(factors):
+            tgt_q = q[:k] + (q[k] - 1,) + q[k + 1:]
+            if tgt_q not in terms:
+                continue
+            ranges = [range(len(fac.terms[qi])) for fac, qi in zip(factors, q)]
+            es = [
+                (pos(q, combo), pos(tgt_q, combo[:k] + (tgt,) + combo[k + 1:]), coeff)
+                for combo in itertools.product(*ranges)
+                for src, tgt, coeff in f.entries.get(q[k], ())
+                if combo[k] == src
+            ]
+            if es:
+                diffs[(q, k)] = es
+    return Multicomplex(len(factors), n_vars, terms, diffs)
+
+
+def augment_in_two_steps(m):
+    """The hypercube augmentation of m built as a validated total of the
+    interior, then a second complex with the corner and the composed map
+    psi added: the reference for the one-build ``hypercube_augment``."""
+    n = m.n_axes
+    inner = {q: ss for q, ss in m.terms.items() if all(q)}
+    total = totalize(Multicomplex(n, m.n_vars, inner, m.diffs))
+    psi = _compose_chain(m, (1,) * n, reversed(range(n)))
+    return GradedComplex(
+        m.n_vars,
+        {**total.terms, n - 1: m.terms.get((0,) * n, ())},
+        {**total.entries, n: [(s, t, c) for (s, t), c in sorted(psi.items())]},
+    )
 
 
 def pair_intersection(a, b):

@@ -80,6 +80,34 @@ def test_run_unknown_command(problem_path):
         run("frobnicate", parse_problem(problem_path), {})
 
 
+@pytest.mark.parametrize("command", [c for c in COMMANDS if c != "selftest"])
+def test_run_without_a_problem_raises_parse_error(command, capsys):
+    """Every command but selftest needs a problem, from run as from main."""
+    message = f"command {command!r} needs a problem file"
+    with pytest.raises(ParseError) as err:
+        run(command, None, {})
+    assert str(err.value) == message
+    assert main([command]) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == {
+        "type": "ParseError", "message": message}
+
+
+def test_cli_tor_with_a_17_generator_ideal(tmp_path, capsys):
+    """tor succeeds when the 17-generator ideal is the module multi_tor
+    leaves unresolved, and exits 2 when a second one must be resolved."""
+    big = [[k, 16 - k] for k in range(17)]
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"variables": ["x", "y"],
+                                "ideals": {"I": big, "J": [[1, 1]]}}))
+    assert main(["tor", str(path)]) == 0
+    assert {"i": 0, "degree": [0, 0], "dim": 1} in \
+        json.loads(capsys.readouterr().out)["results"]["tor"]
+    path.write_text(json.dumps({"variables": ["x", "y"],
+                                "ideals": {"I": big, "J": big}}))
+    assert main(["tor", str(path)]) == 2
+    assert json.loads(capsys.readouterr().out)["error"]["type"] == "ParamOutOfRange"
+
+
 def test_cli_exit_codes(problem_path, capsys, monkeypatch):
     assert main(["tor", problem_path]) == 0
     capsys.readouterr()

@@ -9,21 +9,24 @@ import weakref
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import summand_alive, unit_koszul
+from conftest import summand_alive, unit_koszul, with_coefficient
 from homotor.errors import (
     BoxTooSmall,
     CompositionNonzero,
     InvalidKind,
     LengthMismatch,
     MixedKinds,
+    ParamOutOfRange,
     UnitIdeal,
     ValidationError,
 )
+from homotor import gcomplex
 from homotor.exactlin import GF
 from homotor.gcomplex import (
     CYCLIC,
     FREE,
     IDEAL,
+    MAX_TAYLOR_GENERATORS,
     GradedComplex,
     Summand,
     cancel_units,
@@ -32,8 +35,8 @@ from homotor.gcomplex import (
     free_summand,
     ideal_summand,
     module_homology_table,
+    resolution,
     taylor_resolution,
-    with_coefficient,
 )
 from homotor.monomial import MonomialIdeal, Multidegree, iter_box
 from homotor.multicomplex import tensor, totalize
@@ -127,6 +130,10 @@ def test_homogeneity_rejected():
         GradedComplex(2, {0: (b,), 1: (a,)}, {1: [(0, 0, 1)]})
     # the reverse inclusion is fine
     GradedComplex(2, {0: (a,), 1: (b,)}, {1: [(0, 0, 1)]})
+    # equal ideals do not excuse a raised shift
+    with pytest.raises(ValidationError):
+        GradedComplex(2, {0: (cyclic_summand(a.ideal, (0, 1)),), 1: (a,)},
+                      {1: [(0, 0, 1)]})
     # coefficients are exact integers: a float sign is rejected
     with pytest.raises(ValidationError):
         GradedComplex(2, {0: (a,), 1: (b,)}, {1: [(0, 0, -1.0)]})
@@ -187,6 +194,23 @@ def test_with_coefficient_matches_longer_family():
     total = totalize(tensor([taylor_resolution(i1)]))
     coeff = module_homology_table(with_coefficient(total, i2), box=box)
     assert direct.entries == coeff.entries
+
+
+def test_taylor_resolution_refuses_more_than_16_generators(monkeypatch):
+    """An ideal with more generators than the Taylor guard allows is refused
+    before anything is built; one at the limit reaches the builder."""
+    def build(*args):
+        raise AssertionError("the 2^g summands were listed")
+
+    def staircase(g):
+        return MonomialIdeal(2, [(k, g - 1 - k) for k in range(g)])
+
+    monkeypatch.setattr(gcomplex, "exterior_complex", build)
+    for make in (taylor_resolution, resolution):
+        with pytest.raises(ParamOutOfRange):
+            make(staircase(MAX_TAYLOR_GENERATORS + 1))
+    with pytest.raises(AssertionError, match="listed"):
+        taylor_resolution(staircase(MAX_TAYLOR_GENERATORS))
 
 
 def test_stability_pullback_for_taylor():

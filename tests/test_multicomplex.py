@@ -4,6 +4,7 @@ augmentation."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import augment_in_two_steps, tensor_by_search, with_coefficient
 from homotor.cli import random_instance
 from homotor.errors import (
     CompositionNonzero,
@@ -14,12 +15,13 @@ from homotor.errors import (
 )
 from homotor.exactlin import GF
 from homotor.gcomplex import (
+    GradedComplex,
     cancel_units,
+    cyclic_summand,
     free_summand,
     module_homology_table,
     resolution,
     taylor_resolution,
-    with_coefficient,
 )
 from homotor.monomial import MonomialIdeal, Multidegree, combine, iter_box
 from homotor.multicomplex import (
@@ -31,7 +33,7 @@ from homotor.multicomplex import (
     tensor,
     totalize,
 )
-from homotor.sumprod import build_s_complex
+from homotor.sumprod import build_p_complex, build_s_complex, truncated
 
 
 def res(*gens):
@@ -97,6 +99,64 @@ def test_tensor_with_cyclic_factors_matches_with_coefficient(case):
         both = totalize(tensor([with_coefficient(a, j), with_coefficient(b, k)]))
         assert module_homology_table(both, fld) == module_homology_table(
             with_coefficient(free_total, combine([j, k], "sum")), fld)
+
+
+@st.composite
+def tensor_factors(draw):
+    """1-3 factors in one variable count of 1-3, each a Taylor resolution,
+    a reduced resolution, a one-summand complex R/J, the P complex or the
+    shifted S_- complex of a family of 2-3 ideals."""
+    n = draw(st.integers(1, 3))
+    exponent = st.tuples(*[st.integers(0, 2)] * n).filter(any)
+    ideals = st.lists(exponent, min_size=1, max_size=3).map(
+        lambda gens: MonomialIdeal(n, gens))
+
+    def factor():
+        build = draw(st.sampled_from(["taylor", "reduced", "quotient", "p", "s_minus"]))
+        if build == "taylor":
+            return taylor_resolution(draw(ideals))
+        if build == "reduced":
+            return resolution(draw(ideals))
+        if build == "quotient":
+            return GradedComplex(n, {0: (cyclic_summand(draw(ideals)),)}, {})
+        family = draw(st.lists(ideals, min_size=2, max_size=3))
+        if build == "p":
+            return build_p_complex(family)
+        return truncated(build_s_complex(family)).shifted(len(family))
+
+    return [factor() for _ in range(draw(st.integers(1, 3)))]
+
+
+@settings(deadline=None)
+@given(tensor_factors())
+def test_tensor_matches_the_combo_search(factors):
+    """The mixed-radix entries of ``tensor`` are the ones found by scanning
+    every combo against every entry of the acting factor."""
+    m, want = tensor(factors), tensor_by_search(factors)
+    assert m.terms == want.terms
+    assert m.diffs == want.diffs
+
+
+@settings(deadline=None)
+@given(tensor_factors())
+def test_hypercube_augment_matches_the_two_step_build(factors):
+    m = tensor(factors)
+    aug, want = hypercube_augment(m), augment_in_two_steps(m)
+    assert aug.terms == want.terms
+    assert aug.entries == want.entries
+
+
+@settings(deadline=None)
+@given(tensor_factors(), st.integers(0, 3))
+def test_one_summand_quotient_factor_is_with_coefficient(factors, seed):
+    """Tensoring a total with the one-summand complex R/J gives the terms,
+    order and entries of the summandwise coefficient quotient."""
+    total = totalize(tensor(factors))
+    j = random_instance(seed, n_vars=total.n, n_ideals=1)[0]
+    quotient = GradedComplex(total.n, {0: (cyclic_summand(j),)}, {})
+    got, want = totalize(tensor([total, quotient])), with_coefficient(total, j)
+    assert got.terms == want.terms
+    assert got.entries == want.entries
 
 
 def test_axis_checks_raise_composition_nonzero():

@@ -4,11 +4,13 @@ import functools
 import itertools
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import stream, tensor_total, unit_koszul
+from conftest import stream, tensor_total, unit_koszul, with_coefficient
 from homotor import spectral, sumprod
 from homotor.cli import random_instance
+from homotor.errors import UnitIdeal
 from homotor.exactlin import GF
 from homotor.gcomplex import module_homology_table, resolution, taylor_resolution
 from homotor.monomial import MonomialIdeal, Multidegree, combine, iter_box, lcm_deg
@@ -246,6 +248,25 @@ def test_augmented_interior_rows(kxy):
     t = augmented_interior_H([kxy["x2xy"]], [0])
     for g in iter_box(t.box):
         assert t.dim(-1, g) == (0 if kxy["x2xy"].contains(g) else 1)
+
+
+def test_augmented_interior_unit_coefficient_raises(kxy):
+    with pytest.raises(UnitIdeal):
+        augmented_interior_H([kxy["x"], kxy["y"]], [0, 1], MonomialIdeal.unit(2))
+
+
+def test_augmented_interior_coefficient_matches_with_coefficient():
+    """The coefficient enters as the one-summand factor R/J; the table is
+    the one of the augmentation with R/J applied summand by summand."""
+    for t, family in enumerate(stream(17200, 12, n_vars=2, n_ideals=3)):
+        coefficient = family.pop()
+        subset = [0, 1] if t % 2 else [1]
+        aug = hypercube_augment(tensor([resolution(family[i]) for i in subset]))
+        table = module_homology_table(with_coefficient(aug, coefficient),
+                                      box=family_box([family[i] for i in subset],
+                                                     coefficient))
+        want = {(i - len(subset), g): d for (i, g), d in table.entries.items()}
+        assert augmented_interior_H(family, subset, coefficient).entries == want
 
 
 def test_exactness_equivalences_curated(kxy, kxyz):

@@ -6,7 +6,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import koszul_betti, stream, tensor_total
+from conftest import koszul_betti, stream, tensor_total, with_coefficient
 from homotor import torlab
 from homotor.exactlin import GF
 from homotor.errors import BoxTooSmall, EmptyInput, UnitIdeal, ZeroModule
@@ -15,7 +15,6 @@ from homotor.gcomplex import (
     module_homology_table,
     resolution,
     taylor_resolution,
-    with_coefficient,
 )
 from homotor.monomial import MonomialIdeal, iter_box
 from homotor.multicomplex import tensor, totalize
