@@ -567,3 +567,10 @@ def resolution(ideal: MonomialIdeal) -> GradedComplex:
     equals a generator, so the degree-1 summands all survive, and their
     shifts reach the lcm of all generators in every coordinate."""
     return cancel_units(taylor_resolution(ideal))
+
+
+def quotient_complex(ideal: MonomialIdeal) -> GradedComplex:
+    """R/I as a complex, for a tensor factor left unresolved: R/I in degree 0."""
+    if ideal.is_unit():
+        raise UnitIdeal("R/I is zero for the unit ideal")
+    return GradedComplex(ideal.n, {0: (cyclic_summand(ideal),)}, {})

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .errors import EmptySelection, InvalidKind, UnitIdeal
+from .errors import EmptySelection, InvalidKind
 from .exactlin import GF, PrimeField
 from .gcomplex import (
     GradedComplex,
@@ -22,6 +22,7 @@ from .gcomplex import (
     exterior_complex,
     ideal_summand,
     module_homology_table,
+    quotient_complex,
     resolution,
 )
 from .monomial import MonomialIdeal, combine, iter_box, membership
@@ -92,22 +93,18 @@ def augmented_interior_H(ideals, subset, coefficient: MonomialIdeal | None = Non
                          fld: PrimeField = GF(), box=None) -> TorTable:
     """The table H_{p,q} = H_{p+q}(augmented interior complex ⊗ M) for the
     chosen subset of the family, keyed by q (so q = -1 row reproduces the
-    M ⊗ P_p dimensions).  M = R/coefficient enters as the one-summand
-    complex R/J in degree 0, tensored on as in ``multi_tor``.  The box
-    defaults to ``family_box`` of the chosen ideals and the coefficient, as
-    in ``multi_tor``."""
+    M ⊗ P_p dimensions).  M = R/coefficient is tensored on as its
+    ``quotient_complex``, and the box defaults to ``family_box`` of the
+    chosen ideals and the coefficient, both as in ``multi_tor``."""
     subset = sorted(set(subset))
     if not subset:
         raise EmptySelection("augmented_interior_H needs a nonempty subset")
     chosen = [ideals[i] for i in subset]
-    chosen, n_vars = _validate_family(chosen)
+    chosen, _ = _validate_family(chosen)
     p = len(chosen)
     aug = hypercube_augment(tensor([resolution(i) for i in chosen]))
     if coefficient is not None and not coefficient.is_zero():
-        if coefficient.is_unit():
-            raise UnitIdeal("coefficient module R/I is zero")
-        quotient = GradedComplex(n_vars, {0: (cyclic_summand(coefficient),)}, {})
-        aug = totalize(tensor([aug, quotient]))
+        aug = totalize(tensor([aug, quotient_complex(coefficient)]))
     if box is None:
         box = family_box(chosen, coefficient)
     table = module_homology_table(aug, fld, box)

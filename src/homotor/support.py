@@ -36,6 +36,8 @@ class SupportRegion:
 
     def rebase(self, new_box) -> "SupportRegion":
         new_box = Multidegree(new_box)
+        if new_box == self.box:
+            return self
         if not self.box.leq(new_box):
             raise BoxTooSmall("rebase target must dominate the region box")
         cells = frozenset(
@@ -122,11 +124,11 @@ def supportoftors_check(partitions, coefficient: MonomialIdeal,
     sum_tables = {
         T: multi_tor([sums[T]], coefficient=coeff, fld=fld, box=box) for T in combos
     }
-    # every table is over the one box, so the unions are of plain cell sets
-    left = SupportRegion(box, frozenset().union(
-        *(support_region(t).cells for t in prod_tables.values())))
-    right = SupportRegion(box, frozenset().union(
-        *(support_region(t).cells for t in sum_tables.values())))
+    left = SupportRegion(box, frozenset())
+    right = SupportRegion(box, frozenset())
+    for T in combos:
+        left = left.union(support_region(prod_tables[T]))
+        right = right.union(support_region(sum_tables[T]))
     cmp = region_compare(left, right)
     report.context["union_cells"] = [list(c) for c in left.sorted_cells()]
     report.add(

@@ -15,13 +15,7 @@ from dataclasses import dataclass, field
 
 from .errors import EmptyInput, LengthMismatch, UnitIdeal, ZeroModule
 from .exactlin import GF, PrimeField, ScalarMatrix, rank
-from .gcomplex import (
-    GradedComplex,
-    TorTable,
-    cyclic_summand,
-    module_homology_table,
-    resolution,
-)
+from .gcomplex import TorTable, module_homology_table, quotient_complex, resolution
 from .monomial import MonomialIdeal, Multidegree, combine, iter_box, quotient_dimension
 from .multicomplex import tensor, totalize
 
@@ -65,9 +59,9 @@ def multi_tor(ideals, coefficient: MonomialIdeal | None = None,
     the module, R/coefficient included unless the coefficient is zero, with
     the most minimal generators (its Taylor size 2^g bounds its reduced
     size; the first in family order on a tie, R/coefficient last).  It
-    enters the tensor as the cyclic complex R/I in degree 0, and only the
-    others get their ``resolution``."""
-    ideals, n = _validate_family(ideals)
+    enters as its ``quotient_complex``, the others as their ``resolution``.
+    A unit coefficient is refused with ``ZeroModule`` before the choice."""
+    ideals, _ = _validate_family(ideals)
     if coefficient is not None and coefficient.is_unit():
         raise ZeroModule("coefficient module R/I is zero")
     modules = list(ideals)
@@ -76,7 +70,7 @@ def multi_tor(ideals, coefficient: MonomialIdeal | None = None,
     sizes = [len(ideal.gens) for ideal in modules]
     u = sizes.index(max(sizes))
     factors = [
-        GradedComplex(n, {0: (cyclic_summand(ideal),)}, {}) if k == u else resolution(ideal)
+        quotient_complex(ideal) if k == u else resolution(ideal)
         for k, ideal in enumerate(modules)
     ]
     if box is None:

@@ -196,6 +196,19 @@ def test_with_coefficient_matches_longer_family():
     assert direct.entries == coeff.entries
 
 
+def test_quotient_complex_is_one_cyclic_summand():
+    """R/I as a tensor factor is the one summand R/I in degree 0; the unit
+    ideal, whose quotient is zero, is refused."""
+    from homotor.gcomplex import quotient_complex
+
+    i = MonomialIdeal(2, [(2, 0), (1, 1)])
+    c = quotient_complex(i)
+    assert c.terms == {0: (cyclic_summand(i),)}
+    assert c.entries == {}
+    with pytest.raises(UnitIdeal):
+        quotient_complex(MonomialIdeal.unit(2))
+
+
 def test_taylor_resolution_refuses_more_than_16_generators(monkeypatch):
     """An ideal with more generators than the Taylor guard allows is refused
     before anything is built; one at the limit reaches the builder."""

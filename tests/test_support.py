@@ -43,6 +43,23 @@ def test_support_region_upward_closure():
     assert not r.member((2, 7))
 
 
+def test_regions_over_one_box_are_not_relisted(monkeypatch):
+    """Rebasing to the region's own box returns it, so a union or a
+    comparison of regions over one box never walks the box."""
+    from homotor import support
+
+    a = SupportRegion(Multidegree((2, 1)), frozenset({(1, 1)}))
+    b = SupportRegion(Multidegree((2, 1)), frozenset({(2, 0)}))
+    assert a.rebase((2, 1)) is a
+
+    def walk(box):
+        raise AssertionError("the box was walked")
+
+    monkeypatch.setattr(support, "iter_box", walk)
+    assert a.union(b) == SupportRegion(Multidegree((2, 1)), frozenset({(1, 1), (2, 0)}))
+    assert region_compare(a, b)["left_minus_right"] == [[1, 1]]
+
+
 def test_region_compare_and_rebase():
     a = SupportRegion(Multidegree((1, 1)), frozenset({(1, 1)}))
     assert region_compare(a, a)["equal"]
