@@ -322,12 +322,12 @@ def _support(problem, flags, fld, box, report):
         if subset:
             partitions = [partitions[i] for i in sorted(subset)]
         ps = [len(subset)] if subset else list(range(1, s + 1))
-        all_ok = True
-        for p in ps:
-            rep = supportoftors_check(partitions, coeff_ideal, p, fld)
+        reps = supportoftors_check(partitions, coeff_ideal, ps, fld)
+        for p, rep in reps.items():
             report["results"][f"p={p}"] = rep.to_json()
-            all_ok = all_ok and rep.passed
-        report["assertions"].append(_assertion("support_union_equality", all_ok))
+        report["assertions"].append(_assertion(
+            "support_union_equality", all(rep.passed for rep in reps.values())
+        ))
     else:
         regions = {}
         for name, ideal in problem.ideals.items():

@@ -31,7 +31,7 @@ from .errors import (
     ValidationError,
 )
 from .exactlin import GF, PrimeField, ScalarMatrix, rank
-from .monomial import MonomialIdeal, Multidegree, lcm_deg
+from .monomial import MonomialIdeal, Multidegree, check_box_size, lcm_deg
 
 FREE = "free"
 CYCLIC = "cyclic"
@@ -320,14 +320,14 @@ class GradedComplex:
         return r
 
     def _homology(self, masks: dict, field: PrimeField) -> dict:
-        """{i: dim H_i} of the fibre whose alive summands are ``masks``."""
-        out = {}
-        for i in self.window():
-            here = masks.get(i, 0)
-            r_out = self._masked_rank(i, here, masks.get(i - 1, 0), field)
-            r_in = self._masked_rank(i + 1, masks.get(i + 1, 0), here, field)
-            out[i] = here.bit_count() - r_out - r_in
-        return out
+        """{i: dim H_i} of the fibre whose alive summands are ``masks``.
+        Each rank of d_i (from term i to term i - 1) is looked up once; d_i
+        is zero at the lowest index, with no term below, and past the top."""
+        window = self.window()
+        r = {i: self._masked_rank(i, masks.get(i, 0), masks.get(i - 1, 0), field)
+             for i in range(window.start + 1, window.stop)}
+        return {i: masks.get(i, 0).bit_count() - r.get(i, 0) - r.get(i + 1, 0)
+                for i in window}
 
     def homology_at(self, gamma, field: PrimeField = GF()) -> dict:
         """{i: dim H_i at degree gamma} using the mask/rank cache."""
@@ -400,6 +400,7 @@ def module_homology_table(c: GradedComplex, field: PrimeField = GF(),
     sweep gives the alive masks of every degree of the box, and homology is
     computed once per fibre class (degrees with the same masks have the same
     fibre).  Entries are listed by degree, lexicographically, then by i.
+    A box of more than ``MAX_BOX_POINTS`` degrees is refused before the sweep.
     """
     sb = c.stable_box()
     if box is None:
@@ -408,6 +409,7 @@ def module_homology_table(c: GradedComplex, field: PrimeField = GF(),
         box = Multidegree(box)
         if not sb.leq(box):
             raise BoxTooSmall(f"box {tuple(box)} does not dominate {tuple(sb)}")
+    check_box_size(box)
     classes = {}
     entries = {}
     for degrees, masks in c._mask_runs(box):
@@ -530,14 +532,20 @@ def exterior_complex(m: int, summand, orientation: str = "chain"):
     raise InvalidKind(f"bad orientation {orientation!r}")
 
 
+def _refuse_unit(ideal: MonomialIdeal) -> None:
+    """The one check of every complex built from R/I, resolved or not: for
+    the unit ideal R/I is zero."""
+    if ideal.is_unit():
+        raise UnitIdeal("R/I is zero for the unit ideal")
+
+
 def taylor_resolution(ideal: MonomialIdeal) -> GradedComplex:
     """The Taylor resolution of R/I: basis = subsets of the generators,
     shift = their lcm.  Non-minimal in general but always a resolution;
     ``resolution`` shrinks it towards the minimal one.  On distinct
     variables lcm is the sum, so this is also the Koszul complex resolving
     R/(x_j : j in J) when I is ``MonomialIdeal.variables(n, J)``."""
-    if ideal.is_unit():
-        raise UnitIdeal("no Taylor resolution for the unit ideal")
+    _refuse_unit(ideal)
     gens = ideal.gens
     if len(gens) > MAX_TAYLOR_GENERATORS:
         raise ParamOutOfRange(
@@ -571,6 +579,5 @@ def resolution(ideal: MonomialIdeal) -> GradedComplex:
 
 def quotient_complex(ideal: MonomialIdeal) -> GradedComplex:
     """R/I as a complex, for a tensor factor left unresolved: R/I in degree 0."""
-    if ideal.is_unit():
-        raise UnitIdeal("R/I is zero for the unit ideal")
+    _refuse_unit(ideal)
     return GradedComplex(ideal.n, {0: (cyclic_summand(ideal),)}, {})

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import reduce
 
 from .errors import BoxTooSmall, OverlappingPartitions, ParamOutOfRange, ValidationError
 from .exactlin import GF, PrimeField
@@ -80,11 +81,13 @@ def region_compare(a: SupportRegion, b: SupportRegion) -> dict:
     }
 
 
-def supportoftors_check(partitions, coefficient: MonomialIdeal,
-                        p: int, fld: PrimeField = GF()) -> CheckReport:
+def supportoftors_check(partitions, coefficient: MonomialIdeal, ps,
+                        fld: PrimeField = GF()) -> dict:
     """Union-equality of Tor supports over products versus sums of the
     variable-generated ideals of a disjoint partition family, for all
-    p-subsets, plus the spectral-sequence containment cross-checks."""
+    p-subsets, plus the spectral-sequence containment cross-checks:
+    ``{p: CheckReport}`` for each p in ``ps``, from one pass that computes
+    each Tor table, Mayer-Vietoris total and page once for every p."""
     n = coefficient.n
     sets = [tuple(sorted(set(int(i) for i in J))) for J in partitions]
     if any(not J for J in sets):
@@ -97,8 +100,10 @@ def supportoftors_check(partitions, coefficient: MonomialIdeal,
             raise ValidationError(f"variable index out of range in {J}")
         seen |= set(J)
     s = len(sets)
-    if not 1 <= p <= s:
-        raise ParamOutOfRange(f"p={p} outside 1..{s}")
+    ps = list(ps)
+    for p in ps:
+        if not 1 <= p <= s:
+            raise ParamOutOfRange(f"p={p} outside 1..{s}")
     ideals = [MonomialIdeal.variables(n, J) for J in sets]
     coeff = None if coefficient.is_zero() else coefficient
 
@@ -107,28 +112,48 @@ def supportoftors_check(partitions, coefficient: MonomialIdeal,
     # sizes up to p (with a fixed size it already fails for M = R, two
     # singleton blocks and p = 2)
     combos = [
-        T for size in range(1, p + 1)
+        T for size in range(1, max(ps, default=0) + 1)
         for T in itertools.combinations(range(s), size)
     ]
-    prods = {T: combine([ideals[i] for i in T], "product") for T in combos}
-    sums = {T: combine([ideals[i] for i in T], "sum") for T in combos}
-    box = Multidegree.zero(n)
-    for ideal in list(prods.values()) + list(sums.values()):
-        box = lcm_deg(box, family_box([ideal], coefficient=coeff))
+    # a product or sum over T has exponent 1 on exactly the variables of
+    # T's blocks, so the singletons' boxes already reach every subset's box:
+    # one box for all p
+    box = reduce(lcm_deg, (family_box([ideal], coeff) for ideal in ideals),
+                 Multidegree.zero(n))
+    by_ideal: dict = {}  # a singleton's product and sum are one ideal
+    tor = {}  # {T: (Tor against the product, Tor against the sum)}
+    for T in combos:
+        family = [ideals[i] for i in T]
+        pair = (combine(family, "product"), combine(family, "sum"))
+        for ideal in pair:
+            if ideal not in by_ideal:
+                by_ideal[ideal] = multi_tor([ideal], coefficient=coeff, fld=fld, box=box)
+        tor[T] = tuple(by_ideal[ideal] for ideal in pair)
+    totals: dict = {}
+    spectra: dict = {}
 
+    def spectrum(kind, T, g):
+        """The pages of the (kind, T) Mayer-Vietoris total at g: each total
+        and each of its pages is built once, for every p that asks."""
+        if (kind, T) not in totals:
+            totals[(kind, T)] = mv_total_complex(kind, [ideals[i] for i in T], coeff)
+        if (kind, T, g) not in spectra:
+            spectra[(kind, T, g)] = pages(totals[(kind, T)], g, fld)
+        return spectra[(kind, T, g)]
+
+    return {p: _support_report([T for T in combos if len(T) <= p], box, tor, spectrum)
+            for p in ps}
+
+
+def _support_report(combos, box, tor, spectrum) -> CheckReport:
+    """The report of one p, whose subsets of size at most p are ``combos``."""
     report = CheckReport()
     report.context["box"] = list(box)
-    prod_tables = {
-        T: multi_tor([prods[T]], coefficient=coeff, fld=fld, box=box) for T in combos
-    }
-    sum_tables = {
-        T: multi_tor([sums[T]], coefficient=coeff, fld=fld, box=box) for T in combos
-    }
     left = SupportRegion(box, frozenset())
     right = SupportRegion(box, frozenset())
     for T in combos:
-        left = left.union(support_region(prod_tables[T]))
-        right = right.union(support_region(sum_tables[T]))
+        left = left.union(support_region(tor[T][0]))
+        right = right.union(support_region(tor[T][1]))
     cmp = region_compare(left, right)
     report.context["union_cells"] = [list(c) for c in left.sorted_cells()]
     report.add(
@@ -149,15 +174,13 @@ def supportoftors_check(partitions, coefficient: MonomialIdeal,
     # to Tor against the sum, moved up by 1
     tested = sorted(left.cells | right.cells)[:SPECTRAL_DEGREES]
     if not tested:
-        tested = [tuple(Multidegree.zero(n))]
+        tested = [tuple(Multidegree.zero(box.n))]
     witnesses = {"sum_to_product": [], "product_to_sum": []}
     for T in combos:
-        family = [ideals[i] for i in T]
-        for kind, offset, table in (("sum_to_product", len(T) - 1, prod_tables[T]),
-                                    ("product_to_sum", 1, sum_tables[T])):
-            filtered = mv_total_complex(kind, family, coeff)
+        for kind, offset, table in (("sum_to_product", len(T) - 1, tor[T][0]),
+                                    ("product_to_sum", 1, tor[T][1])):
             for g in tested:
-                pg = pages(filtered, g, fld)
+                pg = spectrum(kind, T, g)
                 where = {"kind": kind, "subset": list(T), "degree": list(g)}
                 if not pg.converged:
                     witnesses[kind].append({**where, "reason": "not convergent"})

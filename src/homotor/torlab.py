@@ -59,11 +59,9 @@ def multi_tor(ideals, coefficient: MonomialIdeal | None = None,
     the module, R/coefficient included unless the coefficient is zero, with
     the most minimal generators (its Taylor size 2^g bounds its reduced
     size; the first in family order on a tie, R/coefficient last).  It
-    enters as its ``quotient_complex``, the others as their ``resolution``.
-    A unit coefficient is refused with ``ZeroModule`` before the choice."""
+    enters as its ``quotient_complex``, the others as their ``resolution``;
+    either refuses a unit coefficient with ``UnitIdeal``."""
     ideals, _ = _validate_family(ideals)
-    if coefficient is not None and coefficient.is_unit():
-        raise ZeroModule("coefficient module R/I is zero")
     modules = list(ideals)
     if coefficient is not None and not coefficient.is_zero():
         modules.append(coefficient)

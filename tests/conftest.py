@@ -27,7 +27,15 @@ from homotor.multicomplex import (
     tensor,
     totalize,
 )
-from homotor.spectral import SpectralPages, _check_page
+from homotor.spectral import SpectralPages, _check_page, mv_total_complex, pages
+from homotor.sumprod import CheckReport
+from homotor.support import (
+    SPECTRAL_DEGREES,
+    SupportRegion,
+    region_compare,
+    support_region,
+)
+from homotor.torlab import family_box, multi_tor
 
 settings.register_profile("det", derandomize=True, max_examples=60)
 settings.load_profile("det")
@@ -36,6 +44,19 @@ settings.load_profile("det")
 def stream(seed, count, **params):
     """Deterministic family stream used across the suites."""
     return [random_instance(seed + t, **params) for t in range(count)]
+
+
+def set_partitions(items):
+    """Every partition of items into nonempty blocks."""
+    items = list(items)
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in set_partitions(rest):
+        yield [[first]] + part
+        for i in range(len(part)):
+            yield part[:i] + [[first] + part[i]] + part[i + 1:]
 
 
 def tensor_total(ideals, coefficient=None):
@@ -338,6 +359,80 @@ def free_complex(dims, diffs=None):
         for i, m in (diffs or {}).items()
     }
     return GradedComplex(1, terms, entries)
+
+
+def support_check_at(partitions, coefficient, p, fld=GF()):
+    """The support union-equality report of one p, every subset of size at
+    most p built from scratch: a Tor table per product and per sum, the
+    box as the lcm of their boxes, a Mayer-Vietoris total per kind and
+    subset and its pages at every tested degree.  The reference for the
+    one-pass ``supportoftors_check``."""
+    n = coefficient.n
+    sets = [tuple(sorted(set(int(i) for i in J))) for J in partitions]
+    ideals = [MonomialIdeal.variables(n, J) for J in sets]
+    coeff = None if coefficient.is_zero() else coefficient
+    combos = [
+        T for size in range(1, p + 1)
+        for T in itertools.combinations(range(len(sets)), size)
+    ]
+    prods = {T: combine([ideals[i] for i in T], "product") for T in combos}
+    sums = {T: combine([ideals[i] for i in T], "sum") for T in combos}
+    box = Multidegree.zero(n)
+    for ideal in list(prods.values()) + list(sums.values()):
+        box = lcm_deg(box, family_box([ideal], coefficient=coeff))
+
+    report = CheckReport()
+    report.context["box"] = list(box)
+    prod_tables = {
+        T: multi_tor([prods[T]], coefficient=coeff, fld=fld, box=box) for T in combos
+    }
+    sum_tables = {
+        T: multi_tor([sums[T]], coefficient=coeff, fld=fld, box=box) for T in combos
+    }
+    left = SupportRegion(box, frozenset())
+    right = SupportRegion(box, frozenset())
+    for T in combos:
+        left = left.union(support_region(prod_tables[T]))
+        right = right.union(support_region(sum_tables[T]))
+    cmp = region_compare(left, right)
+    report.context["union_cells"] = [list(c) for c in left.sorted_cells()]
+    report.add(
+        "support_union_equality",
+        True,
+        cmp["equal"],
+        [
+            {"side": "product_only", "cells": cmp["left_minus_right"]},
+            {"side": "sum_only", "cells": cmp["right_minus_left"]},
+        ]
+        if not cmp["equal"]
+        else [],
+    )
+    tested = sorted(left.cells | right.cells)[:SPECTRAL_DEGREES]
+    if not tested:
+        tested = [tuple(Multidegree.zero(n))]
+    witnesses = {"sum_to_product": [], "product_to_sum": []}
+    for T in combos:
+        family = [ideals[i] for i in T]
+        for kind, offset, table in (("sum_to_product", len(T) - 1, prod_tables[T]),
+                                    ("product_to_sum", 1, sum_tables[T])):
+            filtered = mv_total_complex(kind, family, coeff)
+            for g in tested:
+                pg = pages(filtered, g, fld)
+                where = {"kind": kind, "subset": list(T), "degree": list(g)}
+                if not pg.converged:
+                    witnesses[kind].append({**where, "reason": "not convergent"})
+                    continue
+                totals = pg.total_dims()
+                expected = {j + offset: d for (j, gm), d in table.entries.items() if gm == g}
+                witnesses[kind].extend(
+                    {**where, "i": i, "actual": totals.get(i, 0),
+                     "expected": expected.get(i, 0)}
+                    for i in sorted(set(totals) | set(expected))
+                    if totals.get(i, 0) != expected.get(i, 0)
+                )
+    for kind, found in witnesses.items():
+        report.add(f"{kind}_containment", True, not found, found)
+    return report
 
 
 @pytest.fixture

@@ -4,7 +4,7 @@ Every check is exact (integer dimension equality over the stated boxes);
 random families are drawn from the seeded deterministic generator.
 """
 
-from conftest import direct_e1, pair_intersection, stream
+from conftest import direct_e1, pair_intersection, set_partitions, stream
 from homotor.cli import random_instance
 from homotor.gcomplex import module_homology_table, taylor_resolution
 from homotor.monomial import MonomialIdeal, Multidegree, combine, iter_box
@@ -45,18 +45,6 @@ def mixed_stream(seed, count):
                             max_gens=2, max_exp=2)
         )
     return out
-
-
-def set_partitions(items):
-    items = list(items)
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for part in set_partitions(rest):
-        yield [[first]] + part
-        for i in range(len(part)):
-            yield part[:i] + [[first] + part[i]] + part[i + 1:]
 
 
 def test_criterion_1_tor1_oracle_equivalence():
@@ -281,21 +269,19 @@ def test_criterion_10_support_unions():
             s = len(part)
             if s > 3:
                 continue
-            for p in range(1, s + 1):
-                rep = supportoftors_check(part, MonomialIdeal.zero(n), p)
+            reps = supportoftors_check(part, MonomialIdeal.zero(n), range(1, s + 1))
+            count += len(reps)
+            failures.extend(("module R", n, part, p)
+                            for p, rep in reps.items() if not rep.passed)
+            if used_quotients < 20:
+                seed = next(quotient_seeds)
+                coeff = random_instance(seed, n_vars=n, n_ideals=1,
+                                        max_gens=2, max_exp=2)[0]
+                rep = supportoftors_check(part, coeff, [s])[s]
                 count += 1
+                used_quotients += 1
                 if not rep.passed:
-                    failures.append(("module R", n, part, p))
-                if used_quotients < 20 and p == s:
-                    seed = next(quotient_seeds)
-                    coeff = random_instance(seed, n_vars=n, n_ideals=1,
-                                            max_gens=2, max_exp=2)[0]
-                    rep = supportoftors_check(part, coeff, p)
-                    count += 1
-                    used_quotients += 1
-                    if not rep.passed:
-                        failures.append(("module R/I", n, part, p,
-                                         coeff.gens))
+                    failures.append(("module R/I", n, part, s, coeff.gens))
     assert used_quotients >= 15
     report(10, f"support union equality on {count} partition/module cases",
            failures)

@@ -292,6 +292,14 @@ def test_cli_box_read_where_accepted(problem_path, capsys, argv):
     assert json.loads(capsys.readouterr().out)["box"] == [2, 2]
 
 
+@pytest.mark.parametrize("command", ["tor", "tor1-oracle", "scomplex", "pcomplex"])
+def test_cli_huge_box_exits_2(problem_path, capsys, command):
+    """A box of more than MAX_BOX_POINTS degrees is refused, not swept."""
+    assert main([command, problem_path, "--box", "100000,100000"]) == 2
+    diag = json.loads(capsys.readouterr().out)
+    assert diag["error"]["type"] == "ParamOutOfRange"
+
+
 @pytest.mark.parametrize("argv", [
     ["scomplex", "--kind", "tilde"], ["pcomplex", "--kind", "tilde"],
     ["support", "--module", "I2"],
@@ -445,7 +453,7 @@ def test_cli_support_subset_names_the_ideals(partition_path, capsys):
     for subset, block in (("0", [0]), ("1", [1, 2])):
         assert main(["support", partition_path, "--subset", subset]) == 0
         report = json.loads(capsys.readouterr().out)
-        alone = supportoftors_check([block], MonomialIdeal.zero(3), 1).to_json()
+        alone = supportoftors_check([block], MonomialIdeal.zero(3), [1])[1].to_json()
         assert report["results"] == {"p=1": json.loads(json.dumps(alone))}
         results[subset] = report["results"]["p=1"]
     assert results["0"]["context"] != results["1"]["context"]

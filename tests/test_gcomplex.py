@@ -182,6 +182,17 @@ def test_module_homology_table_box_guard():
     assert bigger.dim(0, (0, 0)) == 1
 
 
+def test_module_homology_table_refuses_a_huge_box_before_the_sweep(monkeypatch):
+    t = taylor_resolution(MonomialIdeal(2, [(1, 0), (0, 1)]))
+
+    def sweep(self, box):
+        raise AssertionError("the box was swept")
+
+    monkeypatch.setattr(GradedComplex, "_mask_runs", sweep)
+    with pytest.raises(ParamOutOfRange):
+        module_homology_table(t, box=(1000, 1000))
+
+
 def test_with_coefficient_matches_longer_family():
     """Tensoring the resolution with R/J fiberwise computes Tor against R/J."""
     from homotor.multicomplex import tensor, totalize

@@ -11,10 +11,12 @@ from homotor.errors import (
     EmptyInput,
     InvalidKind,
     LengthMismatch,
+    ParamOutOfRange,
     UnitIdeal,
     ValidationError,
 )
 from homotor.monomial import (
+    MAX_BOX_POINTS,
     MonomialIdeal,
     Multidegree,
     combine,
@@ -137,6 +139,15 @@ def test_quotient_dimension_against_prime_enumeration(gens):
     dim, codim = quotient_dimension(ideal)
     assert dim == best
     assert codim == 4 - best
+
+
+def test_iter_box_refuses_more_than_max_box_points_when_called():
+    assert MAX_BOX_POINTS == 1000 * 1000
+    iter_box((999, 999))  # exactly MAX_BOX_POINTS degrees: accepted, not walked
+    with pytest.raises(ParamOutOfRange, match="1001000 degrees"):
+        iter_box((999, 1000))
+    with pytest.raises(ParamOutOfRange):
+        iter_box((100000, 100000, 100000))
 
 
 def test_iter_box_order():

@@ -602,12 +602,21 @@ def test_spectral_command_builds_one_total(kind, monkeypatch):
 
 
 def test_support_check_builds_one_mv_total_per_kind_and_subset(monkeypatch):
+    """One call over p = 1, 2, 3 builds each total and each Tor table once:
+    a singleton's product and sum are one ideal."""
     mv_totals = _Counter(support.mv_total_complex)
+    tors = _Counter(support.multi_tor)
     monkeypatch.setattr(support, "mv_total_complex", mv_totals)
-    report = support.supportoftors_check([[0], [1], [2]], MonomialIdeal.zero(3), 3)
-    assert report.passed and len(report.context["union_cells"]) > 1
+    monkeypatch.setattr(support, "multi_tor", tors)
+    reports = support.supportoftors_check([[0], [1], [2]], MonomialIdeal.zero(3),
+                                          [1, 2, 3])
+    assert list(reports) == [1, 2, 3]
+    assert all(r.passed for r in reports.values())
+    assert len(reports[3].context["union_cells"]) > 1
     built = [(kind, tuple(ideals)) for kind, ideals, _ in mv_totals.calls]
     assert len(built) == len(set(built)) == 2 * 7  # two kinds, 7 nonempty subsets
+    tabled = [tuple(ideals) for (ideals,) in tors.calls]
+    assert len(tabled) == len(set(tabled)) == 7 + 4  # 7 products, 4 sums with |T| >= 2
 
 
 def test_exactness_check_builds_one_total_per_subfamily(monkeypatch):

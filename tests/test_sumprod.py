@@ -251,7 +251,8 @@ def test_augmented_interior_rows(kxy):
 
 
 def test_augmented_interior_unit_coefficient_raises(kxy):
-    with pytest.raises(UnitIdeal):
+    """The same error and message as multi_tor's."""
+    with pytest.raises(UnitIdeal, match="^R/I is zero for the unit ideal$"):
         augmented_interior_H([kxy["x"], kxy["y"]], [0, 1], MonomialIdeal.unit(2))
 
 

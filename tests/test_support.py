@@ -3,6 +3,8 @@ blocks."""
 
 import pytest
 
+from conftest import set_partitions, support_check_at
+from homotor.cli import random_instance
 from homotor.errors import (
     BoxTooSmall,
     OverlappingPartitions,
@@ -17,7 +19,7 @@ from homotor.support import (
     support_region,
     supportoftors_check,
 )
-from homotor.torlab import multi_tor
+from homotor.torlab import family_box, multi_tor
 
 
 def test_support_region_basics(kxy):
@@ -78,30 +80,58 @@ def test_region_compare_and_rebase():
 
 
 def test_supportoftors_examples():
-    r = supportoftors_check([[0], [1]], MonomialIdeal.zero(2), 2)
-    assert r.passed
-    r = supportoftors_check([[0], [1]], MonomialIdeal(2, [(1, 1)]), 2)
-    assert r.passed
-    r = supportoftors_check([[0], [1]], MonomialIdeal.zero(2), 1)
-    assert r.passed
+    r = supportoftors_check([[0], [1]], MonomialIdeal.zero(2), [1, 2])
+    assert list(r) == [1, 2] and r[1].passed and r[2].passed
+    r = supportoftors_check([[0], [1]], MonomialIdeal(2, [(1, 1)]), [2])
+    assert list(r) == [2] and r[2].passed
 
 
 def test_supportoftors_rejects_overlap():
     with pytest.raises(OverlappingPartitions):
-        supportoftors_check([[0, 1], [1]], MonomialIdeal.zero(2), 1)
+        supportoftors_check([[0, 1], [1]], MonomialIdeal.zero(2), [1])
     with pytest.raises(OverlappingPartitions):
-        supportoftors_check([[0], []], MonomialIdeal.zero(2), 1)
+        supportoftors_check([[0], []], MonomialIdeal.zero(2), [1])
     with pytest.raises(ValidationError):
-        supportoftors_check([[0], [2]], MonomialIdeal.zero(2), 1)
+        supportoftors_check([[0], [2]], MonomialIdeal.zero(2), [1])
 
 
 @pytest.mark.parametrize("p", [0, 3])
 def test_supportoftors_rejects_p_outside_the_family(p):
     with pytest.raises(ParamOutOfRange):
-        supportoftors_check([[0], [1]], MonomialIdeal.zero(2), p)
+        supportoftors_check([[0], [1]], MonomialIdeal.zero(2), [1, p])
 
 
 def test_supportoftors_with_module_coefficients():
     m = MonomialIdeal(3, [(1, 0, 2)])
-    r = supportoftors_check([[0], [1, 2]], m, 2)
+    r = supportoftors_check([[0], [1, 2]], m, [2])[2]
     assert r.passed, r.to_json()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_one_pass_reports_equal_the_per_p_oracle(n):
+    """Every set partition of n variables, against R and against a random
+    R/I: one call over all p gives the reports of the per-p oracle, and so
+    does one call for every other block, the way ``--subset`` passes them."""
+    for k, part in enumerate(set_partitions(range(n))):
+        s = len(part)
+        quotient = random_instance(120000 + 100 * n + k, n_vars=n, n_ideals=1,
+                                   max_gens=2, max_exp=2)[0]
+        for coeff in (MonomialIdeal.zero(n), quotient):
+            reports = supportoftors_check(part, coeff, range(1, s + 1))
+            assert {p: r.to_json() for p, r in reports.items()} == {
+                p: support_check_at(part, coeff, p).to_json() for p in range(1, s + 1)
+            }
+            chosen = part[::2]
+            u = len(chosen)
+            assert (supportoftors_check(chosen, coeff, [u])[u].to_json()
+                    == support_check_at(chosen, coeff, u).to_json())
+
+
+def test_support_box_is_the_same_for_every_p():
+    """Every product or sum over a subset has exponent 1 on exactly its
+    variables, so the singletons already reach the box of every p."""
+    coeff = MonomialIdeal(4, [(2, 0, 1, 0), (0, 1, 0, 0)])
+    reports = supportoftors_check([[0], [1, 2], [3]], coeff, [1, 2, 3])
+    boxes = {tuple(r.context["box"]) for r in reports.values()}
+    whole = family_box([MonomialIdeal.variables(4, range(4))], coeff)
+    assert boxes == {tuple(whole)} == {(3, 2, 2, 1)}

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import koszul_betti, stream, tensor_total, with_coefficient
 from homotor import torlab
 from homotor.exactlin import GF
-from homotor.errors import BoxTooSmall, EmptyInput, UnitIdeal, ZeroModule
+from homotor.errors import BoxTooSmall, EmptyInput, UnitIdeal
 from homotor.gcomplex import (
     cancel_units,
     module_homology_table,
@@ -63,7 +63,9 @@ def test_multi_tor_rejects_bad_input():
         multi_tor([])
     with pytest.raises(UnitIdeal):
         multi_tor([MonomialIdeal.unit(2)])
-    with pytest.raises(ZeroModule):
+    # a unit coefficient has one generator, so it is resolved, and refused
+    # with the error and message of augmented_interior_H's quotient factor
+    with pytest.raises(UnitIdeal, match="^R/I is zero for the unit ideal$"):
         multi_tor([MonomialIdeal(2, [(1, 0)])], coefficient=MonomialIdeal.unit(2))
 
 
