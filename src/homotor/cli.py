@@ -210,8 +210,7 @@ def _sample_degrees(box, cap=12):
 def _tor(problem, flags, fld, box, report):
     family = problem.family()
     coeff = _flag_coefficient(problem, flags)
-    use_box = box if box is not None else family_box(family, coeff)
-    table = multi_tor(family, coefficient=coeff, fld=fld, box=use_box)
+    table = multi_tor(family, coefficient=coeff, fld=fld, box=box)
     report["box"] = list(table.box)
     report["results"]["tor"] = table.records()
 

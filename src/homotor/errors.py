@@ -21,10 +21,6 @@ class UnitIdeal(HomotorError):
     """The unit ideal was passed where a proper ideal is required."""
 
 
-class ZeroModule(HomotorError):
-    """A quotient module R/I is zero (I is the unit ideal)."""
-
-
 class BoxTooSmall(HomotorError):
     """A user-supplied degree box does not dominate the stability box."""
 

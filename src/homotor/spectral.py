@@ -103,12 +103,17 @@ class SpectralPages:
     def page(self, r: int) -> dict:
         return self.pages[min(r, self.r_stab) - 1]
 
-    def total_dims(self, table: dict | None = None) -> dict:
-        table = self.e_infinity if table is None else table
-        out: dict = {}
-        for (p, q), d in table.items():
-            out[p + q] = out.get(p + q, 0) + d
-        return out
+    def total_dims(self) -> dict:
+        return _diagonal_sums(self.e_infinity)
+
+
+def _diagonal_sums(table: dict) -> dict:
+    """{p + q: the sum of the dimensions of table on that diagonal} of a
+    (p, q)-keyed page."""
+    out: dict = {}
+    for (p, q), d in table.items():
+        out[p + q] = out.get(p + q, 0) + d
+    return out
 
 
 def persistence_pairs(filtered: FilteredTotal, i: int, alive: dict,
@@ -183,9 +188,7 @@ def pages(filtered: FilteredTotal, gamma, fld: PrimeField = GF()) -> SpectralPag
     base_h = {i: alive[i].bit_count() - rank.get(i, 0) - rank.get(i + 1, 0)
               for i in window}
     check = {}
-    totals = {}
-    for (p, q), d in e_inf.items():
-        totals[p + q] = totals.get(p + q, 0) + d
+    totals = _diagonal_sums(e_inf)
     converged = True
     for i in set(base_h) | set(totals):
         lhs = totals.get(i, 0)

@@ -28,7 +28,13 @@ from .gcomplex import (
 from .monomial import MonomialIdeal, combine, iter_box, membership
 from .multicomplex import hypercube_augment, tensor, totalize
 from .spectral import build_filtration, pages
-from .torlab import _validate_family, family_box, multi_tor
+from .torlab import (
+    _table_independent,
+    _validate_family,
+    family_box,
+    independence,
+    multi_tor,
+)
 
 
 def build_s_complex(ideals, variant: str = "quotient") -> GradedComplex:
@@ -181,17 +187,20 @@ def verify_identities(ideals, fld: PrimeField = GF()) -> CheckReport:
     n = len(ideals)
     report = CheckReport()
 
-    sub_tables = {}
-    for size in range(2, n):
-        for sub in itertools.combinations(range(n), size):
-            sub_tables[sub] = multi_tor([ideals[i] for i in sub], fld=fld)
-    strict_ok = all(
-        all(i <= 0 for i in t.nonzero_indices()) for t in sub_tables.values()
-    )
+    # the Tor tables of the strict subfamilies of size >= 2, smallest first
+    sub_tables = {
+        sub: multi_tor([ideals[i] for i in sub], fld=fld)
+        for size in range(2, n)
+        for sub in itertools.combinations(range(n), size)
+    }
+    # p* = the largest p < n such that every subfamily of size <= p is
+    # independent: one less than the size of the first dependent one
+    p_star = next((len(sub) - 1 for sub, t in sub_tables.items()
+                   if not _table_independent(t)), max(n - 1, 1))
+    strict_ok = p_star >= n - 1
     report.context["strict_subfamilies_independent"] = strict_ok
 
     s_complex = build_s_complex(ideals)
-    aug = hypercube_augment(tensor([resolution(i) for i in ideals]))
     box = family_box(ideals)
     report.context["box"] = list(box)
 
@@ -199,8 +208,9 @@ def verify_identities(ideals, fld: PrimeField = GF()) -> CheckReport:
     s_tab = complex_homology_table(s_complex, fld, box)
     p_tab = complex_homology_table(build_p_complex(ideals), fld, box)
     h1 = complex_homology_table(truncated(s_complex), fld, box).slice(1)
-    aug_tab = module_homology_table(aug, fld, box)
-    top = sum(len(i.gens) for i in ideals)
+    # H_{n,q} = H_{n+q}(augmented interior) of the whole family, keyed by q
+    aug_tab = augmented_interior_H(ideals, range(n), None, fld, box)
+    s_max = max(sum(len(i.gens) for i in ideals) - n, 0)
     prod_ideal = combine(ideals, "product")
 
     cells = [tuple(g) for g in iter_box(box)]
@@ -252,24 +262,13 @@ def verify_identities(ideals, fld: PrimeField = GF()) -> CheckReport:
 
     # top range: Tor_{n+i} = H_{n+i}(augmented interior)
     _compare_slices(report, "top_tor_vs_augmented", strict_ok,
-                    ((i, tor.slice(n + i), aug_tab.slice(n + i))
-                     for i in range(0, max(top - n, 0) + 1)))
+                    ((i, tor.slice(n + i), aug_tab.slice(i)) for i in range(s_max + 1)))
 
     # product-side identification: H_i(P) = Tor_{i-1} for i <= n
     _compare_slices(report, "product_homology_vs_tor", strict_ok,
                     ((i, p_tab.slice(i), tor.slice(i - 1)) for i in range(1, n + 1)))
 
-    # partial range: with p* = largest p < n such that every subfamily of size
-    # <= p is independent, Tor_i = H_{i+1}(P) for 1 <= i <= p*
-    p_star = 1
-    for size in range(2, n):
-        if all(
-            all(i <= 0 for i in sub_tables[sub].nonzero_indices())
-            for sub in itertools.combinations(range(n), size)
-        ):
-            p_star = size
-        else:
-            break
+    # partial range: Tor_i = H_{i+1}(P) for 1 <= i <= p*
     report.context["partial_independence_bound"] = p_star
     _compare_slices(report, "partial_product_range", n >= 2,
                     ((i, tor.slice(i), p_tab.slice(i + 1)) for i in range(1, p_star + 1)))
@@ -285,17 +284,11 @@ def verify_identities(ideals, fld: PrimeField = GF()) -> CheckReport:
 
     # under V_{s+1} there is a surjection Tor_{n+s} -> H_{n,s}, an
     # isomorphism under V_{s+2}; dimensionwise: >= resp. ==
-    s_max = max(top - n, 0)
-
     def V(t):
-        if n <= 2:
-            return True
-        for p in range(2, n):
-            for sub in itertools.combinations(range(n), p):
-                for q in range(1, p + t):
-                    if not sub_tables[sub].is_zero(q):
-                        return False
-        return True
+        """Tor_q of every strict subfamily of size p >= 2 vanishes for
+        1 <= q < p + t."""
+        return all(table.is_zero(q) for sub, table in sub_tables.items()
+                   for q in range(1, len(sub) + t))
 
     wit = []
     ok = True
@@ -306,7 +299,7 @@ def verify_identities(ideals, fld: PrimeField = GF()) -> CheckReport:
         any_checked = True
         iso = V(s + 2)
         lhs = tor.slice(n + s)
-        rhs = aug_tab.slice(n + s)
+        rhs = aug_tab.slice(s)
         for g in sorted(set(lhs) | set(rhs)):
             a, b = lhs.get(g, 0), rhs.get(g, 0)
             bad = (a != b) if iso else (a < b)
@@ -323,84 +316,51 @@ def exactness_equivalences(ideals, fld: PrimeField = GF()) -> CheckReport:
     """Exactness equivalences: strong Tor-independence against (2) the
     exactness of the q >= 0 rows of the augmented-interior spectral sequence
     of every subfamily, (3) vanishing of H_i(P) for i >= 2 for every
-    subfamily, (4) exactness of every subfamily's sum complex."""
-    from .torlab import independence
+    subfamily, (4) exactness of every subfamily's sum complex.
 
+    Every condition runs over the subfamilies of size >= 2: a single ideal
+    is Tor-independent, its P is the one term R/I at index 1 and its S the
+    identity R/I -> R/I, so it can give no witness."""
     ideals, n_vars = _validate_family(ideals)
     n = len(ideals)
     report = CheckReport()
+    subs = [sub for size in range(2, n + 1)
+            for sub in itertools.combinations(range(n), size)]
+    families = {sub: [ideals[i] for i in sub] for sub in subs}
 
-    cond1 = independence(ideals, fld=fld, strong=True).independent
+    cond1 = all(independence(families[sub], fld).independent for sub in subs)
 
-    h_tables = {}
-    for size in range(2, n + 1):
-        for sub in itertools.combinations(range(n), size):
-            h_tables[sub] = augmented_interior_H(ideals, list(sub), None, fld)
-
-    def rows_vanish(sub):
-        """All H_{p,q} entries with q >= 0 vanish over the subfamilies of sub."""
-        bad = []
-        for p in range(2, len(sub) + 1):
-            for t in itertools.combinations(sub, p):
-                tab = h_tables[t]
-                for q in tab.nonzero_indices():
-                    if q >= 0:
-                        bad.append((t, q))
-        return bad
-
-    cond2 = True
+    h_tables = {sub: augmented_interior_H(ideals, sub, None, fld) for sub in subs}
     cond2_witness = []
-    for size in range(2, n + 1):
-        for sub in itertools.combinations(range(n), size):
-            bad = rows_vanish(sub)
-            if not bad:
-                continue
-            # rows with nonzero entries: settle exactness with the engine at
-            # the degrees where something survives
-            family = [ideals[i] for i in sub]
-            m = tensor([resolution(i) for i in family])
-            box = family_box(family)
-            gammas = set()
-            for p in range(2, len(sub) + 1):
-                for t in itertools.combinations(sub, p):
-                    for (q, g) in h_tables[t].entries:
-                        if q >= 0:
-                            gammas.add(tuple(min(a, b) for a, b in zip(g, box)))
-            filtered = build_filtration(m, kind="interior_augmented")
-            exact_here = True
-            for g in sorted(gammas):
-                pg = pages(filtered, g, fld)
-                e2 = pg.page(2)
-                for (p, q), d in e2.items():
-                    if q >= 0 and p >= 2 and d:
-                        exact_here = False
-                        cond2_witness.append(
-                            {"subfamily": list(sub), "degree": list(g), "p": p, "q": q}
-                        )
-                        break
-                if not exact_here:
-                    break
-            if not exact_here:
-                cond2 = False
-    cond3 = True
+    for sub in subs:
+        # the degrees where a q >= 0 row of a subfamily of sub survives;
+        # exactness there is settled with the page engine
+        gammas = sorted({g for size in range(2, len(sub) + 1)
+                         for t in itertools.combinations(sub, size)
+                         for (q, g) in h_tables[t].entries if q >= 0})
+        if not gammas:
+            continue
+        filtered = build_filtration(tensor([resolution(i) for i in families[sub]]),
+                                    kind="interior_augmented")
+        witness = next(({"subfamily": list(sub), "degree": list(g), "p": p, "q": q}
+                        for g in gammas
+                        for (p, q), d in pages(filtered, g, fld).page(2).items()
+                        if q >= 0 and p >= 2 and d), None)
+        if witness:
+            cond2_witness.append(witness)
+
     cond3_witness = []
-    cond4 = True
     cond4_witness = []
-    for size in range(1, n + 1):
-        for sub in itertools.combinations(range(n), size):
-            family = [ideals[i] for i in sub]
-            p_tab = complex_homology_table(build_p_complex(family), fld)
-            for i in p_tab.nonzero_indices():
-                if i >= 2:
-                    cond3 = False
-                    cond3_witness.append({"subfamily": list(sub), "i": i})
-                    break
-            s_tab = complex_homology_table(build_s_complex(family), fld)
-            if s_tab.nonzero_indices():
-                cond4 = False
-                cond4_witness.append(
-                    {"subfamily": list(sub), "i": s_tab.nonzero_indices()[0]}
-                )
+    for sub in subs:
+        p_tab = complex_homology_table(build_p_complex(families[sub]), fld)
+        i = next((i for i in p_tab.nonzero_indices() if i >= 2), None)
+        if i is not None:
+            cond3_witness.append({"subfamily": list(sub), "i": i})
+        s_nonzero = complex_homology_table(build_s_complex(families[sub]), fld
+                                           ).nonzero_indices()
+        if s_nonzero:
+            cond4_witness.append({"subfamily": list(sub), "i": s_nonzero[0]})
+    cond2, cond3, cond4 = not cond2_witness, not cond3_witness, not cond4_witness
     report.context.update(
         {
             "strongly_independent": cond1,

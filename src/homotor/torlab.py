@@ -13,20 +13,25 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .errors import EmptyInput, LengthMismatch, UnitIdeal, ZeroModule
+from .errors import EmptyInput, LengthMismatch
 from .exactlin import GF, PrimeField, ScalarMatrix, rank
-from .gcomplex import TorTable, module_homology_table, quotient_complex, resolution
+from .gcomplex import (
+    TorTable,
+    _refuse_unit,
+    module_homology_table,
+    quotient_complex,
+    resolution,
+)
 from .monomial import MonomialIdeal, Multidegree, combine, iter_box, quotient_dimension
 from .multicomplex import tensor, totalize
 
 
-def _validate_family(ideals, error=UnitIdeal):
+def _validate_family(ideals):
     ideals = list(ideals)
     if not ideals:
         raise EmptyInput("need at least one ideal")
     for ideal in ideals:
-        if ideal.is_unit():
-            raise error("unit ideal: the quotient module is zero")
+        _refuse_unit(ideal)
     n = ideals[0].n
     if any(i.n != n for i in ideals):
         raise LengthMismatch("ideals live in different variable counts")
@@ -150,20 +155,14 @@ def independence(ideals, fld: PrimeField = GF(), strong: bool = False
         return IndependenceReport(independent=ok, strong=False)
     s = len(ideals)
     subset_results = {}
-    for size in range(2, s + 1):
-        for sub in itertools.combinations(range(s), size):
-            table = multi_tor([ideals[i] for i in sub], fld=fld)
-            subset_results[sub] = _table_independent(table)
-    by_subsets = all(subset_results.values())
     recursion_results = {}
     for size in range(2, s + 1):
         for sub in itertools.combinations(range(s), size):
-            j1 = max(sub)
-            rest = [ideals[i] for i in sub if i != j1]
-            pair = [ideals[j1], combine(rest, "sum")]
-            recursion_results[sub] = _table_independent(
-                multi_tor(pair, fld=fld)
-            )
+            family = [ideals[i] for i in sub]
+            subset_results[sub] = _table_independent(multi_tor(family, fld=fld))
+            pair = [family[-1], combine(family[:-1], "sum")]
+            recursion_results[sub] = _table_independent(multi_tor(pair, fld=fld))
+    by_subsets = all(subset_results.values())
     by_recursion = all(recursion_results.values())
     return IndependenceReport(
         independent=by_subsets,
@@ -205,10 +204,8 @@ def betti_table(ideal: MonomialIdeal, fld: PrimeField = GF()) -> BettiReport:
     the reduced resolution of R/I with every summand R(-a) turned into
     k(-a), which lives only at degree a.  Only one of the two is resolved.
     Its box is lcm(gens) + (1, ..., 1)."""
-    if ideal.is_unit():
-        raise UnitIdeal("R/I is zero")
     n = ideal.n
-    dim, codim = quotient_dimension(ideal)  # first: it bounds the variable count
+    dim, codim = quotient_dimension(ideal)  # first: it refuses (1) and bounds n
     table = multi_tor([ideal], MonomialIdeal.variables(n, range(n)), fld)
     pd = table.max_nonzero_index() or 0
     depth = n - pd
@@ -244,7 +241,7 @@ def rigidity_check(ideals, fld: PrimeField = GF()) -> RigidityReport:
     vanishes all higher ones must; vanishing passes to prefix subfamilies;
     and 0 <= eps := dim R + j - sum pd, with eps = 0 forced when the top Tor
     is artinian.  Any violation is reported with a witness."""
-    ideals, n = _validate_family(ideals, error=ZeroModule)
+    ideals, n = _validate_family(ideals)
     table = multi_tor(ideals, fld=fld)
     max_index = sum(len(i.gens) for i in ideals)
     vanishing = {i: table.is_zero(i) for i in range(max_index + 1)}
@@ -322,7 +319,7 @@ def serre_a8_check(ideals, fld: PrimeField = GF()) -> SerreReport:
     vanishes and the tensor product is CM; (2) its codimension equals the sum
     of the projective dimensions; (3) the intersection is proper and every
     quotient is CM.  The three truth values must coincide."""
-    ideals, n = _validate_family(ideals, error=ZeroModule)
+    ideals, n = _validate_family(ideals)
     table = multi_tor(ideals, fld=fld)
     sum_ideal = combine(ideals, "sum")
     tensor_report = betti_table(sum_ideal, fld)

@@ -7,7 +7,7 @@ from hypothesis import settings
 from homotor import MonomialIdeal, Multidegree
 from homotor.cli import random_instance
 from homotor.errors import MixedKinds, UnitIdeal
-from homotor.exactlin import GF
+from homotor.exactlin import GF, PrimeField
 from homotor.gcomplex import (
     CYCLIC,
     FREE,
@@ -17,9 +17,11 @@ from homotor.gcomplex import (
     cyclic_summand,
     exterior_complex,
     free_summand,
+    module_homology_table,
+    resolution,
     taylor_resolution,
 )
-from homotor.monomial import combine, lcm_deg
+from homotor.monomial import combine, iter_box, lcm_deg, membership
 from homotor.multicomplex import (
     Multicomplex,
     _compose_chain,
@@ -27,15 +29,35 @@ from homotor.multicomplex import (
     tensor,
     totalize,
 )
-from homotor.spectral import SpectralPages, _check_page, mv_total_complex, pages
-from homotor.sumprod import CheckReport
+from homotor.spectral import (
+    SpectralPages,
+    _check_page,
+    build_filtration,
+    mv_total_complex,
+    pages,
+)
+from homotor.sumprod import (
+    CheckReport,
+    _compare_slices,
+    augmented_interior_H,
+    build_p_complex,
+    build_s_complex,
+    complex_homology_table,
+    truncated,
+)
 from homotor.support import (
     SPECTRAL_DEGREES,
     SupportRegion,
     region_compare,
     support_region,
 )
-from homotor.torlab import family_box, multi_tor
+from homotor.torlab import (
+    IndependenceReport,
+    _table_independent,
+    _validate_family,
+    family_box,
+    multi_tor,
+)
 
 settings.register_profile("det", derandomize=True, max_examples=60)
 settings.load_profile("det")
@@ -433,6 +455,291 @@ def support_check_at(partitions, coefficient, p, fld=GF()):
     for kind, found in witnesses.items():
         report.add(f"{kind}_containment", True, not found, found)
     return report
+
+
+def verify_identities_oracle(ideals, fld: PrimeField = GF()) -> CheckReport:
+    """The sum/product identification report with the strict subfamilies'
+    Tor tables tested twice inline, and the augmented interior of the whole
+    family built and tabulated here at its unshifted indices: the reference
+    for ``verify_identities``."""
+    ideals, n_vars = _validate_family(ideals)
+    n = len(ideals)
+    report = CheckReport()
+
+    sub_tables = {}
+    for size in range(2, n):
+        for sub in itertools.combinations(range(n), size):
+            sub_tables[sub] = multi_tor([ideals[i] for i in sub], fld=fld)
+    strict_ok = all(
+        all(i <= 0 for i in t.nonzero_indices()) for t in sub_tables.values()
+    )
+    report.context["strict_subfamilies_independent"] = strict_ok
+
+    s_complex = build_s_complex(ideals)
+    aug = hypercube_augment(tensor([resolution(i) for i in ideals]))
+    box = family_box(ideals)
+    report.context["box"] = list(box)
+
+    tor = multi_tor(ideals, fld=fld, box=box)
+    s_tab = complex_homology_table(s_complex, fld, box)
+    p_tab = complex_homology_table(build_p_complex(ideals), fld, box)
+    h1 = complex_homology_table(truncated(s_complex), fld, box).slice(1)
+    aug_tab = module_homology_table(aug, fld, box)
+    top = sum(len(i.gens) for i in ideals)
+    prod_ideal = combine(ideals, "product")
+
+    cells = [tuple(g) for g in iter_box(box)]
+    s0 = {g: 0 if membership(g, prod_ideal) else 1 for g in cells}
+
+    def four_term(name, table, j):
+        """S^0 - H^1(S_-) against table_j - table_{j-1} at every cell, with
+        table_j alone at n = 2."""
+        if not (strict_ok and n >= 2):
+            report.add(name, False, None)
+            return
+        wit = []
+        ok = True
+        for g in cells:
+            lhs = s0[g] - h1.get(g, 0)
+            rhs = table.dim(j, g) - (table.dim(j - 1, g) if n >= 3 else 0)
+            if lhs != rhs:
+                ok = False
+                if len(wit) < 4:
+                    wit.append({"degree": list(g), "actual": lhs, "expected": rhs})
+        report.add(name, True, ok, wit)
+
+    # sum-side identification H^i(S) = Tor_{n-i-1}; it carries content for
+    # 2 <= i <= n-2 (positive Tor index).  At i = n-1 the stated range
+    # overshoots: S is exact there whenever the family is strongly
+    # independent while Tor_0 = R/(sum) never vanishes.
+    _compare_slices(report, "sum_homology_vs_tor", strict_ok,
+                    ((i, s_tab.slice(i), tor.slice(n - i - 1)) for i in range(2, n - 1)))
+
+    # structural boundary facts: H^n(S) = 0 always (n >= 2), and H^{n-1}(S)
+    # = 0 for n >= 3 (the abutment vanishes below the corner degree)
+    if n >= 2:
+        wit = []
+        ok = not s_tab.slice(n)
+        if n >= 3:
+            ok = ok and not s_tab.slice(n - 1)
+        if not ok:
+            for i in (n, n - 1):
+                for g, d in sorted(s_tab.slice(i).items()):
+                    wit.append({"i": i, "degree": list(g), "actual": d,
+                                "expected": 0})
+        report.add("sum_top_vanishing", True, ok, wit[:4])
+    else:
+        report.add("sum_top_vanishing", False, None)
+
+    # four-term bookkeeping for S^0 and H^1(S_-); at n = 2 the closing map to Tor_0 is
+    # carried by S^1 on the first page, so the count closes with Tor_1 alone
+    four_term("four_term_bookkeeping", tor, n - 1)
+
+    # top range: Tor_{n+i} = H_{n+i}(augmented interior)
+    _compare_slices(report, "top_tor_vs_augmented", strict_ok,
+                    ((i, tor.slice(n + i), aug_tab.slice(n + i))
+                     for i in range(0, max(top - n, 0) + 1)))
+
+    # product-side identification: H_i(P) = Tor_{i-1} for i <= n
+    _compare_slices(report, "product_homology_vs_tor", strict_ok,
+                    ((i, p_tab.slice(i), tor.slice(i - 1)) for i in range(1, n + 1)))
+
+    # partial range: with p* = largest p < n such that every subfamily of size
+    # <= p is independent, Tor_i = H_{i+1}(P) for 1 <= i <= p*
+    p_star = 1
+    for size in range(2, n):
+        if all(
+            all(i <= 0 for i in sub_tables[sub].nonzero_indices())
+            for sub in itertools.combinations(range(n), size)
+        ):
+            p_star = size
+        else:
+            break
+    report.context["partial_independence_bound"] = p_star
+    _compare_slices(report, "partial_product_range", n >= 2,
+                    ((i, tor.slice(i), p_tab.slice(i + 1)) for i in range(1, p_star + 1)))
+
+    # product-vs-sum comparison H_i(P) = H^{n-i}(S); valid at i = 0 and 2 <= i <= n-2.
+    # At i = 1 the stated range overshoots: H_1(P) = R/(sum) never vanishes
+    # while H^{n-1}(S) always does for n >= 3.
+    _compare_slices(report, "product_vs_sum_homology", strict_ok,
+                    ((i, p_tab.slice(i), s_tab.slice(n - i)) for i in [0, *range(2, n - 1)]))
+
+    # the product-side four-term bookkeeping
+    four_term("four_term_product", p_tab, n)
+
+    # under V_{s+1} there is a surjection Tor_{n+s} -> H_{n,s}, an
+    # isomorphism under V_{s+2}; dimensionwise: >= resp. ==
+    s_max = max(top - n, 0)
+
+    def V(t):
+        if n <= 2:
+            return True
+        for p in range(2, n):
+            for sub in itertools.combinations(range(n), p):
+                for q in range(1, p + t):
+                    if not sub_tables[sub].is_zero(q):
+                        return False
+        return True
+
+    wit = []
+    ok = True
+    any_checked = False
+    for s in range(0, s_max + 1):
+        if not V(s + 1):
+            continue
+        any_checked = True
+        iso = V(s + 2)
+        lhs = tor.slice(n + s)
+        rhs = aug_tab.slice(n + s)
+        for g in sorted(set(lhs) | set(rhs)):
+            a, b = lhs.get(g, 0), rhs.get(g, 0)
+            bad = (a != b) if iso else (a < b)
+            if bad:
+                ok = False
+                if len(wit) < 4:
+                    wit.append({"s": s, "degree": list(g), "tor": a, "aug": b,
+                                "iso_expected": iso})
+    report.add("surjection_injection_bounds", any_checked, ok, wit)
+    return report
+
+
+def exactness_equivalences_oracle(ideals, fld: PrimeField = GF()) -> CheckReport:
+    """The exactness-equivalence report with strong independence (recursion
+    tables included), the surviving degrees clamped to each subfamily's box,
+    and P and S built for every subfamily, single ideals too: the reference
+    for ``exactness_equivalences``."""
+    ideals, n_vars = _validate_family(ideals)
+    n = len(ideals)
+    report = CheckReport()
+
+    cond1 = independence_oracle(ideals, fld=fld, strong=True).independent
+
+    h_tables = {}
+    for size in range(2, n + 1):
+        for sub in itertools.combinations(range(n), size):
+            h_tables[sub] = augmented_interior_H(ideals, list(sub), None, fld)
+
+    def rows_vanish(sub):
+        """All H_{p,q} entries with q >= 0 vanish over the subfamilies of sub."""
+        bad = []
+        for p in range(2, len(sub) + 1):
+            for t in itertools.combinations(sub, p):
+                tab = h_tables[t]
+                for q in tab.nonzero_indices():
+                    if q >= 0:
+                        bad.append((t, q))
+        return bad
+
+    cond2 = True
+    cond2_witness = []
+    for size in range(2, n + 1):
+        for sub in itertools.combinations(range(n), size):
+            bad = rows_vanish(sub)
+            if not bad:
+                continue
+            # rows with nonzero entries: settle exactness with the engine at
+            # the degrees where something survives
+            family = [ideals[i] for i in sub]
+            m = tensor([resolution(i) for i in family])
+            box = family_box(family)
+            gammas = set()
+            for p in range(2, len(sub) + 1):
+                for t in itertools.combinations(sub, p):
+                    for (q, g) in h_tables[t].entries:
+                        if q >= 0:
+                            gammas.add(tuple(min(a, b) for a, b in zip(g, box)))
+            filtered = build_filtration(m, kind="interior_augmented")
+            exact_here = True
+            for g in sorted(gammas):
+                pg = pages(filtered, g, fld)
+                e2 = pg.page(2)
+                for (p, q), d in e2.items():
+                    if q >= 0 and p >= 2 and d:
+                        exact_here = False
+                        cond2_witness.append(
+                            {"subfamily": list(sub), "degree": list(g), "p": p, "q": q}
+                        )
+                        break
+                if not exact_here:
+                    break
+            if not exact_here:
+                cond2 = False
+    cond3 = True
+    cond3_witness = []
+    cond4 = True
+    cond4_witness = []
+    for size in range(1, n + 1):
+        for sub in itertools.combinations(range(n), size):
+            family = [ideals[i] for i in sub]
+            p_tab = complex_homology_table(build_p_complex(family), fld)
+            for i in p_tab.nonzero_indices():
+                if i >= 2:
+                    cond3 = False
+                    cond3_witness.append({"subfamily": list(sub), "i": i})
+                    break
+            s_tab = complex_homology_table(build_s_complex(family), fld)
+            if s_tab.nonzero_indices():
+                cond4 = False
+                cond4_witness.append(
+                    {"subfamily": list(sub), "i": s_tab.nonzero_indices()[0]}
+                )
+    report.context.update(
+        {
+            "strongly_independent": cond1,
+            "rows_exact": cond2,
+            "product_rows_exact": cond3,
+            "sum_rows_exact": cond4,
+        }
+    )
+    report.add(
+        "equivalence_1_vs_2_and_3",
+        True,
+        cond1 == (cond2 and cond3),
+        cond2_witness + cond3_witness,
+    )
+    report.add(
+        "equivalence_1_vs_2_and_4",
+        True,
+        cond1 == (cond2 and cond4),
+        cond2_witness + cond4_witness,
+    )
+    return report
+
+
+def independence_oracle(ideals, fld: PrimeField = GF(), strong: bool = False
+                        ) -> IndependenceReport:
+    """Tor-independence of the family, in strong mode with one loop over the
+    subsets for their tables and a second for the recursion criterion: the
+    reference for ``independence``."""
+    ideals, n = _validate_family(ideals)
+    if not strong:
+        ok = _table_independent(multi_tor(ideals, fld=fld))
+        return IndependenceReport(independent=ok, strong=False)
+    s = len(ideals)
+    subset_results = {}
+    for size in range(2, s + 1):
+        for sub in itertools.combinations(range(s), size):
+            table = multi_tor([ideals[i] for i in sub], fld=fld)
+            subset_results[sub] = _table_independent(table)
+    by_subsets = all(subset_results.values())
+    recursion_results = {}
+    for size in range(2, s + 1):
+        for sub in itertools.combinations(range(s), size):
+            j1 = max(sub)
+            rest = [ideals[i] for i in sub if i != j1]
+            pair = [ideals[j1], combine(rest, "sum")]
+            recursion_results[sub] = _table_independent(
+                multi_tor(pair, fld=fld)
+            )
+    by_recursion = all(recursion_results.values())
+    return IndependenceReport(
+        independent=by_subsets,
+        strong=True,
+        subset_results=subset_results,
+        recursion_results=recursion_results,
+        agreement=by_subsets == by_recursion,
+    )
 
 
 @pytest.fixture

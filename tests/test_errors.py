@@ -26,9 +26,8 @@ class _Raises(ast.NodeVisitor):
 
 def test_every_raise_names_a_homotor_error():
     """Each raise in src/homotor constructs a HomotorError subclass by name.
-    The two exceptions: _validate_family raises its ``error`` parameter (a
-    HomotorError class the caller picks), and quotient_dimension ends in an
-    unreachable AssertionError marked ``pragma: no cover``."""
+    The one exception: quotient_dimension ends in an unreachable
+    AssertionError marked ``pragma: no cover``."""
     typed = {name for name, cls in inspect.getmembers(errors, inspect.isclass)
              if issubclass(cls, errors.HomotorError)}
     untyped, allowed = [], []
@@ -43,12 +42,10 @@ def test_every_raise_names_a_homotor_error():
             line = lines[node.lineno - 1]
             if called in typed:
                 continue
-            if (func, called) == ("_validate_family", "error") or (
-                    (func, called) == ("quotient_dimension", "AssertionError")
+            if ((func, called) == ("quotient_dimension", "AssertionError")
                     and "pragma: no cover" in line):
                 allowed.append((func, called))
             else:
                 untyped.append(f"{path.name}:{node.lineno}: {line.strip()}")
     assert not untyped, untyped
-    assert sorted(allowed) == [("_validate_family", "error"),
-                               ("quotient_dimension", "AssertionError")]
+    assert allowed == [("quotient_dimension", "AssertionError")]

@@ -7,8 +7,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import stream, tensor_total, unit_koszul, with_coefficient
-from homotor import spectral, sumprod
+from conftest import (
+    exactness_equivalences_oracle,
+    independence_oracle,
+    stream,
+    tensor_total,
+    unit_koszul,
+    verify_identities_oracle,
+    with_coefficient,
+)
+from homotor import spectral, sumprod, torlab
 from homotor.cli import random_instance
 from homotor.errors import UnitIdeal
 from homotor.exactlin import GF
@@ -270,8 +278,8 @@ def test_augmented_interior_coefficient_matches_with_coefficient():
         assert augmented_interior_H(family, subset, coefficient).entries == want
 
 
-def test_exactness_equivalences_curated(kxy, kxyz):
-    for fam in (
+def _exactness_curated(kxy, kxyz):
+    return [
         [kxy["x"], kxy["y"]],
         [kxy["x"], kxy["x"]],
         [MonomialIdeal(1, [(1,)]), MonomialIdeal(1, [(1,)])],
@@ -279,9 +287,62 @@ def test_exactness_equivalences_curated(kxy, kxyz):
         [kxyz["x"], kxyz["y"], kxyz["z"]],
         # the pair (m, m) has nonvanishing rows, forcing the page engine
         [kxy["m"], kxy["m"], kxy["xy"]],
-    ):
+    ]
+
+
+def test_exactness_equivalences_curated(kxy, kxyz):
+    for fam in _exactness_curated(kxy, kxyz):
         rep = exactness_equivalences(fam)
         assert rep.passed, rep.to_json()
+
+
+def test_checkers_match_their_oracles(kxy, kxyz):
+    """verify_identities, exactness_equivalences and strong independence
+    report what their references report, on seeded families of 2-3 ideals
+    in 2-3 variables and on the curated exactness families, over three
+    fields."""
+    families = _exactness_curated(kxy, kxyz)
+    for seed, (n_vars, n_ideals) in enumerate([(2, 2), (3, 3), (2, 3), (3, 2)]):
+        families += stream(19000 + 100 * seed, 3, n_vars=n_vars, n_ideals=n_ideals)
+    strict = set()
+    for fam in families:
+        for fld in (GF(2), GF(3), GF(32003)):
+            got = verify_identities(fam, fld).to_json()
+            assert got == verify_identities_oracle(fam, fld).to_json()
+            strict.add(got["context"]["strict_subfamilies_independent"])
+            assert (exactness_equivalences(fam, fld).to_json()
+                    == exactness_equivalences_oracle(fam, fld).to_json())
+            assert (independence(fam, fld, strong=True).to_json()
+                    == independence_oracle(fam, fld, strong=True).to_json())
+    assert strict == {True, False}
+
+
+def test_checkers_build_once_per_subfamily(kxyz, monkeypatch):
+    """On x, y, z, where every subfamily is independent, the exactness check
+    makes one Tor table, one P and one S per subfamily of size >= 2 (its
+    reference makes 8, 7 and 7), and verify_identities takes its augmented
+    interior from one augmented_interior_H call."""
+    calls = {}
+
+    def count(module, name):
+        fn = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for module, name in ((torlab, "multi_tor"), (sumprod, "build_p_complex"),
+                         (sumprod, "build_s_complex")):
+        count(module, name)
+    family = [kxyz["x"], kxyz["y"], kxyz["z"]]
+    assert exactness_equivalences(family).passed
+    assert calls == {"multi_tor": 4, "build_p_complex": 4, "build_s_complex": 4}
+    calls.clear()
+    count(sumprod, "augmented_interior_H")
+    assert verify_identities(family).passed
+    assert calls["augmented_interior_H"] == 1
 
 
 def test_exactness_tables_only_for_subfamilies_of_two_or_more(kxyz, monkeypatch):

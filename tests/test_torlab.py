@@ -18,6 +18,7 @@ from homotor.gcomplex import (
 )
 from homotor.monomial import MonomialIdeal, iter_box
 from homotor.multicomplex import tensor, totalize
+from homotor.sumprod import build_s_complex
 from homotor.torlab import (
     betti_table,
     family_box,
@@ -67,6 +68,16 @@ def test_multi_tor_rejects_bad_input():
     # with the error and message of augmented_interior_H's quotient factor
     with pytest.raises(UnitIdeal, match="^R/I is zero for the unit ideal$"):
         multi_tor([MonomialIdeal(2, [(1, 0)])], coefficient=MonomialIdeal.unit(2))
+
+
+def test_unit_ideal_in_a_family_raises_one_error():
+    """Every path that takes a family or an ideal refuses (1) with the class
+    and message of the quotient factor: R/I is zero."""
+    x, unit = MonomialIdeal(2, [(1, 0)]), MonomialIdeal.unit(2)
+    for check in (multi_tor, build_s_complex, rigidity_check, serre_a8_check,
+                  lambda family: betti_table(family[1])):
+        with pytest.raises(UnitIdeal, match="^R/I is zero for the unit ideal$"):
+            check([x, unit])
 
 
 def test_coefficient_consistency(kxy):
