@@ -5,7 +5,7 @@ homological identities they satisfy."""
 
 __version__ = "0.1.0"
 
-from .exactlin import GF, PrimeField, ScalarMatrix, rank
+from .exactlin import GF, PrimeField
 from .monomial import (
     MonomialIdeal,
     Multidegree,

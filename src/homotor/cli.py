@@ -465,10 +465,13 @@ def _named_ideal(problem, name):
 
 def _variable_partitions(family):
     """If every ideal is generated by distinct single variables with pairwise
-    disjoint supports, return the partition; otherwise None."""
+    disjoint supports, return the partition; otherwise None, also when an
+    ideal is zero, as it has no variable block."""
     partitions = []
     seen = set()
     for ideal in family:
+        if not ideal.gens:
+            return None
         indices = set()
         for g in ideal.gens:
             if g.total() != 1:

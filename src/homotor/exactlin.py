@@ -1,10 +1,10 @@
 """Exact linear algebra over a prime field GF(p).
 
-Everything downstream reduces to one elimination of small sparse matrices
-over GF(p): its rank for homology tables, its pivot pairs for spectral
-sequence pages.  Matrices are kept sparse as (row, col, value) triples and
-eliminated with a deterministic pivot rule in Python integers, so no
-product overflows for any supported p.
+Everything downstream reduces to one elimination over GF(p), ``pivot_pairs``:
+its pair count is the rank of a block for homology tables, its pairs the
+persistence pairs of spectral sequence pages.  A block is handed over as
+sparse rows, (key, {col: value}) pairs, and eliminated with a deterministic
+pivot rule in Python integers, so no product overflows for any supported p.
 """
 
 from __future__ import annotations
@@ -54,41 +54,6 @@ class PrimeField:
 GF = PrimeField  # short alias used throughout the package
 
 
-class ScalarMatrix:
-    """A sparse matrix with integer entries, reduced mod p on demand.
-
-    Invariants: no duplicate (row, col) pairs, no stored zeros.
-    """
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, rows: int, cols: int, entries=()):
-        self.rows = rows
-        self.cols = cols
-        merged: dict = {}
-        for r, c, v in entries:
-            if not (0 <= r < rows and 0 <= c < cols):
-                raise ValidationError(f"entry ({r},{c}) outside {rows}x{cols}")
-            if v:
-                key = (r, c)
-                if key in merged:
-                    raise ValidationError(f"duplicate entry at {key}")
-                merged[key] = v
-        self.entries = merged
-
-    @property
-    def nnz(self) -> int:
-        return len(self.entries)
-
-    def density(self) -> float:
-        if self.rows == 0 or self.cols == 0:
-            return 0.0
-        return self.nnz / (self.rows * self.cols)
-
-    def __repr__(self):
-        return f"ScalarMatrix({self.rows}x{self.cols}, nnz={self.nnz})"
-
-
 def pivot_pairs(rows, p: int) -> list:
     """Row echelon form over GF(p) by one deterministic rule.
 
@@ -118,19 +83,3 @@ def pivot_pairs(rows, p: int) -> list:
                 else:
                     row.pop(c, None)
     return pairs
-
-
-def _rank_sparse(m: ScalarMatrix, p: int) -> int:
-    rows = {}
-    for (r, c), v in m.entries.items():
-        v %= p
-        if v:
-            rows.setdefault(r, {})[c] = v
-    return len(pivot_pairs(sorted(rows.items()), p))
-
-
-def rank(m: ScalarMatrix, f: PrimeField = GF()) -> int:
-    """Rank of m over GF(p); deterministic pivot order."""
-    if m.nnz == 0:
-        return 0
-    return _rank_sparse(m, f.p)

@@ -30,7 +30,7 @@ from .errors import (
     UnitIdeal,
     ValidationError,
 )
-from .exactlin import GF, PrimeField, ScalarMatrix, rank
+from .exactlin import GF, PrimeField, pivot_pairs
 from .monomial import MonomialIdeal, Multidegree, check_box_size, lcm_deg
 
 FREE = "free"
@@ -301,22 +301,25 @@ class GradedComplex:
                 for g in values:
                     yield from self._walk(runs, rows, k + 1, prefix + (g,), narrowed)
 
+    def _block(self, i: int, src_mask: int, tgt_mask: int, p: int) -> dict:
+        """{s: {t: d_i(s -> t) mod p}} over the alive sources and targets of
+        the masks, sources in index order, entries zero mod p dropped.  The
+        dicts are fresh: ``pivot_pairs`` consumes its rows."""
+        block: dict = {}
+        for s, t, c in self.entries.get(i, ()):
+            if src_mask >> s & 1 and tgt_mask >> t & 1:
+                c %= p
+                if c:
+                    block.setdefault(s, {})[t] = c
+        return block
+
     def _masked_rank(self, i: int, src_mask: int, tgt_mask: int, field: PrimeField) -> int:
         key = (field.p, i, src_mask, tgt_mask)
         cached = self._rank_cache.get(key)
         if cached is not None:
             return cached
-        es = self.entries.get(i, ())
-        src_pos: dict = {}
-        tgt_pos: dict = {}
-        triples = []
-        for s, t, c in es:
-            if src_mask >> s & 1 and tgt_mask >> t & 1:
-                si = src_pos.setdefault(s, len(src_pos))
-                ti = tgt_pos.setdefault(t, len(tgt_pos))
-                triples.append((ti, si, c % field.p))
-        r = rank(ScalarMatrix(len(tgt_pos), len(src_pos), triples), field)
-        self._rank_cache[key] = r
+        block = self._block(i, src_mask, tgt_mask, field.p)
+        r = self._rank_cache[key] = len(pivot_pairs(list(block.items()), field.p))
         return r
 
     def _homology(self, masks: dict, field: PrimeField) -> dict:
@@ -357,6 +360,8 @@ class TorTable:
         }
 
     def dim(self, i: int, gamma) -> int:
+        if len(gamma) != len(self.box):
+            raise LengthMismatch(f"degree length {len(gamma)} != {len(self.box)}")
         return self.entries.get((i, tuple(gamma)), 0)
 
     def slice(self, i: int) -> dict:

@@ -8,8 +8,9 @@ total's alive masks, and all its pages come from one filtered reduction,
 the level-ordered persistence pairing (Edelsbrunner-Letscher-Zomorodian,
 Topological persistence and simplification, 2002).  For each term i, the
 alive summands of terms i and i-1 are ordered by (level, index), and the
-alive block of d_i is column-reduced over GF(p), sources in that order;
-each column left nonzero pairs its source d (in term i) with its pivot b
+alive block of d_i, as the total reads it for its own ranks, is
+column-reduced by ``exactlin.pivot_pairs``, sources in that order; each
+column left nonzero pairs its source d (in term i) with its pivot b
 (in term i-1), its target of highest (level, index).  The gap of the pair
 is level(d) - level(b).  The pages are read off the pairs (Basu-Parida,
 Spectral sequences, exact couples and persistent homology of filtrations,
@@ -23,8 +24,9 @@ Spectral sequences, exact couples and persistent homology of filtrations,
 
 and d^r = 0 for r beyond the largest gap.  Every page is checked against
 the page-bookkeeping identity, the pairs of each term against the rank of
-the unfiltered block of d_i, and the abutment against the homology of the
-fibre; those ranks are the ones ``homology_at`` caches in the total.
+the unfiltered block of d_i (the same block eliminated in index order), and
+the abutment against the total's homology of the fibre; those ranks are
+the ones ``homology_at`` caches in the total.
 Builders produce the four filtrations attached to an N^n multicomplex
 (Koszul cone, its hypercube-augmented variant, the support-count
 filtration and its augmented variant) plus the two Mayer-Vietoris double
@@ -121,17 +123,13 @@ def persistence_pairs(filtered: FilteredTotal, i: int, alive: dict,
     """The pairs (b, d) of the level-ordered reduction of the alive block of
     d_i: d a summand of term i, b its pivot in term i-1."""
     src_lv, tgt_lv = filtered.levels[i], filtered.levels[i - 1]
-    src_mask, tgt_mask = alive.get(i, 0), alive.get(i - 1, 0)
     n = len(tgt_lv)
-    columns: dict = {}
-    for s, t, c in filtered.total.entries.get(i, ()):
-        if src_mask >> s & 1 and tgt_mask >> t & 1:
-            c %= fld.p
-            if c:
-                # the lowest key is the target of highest (level, index)
-                columns.setdefault(s, {})[-(tgt_lv[t] * n + t)] = c
-    order = sorted(columns.items(), key=lambda sc: (src_lv[sc[0]], sc[0]))
-    return [(-key % n, s) for s, key in pivot_pairs(order, fld.p)]
+    block = filtered.total._block(i, alive.get(i, 0), alive.get(i - 1, 0), fld.p)
+    # the lowest key is the target of highest (level, index)
+    columns = [(s, {-(tgt_lv[t] * n + t): c for t, c in row.items()})
+               for s, row in block.items()]
+    columns.sort(key=lambda sc: (src_lv[sc[0]], sc[0]))
+    return [(-key % n, s) for s, key in pivot_pairs(columns, fld.p)]
 
 
 def pages(filtered: FilteredTotal, gamma, fld: PrimeField = GF()) -> SpectralPages:
@@ -148,7 +146,6 @@ def pages(filtered: FilteredTotal, gamma, fld: PrimeField = GF()) -> SpectralPag
     window = [i for i, mask in sorted(alive.items()) if mask]
     free = {(i, p): 0 for i in window for p in range(N + 1)}  # unpaired summands
     moving = []  # (i, level of b, level of d) of each pair of d_i with a positive gap
-    rank = {}
     for i in window:
         for k, v in enumerate(levels[i]):
             if alive[i] >> k & 1:
@@ -157,10 +154,10 @@ def pages(filtered: FilteredTotal, gamma, fld: PrimeField = GF()) -> SpectralPag
             continue
         pairs = persistence_pairs(filtered, i, alive, fld)
         # the unfiltered block: the key homology_at caches for this fibre
-        rank[i] = total._masked_rank(i, alive[i], alive[i - 1], fld)
-        if len(pairs) != rank[i]:
+        rank = total._masked_rank(i, alive[i], alive[i - 1], fld)
+        if len(pairs) != rank:
             raise InvariantBroken(
-                f"{len(pairs)} persistence pairs for the rank {rank[i]} of d_{i}"
+                f"{len(pairs)} persistence pairs for the rank {rank} of d_{i}"
             )
         for b, d in pairs:
             lb, ld = levels[i - 1][b], levels[i][d]
@@ -185,23 +182,15 @@ def pages(filtered: FilteredTotal, gamma, fld: PrimeField = GF()) -> SpectralPag
         page_tables.append(dims)
         rank_tables.append(ranks)
     e_inf = page_tables[-1]
-    base_h = {i: alive[i].bit_count() - rank.get(i, 0) - rank.get(i + 1, 0)
-              for i in window}
-    check = {}
+    base_h = {i: h for i, h in total._homology(alive, fld).items() if alive.get(i)}
     totals = _diagonal_sums(e_inf)
-    converged = True
-    for i in set(base_h) | set(totals):
-        lhs = totals.get(i, 0)
-        rhs = base_h.get(i, 0)
-        check[i] = (lhs, rhs)
-        if lhs != rhs:
-            converged = False
+    check = {i: (totals.get(i, 0), base_h.get(i, 0)) for i in set(base_h) | set(totals)}
     return SpectralPages(
         pages=page_tables,
         ranks=rank_tables,
         e_infinity=e_inf,
         abutment_check=check,
-        converged=converged,
+        converged=all(lhs == rhs for lhs, rhs in check.values()),
         r_stab=r_stab,
         levels=N,
     )

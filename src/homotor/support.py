@@ -15,7 +15,13 @@ import itertools
 from dataclasses import dataclass
 from functools import reduce
 
-from .errors import BoxTooSmall, OverlappingPartitions, ParamOutOfRange, ValidationError
+from .errors import (
+    BoxTooSmall,
+    LengthMismatch,
+    OverlappingPartitions,
+    ParamOutOfRange,
+    ValidationError,
+)
 from .exactlin import GF, PrimeField
 from .gcomplex import TorTable
 from .monomial import MonomialIdeal, Multidegree, combine, iter_box, lcm_deg
@@ -32,6 +38,8 @@ class SupportRegion:
     cells: frozenset
 
     def member(self, gamma) -> bool:
+        if len(gamma) != len(self.box):
+            raise LengthMismatch(f"degree length {len(gamma)} != {len(self.box)}")
         clamped = tuple(min(g, b) for g, b in zip(gamma, self.box))
         return clamped in self.cells
 

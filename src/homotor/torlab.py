@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .errors import EmptyInput, LengthMismatch
-from .exactlin import GF, PrimeField, ScalarMatrix, rank
+from .exactlin import GF, PrimeField, pivot_pairs
 from .gcomplex import (
     TorTable,
     _refuse_unit,
@@ -100,19 +100,10 @@ def tor1_oracle(ideals, fld: PrimeField = GF(), box=None) -> TorTable:
         survivors = [i for i in range(s) if ideals[i].contains(gamma)]
         if not survivors:
             continue
-        m = len(survivors)
-        kernel_dim = m - 1
         pos = {i: k for k, i in enumerate(survivors)}
-        rows = []
-        for (i, j), prod in pair_products.items():
-            if prod.contains(gamma):
-                rows.append((i, j))
-        triples = []
-        for r, (i, j) in enumerate(rows):
-            triples.append((r, pos[i], 1))
-            triples.append((r, pos[j], -1))
-        p_dim = rank(ScalarMatrix(len(rows), m, triples), fld)
-        d = kernel_dim - p_dim
+        rows = [((i, j), {pos[i]: 1, pos[j]: fld.p - 1})
+                for (i, j), prod in pair_products.items() if prod.contains(gamma)]
+        d = len(survivors) - 1 - len(pivot_pairs(rows, fld.p))
         if d:
             entries[(1, tuple(gamma))] = d
     return TorTable(entries, box)

@@ -373,14 +373,22 @@ def direct_e1(factors, gamma, kind):
 
 def free_complex(dims, diffs=None):
     """The free complex in one variable with dims[i] zero-shift summands in
-    term i and d_i = diffs[i], a ScalarMatrix: its fibre at (0,) is the
-    matrix complex itself."""
+    term i and d_i = diffs[i], a list of (row, col, value) triples of its
+    matrix, rows in term i - 1 and columns in term i: its fibre at (0,) is
+    the matrix complex itself."""
     terms = {i: [free_summand((0,))] * d for i, d in dims.items()}
-    entries = {
-        i: [(c, r, v) for (r, c), v in m.entries.items()]
-        for i, m in (diffs or {}).items()
-    }
+    entries = {i: [(c, r, v) for r, c, v in d] for i, d in (diffs or {}).items()}
     return GradedComplex(1, terms, entries)
+
+
+def masked_rank_oracle(c, i, src_mask, tgt_mask, p):
+    """The rank over GF(p) of the block of d_i between the alive sources
+    and targets of the masks, read off ``c.entries`` as dense rows and
+    ranked by ``_rank_mod``: the reference for ``_masked_rank``."""
+    sources = [s for s in range(len(c.summands(i))) if src_mask >> s & 1]
+    targets = [t for t in range(len(c.summands(i - 1))) if tgt_mask >> t & 1]
+    d = {(s, t): v for s, t, v in c.entries.get(i, ())}
+    return _rank_mod([[d.get((s, t), 0) for t in targets] for s in sources], p)
 
 
 def support_check_at(partitions, coefficient, p, fld=GF()):

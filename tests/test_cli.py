@@ -360,11 +360,11 @@ def test_cli_grading_takes_negative_integers(tmp_path, capsys):
 
 
 def test_cli_invariant_failure_exit_code(problem_path, capsys, monkeypatch):
-    from homotor import exactlin, gcomplex
+    from homotor.gcomplex import GradedComplex
 
-    monkeypatch.setattr(
-        gcomplex, "rank", lambda m, fld: exactlin.rank(m, fld) + bool(m.nnz)
-    )
+    masked_rank = GradedComplex._masked_rank
+    monkeypatch.setattr(GradedComplex, "_masked_rank", lambda c, i, s, t, fld: (
+        masked_rank(c, i, s, t, fld) + bool(c._block(i, s, t, fld.p))))
     assert main(["spectral", problem_path, "--kind", "interior"]) == 3
     diag = json.loads(capsys.readouterr().out)
     assert diag["error"]["type"] == "InvariantBroken"
@@ -468,6 +468,21 @@ def test_cli_support_subset_needs_a_variable_partition(tmp_path, capsys):
     assert main(["support", str(path), "--subset", "0"]) == 2
     assert json.loads(capsys.readouterr().out)["error"]["type"] == "ValidationError"
     assert main(["support", str(path)]) == 0
+
+
+def test_cli_support_zero_ideal_takes_the_per_ideal_path(tmp_path, capsys):
+    """The zero ideal has no variable block, so a family holding it is not a
+    variable partition: support reports each ideal's region, and --subset
+    exits 2."""
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({"variables": ["x", "y"],
+                                "ideals": {"I": [], "J": [[1, 0]]}}))
+    assert main(["support", str(path)]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert list(results) == ["I", "J", "compare_first_two"]
+    assert main(["support", str(path), "--subset", "0"]) == 2
+    diag = json.loads(capsys.readouterr().out)["error"]
+    assert diag["type"] == "ValidationError" and "--subset needs" in diag["message"]
 
 
 @pytest.mark.parametrize("command", ["betti", "a8", "rigidity"])

@@ -1,4 +1,5 @@
-"""Every error the package raises is typed."""
+"""Every error the package raises is typed, and every GF(p) elimination
+goes through one kernel."""
 
 import ast
 import inspect
@@ -49,3 +50,46 @@ def test_every_raise_names_a_homotor_error():
                 untyped.append(f"{path.name}:{node.lineno}: {line.strip()}")
     assert not untyped, untyped
     assert allowed == [("quotient_dimension", "AssertionError")]
+
+
+class _Elimination(ast.NodeVisitor):
+    """The innermost enclosing function of every three-argument pow, a
+    modular power such as the inverse pow(x, p - 2, p) that starts each
+    elimination step, and the names called by every function whose name
+    mentions a rank."""
+
+    def __init__(self):
+        self.where = ["<module>"]
+        self.modular = []
+        self.rank_routines = {}
+
+    def visit_FunctionDef(self, node):
+        self.where.append(node.name)
+        if "rank" in node.name:
+            self.rank_routines[node.name] = {
+                call.func.attr if isinstance(call.func, ast.Attribute) else call.func.id
+                for call in ast.walk(node) if isinstance(call, ast.Call)
+                and isinstance(call.func, (ast.Name, ast.Attribute))}
+        self.generic_visit(node)
+        self.where.pop()
+
+    def visit_Call(self, node):
+        if isinstance(node.func, ast.Name) and node.func.id == "pow" and len(node.args) == 3:
+            self.modular.append(self.where[-1])
+        self.generic_visit(node)
+
+
+def test_one_elimination_path():
+    """Every GF(p) elimination goes through exactlin.pivot_pairs: it holds
+    the package's only modular power, and the one routine named for a rank,
+    GradedComplex._masked_rank, counts its pivot pairs."""
+    modular, rank_routines = [], {}
+    for path in sorted(Path(homotor.__file__).parent.glob("*.py")):
+        visitor = _Elimination()
+        visitor.visit(ast.parse(path.read_text()))
+        modular += [(path.name, func) for func in visitor.modular]
+        rank_routines.update({(path.name, f): calls
+                              for f, calls in visitor.rank_routines.items()})
+    assert modular == [("exactlin.py", "pivot_pairs")]
+    assert list(rank_routines) == [("gcomplex.py", "_masked_rank")]
+    assert "pivot_pairs" in rank_routines[("gcomplex.py", "_masked_rank")]

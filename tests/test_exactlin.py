@@ -1,4 +1,4 @@
-"""Exact GF(p) linear algebra: ranks and fiber homology."""
+"""Exact GF(p) linear algebra: ranks by pivot pairs, and fiber homology."""
 
 import itertools
 from fractions import Fraction
@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import free_complex
 from homotor.errors import ValidationError
-from homotor.exactlin import GF, PrimeField, ScalarMatrix, pivot_pairs, rank
+from homotor.exactlin import GF, PrimeField, pivot_pairs
 
 LARGEST_PRIME = 2**31 - 1
 
@@ -23,23 +23,27 @@ def test_prime_field_rejects_composites():
     assert GF().p == 32003
 
 
+def _rank(a, p):
+    """The rank over GF(p) of the integer rows a: the number of pivot pairs
+    of their nonzero entries mod p."""
+    rows = [(r, {c: v % p for c, v in enumerate(row) if v % p}) for r, row in enumerate(a)]
+    return len(pivot_pairs(rows, p))
+
+
 def test_rank_identity_and_zero():
-    eye = ScalarMatrix(2, 2, [(0, 0, 1), (1, 1, 1)])
-    assert rank(eye, GF(5)) == 2
-    assert rank(ScalarMatrix(3, 4), GF(5)) == 0
+    assert _rank([[1, 0], [0, 1]], 5) == 2
+    assert _rank([[0] * 4] * 3, 5) == 0
 
 
 def test_rank_dependent_rows_mod7():
     # [[1,2],[2,4]]: second row is twice the first, rank 1 by hand reduction
-    m = ScalarMatrix(2, 2, [(0, 0, 1), (0, 1, 2), (1, 0, 2), (1, 1, 4)])
-    assert rank(m, GF(7)) == 1
+    assert _rank([[1, 2], [2, 4]], 7) == 1
 
 
 def test_rank_characteristic_matters():
     # [[2]] over GF(2) is the zero matrix
-    m = ScalarMatrix(1, 1, [(0, 0, 2)])
-    assert rank(m, GF(2)) == 0
-    assert rank(m, GF(3)) == 1
+    assert _rank([[2]], 2) == 0
+    assert _rank([[2]], 3) == 1
 
 
 def test_pivot_pairs_take_rows_in_the_given_order():
@@ -51,15 +55,6 @@ def test_pivot_pairs_take_rows_in_the_given_order():
     assert pivot_pairs(rows, 5) == [("c", 1), ("b", 0)]
 
 
-def test_scalar_matrix_invariants():
-    with pytest.raises(ValidationError):
-        ScalarMatrix(2, 2, [(0, 0, 1), (0, 0, 2)])
-    with pytest.raises(ValidationError):
-        ScalarMatrix(1, 1, [(1, 0, 1)])
-    # stored zeros are dropped
-    assert ScalarMatrix(2, 2, [(0, 0, 0)]).nnz == 0
-
-
 @given(
     st.lists(
         st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(1, 6)),
@@ -67,12 +62,10 @@ def test_scalar_matrix_invariants():
     )
 )
 def test_rank_transpose_invariant(entries):
-    merged = {}
+    a = [[0] * 6 for _ in range(6)]
     for r, c, v in entries:
-        merged[(r, c)] = v
-    m = ScalarMatrix(6, 6, [(r, c, v) for (r, c), v in merged.items()])
-    t = ScalarMatrix(6, 6, [(c, r, v) for (r, c), v in merged.items()])
-    assert rank(m, GF(7)) == rank(t, GF(7))
+        a[r][c] = v
+    assert _rank(a, 7) == _rank(list(zip(*a)), 7)
 
 
 @st.composite
@@ -81,13 +74,6 @@ def dense_matrices(draw, max_rows, max_cols, values):
     cols = draw(st.integers(1, max_cols))
     row = st.lists(values, min_size=cols, max_size=cols)
     return draw(st.lists(row, min_size=rows, max_size=rows))
-
-
-def _sparse(a):
-    return ScalarMatrix(
-        len(a), len(a[0]),
-        [(r, c, v) for r, row in enumerate(a) for c, v in enumerate(row)],
-    )
 
 
 @settings(deadline=None)
@@ -99,7 +85,7 @@ def test_rank_counts_the_row_space(a):
         tuple(sum(k * x for k, x in zip(ks, col)) % p for col in zip(*a))
         for ks in itertools.product(range(p), repeat=len(a))
     }
-    assert p ** rank(_sparse(a), GF(p)) == len(span)
+    assert p ** _rank(a, p) == len(span)
 
 
 def _rank_over_rationals(a):
@@ -123,7 +109,7 @@ def test_rank_at_the_largest_prime_matches_the_rationals(a):
     """Every minor of a matrix of size at most 6x6 with entries 0..3 is below
     6!*3^6 < p in absolute value, so it vanishes mod p exactly when it
     vanishes over Q."""
-    assert rank(_sparse(a), GF(LARGEST_PRIME)) == _rank_over_rationals(a)
+    assert _rank(a, LARGEST_PRIME) == _rank_over_rationals(a)
 
 
 @st.composite
@@ -148,13 +134,11 @@ def redundant_matrices(draw):
 def test_rank_of_tall_redundant_matrices_matches_the_rationals(a):
     """Rows that reduce to zero against the earlier pivots.  Entries are at
     most 6, so every minor is below 4!*6^4 < p in absolute value."""
-    assert rank(_sparse(a), GF(LARGEST_PRIME)) == _rank_over_rationals(a)
+    assert _rank(a, LARGEST_PRIME) == _rank_over_rationals(a)
 
 
 def _two_term(dim_hi, dim_lo, entries):
-    return free_complex(
-        {0: dim_lo, 1: dim_hi}, {1: ScalarMatrix(dim_lo, dim_hi, entries)}
-    )
+    return free_complex({0: dim_lo, 1: dim_hi}, {1: entries})
 
 
 def test_homology_identity_complex():
@@ -173,10 +157,7 @@ def test_homology_koszul_xy_fiber():
     f = GF()
     c = free_complex(
         {0: 1, 1: 2, 2: 1},
-        {
-            1: ScalarMatrix(1, 2, [(0, 0, 1), (0, 1, 1)]),
-            2: ScalarMatrix(2, 1, [(0, 0, 1), (1, 0, -1)]),
-        },
+        {1: [(0, 0, 1), (0, 1, 1)], 2: [(0, 0, 1), (1, 0, -1)]},
     )
     assert c.homology_at((0,), f) == {0: 0, 1: 0, 2: 0}
 
@@ -192,8 +173,7 @@ def test_euler_characteristic(entries):
     merged = {}
     for r, c, v in entries:
         merged[(r, c)] = v
-    d = ScalarMatrix(4, 4, [(r, c, v) for (r, c), v in merged.items()])
-    c = free_complex({0: 4, 1: 4}, {1: d})
+    c = free_complex({0: 4, 1: 4}, {1: [(r, c, v) for (r, c), v in merged.items()]})
     h = c.homology_at((0,), GF(5))
     assert len(c.summands(0)) - len(c.summands(1)) == h[0] - h[1]
 
@@ -202,11 +182,11 @@ def test_homology_invariant_under_permutation():
     f = GF()
     base = free_complex(
         {0: 2, 1: 2},
-        {1: ScalarMatrix(2, 2, [(0, 0, 1), (0, 1, 2), (1, 1, 1)])},
+        {1: [(0, 0, 1), (0, 1, 2), (1, 1, 1)]},
     )
     # permute both bases by the swap (0 1)
     permuted = free_complex(
         {0: 2, 1: 2},
-        {1: ScalarMatrix(2, 2, [(1, 1, 1), (1, 0, 2), (0, 0, 1)])},
+        {1: [(1, 1, 1), (1, 0, 2), (0, 0, 1)]},
     )
     assert base.homology_at((0,), f) == permuted.homology_at((0,), f)

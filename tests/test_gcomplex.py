@@ -9,7 +9,7 @@ import weakref
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import summand_alive, unit_koszul, with_coefficient
+from conftest import masked_rank_oracle, summand_alive, unit_koszul, with_coefficient
 from homotor.errors import (
     BoxTooSmall,
     CompositionNonzero,
@@ -274,6 +274,20 @@ def complexes_of_every_kind(draw):
     if build == "p":
         return build_p_complex(ideals, "tilde")
     return build_s_complex(ideals, build)
+
+
+@settings(deadline=None)
+@given(complexes_of_every_kind())
+def test_masked_rank_matches_the_dense_oracle(c):
+    """The rank of every alive block of d, at every degree of the stable box
+    over GF(2), GF(3) and GF(32003), is the dense reference rank."""
+    for gamma in iter_box(c.stable_box()):
+        masks = c.alive_masks(gamma)
+        for i in c.window()[1:]:
+            src, tgt = masks.get(i, 0), masks.get(i - 1, 0)
+            for p in (2, 3, 32003):
+                assert c._masked_rank(i, src, tgt, GF(p)) == masked_rank_oracle(
+                    c, i, src, tgt, p), (i, tuple(gamma), p)
 
 
 @st.composite

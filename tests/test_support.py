@@ -7,6 +7,7 @@ from conftest import set_partitions, support_check_at
 from homotor.cli import random_instance
 from homotor.errors import (
     BoxTooSmall,
+    LengthMismatch,
     OverlappingPartitions,
     ParamOutOfRange,
     ValidationError,
@@ -31,6 +32,15 @@ def test_support_region_basics(kxy):
     # interior cell: no upward closure reaches (2, 0) within the box (2, 1)
     assert tuple(table.box) == (2, 1)
     assert not r1.member((2, 0))
+
+
+def test_support_region_member_rejects_a_degree_of_the_wrong_length():
+    t = multi_tor([MonomialIdeal.variables(2, [0]), MonomialIdeal.variables(2, [1])])
+    region = support_region(t)
+    assert region.member((0, 0)) and not region.member((5, 5))
+    for gamma in ((5,), (5, 5, 5)):
+        with pytest.raises(LengthMismatch):
+            region.member(gamma)
 
 
 def test_support_region_upward_closure():

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import koszul_betti, stream, tensor_total, with_coefficient
 from homotor import torlab
 from homotor.exactlin import GF
-from homotor.errors import BoxTooSmall, EmptyInput, UnitIdeal
+from homotor.errors import BoxTooSmall, EmptyInput, LengthMismatch, UnitIdeal
 from homotor.gcomplex import (
     cancel_units,
     module_homology_table,
@@ -403,3 +403,11 @@ def test_only_the_modules_the_tensor_uses_are_resolved(monkeypatch):
     j5 = MonomialIdeal(3, [(3, 0, 0), (0, 3, 0), (0, 0, 3), (1, 1, 1), (2, 0, 1)])
     multi_tor([i4, j5])
     assert calls == [i4]
+
+
+def test_tor_table_dim_rejects_a_degree_of_the_wrong_length():
+    t = multi_tor([MonomialIdeal.variables(2, [0]), MonomialIdeal.variables(2, [1])])
+    assert t.dim(0, (0, 0)) == 1
+    for gamma in ((0,), (0, 0, 0)):
+        with pytest.raises(LengthMismatch):
+            t.dim(0, gamma)
