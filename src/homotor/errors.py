@@ -14,7 +14,7 @@ class CompositionNonzero(HomotorError):
 
 
 class EmptyInput(HomotorError):
-    """An operation that needs a nonempty family received none."""
+    """An operation that needs a nonempty family or block received an empty one."""
 
 
 class UnitIdeal(HomotorError):

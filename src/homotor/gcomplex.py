@@ -18,7 +18,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import reduce
 from heapq import heappop, heappush
-from operator import add, and_, or_
+from operator import add
 
 from .errors import (
     BoxTooSmall,
@@ -101,62 +101,44 @@ def _compose(second: dict, first: dict) -> dict:
     return {k: v for k, v in acc.items() if v}
 
 
-def _threshold_table(corners, cuts):
-    """Threshold bitsets of ``corners``, a list of (bit, degree) pairs with
-    distinct one-bit masks: the OR of all the bits, and for each coordinate
-    k a column holding at position v the OR of the bits whose degree has
-    coordinate k at most cuts[k][v]."""
-    columns = []
-    for k, cut in enumerate(cuts):
-        column = [0] * len(cut)
-        for bit, d in corners:
-            column[bisect_left(cut, d[k])] |= bit
-        for v in range(1, len(column)):
-            column[v] |= column[v - 1]
-        columns.append(column)
-    return sum(bit for bit, _ in corners), columns
-
-
 def _fibre_tables(terms: dict, n: int):
-    """The cuts of every coordinate and the threshold tables of every term,
-    flattened into one tuple of tables.
+    """The cuts of every coordinate and the packed threshold rows of every
+    term: the fibre state of a degree is one int.
 
     Corners are the shifts and, for cyclic and ideal summands, shift +
-    gens[j] for each generator slot j (a summand with fewer generators has
-    no corner in that slot).  The cuts of coordinate k are 0 and every
-    corner coordinate k, so that aliveness is constant between two cuts and
-    beyond the last one.  Returns ``(cuts, full, rows, layout)``: ``full``
-    holds the OR of each table's bits, ``rows[k][v]`` each table's column
-    entry at cut position v of coordinate k, and ``layout`` per term i the
-    index of its shift table and the number of slot tables after it.
+    gens[j] for each generator slot j.  Term i, with m summands whose
+    ideals have at most ``width`` generators (0 for free terms), owns
+    1 + width fields of m bits from bit ``at`` on: bit k of field 0 is the
+    shift of summand k, and bit k of field 1 + j the corner of its slot j
+    (a summand with fewer generators has no corner in that slot, so that
+    bit is never set).  The cuts of coordinate k are 0 and every corner
+    coordinate k, so that aliveness is constant between two cuts and beyond
+    the last one.  Returns ``(cuts, full, rows, layout)``: ``full`` has the
+    bit of every corner, ``rows[k][v]`` the bits of the corners whose
+    coordinate k is at most cuts[k][v], and ``layout`` per term
+    (i, at, m, width).
     """
-    corners = {}
+    corners, layout, at = [], [], 0
     for i, ss in terms.items():
+        m = len(ss)
         width = max((len(s.ideal.gens) for s in ss if s.ideal is not None), default=0)
-        corners[i] = [[(1 << k, s.shift) for k, s in enumerate(ss)]] + [
-            [(1 << k, tuple(map(add, s.shift, s.ideal.gens[j])))
-             for k, s in enumerate(ss) if j < len(s.ideal.gens)]
-            for j in range(width)
-        ]
-    cuts = [
-        sorted({0}.union(d[k] for cs in corners.values() for c in cs for _, d in c))
-        for k in range(n)
-    ]
-    tables, layout = [], []
-    for i, cs in corners.items():
-        layout.append((i, len(tables), len(cs) - 1))
-        tables.extend(_threshold_table(c, cuts) for c in cs)
-    full = tuple(mask for mask, _ in tables)
-    rows = [
-        [tuple(columns[k][v] for _, columns in tables) for v in range(len(cut))]
-        for k, cut in enumerate(cuts)
-    ]
-    return cuts, full, rows, layout
-
-
-def _narrow(state: tuple, row: tuple) -> tuple:
-    """Each table's bits that are also at or below one cut of one coordinate."""
-    return tuple(map(and_, state, row))
+        for k, s in enumerate(ss):
+            corners.append((1 << at + k, s.shift))
+            if s.ideal is not None:
+                corners.extend((1 << at + (j + 1) * m + k, tuple(map(add, s.shift, g)))
+                               for j, g in enumerate(s.ideal.gens))
+        layout.append((i, at, m, width))
+        at += m * (1 + width)
+    cuts = [sorted({0}.union(d[k] for _, d in corners)) for k in range(n)]
+    rows = []
+    for k, cut in enumerate(cuts):
+        row = [0] * len(cut)
+        for bit, d in corners:
+            row[bisect_left(cut, d[k])] |= bit
+        for v in range(1, len(row)):
+            row[v] |= row[v - 1]
+        rows.append(row)
+    return cuts, sum(bit for bit, _ in corners), rows, layout
 
 
 def _runs(cut, top: int):
@@ -252,15 +234,18 @@ class GradedComplex:
         It is the last cut of each coordinate."""
         return Multidegree(cut[-1] for cut in self._tables()[0])
 
-    def _term_masks(self, state: tuple) -> dict:
-        """{i: alive bitmask of term i} from the running masks of every table:
-        alive = at or above the shift, and (ideal) in or (cyclic) out of the
-        shifted ideal, i.e. above some generator-slot corner."""
+    def _term_masks(self, state: int) -> dict:
+        """{i: alive bitmask of term i} from a fibre state packed as in
+        ``_fibre_tables``: alive = at or above the shift (field 0), and
+        (ideal) in or (cyclic) out of the shifted ideal, i.e. above the
+        corner of some generator slot (the OR of fields 1..width)."""
         masks = {}
-        for i, at, width in self._tables()[3]:
-            mask = state[at]
+        for i, at, m, width in self._tables()[3]:
+            mask = state >> at & (1 << m) - 1
             if self.kind != FREE:
-                member = reduce(or_, state[at + 1:at + 1 + width], 0)
+                member = 0
+                for j in range(1, width + 1):
+                    member |= state >> at + j * m
                 mask = mask & member if self.kind == IDEAL else mask & ~member
             masks[i] = mask
         return masks
@@ -273,30 +258,31 @@ class GradedComplex:
             raise ValidationError(f"negative exponent in {tuple(gamma)}")
         cuts, state, rows, _ = self._tables()
         for cut, row, g in zip(cuts, rows, gamma):
-            state = _narrow(state, row[bisect_right(cut, g) - 1])
+            state &= row[bisect_right(cut, g) - 1]
         return self._term_masks(state)
 
     def _mask_runs(self, box):
-        """(degrees, alive masks) over the box in lexicographic order: one
-        sweep that narrows the tables by each coordinate's cut only when
-        that cut changes.  Each run is the consecutive degrees, plain
-        tuples, that share one cut of the last coordinate, so share masks."""
+        """(degrees, fibre state) over the box in lexicographic order: one
+        sweep that narrows the packed state by each coordinate's cut, one
+        AND with that cut's row, only when that cut changes.  Each run is
+        the consecutive degrees, plain tuples, that share one cut of the
+        last coordinate, so share a state; ``_term_masks`` reads its masks."""
         cuts, full, rows, _ = self._tables()
         runs = [_runs(cut, top) for cut, top in zip(cuts, box)]
         return self._walk(runs, rows, 0, (), full)
 
     def _walk(self, runs, rows, k, prefix, state):
         """The runs of ``_mask_runs`` from coordinate k on, for the degrees
-        that start with ``prefix``, whose tables are narrowed to ``state``.
+        that start with ``prefix``, whose state is narrowed to ``state``.
         A method, not a closure over self: a recursive closure is a
         reference cycle that would keep the complex alive until a GC pass."""
         if k == self.n:  # n = 0: the box is the one empty degree
-            yield [prefix], self._term_masks(state)
+            yield [prefix], state
             return
         for v, values in runs[k]:
-            narrowed = _narrow(state, rows[k][v])
+            narrowed = state & rows[k][v]
             if k == self.n - 1:
-                yield [prefix + (g,) for g in values], self._term_masks(narrowed)
+                yield [prefix + (g,) for g in values], narrowed
             else:
                 for g in values:
                     yield from self._walk(runs, rows, k + 1, prefix + (g,), narrowed)
@@ -402,10 +388,14 @@ def module_homology_table(c: GradedComplex, field: PrimeField = GF(),
 
     The box defaults to the stability box; a user box must dominate it so
     that module-level vanishing remains decidable from the table.  One
-    sweep gives the alive masks of every degree of the box, and homology is
-    computed once per fibre class (degrees with the same masks have the same
-    fibre).  Entries are listed by degree, lexicographically, then by i.
-    A box of more than ``MAX_BOX_POINTS`` degrees is refused before the sweep.
+    sweep gives the packed fibre state of every degree of the box.  Two
+    dicts live for this call only: ``states`` maps each distinct state to
+    its dims, so ``_term_masks`` reads the masks of a state once, and under
+    it ``classes`` maps each masks tuple to its dims, so homology is
+    computed once per fibre class (distinct states can share masks, and
+    degrees with the same masks have the same fibre).  Entries are listed
+    by degree, lexicographically, then by i.  A box of more than
+    ``MAX_BOX_POINTS`` degrees is refused before the sweep.
     """
     sb = c.stable_box()
     if box is None:
@@ -415,13 +405,19 @@ def module_homology_table(c: GradedComplex, field: PrimeField = GF(),
         if not sb.leq(box):
             raise BoxTooSmall(f"box {tuple(box)} does not dominate {tuple(sb)}")
     check_box_size(box)
+    states = {}
     classes = {}
     entries = {}
-    for degrees, masks in c._mask_runs(box):
-        key = tuple(masks.values())
-        dims = classes.get(key)
+    for degrees, state in c._mask_runs(box):
+        dims = states.get(state)
         if dims is None:
-            dims = classes[key] = [(i, h) for i, h in c._homology(masks, field).items() if h]
+            masks = c._term_masks(state)
+            key = tuple(masks.values())
+            dims = classes.get(key)
+            if dims is None:
+                dims = classes[key] = [(i, h) for i, h in c._homology(masks, field).items()
+                                       if h]
+            states[state] = dims
         for gamma in degrees:
             for i, h in dims:
                 entries[(i, gamma)] = h

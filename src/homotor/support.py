@@ -17,6 +17,7 @@ from functools import reduce
 
 from .errors import (
     BoxTooSmall,
+    EmptyInput,
     LengthMismatch,
     OverlappingPartitions,
     ParamOutOfRange,
@@ -98,8 +99,8 @@ def supportoftors_check(partitions, coefficient: MonomialIdeal, ps,
     each Tor table, Mayer-Vietoris total and page once for every p."""
     n = coefficient.n
     sets = [tuple(sorted(set(int(i) for i in J))) for J in partitions]
-    if any(not J for J in sets):
-        raise OverlappingPartitions("empty variable set in partition")
+    if () in sets:
+        raise EmptyInput(f"variable block {sets.index(())} of the partition is empty")
     seen: set = set()
     for J in sets:
         if seen & set(J):

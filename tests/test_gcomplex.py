@@ -35,6 +35,7 @@ from homotor.gcomplex import (
     free_summand,
     ideal_summand,
     module_homology_table,
+    quotient_complex,
     resolution,
     taylor_resolution,
 )
@@ -210,8 +211,6 @@ def test_with_coefficient_matches_longer_family():
 def test_quotient_complex_is_one_cyclic_summand():
     """R/I as a tensor factor is the one summand R/I in degree 0; the unit
     ideal, whose quotient is zero, is refused."""
-    from homotor.gcomplex import quotient_complex
-
     i = MonomialIdeal(2, [(2, 0), (1, 1)])
     c = quotient_complex(i)
     assert c.terms == {0: (cyclic_summand(i),)}
@@ -343,23 +342,84 @@ def test_a_swept_complex_is_freed_without_a_gc_pass():
         gc.enable()
 
 
+def test_the_sweep_reads_each_state_once_and_each_class_once(monkeypatch):
+    """On a fixed tensor of three ideals, two resolved and one a quotient,
+    module_homology_table reads the masks of each distinct swept state once
+    (_term_masks) and computes homology once per distinct masks tuple
+    (_homology); the tensor has fewer states than runs, and fewer mask
+    classes than states, so both savings are pinned."""
+    family = [MonomialIdeal(3, [(2, 0, 0), (1, 1, 0), (0, 1, 1)]),
+              MonomialIdeal(3, [(0, 0, 2), (1, 0, 1)]),
+              MonomialIdeal(3, [(0, 2, 0), (1, 1, 1)])]
+    c = totalize(tensor([resolution(family[0]), resolution(family[1]),
+                         quotient_complex(family[2])]))
+    states = [state for _, state in c._mask_runs(c.stable_box())]
+    classes = {tuple(c._term_masks(state).values()) for state in states}
+    assert len(classes) < len(set(states)) < len(states)
+    term_masks, homology = GradedComplex._term_masks, GradedComplex._homology
+    read, computed = [], []
+
+    def counted_term_masks(self, state):
+        read.append(state)
+        return term_masks(self, state)
+
+    def counted_homology(self, masks, field):
+        computed.append(tuple(masks.values()))
+        return homology(self, masks, field)
+
+    monkeypatch.setattr(GradedComplex, "_term_masks", counted_term_masks)
+    monkeypatch.setattr(GradedComplex, "_homology", counted_homology)
+    module_homology_table(c)
+    assert sorted(read) == sorted(set(states))
+    assert sorted(computed) == sorted(classes)
+
+
+def _summand_masks(c, gamma):
+    """{i: bitmask of the summands of term i that summand_alive finds alive
+    at gamma}: the per-summand oracle of the packed fibre state."""
+    return {i: sum(1 << k for k, s in enumerate(ss) if summand_alive(s, gamma))
+            for i, ss in c.terms.items()}
+
+
 def _assert_masks_match_summands(c, degrees=None):
     """Bit k of alive_masks(gamma)[i] is summand_alive at every gamma of
     ``degrees``, by default the stability box grown by 2 in each coordinate."""
     if degrees is None:
         degrees = iter_box(tuple(b + 2 for b in c.stable_box()))
     for gamma in degrees:
-        masks = c.alive_masks(gamma)
-        assert set(masks) == set(c.terms)
-        for i, ss in c.terms.items():
-            expected = sum(1 << k for k, s in enumerate(ss) if summand_alive(s, gamma))
-            assert masks[i] == expected, (i, tuple(gamma))
+        assert c.alive_masks(gamma) == _summand_masks(c, gamma), tuple(gamma)
+
+
+def _assert_sweep_matches_summands(c, box):
+    """The sweep over ``box`` visits each degree once, in lexicographic
+    order, and the masks of the state it yields for a degree, like
+    alive_masks there, are bit for bit the per-summand oracle."""
+    swept = [(gamma, c._term_masks(state))
+             for degrees, state in c._mask_runs(box) for gamma in degrees]
+    assert [gamma for gamma, _ in swept] == [tuple(g) for g in iter_box(box)]
+    for gamma, masks in swept:
+        expected = _summand_masks(c, gamma)
+        assert masks == expected, gamma
+        assert c.alive_masks(gamma) == expected, gamma
 
 
 @settings(deadline=None)
 @given(complexes_of_every_kind())
 def test_alive_masks_match_summand_alive(c):
     _assert_masks_match_summands(c)
+
+
+@settings(deadline=None)
+@given(complexes_and_growth())
+def test_swept_masks_match_summand_alive(case):
+    """Every kind of complex, free and cyclic ones also with a quotient
+    coefficient: at every degree of the stable box and of the box grown by
+    1-2, the swept and the read masks equal the per-summand oracle, which
+    shares no code with the packed rows, so a wrong field offset shows."""
+    c, growth = case
+    stable = c.stable_box()
+    for box in (stable, tuple(b + g for b, g in zip(stable, growth))):
+        _assert_sweep_matches_summands(c, box)
 
 
 def test_alive_masks_with_unequal_generator_counts():
@@ -373,6 +433,7 @@ def test_alive_masks_with_unequal_generator_counts():
         counts = {len(s.ideal.gens) for ss in c.terms.values() for s in ss}
         assert len(counts) > 2
         _assert_masks_match_summands(c)
+        _assert_sweep_matches_summands(c, tuple(b + 1 for b in c.stable_box()))
     shifted = with_coefficient(taylor_resolution(ideals[0]), ideals[2])
     _assert_masks_match_summands(shifted)
 

@@ -7,6 +7,7 @@ from conftest import set_partitions, support_check_at
 from homotor.cli import random_instance
 from homotor.errors import (
     BoxTooSmall,
+    EmptyInput,
     LengthMismatch,
     OverlappingPartitions,
     ParamOutOfRange,
@@ -99,7 +100,7 @@ def test_supportoftors_examples():
 def test_supportoftors_rejects_overlap():
     with pytest.raises(OverlappingPartitions):
         supportoftors_check([[0, 1], [1]], MonomialIdeal.zero(2), [1])
-    with pytest.raises(OverlappingPartitions):
+    with pytest.raises(EmptyInput, match="block 1 "):
         supportoftors_check([[0], []], MonomialIdeal.zero(2), [1])
     with pytest.raises(ValidationError):
         supportoftors_check([[0], [2]], MonomialIdeal.zero(2), [1])
