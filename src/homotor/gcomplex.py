@@ -18,7 +18,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import reduce
 from heapq import heappop, heappush
-from operator import add
+from operator import add, and_
 
 from .errors import (
     BoxTooSmall,
@@ -262,30 +262,27 @@ class GradedComplex:
         return self._term_masks(state)
 
     def _mask_runs(self, box):
-        """(degrees, fibre state) over the box in lexicographic order: one
-        sweep that narrows the packed state by each coordinate's cut, one
-        AND with that cut's row, only when that cut changes.  Each run is
-        the consecutive degrees, plain tuples, that share one cut of the
-        last coordinate, so share a state; ``_term_masks`` reads its masks."""
+        """(degrees, fibre state) over the box in lexicographic order, from
+        one flat walk.  For every prefix of values of the leading
+        coordinates, the full state is narrowed by the row of each value's
+        cut (one AND each), then one run is yielded per cut of the last
+        coordinate, narrowed by that cut's row.  A run is the consecutive
+        degrees, plain tuples, that share one cut of the last coordinate, so
+        share a state; ``_term_masks`` reads its masks."""
         cuts, full, rows, _ = self._tables()
-        runs = [_runs(cut, top) for cut, top in zip(cuts, box)]
-        return self._walk(runs, rows, 0, (), full)
-
-    def _walk(self, runs, rows, k, prefix, state):
-        """The runs of ``_mask_runs`` from coordinate k on, for the degrees
-        that start with ``prefix``, whose state is narrowed to ``state``.
-        A method, not a closure over self: a recursive closure is a
-        reference cycle that would keep the complex alive until a GC pass."""
-        if k == self.n:  # n = 0: the box is the one empty degree
-            yield [prefix], state
+        if not self.n:  # the box is the one empty degree
+            yield [()], full
             return
-        for v, values in runs[k]:
-            narrowed = state & rows[k][v]
-            if k == self.n - 1:
-                yield [prefix + (g,) for g in values], narrowed
-            else:
-                for g in values:
-                    yield from self._walk(runs, rows, k + 1, prefix + (g,), narrowed)
+        # the row of each value of every leading coordinate
+        narrow = [[row[v] for v, values in _runs(cut, top) for _ in values]
+                  for cut, row, top in zip(cuts[:-1], rows[:-1], box[:-1])]
+        last = [(rows[-1][v], values) for v, values in _runs(cuts[-1], box[-1])]
+        for prefix, prefix_rows in zip(
+                itertools.product(*(range(top + 1) for top in box[:-1])),
+                itertools.product(*narrow)):
+            state = reduce(and_, prefix_rows, full)
+            for row, values in last:
+                yield [prefix + (g,) for g in values], state & row
 
     def _block(self, i: int, src_mask: int, tgt_mask: int, p: int) -> dict:
         """{s: {t: d_i(s -> t) mod p}} over the alive sources and targets of
@@ -300,6 +297,8 @@ class GradedComplex:
         return block
 
     def _masked_rank(self, i: int, src_mask: int, tgt_mask: int, field: PrimeField) -> int:
+        if not (src_mask and tgt_mask):  # an empty block has rank 0
+            return 0
         key = (field.p, i, src_mask, tgt_mask)
         cached = self._rank_cache.get(key)
         if cached is not None:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 
 from .errors import (
     EmptyInput,
@@ -34,9 +35,20 @@ class Multidegree(tuple):
     Subclasses tuple so it hashes and indexes like one.  Componentwise order
     is exposed through named methods; the inherited comparison operators
     remain lexicographic and are not used for divisibility.
+
+    A degree is validated where it is built from outside values: every
+    exponent goes through ``int`` and a negative one raises
+    ``ValidationError``.  A Multidegree is immutable and already valid, so
+    ``Multidegree(m)`` returns ``m`` itself, and sums (``add``), maxima
+    (``lcm_deg``) and differences (``sub``, after its one sign test) of
+    Multidegrees are built without a second check.  An operand that is not
+    a Multidegree still goes through the validating constructor, and every
+    operation still checks that the lengths match.
     """
 
     def __new__(cls, exponents):
+        if type(exponents) is Multidegree:
+            return exponents
         exps = tuple(int(e) for e in exponents)
         if any(e < 0 for e in exps):
             raise ValidationError(f"negative exponent in {exps}")
@@ -49,18 +61,19 @@ class Multidegree(tuple):
     def leq(self, other) -> bool:
         """Componentwise <=, i.e. self divides other as monomials."""
         self._match(other)
-        return all(a <= b for a, b in zip(self, other))
+        return all(map(operator.le, self, other))
 
     def add(self, other) -> "Multidegree":
         self._match(other)
-        return Multidegree(a + b for a, b in zip(self, other))
+        exps = map(operator.add, self, other)
+        return _valid(exps) if type(other) is Multidegree else Multidegree(exps)
 
     def sub(self, other) -> "Multidegree":
         self._match(other)
-        diff = [a - b for a, b in zip(self, other)]
-        if any(d < 0 for d in diff):
+        diff = tuple(map(operator.sub, self, other))
+        if min(diff, default=0) < 0:
             raise ValidationError(f"{self} - {other} leaves N^n")
-        return Multidegree(diff)
+        return _valid(diff) if type(other) is Multidegree else Multidegree(diff)
 
     def support(self) -> frozenset:
         return frozenset(i for i, e in enumerate(self) if e)
@@ -74,24 +87,33 @@ class Multidegree(tuple):
 
     @classmethod
     def zero(cls, n: int) -> "Multidegree":
-        return cls((0,) * n)
+        return _valid((0,) * n)
 
     @classmethod
     def unit(cls, n: int, i: int) -> "Multidegree":
         return cls(tuple(1 if j == i else 0 for j in range(n)))
 
 
+def _valid(exponents) -> Multidegree:
+    """A Multidegree of exponents known to be ints >= 0, built unchecked:
+    a sum, a maximum or a sign-tested difference of Multidegrees, or the
+    values of ranges from 0."""
+    return tuple.__new__(Multidegree, exponents)
+
+
 def lcm_deg(a: Multidegree, b: Multidegree) -> Multidegree:
     """Componentwise maximum (the lcm of the two monomials)."""
     if len(a) != len(b):
         raise LengthMismatch(f"lengths {len(a)} and {len(b)} differ")
-    return Multidegree(max(x, y) for x, y in zip(a, b))
+    exps = map(max, a, b)
+    return _valid(exps) if type(a) is type(b) is Multidegree else Multidegree(exps)
 
 
 def _minimalize(gens):
     """Drop generators divisible by another; deduplicate; sort for determinism."""
     uniq = sorted(set(gens))
-    return tuple(g for g in uniq if not any(h != g and h.leq(g) for h in uniq))
+    return tuple(g for g in uniq
+                 if not any(h != g and all(map(operator.le, h, g)) for h in uniq))
 
 
 class MonomialIdeal:
@@ -106,7 +128,7 @@ class MonomialIdeal:
         self.n = int(n)
         gens = []
         for g in generators:
-            g = g if isinstance(g, Multidegree) else Multidegree(g)
+            g = Multidegree(g)
             if g.n != self.n:
                 raise LengthMismatch(
                     f"generator {tuple(g)} has length {g.n}, expected {self.n}"
@@ -157,7 +179,7 @@ def membership(gamma, ideal: MonomialIdeal) -> bool:
     """True iff x^gamma lies in the ideal (some generator divides gamma)."""
     if len(gamma) != ideal.n:
         raise LengthMismatch(f"degree length {len(gamma)} != {ideal.n}")
-    return any(g.leq(gamma) for g in ideal.gens)
+    return any(all(map(operator.le, g, gamma)) for g in ideal.gens)
 
 
 def combine(ideals, op: str) -> MonomialIdeal:
@@ -211,10 +233,7 @@ def check_box_size(box) -> None:
         )
 
 
-def iter_box(box) -> "itertools.product":
+def iter_box(box):
     """All multidegrees gamma with 0 <= gamma <= box, lexicographic order."""
     check_box_size(box)
-    return (
-        Multidegree(t)
-        for t in itertools.product(*(range(b + 1) for b in box))
-    )
+    return map(_valid, itertools.product(*(range(b + 1) for b in box)))

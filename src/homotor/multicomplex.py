@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from functools import reduce
 
 from .errors import (
     CompositionNonzero,
@@ -146,7 +147,7 @@ def tensor(factors) -> Multicomplex:
 
 
 def _product_summand(combo) -> Summand:
-    shift = Multidegree(map(sum, zip(*(s.shift for s in combo))))
+    shift = reduce(Multidegree.add, (s.shift for s in combo))
     ideals = [s.ideal for s in combo if s.kind == CYCLIC]
     if not ideals:
         return Summand(FREE, shift)

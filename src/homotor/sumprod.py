@@ -107,14 +107,20 @@ def augmented_interior_H(ideals, subset, coefficient: MonomialIdeal | None = Non
         raise EmptySelection("augmented_interior_H needs a nonempty subset")
     chosen = [ideals[i] for i in subset]
     chosen, _ = _validate_family(chosen)
-    p = len(chosen)
-    aug = hypercube_augment(tensor([resolution(i) for i in chosen]))
-    if coefficient is not None and not coefficient.is_zero():
-        aug = totalize(tensor([aug, quotient_complex(coefficient)]))
+    m = tensor([resolution(i) for i in chosen])
     if box is None:
         box = family_box(chosen, coefficient)
+    return _interior_table(m, coefficient, fld, box)
+
+
+def _interior_table(m, coefficient, fld, box) -> TorTable:
+    """The table of ``augmented_interior_H`` from m, the tensor of the
+    chosen ideals' resolutions, over the box."""
+    aug = hypercube_augment(m)
+    if coefficient is not None and not coefficient.is_zero():
+        aug = totalize(tensor([aug, quotient_complex(coefficient)]))
     table = module_homology_table(aug, fld, box)
-    entries = {(i - p, gam): d for (i, gam), d in table.entries.items()}
+    entries = {(i - m.n_axes, gam): d for (i, gam), d in table.entries.items()}
     return TorTable(entries, table.box)
 
 
@@ -330,9 +336,15 @@ def exactness_equivalences(ideals, fld: PrimeField = GF()) -> CheckReport:
 
     cond1 = all(independence(families[sub], fld).independent for sub in subs)
 
-    h_tables = {sub: augmented_interior_H(ideals, sub, None, fld) for sub in subs}
+    # each ideal is resolved once, and each subfamily's tensor is built
+    # once for its H table and its page engine; subfamilies come in order
+    # of size, so the tables of every subfamily of sub are in place
+    resolved = [resolution(ideal) for ideal in ideals]
+    h_tables = {}
     cond2_witness = []
     for sub in subs:
+        m = tensor([resolved[i] for i in sub])
+        h_tables[sub] = _interior_table(m, None, fld, family_box(families[sub]))
         # the degrees where a q >= 0 row of a subfamily of sub survives;
         # exactness there is settled with the page engine
         gammas = sorted({g for size in range(2, len(sub) + 1)
@@ -340,8 +352,7 @@ def exactness_equivalences(ideals, fld: PrimeField = GF()) -> CheckReport:
                          for (q, g) in h_tables[t].entries if q >= 0})
         if not gammas:
             continue
-        filtered = build_filtration(tensor([resolution(i) for i in families[sub]]),
-                                    kind="interior_augmented")
+        filtered = build_filtration(m, kind="interior_augmented")
         witness = next(({"subfamily": list(sub), "degree": list(g), "p": p, "q": q}
                         for g in gammas
                         for (p, q), d in pages(filtered, g, fld).page(2).items()

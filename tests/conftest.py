@@ -6,7 +6,7 @@ from hypothesis import settings
 
 from homotor import MonomialIdeal, Multidegree
 from homotor.cli import random_instance
-from homotor.errors import MixedKinds, UnitIdeal
+from homotor.errors import LengthMismatch, MixedKinds, UnitIdeal, ValidationError
 from homotor.exactlin import GF, PrimeField
 from homotor.gcomplex import (
     CYCLIC,
@@ -179,6 +179,50 @@ def pair_intersection(a, b):
     """The intersection of two monomial ideals, generated by the lcms of a
     generator of each: the reference for the intersections the tests use."""
     return MonomialIdeal(a.n, [lcm_deg(g, h) for g in a.gens for h in b.gens])
+
+
+def _match_by_len(a, b):
+    if len(a) != len(b):
+        raise LengthMismatch(f"lengths {len(a)} and {len(b)} differ")
+
+
+def leq_by_zip(a, b) -> bool:
+    """a <= b componentwise, one generator over zip: the reference for
+    ``Multidegree.leq``."""
+    _match_by_len(a, b)
+    return all(x <= y for x, y in zip(a, b))
+
+
+def add_by_zip(a, b) -> Multidegree:
+    """a + b through the validating constructor: the reference for
+    ``Multidegree.add``."""
+    _match_by_len(a, b)
+    return Multidegree(x + y for x, y in zip(a, b))
+
+
+def sub_by_zip(a, b) -> Multidegree:
+    """a - b, refused outside N^n, through the validating constructor: the
+    reference for ``Multidegree.sub``."""
+    _match_by_len(a, b)
+    diff = [x - y for x, y in zip(a, b)]
+    if any(d < 0 for d in diff):
+        raise ValidationError(f"{a} - {b} leaves N^n")
+    return Multidegree(diff)
+
+
+def lcm_by_zip(a, b) -> Multidegree:
+    """The componentwise maximum through the validating constructor: the
+    reference for ``lcm_deg``."""
+    _match_by_len(a, b)
+    return Multidegree(max(x, y) for x, y in zip(a, b))
+
+
+def membership_by_leq(gamma, ideal) -> bool:
+    """Some generator divides gamma, each tested by ``leq_by_zip``: the
+    reference for ``membership``."""
+    if len(gamma) != ideal.n:
+        raise LengthMismatch(f"degree length {len(gamma)} != {ideal.n}")
+    return any(leq_by_zip(g, gamma) for g in ideal.gens)
 
 
 def summand_alive(s, gamma) -> bool:

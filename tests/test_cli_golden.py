@@ -1,0 +1,114 @@
+"""Byte gate for the CLI paths that no benchmark workload runs: each
+invocation of a small fixed corpus prints the recorded bytes and exits with
+the recorded code.
+
+The corpus covers ``scomplex`` and ``pcomplex`` with each ``--kind``,
+``selftest``, ``tor`` over a user box larger than the stable one (with and
+without ``--module``), and one exit-2 report for each typed input error the
+CLI reports.  The digests, sha256 of stdout, live in
+``tests/golden/cli.json``.  Record them again only from code whose reports
+are the reference:
+
+    PYTHONPATH=src python tests/test_cli_golden.py
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from homotor.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden" / "cli.json"
+
+PROBLEMS = {
+    "family": {
+        "characteristic": 32003,
+        "variables": ["x", "y", "z"],
+        "ideals": {"I1": [[2, 0, 0], [1, 1, 0]], "I2": [[0, 1, 1], [0, 0, 2]],
+                   "I3": [[1, 0, 1], [0, 2, 0]]},
+    },
+    "pair": {
+        "variables": ["x", "y"],
+        "ideals": {"I1": [[1, 0]], "I2": [[0, 1]]},
+    },
+    "negative": {
+        "variables": ["x", "y"],
+        "ideals": {"I1": [[-1, 0]], "I2": [[0, 1]]},
+    },
+    "short": {
+        "variables": ["x", "y"],
+        "ideals": {"I1": [[1]], "I2": [[0, 1]]},
+    },
+    "unit": {
+        "variables": ["x", "y"],
+        "ideals": {"I1": [[0, 0]], "I2": [[0, 1]]},
+    },
+    "seventeen": {
+        "variables": ["x", "y"],
+        "ideals": {"I1": [[i, 16 - i] for i in range(17)],
+                   "I2": [[i, 16 - i] for i in range(17)]},
+    },
+}
+
+#: (case id, problem name or None, argv; the path of the problem file goes
+#: in after the command)
+CASES = [
+    ("scomplex-quotient", "family", ["scomplex", "--kind", "quotient"]),
+    ("scomplex-tilde", "family", ["scomplex", "--kind", "tilde"]),
+    ("pcomplex-quotient", "family", ["pcomplex", "--kind", "quotient"]),
+    ("pcomplex-tilde", "family", ["pcomplex", "--kind", "tilde"]),
+    ("selftest", None, ["selftest", "--seed", "0", "--trials", "3"]),
+    ("tor-box", "family", ["tor", "--box", "4,5,4"]),
+    ("tor-module-box", "family", ["tor", "--module", "I3", "--box", "5,7,5"]),
+    ("negative-exponent", "negative", ["tor"]),
+    ("degree-length", "short", ["tor"]),
+    ("box-length", "pair", ["tor", "--box", "1"]),
+    ("unit-ideal", "unit", ["tor"]),
+    ("huge-box", "pair", ["tor", "--box", "1000,1000"]),
+    ("taylor-17", "seventeen", ["tor"]),
+    ("unread-flag", "pair", ["verify", "--box", "1,1"]),
+]
+
+
+def run_case(problem, argv, workdir):
+    """(exit code, sha256 of stdout) of ``homotor`` on the case."""
+    args = list(argv)
+    if problem is not None:
+        path = Path(workdir) / f"{problem}.json"
+        path.write_text(json.dumps(PROBLEMS[problem]))
+        args.insert(1, str(path))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(args)
+    return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+@pytest.mark.parametrize("case_id, problem, argv", CASES, ids=[c[0] for c in CASES])
+def test_cli_reports_match_the_golden_digests(case_id, problem, argv, tmp_path):
+    expected = json.loads(GOLDEN.read_text())[case_id]
+    code, digest = run_case(problem, argv, tmp_path)
+    assert code == expected["exit"]
+    assert digest == expected["sha256"]
+
+
+def test_the_corpus_has_one_exit_2_case_per_error_and_no_stale_digest():
+    golden = json.loads(GOLDEN.read_text())
+    assert sorted(golden) == sorted(c[0] for c in CASES)
+    assert sum(entry["exit"] == 2 for entry in golden.values()) == 7
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as workdir:
+        record = {}
+        for case_id, problem, argv in CASES:
+            code, digest = run_case(problem, argv, workdir)
+            record[case_id] = {"exit": code, "sha256": digest}
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+    sys.stdout.write(f"recorded {len(record)} digests in {GOLDEN}\n")

@@ -374,6 +374,29 @@ def test_the_sweep_reads_each_state_once_and_each_class_once(monkeypatch):
     assert sorted(computed) == sorted(classes)
 
 
+def test_the_sweep_ranks_no_empty_block(monkeypatch):
+    """On the same fixed tensor, a rank with an empty source or target mask
+    is 0 without a block or an elimination: pivot_pairs is never called
+    with an empty row list, and the table is the per-degree walk's."""
+    family = [MonomialIdeal(3, [(2, 0, 0), (1, 1, 0), (0, 1, 1)]),
+              MonomialIdeal(3, [(0, 0, 2), (1, 0, 1)]),
+              MonomialIdeal(3, [(0, 2, 0), (1, 1, 1)])]
+    c = totalize(tensor([resolution(family[0]), resolution(family[1]),
+                         quotient_complex(family[2])]))
+    eliminate = gcomplex.pivot_pairs
+    rows_per_call = []
+
+    def counted(rows, p):
+        rows_per_call.append(len(rows))
+        return eliminate(rows, p)
+
+    monkeypatch.setattr(gcomplex, "pivot_pairs", counted)
+    table = module_homology_table(c)
+    assert rows_per_call and 0 not in rows_per_call
+    assert table.entries == {(i, tuple(gamma)): h for gamma in iter_box(table.box)
+                             for i, h in c.homology_at(gamma).items() if h}
+
+
 def _summand_masks(c, gamma):
     """{i: bitmask of the summands of term i that summand_alive finds alive
     at gamma}: the per-summand oracle of the packed fibre state."""

@@ -6,9 +6,17 @@ from functools import reduce
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import pair_intersection
+from conftest import (
+    add_by_zip,
+    lcm_by_zip,
+    leq_by_zip,
+    membership_by_leq,
+    pair_intersection,
+    sub_by_zip,
+)
 from homotor.errors import (
     EmptyInput,
+    HomotorError,
     InvalidKind,
     LengthMismatch,
     ParamOutOfRange,
@@ -153,3 +161,80 @@ def test_iter_box_refuses_more_than_max_box_points_when_called():
 def test_iter_box_order():
     cells = list(iter_box((1, 1)))
     assert cells == [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+
+def _outcome(f, *args):
+    """(type, value) of f(*args), or (error class, message) if it raises a
+    HomotorError."""
+    try:
+        value = f(*args)
+    except HomotorError as exc:
+        return type(exc), str(exc)
+    return type(value), value
+
+
+def _vectors(n, low=0):
+    return st.lists(st.integers(low, 5), min_size=n, max_size=n).map(tuple)
+
+
+@st.composite
+def operand_pairs(draw):
+    """(a, b): a Multidegree with n in 0..4 and exponents 0..5; b mostly of
+    the same length, either a Multidegree or a plain tuple that may hold
+    negative entries."""
+    n = draw(st.integers(0, 4))
+    m = draw(st.sampled_from([n, n, n, (n + 1) % 5]))
+    a = Multidegree(draw(_vectors(n)))
+    if draw(st.booleans()):
+        return a, Multidegree(draw(_vectors(m)))
+    return a, draw(_vectors(m, low=-5))
+
+
+@given(operand_pairs())
+def test_degree_arithmetic_matches_the_generator_oracles(case):
+    """leq, add, sub and lcm_deg give what the generator-based references
+    give: the same value, of exact type Multidegree, or the same error class
+    and message (a negative entry of a plain operand, a negative difference,
+    a length mismatch)."""
+    a, b = case
+    for fast, slow in ((Multidegree.leq, leq_by_zip), (Multidegree.add, add_by_zip),
+                       (Multidegree.sub, sub_by_zip), (lcm_deg, lcm_by_zip)):
+        assert _outcome(fast, a, b) == _outcome(slow, a, b)
+    assert _outcome(lcm_deg, b, a) == _outcome(lcm_by_zip, b, a)
+    assert _outcome(lcm_deg, b, b) == _outcome(lcm_by_zip, b, b)
+    assert _outcome(Multidegree.zero, len(a)) == (Multidegree, (0,) * len(a))
+
+
+@given(st.integers(0, 4).flatmap(lambda n: st.tuples(
+    st.lists(_vectors(n).map(Multidegree), max_size=3),
+    _vectors(n, low=-5) | _vectors(n).map(Multidegree) | _vectors((n + 1) % 5),
+)))
+def test_membership_matches_the_generator_oracle(case):
+    """Minimal generators and membership of a degree, a plain tuple with
+    negative entries or one of another length included, are what the
+    references give."""
+    gens, gamma = case
+    n = len(gens[0]) if gens else len(gamma)
+    ideal = MonomialIdeal(n, gens)
+    assert ideal.gens == tuple(sorted(set(
+        g for g in gens if not any(h != g and leq_by_zip(h, g) for h in gens))))
+    assert _outcome(membership, gamma, ideal) == _outcome(membership_by_leq, gamma, ideal)
+
+
+@given(st.integers(0, 4).flatmap(lambda n: _vectors(n, low=-5)))
+def test_a_multidegree_is_validated_once(exps):
+    """The constructor validates outside values, with the same error as
+    before, and returns a Multidegree argument itself."""
+    if min(exps, default=0) < 0:
+        with pytest.raises(ValidationError, match="negative exponent in"):
+            Multidegree(exps)
+        with pytest.raises(ValidationError, match="negative exponent in"):
+            Multidegree(list(exps))
+        return
+    m = Multidegree(exps)
+    assert type(m) is Multidegree and m == exps
+    assert Multidegree(m) is m
+    assert Multidegree(list(m)) == m and Multidegree(list(m)) is not m
+    box = list(iter_box(m))
+    assert box == [Multidegree(t) for t in itertools.product(*(range(e + 1) for e in m))]
+    assert all(type(g) is Multidegree for g in box)

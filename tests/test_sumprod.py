@@ -347,16 +347,61 @@ def test_checkers_build_once_per_subfamily(kxyz, monkeypatch):
 
 def test_exactness_tables_only_for_subfamilies_of_two_or_more(kxyz, monkeypatch):
     """Only subfamilies of size >= 2 have their H tables read: three pairs and
-    the triple."""
+    the triple, told apart by their number of axes and their family boxes,
+    which differ."""
+    family = [kxyz["x"], kxyz["y"], kxyz["xy"]]
     calls = []
+    table = sumprod._interior_table
 
-    def counted(ideals, subset, *args):
-        calls.append(tuple(subset))
-        return augmented_interior_H(ideals, subset, *args)
+    def counted(m, coefficient, fld, box):
+        calls.append((m.n_axes, tuple(box)))
+        return table(m, coefficient, fld, box)
 
-    monkeypatch.setattr(sumprod, "augmented_interior_H", counted)
-    exactness_equivalences([kxyz["x"], kxyz["y"], kxyz["xy"]])
-    assert sorted(calls) == [(0, 1), (0, 1, 2), (0, 2), (1, 2)]
+    monkeypatch.setattr(sumprod, "_interior_table", counted)
+    exactness_equivalences(family)
+    expected = sorted((len(sub), tuple(family_box([family[i] for i in sub])))
+                      for sub in [(0, 1), (0, 1, 2), (0, 2), (1, 2)])
+    assert len({box for _, box in expected}) == 4
+    assert sorted(calls) == expected
+
+
+def test_exactness_resolves_each_ideal_once_and_builds_each_tensor_once(monkeypatch):
+    """On (xy^2), (y^2, xy), (y, x^2), where q >= 0 rows of the augmented
+    interior survive, so pages are read, the exactness check resolves each
+    of the three ideals once and builds one tensor per subfamily of size
+    >= 2; the page engine of a subfamily reads the very tensor its H table
+    was built from."""
+    family = [MonomialIdeal(2, [(1, 2)]), MonomialIdeal(2, [(0, 2), (1, 1)]),
+              MonomialIdeal(2, [(0, 1), (2, 0)])]
+    calls = {"resolution": 0, "tensor": 0}
+    tables, filtered = [], []
+    resolution_, tensor_ = sumprod.resolution, sumprod.tensor
+    table, build = sumprod._interior_table, sumprod.build_filtration
+
+    def counted_resolution(ideal):
+        calls["resolution"] += 1
+        return resolution_(ideal)
+
+    def counted_tensor(factors):
+        calls["tensor"] += 1
+        return tensor_(factors)
+
+    def kept_table(m, *args):
+        tables.append(m)
+        return table(m, *args)
+
+    def kept_build(m, *, kind):
+        filtered.append(m)
+        return build(m, kind=kind)
+
+    monkeypatch.setattr(sumprod, "resolution", counted_resolution)
+    monkeypatch.setattr(sumprod, "tensor", counted_tensor)
+    monkeypatch.setattr(sumprod, "_interior_table", kept_table)
+    monkeypatch.setattr(sumprod, "build_filtration", kept_build)
+    exactness_equivalences(family)
+    assert calls == {"resolution": 3, "tensor": 4}
+    assert len(tables) == 4 and filtered
+    assert all(any(m is t for t in tables) for m in filtered)
 
 
 def test_exactness_equivalences_truth_values(kxy, kxyz):
