@@ -335,14 +335,14 @@ class TorTable:
     """Homology dimensions indexed by (homological index, multidegree <= box).
 
     Only nonzero dimensions are stored.  By the stability property the slice
-    of index i is identically zero iff the module H_i is zero.
+    of index i is identically zero iff the module H_i is zero.  ``entries``
+    is kept as given, so its keys must be (int i, plain tuple degree) and
+    its values nonzero ints, as every table builder makes them.
     """
 
     def __init__(self, entries: dict, box):
         self.box = Multidegree(box)
-        self.entries = {
-            (int(i), tuple(g)): int(d) for (i, g), d in entries.items() if d
-        }
+        self.entries = entries
 
     def dim(self, i: int, gamma) -> int:
         if len(gamma) != len(self.box):

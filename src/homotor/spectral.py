@@ -235,9 +235,10 @@ def build_filtration(m: Multicomplex, *, kind: str) -> FilteredTotal:
 
     kcone / kcone_augmented filter the (augmented) Koszul-cone construction
     by the cone index; interior / interior_augmented filter the (augmented)
-    multicomplex by the number of nonzero coordinates.  Each call builds and
-    checks a new total; a caller evaluating many degrees builds it once and
-    hands it to ``pages`` for each, so they share its block ranks.  Degrees
+    multicomplex by the number of nonzero coordinates.  Each call but
+    ``interior``, which filters ``m.total``, builds and checks a new total;
+    a caller evaluating many degrees builds the filtration once and hands it
+    to ``pages`` for each, so they share its block ranks.  Degrees
     beyond the stability box have the alive masks of the box.
     """
     n = m.n_axes

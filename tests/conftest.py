@@ -13,6 +13,7 @@ from homotor.gcomplex import (
     FREE,
     IDEAL,
     GradedComplex,
+    _compose,
     cancel_units,
     cyclic_summand,
     exterior_complex,
@@ -173,6 +174,28 @@ def augment_in_two_steps(m):
         {**total.terms, n - 1: m.terms.get((0,) * n, ())},
         {**total.entries, n: [(s, t, c) for (s, t), c in sorted(psi.items())]},
     )
+
+
+def axes_oracle(m):
+    """The first failing square of m, anything with a multicomplex's
+    ``n_axes``, ``terms`` and ``diffs``, as (q, j, k): j == k when d_k does
+    not square to zero at q, j < k when d_j and d_k do not commute there;
+    None when every axis squares to zero and every pair commutes.  The
+    reference for the one d∘d = 0 check of the total of a ``Multicomplex``."""
+    def entry_map(q, k):
+        return {(s, t): c for s, t, c in m.diffs.get((q, k), ())}
+
+    step = Multicomplex._step
+    for q in m.terms:
+        for k in range(m.n_axes):
+            if q[k] >= 2 and _compose(entry_map(step(q, k), k), entry_map(q, k)):
+                return q, k, k
+        for j, k in itertools.combinations(range(m.n_axes), 2):
+            if q[j] and q[k] and (
+                    _compose(entry_map(step(q, j), k), entry_map(q, j))
+                    != _compose(entry_map(step(q, k), j), entry_map(q, k))):
+                return q, j, k
+    return None
 
 
 def pair_intersection(a, b):

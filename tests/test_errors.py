@@ -1,5 +1,5 @@
-"""Every error the package raises is typed, and every GF(p) elimination
-goes through one kernel."""
+"""Every error the package raises is typed, every GF(p) elimination goes
+through one kernel, and d∘d = 0 is checked in one place."""
 
 import ast
 import inspect
@@ -10,10 +10,11 @@ from homotor import errors
 
 
 class _Raises(ast.NodeVisitor):
-    """(innermost enclosing function, raise node) of every raise statement."""
+    """(dotted name of the enclosing classes and functions, such as
+    ``GradedComplex._check_dd_zero``, raise node) of every raise statement."""
 
     def __init__(self):
-        self.where = ["<module>"]
+        self.where = []
         self.found = []
 
     def visit_FunctionDef(self, node):
@@ -21,8 +22,10 @@ class _Raises(ast.NodeVisitor):
         self.generic_visit(node)
         self.where.pop()
 
+    visit_ClassDef = visit_FunctionDef
+
     def visit_Raise(self, node):
-        self.found.append((self.where[-1], node))
+        self.found.append((".".join(self.where) or "<module>", node))
 
 
 def test_every_raise_names_a_homotor_error():
@@ -93,3 +96,17 @@ def test_one_elimination_path():
     assert modular == [("exactlin.py", "pivot_pairs")]
     assert list(rank_routines) == [("gcomplex.py", "_masked_rank")]
     assert "pivot_pairs" in rank_routines[("gcomplex.py", "_masked_rank")]
+
+
+def test_one_composition_check():
+    """d∘d = 0 is checked in one place: CompositionNonzero is raised only by
+    GradedComplex._check_dd_zero, which a multicomplex reaches through the
+    one build of its total."""
+    sites = []
+    for path in sorted(Path(homotor.__file__).parent.glob("*.py")):
+        visitor = _Raises()
+        visitor.visit(ast.parse(path.read_text()))
+        sites += [(path.name, func) for func, node in visitor.found
+                  if isinstance(node.exc, ast.Call) and isinstance(node.exc.func, ast.Name)
+                  and node.exc.func.id == "CompositionNonzero"]
+    assert sites == [("gcomplex.py", "GradedComplex._check_dd_zero")]

@@ -9,7 +9,7 @@ import weakref
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import masked_rank_oracle, summand_alive, unit_koszul, with_coefficient
+from conftest import masked_rank_oracle, stream, summand_alive, unit_koszul, with_coefficient
 from homotor.errors import (
     BoxTooSmall,
     CompositionNonzero,
@@ -41,7 +41,13 @@ from homotor.gcomplex import (
 )
 from homotor.monomial import MonomialIdeal, Multidegree, iter_box
 from homotor.multicomplex import tensor, totalize
-from homotor.sumprod import build_p_complex, build_s_complex
+from homotor.sumprod import (
+    augmented_interior_H,
+    build_p_complex,
+    build_s_complex,
+    complex_homology_table,
+)
+from homotor.torlab import tor1_oracle
 
 
 def ranks_of(c):
@@ -159,6 +165,26 @@ def test_malformed_summands_entries_and_orientations_rejected():
         GradedComplex(2, terms, {1: [(0, 1, 1)]})
     with pytest.raises(InvalidKind):
         exterior_complex(1, lambda s: free_summand(zero), "cochains")
+
+
+def test_every_table_builder_meets_the_tor_table_precondition():
+    """``TorTable`` keeps its entries as given: every builder passes int
+    indices, plain-tuple degrees of ints and nonzero int dimensions."""
+    for family in stream(0, 6, n_vars=2, n_ideals=3, max_gens=2, max_exp=2):
+        coefficient = family[0]
+        tables = [
+            module_homology_table(totalize(tensor([resolution(i) for i in family]))),
+            complex_homology_table(build_s_complex(family)),
+            complex_homology_table(build_p_complex(family)),
+            augmented_interior_H(family, [0, 1, 2]),
+            augmented_interior_H(family[1:], [0, 1], coefficient),
+            tor1_oracle(family),
+        ]
+        for table in tables:
+            for (i, g), d in table.entries.items():
+                assert type(i) is int and type(g) is tuple
+                assert all(type(v) is int for v in g)
+                assert type(d) is int and d != 0
 
 
 def test_dd_zero_checked_symbolically():

@@ -1,10 +1,12 @@
 """Multicomplexes: tensor construction, totalization and the hypercube
 augmentation."""
 
-import pytest
-from hypothesis import given, settings, strategies as st
+from types import SimpleNamespace
 
-from conftest import augment_in_two_steps, tensor_by_search, with_coefficient
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from conftest import augment_in_two_steps, axes_oracle, tensor_by_search, with_coefficient
 from homotor.cli import random_instance
 from homotor.errors import (
     CompositionNonzero,
@@ -161,15 +163,79 @@ def test_one_summand_quotient_factor_is_with_coefficient(factors, seed):
 
 def test_axis_checks_raise_composition_nonzero():
     one = (free_summand((0,)),)
-    with pytest.raises(CompositionNonzero, match="square to zero"):
+    with pytest.raises(CompositionNonzero, match="d∘d != 0 from degree 2"):
         Multicomplex(1, 1, {(0,): one, (1,): one, (2,): one},
                      {((1,), 0): [(0, 0, 1)], ((2,), 0): [(0, 0, 1)]})
     square = {q: one for q in ((0, 0), (1, 0), (0, 1), (1, 1))}
     edges = {((1, 0), 0): [(0, 0, 1)], ((0, 1), 1): [(0, 0, 1)],
              ((1, 1), 0): [(0, 0, 1)]}
     Multicomplex(2, 1, square, {**edges, ((1, 1), 1): [(0, 0, 1)]})
-    with pytest.raises(CompositionNonzero, match="do not commute"):
+    with pytest.raises(CompositionNonzero, match="d∘d != 0 from degree 2"):
         Multicomplex(2, 1, square, {**edges, ((1, 1), 1): [(0, 0, -1)]})
+
+
+@st.composite
+def perturbed_multicomplexes(draw):
+    """A multicomplex built by ``tensor``, ``koszul_cone`` or
+    ``hypercube_extend``, and its axis entries with one coefficient moved
+    by 1 or 2 (an entry moved to 0 is dropped)."""
+    build = draw(st.sampled_from([lambda m: m, koszul_cone, hypercube_extend]))
+    m = build(tensor(draw(tensor_factors())))
+    assume(m.diffs)
+    key = draw(st.sampled_from(sorted(m.diffs)))
+    at = draw(st.integers(0, len(m.diffs[key]) - 1))
+    s, t, c = m.diffs[key][at]
+    es = list(m.diffs[key])
+    es[at] = (s, t, c + draw(st.sampled_from([-2, -1, 1, 2])))
+    return m, {**m.diffs, key: es}
+
+
+@settings(deadline=None)
+@given(perturbed_multicomplexes())
+def test_total_check_is_the_axis_conditions(case):
+    """A multicomplex is refused, by its total's d∘d = 0 check, exactly
+    when some axis fails to square to zero or some pair of axes fails to
+    commute."""
+    m, diffs = case
+    assert axes_oracle(m) is None
+    args = (m.n_axes, m.n_vars, m.terms, diffs)
+    if axes_oracle(SimpleNamespace(n_axes=m.n_axes, terms=m.terms, diffs=diffs)) is None:
+        Multicomplex(*args)
+    else:
+        with pytest.raises(CompositionNonzero):
+            Multicomplex(*args)
+
+
+def test_inhomogeneous_axis_entry_refused_at_construction():
+    """R(0) at position 1 cannot map to R(-1) at position 0."""
+    with pytest.raises(ValidationError, match="inhomogeneous"):
+        Multicomplex(1, 1, {(1,): (free_summand((0,)),), (0,): (free_summand((1,)),)},
+                     {((1,), 0): [(0, 0, 1)]})
+
+
+def test_multicomplex_builds_its_total_once(monkeypatch):
+    """Building a multicomplex builds one complex, its total; ``totalize``
+    at shift 0 returns that total and builds nothing, and
+    ``hypercube_augment`` builds one complex and no multicomplex."""
+    factors = [res((1, 0), (0, 1)), res((1, 1), (2, 0))]
+    builds = {"graded": 0, "multi": 0}
+
+    def counted(cls, key):
+        init = cls.__init__
+
+        def wrapper(self, *args):
+            builds[key] += 1
+            init(self, *args)
+        monkeypatch.setattr(cls, "__init__", wrapper)
+
+    counted(GradedComplex, "graded")
+    counted(Multicomplex, "multi")
+    m = tensor(factors)
+    assert builds == {"graded": 1, "multi": 1}
+    assert totalize(m) is m.total
+    assert builds == {"graded": 1, "multi": 1}
+    hypercube_augment(m)
+    assert builds == {"graded": 2, "multi": 1}
 
 
 def test_tensor_of_variable_koszuls_totalizes_to_joint_koszul():
