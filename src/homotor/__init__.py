@@ -24,12 +24,7 @@ from .gcomplex import (
     resolution,
     taylor_resolution,
 )
-from .multicomplex import (
-    Multicomplex,
-    hypercube_augment,
-    tensor,
-    totalize,
-)
+from .multicomplex import Multicomplex, hypercube_augment, tensor
 from .spectral import (
     FilteredTotal,
     SpectralPages,

@@ -113,6 +113,7 @@ def parse_problem(path) -> ProblemFile:
     char = GF(raw.get("characteristic", GF().p)).p
     variables = raw.get("variables")
     if not isinstance(variables, list) or not variables or \
+            any(isinstance(v, (list, dict)) for v in variables) or \
             len(set(variables)) != len(variables):
         raise ValidationError("variables must be a nonempty list of unique names")
     n = len(variables)
@@ -132,7 +133,7 @@ def parse_problem(path) -> ProblemFile:
                 )
         ideals[name] = MonomialIdeal(n, [Multidegree(g) for g in gens])
     module = raw.get("module")
-    if module is not None and module not in ideals:
+    if module is not None and (isinstance(module, (list, dict)) or module not in ideals):
         raise ValidationError(f"module {module!r} does not name an ideal")
     grading = raw.get("grading")
     if grading is not None:

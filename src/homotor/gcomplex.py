@@ -321,11 +321,6 @@ class GradedComplex:
         """{i: dim H_i at degree gamma} using the mask/rank cache."""
         return self._homology(self.alive_masks(gamma), field)
 
-    def shifted(self, k: int) -> "GradedComplex":
-        """Degree shift: index i of the result holds what sat at index i - k."""
-        return GradedComplex(self.n, {i + k: ss for i, ss in self.terms.items()},
-                             {i + k: es for i, es in self.entries.items()})
-
     def __repr__(self):
         shape = {i: len(ss) for i, ss in sorted(self.terms.items())}
         return f"GradedComplex(n={self.n}, ranks={shape})"

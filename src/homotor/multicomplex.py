@@ -3,12 +3,12 @@
 A multicomplex has one differential per axis, each lowering that coordinate
 by one; all axis squares commute and each axis differential squares to zero.
 Koszul signs enter only at totalization: axis k carries
-(-1)^(q_1+...+q_{k-1}).  A multicomplex is checked once, as its total: the
-component of the total's d∘d from position q to q - 2e_k is d_k∘d_k, and
-the one to q - e_j - e_k is ±(d_j d_k - d_k d_j).  Distinct positions hold
-distinct summands, so nothing cancels across them, and the total's
-d∘d = 0 (checked symbolically over the integers by ``GradedComplex``) is
-exactly the axis conditions.
+(-1)^(q_1+...+q_{k-1}), and position q sits in degree |q| + shift.  A
+multicomplex is checked once, as its total: the component of the total's
+d∘d from q to q - 2e_k is d_k∘d_k, and the one to q - e_j - e_k is
+±(d_j d_k - d_k d_j).  Distinct positions hold distinct summands, so
+nothing cancels across them, and the total's d∘d = 0 (checked symbolically
+over the integers by ``GradedComplex``) is exactly the axis conditions.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .errors import (
     EmptySelection,
     LengthMismatch,
     MixedKinds,
+    ParamOutOfRange,
     ValidationError,
 )
 from .gcomplex import CYCLIC, FREE, IDEAL, GradedComplex, Summand, _compose
@@ -31,11 +32,15 @@ from .monomial import Multidegree, combine
 class Multicomplex:
     """Finite family of free or cyclic summand terms indexed by N^n with n
     commuting differentials; ``diffs[(q, k)]`` maps term q to term q - e_k.
-    ``total`` is its total complex in ``layout`` order, built once at
-    construction: its checks (homogeneity, summand kinds, d∘d = 0) are the
-    multicomplex's."""
 
-    def __init__(self, n_axes: int, n_vars: int, terms: dict, diffs: dict):
+    ``layout`` is the one order rule of the total: {i: [the position q of
+    each summand of term i]}, positions in sorted order, the summands of
+    each in their order, in degree |q| + shift.  ``total`` is the total
+    complex in that order, built once at construction: its checks
+    (homogeneity, summand kinds, d∘d = 0) are the multicomplex's."""
+
+    def __init__(self, n_axes: int, n_vars: int, terms: dict, diffs: dict,
+                 shift: int = 0):
         self.n_axes = int(n_axes)
         self.n_vars = int(n_vars)
         self.terms = {}
@@ -54,6 +59,8 @@ class Multicomplex:
         for (q, k), es in diffs.items():
             q = tuple(int(v) for v in q)
             k = int(k)
+            if not 0 <= k < self.n_axes:
+                raise ValidationError(f"axis {k} outside 0..{self.n_axes - 1}")
             if q not in self.terms or q[k] == 0:
                 continue
             tgt = self._step(q, k)
@@ -68,7 +75,10 @@ class Multicomplex:
             )
             if out:
                 self.diffs[(q, k)] = out
-        self.total = GradedComplex(self.n_vars, *_total(self.terms, self.diffs))
+        self.shift = int(shift)
+        self.layout = {i + self.shift: qs for i, qs in _layout(self.terms).items()}
+        self.total = GradedComplex(self.n_vars,
+                                   *_total(self.layout, self.terms, self.diffs))
 
     @staticmethod
     def _step(q, k):
@@ -142,45 +152,33 @@ def _product_summand(combo) -> Summand:
                    ideals[0] if len(ideals) == 1 else combine(ideals, "sum"))
 
 
-def layout(m: Multicomplex, shift: int = 0) -> dict:
-    """{i: [the position q of each summand of term i]} of the total of m:
-    positions in sorted order, the summands of each in their order, in
-    degree |q| + shift.  ``m.total`` is built in this order and the
-    spectral filtrations read their levels from it."""
-    return _layout(m.terms, shift)
-
-
-def _layout(terms: dict, shift: int = 0) -> dict:
+def _layout(terms: dict) -> dict:
+    """{|q|: [the position q of each summand]} of the positions ``terms``:
+    positions in sorted order, the summands of each in their order."""
     out: dict = {}
     for q in sorted(terms):
-        out.setdefault(sum(q) + shift, []).extend([q] * len(terms[q]))
+        out.setdefault(sum(q), []).extend([q] * len(terms[q]))
     return out
 
 
-def totalize(m: Multicomplex, shift: int = 0) -> GradedComplex:
-    """Total complex in the order of ``layout``: degree i gathers the
-    positions with |q| + shift = i.  Axis k contributes with sign
-    (-1)^(q_1+...+q_{k-1}).  At shift 0 this is the stored ``m.total``."""
-    return m.total.shifted(shift) if shift else m.total
-
-
-def _total(positions: dict, diffs: dict):
-    """The terms and entries, at shift 0, of the total of the ``positions``
-    {q: summands} and the axis entries ``diffs`` between them."""
-    terms = _layout(positions)
-    start = {}  # the index in its term of the first summand of each position
-    for qs in terms.values():
+def _total(layout: dict, positions: dict, diffs: dict):
+    """The terms and entries of the total, in the order and at the degrees
+    of ``layout``, of the ``positions`` {q: summands} and the axis entries
+    ``diffs`` between them."""
+    start = {}  # q -> (its degree, the index in that term of its first summand)
+    for i, qs in layout.items():
         for k, q in enumerate(qs):
-            start.setdefault(q, k)
+            start.setdefault(q, (i, k))
     entries: dict = {}
     for (q, k), es in diffs.items():
         sign = (-1) ** (sum(q[:k]) % 2)
-        a, b = start[q], start[Multicomplex._step(q, k)]
-        entries.setdefault(sum(q), []).extend(
+        i, a = start[q]
+        b = start[Multicomplex._step(q, k)][1]
+        entries.setdefault(i, []).extend(
             (a + src, b + tgt, sign * coeff) for src, tgt, coeff in es
         )
-    terms = {i: tuple(positions[q][k - start[q]] for k, q in enumerate(qs))
-             for i, qs in terms.items()}
+    terms = {i: tuple(positions[q][k - start[q][1]] for k, q in enumerate(qs))
+             for i, qs in layout.items()}
     return terms, entries
 
 
@@ -203,7 +201,8 @@ def hypercube_augment(m: Multicomplex) -> GradedComplex:
     if not n:
         raise EmptySelection("hypercube augmentation needs at least one axis")
     # the interior and its axis entries: q - e_k stays inside iff q[k] > 1
-    terms, entries = _total({q: ss for q, ss in m.terms.items() if all(q)},
+    interior = {q: ss for q, ss in m.terms.items() if all(q)}
+    terms, entries = _total(_layout(interior), interior,
                             {(q, k): es for (q, k), es in m.diffs.items()
                              if all(q) and q[k] > 1})
     # degree n of the interior is the single position (1, ..., 1), its
@@ -217,7 +216,8 @@ def hypercube_augment(m: Multicomplex) -> GradedComplex:
 def hypercube_extend(m: Multicomplex) -> Multicomplex:
     """The mapping-cylinder multicomplex with one extra (last) axis: level 1
     carries m, level 0 the trivial hypercube on the corner term, and the
-    level differential is the composed-axis map into the corner."""
+    level differential is the composed-axis map into the corner.  Its shift
+    is one below m's, so m's positions keep their degrees in the total."""
     n = m.n_axes
     origin = (0,) * n
     corner = m.terms.get(origin, ())
@@ -241,15 +241,18 @@ def hypercube_extend(m: Multicomplex) -> Multicomplex:
             es = [(s, t, v) for (s, t), v in sorted(psi.items())]
             if es:
                 diffs[(c + (1,), n)] = es
-    return Multicomplex(n + 1, m.n_vars, terms, diffs)
+    return Multicomplex(n + 1, m.n_vars, terms, diffs, m.shift - 1)
 
 
 def koszul_cone(m: Multicomplex, face_axes: int | None = None) -> Multicomplex:
     """The Koszul-cone multicomplex: one extra (last) axis p collects, per
     size-p subset S of the leading ``face_axes`` axes, the sub-multicomplex
-    supported away from S; the new differential is the unit Koszul map."""
+    supported away from S; the new differential is the unit Koszul map.
+    It has m's shift."""
     n = m.n_axes
     fa = n if face_axes is None else int(face_axes)
+    if not 0 <= fa <= n:
+        raise ParamOutOfRange(f"face_axes {fa} outside 0..{n}")
     subsets = {p: list(itertools.combinations(range(fa), p)) for p in range(fa + 1)}
     terms = {}
     start = {}  # (q, S) -> the index in term q + (p,) of the copy of m_q on S
@@ -275,4 +278,4 @@ def koszul_cone(m: Multicomplex, face_axes: int | None = None) -> Multicomplex:
                    for l in range(p) for idx in range(len(ss))]
             if out:
                 diffs[(q + (p,), n)] = out
-    return Multicomplex(n + 1, m.n_vars, terms, diffs)
+    return Multicomplex(n + 1, m.n_vars, terms, diffs, m.shift)

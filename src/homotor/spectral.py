@@ -42,14 +42,7 @@ from .errors import FiltrationViolation, InvalidKind, InvariantBroken
 from .exactlin import GF, PrimeField, pivot_pairs
 from .gcomplex import GradedComplex, resolution
 from .monomial import MonomialIdeal
-from .multicomplex import (
-    Multicomplex,
-    hypercube_extend,
-    koszul_cone,
-    layout,
-    tensor,
-    totalize,
-)
+from .multicomplex import Multicomplex, hypercube_extend, koszul_cone, tensor
 from .torlab import _validate_family
 
 
@@ -222,12 +215,11 @@ def _check_page(r, dims, ranks, page_tables, rank_tables):
 # Filtration builders for the four multicomplex spectral sequences
 
 
-def _by_weight(m: Multicomplex, weight, N: int, shift: int = 0) -> FilteredTotal:
-    """The total of m (``totalize(m, shift)``) filtered by position: each
-    summand sits at level weight(q) of the position q that ``layout`` lists
-    for it."""
-    levels = {i: [weight(q) for q in qs] for i, qs in layout(m, shift).items()}
-    return FilteredTotal(totalize(m, shift), levels, N)
+def _by_weight(m: Multicomplex, weight, N: int) -> FilteredTotal:
+    """``m.total`` filtered by position: each summand sits at level
+    weight(q) of the position q that ``m.layout`` lists for it."""
+    levels = {i: [weight(q) for q in qs] for i, qs in m.layout.items()}
+    return FilteredTotal(m.total, levels, N)
 
 
 def build_filtration(m: Multicomplex, *, kind: str) -> FilteredTotal:
@@ -235,23 +227,23 @@ def build_filtration(m: Multicomplex, *, kind: str) -> FilteredTotal:
 
     kcone / kcone_augmented filter the (augmented) Koszul-cone construction
     by the cone index; interior / interior_augmented filter the (augmented)
-    multicomplex by the number of nonzero coordinates.  Each call but
-    ``interior``, which filters ``m.total``, builds and checks a new total;
-    a caller evaluating many degrees builds the filtration once and hands it
-    to ``pages`` for each, so they share its block ranks.  Degrees
-    beyond the stability box have the alive masks of the box.
+    multicomplex by the number of nonzero coordinates.  Each filters the
+    ``total`` of one multicomplex, built and checked once at the degrees it
+    is read: m's for ``interior``, the new one's for the others.  A caller
+    evaluating many degrees builds the filtration once and hands it to
+    ``pages`` for each, so they share its block ranks.  Degrees beyond the
+    stability box have the alive masks of the box.
     """
     n = m.n_axes
     if kind == "kcone":
         return _by_weight(koszul_cone(m), lambda q: q[-1], n)
     if kind == "kcone_augmented":
         return _by_weight(koszul_cone(hypercube_extend(m), face_axes=n),
-                          lambda q: q[-1], n, shift=-1)
+                          lambda q: q[-1], n)
     if kind == "interior":
         return _by_weight(m, lambda q: sum(1 for v in q if v), n)
     if kind == "interior_augmented":
-        return _by_weight(hypercube_extend(m), lambda q: sum(1 for v in q[:n] if v), n,
-                          shift=-1)
+        return _by_weight(hypercube_extend(m), lambda q: sum(1 for v in q[:n] if v), n)
     raise InvalidKind(f"unknown filtration kind {kind!r}")
 
 
@@ -264,11 +256,12 @@ def mv_total_complex(kind: str, ideals, coefficient: MonomialIdeal | None = None
     """The filtered total of the S_-/P double complex, the tensor of a
     complex X with the free resolution F of M, filtered by the X position.
 
-    sum_to_product: X is S^1 -> ... -> S^n moved to chain positions n - p,
-    so a summand S^p ⊗ F_q sits in degree n - p + q with filtration weight
-    n - p; its first page has E^1_{n-p,q} = ⊕ Tor_q(M, R/(sum of a
-    p-subset)).  product_to_sum: X = P, P_p ⊗ F_q in degree p + q, weight p;
-    E^1_{p,q} = ⊕ Tor_q(M, R/(product of a p-subset)).
+    sum_to_product: X is S_- = S^1 -> ... -> S^n, built by ``truncated``
+    with S^p at chain index n - p, so a summand S^p ⊗ F_q sits in degree
+    n - p + q with filtration weight n - p; its first page has
+    E^1_{n-p,q} = ⊕ Tor_q(M, R/(sum of a p-subset)).  product_to_sum:
+    X = P, P_p ⊗ F_q in degree p + q, weight p; E^1_{p,q} = ⊕ Tor_q(M,
+    R/(product of a p-subset)).
     """
     from . import sumprod  # deferred: sumprod imports this module
 
@@ -277,7 +270,7 @@ def mv_total_complex(kind: str, ideals, coefficient: MonomialIdeal | None = None
     if coefficient is None:
         coefficient = MonomialIdeal.zero(n_vars)
     if kind == "sum_to_product":
-        x = sumprod.truncated(sumprod.build_s_complex(ideals)).shifted(n)
+        x = sumprod.truncated(sumprod.build_s_complex(ideals))
     elif kind == "product_to_sum":
         x = sumprod.build_p_complex(ideals)
     else:

@@ -26,7 +26,7 @@ from .gcomplex import (
     resolution,
 )
 from .monomial import MonomialIdeal, combine, iter_box, membership
-from .multicomplex import hypercube_augment, tensor, totalize
+from .multicomplex import hypercube_augment, tensor
 from .spectral import build_filtration, pages
 from .torlab import (
     _table_independent,
@@ -57,10 +57,11 @@ def build_s_complex(ideals, variant: str = "quotient") -> GradedComplex:
 
 
 def truncated(s: GradedComplex) -> GradedComplex:
-    """S^1 -> ... -> S^n, the degree-1 truncation of a sum complex (drops
-    index 0)."""
-    terms = {i: ss for i, ss in s.terms.items() if i != 0}
-    entries = {i: es for i, es in s.entries.items() if i != 0}
+    """S_- = S^1 -> ... -> S^n, the degree-1 truncation of a sum complex
+    S^0 -> ... -> S^n, as a chain complex: S^p at index n - p."""
+    n = -min(s.terms)
+    terms = {i + n: ss for i, ss in s.terms.items() if i != 0}
+    entries = {i + n: es for i, es in s.entries.items() if i != 0}
     return GradedComplex(s.n, terms, entries)
 
 
@@ -118,7 +119,7 @@ def _interior_table(m, coefficient, fld, box) -> TorTable:
     chosen ideals' resolutions, over the box."""
     aug = hypercube_augment(m)
     if coefficient is not None and not coefficient.is_zero():
-        aug = totalize(tensor([aug, quotient_complex(coefficient)]))
+        aug = tensor([aug, quotient_complex(coefficient)]).total
     table = module_homology_table(aug, fld, box)
     entries = {(i - m.n_axes, gam): d for (i, gam), d in table.entries.items()}
     return TorTable(entries, table.box)
@@ -213,7 +214,7 @@ def verify_identities(ideals, fld: PrimeField = GF()) -> CheckReport:
     tor = multi_tor(ideals, fld=fld, box=box)
     s_tab = complex_homology_table(s_complex, fld, box)
     p_tab = complex_homology_table(build_p_complex(ideals), fld, box)
-    h1 = complex_homology_table(truncated(s_complex), fld, box).slice(1)
+    h1 = module_homology_table(truncated(s_complex), fld, box).slice(n - 1)
     # H_{n,q} = H_{n+q}(augmented interior) of the whole family, keyed by q
     aug_tab = augmented_interior_H(ideals, range(n), None, fld, box)
     s_max = max(sum(len(i.gens) for i in ideals) - n, 0)

@@ -23,7 +23,7 @@ from .gcomplex import (
     resolution,
 )
 from .monomial import MonomialIdeal, Multidegree, combine, iter_box, quotient_dimension
-from .multicomplex import tensor, totalize
+from .multicomplex import tensor
 
 
 def _validate_family(ideals):
@@ -78,7 +78,7 @@ def multi_tor(ideals, coefficient: MonomialIdeal | None = None,
     ]
     if box is None:
         box = family_box(ideals, coefficient)
-    return module_homology_table(totalize(tensor(factors)), fld, box)
+    return module_homology_table(tensor(factors).total, fld, box)
 
 
 def tor1_oracle(ideals, fld: PrimeField = GF(), box=None) -> TorTable:

@@ -28,7 +28,6 @@ from homotor.multicomplex import (
     _compose_chain,
     hypercube_augment,
     tensor,
-    totalize,
 )
 from homotor.spectral import (
     SpectralPages,
@@ -44,7 +43,6 @@ from homotor.sumprod import (
     build_p_complex,
     build_s_complex,
     complex_homology_table,
-    truncated,
 )
 from homotor.support import (
     SPECTRAL_DEGREES,
@@ -86,9 +84,7 @@ def tensor_total(ideals, coefficient=None):
     """Every module resolved: the total of the tensor of the unit-cancelled
     Taylor resolutions, with R/coefficient applied termwise.  Its homology
     is the Tor table that the balanced ``multi_tor`` must reproduce."""
-    total = totalize(
-        tensor([cancel_units(taylor_resolution(ideal)) for ideal in ideals])
-    )
+    total = tensor([cancel_units(taylor_resolution(ideal)) for ideal in ideals]).total
     if coefficient is not None and not coefficient.is_zero():
         total = with_coefficient(total, coefficient)
     return total
@@ -161,13 +157,30 @@ def tensor_by_search(factors):
     return Multicomplex(len(factors), n_vars, terms, diffs)
 
 
+def shifted_oracle(c, k):
+    """c moved k degrees up, re-keyed and rebuilt: index i holds what sat
+    at index i - k.  The reference for the shift a ``Multicomplex`` and
+    ``truncated`` build their complexes at."""
+    return GradedComplex(c.n, {i + k: ss for i, ss in c.terms.items()},
+                         {i + k: es for i, es in c.entries.items()})
+
+
+def truncated_cochain(s):
+    """S^1 -> ... -> S^n of a sum complex as a cochain complex, S^p at
+    index -p (index 0 dropped): the reference for the chain complex S_-
+    that ``truncated`` builds at once, S^p at index n - p."""
+    terms = {i: ss for i, ss in s.terms.items() if i != 0}
+    entries = {i: es for i, es in s.entries.items() if i != 0}
+    return GradedComplex(s.n, terms, entries)
+
+
 def augment_in_two_steps(m):
     """The hypercube augmentation of m built as a validated total of the
     interior, then a second complex with the corner and the composed map
     psi added: the reference for the one-build ``hypercube_augment``."""
     n = m.n_axes
     inner = {q: ss for q, ss in m.terms.items() if all(q)}
-    total = totalize(Multicomplex(n, m.n_vars, inner, m.diffs))
+    total = Multicomplex(n, m.n_vars, inner, m.diffs).total
     psi = _compose_chain(m, (1,) * n, reversed(range(n)))
     return GradedComplex(
         m.n_vars,
@@ -428,11 +441,11 @@ def direct_e1(factors, gamma, kind):
             if kind in ("kcone", "kcone_augmented"):
                 if kind == "kcone_augmented" and p == n:
                     continue
-                add(p, totalize(region(m, lambda q: not any(q[i] for i in S))), 0)
+                add(p, region(m, lambda q: not any(q[i] for i in S)).total, 0)
             elif kind == "interior":
                 support = set(S)
-                add(p, totalize(region(
-                    m, lambda q: {i for i, v in enumerate(q) if v} == support)), p)
+                add(p, region(m, lambda q: {i for i, v in enumerate(q) if v}
+                              == support).total, p)
             elif p:
                 add(p, hypercube_augment(tensor([factors[i] for i in S])), p)
     return out
@@ -558,7 +571,7 @@ def verify_identities_oracle(ideals, fld: PrimeField = GF()) -> CheckReport:
     tor = multi_tor(ideals, fld=fld, box=box)
     s_tab = complex_homology_table(s_complex, fld, box)
     p_tab = complex_homology_table(build_p_complex(ideals), fld, box)
-    h1 = complex_homology_table(truncated(s_complex), fld, box).slice(1)
+    h1 = complex_homology_table(truncated_cochain(s_complex), fld, box).slice(1)
     aug_tab = module_homology_table(aug, fld, box)
     top = sum(len(i.gens) for i in ideals)
     prod_ideal = combine(ideals, "product")

@@ -8,7 +8,7 @@ from conftest import direct_e1, pair_intersection, set_partitions, stream
 from homotor.cli import random_instance
 from homotor.gcomplex import module_homology_table, taylor_resolution
 from homotor.monomial import MonomialIdeal, Multidegree, combine, iter_box
-from homotor.multicomplex import tensor, totalize
+from homotor.multicomplex import tensor
 from homotor.spectral import build_filtration, mv_total_complex, pages
 from homotor.sumprod import (
     build_p_complex,
@@ -291,7 +291,7 @@ def test_criterion_11_stability_validation():
     failures = []
     complexes = []
     for fam in mixed_stream(111000, 60):
-        complexes.append(totalize(tensor([taylor_resolution(i) for i in fam])))
+        complexes.append(tensor([taylor_resolution(i) for i in fam]).total)
     for fam in mixed_stream(111500, 20):
         complexes.append(build_s_complex(fam))
     for fam in mixed_stream(111700, 20):

@@ -325,6 +325,35 @@ def test_cli_boolean_exponents_exit_2(tmp_path, capsys, fields):
     assert diag["error"]["type"] == "ValidationError"
 
 
+@pytest.mark.parametrize("fields", [
+    {"variables": [["x"], "y"]},
+    {"variables": ["x", {"y": 1}]},
+    {"variables": ["x", "y"], "module": ["I"]},
+    {"variables": ["x", "y"], "module": {"I": 1}},
+])
+def test_cli_unhashable_names_exit_2(tmp_path, capsys, fields):
+    """A list or object as a variable name or as the module is refused as
+    a schema error, not with a raw TypeError."""
+    path = tmp_path / "names.json"
+    path.write_text(json.dumps({"ideals": {"I": [[1, 0]]}, **fields}))
+    with pytest.raises(ValidationError):
+        parse_problem(str(path))
+    assert main(["tor", str(path)]) == 2
+    diag = json.loads(capsys.readouterr().out)
+    assert diag["error"]["type"] == "ValidationError"
+
+
+@pytest.mark.parametrize("variables", [["x", "y"], [1, None], [True, "y"]])
+def test_cli_accepts_json_scalar_names(tmp_path, capsys, variables):
+    """Variable names are any distinct JSON scalars, and the module any
+    name of an ideal."""
+    path = tmp_path / "names.json"
+    path.write_text(json.dumps({"variables": variables, "module": "J",
+                                "ideals": {"I": [[1, 0]], "J": [[0, 1]]}}))
+    assert parse_problem(str(path)).variables == variables
+    assert main(["tor", str(path)]) == 0
+
+
 @pytest.mark.parametrize("grading", [
     [[True, "a"]],
     [],

@@ -1,5 +1,6 @@
 """Every error the package raises is typed, every GF(p) elimination goes
-through one kernel, and d∘d = 0 is checked in one place."""
+through one kernel, d∘d = 0 is checked in one place, and complexes are
+built only by the builders that make new ones."""
 
 import ast
 import inspect
@@ -9,9 +10,10 @@ import homotor
 from homotor import errors
 
 
-class _Raises(ast.NodeVisitor):
-    """(dotted name of the enclosing classes and functions, such as
-    ``GradedComplex._check_dd_zero``, raise node) of every raise statement."""
+class _Sites(ast.NodeVisitor):
+    """Collects (dotted name of the enclosing classes and functions, such
+    as ``GradedComplex._check_dd_zero``, node) of the nodes a subclass
+    finds."""
 
     def __init__(self):
         self.where = []
@@ -24,8 +26,24 @@ class _Raises(ast.NodeVisitor):
 
     visit_ClassDef = visit_FunctionDef
 
-    def visit_Raise(self, node):
+    def add(self, node):
         self.found.append((".".join(self.where) or "<module>", node))
+
+
+class _Raises(_Sites):
+    """Every raise statement."""
+
+    def visit_Raise(self, node):
+        self.add(node)
+
+
+class _Builds(_Sites):
+    """Every call of ``GradedComplex`` by name."""
+
+    def visit_Call(self, node):
+        if isinstance(node.func, ast.Name) and node.func.id == "GradedComplex":
+            self.add(node)
+        self.generic_visit(node)
 
 
 def test_every_raise_names_a_homotor_error():
@@ -110,3 +128,30 @@ def test_one_composition_check():
                   if isinstance(node.exc, ast.Call) and isinstance(node.exc.func, ast.Name)
                   and node.exc.func.id == "CompositionNonzero"]
     assert sites == [("gcomplex.py", "GradedComplex._check_dd_zero")]
+
+
+#: Every function that may build a GradedComplex: each makes a complex with
+#: new terms or entries, which its constructor checks.
+BUILDERS = [
+    ("gcomplex.py", "cancel_units"),
+    ("gcomplex.py", "quotient_complex"),
+    ("gcomplex.py", "taylor_resolution"),
+    ("multicomplex.py", "Multicomplex.__init__"),
+    ("multicomplex.py", "hypercube_augment"),
+    ("sumprod.py", "build_p_complex"),
+    ("sumprod.py", "build_s_complex"),
+    ("sumprod.py", "truncated"),
+]
+
+
+def test_complexes_built_only_by_the_builders():
+    """``GradedComplex(...)`` is called only in the builders above, so a
+    rebuild that only re-keys or re-checks a complex cannot come back
+    unnoticed: a total is built, and checked, once, at the degrees it is
+    read."""
+    sites = set()
+    for path in sorted(Path(homotor.__file__).parent.glob("*.py")):
+        visitor = _Builds()
+        visitor.visit(ast.parse(path.read_text()))
+        sites |= {(path.name, func) for func, _ in visitor.found}
+    assert sorted(sites) == BUILDERS

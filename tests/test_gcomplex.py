@@ -40,7 +40,7 @@ from homotor.gcomplex import (
     taylor_resolution,
 )
 from homotor.monomial import MonomialIdeal, Multidegree, iter_box
-from homotor.multicomplex import tensor, totalize
+from homotor.multicomplex import tensor
 from homotor.sumprod import (
     augmented_interior_H,
     build_p_complex,
@@ -121,7 +121,7 @@ def test_stable_box_examples():
     m = MonomialIdeal(2, [(1, 0), (0, 1)])
     assert tuple(taylor_resolution(m).stable_box()) == (1, 1)
     x = MonomialIdeal(1, [(1,)])
-    squared = totalize(tensor([taylor_resolution(x), taylor_resolution(x)]))
+    squared = tensor([taylor_resolution(x), taylor_resolution(x)]).total
     assert tuple(squared.stable_box()) == (2,)
 
 
@@ -173,7 +173,7 @@ def test_every_table_builder_meets_the_tor_table_precondition():
     for family in stream(0, 6, n_vars=2, n_ideals=3, max_gens=2, max_exp=2):
         coefficient = family[0]
         tables = [
-            module_homology_table(totalize(tensor([resolution(i) for i in family]))),
+            module_homology_table(tensor([resolution(i) for i in family]).total),
             complex_homology_table(build_s_complex(family)),
             complex_homology_table(build_p_complex(family)),
             augmented_interior_H(family, [0, 1, 2]),
@@ -222,14 +222,14 @@ def test_module_homology_table_refuses_a_huge_box_before_the_sweep(monkeypatch):
 
 def test_with_coefficient_matches_longer_family():
     """Tensoring the resolution with R/J fiberwise computes Tor against R/J."""
-    from homotor.multicomplex import tensor, totalize
+    from homotor.multicomplex import tensor
     from homotor.torlab import multi_tor
 
     i1 = MonomialIdeal(2, [(1, 0), (0, 1)])
     i2 = MonomialIdeal(2, [(1, 1)])
     box = (2, 2)
     direct = multi_tor([i1, i2], box=box)
-    total = totalize(tensor([taylor_resolution(i1)]))
+    total = tensor([taylor_resolution(i1)]).total
     coeff = module_homology_table(with_coefficient(total, i2), box=box)
     assert direct.entries == coeff.entries
 
@@ -293,7 +293,7 @@ def complexes_of_every_kind(draw):
     a, b = ideals[:2]
     build = draw(st.sampled_from(["tensor", "coefficient", "quotient", "tilde", "p"]))
     if build == "tensor":
-        return totalize(tensor([taylor_resolution(a), taylor_resolution(b)]))
+        return tensor([taylor_resolution(a), taylor_resolution(b)]).total
     if build == "coefficient":
         return with_coefficient(taylor_resolution(a), b)
     if build == "p":
@@ -377,8 +377,8 @@ def test_the_sweep_reads_each_state_once_and_each_class_once(monkeypatch):
     family = [MonomialIdeal(3, [(2, 0, 0), (1, 1, 0), (0, 1, 1)]),
               MonomialIdeal(3, [(0, 0, 2), (1, 0, 1)]),
               MonomialIdeal(3, [(0, 2, 0), (1, 1, 1)])]
-    c = totalize(tensor([resolution(family[0]), resolution(family[1]),
-                         quotient_complex(family[2])]))
+    c = tensor([resolution(family[0]), resolution(family[1]),
+                quotient_complex(family[2])]).total
     states = [state for _, state in c._mask_runs(c.stable_box())]
     classes = {tuple(c._term_masks(state).values()) for state in states}
     assert len(classes) < len(set(states)) < len(states)
@@ -407,8 +407,8 @@ def test_the_sweep_ranks_no_empty_block(monkeypatch):
     family = [MonomialIdeal(3, [(2, 0, 0), (1, 1, 0), (0, 1, 1)]),
               MonomialIdeal(3, [(0, 0, 2), (1, 0, 1)]),
               MonomialIdeal(3, [(0, 2, 0), (1, 1, 1)])]
-    c = totalize(tensor([resolution(family[0]), resolution(family[1]),
-                         quotient_complex(family[2])]))
+    c = tensor([resolution(family[0]), resolution(family[1]),
+                quotient_complex(family[2])]).total
     eliminate = gcomplex.pivot_pairs
     rows_per_call = []
 
@@ -545,7 +545,7 @@ def resolutions_to_reduce(draw):
         c = _koszul_on_monomials(n, gens)
     else:
         a, b = MonomialIdeal(n, gens[:3]), MonomialIdeal(n, draw(generators)[:3])
-        c = totalize(tensor([taylor_resolution(a), taylor_resolution(b)]))
+        c = tensor([taylor_resolution(a), taylor_resolution(b)]).total
     if draw(st.booleans()):
         c = with_coefficient(c, draw(proper_ideals(n)))
     return c

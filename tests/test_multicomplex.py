@@ -6,13 +6,21 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import augment_in_two_steps, axes_oracle, tensor_by_search, with_coefficient
+from conftest import (
+    augment_in_two_steps,
+    axes_oracle,
+    shifted_oracle,
+    tensor_by_search,
+    truncated_cochain,
+    with_coefficient,
+)
 from homotor.cli import random_instance
 from homotor.errors import (
     CompositionNonzero,
     EmptyInput,
     EmptySelection,
     MixedKinds,
+    ParamOutOfRange,
     ValidationError,
 )
 from homotor.exactlin import GF
@@ -31,10 +39,9 @@ from homotor.multicomplex import (
     hypercube_augment,
     hypercube_extend,
     koszul_cone,
-    layout,
     tensor,
-    totalize,
 )
+from homotor.spectral import build_filtration
 from homotor.sumprod import build_p_complex, build_s_complex, truncated
 
 
@@ -52,7 +59,7 @@ def test_tensor_two_principal():
 def test_tensor_single_factor_is_identity():
     t = res((1, 0), (0, 1))
     m = tensor([t])
-    total = totalize(m)
+    total = m.total
     assert {i: len(ss) for i, ss in total.terms.items()} == {
         i: len(ss) for i, ss in t.terms.items()
     }
@@ -62,7 +69,7 @@ def test_tensor_single_factor_is_identity():
 def test_tensor_rejects_ideal_factors_and_negative_degrees():
     x, y = MonomialIdeal(2, [(1, 0)]), MonomialIdeal(2, [(0, 1)])
     with pytest.raises(MixedKinds):
-        tensor([build_s_complex([x, y], "tilde").shifted(2)])
+        tensor([shifted_oracle(build_s_complex([x, y], "tilde"), 2)])
     with pytest.raises(ValidationError):
         tensor([build_s_complex([x, y])])
     with pytest.raises(EmptyInput):
@@ -94,11 +101,11 @@ def test_tensor_with_cyclic_factors_matches_with_coefficient(case):
     total is the free total tensored with R/J, and with R/(J + K) when the
     other factor is cyclic over K."""
     a, b, j, k = case
-    free_total = totalize(tensor([a, b]))
+    free_total = tensor([a, b]).total
     for fld in (GF(2), GF()):
-        assert module_homology_table(totalize(tensor([with_coefficient(a, j), b])), fld) \
+        assert module_homology_table(tensor([with_coefficient(a, j), b]).total, fld) \
             == module_homology_table(with_coefficient(free_total, j), fld)
-        both = totalize(tensor([with_coefficient(a, j), with_coefficient(b, k)]))
+        both = tensor([with_coefficient(a, j), with_coefficient(b, k)]).total
         assert module_homology_table(both, fld) == module_homology_table(
             with_coefficient(free_total, combine([j, k], "sum")), fld)
 
@@ -107,7 +114,7 @@ def test_tensor_with_cyclic_factors_matches_with_coefficient(case):
 def tensor_factors(draw):
     """1-3 factors in one variable count of 1-3, each a Taylor resolution,
     a reduced resolution, a one-summand complex R/J, the P complex or the
-    shifted S_- complex of a family of 2-3 ideals."""
+    S_- complex of a family of 2-3 ideals."""
     n = draw(st.integers(1, 3))
     exponent = st.tuples(*[st.integers(0, 2)] * n).filter(any)
     ideals = st.lists(exponent, min_size=1, max_size=3).map(
@@ -124,7 +131,7 @@ def tensor_factors(draw):
         family = draw(st.lists(ideals, min_size=2, max_size=3))
         if build == "p":
             return build_p_complex(family)
-        return truncated(build_s_complex(family)).shifted(len(family))
+        return truncated(build_s_complex(family))
 
     return [factor() for _ in range(draw(st.integers(1, 3)))]
 
@@ -153,10 +160,10 @@ def test_hypercube_augment_matches_the_two_step_build(factors):
 def test_one_summand_quotient_factor_is_with_coefficient(factors, seed):
     """Tensoring a total with the one-summand complex R/J gives the terms,
     order and entries of the summandwise coefficient quotient."""
-    total = totalize(tensor(factors))
+    total = tensor(factors).total
     j = random_instance(seed, n_vars=total.n, n_ideals=1)[0]
     quotient = GradedComplex(total.n, {0: (cyclic_summand(j),)}, {})
-    got, want = totalize(tensor([total, quotient])), with_coefficient(total, j)
+    got, want = tensor([total, quotient]).total, with_coefficient(total, j)
     assert got.terms == want.terms
     assert got.entries == want.entries
 
@@ -214,72 +221,136 @@ def test_inhomogeneous_axis_entry_refused_at_construction():
 
 
 def test_multicomplex_builds_its_total_once(monkeypatch):
-    """Building a multicomplex builds one complex, its total; ``totalize``
-    at shift 0 returns that total and builds nothing, and
-    ``hypercube_augment`` builds one complex and no multicomplex."""
+    """Building a multicomplex builds one complex, its total, at its own
+    shift.  ``hypercube_extend``, ``koszul_cone`` after it and
+    ``build_filtration`` of every kind build no complex beyond the total of
+    each multicomplex they build, and ``hypercube_augment`` builds one
+    complex and no multicomplex."""
     factors = [res((1, 0), (0, 1)), res((1, 1), (2, 0))]
     builds = {"graded": 0, "multi": 0}
 
     def counted(cls, key):
         init = cls.__init__
 
-        def wrapper(self, *args):
+        def wrapper(self, *args, **kwargs):
             builds[key] += 1
-            init(self, *args)
+            init(self, *args, **kwargs)
         monkeypatch.setattr(cls, "__init__", wrapper)
 
     counted(GradedComplex, "graded")
     counted(Multicomplex, "multi")
     m = tensor(factors)
     assert builds == {"graded": 1, "multi": 1}
-    assert totalize(m) is m.total
-    assert builds == {"graded": 1, "multi": 1}
     hypercube_augment(m)
     assert builds == {"graded": 2, "multi": 1}
+    cases = {
+        "hypercube_extend": (lambda: hypercube_extend(m), 1),
+        "koszul_cone∘hypercube_extend":
+            (lambda: koszul_cone(hypercube_extend(m), face_axes=2), 2),
+        **{kind: (lambda kind=kind: build_filtration(m, kind=kind), multis)
+           for kind, multis in (("kcone", 1), ("kcone_augmented", 2),
+                                ("interior", 0), ("interior_augmented", 1))},
+    }
+    for name, (build, multis) in cases.items():
+        before = dict(builds)
+        build()
+        assert (builds["graded"] - before["graded"],
+                builds["multi"] - before["multi"]) == (multis, multis), name
+
+
+@st.composite
+def s_families(draw):
+    """A family of 1-3 ideals in 1-3 variables, each with 1-3 generators."""
+    n = draw(st.integers(1, 3))
+    exponent = st.tuples(*[st.integers(0, 2)] * n).filter(any)
+    return [MonomialIdeal(n, gens) for gens in
+            draw(st.lists(st.lists(exponent, min_size=1, max_size=3),
+                          min_size=1, max_size=3))]
+
+
+@settings(deadline=None)
+@given(tensor_factors(), s_families())
+def test_totals_are_built_at_the_degrees_they_are_read(factors, family):
+    """The total and layout of ``hypercube_extend(m)`` and of
+    ``koszul_cone(hypercube_extend(m), face_axes=n)`` are those of the same
+    positions at shift 0 moved by -1, and ``truncated`` S_- is the cochain
+    truncation of S moved up by n: term by term, entry by entry."""
+    m = tensor(factors)
+    for built in (hypercube_extend(m), koszul_cone(hypercube_extend(m), face_axes=m.n_axes)):
+        assert built.shift == -1
+        plain = Multicomplex(built.n_axes, built.n_vars, built.terms, built.diffs)
+        want = shifted_oracle(plain.total, -1)
+        assert built.total.terms == want.terms
+        assert built.total.entries == want.entries
+        assert built.layout == {i - 1: qs for i, qs in plain.layout.items()}
+    s = build_s_complex(family)
+    got, want = truncated(s), shifted_oracle(truncated_cochain(s), len(family))
+    assert got.terms == want.terms
+    assert got.entries == want.entries
+
+
+def test_axis_indices_are_checked():
+    """An entry on an axis outside 0..n_axes - 1, and a face-axis count
+    outside 0..n_axes, are refused."""
+    one = (free_summand((0,)),)
+    for k in (-1, 1):
+        with pytest.raises(ValidationError, match="axis"):
+            Multicomplex(1, 1, {(0,): one, (1,): one}, {((1,), k): [(0, 0, 1)]})
+    m = tensor([res((1, 0)), res((0, 1))])
+    for fa in (-1, 3):
+        with pytest.raises(ParamOutOfRange, match="face_axes"):
+            koszul_cone(m, face_axes=fa)
+    assert koszul_cone(m, face_axes=0).n_axes == 3
 
 
 def test_tensor_of_variable_koszuls_totalizes_to_joint_koszul():
     kx = taylor_resolution(MonomialIdeal.variables(2, [0]))
     ky = taylor_resolution(MonomialIdeal.variables(2, [1]))
-    total = totalize(tensor([kx, ky]))
+    total = tensor([kx, ky]).total
     joint = taylor_resolution(MonomialIdeal.variables(2, [0, 1]))
     assert module_homology_table(total).entries == module_homology_table(joint).entries
     assert {i: len(ss) for i, ss in total.terms.items()} == {0: 1, 1: 2, 2: 1}
 
 
 def test_totalize_signs_square_to_zero():
-    # three dependent factors make every mixed square appear
-    m = tensor([res((1, 0, 0), (0, 1, 0)), res((0, 1, 1)), res((1, 0, 1))])
-    totalize(m)  # GradedComplex constructor checks d∘d = 0
+    # three dependent factors make every mixed square appear; building the
+    # multicomplex builds its total, whose constructor checks d∘d = 0
+    tensor([res((1, 0, 0), (0, 1, 0)), res((0, 1, 1)), res((1, 0, 1))])
 
 
 def test_totalize_shift():
     m = tensor([res((1, 0)), res((0, 1))])
-    shifted = totalize(m, shift=-1)
-    assert min(shifted.window()) == -1
+    shifted = Multicomplex(m.n_axes, m.n_vars, m.terms, m.diffs, shift=-1)
+    assert min(m.total.window()) == 0
+    assert min(shifted.total.window()) == -1
+    assert shifted.layout == {i - 1: qs for i, qs in m.layout.items()}
 
 
 @pytest.mark.parametrize("shift", [0, -1])
-@pytest.mark.parametrize("build", [
-    lambda m: m,
-    koszul_cone,
-    lambda m: koszul_cone(hypercube_extend(m), face_axes=m.n_axes),
-    hypercube_extend,
+@pytest.mark.parametrize("build, own_shift", [
+    (lambda m: m, 0),
+    (koszul_cone, 0),
+    (lambda m: koszul_cone(hypercube_extend(m), face_axes=m.n_axes), -1),
+    (hypercube_extend, -1),
 ], ids=["tensor", "kcone", "kcone_extended", "extended"])
-def test_totalize_follows_layout(build, shift):
+def test_totalize_follows_layout(build, own_shift, shift):
     """layout lists each summand of m once, positions in sorted order and
-    the summands of each in their order, in degree |q| + shift; term i of
-    the total is those very summands in that order."""
+    the summands of each in their order, in degree |q| + m.shift; term i
+    of the total is those very summands in that order.  A multicomplex
+    extended by ``hypercube_extend`` sits one shift below its input; each
+    is checked as built and rebuilt ``shift`` lower."""
     for seed, n_ideals in ((0, 2), (1, 2), (2, 3)):
         family = random_instance(seed, n_vars=2, n_ideals=n_ideals, max_gens=2, max_exp=2)
-        m = build(tensor([resolution(i) for i in family]))
-        listed = layout(m, shift)
-        total = totalize(m, shift)
+        built = build(tensor([resolution(i) for i in family]))
+        assert built.shift == own_shift
+        m = Multicomplex(built.n_axes, built.n_vars, built.terms, built.diffs,
+                         own_shift + shift)
+        listed, total = m.layout, m.total
         assert set(listed) == set(total.terms)
         assert sorted(q for qs in listed.values() for q in qs) == sorted(
             q for q, ss in m.terms.items() for _ in ss)
         for i, qs in listed.items():
-            assert qs == sorted(qs) and all(sum(q) + shift == i for q in qs)
+            assert qs == sorted(qs) and all(sum(q) + m.shift == i for q in qs)
             expected = [s for q in dict.fromkeys(qs) for s in m.terms[q]]
             assert len(total.terms[i]) == len(expected)
             assert all(a is b for a, b in zip(total.terms[i], expected))
@@ -322,8 +393,8 @@ def test_hypercube_extension_preserves_homology():
         [(2, 0), (1, 1)],
     ]
     m = tensor([res(*fams[0]), res(*fams[1])])
-    plain = totalize(m)
-    extended = totalize(hypercube_extend(m), shift=-1)
+    plain = m.total
+    extended = hypercube_extend(m).total
     t1 = module_homology_table(plain)
     t2 = module_homology_table(extended, box=t1.box)
     assert t1.entries == t2.entries
@@ -332,13 +403,13 @@ def test_hypercube_extension_preserves_homology():
 def test_totalize_tensor_taylor_pair_tor1():
     """Tor_1 of R/(x,y) and R/(x) is (I cap J)/IJ = (x)/(x^2, xy)."""
     m = tensor([res((1, 0), (0, 1)), res((1, 0))])
-    table = module_homology_table(totalize(m))
+    table = module_homology_table(m.total)
     assert table.slice(1) == {(1, 0): 1}
 
 
 def test_stability_of_multicomplex_fibers():
     m = tensor([res((1, 0), (0, 1)), res((2, 0))])
-    total = totalize(m)
+    total = m.total
     box = total.stable_box()
     big = Multidegree(tuple(b + 2 for b in box))
     table = module_homology_table(total, box=big)

@@ -19,14 +19,7 @@ from homotor.errors import (
 from homotor.exactlin import GF
 from homotor.gcomplex import GradedComplex, free_summand, taylor_resolution
 from homotor.monomial import MonomialIdeal, Multidegree, iter_box
-from homotor.multicomplex import (
-    hypercube_augment,
-    hypercube_extend,
-    koszul_cone,
-    layout,
-    tensor,
-    totalize,
-)
+from homotor.multicomplex import hypercube_augment, hypercube_extend, koszul_cone, tensor
 from homotor.spectral import FilteredTotal, build_filtration, mv_total_complex, pages
 from homotor.sumprod import build_p_complex, build_s_complex, truncated
 from homotor.torlab import family_box
@@ -261,7 +254,7 @@ def test_builder_e1_and_convergence(kind):
     for gens in GEN_CHOICES:
         factors = [res(*g) for g in gens]
         m = tensor(factors)
-        box = totalize(m).stable_box()
+        box = m.total.stable_box()
         gammas = [Multidegree((0,) * m.n_vars), box,
                   Multidegree(tuple(min(1, b) for b in box))]
         filtered = build_filtration(m, kind=kind)
@@ -277,23 +270,25 @@ def test_builder_abutments_match_target_complexes():
         build_filtration(m, kind=kind)
         for kind in ("kcone", "kcone_augmented", "interior_augmented")
     )
-    for gamma in iter_box(totalize(m).stable_box()):
+    for gamma in iter_box(m.total.stable_box()):
         got = pages(kcone, gamma).total_dims()
-        h = totalize(region(m, all)).homology_at(gamma)
+        h = region(m, all).total.homology_at(gamma)
         assert got == {i: d for i, d in h.items() if d}
         got = pages(kcone_aug, gamma).total_dims()
         h = hypercube_augment(m).homology_at(gamma)
         assert got == {i: d for i, d in h.items() if d}
         got = pages(interior_aug, gamma).total_dims()
-        want = {i: d for i, d in totalize(m).homology_at(gamma).items() if d}
+        want = {i: d for i, d in m.total.homology_at(gamma).items() if d}
         assert got == want
 
 
 def test_levels_are_weights_of_the_layout_positions():
     """Each of the six filtered totals is the total of its multicomplex,
-    and the summand that layout lists at position q sits at level weight(q):
-    the cone index, the number of nonzero coordinates (of the first n for
-    the extended multicomplex), or the position of the S/P factor."""
+    whose layout puts position q in degree |q| + shift (one below for the
+    extended multicomplex), and the summand that layout lists at position q
+    sits at level weight(q): the cone index, the number of nonzero
+    coordinates (of the first n for the extended multicomplex), or the
+    position of the S/P factor."""
     for seed, n in ((3, 2), (4, 3)):
         family = cli.random_instance(seed, n_vars=2, n_ideals=n, max_gens=2, max_exp=2)
         m = tensor([gcomplex.resolution(i) for i in family])
@@ -306,7 +301,7 @@ def test_levels_are_weights_of_the_layout_positions():
             "interior_augmented": (hypercube_extend(m), -1,
                                    lambda q: sum(1 for v in q[:n] if v)),
             "sum_to_product": (
-                tensor([truncated(build_s_complex(family)).shifted(n), resolved]), 0,
+                tensor([truncated(build_s_complex(family)), resolved]), 0,
                 lambda q: q[0]),
             "product_to_sum": (tensor([build_p_complex(family), resolved]), 0,
                                lambda q: q[0]),
@@ -316,9 +311,11 @@ def test_levels_are_weights_of_the_layout_positions():
                 filtered = mv_total_complex(kind, family)
             else:
                 filtered = build_filtration(m, kind=kind)
-            assert filtered.total.terms == totalize(mc, shift).terms, kind
+            assert mc.shift == shift, kind
+            assert all(sum(q) + shift == i for i, qs in mc.layout.items() for q in qs)
+            assert filtered.total.terms == mc.total.terms, kind
             assert filtered.levels == {
-                i: [weight(q) for q in qs] for i, qs in layout(mc, shift).items()
+                i: [weight(q) for q in qs] for i, qs in mc.layout.items()
             }, kind
 
 
@@ -326,7 +323,7 @@ def test_build_filtration_clamps_gamma():
     m = build_m([[(1, 0)], [(0, 1)]])
     filtered = build_filtration(m, kind="interior")
     a = pages(filtered, Multidegree((9, 9)))
-    b = pages(filtered, totalize(m).stable_box())
+    b = pages(filtered, m.total.stable_box())
     assert a.e1 == b.e1 and a.e_infinity == b.e_infinity
 
 
@@ -585,9 +582,9 @@ class _Counter:
 
 @pytest.mark.parametrize("kind", KINDS + ["sum_to_product", "product_to_sum"])
 def test_spectral_command_builds_one_total(kind, monkeypatch):
-    totals = _Counter(spectral.totalize)
+    totals = _Counter(spectral._by_weight)
     mv_totals = _Counter(cli.mv_total_complex)
-    monkeypatch.setattr(spectral, "totalize", totals)
+    monkeypatch.setattr(spectral, "_by_weight", totals)
     monkeypatch.setattr(cli, "mv_total_complex", mv_totals)
     problem = cli.ProblemFile(32003, ["x", "y"], {
         "I": MonomialIdeal(2, [(2, 0), (1, 1)]),
@@ -595,7 +592,7 @@ def test_spectral_command_builds_one_total(kind, monkeypatch):
     })
     report = cli.run("spectral", problem, {"kind": kind})
     assert len(report["results"]["pages"]) > 1
-    # a Mayer-Vietoris total is itself one totalize call
+    # a Mayer-Vietoris total is itself one filtered total
     assert (len(totals.calls), len(mv_totals.calls)) == (
         (1, 0) if kind in KINDS else (1, 1)
     )
@@ -622,8 +619,8 @@ def test_support_check_builds_one_mv_total_per_kind_and_subset(monkeypatch):
 def test_exactness_check_builds_one_total_per_subfamily(monkeypatch):
     """Only (m, m) and the triple have nonvanishing rows, so only they need
     an interior_augmented total."""
-    totals = _Counter(spectral.totalize)
-    monkeypatch.setattr(spectral, "totalize", totals)
+    totals = _Counter(spectral._by_weight)
+    monkeypatch.setattr(spectral, "_by_weight", totals)
     m, xy = MonomialIdeal(2, [(1, 0), (0, 1)]), MonomialIdeal(2, [(1, 1)])
     problem = cli.ProblemFile(32003, ["x", "y"], {"A": m, "B": m, "C": xy})
     report = cli.run("equiv-exactness", problem, {})

@@ -17,7 +17,7 @@ from homotor.gcomplex import (
     taylor_resolution,
 )
 from homotor.monomial import MonomialIdeal, iter_box
-from homotor.multicomplex import tensor, totalize
+from homotor.multicomplex import tensor
 from homotor.sumprod import build_s_complex
 from homotor.torlab import (
     betti_table,
@@ -100,10 +100,8 @@ def test_resolution_independence(kxy):
     resolution is that Koszul complex."""
     m, x = kxy["m"], kxy["x"]
     default = multi_tor([m, x])
-    swapped = totalize(
-        tensor([taylor_resolution(MonomialIdeal.variables(2, [0, 1])),
-                taylor_resolution(MonomialIdeal.variables(2, [0]))])
-    )
+    swapped = tensor([taylor_resolution(MonomialIdeal.variables(2, [0, 1])),
+                taylor_resolution(MonomialIdeal.variables(2, [0]))]).total
     table = module_homology_table(swapped, box=default.box)
     assert table.entries == default.entries
 
@@ -200,7 +198,7 @@ def _plain_betti(ideal, fld=GF()):
     the Koszul complex on the variables, over its own stability box."""
     n = ideal.n
     variables = taylor_resolution(MonomialIdeal.variables(n, range(n)))
-    total = totalize(tensor([taylor_resolution(ideal), variables]))
+    total = tensor([taylor_resolution(ideal), variables]).total
     return module_homology_table(total, fld)
 
 
@@ -296,7 +294,7 @@ def test_tables_match_the_unreduced_taylor_tensor():
         for family, coefficient in ((fam[:2], None), (fam[:3], None),
                                     (fam[:2], coeff), (fam[:3], coeff)):
             table = multi_tor(family, coefficient=coefficient)
-            plain = totalize(tensor([taylor_resolution(i) for i in family]))
+            plain = tensor([taylor_resolution(i) for i in family]).total
             if coefficient is not None:
                 plain = with_coefficient(plain, coefficient)
             assert module_homology_table(plain, box=table.box) == table
