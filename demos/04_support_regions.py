@@ -33,7 +33,7 @@ print("degree (1, 9) in the region:", region.member((1, 9)))
 # Union equality for disjoint variable blocks, cross-checked through both
 # Mayer-Vietoris spectral sequences: one call checks every listed p, over
 # the subsets of at most p blocks, and builds each subset's tables once.
-reports = supportoftors_check([[0], [1]], MonomialIdeal(2, [(1, 1)]), [1, 2])
+reports = supportoftors_check([x, y], MonomialIdeal(2, [(1, 1)]), [1, 2])
 for p, report in reports.items():
     print(f"\nsupport union equality for blocks {{x}}, {{y}} against R/(xy), "
           f"p = {p}:", report.passed)

@@ -25,13 +25,7 @@ from .gcomplex import (
     taylor_resolution,
 )
 from .multicomplex import Multicomplex, hypercube_augment, tensor
-from .spectral import (
-    FilteredTotal,
-    SpectralPages,
-    build_filtration,
-    mv_total_complex,
-    pages,
-)
+from .spectral import FilteredTotal, SpectralPages, build_filtration, pages
 from .torlab import (
     betti_table,
     family_box,
@@ -47,6 +41,7 @@ from .sumprod import (
     build_s_complex,
     complex_homology_table,
     exactness_equivalences,
+    mv_total_complex,
     verify_identities,
 )
 from .support import SupportRegion, region_compare, support_region, supportoftors_check

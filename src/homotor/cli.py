@@ -30,15 +30,16 @@ from .errors import (
 )
 from .exactlin import GF
 from .monomial import MonomialIdeal, Multidegree, iter_box
-from .spectral import build_filtration, mv_total_complex, pages
+from .spectral import build_filtration, pages
 from .sumprod import (
     build_p_complex,
     build_s_complex,
     complex_homology_table,
     exactness_equivalences,
+    mv_total_complex,
     verify_identities,
 )
-from .support import region_compare, support_region, supportoftors_check
+from .support import region_compare, support_region, supportoftors_check, variable_blocks
 from .torlab import (
     betti_table,
     family_box,
@@ -305,24 +306,23 @@ def _spectral(problem, flags, fld, box, report):
 def _support(problem, flags, fld, box, report):
     family = problem.family()
     coeff = _flag_coefficient(problem, flags)
-    partitions = _variable_partitions(family)
+    blocks = variable_blocks(family)
     subset = flags.get("subset")
-    if partitions is None and subset:
+    if not blocks and subset:
         raise ValidationError(
             "--subset needs a family of disjoint variable-generated ideals"
         )
-    if partitions is not None:
-        coeff_ideal = coeff if coeff is not None else MonomialIdeal.zero(problem.n)
-        s = len(partitions)
+    if blocks:
+        s = len(family)
         if subset and (len(set(subset)) != len(subset)
                        or any(not 0 <= i < s for i in subset)):
             raise ValidationError(
                 f"--subset must name distinct ideal indices in 0..{s - 1}"
             )
         if subset:
-            partitions = [partitions[i] for i in sorted(subset)]
+            family = [family[i] for i in sorted(subset)]
         ps = [len(subset)] if subset else list(range(1, s + 1))
-        reps = supportoftors_check(partitions, coeff_ideal, ps, fld)
+        reps = supportoftors_check(family, coeff, ps, fld)
         for p, rep in reps.items():
             report["results"][f"p={p}"] = rep.to_json()
         report["assertions"].append(_assertion(
@@ -462,27 +462,6 @@ def _named_ideal(problem, name):
     if name not in problem.ideals:
         raise ValidationError(f"--module {name!r} does not name an ideal")
     return problem.ideals[name]
-
-
-def _variable_partitions(family):
-    """If every ideal is generated by distinct single variables with pairwise
-    disjoint supports, return the partition; otherwise None, also when an
-    ideal is zero, as it has no variable block."""
-    partitions = []
-    seen = set()
-    for ideal in family:
-        if not ideal.gens:
-            return None
-        indices = set()
-        for g in ideal.gens:
-            if g.total() != 1:
-                return None
-            indices |= g.support()
-        if seen & indices:
-            return None
-        seen |= indices
-        partitions.append(sorted(indices))
-    return partitions
 
 
 def _emit(report, flags, started):

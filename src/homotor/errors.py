@@ -45,10 +45,6 @@ class InvalidKind(HomotorError):
     """Unknown builder / filtration / variant keyword."""
 
 
-class OverlappingPartitions(HomotorError):
-    """Variable index sets expected to be pairwise disjoint are not."""
-
-
 class ParamOutOfRange(HomotorError):
     """Random-instance parameters outside the supported bounds."""
 

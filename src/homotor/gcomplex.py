@@ -74,9 +74,8 @@ def ideal_summand(ideal, shift=None) -> Summand:
 
 
 def _entry_valid(src: Summand, tgt: Summand) -> bool:
-    """Homogeneity / well-definedness of a single differential entry."""
-    if src.kind != tgt.kind:
-        return False
+    """Homogeneity / well-definedness of a single differential entry
+    between summands of one kind."""
     if not tgt.shift.leq(src.shift):
         return False
     # multiplication by x^delta must send the source (quotient or ideal)
@@ -340,9 +339,11 @@ class TorTable:
         self.entries = entries
 
     def dim(self, i: int, gamma) -> int:
+        """dim H_i at gamma; the box is a stability box, so a degree beyond
+        it reads the fibre at min(gamma, box)."""
         if len(gamma) != len(self.box):
             raise LengthMismatch(f"degree length {len(gamma)} != {len(self.box)}")
-        return self.entries.get((i, tuple(gamma)), 0)
+        return self.entries.get((i, tuple(map(min, gamma, self.box))), 0)
 
     def slice(self, i: int) -> dict:
         return {g: d for (j, g), d in self.entries.items() if j == i}

@@ -25,7 +25,15 @@ from .errors import (
     ParamOutOfRange,
     ValidationError,
 )
-from .gcomplex import CYCLIC, FREE, IDEAL, GradedComplex, Summand, _compose
+from .gcomplex import (
+    CYCLIC,
+    FREE,
+    IDEAL,
+    GradedComplex,
+    Summand,
+    _compose,
+    exterior_complex,
+)
 from .monomial import Multidegree, combine
 
 
@@ -247,13 +255,15 @@ def hypercube_extend(m: Multicomplex) -> Multicomplex:
 def koszul_cone(m: Multicomplex, face_axes: int | None = None) -> Multicomplex:
     """The Koszul-cone multicomplex: one extra (last) axis p collects, per
     size-p subset S of the leading ``face_axes`` axes, the sub-multicomplex
-    supported away from S; the new differential is the unit Koszul map.
-    It has m's shift."""
+    supported away from S; the new differential is the unit Koszul map,
+    the signed faces of ``exterior_complex``.  It has m's shift."""
     n = m.n_axes
     fa = n if face_axes is None else int(face_axes)
     if not 0 <= fa <= n:
         raise ParamOutOfRange(f"face_axes {fa} outside 0..{n}")
-    subsets = {p: list(itertools.combinations(range(fa), p)) for p in range(fa + 1)}
+    subsets, entries = exterior_complex(fa, tuple)
+    faces = {p: [(subsets[p][s], subsets[p - 1][t], c) for s, t, c in es]
+             for p, es in entries.items()}  # (S, a face of S, its sign)
     terms = {}
     start = {}  # (q, S) -> the index in term q + (p,) of the copy of m_q on S
     for q, ss in m.terms.items():
@@ -273,9 +283,9 @@ def koszul_cone(m: Multicomplex, face_axes: int | None = None) -> Multicomplex:
                 diffs[(q + (p,), k)] = out
     for q, ss in m.terms.items():
         for p in range(1, fa + 1):
-            out = [(start[(q, S)] + idx, start[(q, S[:l] + S[l + 1:])] + idx, (-1) ** l)
-                   for S in subsets[p] if (q, S) in start
-                   for l in range(p) for idx in range(len(ss))]
+            out = [(start[(q, S)] + idx, start[(q, face)] + idx, c)
+                   for S, face, c in faces[p] if (q, S) in start
+                   for idx in range(len(ss))]
             if out:
                 diffs[(q + (p,), n)] = out
     return Multicomplex(n + 1, m.n_vars, terms, diffs, m.shift)

@@ -27,11 +27,14 @@ the page-bookkeeping identity, the pairs of each term against the rank of
 the unfiltered block of d_i (the same block eliminated in index order), and
 the abutment against the total's homology of the fibre; those ranks are
 the ones ``homology_at`` caches in the total.
-Builders produce the four filtrations attached to an N^n multicomplex
-(Koszul cone, its hypercube-augmented variant, the support-count
-filtration and its augmented variant) plus the two Mayer-Vietoris double
-complexes.  Each builder returns a new filtered total; a caller reading
-many degrees builds it once and passes it to ``pages`` at each degree.
+``build_filtration`` produces the four filtrations attached to an N^n
+multicomplex (Koszul cone, its hypercube-augmented variant, the
+support-count filtration and its augmented variant); the two
+Mayer-Vietoris double complexes are built next to S and P, by
+``sumprod.mv_total_complex``.  This module knows nothing of ideals: it
+filters multicomplexes by position.  Each builder returns a new filtered
+total; a caller reading many degrees builds it once and passes it to
+``pages`` at each degree.
 """
 
 from __future__ import annotations
@@ -40,10 +43,8 @@ from dataclasses import dataclass
 
 from .errors import FiltrationViolation, InvalidKind, InvariantBroken
 from .exactlin import GF, PrimeField, pivot_pairs
-from .gcomplex import GradedComplex, resolution
-from .monomial import MonomialIdeal
-from .multicomplex import Multicomplex, hypercube_extend, koszul_cone, tensor
-from .torlab import _validate_family
+from .gcomplex import GradedComplex
+from .multicomplex import Multicomplex, hypercube_extend, koszul_cone
 
 
 class FilteredTotal:
@@ -245,34 +246,3 @@ def build_filtration(m: Multicomplex, *, kind: str) -> FilteredTotal:
     if kind == "interior_augmented":
         return _by_weight(hypercube_extend(m), lambda q: sum(1 for v in q[:n] if v), n)
     raise InvalidKind(f"unknown filtration kind {kind!r}")
-
-
-# ---------------------------------------------------------------------------
-# Mayer-Vietoris double complexes
-
-
-def mv_total_complex(kind: str, ideals, coefficient: MonomialIdeal | None = None
-                     ) -> FilteredTotal:
-    """The filtered total of the S_-/P double complex, the tensor of a
-    complex X with the free resolution F of M, filtered by the X position.
-
-    sum_to_product: X is S_- = S^1 -> ... -> S^n, built by ``truncated``
-    with S^p at chain index n - p, so a summand S^p ⊗ F_q sits in degree
-    n - p + q with filtration weight n - p; its first page has
-    E^1_{n-p,q} = ⊕ Tor_q(M, R/(sum of a p-subset)).  product_to_sum:
-    X = P, P_p ⊗ F_q in degree p + q, weight p; E^1_{p,q} = ⊕ Tor_q(M,
-    R/(product of a p-subset)).
-    """
-    from . import sumprod  # deferred: sumprod imports this module
-
-    ideals, n_vars = _validate_family(ideals)
-    n = len(ideals)
-    if coefficient is None:
-        coefficient = MonomialIdeal.zero(n_vars)
-    if kind == "sum_to_product":
-        x = sumprod.truncated(sumprod.build_s_complex(ideals))
-    elif kind == "product_to_sum":
-        x = sumprod.build_p_complex(ideals)
-    else:
-        raise InvalidKind(f"unknown mv kind {kind!r}")
-    return _by_weight(tensor([x, resolution(coefficient)]), lambda q: q[0], n)

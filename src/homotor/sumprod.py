@@ -1,7 +1,9 @@
 """The sum complex S (quotients by sums, cochain) and product complex P
 (quotients by products, chain) of a family of ideals, their tilde variants
-inside the unit Koszul complex, and the degreewise verification suite for
-the identities relating their homology to multiple Tor.
+inside the unit Koszul complex, the two Mayer-Vietoris double complexes
+built from S and P (``mv_total_complex``), and the degreewise
+verification suite for the identities relating their homology to
+multiple Tor.
 
 All isomorphism claims are certified as equalities of fiber dimensions over
 a common stability box: over a field these determine the graded isomorphism
@@ -13,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .errors import EmptySelection, InvalidKind
+from .errors import EmptySelection, InvalidKind, ValidationError
 from .exactlin import GF, PrimeField
 from .gcomplex import (
     GradedComplex,
@@ -27,7 +29,7 @@ from .gcomplex import (
 )
 from .monomial import MonomialIdeal, combine, iter_box, membership
 from .multicomplex import hypercube_augment, tensor
-from .spectral import build_filtration, pages
+from .spectral import FilteredTotal, _by_weight, build_filtration, pages
 from .torlab import (
     _table_independent,
     _validate_family,
@@ -84,6 +86,30 @@ def build_p_complex(ideals, variant: str = "quotient") -> GradedComplex:
     return GradedComplex(n_vars, terms, entries)
 
 
+def mv_total_complex(kind: str, ideals, coefficient: MonomialIdeal | None = None
+                     ) -> FilteredTotal:
+    """The filtered total of the S_-/P double complex, the tensor of a
+    complex X with the free resolution F of M, filtered by the X position.
+
+    sum_to_product: X is S_- = S^1 -> ... -> S^n, built by ``truncated``
+    with S^p at chain index n - p, so a summand S^p ⊗ F_q sits in degree
+    n - p + q with filtration weight n - p; its first page has
+    E^1_{n-p,q} = ⊕ Tor_q(M, R/(sum of a p-subset)).  product_to_sum:
+    X = P, P_p ⊗ F_q in degree p + q, weight p; E^1_{p,q} = ⊕ Tor_q(M,
+    R/(product of a p-subset)).
+    """
+    ideals, n_vars = _validate_family(ideals)
+    if coefficient is None:
+        coefficient = MonomialIdeal.zero(n_vars)
+    if kind == "sum_to_product":
+        x = truncated(build_s_complex(ideals))
+    elif kind == "product_to_sum":
+        x = build_p_complex(ideals)
+    else:
+        raise InvalidKind(f"unknown mv kind {kind!r}")
+    return _by_weight(tensor([x, resolution(coefficient)]), lambda q: q[0], len(ideals))
+
+
 def complex_homology_table(c: GradedComplex, fld: PrimeField = GF(),
                            box=None) -> TorTable:
     """(Co)homology table of a sum/product complex.  A cochain complex (S,
@@ -106,6 +132,10 @@ def augmented_interior_H(ideals, subset, coefficient: MonomialIdeal | None = Non
     subset = sorted(set(subset))
     if not subset:
         raise EmptySelection("augmented_interior_H needs a nonempty subset")
+    if subset[0] < 0 or subset[-1] >= len(ideals):
+        raise ValidationError(
+            f"subset {subset} names an ideal outside 0..{len(ideals) - 1}"
+        )
     chosen = [ideals[i] for i in subset]
     chosen, _ = _validate_family(chosen)
     m = tensor([resolution(i) for i in chosen])

@@ -3,10 +3,12 @@
 A region is stored as the set of its nonzero cells inside a box, with the
 upward-closure rule: a cell touching a box face represents every degree
 beyond it in that direction, so membership of any degree is decided by the
-min(gamma, box) pullback.  The union-equality checker for disjoint
-variable-generated ideals compares supports of Tor against products with
-Tor against sums and cross-checks both containments through the two
-Mayer-Vietoris spectral sequences.
+min(gamma, box) pullback.  The union-equality checker compares supports
+of Tor against products with Tor against sums and cross-checks both
+containments through the two Mayer-Vietoris spectral sequences.  It takes
+the families that ``variable_blocks`` accepts, nonzero ideals generated by
+single variables in pairwise disjoint blocks; the CLI asks the same
+function whether a family gets the union check or per-ideal regions.
 """
 
 from __future__ import annotations
@@ -15,20 +17,13 @@ import itertools
 from dataclasses import dataclass
 from functools import reduce
 
-from .errors import (
-    BoxTooSmall,
-    EmptyInput,
-    LengthMismatch,
-    OverlappingPartitions,
-    ParamOutOfRange,
-    ValidationError,
-)
+from .errors import BoxTooSmall, LengthMismatch, ParamOutOfRange, ValidationError
 from .exactlin import GF, PrimeField
 from .gcomplex import TorTable
 from .monomial import MonomialIdeal, Multidegree, combine, iter_box, lcm_deg
-from .spectral import mv_total_complex, pages
-from .sumprod import CheckReport
-from .torlab import family_box, multi_tor
+from .spectral import pages
+from .sumprod import CheckReport, mv_total_complex
+from .torlab import _validate_family, family_box, multi_tor
 
 SPECTRAL_DEGREES = 8  # support cells cross-checked through both MV sequences
 
@@ -90,31 +85,38 @@ def region_compare(a: SupportRegion, b: SupportRegion) -> dict:
     }
 
 
-def supportoftors_check(partitions, coefficient: MonomialIdeal, ps,
+def variable_blocks(ideals) -> bool:
+    """True iff the ideals are nonzero, each generated by single variables,
+    with pairwise disjoint variable blocks: the families
+    ``supportoftors_check`` takes.  A zero or unit ideal has no block."""
+    seen: set = set()
+    for ideal in ideals:
+        if not ideal.gens or any(g.total() != 1 for g in ideal.gens):
+            return False
+        block = {i for g in ideal.gens for i in g.support()}
+        if seen & block:
+            return False
+        seen |= block
+    return True
+
+
+def supportoftors_check(ideals, coefficient: MonomialIdeal | None, ps,
                         fld: PrimeField = GF()) -> dict:
     """Union-equality of Tor supports over products versus sums of the
-    variable-generated ideals of a disjoint partition family, for all
-    p-subsets, plus the spectral-sequence containment cross-checks:
-    ``{p: CheckReport}`` for each p in ``ps``, from one pass that computes
-    each Tor table, Mayer-Vietoris total and page once for every p."""
-    n = coefficient.n
-    sets = [tuple(sorted(set(int(i) for i in J))) for J in partitions]
-    if () in sets:
-        raise EmptyInput(f"variable block {sets.index(())} of the partition is empty")
-    seen: set = set()
-    for J in sets:
-        if seen & set(J):
-            raise OverlappingPartitions(f"overlapping variable sets at {J}")
-        if any(i < 0 or i >= n for i in J):
-            raise ValidationError(f"variable index out of range in {J}")
-        seen |= set(J)
-    s = len(sets)
+    ideals of a ``variable_blocks`` family, for all p-subsets, plus the
+    spectral-sequence containment cross-checks: ``{p: CheckReport}`` for
+    each p in ``ps``, from one pass that computes each Tor table,
+    Mayer-Vietoris total and page once for every p.  A coefficient of None
+    or the zero ideal means M = R, as in ``multi_tor``."""
+    ideals, n = _validate_family(ideals)
+    if not variable_blocks(ideals):
+        raise ValidationError("supportoftors_check needs nonzero ideals generated "
+                              "by single variables, in pairwise disjoint blocks")
+    s = len(ideals)
     ps = list(ps)
     for p in ps:
         if not 1 <= p <= s:
             raise ParamOutOfRange(f"p={p} outside 1..{s}")
-    ideals = [MonomialIdeal.variables(n, J) for J in sets]
-    coeff = None if coefficient.is_zero() else coefficient
 
     # the spectral containments bound each subset's support by supports over
     # its own sub-subsets, so the union equality is cumulative over subset
@@ -127,7 +129,7 @@ def supportoftors_check(partitions, coefficient: MonomialIdeal, ps,
     # a product or sum over T has exponent 1 on exactly the variables of
     # T's blocks, so the singletons' boxes already reach every subset's box:
     # one box for all p
-    box = reduce(lcm_deg, (family_box([ideal], coeff) for ideal in ideals),
+    box = reduce(lcm_deg, (family_box([ideal], coefficient) for ideal in ideals),
                  Multidegree.zero(n))
     by_ideal: dict = {}  # a singleton's product and sum are one ideal
     tor = {}  # {T: (Tor against the product, Tor against the sum)}
@@ -136,7 +138,8 @@ def supportoftors_check(partitions, coefficient: MonomialIdeal, ps,
         pair = (combine(family, "product"), combine(family, "sum"))
         for ideal in pair:
             if ideal not in by_ideal:
-                by_ideal[ideal] = multi_tor([ideal], coefficient=coeff, fld=fld, box=box)
+                by_ideal[ideal] = multi_tor([ideal], coefficient=coefficient,
+                                            fld=fld, box=box)
         tor[T] = tuple(by_ideal[ideal] for ideal in pair)
     totals: dict = {}
     spectra: dict = {}
@@ -145,7 +148,7 @@ def supportoftors_check(partitions, coefficient: MonomialIdeal, ps,
         """The pages of the (kind, T) Mayer-Vietoris total at g: each total
         and each of its pages is built once, for every p that asks."""
         if (kind, T) not in totals:
-            totals[(kind, T)] = mv_total_complex(kind, [ideals[i] for i in T], coeff)
+            totals[(kind, T)] = mv_total_complex(kind, [ideals[i] for i in T], coefficient)
         if (kind, T, g) not in spectra:
             spectra[(kind, T, g)] = pages(totals[(kind, T)], g, fld)
         return spectra[(kind, T, g)]

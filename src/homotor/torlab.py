@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .errors import EmptyInput, LengthMismatch
+from .errors import BoxTooSmall, EmptyInput, LengthMismatch
 from .exactlin import GF, PrimeField, pivot_pairs
 from .gcomplex import (
     TorTable,
@@ -43,6 +43,8 @@ def family_box(ideals, coefficient: MonomialIdeal | None = None) -> Multidegree:
     if not ideals:
         raise EmptyInput("family_box needs at least one ideal")
     n = ideals[0].n
+    if coefficient is not None and coefficient.n != n:
+        raise LengthMismatch(f"coefficient in {coefficient.n} variables, not {n}")
     box = [0] * n
     for ideal in ideals:
         for k in range(n):
@@ -84,12 +86,14 @@ def multi_tor(ideals, coefficient: MonomialIdeal | None = None,
 def tor1_oracle(ideals, fld: PrimeField = GF(), box=None) -> TorTable:
     """Tor_1 of the family computed combinatorially, independent of any
     resolution: per degree, the kernel of the sum map on the surviving
-    coordinates modulo the span of the pairwise product relations."""
+    coordinates modulo the span of the pairwise product relations.  A
+    given box must dominate ``family_box``, so that, as in every table,
+    the fibre beyond the box is the fibre at min(gamma, box)."""
     ideals, n = _validate_family(ideals)
-    if box is None:
-        box = family_box(ideals)
-    else:
-        box = Multidegree(box)
+    sb = family_box(ideals)
+    box = sb if box is None else Multidegree(box)
+    if not sb.leq(box):
+        raise BoxTooSmall(f"box {tuple(box)} does not dominate {tuple(sb)}")
     s = len(ideals)
     pair_products = {
         (i, j): combine([ideals[i], ideals[j]], "product")

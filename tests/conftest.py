@@ -29,13 +29,7 @@ from homotor.multicomplex import (
     hypercube_augment,
     tensor,
 )
-from homotor.spectral import (
-    SpectralPages,
-    _check_page,
-    build_filtration,
-    mv_total_complex,
-    pages,
-)
+from homotor.spectral import SpectralPages, _check_page, build_filtration, pages
 from homotor.sumprod import (
     CheckReport,
     _compare_slices,
@@ -43,6 +37,7 @@ from homotor.sumprod import (
     build_p_complex,
     build_s_complex,
     complex_homology_table,
+    mv_total_complex,
 )
 from homotor.support import (
     SPECTRAL_DEGREES,

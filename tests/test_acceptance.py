@@ -9,12 +9,13 @@ from homotor.cli import random_instance
 from homotor.gcomplex import module_homology_table, taylor_resolution
 from homotor.monomial import MonomialIdeal, Multidegree, combine, iter_box
 from homotor.multicomplex import tensor
-from homotor.spectral import build_filtration, mv_total_complex, pages
+from homotor.spectral import build_filtration, pages
 from homotor.sumprod import (
     build_p_complex,
     build_s_complex,
     complex_homology_table,
     exactness_equivalences,
+    mv_total_complex,
     verify_identities,
 )
 from homotor.support import supportoftors_check
@@ -269,7 +270,8 @@ def test_criterion_10_support_unions():
             s = len(part)
             if s > 3:
                 continue
-            reps = supportoftors_check(part, MonomialIdeal.zero(n), range(1, s + 1))
+            ideals = [MonomialIdeal.variables(n, J) for J in part]
+            reps = supportoftors_check(ideals, None, range(1, s + 1))
             count += len(reps)
             failures.extend(("module R", n, part, p)
                             for p, rep in reps.items() if not rep.passed)
@@ -277,7 +279,7 @@ def test_criterion_10_support_unions():
                 seed = next(quotient_seeds)
                 coeff = random_instance(seed, n_vars=n, n_ideals=1,
                                         max_gens=2, max_exp=2)[0]
-                rep = supportoftors_check(part, coeff, [s])[s]
+                rep = supportoftors_check(ideals, coeff, [s])[s]
                 count += 1
                 used_quotients += 1
                 if not rep.passed:

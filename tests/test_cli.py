@@ -482,7 +482,8 @@ def test_cli_support_subset_names_the_ideals(partition_path, capsys):
     for subset, block in (("0", [0]), ("1", [1, 2])):
         assert main(["support", partition_path, "--subset", subset]) == 0
         report = json.loads(capsys.readouterr().out)
-        alone = supportoftors_check([block], MonomialIdeal.zero(3), [1])[1].to_json()
+        alone = supportoftors_check([MonomialIdeal.variables(3, block)], None,
+                                    [1])[1].to_json()
         assert report["results"] == {"p=1": json.loads(json.dumps(alone))}
         results[subset] = report["results"]["p=1"]
     assert results["0"]["context"] != results["1"]["context"]

@@ -3,6 +3,7 @@ through one kernel, d∘d = 0 is checked in one place, and complexes are
 built only by the builders that make new ones."""
 
 import ast
+import graphlib
 import inspect
 from pathlib import Path
 
@@ -155,3 +156,36 @@ def test_complexes_built_only_by_the_builders():
         visitor.visit(ast.parse(path.read_text()))
         sites |= {(path.name, func) for func, _ in visitor.found}
     assert sorted(sites) == BUILDERS
+
+
+def _homotor_imports(tree):
+    """(the homotor modules a relative import names, the node) of every
+    relative import in the tree; ``from . import __version__`` names the
+    package, not a module."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            names = [node.module] if node.module else [a.name for a in node.names]
+            out.append(({name for name in names if name != "__version__"}, node))
+    return out
+
+
+def test_imports_are_at_module_level_and_acyclic():
+    """Every module imports the homotor modules it uses at its top, and the
+    relative imports between the modules form no cycle: each layer is
+    importable without the ones above it."""
+    graph, deferred = {}, []
+    for path in sorted(Path(homotor.__file__).parent.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text())
+        graph[path.stem] = set()
+        for names, node in _homotor_imports(tree):
+            graph[path.stem] |= names
+        deferred += [f"{path.name}:{node.lineno}"
+                     for func in ast.walk(tree)
+                     if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+                     for _, node in _homotor_imports(func)]
+    assert not deferred, deferred
+    assert set().union(*graph.values()) <= set(graph)
+    list(graphlib.TopologicalSorter(graph).static_order())  # CycleError names a cycle

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import block_rank_pages, direct_e1, free_complex, pair_intersection, region
-from homotor import cli, gcomplex, spectral, support
+from homotor import cli, gcomplex, spectral, sumprod, support
 from homotor.errors import (
     EmptyInput,
     FiltrationViolation,
@@ -20,8 +20,8 @@ from homotor.exactlin import GF
 from homotor.gcomplex import GradedComplex, free_summand, taylor_resolution
 from homotor.monomial import MonomialIdeal, Multidegree, iter_box
 from homotor.multicomplex import hypercube_augment, hypercube_extend, koszul_cone, tensor
-from homotor.spectral import FilteredTotal, build_filtration, mv_total_complex, pages
-from homotor.sumprod import build_p_complex, build_s_complex, truncated
+from homotor.spectral import FilteredTotal, build_filtration, pages
+from homotor.sumprod import build_p_complex, build_s_complex, mv_total_complex, truncated
 from homotor.torlab import family_box
 
 P = GF().p
@@ -584,7 +584,8 @@ class _Counter:
 def test_spectral_command_builds_one_total(kind, monkeypatch):
     totals = _Counter(spectral._by_weight)
     mv_totals = _Counter(cli.mv_total_complex)
-    monkeypatch.setattr(spectral, "_by_weight", totals)
+    for module in (spectral, sumprod):  # sumprod filters the Mayer-Vietoris totals
+        monkeypatch.setattr(module, "_by_weight", totals)
     monkeypatch.setattr(cli, "mv_total_complex", mv_totals)
     problem = cli.ProblemFile(32003, ["x", "y"], {
         "I": MonomialIdeal(2, [(2, 0), (1, 1)]),
@@ -605,8 +606,8 @@ def test_support_check_builds_one_mv_total_per_kind_and_subset(monkeypatch):
     tors = _Counter(support.multi_tor)
     monkeypatch.setattr(support, "mv_total_complex", mv_totals)
     monkeypatch.setattr(support, "multi_tor", tors)
-    reports = support.supportoftors_check([[0], [1], [2]], MonomialIdeal.zero(3),
-                                          [1, 2, 3])
+    reports = support.supportoftors_check(
+        [MonomialIdeal.variables(3, [i]) for i in range(3)], None, [1, 2, 3])
     assert list(reports) == [1, 2, 3]
     assert all(r.passed for r in reports.values())
     assert len(reports[3].context["union_cells"]) > 1

@@ -16,20 +16,21 @@ from conftest import (
     verify_identities_oracle,
     with_coefficient,
 )
-from homotor import spectral, sumprod, torlab
+from homotor import sumprod, torlab
 from homotor.cli import random_instance
-from homotor.errors import UnitIdeal
+from homotor.errors import UnitIdeal, ValidationError
 from homotor.exactlin import GF
 from homotor.gcomplex import module_homology_table, resolution, taylor_resolution
 from homotor.monomial import MonomialIdeal, Multidegree, combine, iter_box, lcm_deg
 from homotor.multicomplex import hypercube_augment, tensor
-from homotor.spectral import build_filtration, mv_total_complex, pages
+from homotor.spectral import build_filtration, pages
 from homotor.sumprod import (
     augmented_interior_H,
     build_p_complex,
     build_s_complex,
     complex_homology_table,
     exactness_equivalences,
+    mv_total_complex,
     verify_identities,
 )
 from homotor.torlab import family_box, independence, multi_tor
@@ -262,6 +263,14 @@ def test_augmented_interior_unit_coefficient_raises(kxy):
     """The same error and message as multi_tor's."""
     with pytest.raises(UnitIdeal, match="^R/I is zero for the unit ideal$"):
         augmented_interior_H([kxy["x"], kxy["y"]], [0, 1], MonomialIdeal.unit(2))
+
+
+@pytest.mark.parametrize("subset", [[-1], [2], [0, 5]])
+def test_augmented_interior_refuses_indices_outside_the_family(kxy, subset):
+    """An index outside the family is refused, not read from the end of
+    the list or raised as an IndexError."""
+    with pytest.raises(ValidationError, match=r"outside 0\.\.1$"):
+        augmented_interior_H([kxy["x"], kxy["y"]], subset)
 
 
 def test_augmented_interior_coefficient_matches_with_coefficient():
@@ -509,8 +518,7 @@ def test_raw_and_reduced_factors_agree(monkeypatch):
         shrunk.append([sum(map(len, c.terms.values())) for c in raw]
                       != [sum(map(len, c.terms.values())) for c in reduced])
         with monkeypatch.context() as patch:
-            for module in (sumprod, spectral):
-                patch.setattr(module, "resolution", taylor_resolution)
+            patch.setattr(sumprod, "resolution", taylor_resolution)
             want = answers(family, coefficient, raw)
         assert answers(family, coefficient, reduced) == want
 

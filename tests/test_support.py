@@ -7,10 +7,9 @@ from conftest import set_partitions, support_check_at
 from homotor.cli import random_instance
 from homotor.errors import (
     BoxTooSmall,
-    EmptyInput,
     LengthMismatch,
-    OverlappingPartitions,
     ParamOutOfRange,
+    UnitIdeal,
     ValidationError,
 )
 from homotor.gcomplex import TorTable
@@ -22,6 +21,11 @@ from homotor.support import (
     supportoftors_check,
 )
 from homotor.torlab import family_box, multi_tor
+
+
+def blocks(n, partition):
+    """The ideals generated by the variables of each block."""
+    return [MonomialIdeal.variables(n, J) for J in partition]
 
 
 def test_support_region_basics(kxy):
@@ -91,30 +95,43 @@ def test_region_compare_and_rebase():
 
 
 def test_supportoftors_examples():
-    r = supportoftors_check([[0], [1]], MonomialIdeal.zero(2), [1, 2])
+    r = supportoftors_check(blocks(2, [[0], [1]]), None, [1, 2])
     assert list(r) == [1, 2] and r[1].passed and r[2].passed
-    r = supportoftors_check([[0], [1]], MonomialIdeal(2, [(1, 1)]), [2])
+    assert ({p: rep.to_json() for p, rep in r.items()} == {
+        p: rep.to_json()
+        for p, rep in supportoftors_check(blocks(2, [[0], [1]]), MonomialIdeal.zero(2),
+                                          [1, 2]).items()})
+    r = supportoftors_check(blocks(2, [[0], [1]]), MonomialIdeal(2, [(1, 1)]), [2])
     assert list(r) == [2] and r[2].passed
 
 
 def test_supportoftors_rejects_overlap():
-    with pytest.raises(OverlappingPartitions):
-        supportoftors_check([[0, 1], [1]], MonomialIdeal.zero(2), [1])
-    with pytest.raises(EmptyInput, match="block 1 "):
-        supportoftors_check([[0], []], MonomialIdeal.zero(2), [1])
-    with pytest.raises(ValidationError):
-        supportoftors_check([[0], [2]], MonomialIdeal.zero(2), [1])
+    """Overlapping blocks, a zero ideal and a generator that is not a
+    variable are each refused with the one rule's error; the unit ideal, as
+    everywhere, with UnitIdeal."""
+    x = MonomialIdeal.variables(2, [0])
+    for family in (blocks(2, [[0, 1], [1]]), [x, MonomialIdeal.zero(2)],
+                   [x, MonomialIdeal(2, [(0, 2)])]):
+        with pytest.raises(ValidationError, match="single variables, in pairwise"):
+            supportoftors_check(family, None, [1])
+    with pytest.raises(UnitIdeal):
+        supportoftors_check([x, MonomialIdeal.unit(2)], None, [1])
+
+
+def test_supportoftors_refuses_a_coefficient_in_other_variables():
+    with pytest.raises(LengthMismatch):
+        supportoftors_check(blocks(2, [[0], [1]]), MonomialIdeal(1, [(1,)]), [1])
 
 
 @pytest.mark.parametrize("p", [0, 3])
 def test_supportoftors_rejects_p_outside_the_family(p):
     with pytest.raises(ParamOutOfRange):
-        supportoftors_check([[0], [1]], MonomialIdeal.zero(2), [1, p])
+        supportoftors_check(blocks(2, [[0], [1]]), None, [1, p])
 
 
 def test_supportoftors_with_module_coefficients():
     m = MonomialIdeal(3, [(1, 0, 2)])
-    r = supportoftors_check([[0], [1, 2]], m, [2])[2]
+    r = supportoftors_check(blocks(3, [[0], [1, 2]]), m, [2])[2]
     assert r.passed, r.to_json()
 
 
@@ -128,13 +145,13 @@ def test_one_pass_reports_equal_the_per_p_oracle(n):
         quotient = random_instance(120000 + 100 * n + k, n_vars=n, n_ideals=1,
                                    max_gens=2, max_exp=2)[0]
         for coeff in (MonomialIdeal.zero(n), quotient):
-            reports = supportoftors_check(part, coeff, range(1, s + 1))
+            reports = supportoftors_check(blocks(n, part), coeff, range(1, s + 1))
             assert {p: r.to_json() for p, r in reports.items()} == {
                 p: support_check_at(part, coeff, p).to_json() for p in range(1, s + 1)
             }
             chosen = part[::2]
             u = len(chosen)
-            assert (supportoftors_check(chosen, coeff, [u])[u].to_json()
+            assert (supportoftors_check(blocks(n, chosen), coeff, [u])[u].to_json()
                     == support_check_at(chosen, coeff, u).to_json())
 
 
@@ -142,7 +159,7 @@ def test_support_box_is_the_same_for_every_p():
     """Every product or sum over a subset has exponent 1 on exactly its
     variables, so the singletons already reach the box of every p."""
     coeff = MonomialIdeal(4, [(2, 0, 1, 0), (0, 1, 0, 0)])
-    reports = supportoftors_check([[0], [1, 2], [3]], coeff, [1, 2, 3])
+    reports = supportoftors_check(blocks(4, [[0], [1, 2], [3]]), coeff, [1, 2, 3])
     boxes = {tuple(r.context["box"]) for r in reports.values()}
     whole = family_box([MonomialIdeal.variables(4, range(4))], coeff)
     assert boxes == {tuple(whole)} == {(3, 2, 2, 1)}

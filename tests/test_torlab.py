@@ -19,6 +19,7 @@ from homotor.gcomplex import (
 from homotor.monomial import MonomialIdeal, iter_box
 from homotor.multicomplex import tensor
 from homotor.sumprod import build_s_complex
+from homotor.support import support_region
 from homotor.torlab import (
     betti_table,
     family_box,
@@ -68,6 +69,10 @@ def test_multi_tor_rejects_bad_input():
     # with the error and message of augmented_interior_H's quotient factor
     with pytest.raises(UnitIdeal, match="^R/I is zero for the unit ideal$"):
         multi_tor([MonomialIdeal(2, [(1, 0)])], coefficient=MonomialIdeal.unit(2))
+    # a coefficient in fewer or more variables than the family
+    for coefficient in (MonomialIdeal(1, [(1,)]), MonomialIdeal(3, [(1, 0, 0)])):
+        with pytest.raises(LengthMismatch):
+            multi_tor([MonomialIdeal(2, [(1, 0)])], coefficient=coefficient)
 
 
 def test_unit_ideal_in_a_family_raises_one_error():
@@ -409,3 +414,32 @@ def test_tor_table_dim_rejects_a_degree_of_the_wrong_length():
     for gamma in ((0,), (0, 0, 0)):
         with pytest.raises(LengthMismatch):
             t.dim(0, gamma)
+
+
+def test_tor_table_dim_beyond_the_box_reads_the_clamped_degree():
+    """Every table's box is a stability box, so dim beyond it is dim at
+    min(gamma, box): the value a table over a larger box holds there, and
+    the degree its support region answers for."""
+    x = MonomialIdeal(2, [(1, 0)])
+    t = multi_tor([x, x])
+    assert tuple(t.box) == (2, 0)
+    assert t.dim(1, (1, 5)) == t.dim(1, (1, 0)) == 1
+    assert support_region(t, 1).member((1, 5))
+    for fam in stream(11100, 12, n_vars=2, n_ideals=2, max_gens=2, max_exp=2):
+        box = family_box(fam)
+        wide = [b + 2 for b in box]
+        for build in (multi_tor, tor1_oracle):
+            table, wide_table = build(fam), build(fam, box=wide)
+            for g in iter_box(wide):
+                for i in range(4):
+                    assert table.dim(i, g) == wide_table.dim(i, g), (fam, i, tuple(g))
+
+
+def test_tor1_oracle_refuses_a_box_below_the_family_box():
+    """The same error and message as multi_tor's, instead of a table that
+    reads 0 where Tor_1 is not."""
+    x = MonomialIdeal(2, [(1, 0)])
+    with pytest.raises(BoxTooSmall, match=r"^box \(0, 0\) does not dominate \(2, 0\)$"):
+        tor1_oracle([x, x], box=(0, 0))
+    with pytest.raises(BoxTooSmall, match=r"^box \(0, 0\) does not dominate \(2, 0\)$"):
+        multi_tor([x, x], box=(0, 0))
