@@ -26,7 +26,8 @@ class BoxTooSmall(HomotorError):
 
 
 class MixedKinds(HomotorError):
-    """Free and quotient summands mixed where a uniform kind is required."""
+    """A complex of ideal summands J(-a) where quotient summands R/J(-a)
+    are required."""
 
 
 class EmptySelection(HomotorError):
@@ -42,7 +43,7 @@ class InvariantBroken(HomotorError):
 
 
 class InvalidKind(HomotorError):
-    """Unknown builder / filtration / variant keyword."""
+    """Unknown builder / filtration / variant / summand-kind keyword."""
 
 
 class ParamOutOfRange(HomotorError):

@@ -1,7 +1,10 @@
-"""Multigraded complexes of twisted free / cyclic quotient / ideal summands.
+"""Multigraded complexes of twisted cyclic quotient or ideal summands.
 
 A ``GradedComplex`` stores, per homological index, an ordered list of
 summands, and per adjacent index pair a sparse list of scalar coefficients.
+A summand is a shift and an ideal; whether it stands for the quotient
+R/J(-shift) or the ideal J(-shift) is one ``kind`` per complex, and the
+free module R(-shift) is the quotient R/0(-shift).
 The monomial factor of every differential entry is implicit: homogeneity
 forces it to x^(shift_src - shift_tgt), so fibers are pure scalar matrices.
 
@@ -25,15 +28,13 @@ from .errors import (
     CompositionNonzero,
     InvalidKind,
     LengthMismatch,
-    MixedKinds,
     ParamOutOfRange,
     UnitIdeal,
     ValidationError,
 )
 from .exactlin import GF, PrimeField, pivot_pairs
-from .monomial import MonomialIdeal, Multidegree, check_box_size, lcm_deg
+from .monomial import MonomialIdeal, Multidegree, check_box_size, check_degree, lcm_deg
 
-FREE = "free"
 CYCLIC = "cyclic"
 IDEAL = "ideal"
 
@@ -44,44 +45,31 @@ MAX_TAYLOR_GENERATORS = 16
 
 @dataclass(frozen=True)
 class Summand:
-    """One summand R(-shift), R/J(-shift) or J(-shift)."""
+    """One summand R/J(-shift) of a cyclic complex, or J(-shift) of an
+    ideal one; R(-shift) is R/0(-shift)."""
 
-    kind: str
     shift: Multidegree
-    ideal: MonomialIdeal | None = None
-
-    def __post_init__(self):
-        if self.kind not in (FREE, CYCLIC, IDEAL):
-            raise InvalidKind(f"unknown summand kind {self.kind!r}")
-        if self.kind == FREE and self.ideal is not None:
-            raise ValidationError("free summands carry no ideal")
-        if self.kind != FREE and self.ideal is None:
-            raise ValidationError(f"{self.kind} summand needs an ideal")
+    ideal: MonomialIdeal
 
 
 def free_summand(shift) -> Summand:
-    return Summand(FREE, Multidegree(shift))
+    shift = Multidegree(shift)
+    return Summand(shift, MonomialIdeal.zero(shift.n))
 
 
-def cyclic_summand(ideal, shift=None) -> Summand:
+def summand(ideal, shift=None) -> Summand:
     shift = Multidegree.zero(ideal.n) if shift is None else Multidegree(shift)
-    return Summand(CYCLIC, shift, ideal)
-
-
-def ideal_summand(ideal, shift=None) -> Summand:
-    shift = Multidegree.zero(ideal.n) if shift is None else Multidegree(shift)
-    return Summand(IDEAL, shift, ideal)
+    return Summand(shift, ideal)
 
 
 def _entry_valid(src: Summand, tgt: Summand) -> bool:
-    """Homogeneity / well-definedness of a single differential entry
-    between summands of one kind."""
+    """Homogeneity / well-definedness of a single differential entry."""
     if not tgt.shift.leq(src.shift):
         return False
     # multiplication by x^delta must send the source (quotient or ideal)
     # structure into the target one: x^delta * I_src ⊆ I_tgt, which holds
     # for every delta when the two ideals are equal
-    if src.kind == FREE or src.ideal == tgt.ideal:
+    if src.ideal == tgt.ideal:
         return True
     delta = src.shift.sub(tgt.shift)
     return all(tgt.ideal.contains(g.add(delta)) for g in src.ideal.gens)
@@ -104,9 +92,9 @@ def _fibre_tables(terms: dict, n: int):
     """The cuts of every coordinate and the packed threshold rows of every
     term: the fibre state of a degree is one int.
 
-    Corners are the shifts and, for cyclic and ideal summands, shift +
-    gens[j] for each generator slot j.  Term i, with m summands whose
-    ideals have at most ``width`` generators (0 for free terms), owns
+    Corners are the shifts and shift + gens[j] for each generator slot j.
+    Term i, with m summands whose ideals have at most ``width`` generators
+    (0 when every ideal is zero), owns
     1 + width fields of m bits from bit ``at`` on: bit k of field 0 is the
     shift of summand k, and bit k of field 1 + j the corner of its slot j
     (a summand with fewer generators has no corner in that slot, so that
@@ -120,12 +108,11 @@ def _fibre_tables(terms: dict, n: int):
     corners, layout, at = [], [], 0
     for i, ss in terms.items():
         m = len(ss)
-        width = max((len(s.ideal.gens) for s in ss if s.ideal is not None), default=0)
+        width = max(len(s.ideal.gens) for s in ss)
         for k, s in enumerate(ss):
             corners.append((1 << at + k, s.shift))
-            if s.ideal is not None:
-                corners.extend((1 << at + (j + 1) * m + k, tuple(map(add, s.shift, g)))
-                               for j, g in enumerate(s.ideal.gens))
+            corners.extend((1 << at + (j + 1) * m + k, tuple(map(add, s.shift, g)))
+                           for j, g in enumerate(s.ideal.gens))
         layout.append((i, at, m, width))
         at += m * (1 + width)
     cuts = [sorted({0}.union(d[k] for _, d in corners)) for k in range(n)]
@@ -153,21 +140,23 @@ class GradedComplex:
     A cochain complex is stored with negated indices (term S^p sits at
     index -p, so at non-positive indices only), so a single chain
     convention drives all homology computations.
+
+    ``kind`` says what every summand stands for: ``CYCLIC``, the quotient
+    R/J(-shift), or ``IDEAL``, the ideal J(-shift).
     """
 
-    def __init__(self, n: int, terms: dict, entries: dict):
+    def __init__(self, n: int, terms: dict, entries: dict, kind: str = CYCLIC):
         self.n = int(n)
+        if kind not in (CYCLIC, IDEAL):
+            raise InvalidKind(f"unknown summand kind {kind!r}")
+        self.kind = kind
         self.terms = {
             int(i): tuple(summands) for i, summands in terms.items() if summands
         }
-        kinds = {s.kind for ss in self.terms.values() for s in ss}
-        if len(kinds) > 1:
-            raise MixedKinds(f"complex mixes summand kinds {sorted(kinds)}")
-        self.kind = kinds.pop() if kinds else FREE
         for ss in self.terms.values():
             for s in ss:
-                if s.shift.n != self.n:
-                    raise LengthMismatch("summand shift length != variable count")
+                if s.shift.n != self.n or s.ideal.n != self.n:
+                    raise LengthMismatch("summand length != variable count")
         cleaned: dict = {}
         for i, es in entries.items():
             i = int(i)
@@ -238,23 +227,19 @@ class GradedComplex:
         ``_fibre_tables``: alive = at or above the shift (field 0), and
         (ideal) in or (cyclic) out of the shifted ideal, i.e. above the
         corner of some generator slot (the OR of fields 1..width)."""
+        ideal = self.kind == IDEAL
         masks = {}
         for i, at, m, width in self._tables()[3]:
             mask = state >> at & (1 << m) - 1
-            if self.kind != FREE:
-                member = 0
-                for j in range(1, width + 1):
-                    member |= state >> at + j * m
-                mask = mask & member if self.kind == IDEAL else mask & ~member
-            masks[i] = mask
+            member = 0
+            for j in range(1, width + 1):
+                member |= state >> at + j * m
+            masks[i] = mask & member if ideal else mask & ~member
         return masks
 
     def alive_masks(self, gamma) -> dict:
         """{i: bitmask of the summands of term i alive at gamma}."""
-        if len(gamma) != self.n:
-            raise LengthMismatch(f"degree length {len(gamma)} != {self.n}")
-        if any(g < 0 for g in gamma):
-            raise ValidationError(f"negative exponent in {tuple(gamma)}")
+        check_degree(gamma, self.n)
         cuts, state, rows, _ = self._tables()
         for cut, row, g in zip(cuts, rows, gamma):
             state &= row[bisect_right(cut, g) - 1]
@@ -341,8 +326,7 @@ class TorTable:
     def dim(self, i: int, gamma) -> int:
         """dim H_i at gamma; the box is a stability box, so a degree beyond
         it reads the fibre at min(gamma, box)."""
-        if len(gamma) != len(self.box):
-            raise LengthMismatch(f"degree length {len(gamma)} != {len(self.box)}")
+        check_degree(gamma, len(self.box))
         return self.entries.get((i, tuple(map(min, gamma, self.box))), 0)
 
     def slice(self, i: int) -> dict:
@@ -423,7 +407,7 @@ def cancel_units(c: GradedComplex) -> GradedComplex:
     """A smaller complex, chain-homotopy equivalent to ``c`` over Z.
 
     Repeatedly picks an entry s -> t with coefficient ±1 whose summands have
-    the same kind, shift and ideal.  Such summands are alive at exactly the
+    the same shift and ideal.  Such summands are alive at exactly the
     same degrees, and there the entry is ±1.  So deleting s and t, dropping
     the entries into s and out of t, and correcting the rest of the
     differential by the Schur complement
@@ -434,7 +418,8 @@ def cancel_units(c: GradedComplex) -> GradedComplex:
     reduced in increasing order and sources by index, so the result is
     deterministic, and no entry of the result is such a unit.
 
-    Surviving summands keep their order.  Applied to a filtered total, a
+    Surviving summands keep their order, and the result keeps the kind of
+    ``c``.  Applied to a filtered total, a
     cancelled pair could straddle two filtration levels and change its
     spectral sequence, so totals are not reduced; their factors are, through
     ``resolution``.
@@ -492,7 +477,7 @@ def cancel_units(c: GradedComplex) -> GradedComplex:
             for s, row in rows.items() for t, v in row.items()]
         for i, rows in out.items()
     }
-    return GradedComplex(c.n, terms, entries)
+    return GradedComplex(c.n, terms, entries, c.kind)
 
 
 # ---------------------------------------------------------------------------
@@ -576,4 +561,4 @@ def resolution(ideal: MonomialIdeal) -> GradedComplex:
 def quotient_complex(ideal: MonomialIdeal) -> GradedComplex:
     """R/I as a complex, for a tensor factor left unresolved: R/I in degree 0."""
     _refuse_unit(ideal)
-    return GradedComplex(ideal.n, {0: (cyclic_summand(ideal),)}, {})
+    return GradedComplex(ideal.n, {0: (summand(ideal),)}, {})

@@ -91,7 +91,9 @@ class Multidegree(tuple):
 
     @classmethod
     def unit(cls, n: int, i: int) -> "Multidegree":
-        return cls(tuple(1 if j == i else 0 for j in range(n)))
+        if not 0 <= i < n:
+            raise ParamOutOfRange(f"variable index {i} outside 0..{n - 1}")
+        return _valid(1 if j == i else 0 for j in range(n))
 
 
 def _valid(exponents) -> Multidegree:
@@ -149,14 +151,12 @@ class MonomialIdeal:
 
     # -- plumbing ------------------------------------------------------------
 
-    def key(self):
-        return (self.n, tuple(tuple(g) for g in self.gens))
-
     def __eq__(self, other):
-        return isinstance(other, MonomialIdeal) and self.key() == other.key()
+        return (isinstance(other, MonomialIdeal) and self.n == other.n
+                and self.gens == other.gens)
 
     def __hash__(self):
-        return hash(self.key())
+        return hash((self.n, self.gens))
 
     def __repr__(self):
         return f"MonomialIdeal(n={self.n}, gens={[tuple(g) for g in self.gens]})"
@@ -180,6 +180,16 @@ def membership(gamma, ideal: MonomialIdeal) -> bool:
     if len(gamma) != ideal.n:
         raise LengthMismatch(f"degree length {len(gamma)} != {ideal.n}")
     return any(all(map(operator.le, g, gamma)) for g in ideal.gens)
+
+
+def check_degree(gamma, n: int) -> None:
+    """Refuse a degree to read a complex or table at: one of length other
+    than n with ``LengthMismatch``, one with a negative exponent with
+    ``ValidationError``."""
+    if len(gamma) != n:
+        raise LengthMismatch(f"degree length {len(gamma)} != {n}")
+    if any(g < 0 for g in gamma):
+        raise ValidationError(f"negative exponent in {tuple(gamma)}")
 
 
 def combine(ideals, op: str) -> MonomialIdeal:

@@ -1,4 +1,4 @@
-"""N^n-indexed commuting multicomplexes of free or cyclic summands.
+"""N^n-indexed commuting multicomplexes of cyclic summands.
 
 A multicomplex has one differential per axis, each lowering that coordinate
 by one; all axis squares commute and each axis differential squares to zero.
@@ -26,8 +26,6 @@ from .errors import (
     ValidationError,
 )
 from .gcomplex import (
-    CYCLIC,
-    FREE,
     IDEAL,
     GradedComplex,
     Summand,
@@ -38,14 +36,14 @@ from .monomial import Multidegree, combine
 
 
 class Multicomplex:
-    """Finite family of free or cyclic summand terms indexed by N^n with n
+    """Finite family of cyclic summand terms indexed by N^n with n
     commuting differentials; ``diffs[(q, k)]`` maps term q to term q - e_k.
 
     ``layout`` is the one order rule of the total: {i: [the position q of
     each summand of term i]}, positions in sorted order, the summands of
     each in their order, in degree |q| + shift.  ``total`` is the total
     complex in that order, built once at construction: its checks
-    (homogeneity, summand kinds, d∘d = 0) are the multicomplex's."""
+    (homogeneity, d∘d = 0) are the multicomplex's."""
 
     def __init__(self, n_axes: int, n_vars: int, terms: dict, diffs: dict,
                  shift: int = 0):
@@ -59,8 +57,6 @@ class Multicomplex:
             if any(v < 0 for v in q):
                 raise ValidationError(f"position {q} outside N^n")
             summands = tuple(summands)
-            if any(s.kind == IDEAL for s in summands):
-                raise MixedKinds("multicomplex terms must be free or cyclic summands")
             if summands:
                 self.terms[q] = summands
         self.diffs = {}
@@ -103,19 +99,18 @@ class Multicomplex:
 
 
 def tensor(factors) -> Multicomplex:
-    """The tensor product multicomplex of chain complexes of free or cyclic
+    """The tensor product multicomplex of chain complexes of cyclic
     summands in non-negative degrees.
 
     Axis k applies factor k's differential with no extra sign.  A product
-    of summands is shifted by the sum of their shifts, and is R/(sum of the
-    ideals of its cyclic factors) when it has any.
+    of summands R/J_k(-a_k) is R/(sum of the J_k)(-(sum of the a_k)).
     """
     factors = list(factors)
     if not factors:
         raise EmptyInput("tensor needs at least one factor")
     for f in factors:
         if f.kind == IDEAL:
-            raise MixedKinds("tensor factors must consist of free or cyclic summands")
+            raise MixedKinds("tensor factors must consist of cyclic summands")
         if min(f.window(), default=0) < 0:
             raise ValidationError("tensor factors must live in non-negative degrees")
     n_vars = factors[0].n
@@ -153,11 +148,8 @@ def tensor(factors) -> Multicomplex:
 
 def _product_summand(combo) -> Summand:
     shift = reduce(Multidegree.add, (s.shift for s in combo))
-    ideals = [s.ideal for s in combo if s.kind == CYCLIC]
-    if not ideals:
-        return Summand(FREE, shift)
-    return Summand(CYCLIC, shift,
-                   ideals[0] if len(ideals) == 1 else combine(ideals, "sum"))
+    ideals = [s.ideal for s in combo if s.ideal.gens] or [combo[0].ideal]
+    return Summand(shift, ideals[0] if len(ideals) == 1 else combine(ideals, "sum"))
 
 
 def _layout(terms: dict) -> dict:

@@ -18,14 +18,15 @@ from dataclasses import dataclass, field
 from .errors import EmptySelection, InvalidKind, ValidationError
 from .exactlin import GF, PrimeField
 from .gcomplex import (
+    CYCLIC,
+    IDEAL,
     GradedComplex,
     TorTable,
-    cyclic_summand,
     exterior_complex,
-    ideal_summand,
     module_homology_table,
     quotient_complex,
     resolution,
+    summand,
 )
 from .monomial import MonomialIdeal, combine, iter_box, membership
 from .multicomplex import hypercube_augment, tensor
@@ -48,23 +49,23 @@ def build_s_complex(ideals, variant: str = "quotient") -> GradedComplex:
     n = len(ideals)
     if variant not in ("quotient", "tilde"):
         raise InvalidKind(f"unknown variant {variant!r}")
-    make = cyclic_summand if variant == "quotient" else ideal_summand
     bottom = combine(ideals, "product")
     terms, entries = exterior_complex(
         n,
-        lambda s: make(combine([ideals[i] for i in s], "sum") if s else bottom),
+        lambda s: summand(combine([ideals[i] for i in s], "sum") if s else bottom),
         "cochain",
     )
-    return GradedComplex(n_vars, terms, entries)
+    return GradedComplex(n_vars, terms, entries, CYCLIC if variant == "quotient" else IDEAL)
 
 
 def truncated(s: GradedComplex) -> GradedComplex:
     """S_- = S^1 -> ... -> S^n, the degree-1 truncation of a sum complex
-    S^0 -> ... -> S^n, as a chain complex: S^p at index n - p."""
+    S^0 -> ... -> S^n, as a chain complex: S^p at index n - p, of the
+    kind of s."""
     n = -min(s.terms)
     terms = {i + n: ss for i, ss in s.terms.items() if i != 0}
     entries = {i + n: es for i, es in s.entries.items() if i != 0}
-    return GradedComplex(s.n, terms, entries)
+    return GradedComplex(s.n, terms, entries, s.kind)
 
 
 def build_p_complex(ideals, variant: str = "quotient") -> GradedComplex:
@@ -75,15 +76,14 @@ def build_p_complex(ideals, variant: str = "quotient") -> GradedComplex:
     n = len(ideals)
     if variant not in ("quotient", "tilde"):
         raise InvalidKind(f"unknown variant {variant!r}")
-    make = cyclic_summand if variant == "quotient" else ideal_summand
     bottom = MonomialIdeal.unit(n_vars)
     terms, entries = exterior_complex(
         n,
-        lambda s: make(combine([ideals[i] for i in s], "product") if s else bottom),
+        lambda s: summand(combine([ideals[i] for i in s], "product") if s else bottom),
     )
     if variant == "quotient":
         del terms[0], entries[1]  # P_0 = R/R is zero
-    return GradedComplex(n_vars, terms, entries)
+    return GradedComplex(n_vars, terms, entries, CYCLIC if variant == "quotient" else IDEAL)
 
 
 def mv_total_complex(kind: str, ideals, coefficient: MonomialIdeal | None = None

@@ -17,10 +17,10 @@ import itertools
 from dataclasses import dataclass
 from functools import reduce
 
-from .errors import BoxTooSmall, LengthMismatch, ParamOutOfRange, ValidationError
+from .errors import BoxTooSmall, ParamOutOfRange, ValidationError
 from .exactlin import GF, PrimeField
 from .gcomplex import TorTable
-from .monomial import MonomialIdeal, Multidegree, combine, iter_box, lcm_deg
+from .monomial import MonomialIdeal, Multidegree, check_degree, combine, iter_box, lcm_deg
 from .spectral import pages
 from .sumprod import CheckReport, mv_total_complex
 from .torlab import _validate_family, family_box, multi_tor
@@ -34,8 +34,7 @@ class SupportRegion:
     cells: frozenset
 
     def member(self, gamma) -> bool:
-        if len(gamma) != len(self.box):
-            raise LengthMismatch(f"degree length {len(gamma)} != {len(self.box)}")
+        check_degree(gamma, len(self.box))
         clamped = tuple(min(g, b) for g, b in zip(gamma, self.box))
         return clamped in self.cells
 

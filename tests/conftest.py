@@ -9,17 +9,15 @@ from homotor.cli import random_instance
 from homotor.errors import LengthMismatch, MixedKinds, UnitIdeal, ValidationError
 from homotor.exactlin import GF, PrimeField
 from homotor.gcomplex import (
-    CYCLIC,
-    FREE,
     IDEAL,
     GradedComplex,
     _compose,
     cancel_units,
-    cyclic_summand,
     exterior_complex,
     free_summand,
     module_homology_table,
     resolution,
+    summand,
     taylor_resolution,
 )
 from homotor.monomial import combine, iter_box, lcm_deg, membership
@@ -86,27 +84,23 @@ def tensor_total(ideals, coefficient=None):
 
 
 def with_coefficient(c, coefficient):
-    """Tensor a free or cyclic complex with the quotient module R/coefficient
-    summand by summand: free R(-a) becomes R/coefficient(-a), cyclic
-    R/J(-a) becomes R/(J + coefficient)(-a), and the scalar entries are
+    """Tensor a cyclic complex with the quotient module R/coefficient
+    summand by summand: R/J(-a) becomes R/(J + coefficient)(-a), so free
+    R(-a) = R/0(-a) becomes R/coefficient(-a), and the scalar entries are
     unchanged.  The reference for the cyclic factors of ``tensor``."""
     if coefficient.is_unit():
         raise UnitIdeal("coefficient module R/I is zero")
     if c.kind == IDEAL:
         raise MixedKinds("cannot tensor an ideal-summand complex with a quotient")
-
-    def convert(s):
-        if s.kind == FREE:
-            return cyclic_summand(coefficient, s.shift)
-        return cyclic_summand(combine([s.ideal, coefficient], "sum"), s.shift)
-
-    terms = {i: tuple(convert(s) for s in ss) for i, ss in c.terms.items()}
+    terms = {i: tuple(summand(combine([s.ideal, coefficient], "sum"), s.shift)
+                      for s in ss)
+             for i, ss in c.terms.items()}
     return GradedComplex(c.n, terms, dict(c.entries))
 
 
 def tensor_by_search(factors):
-    """The tensor multicomplex of ``factors`` (free or cyclic, in
-    non-negative degrees), its entries found by scanning every combo of
+    """The tensor multicomplex of ``factors`` (cyclic, in non-negative
+    degrees), its entries found by scanning every combo of
     summand indices against every entry of the acting factor and placing
     each combo by its position in the product order: the reference for the
     mixed-radix indexing of ``tensor``."""
@@ -117,10 +111,7 @@ def tensor_by_search(factors):
     def product_summand(combo):
         shift = functools.reduce(Multidegree.add, (s.shift for s in combo),
                                  Multidegree.zero(n_vars))
-        ideals = [s.ideal for s in combo if s.kind == CYCLIC]
-        if not ideals:
-            return free_summand(shift)
-        return cyclic_summand(combine(ideals, "sum"), shift)
+        return summand(combine([s.ideal for s in combo], "sum"), shift)
 
     terms = {
         q: tuple(product_summand(combo) for combo in
@@ -157,7 +148,7 @@ def shifted_oracle(c, k):
     at index i - k.  The reference for the shift a ``Multicomplex`` and
     ``truncated`` build their complexes at."""
     return GradedComplex(c.n, {i + k: ss for i, ss in c.terms.items()},
-                         {i + k: es for i, es in c.entries.items()})
+                         {i + k: es for i, es in c.entries.items()}, c.kind)
 
 
 def truncated_cochain(s):
@@ -166,7 +157,7 @@ def truncated_cochain(s):
     that ``truncated`` builds at once, S^p at index n - p."""
     terms = {i: ss for i, ss in s.terms.items() if i != 0}
     entries = {i: es for i, es in s.entries.items() if i != 0}
-    return GradedComplex(s.n, terms, entries)
+    return GradedComplex(s.n, terms, entries, s.kind)
 
 
 def augment_in_two_steps(m):
@@ -256,15 +247,14 @@ def membership_by_leq(gamma, ideal) -> bool:
     return any(leq_by_zip(g, gamma) for g in ideal.gens)
 
 
-def summand_alive(s, gamma) -> bool:
-    """Whether the summand s contributes one basis vector at degree gamma,
-    read off its shift and ideal: the reference for ``alive_masks``."""
+def summand_alive(s, gamma, kind) -> bool:
+    """Whether the summand s of a complex of the given kind contributes one
+    basis vector at degree gamma, read off its shift and ideal: the
+    reference for ``alive_masks``."""
     if not s.shift.leq(gamma):
         return False
-    if s.kind == FREE:
-        return True
     member = s.ideal.contains(Multidegree(g - t for g, t in zip(gamma, s.shift)))
-    return member if s.kind == IDEAL else not member
+    return member if kind == IDEAL else not member
 
 
 def block_rank_pages(filtered, gamma, fld=GF()):

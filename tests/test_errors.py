@@ -117,18 +117,44 @@ def test_one_elimination_path():
     assert "pivot_pairs" in rank_routines[("gcomplex.py", "_masked_rank")]
 
 
-def test_one_composition_check():
-    """d∘d = 0 is checked in one place: CompositionNonzero is raised only by
-    GradedComplex._check_dd_zero, which a multicomplex reaches through the
-    one build of its total."""
+def _raise_sites(error: str) -> list:
+    """(file, enclosing function) of every raise of ``error`` by name."""
     sites = []
     for path in sorted(Path(homotor.__file__).parent.glob("*.py")):
         visitor = _Raises()
         visitor.visit(ast.parse(path.read_text()))
         sites += [(path.name, func) for func, node in visitor.found
                   if isinstance(node.exc, ast.Call) and isinstance(node.exc.func, ast.Name)
-                  and node.exc.func.id == "CompositionNonzero"]
-    assert sites == [("gcomplex.py", "GradedComplex._check_dd_zero")]
+                  and node.exc.func.id == error]
+    return sites
+
+
+def test_one_composition_check():
+    """d∘d = 0 is checked in one place: CompositionNonzero is raised only by
+    GradedComplex._check_dd_zero, which a multicomplex reaches through the
+    one build of its total."""
+    assert _raise_sites("CompositionNonzero") == [
+        ("gcomplex.py", "GradedComplex._check_dd_zero")]
+
+
+def test_one_summand_shape():
+    """A summand is a shift and an ideal, and quotient-or-ideal is one kind
+    per complex: ``Summand`` declares the fields (shift, ideal) only, the
+    rebuilds in ``cancel_units`` and ``truncated`` pass their source's kind
+    on, and the one place that refuses an ideal-kind complex is ``tensor``."""
+    gcomplex = ast.parse((Path(homotor.__file__).parent / "gcomplex.py").read_text())
+    summand = next(node for node in gcomplex.body
+                   if isinstance(node, ast.ClassDef) and node.name == "Summand")
+    assert [node.target.id for node in summand.body
+            if isinstance(node, ast.AnnAssign)] == ["shift", "ideal"]
+    rebuilds = []
+    for path in sorted(Path(homotor.__file__).parent.glob("*.py")):
+        visitor = _Builds()
+        visitor.visit(ast.parse(path.read_text()))
+        rebuilds += [(func, len(node.args) == 4 or any(k.arg == "kind" for k in node.keywords))
+                     for func, node in visitor.found if func in ("cancel_units", "truncated")]
+    assert sorted(rebuilds) == [("cancel_units", True), ("truncated", True)]
+    assert _raise_sites("MixedKinds") == [("multicomplex.py", "tensor")]
 
 
 #: Every function that may build a GradedComplex: each makes a complex with

@@ -15,7 +15,6 @@ from homotor.errors import (
     CompositionNonzero,
     InvalidKind,
     LengthMismatch,
-    MixedKinds,
     ParamOutOfRange,
     UnitIdeal,
     ValidationError,
@@ -23,20 +22,16 @@ from homotor.errors import (
 from homotor import gcomplex
 from homotor.exactlin import GF
 from homotor.gcomplex import (
-    CYCLIC,
-    FREE,
     IDEAL,
     MAX_TAYLOR_GENERATORS,
     GradedComplex,
-    Summand,
     cancel_units,
-    cyclic_summand,
     exterior_complex,
     free_summand,
-    ideal_summand,
     module_homology_table,
     quotient_complex,
     resolution,
+    summand,
     taylor_resolution,
 )
 from homotor.monomial import MonomialIdeal, Multidegree, iter_box
@@ -46,6 +41,7 @@ from homotor.sumprod import (
     build_p_complex,
     build_s_complex,
     complex_homology_table,
+    truncated,
 )
 from homotor.torlab import tor1_oracle
 
@@ -131,35 +127,49 @@ def test_homogeneity_rejected():
     with pytest.raises(ValidationError):
         GradedComplex(2, terms, {1: [(0, 0, 1)]})
     # cyclic -> cyclic needs the induced map to be defined
-    a = cyclic_summand(MonomialIdeal(2, [(1, 0)]))
-    b = cyclic_summand(MonomialIdeal(2, [(2, 0)]))
+    a = summand(MonomialIdeal(2, [(1, 0)]))
+    b = summand(MonomialIdeal(2, [(2, 0)]))
     with pytest.raises(ValidationError):
         GradedComplex(2, {0: (b,), 1: (a,)}, {1: [(0, 0, 1)]})
     # the reverse inclusion is fine
     GradedComplex(2, {0: (a,), 1: (b,)}, {1: [(0, 0, 1)]})
     # equal ideals do not excuse a raised shift
     with pytest.raises(ValidationError):
-        GradedComplex(2, {0: (cyclic_summand(a.ideal, (0, 1)),), 1: (a,)},
+        GradedComplex(2, {0: (summand(a.ideal, (0, 1)),), 1: (a,)},
                       {1: [(0, 0, 1)]})
     # coefficients are exact integers: a float sign is rejected
     with pytest.raises(ValidationError):
         GradedComplex(2, {0: (a,), 1: (b,)}, {1: [(0, 0, -1.0)]})
 
 
-def test_mixed_kinds_rejected():
-    terms = {0: (free_summand((0, 0)), cyclic_summand(MonomialIdeal(2, [(1, 0)])))}
-    with pytest.raises(MixedKinds):
-        GradedComplex(2, terms, {})
+def test_a_free_module_is_the_quotient_by_zero():
+    """R(-a) has one encoding, R/0(-a), so a free and a quotient summand
+    share a complex: R(0) -> R/(x)(0) is legal, and its H_1 is the ideal
+    (x), one dimension at each degree of (x)."""
+    for a in ((0, 0), (2, 1)):
+        assert free_summand(a) == summand(MonomialIdeal.zero(2), a)
+    x = MonomialIdeal(2, [(1, 0)])
+    c = GradedComplex(2, {1: (free_summand((0, 0)),), 0: (summand(x),)},
+                      {1: [(0, 0, 1)]})
+    table = module_homology_table(c, box=(2, 2))
+    assert table.slice(1) == {tuple(g): 1 for g in iter_box((2, 2)) if x.contains(g)}
+    assert table.nonzero_indices() == [1]
+
+
+def test_summands_in_another_variable_count_are_refused():
+    """A summand whose shift or ideal has a length other than the
+    complex's variable count is refused where the complex is built."""
+    three = MonomialIdeal(3, [(0, 0, 1)])
+    for bad in (summand(three, (0, 0, 0)), summand(three, (0, 0)),
+                summand(MonomialIdeal(1, [(1,)]), (0, 0)), free_summand((0, 0, 0))):
+        with pytest.raises(LengthMismatch):
+            GradedComplex(2, {0: (bad,)}, {})
 
 
 def test_malformed_summands_entries_and_orientations_rejected():
-    zero, x = Multidegree.zero(2), MonomialIdeal(2, [(1, 0)])
+    zero = Multidegree.zero(2)
     with pytest.raises(InvalidKind):
-        Summand("twisted", zero)
-    with pytest.raises(ValidationError):
-        Summand(FREE, zero, x)
-    with pytest.raises(ValidationError):
-        Summand(CYCLIC, zero)
+        GradedComplex(2, {0: (free_summand(zero),)}, {}, "twisted")
     terms = {0: (free_summand(zero),), 1: (free_summand(zero),)}
     with pytest.raises(ValidationError):
         GradedComplex(2, terms, {1: [(0, 1, 1)]})
@@ -194,11 +204,11 @@ def test_dd_zero_checked_symbolically():
 
 
 def test_ideal_summand_fiber():
-    j = ideal_summand(MonomialIdeal(2, [(1, 0)]))
-    assert not summand_alive(j, Multidegree((0, 1)))
-    assert summand_alive(j, Multidegree((1, 1)))
-    r = ideal_summand(MonomialIdeal.unit(2))  # the whole ring
-    assert summand_alive(r, Multidegree((0, 0)))
+    j = summand(MonomialIdeal(2, [(1, 0)]))
+    assert not summand_alive(j, Multidegree((0, 1)), IDEAL)
+    assert summand_alive(j, Multidegree((1, 1)), IDEAL)
+    r = summand(MonomialIdeal.unit(2))  # the whole ring
+    assert summand_alive(r, Multidegree((0, 0)), IDEAL)
 
 
 def test_module_homology_table_box_guard():
@@ -239,10 +249,24 @@ def test_quotient_complex_is_one_cyclic_summand():
     ideal, whose quotient is zero, is refused."""
     i = MonomialIdeal(2, [(2, 0), (1, 1)])
     c = quotient_complex(i)
-    assert c.terms == {0: (cyclic_summand(i),)}
+    assert c.terms == {0: (summand(i),)}
     assert c.entries == {}
     with pytest.raises(UnitIdeal):
         quotient_complex(MonomialIdeal.unit(2))
+
+
+def test_rebuilt_complexes_keep_their_kind():
+    """``truncated`` and ``cancel_units`` rebuild a tilde complex, whose
+    summands are the ideals J(-a), as one of ideal kind: a tilde S with two
+    equal summands (x) loses that pair and keeps its fibres."""
+    family = [MonomialIdeal(1, [(1,)]), MonomialIdeal(1, [(2,)])]
+    s = build_s_complex(family, "tilde")
+    reduced = cancel_units(s)
+    assert ranks_of(reduced) == {0: 1, -1: 1}
+    for c in (truncated(s), reduced, cancel_units(build_p_complex(family, "tilde"))):
+        assert c.kind == IDEAL
+    box = s.stable_box()
+    assert module_homology_table(reduced, box=box) == module_homology_table(s, box=box)
 
 
 def test_taylor_resolution_refuses_more_than_16_generators(monkeypatch):
@@ -426,7 +450,7 @@ def test_the_sweep_ranks_no_empty_block(monkeypatch):
 def _summand_masks(c, gamma):
     """{i: bitmask of the summands of term i that summand_alive finds alive
     at gamma}: the per-summand oracle of the packed fibre state."""
-    return {i: sum(1 << k for k, s in enumerate(ss) if summand_alive(s, gamma))
+    return {i: sum(1 << k for k, s in enumerate(ss) if summand_alive(s, gamma, c.kind))
             for i, ss in c.terms.items()}
 
 

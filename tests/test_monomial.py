@@ -55,6 +55,28 @@ def test_multidegree_validation():
         Multidegree((1, 0)).sub(Multidegree((2, 0)))
 
 
+def test_variable_indices_outside_the_ring_are_refused():
+    """A variable index outside 0..n-1 names no variable: it is refused,
+    not read as the degree 0 (which would make the unit ideal)."""
+    assert MonomialIdeal.variables(2, [1]) == MonomialIdeal(2, [(0, 1)])
+    for i in (5, 2, -1):
+        with pytest.raises(ParamOutOfRange):
+            Multidegree.unit(2, i)
+        with pytest.raises(ParamOutOfRange):
+            MonomialIdeal.variables(2, [0, i])
+
+
+def test_ideal_equality_and_hash_read_the_variable_count_and_generators():
+    """Ideals are equal when their variable counts and minimal generators
+    are, and hash as the plain tuple (n, generator tuples), so the order of
+    every set and dict of ideals is that of those tuples."""
+    a = MonomialIdeal(2, [(1, 0), (0, 1), (1, 1)])
+    assert a == MonomialIdeal(2, [(0, 1), (1, 0)])
+    assert a != MonomialIdeal(2, [(1, 0)]) and a != a.gens
+    assert MonomialIdeal.zero(2) != MonomialIdeal.zero(3)
+    assert hash(a) == hash((2, ((0, 1), (1, 0))))
+
+
 def test_membership_examples():
     x = MonomialIdeal(2, [(1, 0)])
     assert membership((1, 0), x)

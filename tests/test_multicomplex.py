@@ -27,10 +27,10 @@ from homotor.exactlin import GF
 from homotor.gcomplex import (
     GradedComplex,
     cancel_units,
-    cyclic_summand,
     free_summand,
     module_homology_table,
     resolution,
+    summand,
     taylor_resolution,
 )
 from homotor.monomial import MonomialIdeal, Multidegree, combine, iter_box
@@ -127,7 +127,7 @@ def tensor_factors(draw):
         if build == "reduced":
             return resolution(draw(ideals))
         if build == "quotient":
-            return GradedComplex(n, {0: (cyclic_summand(draw(ideals)),)}, {})
+            return GradedComplex(n, {0: (summand(draw(ideals)),)}, {})
         family = draw(st.lists(ideals, min_size=2, max_size=3))
         if build == "p":
             return build_p_complex(family)
@@ -162,7 +162,7 @@ def test_one_summand_quotient_factor_is_with_coefficient(factors, seed):
     order and entries of the summandwise coefficient quotient."""
     total = tensor(factors).total
     j = random_instance(seed, n_vars=total.n, n_ideals=1)[0]
-    quotient = GradedComplex(total.n, {0: (cyclic_summand(j),)}, {})
+    quotient = GradedComplex(total.n, {0: (summand(j),)}, {})
     got, want = tensor([total, quotient]).total, with_coefficient(total, j)
     assert got.terms == want.terms
     assert got.entries == want.entries

@@ -48,6 +48,19 @@ def test_support_region_member_rejects_a_degree_of_the_wrong_length():
             region.member(gamma)
 
 
+def test_tor_table_dim_and_support_member_refuse_a_negative_exponent():
+    """A degree with a negative exponent is refused, as ``alive_masks``
+    refuses it, and does not read as an empty fibre."""
+    x = MonomialIdeal.variables(2, [0])
+    t = multi_tor([x, MonomialIdeal.variables(2, [1])])
+    region = support_region(t)
+    for gamma in ((-1, 0), (0, -1)):
+        with pytest.raises(ValidationError, match="negative exponent"):
+            t.dim(0, gamma)
+        with pytest.raises(ValidationError, match="negative exponent"):
+            region.member(gamma)
+
+
 def test_support_region_upward_closure():
     """(x)/(x^2) in k[x,y] is free in the y direction, so the single cell
     at (1, 0) with box (2, 0) represents the whole ray."""
