@@ -155,6 +155,11 @@ class GradedComplex:
         }
         for ss in self.terms.values():
             for s in ss:
+                if not (isinstance(s.shift, Multidegree)
+                        and isinstance(s.ideal, MonomialIdeal)):
+                    raise ValidationError(
+                        f"summand {s!r} needs a Multidegree shift and a MonomialIdeal"
+                    )
                 if s.shift.n != self.n or s.ideal.n != self.n:
                     raise LengthMismatch("summand length != variable count")
         cleaned: dict = {}

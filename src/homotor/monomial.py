@@ -177,8 +177,7 @@ class MonomialIdeal:
 
 def membership(gamma, ideal: MonomialIdeal) -> bool:
     """True iff x^gamma lies in the ideal (some generator divides gamma)."""
-    if len(gamma) != ideal.n:
-        raise LengthMismatch(f"degree length {len(gamma)} != {ideal.n}")
+    check_degree(gamma, ideal.n)
     return any(all(map(operator.le, g, gamma)) for g in ideal.gens)
 
 

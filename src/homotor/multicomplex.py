@@ -80,9 +80,22 @@ class Multicomplex:
             if out:
                 self.diffs[(q, k)] = out
         self.shift = int(shift)
-        self.layout = {i + self.shift: qs for i, qs in _layout(self.terms).items()}
-        self.total = GradedComplex(self.n_vars,
-                                   *_total(self.layout, self.terms, self.diffs))
+        self.layout = {}
+        terms: dict = {}
+        start = {}  # q -> the index in its term of its first summand
+        for q in sorted(self.terms):
+            i = sum(q) + self.shift
+            start[q] = len(terms.setdefault(i, []))
+            terms[i].extend(self.terms[q])
+            self.layout.setdefault(i, []).extend([q] * len(self.terms[q]))
+        entries: dict = {}
+        for (q, k), es in self.diffs.items():
+            sign = (-1) ** (sum(q[:k]) % 2)
+            a, b = start[q], start[self._step(q, k)]
+            entries.setdefault(sum(q) + self.shift, []).extend(
+                (a + src, b + tgt, sign * coeff) for src, tgt, coeff in es
+            )
+        self.total = GradedComplex(self.n_vars, terms, entries)
 
     @staticmethod
     def _step(q, k):
@@ -152,36 +165,6 @@ def _product_summand(combo) -> Summand:
     return Summand(shift, ideals[0] if len(ideals) == 1 else combine(ideals, "sum"))
 
 
-def _layout(terms: dict) -> dict:
-    """{|q|: [the position q of each summand]} of the positions ``terms``:
-    positions in sorted order, the summands of each in their order."""
-    out: dict = {}
-    for q in sorted(terms):
-        out.setdefault(sum(q), []).extend([q] * len(terms[q]))
-    return out
-
-
-def _total(layout: dict, positions: dict, diffs: dict):
-    """The terms and entries of the total, in the order and at the degrees
-    of ``layout``, of the ``positions`` {q: summands} and the axis entries
-    ``diffs`` between them."""
-    start = {}  # q -> (its degree, the index in that term of its first summand)
-    for i, qs in layout.items():
-        for k, q in enumerate(qs):
-            start.setdefault(q, (i, k))
-    entries: dict = {}
-    for (q, k), es in diffs.items():
-        sign = (-1) ** (sum(q[:k]) % 2)
-        i, a = start[q]
-        b = start[Multicomplex._step(q, k)][1]
-        entries.setdefault(i, []).extend(
-            (a + src, b + tgt, sign * coeff) for src, tgt, coeff in es
-        )
-    terms = {i: tuple(positions[q][k - start[q][1]] for k, q in enumerate(qs))
-             for i, qs in layout.items()}
-    return terms, entries
-
-
 def _compose_chain(m: Multicomplex, q, axes_desc) -> dict:
     """Entries of d_{.,a1} ∘ ... ∘ d_{q,ap} starting at position q, applying
     the axes in the order given (each step lowers that coordinate): the
@@ -193,55 +176,47 @@ def _compose_chain(m: Multicomplex, q, axes_desc) -> dict:
     return acc
 
 
-def hypercube_augment(m: Multicomplex) -> GradedComplex:
-    """Totalization of the interior of m, the positions with every
-    coordinate nonzero, with the corner module m_0 added in degree n - 1 and
-    attached along the composed axis differentials out of (1, ..., 1)."""
+def _attach_corner(m: Multicomplex):
+    """The terms and axis entries of the mapping cylinder of m along one
+    extra (last) axis: level 1 carries m, level 0 a copy of the corner term
+    m_0 on each vertex c of {0, 1}^n, joined by identity maps, and the
+    level map out of c is psi(c), the composed axis map m_c -> m_0."""
     n = m.n_axes
-    if not n:
-        raise EmptySelection("hypercube augmentation needs at least one axis")
-    # the interior and its axis entries: q - e_k stays inside iff q[k] > 1
-    interior = {q: ss for q, ss in m.terms.items() if all(q)}
-    terms, entries = _total(_layout(interior), interior,
-                            {(q, k): es for (q, k), es in m.diffs.items()
-                             if all(q) and q[k] > 1})
-    # degree n of the interior is the single position (1, ..., 1), its
-    # summands in their original order, and nothing of it lies below
-    psi = _compose_chain(m, (1,) * n, reversed(range(n)))
-    terms[n - 1] = m.terms.get((0,) * n, ())
-    entries[n] = [(s, t, c) for (s, t), c in sorted(psi.items())]
-    return GradedComplex(m.n_vars, terms, entries)
-
-
-def hypercube_extend(m: Multicomplex) -> Multicomplex:
-    """The mapping-cylinder multicomplex with one extra (last) axis: level 1
-    carries m, level 0 the trivial hypercube on the corner term, and the
-    level differential is the composed-axis map into the corner.  Its shift
-    is one below m's, so m's positions keep their degrees in the total."""
-    n = m.n_axes
-    origin = (0,) * n
-    corner = m.terms.get(origin, ())
+    corner = m.terms.get((0,) * n, ())
     terms = {q + (1,): ss for q, ss in m.terms.items()}
     diffs = {(q + (1,), k): es for (q, k), es in m.diffs.items()}
     if corner:
-        cube = list(itertools.product((0, 1), repeat=n))
-        for c in cube:
-            terms[c + (0,)] = corner
         ident = [(i, i, 1) for i in range(len(corner))]
-        for c in cube:
+        for c in itertools.product((0, 1), repeat=n):
+            terms[c + (0,)] = corner
             for k in range(n):
-                if c[k] == 1:
-                    diffs[(c + (0,), k)] = list(ident)
-        # level-axis map psi: C_q -> T_q = C_0 for q in the unit cube
-        for c in cube:
-            if c + (1,) not in terms:
-                continue
-            axes = [i for i in range(n) if c[i]]
-            psi = _compose_chain(m, c, reversed(axes))
-            es = [(s, t, v) for (s, t), v in sorted(psi.items())]
-            if es:
-                diffs[(c + (1,), n)] = es
-    return Multicomplex(n + 1, m.n_vars, terms, diffs, m.shift - 1)
+                if c[k]:
+                    diffs[(c + (0,), k)] = ident
+            if c + (1,) in terms:
+                psi = _compose_chain(m, c, [i for i in reversed(range(n)) if c[i]])
+                diffs[(c + (1,), n)] = [(s, t, v) for (s, t), v in sorted(psi.items())]
+    return terms, diffs
+
+
+def hypercube_augment(m: Multicomplex) -> GradedComplex:
+    """The total of the top level of ``hypercube_extend(m)``: the interior
+    of m, the positions with every coordinate nonzero, with the corner
+    module m_0 added in degree n - 1 + shift and attached along psi, the
+    composed axis map out of (1, ..., 1), with the level axis's Koszul sign
+    (-1)^n."""
+    n = m.n_axes
+    if not n:
+        raise EmptySelection("hypercube augmentation needs at least one axis")
+    terms, diffs = _attach_corner(m)
+    top = {q: ss for q, ss in terms.items() if all(q[:n])}
+    return Multicomplex(n + 1, m.n_vars, top, diffs, m.shift - 1).total
+
+
+def hypercube_extend(m: Multicomplex) -> Multicomplex:
+    """The mapping-cylinder multicomplex of ``_attach_corner``, with the
+    level differential psi into the corner.  Its shift is one below m's,
+    so m's positions keep their degrees in the total."""
+    return Multicomplex(m.n_axes + 1, m.n_vars, *_attach_corner(m), m.shift - 1)
 
 
 def koszul_cone(m: Multicomplex, face_axes: int | None = None) -> Multicomplex:

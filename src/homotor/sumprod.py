@@ -40,6 +40,15 @@ from .torlab import (
 )
 
 
+def _variant_kind(variant: str) -> str:
+    """The summand kind of a variant of S and P: the quotients R/J, or the
+    ideals J themselves inside the unit Koszul complex."""
+    kinds = {"quotient": CYCLIC, "tilde": IDEAL}
+    if variant not in kinds:
+        raise InvalidKind(f"unknown variant {variant!r}")
+    return kinds[variant]
+
+
 def build_s_complex(ideals, variant: str = "quotient") -> GradedComplex:
     """S^0 = R/(product), S^p = sum of R/(I_{i_1}+...+I_{i_p}) over
     p-subsets: a cochain complex with unit Koszul differentials, S^p stored
@@ -47,15 +56,14 @@ def build_s_complex(ideals, variant: str = "quotient") -> GradedComplex:
     K^(1,...,1;R), so its bottom term is the product of the ideals."""
     ideals, n_vars = _validate_family(ideals)
     n = len(ideals)
-    if variant not in ("quotient", "tilde"):
-        raise InvalidKind(f"unknown variant {variant!r}")
+    kind = _variant_kind(variant)
     bottom = combine(ideals, "product")
     terms, entries = exterior_complex(
         n,
         lambda s: summand(combine([ideals[i] for i in s], "sum") if s else bottom),
         "cochain",
     )
-    return GradedComplex(n_vars, terms, entries, CYCLIC if variant == "quotient" else IDEAL)
+    return GradedComplex(n_vars, terms, entries, kind)
 
 
 def truncated(s: GradedComplex) -> GradedComplex:
@@ -74,16 +82,15 @@ def build_p_complex(ideals, variant: str = "quotient") -> GradedComplex:
     its bottom term is R, so the quotient variant has P_0 = R/R = 0."""
     ideals, n_vars = _validate_family(ideals)
     n = len(ideals)
-    if variant not in ("quotient", "tilde"):
-        raise InvalidKind(f"unknown variant {variant!r}")
+    kind = _variant_kind(variant)
     bottom = MonomialIdeal.unit(n_vars)
     terms, entries = exterior_complex(
         n,
         lambda s: summand(combine([ideals[i] for i in s], "product") if s else bottom),
     )
-    if variant == "quotient":
+    if kind == CYCLIC:
         del terms[0], entries[1]  # P_0 = R/R is zero
-    return GradedComplex(n_vars, terms, entries, CYCLIC if variant == "quotient" else IDEAL)
+    return GradedComplex(n_vars, terms, entries, kind)
 
 
 def mv_total_complex(kind: str, ideals, coefficient: MonomialIdeal | None = None
@@ -259,16 +266,10 @@ def verify_identities(ideals, fld: PrimeField = GF()) -> CheckReport:
         if not (strict_ok and n >= 2):
             report.add(name, False, None)
             return
-        wit = []
-        ok = True
-        for g in cells:
-            lhs = s0[g] - h1.get(g, 0)
-            rhs = table.dim(j, g) - (table.dim(j - 1, g) if n >= 3 else 0)
-            if lhs != rhs:
-                ok = False
-                if len(wit) < 4:
-                    wit.append({"degree": list(g), "actual": lhs, "expected": rhs})
-        report.add(name, True, ok, wit)
+        wit = _diff_tables(
+            {g: s0[g] - h1.get(g, 0) for g in cells},
+            {g: table.dim(j, g) - (table.dim(j - 1, g) if n >= 3 else 0) for g in cells})
+        report.add(name, True, not wit, wit)
 
     # sum-side identification H^i(S) = Tor_{n-i-1}; it carries content for
     # 2 <= i <= n-2 (positive Tor index).  At i = n-1 the stated range

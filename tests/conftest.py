@@ -163,15 +163,20 @@ def truncated_cochain(s):
 def augment_in_two_steps(m):
     """The hypercube augmentation of m built as a validated total of the
     interior, then a second complex with the corner and the composed map
-    psi added: the reference for the one-build ``hypercube_augment``."""
+    psi added: the reference for ``hypercube_augment``, which builds the
+    same complex as the total of the top level of ``hypercube_extend(m)``.
+    psi is the level axis there, last of n + 1 axes, so the total gives it
+    the Koszul sign (-1)^n at (1, ..., 1); scaling the corner by that sign
+    is an isomorphism, so the homology is the same either way."""
     n = m.n_axes
     inner = {q: ss for q, ss in m.terms.items() if all(q)}
     total = Multicomplex(n, m.n_vars, inner, m.diffs).total
     psi = _compose_chain(m, (1,) * n, reversed(range(n)))
+    sign = (-1) ** n
     return GradedComplex(
         m.n_vars,
         {**total.terms, n - 1: m.terms.get((0,) * n, ())},
-        {**total.entries, n: [(s, t, c) for (s, t), c in sorted(psi.items())]},
+        {**total.entries, n: [(s, t, sign * c) for (s, t), c in sorted(psi.items())]},
     )
 
 
@@ -241,9 +246,12 @@ def lcm_by_zip(a, b) -> Multidegree:
 
 def membership_by_leq(gamma, ideal) -> bool:
     """Some generator divides gamma, each tested by ``leq_by_zip``: the
-    reference for ``membership``."""
+    reference for ``membership``.  A degree of another length, or with a
+    negative exponent, is refused."""
     if len(gamma) != ideal.n:
         raise LengthMismatch(f"degree length {len(gamma)} != {ideal.n}")
+    if any(g < 0 for g in gamma):
+        raise ValidationError(f"negative exponent in {tuple(gamma)}")
     return any(leq_by_zip(g, gamma) for g in ideal.gens)
 
 

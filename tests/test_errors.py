@@ -38,13 +38,27 @@ class _Raises(_Sites):
         self.add(node)
 
 
-class _Builds(_Sites):
-    """Every call of ``GradedComplex`` by name."""
+class _Calls(_Sites):
+    """Every call of the function ``name`` by name."""
+
+    def __init__(self, name):
+        super().__init__()
+        self.name = name
 
     def visit_Call(self, node):
-        if isinstance(node.func, ast.Name) and node.func.id == "GradedComplex":
+        if isinstance(node.func, ast.Name) and node.func.id == self.name:
             self.add(node)
         self.generic_visit(node)
+
+
+def _call_sites(name: str) -> list:
+    """(file, enclosing function, node) of every call of ``name`` by name."""
+    sites = []
+    for path in sorted(Path(homotor.__file__).parent.glob("*.py")):
+        visitor = _Calls(name)
+        visitor.visit(ast.parse(path.read_text()))
+        sites += [(path.name, func, node) for func, node in visitor.found]
+    return sites
 
 
 def test_every_raise_names_a_homotor_error():
@@ -147,12 +161,9 @@ def test_one_summand_shape():
                    if isinstance(node, ast.ClassDef) and node.name == "Summand")
     assert [node.target.id for node in summand.body
             if isinstance(node, ast.AnnAssign)] == ["shift", "ideal"]
-    rebuilds = []
-    for path in sorted(Path(homotor.__file__).parent.glob("*.py")):
-        visitor = _Builds()
-        visitor.visit(ast.parse(path.read_text()))
-        rebuilds += [(func, len(node.args) == 4 or any(k.arg == "kind" for k in node.keywords))
-                     for func, node in visitor.found if func in ("cancel_units", "truncated")]
+    rebuilds = [(func, len(node.args) == 4 or any(k.arg == "kind" for k in node.keywords))
+                for _, func, node in _call_sites("GradedComplex")
+                if func in ("cancel_units", "truncated")]
     assert sorted(rebuilds) == [("cancel_units", True), ("truncated", True)]
     assert _raise_sites("MixedKinds") == [("multicomplex.py", "tensor")]
 
@@ -164,7 +175,6 @@ BUILDERS = [
     ("gcomplex.py", "quotient_complex"),
     ("gcomplex.py", "taylor_resolution"),
     ("multicomplex.py", "Multicomplex.__init__"),
-    ("multicomplex.py", "hypercube_augment"),
     ("sumprod.py", "build_p_complex"),
     ("sumprod.py", "build_s_complex"),
     ("sumprod.py", "truncated"),
@@ -176,12 +186,16 @@ def test_complexes_built_only_by_the_builders():
     rebuild that only re-keys or re-checks a complex cannot come back
     unnoticed: a total is built, and checked, once, at the degrees it is
     read."""
-    sites = set()
-    for path in sorted(Path(homotor.__file__).parent.glob("*.py")):
-        visitor = _Builds()
-        visitor.visit(ast.parse(path.read_text()))
-        sites |= {(path.name, func) for func, _ in visitor.found}
+    sites = {(path, func) for path, func, _ in _call_sites("GradedComplex")}
     assert sorted(sites) == BUILDERS
+
+
+def test_one_corner_attachment():
+    """The composed axis map psi into the corner is computed in one place:
+    ``_compose_chain`` is called only by ``_attach_corner``, which both
+    ``hypercube_extend`` and ``hypercube_augment`` build on."""
+    assert [(path, func) for path, func, _ in _call_sites("_compose_chain")] == [
+        ("multicomplex.py", "_attach_corner")]
 
 
 def _homotor_imports(tree):

@@ -25,6 +25,7 @@ from homotor.gcomplex import (
     IDEAL,
     MAX_TAYLOR_GENERATORS,
     GradedComplex,
+    Summand,
     cancel_units,
     exterior_complex,
     free_summand,
@@ -168,6 +169,10 @@ def test_summands_in_another_variable_count_are_refused():
 
 def test_malformed_summands_entries_and_orientations_rejected():
     zero = Multidegree.zero(2)
+    # a shift that is not a Multidegree or an ideal that is not a MonomialIdeal
+    for bad in (Summand(zero, None), Summand((0, 0), MonomialIdeal.zero(2))):
+        with pytest.raises(ValidationError, match="Multidegree shift and a MonomialIdeal"):
+            GradedComplex(2, {0: (bad,)}, {})
     with pytest.raises(InvalidKind):
         GradedComplex(2, {0: (free_summand(zero),)}, {}, "twisted")
     terms = {0: (free_summand(zero),), 1: (free_summand(zero),)}

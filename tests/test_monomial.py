@@ -83,8 +83,11 @@ def test_membership_examples():
     assert not membership((0, 5), x)
     i = MonomialIdeal(2, [(2, 0), (1, 1)])
     assert membership((2, 1), i)
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(LengthMismatch, match="degree length 1 != 2"):
         membership((1,), x)
+    for member in (membership, lambda g, ideal: ideal.contains(g)):
+        with pytest.raises(ValidationError, match="negative exponent"):
+            member((2, -3), x)
 
 
 def test_minimalization():

@@ -222,10 +222,10 @@ def test_inhomogeneous_axis_entry_refused_at_construction():
 
 def test_multicomplex_builds_its_total_once(monkeypatch):
     """Building a multicomplex builds one complex, its total, at its own
-    shift.  ``hypercube_extend``, ``koszul_cone`` after it and
-    ``build_filtration`` of every kind build no complex beyond the total of
-    each multicomplex they build, and ``hypercube_augment`` builds one
-    complex and no multicomplex."""
+    shift.  ``hypercube_augment``, ``hypercube_extend``, ``koszul_cone``
+    after it and ``build_filtration`` of every kind build no complex beyond
+    the total of each multicomplex they build: ``hypercube_augment`` builds
+    one multicomplex, the top level of the extension, and its total."""
     factors = [res((1, 0), (0, 1)), res((1, 1), (2, 0))]
     builds = {"graded": 0, "multi": 0}
 
@@ -241,9 +241,8 @@ def test_multicomplex_builds_its_total_once(monkeypatch):
     counted(Multicomplex, "multi")
     m = tensor(factors)
     assert builds == {"graded": 1, "multi": 1}
-    hypercube_augment(m)
-    assert builds == {"graded": 2, "multi": 1}
     cases = {
+        "hypercube_augment": (lambda: hypercube_augment(m), 1),
         "hypercube_extend": (lambda: hypercube_extend(m), 1),
         "koszul_cone∘hypercube_extend":
             (lambda: koszul_cone(hypercube_extend(m), face_axes=2), 2),

@@ -496,14 +496,32 @@ KINDS = ["kcone", "kcone_augmented", "interior", "interior_augmented"]
 
 
 @st.composite
-def families(draw):
-    """2-3 proper ideals of 1-2 generators, exponents 0..2, in 2-3 variables."""
+def families(draw, min_size=2):
+    """min_size-3 proper ideals of 1-2 generators, exponents 0..2, in 2-3
+    variables."""
     n = draw(st.integers(2, 3))
     exponent = st.tuples(*[st.integers(0, 2)] * n).filter(any)
     ideal = st.lists(exponent, min_size=1, max_size=2).map(
         lambda gens: MonomialIdeal(n, gens)
     )
-    return draw(st.lists(ideal, min_size=2, max_size=3))
+    return draw(st.lists(ideal, min_size=min_size, max_size=3))
+
+
+@settings(deadline=None, max_examples=15)
+@given(families(min_size=1), st.sampled_from([2, 3]))
+def test_augmented_interior_is_the_top_column_of_e1(family, p):
+    """H_i of ``hypercube_augment(m)`` is E^1_{n, i - n} of the
+    interior_augmented filtration at every degree of the box: E^1 is the
+    homology of gr F, and its top column gr_n F, the positions whose first
+    n coordinates are all nonzero, is the augmented interior."""
+    m = tensor([gcomplex.resolution(i) for i in family])
+    n = m.n_axes
+    aug = hypercube_augment(m)
+    filtered = build_filtration(m, kind="interior_augmented")
+    for gamma in iter_box(family_box(family)):
+        got = {(n, i - n): d for i, d in aug.homology_at(gamma, GF(p)).items() if d}
+        e1 = pages(filtered, gamma, GF(p)).e1
+        assert got == {pq: d for pq, d in e1.items() if pq[0] == n and d}, (p, tuple(gamma))
 
 
 def _beyond(box):
