@@ -17,11 +17,11 @@ every multidegree fiber.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import reduce
 from heapq import heappop, heappush
-from operator import add, and_
+from operator import and_, or_
 
 from .errors import (
     BoxTooSmall,
@@ -89,42 +89,45 @@ def _compose(second: dict, first: dict) -> dict:
 
 
 def _fibre_tables(terms: dict, n: int):
-    """The cuts of every coordinate and the packed threshold rows of every
-    term: the fibre state of a degree is one int.
+    """The cuts of every coordinate and the packed threshold rows of the
+    complex: the fibre state of a degree is one int.
 
-    Corners are the shifts and shift + gens[j] for each generator slot j.
-    Term i, with m summands whose ideals have at most ``width`` generators
-    (0 when every ideal is zero), owns
-    1 + width fields of m bits from bit ``at`` on: bit k of field 0 is the
-    shift of summand k, and bit k of field 1 + j the corner of its slot j
-    (a summand with fewer generators has no corner in that slot, so that
-    bit is never set).  The cuts of coordinate k are 0 and every corner
-    coordinate k, so that aliveness is constant between two cuts and beyond
-    the last one.  Returns ``(cuts, full, rows, layout)``: ``full`` has the
-    bit of every corner, ``rows[k][v]`` the bits of the corners whose
-    coordinate k is at most cuts[k][v], and ``layout`` per term
-    (i, at, m, width).
+    Summand g, numbered across all terms in ``terms`` order, owns bit g of
+    each of 1 + width fields of m bits, m the summand count and width the
+    most generators of any summand's ideal (0 when every ideal is zero):
+    field 0 is its shift, field 1 + j the corner shift + gens[j] of its
+    generator slot j (a summand with fewer generators has no corner in that
+    slot, so that bit is never set).  The cuts of coordinate k are 0 and
+    every corner coordinate k, so that aliveness is constant between two
+    cuts and beyond the last one.  Returns ``(cuts, full, rows, layout,
+    low, offsets)``: ``full`` has the bit of every corner, ``rows[k][v]``
+    the bits of the corners whose coordinate k is at most cuts[k][v],
+    ``layout`` per term (i, index of its first summand, its summand count),
+    ``low`` the bits of field 0 and ``offsets`` the first bits of fields
+    1..width.
     """
-    corners, layout, at = [], [], 0
+    summands = [s for ss in terms.values() for s in ss]
+    m = len(summands)
+    width = max((len(s.ideal.gens) for s in summands), default=0)
+    at = [{0: 0} for _ in range(n)]  # per coordinate, value -> corner bits
+    full = 0
+    for g, s in enumerate(summands):
+        full |= 1 << g
+        for v, bits in zip(s.shift, at):
+            bits[v] = bits.get(v, 0) | 1 << g
+        for j, gen in enumerate(s.ideal.gens, 1):
+            bit = 1 << j * m + g
+            full |= bit
+            for v, e, bits in zip(s.shift, gen, at):
+                bits[v + e] = bits.get(v + e, 0) | bit
+    cuts = [sorted(bits) for bits in at]
+    rows = [list(itertools.accumulate((bits[v] for v in cut), or_))
+            for cut, bits in zip(cuts, at)]
+    layout, start = [], 0
     for i, ss in terms.items():
-        m = len(ss)
-        width = max(len(s.ideal.gens) for s in ss)
-        for k, s in enumerate(ss):
-            corners.append((1 << at + k, s.shift))
-            corners.extend((1 << at + (j + 1) * m + k, tuple(map(add, s.shift, g)))
-                           for j, g in enumerate(s.ideal.gens))
-        layout.append((i, at, m, width))
-        at += m * (1 + width)
-    cuts = [sorted({0}.union(d[k] for _, d in corners)) for k in range(n)]
-    rows = []
-    for k, cut in enumerate(cuts):
-        row = [0] * len(cut)
-        for bit, d in corners:
-            row[bisect_left(cut, d[k])] |= bit
-        for v in range(1, len(row)):
-            row[v] |= row[v - 1]
-        rows.append(row)
-    return cuts, sum(bit for bit, _ in corners), rows, layout
+        layout.append((i, start, len(ss)))
+        start += len(ss)
+    return cuts, full, rows, layout, (1 << m) - 1, [j * m for j in range(1, width + 1)]
 
 
 def _runs(cut, top: int):
@@ -227,28 +230,29 @@ class GradedComplex:
         It is the last cut of each coordinate."""
         return Multidegree(cut[-1] for cut in self._tables()[0])
 
-    def _term_masks(self, state: int) -> dict:
-        """{i: alive bitmask of term i} from a fibre state packed as in
-        ``_fibre_tables``: alive = at or above the shift (field 0), and
-        (ideal) in or (cyclic) out of the shifted ideal, i.e. above the
+    def _alive(self, state: int) -> int:
+        """The fibre class of a state packed as in ``_fibre_tables``: bit g
+        is set iff summand g is alive, at or above its shift (field 0) and
+        (ideal) in or (cyclic) out of its shifted ideal, i.e. above the
         corner of some generator slot (the OR of fields 1..width)."""
-        ideal = self.kind == IDEAL
-        masks = {}
-        for i, at, m, width in self._tables()[3]:
-            mask = state >> at & (1 << m) - 1
-            member = 0
-            for j in range(1, width + 1):
-                member |= state >> at + j * m
-            masks[i] = mask & member if ideal else mask & ~member
-        return masks
+        low, offsets = self._tables()[4:]
+        member = 0
+        for at in offsets:
+            member |= state >> at
+        return state & member & low if self.kind == IDEAL else state & ~member & low
+
+    def _split(self, alive: int) -> dict:
+        """{i: alive bitmask of term i} of a fibre class."""
+        return {i: alive >> start & (1 << m) - 1 for i, start, m in self._tables()[3]}
 
     def alive_masks(self, gamma) -> dict:
-        """{i: bitmask of the summands of term i alive at gamma}."""
+        """{i: bitmask of the summands of term i alive at gamma}: the split
+        of the fibre class of gamma's state."""
         check_degree(gamma, self.n)
-        cuts, state, rows, _ = self._tables()
+        cuts, state, rows = self._tables()[:3]
         for cut, row, g in zip(cuts, rows, gamma):
             state &= row[bisect_right(cut, g) - 1]
-        return self._term_masks(state)
+        return self._split(self._alive(state))
 
     def _mask_runs(self, box):
         """(degrees, fibre state) over the box in lexicographic order, from
@@ -257,8 +261,8 @@ class GradedComplex:
         cut (one AND each), then one run is yielded per cut of the last
         coordinate, narrowed by that cut's row.  A run is the consecutive
         degrees, plain tuples, that share one cut of the last coordinate, so
-        share a state; ``_term_masks`` reads its masks."""
-        cuts, full, rows, _ = self._tables()
+        share a state; ``_alive`` reads its fibre class."""
+        cuts, full, rows = self._tables()[:3]
         if not self.n:  # the box is the one empty degree
             yield [()], full
             return
@@ -348,12 +352,10 @@ class TorTable:
         return nz[-1] if nz else None
 
     def records(self) -> list:
-        recs = [
-            {"i": i, "degree": list(g), "dim": d}
-            for (i, g), d in self.entries.items()
-        ]
-        recs.sort(key=lambda r: (r["i"], r["degree"]))
-        return recs
+        """The entries as dicts sorted by key, (i, degree): keys are unique,
+        so no dim is compared."""
+        return [{"i": i, "degree": list(g), "dim": d}
+                for (i, g), d in sorted(self.entries.items())]
 
     def __eq__(self, other):
         return (
@@ -372,13 +374,12 @@ def module_homology_table(c: GradedComplex, field: PrimeField = GF(),
 
     The box defaults to the stability box; a user box must dominate it so
     that module-level vanishing remains decidable from the table.  One
-    sweep gives the packed fibre state of every degree of the box.  Two
-    dicts live for this call only: ``states`` maps each distinct state to
-    its dims, so ``_term_masks`` reads the masks of a state once, and under
-    it ``classes`` maps each masks tuple to its dims, so homology is
-    computed once per fibre class (distinct states can share masks, and
-    degrees with the same masks have the same fibre).  Entries are listed
-    by degree, lexicographically, then by i.  A box of more than
+    sweep gives the packed fibre state of every degree of the box, and
+    ``_alive`` its fibre class, one int.  One dict lives for this call
+    only: ``classes`` maps each class to its dims, so homology is computed
+    once per fibre class (degrees with the same alive summands have the
+    same fibre), from the class's split into term masks.  Entries are
+    listed by degree, lexicographically, then by i.  A box of more than
     ``MAX_BOX_POINTS`` degrees is refused before the sweep.
     """
     sb = c.stable_box()
@@ -389,19 +390,14 @@ def module_homology_table(c: GradedComplex, field: PrimeField = GF(),
         if not sb.leq(box):
             raise BoxTooSmall(f"box {tuple(box)} does not dominate {tuple(sb)}")
     check_box_size(box)
-    states = {}
     classes = {}
     entries = {}
     for degrees, state in c._mask_runs(box):
-        dims = states.get(state)
+        alive = c._alive(state)
+        dims = classes.get(alive)
         if dims is None:
-            masks = c._term_masks(state)
-            key = tuple(masks.values())
-            dims = classes.get(key)
-            if dims is None:
-                dims = classes[key] = [(i, h) for i, h in c._homology(masks, field).items()
-                                       if h]
-            states[state] = dims
+            homology = c._homology(c._split(alive), field)
+            dims = classes[alive] = [(i, h) for i, h in homology.items() if h]
         for gamma in degrees:
             for i, h in dims:
                 entries[(i, gamma)] = h

@@ -176,18 +176,19 @@ def _compose_chain(m: Multicomplex, q, axes_desc) -> dict:
     return acc
 
 
-def _attach_corner(m: Multicomplex):
+def _attach_corner(m: Multicomplex, vertices):
     """The terms and axis entries of the mapping cylinder of m along one
-    extra (last) axis: level 1 carries m, level 0 a copy of the corner term
-    m_0 on each vertex c of {0, 1}^n, joined by identity maps, and the
-    level map out of c is psi(c), the composed axis map m_c -> m_0."""
+    extra (last) axis, with the corner at the given vertices of {0, 1}^n:
+    level 1 carries m, level 0 a copy of the corner term m_0 on each of
+    those vertices c, joined by identity maps, and the level map out of c
+    is psi(c), the composed axis map m_c -> m_0."""
     n = m.n_axes
     corner = m.terms.get((0,) * n, ())
     terms = {q + (1,): ss for q, ss in m.terms.items()}
     diffs = {(q + (1,), k): es for (q, k), es in m.diffs.items()}
     if corner:
         ident = [(i, i, 1) for i in range(len(corner))]
-        for c in itertools.product((0, 1), repeat=n):
+        for c in vertices:
             terms[c + (0,)] = corner
             for k in range(n):
                 if c[k]:
@@ -203,20 +204,22 @@ def hypercube_augment(m: Multicomplex) -> GradedComplex:
     of m, the positions with every coordinate nonzero, with the corner
     module m_0 added in degree n - 1 + shift and attached along psi, the
     composed axis map out of (1, ..., 1), with the level axis's Koszul sign
-    (-1)^n."""
+    (-1)^n.  Only the top vertex gets the corner, so psi is composed once."""
     n = m.n_axes
     if not n:
         raise EmptySelection("hypercube augmentation needs at least one axis")
-    terms, diffs = _attach_corner(m)
+    terms, diffs = _attach_corner(m, [(1,) * n])
     top = {q: ss for q, ss in terms.items() if all(q[:n])}
     return Multicomplex(n + 1, m.n_vars, top, diffs, m.shift - 1).total
 
 
 def hypercube_extend(m: Multicomplex) -> Multicomplex:
-    """The mapping-cylinder multicomplex of ``_attach_corner``, with the
-    level differential psi into the corner.  Its shift is one below m's,
-    so m's positions keep their degrees in the total."""
-    return Multicomplex(m.n_axes + 1, m.n_vars, *_attach_corner(m), m.shift - 1)
+    """The mapping-cylinder multicomplex of ``_attach_corner`` over every
+    vertex of the unit cube, with the level differential psi into the
+    corner.  Its shift is one below m's, so m's positions keep their
+    degrees in the total."""
+    cube = itertools.product((0, 1), repeat=m.n_axes)
+    return Multicomplex(m.n_axes + 1, m.n_vars, *_attach_corner(m, cube), m.shift - 1)
 
 
 def koszul_cone(m: Multicomplex, face_axes: int | None = None) -> Multicomplex:

@@ -39,20 +39,24 @@ class _Raises(_Sites):
 
 
 class _Calls(_Sites):
-    """Every call of the function ``name`` by name."""
+    """Every call of the function ``name``, by name or as an attribute
+    (``obj.name(...)``)."""
 
     def __init__(self, name):
         super().__init__()
         self.name = name
 
     def visit_Call(self, node):
-        if isinstance(node.func, ast.Name) and node.func.id == self.name:
+        func = node.func
+        if (isinstance(func, ast.Name) and func.id == self.name
+                or isinstance(func, ast.Attribute) and func.attr == self.name):
             self.add(node)
         self.generic_visit(node)
 
 
 def _call_sites(name: str) -> list:
-    """(file, enclosing function, node) of every call of ``name`` by name."""
+    """(file, enclosing function, node) of every call of ``name``, by name
+    or as an attribute."""
     sites = []
     for path in sorted(Path(homotor.__file__).parent.glob("*.py")):
         visitor = _Calls(name)
@@ -196,6 +200,17 @@ def test_one_corner_attachment():
     ``hypercube_extend`` and ``hypercube_augment`` build on."""
     assert [(path, func) for path, func, _ in _call_sites("_compose_chain")] == [
         ("multicomplex.py", "_attach_corner")]
+
+
+def test_the_packed_layout_stays_in_gcomplex():
+    """The packed fibre layout is read in one module: ``_fibre_tables`` is
+    called only by ``GradedComplex._tables``, and ``_tables``, ``_alive``
+    and ``_split`` are called from gcomplex.py only."""
+    assert [(path, func) for path, func, _ in _call_sites("_fibre_tables")] == [
+        ("gcomplex.py", "GradedComplex._tables")]
+    for name in ("_tables", "_alive", "_split"):
+        paths = {path for path, _, _ in _call_sites(name)}
+        assert paths == {"gcomplex.py"}, name
 
 
 def _homotor_imports(tree):

@@ -397,36 +397,32 @@ def test_a_swept_complex_is_freed_without_a_gc_pass():
         gc.enable()
 
 
-def test_the_sweep_reads_each_state_once_and_each_class_once(monkeypatch):
+def test_the_sweep_computes_homology_once_per_class_int(monkeypatch):
     """On a fixed tensor of three ideals, two resolved and one a quotient,
-    module_homology_table reads the masks of each distinct swept state once
-    (_term_masks) and computes homology once per distinct masks tuple
-    (_homology); the tensor has fewer states than runs, and fewer mask
-    classes than states, so both savings are pinned."""
+    module_homology_table computes homology once per distinct class int
+    (_alive of a swept state), from that class's split into term masks.
+    The class ints are exactly as many as the distinct masks tuples of the
+    per-summand oracle, so the int is the same equivalence, and fewer than
+    the distinct states, which are fewer than the runs."""
     family = [MonomialIdeal(3, [(2, 0, 0), (1, 1, 0), (0, 1, 1)]),
               MonomialIdeal(3, [(0, 0, 2), (1, 0, 1)]),
               MonomialIdeal(3, [(0, 2, 0), (1, 1, 1)])]
     c = tensor([resolution(family[0]), resolution(family[1]),
                 quotient_complex(family[2])]).total
     states = [state for _, state in c._mask_runs(c.stable_box())]
-    classes = {tuple(c._term_masks(state).values()) for state in states}
-    assert len(classes) < len(set(states)) < len(states)
-    term_masks, homology = GradedComplex._term_masks, GradedComplex._homology
-    read, computed = [], []
-
-    def counted_term_masks(self, state):
-        read.append(state)
-        return term_masks(self, state)
+    classes = {c._alive(state) for state in states}
+    oracle = {tuple(_summand_masks(c, gamma).values()) for gamma in iter_box(c.stable_box())}
+    assert len(classes) == len(oracle) < len(set(states)) < len(states)
+    homology = GradedComplex._homology
+    computed = []
 
     def counted_homology(self, masks, field):
         computed.append(tuple(masks.values()))
         return homology(self, masks, field)
 
-    monkeypatch.setattr(GradedComplex, "_term_masks", counted_term_masks)
     monkeypatch.setattr(GradedComplex, "_homology", counted_homology)
     module_homology_table(c)
-    assert sorted(read) == sorted(set(states))
-    assert sorted(computed) == sorted(classes)
+    assert sorted(computed) == sorted(oracle)
 
 
 def test_the_sweep_ranks_no_empty_block(monkeypatch):
@@ -470,9 +466,9 @@ def _assert_masks_match_summands(c, degrees=None):
 
 def _assert_sweep_matches_summands(c, box):
     """The sweep over ``box`` visits each degree once, in lexicographic
-    order, and the masks of the state it yields for a degree, like
-    alive_masks there, are bit for bit the per-summand oracle."""
-    swept = [(gamma, c._term_masks(state))
+    order, and the split of the class int of the state it yields for a
+    degree, like alive_masks there, is bit for bit the per-summand oracle."""
+    swept = [(gamma, c._split(c._alive(state)))
              for degrees, state in c._mask_runs(box) for gamma in degrees]
     assert [gamma for gamma, _ in swept] == [tuple(g) for g in iter_box(box)]
     for gamma, masks in swept:
@@ -501,17 +497,28 @@ def test_swept_masks_match_summand_alive(case):
 
 
 def test_alive_masks_with_unequal_generator_counts():
-    ideals = [
-        MonomialIdeal(3, [(2, 0, 0), (0, 1, 1), (1, 1, 0)]),
-        MonomialIdeal(3, [(0, 0, 2)]),
-        MonomialIdeal(3, [(0, 2, 0), (1, 0, 1)]),
+    """S complexes whose summand ideals have unequal generator counts agree
+    with the per-summand oracle over the box grown by 2 and in the sweep,
+    in both variants.  In the second family the product ideal has 9
+    generators and every other summand 1-3, so each summand owns as many
+    corner fields as that one and most of them stay empty."""
+    families = [
+        [MonomialIdeal(3, [(2, 0, 0), (0, 1, 1), (1, 1, 0)]),
+         MonomialIdeal(3, [(0, 0, 2)]),
+         MonomialIdeal(3, [(0, 2, 0), (1, 0, 1)])],
+        [MonomialIdeal(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)]),
+         MonomialIdeal(3, [(2, 0, 0), (0, 2, 0), (0, 0, 2)]),
+         MonomialIdeal(3, [(1, 0, 0)])],
     ]
-    for variant in ("quotient", "tilde"):
-        c = build_s_complex(ideals, variant)
-        counts = {len(s.ideal.gens) for ss in c.terms.values() for s in ss}
-        assert len(counts) > 2
-        _assert_masks_match_summands(c)
-        _assert_sweep_matches_summands(c, tuple(b + 1 for b in c.stable_box()))
+    for ideals in families:
+        for variant in ("quotient", "tilde"):
+            c = build_s_complex(ideals, variant)
+            counts = {len(s.ideal.gens) for ss in c.terms.values() for s in ss}
+            assert len(counts) > 2
+            _assert_masks_match_summands(c)
+            _assert_sweep_matches_summands(c, tuple(b + 1 for b in c.stable_box()))
+    assert counts == {1, 3, 9}
+    ideals = families[0]
     shifted = with_coefficient(taylor_resolution(ideals[0]), ideals[2])
     _assert_masks_match_summands(shifted)
 

@@ -1,5 +1,6 @@
-"""Byte gate: every seed-0 benchmark job, run in-process as the benchmark
-worker runs it, gives a report whose sha256 is the recorded golden digest.
+"""Byte gate: every benchmark job of the two recorded seeds, 0 and 1, run
+in-process as the benchmark worker runs it, gives a report whose sha256 is
+the recorded golden digest.
 
 The benchmark's job generator and report serializer are imported read-only
 from ``bench/``; the digests are ``bench/golden/<workload>.json``.  A change
@@ -22,11 +23,12 @@ import worker  # noqa: E402
 from homotor import cli  # noqa: E402
 
 
+@pytest.mark.parametrize("seed", [0, 1])
 @pytest.mark.parametrize("workload", ["tor_table", "spectral_pages", "checker_stream"])
-def test_seed_0_reports_match_the_golden_digests(workload, tmp_path):
-    golden = worker.load_golden(workload, 0)
-    assert golden, f"no seed-0 digests recorded for {workload}"
-    jobs = gen.jobs(workload, 0, len(golden))
+def test_reports_match_the_golden_digests(workload, seed, tmp_path):
+    golden = worker.load_golden(workload, seed)
+    assert golden, f"no seed-{seed} digests recorded for {workload}"
+    jobs = gen.jobs(workload, seed, len(golden))
     paths = worker.write_problems(jobs, str(tmp_path))
     mismatched = []
     for k, (job, path, expected) in enumerate(zip(jobs, paths, golden)):

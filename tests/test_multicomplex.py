@@ -14,6 +14,7 @@ from conftest import (
     truncated_cochain,
     with_coefficient,
 )
+from homotor import multicomplex
 from homotor.cli import random_instance
 from homotor.errors import (
     CompositionNonzero,
@@ -144,6 +145,27 @@ def test_tensor_matches_the_combo_search(factors):
     m, want = tensor(factors), tensor_by_search(factors)
     assert m.terms == want.terms
     assert m.diffs == want.diffs
+
+
+def test_hypercube_augment_composes_psi_once(monkeypatch):
+    """Only the top vertex (1, ..., 1) gets the corner in the augmentation,
+    so psi is composed there alone: one ``_compose_chain`` call per
+    ``hypercube_augment`` on a 3-axis tensor, against one per vertex of the
+    unit cube for ``hypercube_extend``."""
+    m = tensor([res((1, 0), (0, 1)), res((1, 1), (2, 0)), res((0, 2), (1, 0))])
+    compose = multicomplex._compose_chain
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1])
+        return compose(*args)
+
+    monkeypatch.setattr(multicomplex, "_compose_chain", counted)
+    hypercube_augment(m)
+    assert calls == [(1, 1, 1)]
+    calls.clear()
+    hypercube_extend(m)
+    assert len(calls) == 8
 
 
 @settings(deadline=None)
