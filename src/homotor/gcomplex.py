@@ -29,11 +29,17 @@ from .errors import (
     InvalidKind,
     LengthMismatch,
     ParamOutOfRange,
-    UnitIdeal,
     ValidationError,
 )
 from .exactlin import GF, PrimeField, pivot_pairs
-from .monomial import MonomialIdeal, Multidegree, check_box_size, check_degree, lcm_deg
+from .monomial import (
+    MonomialIdeal,
+    Multidegree,
+    check_box_size,
+    check_degree,
+    lcm_deg,
+    refuse_unit,
+)
 
 CYCLIC = "cyclic"
 IDEAL = "ideal"
@@ -176,8 +182,6 @@ class GradedComplex:
                     raise ValidationError(
                         f"coefficient {coeff!r} at degree {i} is not an int"
                     )
-                if coeff == 0:
-                    continue
                 merged[(src, tgt)] = merged.get((src, tgt), 0) + coeff
             out = []
             for (src, tgt), coeff in sorted(merged.items()):
@@ -514,20 +518,13 @@ def exterior_complex(m: int, summand, orientation: str = "chain"):
     raise InvalidKind(f"bad orientation {orientation!r}")
 
 
-def _refuse_unit(ideal: MonomialIdeal) -> None:
-    """The one check of every complex built from R/I, resolved or not: for
-    the unit ideal R/I is zero."""
-    if ideal.is_unit():
-        raise UnitIdeal("R/I is zero for the unit ideal")
-
-
 def taylor_resolution(ideal: MonomialIdeal) -> GradedComplex:
     """The Taylor resolution of R/I: basis = subsets of the generators,
     shift = their lcm.  Non-minimal in general but always a resolution;
     ``resolution`` shrinks it towards the minimal one.  On distinct
     variables lcm is the sum, so this is also the Koszul complex resolving
     R/(x_j : j in J) when I is ``MonomialIdeal.variables(n, J)``."""
-    _refuse_unit(ideal)
+    refuse_unit(ideal)
     gens = ideal.gens
     if len(gens) > MAX_TAYLOR_GENERATORS:
         raise ParamOutOfRange(
@@ -561,5 +558,5 @@ def resolution(ideal: MonomialIdeal) -> GradedComplex:
 
 def quotient_complex(ideal: MonomialIdeal) -> GradedComplex:
     """R/I as a complex, for a tensor factor left unresolved: R/I in degree 0."""
-    _refuse_unit(ideal)
+    refuse_unit(ideal)
     return GradedComplex(ideal.n, {0: (summand(ideal),)}, {})

@@ -191,6 +191,32 @@ def check_degree(gamma, n: int) -> None:
         raise ValidationError(f"negative exponent in {tuple(gamma)}")
 
 
+def refuse_unit(ideal: MonomialIdeal) -> None:
+    """The one check of every module R/I a computation is built from,
+    resolved or not: for the unit ideal R/I is zero."""
+    if ideal.is_unit():
+        raise UnitIdeal("R/I is zero for the unit ideal")
+
+
+def check_family(ideals, coefficient: MonomialIdeal | None = None):
+    """(The family as a list, its variable count).  Refuses, in order, an
+    empty family, a unit ideal, ideals in different variable counts, and a
+    unit coefficient or one, zero or not, in another variable count."""
+    ideals = list(ideals)
+    if not ideals:
+        raise EmptyInput("need at least one ideal")
+    for ideal in ideals:
+        refuse_unit(ideal)
+    n = ideals[0].n
+    if any(i.n != n for i in ideals):
+        raise LengthMismatch("ideals live in different variable counts")
+    if coefficient is not None:
+        refuse_unit(coefficient)
+        if coefficient.n != n:
+            raise LengthMismatch(f"coefficient in {coefficient.n} variables, not {n}")
+    return ideals, n
+
+
 def combine(ideals, op: str) -> MonomialIdeal:
     """Minimal generators of the sum or product of a family."""
     ideals = list(ideals)
@@ -216,8 +242,7 @@ def quotient_dimension(ideal: MonomialIdeal):
     so dim R/I = n - (minimum cover size).  Exhaustive search; fine for the
     desk scales this package targets.
     """
-    if ideal.is_unit():
-        raise UnitIdeal("R/I is zero for the unit ideal")
+    refuse_unit(ideal)
     n = ideal.n
     if n > MAX_VARS_FOR_DIMENSION:
         raise ParamOutOfRange(

@@ -43,7 +43,11 @@ class Multicomplex:
     each summand of term i]}, positions in sorted order, the summands of
     each in their order, in degree |q| + shift.  ``total`` is the total
     complex in that order, built once at construction: its checks
-    (homogeneity, d∘d = 0) are the multicomplex's."""
+    (homogeneity, d∘d = 0) are the multicomplex's.
+
+    A map whose key has the wrong arity, starts or ends outside N^n or
+    names a summand its positions lack is refused; one out of or into an
+    empty position is dropped, so a face or an interior keeps its maps."""
 
     def __init__(self, n_axes: int, n_vars: int, terms: dict, diffs: dict,
                  shift: int = 0):
@@ -63,17 +67,22 @@ class Multicomplex:
         for (q, k), es in diffs.items():
             q = tuple(int(v) for v in q)
             k = int(k)
+            if len(q) != self.n_axes:
+                raise LengthMismatch(f"map key {q} has wrong arity")
             if not 0 <= k < self.n_axes:
                 raise ValidationError(f"axis {k} outside 0..{self.n_axes - 1}")
-            if q not in self.terms or q[k] == 0:
-                continue
+            if min(q) < 0 or q[k] == 0:
+                raise ValidationError(f"axis {k} map out of {q} lies outside N^n")
             tgt = self._step(q, k)
-            if tgt not in self.terms:
+            if q not in self.terms or tgt not in self.terms:
                 continue
+            n_src, n_tgt = len(self.terms[q]), len(self.terms[tgt])
             merged: dict = {}
             for src, dst, coeff in es:
-                if coeff:
-                    merged[(src, dst)] = merged.get((src, dst), 0) + coeff
+                if not (0 <= src < n_src and 0 <= dst < n_tgt):
+                    raise ValidationError(f"axis {k} entry {src} -> {dst} at {q} "
+                                          f"outside its {n_src} -> {n_tgt} summands")
+                merged[(src, dst)] = merged.get((src, dst), 0) + coeff
             out = tuple(
                 (s, t, c) for (s, t), c in sorted(merged.items()) if c
             )
@@ -100,9 +109,6 @@ class Multicomplex:
     @staticmethod
     def _step(q, k):
         return q[:k] + (q[k] - 1,) + q[k + 1 :]
-
-    def entry_map(self, q, k) -> dict:
-        return {(s, t): c for s, t, c in self.diffs.get((tuple(q), k), ())}
 
     def __repr__(self):
         return (
@@ -171,7 +177,7 @@ def _compose_chain(m: Multicomplex, q, axes_desc) -> dict:
     identity of m_q when no axis is given."""
     acc = {(i, i): 1 for i in range(len(m.terms.get(q, ())))}
     for k in axes_desc:
-        acc = _compose(m.entry_map(q, k), acc)
+        acc = _compose({(s, t): c for s, t, c in m.diffs.get((q, k), ())}, acc)
         q = Multicomplex._step(q, k)
     return acc
 

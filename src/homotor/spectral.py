@@ -90,7 +90,6 @@ class SpectralPages:
     abutment_check: dict
     converged: bool
     r_stab: int
-    levels: int = 0
 
     @property
     def e1(self) -> dict:
@@ -186,7 +185,6 @@ def pages(filtered: FilteredTotal, gamma, fld: PrimeField = GF()) -> SpectralPag
         abutment_check=check,
         converged=all(lhs == rhs for lhs, rhs in check.values()),
         r_stab=r_stab,
-        levels=N,
     )
 
 

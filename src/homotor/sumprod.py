@@ -28,16 +28,10 @@ from .gcomplex import (
     resolution,
     summand,
 )
-from .monomial import MonomialIdeal, combine, iter_box, membership
+from .monomial import MonomialIdeal, check_family, combine, iter_box, membership
 from .multicomplex import hypercube_augment, tensor
 from .spectral import FilteredTotal, _by_weight, build_filtration, pages
-from .torlab import (
-    _table_independent,
-    _validate_family,
-    family_box,
-    independence,
-    multi_tor,
-)
+from .torlab import _table_independent, family_box, independence, multi_tor
 
 
 def _variant_kind(variant: str) -> str:
@@ -54,7 +48,7 @@ def build_s_complex(ideals, variant: str = "quotient") -> GradedComplex:
     p-subsets: a cochain complex with unit Koszul differentials, S^p stored
     at index -p.  The tilde variant keeps the ideals themselves inside
     K^(1,...,1;R), so its bottom term is the product of the ideals."""
-    ideals, n_vars = _validate_family(ideals)
+    ideals, n_vars = check_family(ideals)
     n = len(ideals)
     kind = _variant_kind(variant)
     bottom = combine(ideals, "product")
@@ -80,7 +74,7 @@ def build_p_complex(ideals, variant: str = "quotient") -> GradedComplex:
     """P_p = sum of R/(I_{i_1}...I_{i_p}) over p-subsets, a chain complex
     with unit Koszul differentials.  The tilde variant keeps the ideals, and
     its bottom term is R, so the quotient variant has P_0 = R/R = 0."""
-    ideals, n_vars = _validate_family(ideals)
+    ideals, n_vars = check_family(ideals)
     n = len(ideals)
     kind = _variant_kind(variant)
     bottom = MonomialIdeal.unit(n_vars)
@@ -105,7 +99,7 @@ def mv_total_complex(kind: str, ideals, coefficient: MonomialIdeal | None = None
     X = P, P_p ⊗ F_q in degree p + q, weight p; E^1_{p,q} = ⊕ Tor_q(M,
     R/(product of a p-subset)).
     """
-    ideals, n_vars = _validate_family(ideals)
+    ideals, n_vars = check_family(ideals, coefficient)
     if coefficient is None:
         coefficient = MonomialIdeal.zero(n_vars)
     if kind == "sum_to_product":
@@ -143,8 +137,7 @@ def augmented_interior_H(ideals, subset, coefficient: MonomialIdeal | None = Non
         raise ValidationError(
             f"subset {subset} names an ideal outside 0..{len(ideals) - 1}"
         )
-    chosen = [ideals[i] for i in subset]
-    chosen, _ = _validate_family(chosen)
+    chosen, _ = check_family([ideals[i] for i in subset], coefficient)
     m = tensor([resolution(i) for i in chosen])
     if box is None:
         box = family_box(chosen, coefficient)
@@ -191,7 +184,7 @@ class CheckReport:
                 "passed": self.passed}
 
 
-def _diff_tables(lhs, rhs, limit=4):
+def diff_tables(lhs, rhs, limit=4):
     """Witnesses where two gamma -> dim maps differ."""
     witnesses = []
     keys = set(lhs) | set(rhs)
@@ -216,7 +209,7 @@ def _compare_slices(report, name, checked, pairs):
     if not checked:
         report.add(name, False, None)
         return
-    wit = [{"i": i, **w} for i, lhs, rhs in pairs for w in _diff_tables(lhs, rhs)]
+    wit = [{"i": i, **w} for i, lhs, rhs in pairs for w in diff_tables(lhs, rhs)]
     report.add(name, True, not wit, wit)
 
 
@@ -227,7 +220,7 @@ def verify_identities(ideals, fld: PrimeField = GF()) -> CheckReport:
     partial vanishing conditions V_t) and checks every conclusion whose
     hypothesis is satisfied, exactly, over the common stability box.
     """
-    ideals, n_vars = _validate_family(ideals)
+    ideals, _ = check_family(ideals)
     n = len(ideals)
     report = CheckReport()
 
@@ -266,7 +259,7 @@ def verify_identities(ideals, fld: PrimeField = GF()) -> CheckReport:
         if not (strict_ok and n >= 2):
             report.add(name, False, None)
             return
-        wit = _diff_tables(
+        wit = diff_tables(
             {g: s0[g] - h1.get(g, 0) for g in cells},
             {g: table.dim(j, g) - (table.dim(j - 1, g) if n >= 3 else 0) for g in cells})
         report.add(name, True, not wit, wit)
@@ -359,7 +352,7 @@ def exactness_equivalences(ideals, fld: PrimeField = GF()) -> CheckReport:
     Every condition runs over the subfamilies of size >= 2: a single ideal
     is Tor-independent, its P is the one term R/I at index 1 and its S the
     identity R/I -> R/I, so it can give no witness."""
-    ideals, n_vars = _validate_family(ideals)
+    ideals, _ = check_family(ideals)
     n = len(ideals)
     report = CheckReport()
     subs = [sub for size in range(2, n + 1)

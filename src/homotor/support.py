@@ -20,10 +20,18 @@ from functools import reduce
 from .errors import BoxTooSmall, ParamOutOfRange, ValidationError
 from .exactlin import GF, PrimeField
 from .gcomplex import TorTable
-from .monomial import MonomialIdeal, Multidegree, check_degree, combine, iter_box, lcm_deg
+from .monomial import (
+    MonomialIdeal,
+    Multidegree,
+    check_degree,
+    check_family,
+    combine,
+    iter_box,
+    lcm_deg,
+)
 from .spectral import pages
 from .sumprod import CheckReport, mv_total_complex
-from .torlab import _validate_family, family_box, multi_tor
+from .torlab import family_box, multi_tor
 
 SPECTRAL_DEGREES = 8  # support cells cross-checked through both MV sequences
 
@@ -106,8 +114,9 @@ def supportoftors_check(ideals, coefficient: MonomialIdeal | None, ps,
     spectral-sequence containment cross-checks: ``{p: CheckReport}`` for
     each p in ``ps``, from one pass that computes each Tor table,
     Mayer-Vietoris total and page once for every p.  A coefficient of None
-    or the zero ideal means M = R, as in ``multi_tor``."""
-    ideals, n = _validate_family(ideals)
+    or the zero ideal means M = R, as in ``multi_tor``; both pass
+    ``check_family`` before ``variable_blocks`` is asked."""
+    ideals, _ = check_family(ideals, coefficient)
     if not variable_blocks(ideals):
         raise ValidationError("supportoftors_check needs nonzero ideals generated "
                               "by single variables, in pairwise disjoint blocks")
@@ -128,8 +137,7 @@ def supportoftors_check(ideals, coefficient: MonomialIdeal | None, ps,
     # a product or sum over T has exponent 1 on exactly the variables of
     # T's blocks, so the singletons' boxes already reach every subset's box:
     # one box for all p
-    box = reduce(lcm_deg, (family_box([ideal], coefficient) for ideal in ideals),
-                 Multidegree.zero(n))
+    box = reduce(lcm_deg, (family_box([ideal], coefficient) for ideal in ideals))
     by_ideal: dict = {}  # a singleton's product and sum are one ideal
     tor = {}  # {T: (Tor against the product, Tor against the sum)}
     for T in combos:

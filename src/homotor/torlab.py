@@ -13,46 +13,27 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .errors import BoxTooSmall, EmptyInput, LengthMismatch
+from .errors import BoxTooSmall
 from .exactlin import GF, PrimeField, pivot_pairs
-from .gcomplex import (
-    TorTable,
-    _refuse_unit,
-    module_homology_table,
-    quotient_complex,
-    resolution,
+from .gcomplex import TorTable, module_homology_table, quotient_complex, resolution
+from .monomial import (
+    MonomialIdeal,
+    Multidegree,
+    check_family,
+    combine,
+    iter_box,
+    quotient_dimension,
 )
-from .monomial import MonomialIdeal, Multidegree, combine, iter_box, quotient_dimension
 from .multicomplex import tensor
 
 
-def _validate_family(ideals):
-    ideals = list(ideals)
-    if not ideals:
-        raise EmptyInput("need at least one ideal")
-    for ideal in ideals:
-        _refuse_unit(ideal)
-    n = ideals[0].n
-    if any(i.n != n for i in ideals):
-        raise LengthMismatch("ideals live in different variable counts")
-    return ideals, n
-
-
 def family_box(ideals, coefficient: MonomialIdeal | None = None) -> Multidegree:
-    """Stability box of the tensor of Taylor resolutions (+ coefficient)."""
-    if not ideals:
-        raise EmptyInput("family_box needs at least one ideal")
-    n = ideals[0].n
-    if coefficient is not None and coefficient.n != n:
-        raise LengthMismatch(f"coefficient in {coefficient.n} variables, not {n}")
-    box = [0] * n
-    for ideal in ideals:
-        for k in range(n):
-            box[k] += max((g[k] for g in ideal.gens), default=0)
-    if coefficient is not None:
-        for k in range(n):
-            box[k] += max((g[k] for g in coefficient.gens), default=0)
-    return Multidegree(box)
+    """Stability box of the tensor of Taylor resolutions (+ coefficient), of
+    a family and coefficient that pass ``check_family``."""
+    ideals, n = check_family(ideals, coefficient)
+    modules = ideals if coefficient is None else [*ideals, coefficient]
+    return Multidegree(sum(max((g[k] for g in m.gens), default=0) for m in modules)
+                       for k in range(n))
 
 
 def multi_tor(ideals, coefficient: MonomialIdeal | None = None,
@@ -66,9 +47,9 @@ def multi_tor(ideals, coefficient: MonomialIdeal | None = None,
     the module, R/coefficient included unless the coefficient is zero, with
     the most minimal generators (its Taylor size 2^g bounds its reduced
     size; the first in family order on a tie, R/coefficient last).  It
-    enters as its ``quotient_complex``, the others as their ``resolution``;
-    either refuses a unit coefficient with ``UnitIdeal``."""
-    ideals, _ = _validate_family(ideals)
+    enters as its ``quotient_complex``, the others as their ``resolution``.
+    Family and coefficient pass ``check_family`` first, box given or not."""
+    ideals, _ = check_family(ideals, coefficient)
     modules = list(ideals)
     if coefficient is not None and not coefficient.is_zero():
         modules.append(coefficient)
@@ -89,7 +70,7 @@ def tor1_oracle(ideals, fld: PrimeField = GF(), box=None) -> TorTable:
     coordinates modulo the span of the pairwise product relations.  A
     given box must dominate ``family_box``, so that, as in every table,
     the fibre beyond the box is the fibre at min(gamma, box)."""
-    ideals, n = _validate_family(ideals)
+    ideals, _ = check_family(ideals)
     sb = family_box(ideals)
     box = sb if box is None else Multidegree(box)
     if not sb.leq(box):
@@ -144,7 +125,7 @@ def independence(ideals, fld: PrimeField = GF(), strong: bool = False
     """Tor-independence of the family; in strong mode every subset is tested
     and the answer is cross-validated against the pairwise recursion
     criterion (largest index against the sum of the others)."""
-    ideals, n = _validate_family(ideals)
+    ideals, _ = check_family(ideals)
     if not strong:
         ok = _table_independent(multi_tor(ideals, fld=fld))
         return IndependenceReport(independent=ok, strong=False)
@@ -236,7 +217,7 @@ def rigidity_check(ideals, fld: PrimeField = GF()) -> RigidityReport:
     vanishes all higher ones must; vanishing passes to prefix subfamilies;
     and 0 <= eps := dim R + j - sum pd, with eps = 0 forced when the top Tor
     is artinian.  Any violation is reported with a witness."""
-    ideals, n = _validate_family(ideals)
+    ideals, n = check_family(ideals)
     table = multi_tor(ideals, fld=fld)
     max_index = sum(len(i.gens) for i in ideals)
     vanishing = {i: table.is_zero(i) for i in range(max_index + 1)}
@@ -314,7 +295,7 @@ def serre_a8_check(ideals, fld: PrimeField = GF()) -> SerreReport:
     vanishes and the tensor product is CM; (2) its codimension equals the sum
     of the projective dimensions; (3) the intersection is proper and every
     quotient is CM.  The three truth values must coincide."""
-    ideals, n = _validate_family(ideals)
+    ideals, _ = check_family(ideals)
     table = multi_tor(ideals, fld=fld)
     sum_ideal = combine(ideals, "sum")
     tensor_report = betti_table(sum_ideal, fld)

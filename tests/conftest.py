@@ -20,7 +20,7 @@ from homotor.gcomplex import (
     summand,
     taylor_resolution,
 )
-from homotor.monomial import combine, iter_box, lcm_deg, membership
+from homotor.monomial import check_family, combine, iter_box, lcm_deg, membership
 from homotor.multicomplex import (
     Multicomplex,
     _compose_chain,
@@ -46,7 +46,6 @@ from homotor.support import (
 from homotor.torlab import (
     IndependenceReport,
     _table_independent,
-    _validate_family,
     family_box,
     multi_tor,
 )
@@ -340,7 +339,6 @@ def block_rank_pages(filtered, gamma, fld=GF()):
         abutment_check=check,
         converged=all(lhs == rhs for lhs, rhs in check.values()),
         r_stab=r_stab,
-        levels=N,
     )
 
 
@@ -543,7 +541,7 @@ def verify_identities_oracle(ideals, fld: PrimeField = GF()) -> CheckReport:
     Tor tables tested twice inline, and the augmented interior of the whole
     family built and tabulated here at its unshifted indices: the reference
     for ``verify_identities``."""
-    ideals, n_vars = _validate_family(ideals)
+    ideals, n_vars = check_family(ideals)
     n = len(ideals)
     report = CheckReport()
 
@@ -690,7 +688,7 @@ def exactness_equivalences_oracle(ideals, fld: PrimeField = GF()) -> CheckReport
     tables included), the surviving degrees clamped to each subfamily's box,
     and P and S built for every subfamily, single ideals too: the reference
     for ``exactness_equivalences``."""
-    ideals, n_vars = _validate_family(ideals)
+    ideals, n_vars = check_family(ideals)
     n = len(ideals)
     report = CheckReport()
 
@@ -793,7 +791,7 @@ def independence_oracle(ideals, fld: PrimeField = GF(), strong: bool = False
     """Tor-independence of the family, in strong mode with one loop over the
     subsets for their tables and a second for the recursion criterion: the
     reference for ``independence``."""
-    ideals, n = _validate_family(ideals)
+    ideals, n = check_family(ideals)
     if not strong:
         ok = _table_independent(multi_tor(ideals, fld=fld))
         return IndependenceReport(independent=ok, strong=False)

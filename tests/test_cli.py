@@ -33,7 +33,7 @@ def problem_path(tmp_path):
 
 def test_parse_minimal(problem_path):
     p = parse_problem(problem_path)
-    assert p.n == 2
+    assert p.variables == ["x", "y"]
     assert list(p.ideals) == ["I1", "I2"]
     assert p.ideals["I1"] == MonomialIdeal(2, [(1, 0)])
 

@@ -1,14 +1,37 @@
-"""Every error the package raises is typed, every GF(p) elimination goes
-through one kernel, d∘d = 0 is checked in one place, and complexes are
-built only by the builders that make new ones."""
+"""Every error the package raises is typed, a family of ideals is refused
+in one place, every GF(p) elimination goes through one kernel, d∘d = 0 is
+checked in one place, and complexes are built only by the builders that
+make new ones."""
 
 import ast
 import graphlib
 import inspect
+import re
 from pathlib import Path
+
+import pytest
 
 import homotor
 from homotor import errors
+from homotor.errors import EmptyInput, EmptySelection, LengthMismatch, UnitIdeal
+from homotor.monomial import MonomialIdeal
+from homotor.sumprod import (
+    augmented_interior_H,
+    build_p_complex,
+    build_s_complex,
+    exactness_equivalences,
+    mv_total_complex,
+    verify_identities,
+)
+from homotor.support import supportoftors_check
+from homotor.torlab import (
+    family_box,
+    independence,
+    multi_tor,
+    rigidity_check,
+    serre_a8_check,
+    tor1_oracle,
+)
 
 
 class _Sites(ast.NodeVisitor):
@@ -117,6 +140,75 @@ class _Elimination(ast.NodeVisitor):
         if isinstance(node.func, ast.Name) and node.func.id == "pow" and len(node.args) == 3:
             self.modular.append(self.where[-1])
         self.generic_visit(node)
+
+
+#: Every function that takes a family of ideals, called as
+#: f(family, coefficient, box), with whether it takes a coefficient and
+#: whether it takes a box; one that takes neither ignores the argument.
+FAMILY_FUNCTIONS = {
+    "family_box": (lambda f, c, b: family_box(f, c), True, False),
+    "multi_tor": (lambda f, c, b: multi_tor(f, c, box=b), True, True),
+    "tor1_oracle": (lambda f, c, b: tor1_oracle(f), False, False),
+    "independence": (lambda f, c, b: independence(f), False, False),
+    "rigidity_check": (lambda f, c, b: rigidity_check(f), False, False),
+    "serre_a8_check": (lambda f, c, b: serre_a8_check(f), False, False),
+    "build_s_complex": (lambda f, c, b: build_s_complex(f), False, False),
+    "build_p_complex": (lambda f, c, b: build_p_complex(f), False, False),
+    "mv_sum_to_product": (
+        lambda f, c, b: mv_total_complex("sum_to_product", f, c), True, False),
+    "mv_product_to_sum": (
+        lambda f, c, b: mv_total_complex("product_to_sum", f, c), True, False),
+    "augmented_interior_H": (
+        lambda f, c, b: augmented_interior_H(f, range(len(f)), c, box=b), True, True),
+    "verify_identities": (lambda f, c, b: verify_identities(f), False, False),
+    "exactness_equivalences": (lambda f, c, b: exactness_equivalences(f), False, False),
+    "supportoftors_check": (lambda f, c, b: supportoftors_check(f, c, [1]), True, False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAMILY_FUNCTIONS))
+def test_every_family_function_keeps_the_family_contract(name):
+    """An empty family, ideals in different variable counts (in either
+    order), the unit ideal, and a coefficient that is the unit ideal or
+    lives in another variable count, zero or not, with or without a box,
+    get one error type and one message wherever a family is taken.  An
+    empty family has no nonempty subset for augmented_interior_H."""
+    call, takes_coefficient, takes_box = FAMILY_FUNCTIONS[name]
+    x, y = MonomialIdeal(2, [(1, 0)]), MonomialIdeal(2, [(0, 1)])
+    z = MonomialIdeal(3, [(0, 1, 1)])
+    unit = (UnitIdeal, "R/I is zero for the unit ideal")
+    other_count = (LengthMismatch, "coefficient in 3 variables, not 2")
+    mixed = (LengthMismatch, "ideals live in different variable counts")
+    empty = ((EmptySelection, "augmented_interior_H needs a nonempty subset")
+             if name == "augmented_interior_H" else
+             (EmptyInput, "need at least one ideal"))
+    cases = [([], None, empty), ([x, z], None, mixed), ([z, x], None, mixed),
+             ([x, MonomialIdeal.unit(2)], None, unit)]
+    if takes_coefficient:
+        cases += [([x, y], MonomialIdeal.zero(3), other_count),
+                  ([x, y], MonomialIdeal(3, [(1, 0, 0)]), other_count),
+                  ([x, y], MonomialIdeal.unit(2), unit)]
+    for family, coefficient, (error, message) in cases:
+        for box in [None, (3, 3)] if takes_box and coefficient is not None else [None]:
+            with pytest.raises(error, match=f"^{re.escape(message)}$"):
+                call(family, coefficient, box)
+
+
+def test_one_family_contract():
+    """A family of ideals and its coefficient are refused in one place:
+    ``UnitIdeal`` is raised only by ``monomial.refuse_unit``, and every
+    function of torlab, sumprod and support with a parameter ``ideals``
+    calls ``check_family``, but for the predicate ``variable_blocks``."""
+    assert _raise_sites("UnitIdeal") == [("monomial.py", "refuse_unit")]
+    callers = {(path, func) for path, func, _ in _call_sites("check_family")}
+    takers = set()
+    for name in ("torlab.py", "sumprod.py", "support.py"):
+        tree = ast.parse((Path(homotor.__file__).parent / name).read_text())
+        takers |= {(name, node.name) for node in ast.walk(tree)
+                   if isinstance(node, ast.FunctionDef)
+                   and "ideals" in [a.arg for a in node.args.args + node.args.kwonlyargs]}
+    assert len(takers) == 14  # the 13 entry points of FAMILY_FUNCTIONS and the predicate
+    assert takers - callers == {("support.py", "variable_blocks")}
 
 
 def test_one_elimination_path():

@@ -20,6 +20,7 @@ from homotor.errors import (
     CompositionNonzero,
     EmptyInput,
     EmptySelection,
+    LengthMismatch,
     MixedKinds,
     ParamOutOfRange,
     ValidationError,
@@ -233,6 +234,28 @@ def test_total_check_is_the_axis_conditions(case):
     else:
         with pytest.raises(CompositionNonzero):
             Multicomplex(*args)
+
+
+def test_maps_that_cannot_be_axis_maps_are_refused():
+    """A map is refused when an entry names a summand its source or target
+    position does not have, when its key has the wrong arity, or when it
+    starts at a negative coordinate or lowers a zero one; a map out of or
+    into a position of N^n that holds no summand is dropped."""
+    terms = {(0, 0): (free_summand((0,)),), (1, 0): (free_summand((1,)),),
+             (0, 1): (free_summand((1,)),)}
+    # (0, 1) holds one summand: source index 1 would land on the summand of
+    # (1, 0) in the total
+    for entry in ((1, 0, 1), (0, 1, 1), (-1, 0, 1)):
+        with pytest.raises(ValidationError, match="outside its 1 -> 1 summands"):
+            Multicomplex(2, 1, terms, {((0, 1), 1): [entry]})
+    with pytest.raises(LengthMismatch, match="wrong arity"):
+        Multicomplex(2, 1, terms, {((1,), 0): [(0, 0, 1)]})
+    for key in (((0, 1), 0), ((-1, 1), 1)):
+        with pytest.raises(ValidationError, match=r"outside N\^n"):
+            Multicomplex(2, 1, terms, {key: [(0, 0, 1)]})
+    m = Multicomplex(2, 1, terms, {((0, 1), 1): [(0, 0, 1)],
+                                   ((1, 1), 0): [(0, 0, 1)], ((2, 0), 0): [(5, 5, 1)]})
+    assert m.diffs == {((0, 1), 1): ((0, 0, 1),)}
 
 
 def test_inhomogeneous_axis_entry_refused_at_construction():

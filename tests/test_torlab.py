@@ -65,8 +65,8 @@ def test_multi_tor_rejects_bad_input():
         multi_tor([])
     with pytest.raises(UnitIdeal):
         multi_tor([MonomialIdeal.unit(2)])
-    # a unit coefficient has one generator, so it is resolved, and refused
-    # with the error and message of augmented_interior_H's quotient factor
+    # check_family refuses a unit coefficient as it refuses a unit ideal in
+    # the family, before anything is resolved
     with pytest.raises(UnitIdeal, match="^R/I is zero for the unit ideal$"):
         multi_tor([MonomialIdeal(2, [(1, 0)])], coefficient=MonomialIdeal.unit(2))
     # a coefficient in fewer or more variables than the family
