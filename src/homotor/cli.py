@@ -232,7 +232,8 @@ def _tor1_oracle(problem, flags, fld, box, report):
 
 
 def _betti(problem, flags, fld, box, report):
-    names = [flags["module"]] if flags.get("module") else list(problem.ideals)
+    name = _module_name(problem, flags)
+    names = [name] if name else list(problem.ideals)
     for name in names:
         report["results"][name] = betti_table(_named_ideal(problem, name), fld).to_json()
 
@@ -404,8 +405,9 @@ def run(command: str, problem: ProblemFile | None, flags: dict) -> dict:
     reads, handler = COMMANDS[command]
     if problem is None and command != "selftest":
         raise ParseError(f"command {command!r} needs a problem file")
-    if problem is not None and problem.box is not None and "box" not in reads:
-        raise ValidationError(f"{command} reads no box, so its problem file sets none")
+    for key in ("box", "module"):
+        if problem is not None and getattr(problem, key) is not None and key not in reads:
+            raise ValidationError(f"{command} reads no {key}, so its problem file sets none")
     field = flags.get("field")
     if field is None:
         field = problem.characteristic if problem else GF().p
@@ -444,8 +446,13 @@ def _page_records(table):
     ]
 
 
+def _module_name(problem, flags):
+    """The coefficient module's name: --module, else the problem file's."""
+    return flags.get("module") or (problem.module if problem else None)
+
+
 def _flag_coefficient(problem, flags):
-    name = flags.get("module") or (problem.module if problem else None)
+    name = _module_name(problem, flags)
     return None if name is None else _named_ideal(problem, name)
 
 
@@ -525,7 +532,3 @@ def main(argv=None) -> int:
         return 3 if isinstance(exc, InvariantBroken) else 2
     _emit(report, flags, started)
     return 0 if all(a["passed"] for a in report["assertions"]) else 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

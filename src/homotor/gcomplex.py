@@ -24,7 +24,6 @@ from heapq import heappop, heappush
 from operator import and_, or_
 
 from .errors import (
-    BoxTooSmall,
     CompositionNonzero,
     InvalidKind,
     LengthMismatch,
@@ -37,6 +36,7 @@ from .monomial import (
     Multidegree,
     check_box_size,
     check_degree,
+    dominating_box,
     lcm_deg,
     refuse_unit,
 )
@@ -386,13 +386,7 @@ def module_homology_table(c: GradedComplex, field: PrimeField = GF(),
     listed by degree, lexicographically, then by i.  A box of more than
     ``MAX_BOX_POINTS`` degrees is refused before the sweep.
     """
-    sb = c.stable_box()
-    if box is None:
-        box = sb
-    else:
-        box = Multidegree(box)
-        if not sb.leq(box):
-            raise BoxTooSmall(f"box {tuple(box)} does not dominate {tuple(sb)}")
+    box = dominating_box(c.stable_box(), box)
     check_box_size(box)
     classes = {}
     entries = {}

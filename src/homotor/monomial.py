@@ -13,6 +13,7 @@ import math
 import operator
 
 from .errors import (
+    BoxTooSmall,
     EmptyInput,
     InvalidKind,
     LengthMismatch,
@@ -199,9 +200,10 @@ def refuse_unit(ideal: MonomialIdeal) -> None:
 
 
 def check_family(ideals, coefficient: MonomialIdeal | None = None):
-    """(The family as a list, its variable count).  Refuses, in order, an
-    empty family, a unit ideal, ideals in different variable counts, and a
-    unit coefficient or one, zero or not, in another variable count."""
+    """(The family as a list, its stability box: per variable, the sum over
+    the ideals and the coefficient of their largest exponent).  Refuses, in
+    order, an empty family, a unit ideal, ideals in different variable
+    counts, and a unit coefficient or one, zero or not, in another one."""
     ideals = list(ideals)
     if not ideals:
         raise EmptyInput("need at least one ideal")
@@ -210,11 +212,25 @@ def check_family(ideals, coefficient: MonomialIdeal | None = None):
     n = ideals[0].n
     if any(i.n != n for i in ideals):
         raise LengthMismatch("ideals live in different variable counts")
+    modules = ideals
     if coefficient is not None:
         refuse_unit(coefficient)
         if coefficient.n != n:
             raise LengthMismatch(f"coefficient in {coefficient.n} variables, not {n}")
-    return ideals, n
+        modules = [*ideals, coefficient]
+    lcms = [map(max, zip(*m.gens)) for m in modules if m.gens]
+    return ideals, _valid(map(sum, zip((0,) * n, *lcms)))
+
+
+def dominating_box(stable: Multidegree, box=None) -> Multidegree:
+    """The box a table is read over: the stable box, or a given box that
+    dominates it, so that the fibre beyond the box is the fibre at min(gamma, box)."""
+    if box is None:
+        return stable
+    box = Multidegree(box)
+    if not stable.leq(box):
+        raise BoxTooSmall(f"box {tuple(box)} does not dominate {tuple(stable)}")
+    return box
 
 
 def combine(ideals, op: str) -> MonomialIdeal:

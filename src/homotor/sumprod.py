@@ -31,7 +31,7 @@ from .gcomplex import (
 from .monomial import MonomialIdeal, check_family, combine, iter_box, membership
 from .multicomplex import hypercube_augment, tensor
 from .spectral import FilteredTotal, _by_weight, build_filtration, pages
-from .torlab import _table_independent, family_box, independence, multi_tor
+from .torlab import _table_independent, independence, multi_tor
 
 
 def _variant_kind(variant: str) -> str:
@@ -48,12 +48,15 @@ def build_s_complex(ideals, variant: str = "quotient") -> GradedComplex:
     p-subsets: a cochain complex with unit Koszul differentials, S^p stored
     at index -p.  The tilde variant keeps the ideals themselves inside
     K^(1,...,1;R), so its bottom term is the product of the ideals."""
-    ideals, n_vars = check_family(ideals)
-    n = len(ideals)
-    kind = _variant_kind(variant)
+    ideals, box = check_family(ideals)
+    return _s_complex(ideals, box.n, _variant_kind(variant))
+
+
+def _s_complex(ideals, n_vars: int, kind: str) -> GradedComplex:
+    """``build_s_complex`` of a family its caller checked, in n_vars variables."""
     bottom = combine(ideals, "product")
     terms, entries = exterior_complex(
-        n,
+        len(ideals),
         lambda s: summand(combine([ideals[i] for i in s], "sum") if s else bottom),
         "cochain",
     )
@@ -74,12 +77,15 @@ def build_p_complex(ideals, variant: str = "quotient") -> GradedComplex:
     """P_p = sum of R/(I_{i_1}...I_{i_p}) over p-subsets, a chain complex
     with unit Koszul differentials.  The tilde variant keeps the ideals, and
     its bottom term is R, so the quotient variant has P_0 = R/R = 0."""
-    ideals, n_vars = check_family(ideals)
-    n = len(ideals)
-    kind = _variant_kind(variant)
+    ideals, box = check_family(ideals)
+    return _p_complex(ideals, box.n, _variant_kind(variant))
+
+
+def _p_complex(ideals, n_vars: int, kind: str) -> GradedComplex:
+    """``build_p_complex`` of a family its caller checked, in n_vars variables."""
     bottom = MonomialIdeal.unit(n_vars)
     terms, entries = exterior_complex(
-        n,
+        len(ideals),
         lambda s: summand(combine([ideals[i] for i in s], "product") if s else bottom),
     )
     if kind == CYCLIC:
@@ -99,13 +105,13 @@ def mv_total_complex(kind: str, ideals, coefficient: MonomialIdeal | None = None
     X = P, P_p ⊗ F_q in degree p + q, weight p; E^1_{p,q} = ⊕ Tor_q(M,
     R/(product of a p-subset)).
     """
-    ideals, n_vars = check_family(ideals, coefficient)
+    ideals, box = check_family(ideals, coefficient)
     if coefficient is None:
-        coefficient = MonomialIdeal.zero(n_vars)
+        coefficient = MonomialIdeal.zero(box.n)
     if kind == "sum_to_product":
-        x = truncated(build_s_complex(ideals))
+        x = truncated(_s_complex(ideals, box.n, CYCLIC))
     elif kind == "product_to_sum":
-        x = build_p_complex(ideals)
+        x = _p_complex(ideals, box.n, CYCLIC)
     else:
         raise InvalidKind(f"unknown mv kind {kind!r}")
     return _by_weight(tensor([x, resolution(coefficient)]), lambda q: q[0], len(ideals))
@@ -128,8 +134,9 @@ def augmented_interior_H(ideals, subset, coefficient: MonomialIdeal | None = Non
     """The table H_{p,q} = H_{p+q}(augmented interior complex ⊗ M) for the
     chosen subset of the family, keyed by q (so q = -1 row reproduces the
     M ⊗ P_p dimensions).  M = R/coefficient is tensored on as its
-    ``quotient_complex``, and the box defaults to ``family_box`` of the
+    ``quotient_complex``, and the box defaults to the stability box of the
     chosen ideals and the coefficient, both as in ``multi_tor``."""
+    ideals, _ = check_family(ideals, coefficient)
     subset = sorted(set(subset))
     if not subset:
         raise EmptySelection("augmented_interior_H needs a nonempty subset")
@@ -137,10 +144,10 @@ def augmented_interior_H(ideals, subset, coefficient: MonomialIdeal | None = Non
         raise ValidationError(
             f"subset {subset} names an ideal outside 0..{len(ideals) - 1}"
         )
-    chosen, _ = check_family([ideals[i] for i in subset], coefficient)
-    m = tensor([resolution(i) for i in chosen])
+    chosen = [ideals[i] for i in subset]
     if box is None:
-        box = family_box(chosen, coefficient)
+        box = check_family(chosen, coefficient)[1]
+    m = tensor([resolution(i) for i in chosen])
     return _interior_table(m, coefficient, fld, box)
 
 
@@ -220,7 +227,7 @@ def verify_identities(ideals, fld: PrimeField = GF()) -> CheckReport:
     partial vanishing conditions V_t) and checks every conclusion whose
     hypothesis is satisfied, exactly, over the common stability box.
     """
-    ideals, _ = check_family(ideals)
+    ideals, box = check_family(ideals)
     n = len(ideals)
     report = CheckReport()
 
@@ -237,13 +244,12 @@ def verify_identities(ideals, fld: PrimeField = GF()) -> CheckReport:
     strict_ok = p_star >= n - 1
     report.context["strict_subfamilies_independent"] = strict_ok
 
-    s_complex = build_s_complex(ideals)
-    box = family_box(ideals)
+    s_complex = _s_complex(ideals, box.n, CYCLIC)
     report.context["box"] = list(box)
 
     tor = multi_tor(ideals, fld=fld, box=box)
     s_tab = complex_homology_table(s_complex, fld, box)
-    p_tab = complex_homology_table(build_p_complex(ideals), fld, box)
+    p_tab = complex_homology_table(_p_complex(ideals, box.n, CYCLIC), fld, box)
     h1 = module_homology_table(truncated(s_complex), fld, box).slice(n - 1)
     # H_{n,q} = H_{n+q}(augmented interior) of the whole family, keyed by q
     aug_tab = augmented_interior_H(ideals, range(n), None, fld, box)
@@ -273,19 +279,8 @@ def verify_identities(ideals, fld: PrimeField = GF()) -> CheckReport:
 
     # structural boundary facts: H^n(S) = 0 always (n >= 2), and H^{n-1}(S)
     # = 0 for n >= 3 (the abutment vanishes below the corner degree)
-    if n >= 2:
-        wit = []
-        ok = not s_tab.slice(n)
-        if n >= 3:
-            ok = ok and not s_tab.slice(n - 1)
-        if not ok:
-            for i in (n, n - 1):
-                for g, d in sorted(s_tab.slice(i).items()):
-                    wit.append({"i": i, "degree": list(g), "actual": d,
-                                "expected": 0})
-        report.add("sum_top_vanishing", True, ok, wit[:4])
-    else:
-        report.add("sum_top_vanishing", False, None)
+    _compare_slices(report, "sum_top_vanishing", n >= 2,
+                    ((i, s_tab.slice(i), {}) for i in ([n, n - 1] if n >= 3 else [n])))
 
     # four-term bookkeeping for S^0 and H^1(S_-); at n = 2 the closing map to Tor_0 is
     # carried by S^1 on the first page, so the count closes with Tor_1 alone
@@ -369,7 +364,7 @@ def exactness_equivalences(ideals, fld: PrimeField = GF()) -> CheckReport:
     cond2_witness = []
     for sub in subs:
         m = tensor([resolved[i] for i in sub])
-        h_tables[sub] = _interior_table(m, None, fld, family_box(families[sub]))
+        h_tables[sub] = _interior_table(m, None, fld, check_family(families[sub])[1])
         # the degrees where a q >= 0 row of a subfamily of sub survives;
         # exactness there is settled with the page engine
         gammas = sorted({g for size in range(2, len(sub) + 1)

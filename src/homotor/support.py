@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import reduce
 
 from .errors import BoxTooSmall, ParamOutOfRange, ValidationError
 from .exactlin import GF, PrimeField
@@ -31,7 +30,7 @@ from .monomial import (
 )
 from .spectral import pages
 from .sumprod import CheckReport, mv_total_complex
-from .torlab import family_box, multi_tor
+from .torlab import multi_tor
 
 SPECTRAL_DEGREES = 8  # support cells cross-checked through both MV sequences
 
@@ -115,8 +114,9 @@ def supportoftors_check(ideals, coefficient: MonomialIdeal | None, ps,
     each p in ``ps``, from one pass that computes each Tor table,
     Mayer-Vietoris total and page once for every p.  A coefficient of None
     or the zero ideal means M = R, as in ``multi_tor``; both pass
-    ``check_family`` before ``variable_blocks`` is asked."""
-    ideals, _ = check_family(ideals, coefficient)
+    ``check_family`` before ``variable_blocks`` is asked, and every table is
+    over the box it returns, which reaches every subset's product and sum."""
+    ideals, box = check_family(ideals, coefficient)
     if not variable_blocks(ideals):
         raise ValidationError("supportoftors_check needs nonzero ideals generated "
                               "by single variables, in pairwise disjoint blocks")
@@ -134,10 +134,6 @@ def supportoftors_check(ideals, coefficient: MonomialIdeal | None, ps,
         T for size in range(1, max(ps, default=0) + 1)
         for T in itertools.combinations(range(s), size)
     ]
-    # a product or sum over T has exponent 1 on exactly the variables of
-    # T's blocks, so the singletons' boxes already reach every subset's box:
-    # one box for all p
-    box = reduce(lcm_deg, (family_box([ideal], coefficient) for ideal in ideals))
     by_ideal: dict = {}  # a singleton's product and sum are one ideal
     tor = {}  # {T: (Tor against the product, Tor against the sum)}
     for T in combos:
@@ -168,30 +164,19 @@ def _support_report(combos, box, tor, spectrum) -> CheckReport:
     """The report of one p, whose subsets of size at most p are ``combos``."""
     report = CheckReport()
     report.context["box"] = list(box)
-    left = SupportRegion(box, frozenset())
-    right = SupportRegion(box, frozenset())
-    for T in combos:
-        left = left.union(support_region(tor[T][0]))
-        right = right.union(support_region(tor[T][1]))
-    cmp = region_compare(left, right)
-    report.context["union_cells"] = [list(c) for c in left.sorted_cells()]
-    report.add(
-        "support_union_equality",
-        True,
-        cmp["equal"],
-        [
-            {"side": "product_only", "cells": cmp["left_minus_right"]},
-            {"side": "sum_only", "cells": cmp["right_minus_left"]},
-        ]
-        if not cmp["equal"]
-        else [],
-    )
+    # every table is over the one box, so the unions are plain cell sets
+    left = {g for T in combos for (_, g) in tor[T][0].entries}
+    right = {g for T in combos for (_, g) in tor[T][1].entries}
+    report.context["union_cells"] = [list(c) for c in sorted(left)]
+    report.add("support_union_equality", True, left == right, [] if left == right else [
+        {"side": "product_only", "cells": [list(c) for c in sorted(left - right)]},
+        {"side": "sum_only", "cells": [list(c) for c in sorted(right - left)]}])
 
     # spectral cross-checks: the sum-to-product sequence abuts (here, under
     # the strong independence of disjoint variable ideals) to Tor against
     # the product, moved up by u - 1 for a u-subset, the product-to-sum one
     # to Tor against the sum, moved up by 1
-    tested = sorted(left.cells | right.cells)[:SPECTRAL_DEGREES]
+    tested = sorted(left | right)[:SPECTRAL_DEGREES]
     if not tested:
         tested = [tuple(Multidegree.zero(box.n))]
     witnesses = {"sum_to_product": [], "product_to_sum": []}

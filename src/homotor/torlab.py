@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .errors import BoxTooSmall
 from .exactlin import GF, PrimeField, pivot_pairs
 from .gcomplex import TorTable, module_homology_table, quotient_complex, resolution
 from .monomial import (
@@ -21,6 +20,7 @@ from .monomial import (
     Multidegree,
     check_family,
     combine,
+    dominating_box,
     iter_box,
     quotient_dimension,
 )
@@ -28,12 +28,9 @@ from .multicomplex import tensor
 
 
 def family_box(ideals, coefficient: MonomialIdeal | None = None) -> Multidegree:
-    """Stability box of the tensor of Taylor resolutions (+ coefficient), of
-    a family and coefficient that pass ``check_family``."""
-    ideals, n = check_family(ideals, coefficient)
-    modules = ideals if coefficient is None else [*ideals, coefficient]
-    return Multidegree(sum(max((g[k] for g in m.gens), default=0) for m in modules)
-                       for k in range(n))
+    """Stability box of the tensor of resolutions (+ coefficient): the box
+    ``check_family`` returns with the family."""
+    return check_family(ideals, coefficient)[1]
 
 
 def multi_tor(ideals, coefficient: MonomialIdeal | None = None,
@@ -49,7 +46,7 @@ def multi_tor(ideals, coefficient: MonomialIdeal | None = None,
     size; the first in family order on a tie, R/coefficient last).  It
     enters as its ``quotient_complex``, the others as their ``resolution``.
     Family and coefficient pass ``check_family`` first, box given or not."""
-    ideals, _ = check_family(ideals, coefficient)
+    ideals, stable = check_family(ideals, coefficient)
     modules = list(ideals)
     if coefficient is not None and not coefficient.is_zero():
         modules.append(coefficient)
@@ -59,9 +56,8 @@ def multi_tor(ideals, coefficient: MonomialIdeal | None = None,
         quotient_complex(ideal) if k == u else resolution(ideal)
         for k, ideal in enumerate(modules)
     ]
-    if box is None:
-        box = family_box(ideals, coefficient)
-    return module_homology_table(tensor(factors).total, fld, box)
+    return module_homology_table(tensor(factors).total, fld,
+                                 stable if box is None else box)
 
 
 def tor1_oracle(ideals, fld: PrimeField = GF(), box=None) -> TorTable:
@@ -70,11 +66,8 @@ def tor1_oracle(ideals, fld: PrimeField = GF(), box=None) -> TorTable:
     coordinates modulo the span of the pairwise product relations.  A
     given box must dominate ``family_box``, so that, as in every table,
     the fibre beyond the box is the fibre at min(gamma, box)."""
-    ideals, _ = check_family(ideals)
-    sb = family_box(ideals)
-    box = sb if box is None else Multidegree(box)
-    if not sb.leq(box):
-        raise BoxTooSmall(f"box {tuple(box)} does not dominate {tuple(sb)}")
+    ideals, stable = check_family(ideals)
+    box = dominating_box(stable, box)
     s = len(ideals)
     pair_products = {
         (i, j): combine([ideals[i], ideals[j]], "product")
@@ -217,7 +210,7 @@ def rigidity_check(ideals, fld: PrimeField = GF()) -> RigidityReport:
     vanishes all higher ones must; vanishing passes to prefix subfamilies;
     and 0 <= eps := dim R + j - sum pd, with eps = 0 forced when the top Tor
     is artinian.  Any violation is reported with a witness."""
-    ideals, n = check_family(ideals)
+    ideals, box = check_family(ideals)
     table = multi_tor(ideals, fld=fld)
     max_index = sum(len(i.gens) for i in ideals)
     vanishing = {i: table.is_zero(i) for i in range(max_index + 1)}
@@ -251,7 +244,7 @@ def rigidity_check(ideals, fld: PrimeField = GF()) -> RigidityReport:
                 )
     j = table.max_nonzero_index() or 0
     sum_pd = sum(betti_table(i, fld).pd for i in ideals)
-    epsilon = n + j - sum_pd
+    epsilon = box.n + j - sum_pd
     if epsilon < 0:
         violations.append({"rule": "epsilon_nonnegative", "epsilon": epsilon})
     top_cells = table.slice(j)

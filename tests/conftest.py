@@ -536,6 +536,14 @@ def support_check_at(partitions, coefficient, p, fld=GF()):
     return report
 
 
+def singleton_box_fold(ideals, coefficient=None):
+    """The lcm of the family boxes of each single ideal with the
+    coefficient: the box of every subset's product and sum of a
+    ``variable_blocks`` family, the reference for the box
+    ``supportoftors_check`` takes from ``check_family``."""
+    return functools.reduce(lcm_deg, (family_box([ideal], coefficient) for ideal in ideals))
+
+
 def verify_identities_oracle(ideals, fld: PrimeField = GF()) -> CheckReport:
     """The sum/product identification report with the strict subfamilies'
     Tor tables tested twice inline, and the augmented interior of the whole

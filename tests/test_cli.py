@@ -2,6 +2,10 @@
 
 import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -258,6 +262,53 @@ def test_cli_problem_box_rejected_where_unread(tmp_path, capsys, command):
                                         "file sets none"}
     assert main(["tor", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["box"] == [2, 2]
+
+
+@pytest.mark.parametrize("command", [c for c, (reads, _) in COMMANDS.items()
+                                     if "module" not in reads and c != "selftest"])
+def test_cli_problem_module_rejected_where_unread(tmp_path, capsys, command):
+    """A problem file's module exits 2 on a command that reads no module,
+    as --module does and as a problem file's box does, and stays the
+    module of a command that reads one."""
+    path = tmp_path / "prob.json"
+    path.write_text(json.dumps({"variables": ["x", "y"], "module": "I2",
+                                "ideals": {"I1": [[1, 0]], "I2": [[0, 1]]}}))
+    assert main([command, str(path)]) == 2
+    diag = json.loads(capsys.readouterr().out)
+    assert diag["error"] == {"type": "ValidationError",
+                             "message": f"{command} reads no module, so its problem "
+                                        "file sets none"}
+    assert main(["tor", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["box"] == [1, 2]
+
+
+def test_cli_betti_reads_the_problem_module(tmp_path, capsys):
+    """The problem file's module is the default of --module for betti, as
+    for every command that reads a module: it tabulates that ideal alone,
+    and --module overrides it."""
+    path = tmp_path / "prob.json"
+    path.write_text(json.dumps({"variables": ["x", "y"], "module": "I2",
+                                "ideals": {"I1": [[1, 0]], "I2": [[0, 1]]}}))
+    assert main(["betti", str(path)]) == 0
+    assert list(json.loads(capsys.readouterr().out)["results"]) == ["I2"]
+    assert main(["betti", str(path), "--module", "I1"]) == 0
+    assert list(json.loads(capsys.readouterr().out)["results"]) == ["I1"]
+
+
+def test_python_m_homotor_runs_the_cli(problem_path, capsys):
+    """``python -m homotor`` prints what main prints and exits as main
+    does, with nothing on stderr: 0 on a report that passes, 2 on a unit
+    ideal."""
+    unit = Path(problem_path).with_name("unit.json")
+    unit.write_text(json.dumps({"variables": ["x"], "ideals": {"I": [[0]]}}))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    for path, code in ((problem_path, 0), (str(unit), 2)):
+        assert main(["tor", path]) == code
+        expected = capsys.readouterr().out
+        done = subprocess.run([sys.executable, "-m", "homotor", "tor", path],
+                              capture_output=True, text=True, env=env)
+        assert (done.returncode, done.stdout, done.stderr) == (code, expected, "")
 
 
 def test_cli_selftest_rejects_box(capsys):

@@ -13,7 +13,7 @@ import pytest
 
 import homotor
 from homotor import errors
-from homotor.errors import EmptyInput, EmptySelection, LengthMismatch, UnitIdeal
+from homotor.errors import EmptyInput, LengthMismatch, UnitIdeal
 from homotor.monomial import MonomialIdeal
 from homotor.sumprod import (
     augmented_interior_H,
@@ -171,17 +171,16 @@ def test_every_family_function_keeps_the_family_contract(name):
     """An empty family, ideals in different variable counts (in either
     order), the unit ideal, and a coefficient that is the unit ideal or
     lives in another variable count, zero or not, with or without a box,
-    get one error type and one message wherever a family is taken.  An
-    empty family has no nonempty subset for augmented_interior_H."""
+    get one error type and one message wherever a family is taken.
+    augmented_interior_H checks the whole family, not only the ideals its
+    subset chooses."""
     call, takes_coefficient, takes_box = FAMILY_FUNCTIONS[name]
     x, y = MonomialIdeal(2, [(1, 0)]), MonomialIdeal(2, [(0, 1)])
     z = MonomialIdeal(3, [(0, 1, 1)])
     unit = (UnitIdeal, "R/I is zero for the unit ideal")
     other_count = (LengthMismatch, "coefficient in 3 variables, not 2")
     mixed = (LengthMismatch, "ideals live in different variable counts")
-    empty = ((EmptySelection, "augmented_interior_H needs a nonempty subset")
-             if name == "augmented_interior_H" else
-             (EmptyInput, "need at least one ideal"))
+    empty = (EmptyInput, "need at least one ideal")
     cases = [([], None, empty), ([x, z], None, mixed), ([z, x], None, mixed),
              ([x, MonomialIdeal.unit(2)], None, unit)]
     if takes_coefficient:
@@ -192,13 +191,20 @@ def test_every_family_function_keeps_the_family_contract(name):
         for box in [None, (3, 3)] if takes_box and coefficient is not None else [None]:
             with pytest.raises(error, match=f"^{re.escape(message)}$"):
                 call(family, coefficient, box)
+    if name == "augmented_interior_H":
+        for family, (error, message) in (([x, MonomialIdeal.unit(2)], unit),
+                                         ([x, z], mixed)):
+            with pytest.raises(error, match=f"^{re.escape(message)}$"):
+                augmented_interior_H(family, [0])
 
 
 def test_one_family_contract():
     """A family of ideals and its coefficient are refused in one place:
     ``UnitIdeal`` is raised only by ``monomial.refuse_unit``, and every
     function of torlab, sumprod and support with a parameter ``ideals``
-    calls ``check_family``, but for the predicate ``variable_blocks``."""
+    calls ``check_family``, but for the predicate ``variable_blocks`` and
+    ``_s_complex`` and ``_p_complex``, the builds of S and P that are
+    handed a family their caller checked."""
     assert _raise_sites("UnitIdeal") == [("monomial.py", "refuse_unit")]
     callers = {(path, func) for path, func, _ in _call_sites("check_family")}
     takers = set()
@@ -207,8 +213,26 @@ def test_one_family_contract():
         takers |= {(name, node.name) for node in ast.walk(tree)
                    if isinstance(node, ast.FunctionDef)
                    and "ideals" in [a.arg for a in node.args.args + node.args.kwonlyargs]}
-    assert len(takers) == 14  # the 13 entry points of FAMILY_FUNCTIONS and the predicate
-    assert takers - callers == {("support.py", "variable_blocks")}
+    assert len(takers) == 16  # the 13 entry points of FAMILY_FUNCTIONS and the three above
+    assert takers - callers == {("support.py", "variable_blocks"),
+                                ("sumprod.py", "_s_complex"), ("sumprod.py", "_p_complex")}
+
+
+def test_one_family_pass():
+    """``check_family`` returns the family's stability box, so no function
+    of torlab, sumprod or support calls both it and ``family_box``, and
+    the ``BoxTooSmall`` of a box that misses the stable one is raised in
+    one place, ``monomial.dominating_box``, for tables and the Tor_1
+    oracle alike."""
+    scope = ("torlab.py", "sumprod.py", "support.py")
+
+    def callers(name):
+        return {(path, func) for path, func, _ in _call_sites(name) if path in scope}
+
+    assert callers("check_family") & callers("family_box") == set()
+    # the other raise refuses to rebase a support region to a smaller box
+    assert _raise_sites("BoxTooSmall") == [("monomial.py", "dominating_box"),
+                                           ("support.py", "SupportRegion.rebase")]
 
 
 def test_one_elimination_path():
@@ -271,8 +295,8 @@ BUILDERS = [
     ("gcomplex.py", "quotient_complex"),
     ("gcomplex.py", "taylor_resolution"),
     ("multicomplex.py", "Multicomplex.__init__"),
-    ("sumprod.py", "build_p_complex"),
-    ("sumprod.py", "build_s_complex"),
+    ("sumprod.py", "_p_complex"),
+    ("sumprod.py", "_s_complex"),
     ("sumprod.py", "truncated"),
 ]
 

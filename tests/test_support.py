@@ -2,8 +2,9 @@
 blocks."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import set_partitions, support_check_at
+from conftest import set_partitions, singleton_box_fold, support_check_at
 from homotor.cli import random_instance
 from homotor.errors import (
     BoxTooSmall,
@@ -13,12 +14,13 @@ from homotor.errors import (
     ValidationError,
 )
 from homotor.gcomplex import TorTable
-from homotor.monomial import MonomialIdeal, Multidegree
+from homotor.monomial import MonomialIdeal, Multidegree, check_family
 from homotor.support import (
     SupportRegion,
     region_compare,
     support_region,
     supportoftors_check,
+    variable_blocks,
 )
 from homotor.torlab import family_box, multi_tor
 
@@ -176,3 +178,31 @@ def test_support_box_is_the_same_for_every_p():
     boxes = {tuple(r.context["box"]) for r in reports.values()}
     whole = family_box([MonomialIdeal.variables(4, range(4))], coeff)
     assert boxes == {tuple(whole)} == {(3, 2, 2, 1)}
+
+
+@st.composite
+def blocks_and_coefficients(draw):
+    """A ``variable_blocks`` family in 1-5 variables (each variable in one
+    of up to four blocks, or in none) and a coefficient: None, zero, or
+    1-3 generators with exponents 0..2."""
+    n = draw(st.integers(1, 5))
+    labels = draw(st.lists(st.integers(-1, 3), min_size=n, max_size=n)
+                  .filter(lambda ls: max(ls) >= 0))
+    family = blocks(n, [[i for i in range(n) if labels[i] == b]
+                        for b in sorted(set(labels) - {-1})])
+    exponent = st.tuples(*[st.integers(0, 2)] * n).filter(any)
+    coefficient = draw(st.one_of(
+        st.none(), st.just(MonomialIdeal.zero(n)),
+        st.lists(exponent, min_size=1, max_size=3).map(lambda g: MonomialIdeal(n, g))))
+    return family, coefficient
+
+
+@settings(deadline=None)
+@given(blocks_and_coefficients())
+def test_the_family_box_is_the_singleton_box_fold(case):
+    """On a variable_blocks family the box check_family returns, which
+    supportoftors_check reads every table over, is the lcm of the single
+    ideals' boxes with the coefficient."""
+    family, coefficient = case
+    assert variable_blocks(family)
+    assert check_family(family, coefficient)[1] == singleton_box_fold(family, coefficient)

@@ -16,7 +16,7 @@ from homotor.gcomplex import (
     resolution,
     taylor_resolution,
 )
-from homotor.monomial import MonomialIdeal, iter_box
+from homotor.monomial import MonomialIdeal, check_family, iter_box
 from homotor.multicomplex import tensor
 from homotor.sumprod import build_s_complex
 from homotor.support import support_region
@@ -353,6 +353,25 @@ def test_balanced_multi_tor_matches_the_fully_resolved_tensor(case):
     for p in (2, 3, 32003):
         table = multi_tor(family, coefficient, GF(p))
         assert table == module_homology_table(resolved, GF(p), box)
+
+
+@settings(deadline=None)
+@given(families_and_coefficients())
+def test_the_family_box_is_the_stable_box_of_the_tor_total(case):
+    """The box check_family returns with a family is the stability box of
+    the total multi_tor tabulates, whichever module stays unresolved, with
+    zero ideals, zero coefficients and nonzero ones."""
+    family, coefficient = case
+    totals = []
+
+    def capture(c, fld, box):
+        totals.append(c)
+        return module_homology_table(c, fld, box)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(torlab, "module_homology_table", capture)
+        multi_tor(family, coefficient)
+    assert check_family(family, coefficient)[1] == totals[0].stable_box()
 
 
 def test_exactly_one_module_stays_unresolved():
