@@ -15,7 +15,6 @@ from homotor import (
     multi_tor,
     rigidity_check,
     serre_a8_check,
-    support_region,
     supportoftors_check,
 )
 
@@ -23,12 +22,11 @@ x = MonomialIdeal(2, [(1, 0)])
 y = MonomialIdeal(2, [(0, 1)])
 
 # (x)/(x^2) is free in the y-direction: its single support cell sits on the
-# box face, so membership extends upward.
+# box face, so the table reads a degree beyond the box at its clamp.
 table = multi_tor([x, x])
-region = support_region(table, j=1)
-print("Tor_1((x),(x)) support cells:", region.sorted_cells(),
-      "inside box", tuple(region.box))
-print("degree (1, 9) in the region:", region.member((1, 9)))
+print("Tor_1((x),(x)) support cells:", sorted(table.support(1)),
+      "inside box", tuple(table.box))
+print("dim Tor_1 at degree (1, 9):", table.dim(1, (1, 9)))
 
 # Union equality for disjoint variable blocks, cross-checked through both
 # Mayer-Vietoris spectral sequences: one call checks every listed p, over

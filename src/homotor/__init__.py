@@ -44,5 +44,5 @@ from .sumprod import (
     mv_total_complex,
     verify_identities,
 )
-from .support import SupportRegion, region_compare, support_region, supportoftors_check
+from .support import region_compare, supportoftors_check
 from .cli import parse_problem, random_instance, run

@@ -29,7 +29,7 @@ from .errors import (
     ValidationError,
 )
 from .exactlin import GF
-from .monomial import MonomialIdeal, Multidegree
+from .monomial import MonomialIdeal, Multidegree, dominating_box
 from .spectral import build_filtration, pages
 from .sumprod import (
     build_p_complex,
@@ -40,7 +40,7 @@ from .sumprod import (
     mv_total_complex,
     verify_identities,
 )
-from .support import region_compare, support_region, supportoftors_check, variable_blocks
+from .support import region_compare, supportoftors_check, variable_blocks
 from .torlab import (
     betti_table,
     family_box,
@@ -278,7 +278,7 @@ def _spectral(problem, flags, fld, box, report):
         filtered = build_filtration(tensor([resolution(i) for i in family]), kind=kind)
     else:
         filtered = mv_total_complex(kind, family, coeff)
-    use_box = box if box is not None else family_box(family, coeff)
+    use_box = dominating_box(family_box(family, coeff), box)
     report["box"] = list(use_box)
     all_ok = True
     out = {}
@@ -321,16 +321,12 @@ def _support(problem, flags, fld, box, report):
             "support_union_equality", all(rep.passed for rep in reps.values())
         ))
     else:
-        regions = {}
+        tables = []
         for name, ideal in problem.ideals.items():
-            table = multi_tor([ideal], coefficient=coeff, fld=fld)
-            regions[name] = support_region(table)
-            report["results"][name] = [list(c) for c in regions[name].sorted_cells()]
-        names = list(regions)
-        if len(names) >= 2:
-            report["results"]["compare_first_two"] = region_compare(
-                regions[names[0]], regions[names[1]]
-            )
+            tables.append(multi_tor([ideal], coefficient=coeff, fld=fld))
+            report["results"][name] = [list(c) for c in sorted(tables[-1].support())]
+        if len(tables) >= 2:
+            report["results"]["compare_first_two"] = region_compare(*tables[:2])
 
 
 def _rigidity(problem, flags, fld, box, report):
@@ -405,6 +401,8 @@ def run(command: str, problem: ProblemFile | None, flags: dict) -> dict:
     reads, handler = COMMANDS[command]
     if problem is None and command != "selftest":
         raise ParseError(f"command {command!r} needs a problem file")
+    if problem is not None and command == "selftest":
+        raise ValidationError("selftest reads no problem file")
     for key in ("box", "module"):
         if problem is not None and getattr(problem, key) is not None and key not in reads:
             raise ValidationError(f"{command} reads no {key}, so its problem file sets none")
@@ -519,9 +517,7 @@ def main(argv=None) -> int:
         for flag, default in FLAG_DEFAULTS.items():
             if flags[flag] is None:
                 flags[flag] = default
-        problem = None
-        if args.command != "selftest" and args.problem:
-            problem = parse_problem(args.problem)
+        problem = parse_problem(args.problem) if args.problem else None
         report = run(args.command, problem, flags)
     except HomotorError as exc:
         diag = {

@@ -336,11 +336,20 @@ class TorTable:
         self.box = Multidegree(box)
         self.entries = entries
 
-    def dim(self, i: int, gamma) -> int:
-        """dim H_i at gamma; the box is a stability box, so a degree beyond
-        it reads the fibre at min(gamma, box)."""
+    def clamp(self, gamma) -> tuple:
+        """min(gamma, box): the box is a stability box, so a degree beyond
+        it has the fibre of its clamp."""
         check_degree(gamma, len(self.box))
-        return self.entries.get((i, tuple(map(min, gamma, self.box))), 0)
+        return tuple(map(min, gamma, self.box))
+
+    def dim(self, i: int, gamma) -> int:
+        """dim H_i at gamma, read at its clamp."""
+        return self.entries.get((i, self.clamp(gamma)), 0)
+
+    def support(self, j: int | None = None) -> frozenset:
+        """The box degrees where H_j, or any H_i when j is None, is nonzero;
+        a degree beyond the box is in the support iff its clamp is."""
+        return frozenset(g for (i, g) in self.entries if j is None or i == j)
 
     def slice(self, i: int) -> dict:
         return {g: d for (j, g), d in self.entries.items() if j == i}

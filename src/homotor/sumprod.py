@@ -31,7 +31,7 @@ from .gcomplex import (
 from .monomial import MonomialIdeal, check_family, combine, iter_box, membership
 from .multicomplex import hypercube_augment, tensor
 from .spectral import FilteredTotal, _by_weight, build_filtration, pages
-from .torlab import _table_independent, independence, multi_tor
+from .torlab import _table_independent, multi_tor
 
 
 def _variant_kind(variant: str) -> str:
@@ -347,14 +347,14 @@ def exactness_equivalences(ideals, fld: PrimeField = GF()) -> CheckReport:
     Every condition runs over the subfamilies of size >= 2: a single ideal
     is Tor-independent, its P is the one term R/I at index 1 and its S the
     identity R/I -> R/I, so it can give no witness."""
-    ideals, _ = check_family(ideals)
+    ideals, box = check_family(ideals)
     n = len(ideals)
     report = CheckReport()
     subs = [sub for size in range(2, n + 1)
             for sub in itertools.combinations(range(n), size)]
     families = {sub: [ideals[i] for i in sub] for sub in subs}
 
-    cond1 = all(independence(families[sub], fld).independent for sub in subs)
+    cond1 = all(_table_independent(multi_tor(families[sub], fld=fld)) for sub in subs)
 
     # each ideal is resolved once, and each subfamily's tensor is built
     # once for its H table and its page engine; subfamilies come in order
@@ -383,11 +383,11 @@ def exactness_equivalences(ideals, fld: PrimeField = GF()) -> CheckReport:
     cond3_witness = []
     cond4_witness = []
     for sub in subs:
-        p_tab = complex_homology_table(build_p_complex(families[sub]), fld)
+        p_tab = complex_homology_table(_p_complex(families[sub], box.n, CYCLIC), fld)
         i = next((i for i in p_tab.nonzero_indices() if i >= 2), None)
         if i is not None:
             cond3_witness.append({"subfamily": list(sub), "i": i})
-        s_nonzero = complex_homology_table(build_s_complex(families[sub]), fld
+        s_nonzero = complex_homology_table(_s_complex(families[sub], box.n, CYCLIC), fld
                                            ).nonzero_indices()
         if s_nonzero:
             cond4_witness.append({"subfamily": list(sub), "i": s_nonzero[0]})

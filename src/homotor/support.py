@@ -1,9 +1,10 @@
 """Multigraded support regions of Tor tables.
 
-A region is stored as the set of its nonzero cells inside a box, with the
-upward-closure rule: a cell touching a box face represents every degree
-beyond it in that direction, so membership of any degree is decided by the
-min(gamma, box) pullback.  The union-equality checker compares supports
+A region is a table's ``support()``: its nonzero cells inside the table's
+box, a stability box, so a cell touching a box face represents every degree
+beyond it in that direction and any degree is read at its clamp
+min(gamma, box).  ``region_compare`` compares two tables' regions over the
+lcm of their boxes.  The union-equality checker compares supports
 of Tor against products with Tor against sums and cross-checks both
 containments through the two Mayer-Vietoris spectral sequences.  It takes
 the families that ``variable_blocks`` accepts, nonzero ideals generated by
@@ -14,15 +15,13 @@ function whether a family gets the union check or per-ideal regions.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
-from .errors import BoxTooSmall, ParamOutOfRange, ValidationError
+from .errors import ParamOutOfRange, ValidationError
 from .exactlin import GF, PrimeField
 from .gcomplex import TorTable
 from .monomial import (
     MonomialIdeal,
     Multidegree,
-    check_degree,
     check_family,
     combine,
     iter_box,
@@ -35,60 +34,28 @@ from .torlab import multi_tor
 SPECTRAL_DEGREES = 8  # support cells cross-checked through both MV sequences
 
 
-@dataclass(frozen=True)
-class SupportRegion:
-    box: Multidegree
-    cells: frozenset
-
-    def member(self, gamma) -> bool:
-        check_degree(gamma, len(self.box))
-        clamped = tuple(min(g, b) for g, b in zip(gamma, self.box))
-        return clamped in self.cells
-
-    def rebase(self, new_box) -> "SupportRegion":
-        new_box = Multidegree(new_box)
-        if new_box == self.box:
-            return self
-        if not self.box.leq(new_box):
-            raise BoxTooSmall("rebase target must dominate the region box")
-        cells = frozenset(
-            tuple(g) for g in iter_box(new_box) if self.member(g)
-        )
-        return SupportRegion(new_box, cells)
-
-    def union(self, other: "SupportRegion") -> "SupportRegion":
-        box = lcm_deg(self.box, other.box)
-        a, b = self.rebase(box), other.rebase(box)
-        return SupportRegion(box, a.cells | b.cells)
-
-    def is_empty(self) -> bool:
-        return not self.cells
-
-    def sorted_cells(self):
-        return sorted(self.cells)
-
-
-def support_region(table: TorTable, j: int | None = None) -> SupportRegion:
-    """Cells where the j-th (or the union over all j) table entry is nonzero."""
-    if j is None:
-        cells = {g for (_, g) in table.entries}
-    else:
-        cells = {g for (i, g) in table.entries if i == j}
-    return SupportRegion(table.box, frozenset(cells))
-
-
-def region_compare(a: SupportRegion, b: SupportRegion) -> dict:
-    """Exact set comparison over the common box, with witness cells."""
+def region_compare(a: TorTable, b: TorTable) -> dict:
+    """Exact comparison of the supports of two tables over the lcm of their
+    boxes, with witness cells."""
     box = lcm_deg(a.box, b.box)
-    ra, rb = a.rebase(box), b.rebase(box)
-    left = sorted(ra.cells - rb.cells)
-    right = sorted(rb.cells - ra.cells)
+    ra, rb = _support_over(a, box), _support_over(b, box)
+    left = sorted(ra - rb)
+    right = sorted(rb - ra)
     return {
         "equal": not left and not right,
         "box": list(box),
         "left_minus_right": [list(c) for c in left],
         "right_minus_left": [list(c) for c in right],
     }
+
+
+def _support_over(table: TorTable, box) -> frozenset:
+    """The table's support over a box that dominates its own, where each
+    degree is read at its clamp; over the table's own box, it is not walked."""
+    cells = table.support()
+    if table.box == box:
+        return cells
+    return frozenset(g for g in map(tuple, iter_box(box)) if table.clamp(g) in cells)
 
 
 def variable_blocks(ideals) -> bool:
@@ -165,8 +132,8 @@ def _support_report(combos, box, tor, spectrum) -> CheckReport:
     report = CheckReport()
     report.context["box"] = list(box)
     # every table is over the one box, so the unions are plain cell sets
-    left = {g for T in combos for (_, g) in tor[T][0].entries}
-    right = {g for T in combos for (_, g) in tor[T][1].entries}
+    left = set().union(*(tor[T][0].support() for T in combos))
+    right = set().union(*(tor[T][1].support() for T in combos))
     report.context["union_cells"] = [list(c) for c in sorted(left)]
     report.add("support_union_equality", True, left == right, [] if left == right else [
         {"side": "product_only", "cells": [list(c) for c in sorted(left - right)]},

@@ -229,7 +229,8 @@ def rigidity_check(ideals, fld: PrimeField = GF()) -> RigidityReport:
                     "witness": {"degree": list(gamma), "dim": table.dim(i, gamma)},
                 }
             )
-    for t in range(1, len(ideals)):
+    # a prefix of one ideal has Tor_i = 0 for every i >= 1: start at two
+    for t in range(2, len(ideals)):
         sub_table = multi_tor(ideals[:t], fld=fld)
         for i in range(1, max_index + 1):
             if vanishing[i] and not sub_table.is_zero(i):

@@ -318,6 +318,31 @@ def test_cli_selftest_rejects_box(capsys):
     assert json.loads(capsys.readouterr().out)["error"]["type"] == "ValidationError"
 
 
+def test_cli_selftest_refuses_a_problem_file(problem_path, capsys):
+    """selftest draws its own families, so a problem file exits 2, as a
+    problem file's box or module does on a command that reads none."""
+    message = "selftest reads no problem file"
+    assert main(["selftest", problem_path, "--trials", "0"]) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == {
+        "type": "ValidationError", "message": message}
+    with pytest.raises(ValidationError, match=message):
+        run("selftest", parse_problem(problem_path), dict(FLAG_DEFAULTS))
+
+
+@pytest.mark.parametrize("kind", ["interior", "sum_to_product"])
+def test_cli_spectral_refuses_a_box_below_the_family_box(tmp_path, capsys, kind):
+    """spectral reads its pages over a box that dominates the family box,
+    as every other box reader does: --box 0,0 misses (2, 3) and exits 2."""
+    path = tmp_path / "prob.json"
+    path.write_text(json.dumps({"variables": ["x", "y"],
+                                "ideals": {"I1": [[2, 0]], "I2": [[0, 3]]}}))
+    assert main(["spectral", str(path), "--kind", kind, "--box", "0,0"]) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == {
+        "type": "BoxTooSmall", "message": "box (0, 0) does not dominate (2, 3)"}
+    assert main(["spectral", str(path), "--kind", kind, "--box", "2,3"]) == 0
+    assert json.loads(capsys.readouterr().out)["box"] == [2, 3]
+
+
 def test_cli_defaults_of_unread_flags_are_echoed(problem_path, capsys):
     """main fills --strong, --seed and --trials in after the check, so every
     report echoes them; run takes those defaults from any command, as the

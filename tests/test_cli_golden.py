@@ -4,8 +4,9 @@ the recorded code.
 
 The corpus covers ``scomplex`` and ``pcomplex`` with each ``--kind``,
 ``selftest``, ``tor`` over a user box larger than the stable one (with and
-without ``--module``), and one exit-2 report for each typed input error the
-CLI reports.  The digests, sha256 of stdout, live in
+without ``--module``), ``support`` on a family that is not made of variable
+blocks (per-ideal regions), and one exit-2 report for each typed input error
+the CLI reports.  The digests, sha256 of stdout, live in
 ``tests/golden/cli.json``.  Record them again only from code whose reports
 are the reference:
 
@@ -73,6 +74,8 @@ CASES = [
     ("huge-box", "pair", ["tor", "--box", "1000,1000"]),
     ("taylor-17", "seventeen", ["tor"]),
     ("unread-flag", "pair", ["verify", "--box", "1,1"]),
+    ("support-regions", "family", ["support"]),
+    ("spectral-small-box", "family", ["spectral", "--kind", "interior", "--box", "0,0,0"]),
 ]
 
 
@@ -100,7 +103,7 @@ def test_cli_reports_match_the_golden_digests(case_id, problem, argv, tmp_path):
 def test_the_corpus_has_one_exit_2_case_per_error_and_no_stale_digest():
     golden = json.loads(GOLDEN.read_text())
     assert sorted(golden) == sorted(c[0] for c in CASES)
-    assert sum(entry["exit"] == 2 for entry in golden.values()) == 7
+    assert sum(entry["exit"] == 2 for entry in golden.values()) == 8
 
 
 if __name__ == "__main__":

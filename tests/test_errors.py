@@ -230,9 +230,7 @@ def test_one_family_pass():
         return {(path, func) for path, func, _ in _call_sites(name) if path in scope}
 
     assert callers("check_family") & callers("family_box") == set()
-    # the other raise refuses to rebase a support region to a smaller box
-    assert _raise_sites("BoxTooSmall") == [("monomial.py", "dominating_box"),
-                                           ("support.py", "SupportRegion.rebase")]
+    assert _raise_sites("BoxTooSmall") == [("monomial.py", "dominating_box")]
 
 
 def test_one_elimination_path():

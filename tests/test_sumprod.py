@@ -16,7 +16,7 @@ from conftest import (
     verify_identities_oracle,
     with_coefficient,
 )
-from homotor import sumprod, torlab
+from homotor import sumprod
 from homotor.cli import random_instance
 from homotor.errors import UnitIdeal, ValidationError
 from homotor.exactlin import GF
@@ -342,12 +342,11 @@ def test_checkers_build_once_per_subfamily(kxyz, monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
 
-    for module, name in ((torlab, "multi_tor"), (sumprod, "build_p_complex"),
-                         (sumprod, "build_s_complex")):
-        count(module, name)
+    for name in ("multi_tor", "_p_complex", "_s_complex"):
+        count(sumprod, name)
     family = [kxyz["x"], kxyz["y"], kxyz["z"]]
     assert exactness_equivalences(family).passed
-    assert calls == {"multi_tor": 4, "build_p_complex": 4, "build_s_complex": 4}
+    assert calls == {"multi_tor": 4, "_p_complex": 4, "_s_complex": 4}
     calls.clear()
     count(sumprod, "augmented_interior_H")
     assert verify_identities(family).passed

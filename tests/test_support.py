@@ -4,7 +4,14 @@ blocks."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import set_partitions, singleton_box_fold, support_check_at
+from conftest import (
+    region_compare_oracle,
+    region_rebase,
+    set_partitions,
+    singleton_box_fold,
+    support_check_at,
+    table_cells,
+)
 from homotor.cli import random_instance
 from homotor.errors import (
     BoxTooSmall,
@@ -14,14 +21,8 @@ from homotor.errors import (
     ValidationError,
 )
 from homotor.gcomplex import TorTable
-from homotor.monomial import MonomialIdeal, Multidegree, check_family
-from homotor.support import (
-    SupportRegion,
-    region_compare,
-    support_region,
-    supportoftors_check,
-    variable_blocks,
-)
+from homotor.monomial import MonomialIdeal, check_family
+from homotor.support import region_compare, supportoftors_check, variable_blocks
 from homotor.torlab import family_box, multi_tor
 
 
@@ -31,23 +32,21 @@ def blocks(n, partition):
 
 
 def test_support_region_basics(kxy):
-    empty = support_region(TorTable({}, (1, 1)))
-    assert empty.is_empty()
+    assert TorTable({}, (1, 1)).support() == frozenset()
     table = multi_tor([kxy["m"], kxy["x"]])
-    r1 = support_region(table, j=1)
-    assert r1.sorted_cells() == [(1, 0)]
+    assert sorted(table.support(1)) == [(1, 0)]
+    assert table.support() == table_cells(table)
     # interior cell: no upward closure reaches (2, 0) within the box (2, 1)
     assert tuple(table.box) == (2, 1)
-    assert not r1.member((2, 0))
+    assert table.dim(1, (2, 0)) == 0
 
 
 def test_support_region_member_rejects_a_degree_of_the_wrong_length():
     t = multi_tor([MonomialIdeal.variables(2, [0]), MonomialIdeal.variables(2, [1])])
-    region = support_region(t)
-    assert region.member((0, 0)) and not region.member((5, 5))
+    assert t.clamp((0, 0)) in t.support() and t.clamp((5, 5)) not in t.support()
     for gamma in ((5,), (5, 5, 5)):
         with pytest.raises(LengthMismatch):
-            region.member(gamma)
+            t.clamp(gamma)
 
 
 def test_tor_table_dim_and_support_member_refuse_a_negative_exponent():
@@ -55,12 +54,11 @@ def test_tor_table_dim_and_support_member_refuse_a_negative_exponent():
     refuses it, and does not read as an empty fibre."""
     x = MonomialIdeal.variables(2, [0])
     t = multi_tor([x, MonomialIdeal.variables(2, [1])])
-    region = support_region(t)
     for gamma in ((-1, 0), (0, -1)):
         with pytest.raises(ValidationError, match="negative exponent"):
             t.dim(0, gamma)
         with pytest.raises(ValidationError, match="negative exponent"):
-            region.member(gamma)
+            t.clamp(gamma)
 
 
 def test_support_region_upward_closure():
@@ -68,45 +66,70 @@ def test_support_region_upward_closure():
     at (1, 0) with box (2, 0) represents the whole ray."""
     x = MonomialIdeal(2, [(1, 0)])
     table = multi_tor([x, x])
-    r = support_region(table, j=1)
     assert tuple(table.box) == (2, 0)
-    assert r.sorted_cells() == [(1, 0)]
-    assert r.member((1, 7))
-    assert not r.member((2, 7))
+    assert sorted(table.support(1)) == [(1, 0)]
+    assert table.clamp((1, 7)) in table.support(1)
+    assert table.clamp((2, 7)) not in table.support(1)
 
 
 def test_regions_over_one_box_are_not_relisted(monkeypatch):
-    """Rebasing to the region's own box returns it, so a union or a
-    comparison of regions over one box never walks the box."""
+    """A comparison of two tables over one box never walks the box."""
     from homotor import support
 
-    a = SupportRegion(Multidegree((2, 1)), frozenset({(1, 1)}))
-    b = SupportRegion(Multidegree((2, 1)), frozenset({(2, 0)}))
-    assert a.rebase((2, 1)) is a
+    a = TorTable({(1, (1, 1)): 1}, (2, 1))
+    b = TorTable({(0, (2, 0)): 1}, (2, 1))
 
     def walk(box):
         raise AssertionError("the box was walked")
 
     monkeypatch.setattr(support, "iter_box", walk)
-    assert a.union(b) == SupportRegion(Multidegree((2, 1)), frozenset({(1, 1), (2, 0)}))
     assert region_compare(a, b)["left_minus_right"] == [[1, 1]]
 
 
 def test_region_compare_and_rebase():
-    a = SupportRegion(Multidegree((1, 1)), frozenset({(1, 1)}))
+    """Tables over different boxes are compared over the lcm box, where a
+    cell on a box face stands for its ray, as the rebase oracle reads it."""
+    a = TorTable({(1, (1, 1)): 1}, (1, 1))
     assert region_compare(a, a)["equal"]
-    b = SupportRegion(Multidegree((2, 1)), frozenset({(1, 1), (2, 1)}))
+    b = TorTable({(1, (1, 1)): 1, (2, (2, 1)): 1}, (2, 1))
     cmp = region_compare(a, b)
     # a's cell (1,1) touches its box so it expands to (2,1) as well: equal
     assert cmp["equal"]
-    c = SupportRegion(Multidegree((2, 1)), frozenset({(2, 1)}))
+    c = TorTable({(1, (2, 1)): 1}, (2, 1))
     cmp = region_compare(a, c)
     assert not cmp["equal"]
     assert cmp["left_minus_right"] == [[1, 1]]
-    # a union rebases both regions to the common box first
-    assert a.union(c).cells == {(1, 1), (2, 1)}
+    assert region_rebase(a.box, a.support(), c.box) == {(1, 1), (2, 1)}
+    for x, y in ((a, b), (a, c), (c, b)):
+        assert region_compare(x, y) == region_compare_oracle(
+            (x.box, x.support()), (y.box, y.support()))
     with pytest.raises(BoxTooSmall):
-        c.rebase((1, 1))
+        region_rebase(c.box, c.support(), (1, 1))
+
+
+@st.composite
+def single_ideal_tables(draw):
+    """Two single-ideal Tor tables in 1-3 variables, each over its own
+    stability box, with no coefficient, the zero one, or a shared one of
+    1-2 generators; exponents 0..2."""
+    n = draw(st.integers(1, 3))
+    exponent = st.tuples(*[st.integers(0, 2)] * n).filter(any)
+    ideal = st.lists(exponent, min_size=1, max_size=3).map(lambda g: MonomialIdeal(n, g))
+    coefficient = draw(st.one_of(
+        st.none(), st.just(MonomialIdeal.zero(n)),
+        st.lists(exponent, min_size=1, max_size=2).map(lambda g: MonomialIdeal(n, g))))
+    return [multi_tor([draw(ideal)], coefficient=coefficient) for _ in range(2)]
+
+
+@settings(deadline=None, max_examples=40)
+@given(single_ideal_tables())
+def test_region_compare_equals_the_rebase_oracle(tables):
+    """On random single-ideal tables, with and without a coefficient, the
+    clamp comparison gives the dict that rebasing both regions to the lcm
+    box and comparing cell by cell gives."""
+    a, b = tables
+    assert region_compare(a, b) == region_compare_oracle(
+        (a.box, table_cells(a)), (b.box, table_cells(b)))
 
 
 def test_supportoftors_examples():

@@ -6,7 +6,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import koszul_betti, stream, tensor_total, with_coefficient
+from conftest import diagonal_tor, koszul_betti, stream, tensor_total, with_coefficient
 from homotor import torlab
 from homotor.exactlin import GF
 from homotor.errors import BoxTooSmall, EmptyInput, LengthMismatch, UnitIdeal
@@ -19,7 +19,6 @@ from homotor.gcomplex import (
 from homotor.monomial import MonomialIdeal, check_family, iter_box
 from homotor.multicomplex import tensor
 from homotor.sumprod import build_s_complex
-from homotor.support import support_region
 from homotor.torlab import (
     betti_table,
     family_box,
@@ -168,6 +167,25 @@ def test_rigidity_examples(kxy):
     x1 = MonomialIdeal(1, [(1,)])
     rep = rigidity_check([x1, x1])
     assert rep.passed and rep.top_index == 1 and rep.epsilon == 0
+
+
+def test_rigidity_tabulates_no_one_ideal_prefix(kxyz, monkeypatch):
+    """multi_tor([I]) is R/I at index 0 alone, so a one-ideal prefix can
+    give no prefix_vanishing witness: without a coefficient, rigidity_check
+    tabulates its family and its prefixes of two or more ideals only."""
+    family = [kxyz["x"], kxyz["xy"], kxyz["z"]]
+    calls = []
+    real = torlab.multi_tor
+
+    def counted(ideals, coefficient=None, *args, **kwargs):
+        if coefficient is None:
+            calls.append(len(ideals))
+        return real(ideals, coefficient, *args, **kwargs)
+
+    monkeypatch.setattr(torlab, "multi_tor", counted)
+    assert rigidity_check(family).passed
+    assert calls == [3, 2]
+    assert all(real([ideal]).nonzero_indices() == [0] for ideal in family)
 
 
 def test_serre_examples(kxy):
@@ -355,6 +373,32 @@ def test_balanced_multi_tor_matches_the_fully_resolved_tensor(case):
         assert table == module_homology_table(resolved, GF(p), box)
 
 
+@st.composite
+def pairs_in_two_variables(draw):
+    """Two ideals of 1-3 generators with exponents 0..2 in 2 variables, and
+    no coefficient, the zero one or a third such ideal."""
+    exponent = st.tuples(st.integers(0, 2), st.integers(0, 2)).filter(any)
+    ideal = st.lists(exponent, min_size=1, max_size=3).map(lambda g: MonomialIdeal(2, g))
+    coefficient = draw(st.one_of(st.none(), st.just(MonomialIdeal.zero(2)), ideal))
+    return [draw(ideal), draw(ideal)], coefficient
+
+
+@settings(deadline=None, max_examples=200)
+@given(pairs_in_two_variables(), st.sampled_from([2, 3, 32003]), st.data())
+def test_multi_tor_matches_the_diagonal_oracle(case, p, data):
+    """At a few nonzero cells and a few degrees of the box, multi_tor's
+    table equals Tor read off the Koszul complex of the diagonal, which
+    resolves nothing: every index, with and without a coefficient."""
+    family, coefficient = case
+    table = multi_tor(family, coefficient, GF(p))
+    cells = sorted(table.support())
+    degrees = [tuple(g) for g in iter_box(table.box)]
+    for g in set(data.draw(st.lists(st.sampled_from(cells), min_size=1, max_size=3))
+                 + data.draw(st.lists(st.sampled_from(degrees), max_size=2))):
+        expected = {i: d for (i, h), d in table.entries.items() if h == g}
+        assert diagonal_tor(family, coefficient, g, p) == expected, g
+
+
 @settings(deadline=None)
 @given(families_and_coefficients())
 def test_the_family_box_is_the_stable_box_of_the_tor_total(case):
@@ -443,7 +487,7 @@ def test_tor_table_dim_beyond_the_box_reads_the_clamped_degree():
     t = multi_tor([x, x])
     assert tuple(t.box) == (2, 0)
     assert t.dim(1, (1, 5)) == t.dim(1, (1, 0)) == 1
-    assert support_region(t, 1).member((1, 5))
+    assert t.clamp((1, 5)) in t.support(1)
     for fam in stream(11100, 12, n_vars=2, n_ideals=2, max_gens=2, max_exp=2):
         box = family_box(fam)
         wide = [b + 2 for b in box]
