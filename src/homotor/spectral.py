@@ -7,14 +7,12 @@ entry of its differential.  The fibre at a degree gamma is read through the
 total's alive masks, and all its pages come from one filtered reduction,
 the level-ordered persistence pairing (Edelsbrunner-Letscher-Zomorodian,
 Topological persistence and simplification, 2002).  For each term i, the
-alive summands of terms i and i-1 are ordered by (level, index), and the
-alive block of d_i, as the total reads it for its own ranks, is
-column-reduced by ``exactlin.pivot_pairs``, sources in that order; each
-column left nonzero pairs its source d (in term i) with its pivot b
-(in term i-1), its target of highest (level, index).  The gap of the pair
-is level(d) - level(b).  The pages are read off the pairs (Basu-Parida,
-Spectral sequences, exact couples and persistent homology of filtrations,
-2017):
+alive block of d_i is column-reduced by ``exactlin.pivot_pairs``, sources
+in (level, index) order; each column left nonzero pairs its source d (in
+term i) with its pivot b (in term i-1), its alive target of highest
+(level, index).  The gap of the pair is level(d) - level(b).  The pages
+are read off the pairs (Basu-Parida, Spectral sequences, exact couples and
+persistent homology of filtrations, 2017):
 
     dim E^r_{p,i-p} = the unpaired alive term-i summands at level p
                       + the pairs with gap >= r having an end (b or d)
@@ -27,6 +25,16 @@ the page-bookkeeping identity, the pairs of each term against the rank of
 the unfiltered block of d_i (the same block eliminated in index order), and
 the abutment against the total's homology of the fibre; those ranks are
 the ones ``homology_at`` caches in the total.
+
+What depends only on the filtration is laid out once, when the filtered
+total is built: the summands of each level of a term as one bitmask, and
+d_i grouped by source, sources in (level, index) order, each entry with
+its target's pivot key.  A reduction then only drops the dead sources and
+targets.  Degrees with the same alive masks have the same pages, so a
+filtered total keeps a page table, {(p, alive masks): pages}, and computes
+each (field, fibre class) once, like the block ranks its total caches;
+both live as long as the total.
+
 ``build_filtration`` produces the four filtrations attached to an N^n
 multicomplex (Koszul cone, its hypercube-augmented variant, the
 support-count filtration and its augmented variant); the two
@@ -69,17 +77,31 @@ class FilteredTotal:
             if any(not 0 <= v <= self.N for v in lv):
                 raise FiltrationViolation(f"a level at term {i} is outside 0..{self.N}")
         self.levels = {i: levels.get(i, [0] * len(ss)) for i, ss in total.terms.items()}
+        # laid out once: the summands of each level of term i, as one mask
+        self._level_masks = {i: [0] * (self.N + 1) for i in self.levels}
+        for i, lv in self.levels.items():
+            for k, v in enumerate(lv):
+                self._level_masks[i][v] |= 1 << k
+        # d_i by source, sources in (level, index) order; each entry carries
+        # its target's pivot key, lowest for the target of highest (level, index)
+        self._columns: dict = {}
         for i, es in total.entries.items():
             src, tgt = self.levels[i], self.levels[i - 1]
-            for s, t, _ in es:
+            n = len(tgt)
+            rows: dict = {}
+            for s, t, c in es:
                 if tgt[t] > src[s]:
                     raise FiltrationViolation(
                         f"d(F_{src[s]}) not inside F_{src[s]} between terms "
                         f"{i} and {i - 1}"
                     )
+                rows.setdefault(s, []).append((t, -(tgt[t] * n + t), c))
+            self._columns[i] = [(s, rows[s])
+                                for s in sorted(rows, key=lambda s: (src[s], s))]
+        self._pages: dict = {}  # {(p, alive masks): SpectralPages}, filled by ``pages``
 
 
-@dataclass
+@dataclass(frozen=True)
 class SpectralPages:
     """Dimension tables E^r_{p,q} for r = 1..r_stab, the page-differential
     ranks, the stabilized table, and the abutment comparison."""
@@ -115,14 +137,20 @@ def persistence_pairs(filtered: FilteredTotal, i: int, alive: dict,
                       fld: PrimeField = GF()) -> list:
     """The pairs (b, d) of the level-ordered reduction of the alive block of
     d_i: d a summand of term i, b its pivot in term i-1."""
-    src_lv, tgt_lv = filtered.levels[i], filtered.levels[i - 1]
-    n = len(tgt_lv)
-    block = filtered.total._block(i, alive.get(i, 0), alive.get(i - 1, 0), fld.p)
-    # the lowest key is the target of highest (level, index)
-    columns = [(s, {-(tgt_lv[t] * n + t): c for t, c in row.items()})
-               for s, row in block.items()]
-    columns.sort(key=lambda sc: (src_lv[sc[0]], sc[0]))
-    return [(-key % n, s) for s, key in pivot_pairs(columns, fld.p)]
+    p, n = fld.p, len(filtered.levels[i - 1])
+    src_mask, tgt_mask = alive.get(i, 0), alive.get(i - 1, 0)
+    columns = []
+    for s, row in filtered._columns.get(i, ()):
+        if src_mask >> s & 1:
+            column = {}
+            for t, key, c in row:
+                if tgt_mask >> t & 1:
+                    c %= p
+                    if c:
+                        column[key] = c
+            if column:
+                columns.append((s, column))
+    return [(-key % n, s) for s, key in pivot_pairs(columns, p)]
 
 
 def pages(filtered: FilteredTotal, gamma, fld: PrimeField = GF()) -> SpectralPages:
@@ -132,17 +160,22 @@ def pages(filtered: FilteredTotal, gamma, fld: PrimeField = GF()) -> SpectralPag
     Pages are kept up to r_stab = max(2, largest gap + 2), the least r >= 2
     with d^s = 0 for every s >= r - 1.  Raises InvariantBroken if the pairs
     of a term disagree with the rank of its unfiltered block or a page
-    breaks the page bookkeeping.
+    breaks the page bookkeeping.  The pages depend on gamma only through its
+    alive masks: each (p, masks) is computed and checked once, kept in the
+    filtered total's page table, and the same frozen object is returned for
+    every degree of that fibre class.
     """
-    total, levels, N = filtered.total, filtered.levels, filtered.N
+    total, levels = filtered.total, filtered.levels
     alive = total.alive_masks(gamma)
+    key = (fld.p, tuple(alive.values()))  # the masks, in the total's term order
+    cached = filtered._pages.get(key)
+    if cached is not None:
+        return cached
     window = [i for i, mask in sorted(alive.items()) if mask]
-    free = {(i, p): 0 for i in window for p in range(N + 1)}  # unpaired summands
+    free = {(i, p): (alive[i] & mask).bit_count()  # unpaired summands
+            for i in window for p, mask in enumerate(filtered._level_masks[i])}
     moving = []  # (i, level of b, level of d) of each pair of d_i with a positive gap
     for i in window:
-        for k, v in enumerate(levels[i]):
-            if alive[i] >> k & 1:
-                free[(i, v)] += 1
         if not alive.get(i - 1):
             continue
         pairs = persistence_pairs(filtered, i, alive, fld)
@@ -178,7 +211,7 @@ def pages(filtered: FilteredTotal, gamma, fld: PrimeField = GF()) -> SpectralPag
     base_h = {i: h for i, h in total._homology(alive, fld).items() if alive.get(i)}
     totals = _diagonal_sums(e_inf)
     check = {i: (totals.get(i, 0), base_h.get(i, 0)) for i in set(base_h) | set(totals)}
-    return SpectralPages(
+    pg = filtered._pages[key] = SpectralPages(
         pages=page_tables,
         ranks=rank_tables,
         e_infinity=e_inf,
@@ -186,6 +219,7 @@ def pages(filtered: FilteredTotal, gamma, fld: PrimeField = GF()) -> SpectralPag
         converged=all(lhs == rhs for lhs, rhs in check.values()),
         r_stab=r_stab,
     )
+    return pg
 
 
 def _check_page(r, dims, ranks, page_tables, rank_tables):

@@ -78,11 +78,12 @@ def supportoftors_check(ideals, coefficient: MonomialIdeal | None, ps,
     """Union-equality of Tor supports over products versus sums of the
     ideals of a ``variable_blocks`` family, for all p-subsets, plus the
     spectral-sequence containment cross-checks: ``{p: CheckReport}`` for
-    each p in ``ps``, from one pass that computes each Tor table,
-    Mayer-Vietoris total and page once for every p.  A coefficient of None
-    or the zero ideal means M = R, as in ``multi_tor``; both pass
-    ``check_family`` before ``variable_blocks`` is asked, and every table is
-    over the box it returns, which reaches every subset's product and sum."""
+    each p in ``ps``, from one pass that computes each Tor table and
+    Mayer-Vietoris total once for every p; a total computes each of its
+    pages once.  A coefficient of None or the zero ideal means M = R, as in
+    ``multi_tor``; both pass ``check_family`` before ``variable_blocks`` is
+    asked, and every table is over the box it returns, which reaches every
+    subset's product and sum."""
     ideals, box = check_family(ideals, coefficient)
     if not variable_blocks(ideals):
         raise ValidationError("supportoftors_check needs nonzero ideals generated "
@@ -112,16 +113,14 @@ def supportoftors_check(ideals, coefficient: MonomialIdeal | None, ps,
                                             fld=fld, box=box)
         tor[T] = tuple(by_ideal[ideal] for ideal in pair)
     totals: dict = {}
-    spectra: dict = {}
 
     def spectrum(kind, T, g):
         """The pages of the (kind, T) Mayer-Vietoris total at g: each total
-        and each of its pages is built once, for every p that asks."""
+        is built once, for every p that asks, and keeps its pages by fibre
+        class."""
         if (kind, T) not in totals:
             totals[(kind, T)] = mv_total_complex(kind, [ideals[i] for i in T], coefficient)
-        if (kind, T, g) not in spectra:
-            spectra[(kind, T, g)] = pages(totals[(kind, T)], g, fld)
-        return spectra[(kind, T, g)]
+        return pages(totals[(kind, T)], g, fld)
 
     return {p: _support_report([T for T in combos if len(T) <= p], box, tor, spectrum)
             for p in ps}
@@ -150,6 +149,7 @@ def _support_report(combos, box, tor, spectrum) -> CheckReport:
     for T in combos:
         for kind, offset, table in (("sum_to_product", len(T) - 1, tor[T][0]),
                                     ("product_to_sum", 1, tor[T][1])):
+            indices = table.nonzero_indices()
             for g in tested:
                 pg = spectrum(kind, T, g)
                 where = {"kind": kind, "subset": list(T), "degree": list(g)}
@@ -157,7 +157,7 @@ def _support_report(combos, box, tor, spectrum) -> CheckReport:
                     witnesses[kind].append({**where, "reason": "not convergent"})
                     continue
                 totals = pg.total_dims()
-                expected = {j + offset: d for (j, gm), d in table.entries.items() if gm == g}
+                expected = {j + offset: table.dim(j, g) for j in indices}
                 witnesses[kind].extend(
                     {**where, "i": i, "actual": totals.get(i, 0),
                      "expected": expected.get(i, 0)}

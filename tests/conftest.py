@@ -13,7 +13,7 @@ from homotor.errors import (
     UnitIdeal,
     ValidationError,
 )
-from homotor.exactlin import GF, PrimeField
+from homotor.exactlin import GF, PrimeField, pivot_pairs
 from homotor.gcomplex import (
     IDEAL,
     GradedComplex,
@@ -341,6 +341,21 @@ def block_rank_pages(filtered, gamma, fld=GF()):
         converged=all(lhs == rhs for lhs, rhs in check.values()),
         r_stab=r_stab,
     )
+
+
+def persistence_pairs_oracle(filtered, i, alive, fld=GF()):
+    """The pairs (b, d) of the level-ordered reduction of the alive block of
+    d_i, from the block the total reads for its own ranks: its rows re-keyed
+    by target (level, index) and its sources sorted by (level, index) on
+    every call.  The reference for ``spectral.persistence_pairs``."""
+    src_lv, tgt_lv = filtered.levels[i], filtered.levels[i - 1]
+    n = len(tgt_lv)
+    block = filtered.total._block(i, alive.get(i, 0), alive.get(i - 1, 0), fld.p)
+    # the lowest key is the target of highest (level, index)
+    columns = [(s, {-(tgt_lv[t] * n + t): c for t, c in row.items()})
+               for s, row in block.items()]
+    columns.sort(key=lambda sc: (src_lv[sc[0]], sc[0]))
+    return [(-key % n, s) for s, key in pivot_pairs(columns, fld.p)]
 
 
 def _rank_mod(rows, p):

@@ -1,5 +1,6 @@
 """The filtered-complex spectral sequence engine and its builders."""
 
+import dataclasses
 import itertools
 import math
 import random
@@ -7,7 +8,14 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import block_rank_pages, direct_e1, free_complex, pair_intersection, region
+from conftest import (
+    block_rank_pages,
+    direct_e1,
+    free_complex,
+    pair_intersection,
+    persistence_pairs_oracle,
+    region,
+)
 from homotor import cli, gcomplex, spectral, sumprod, support
 from homotor.errors import (
     EmptyInput,
@@ -584,6 +592,71 @@ def test_pairing_matches_block_rank_oracle(family, with_module):
                 got = pages(filtered, gamma, GF(p))
                 want = block_rank_pages(filtered, gamma, GF(p))
                 assert _same_pages(got, want), (p, tuple(gamma))
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.integers(0, 2**32 - 1), families(), st.booleans())
+def test_pairing_equals_the_block_oracle(seed, family, with_module):
+    """The pairs read off the layout a filtered total keeps equal, list for
+    list, those of the re-keyed and sorted block of its total: on a random
+    filtered matrix complex and on the six builder totals of a family, over
+    GF(2), GF(3) and GF(32003), for every d_i at the sampled degrees of the
+    total's box and one past it."""
+    terms, diffs, levels, N, _, _ = _random_filtered_complex(random.Random(seed))
+    coefficient = family[-1] if with_module else None
+    totals = [FilteredTotal(free_complex(terms, diffs), levels, N)]
+    totals += [build_filtration(tensor([taylor_resolution(i) for i in family]), kind=kind)
+               for kind in KINDS]
+    totals += [mv_total_complex(kind, family, coefficient)
+               for kind in ("sum_to_product", "product_to_sum")]
+    for filtered in totals:
+        box = filtered.total.stable_box()
+        for gamma in cli._sample_degrees(box) + [tuple(b + 1 for b in box)]:
+            alive = filtered.total.alive_masks(gamma)
+            for i in alive:
+                if i - 1 not in filtered.levels:
+                    continue
+                for p in (2, 3, 32003):
+                    assert spectral.persistence_pairs(filtered, i, alive, GF(p)) == \
+                        persistence_pairs_oracle(filtered, i, alive, GF(p)), (p, i, gamma)
+
+
+def test_pages_are_computed_once_per_fibre_class(monkeypatch):
+    """Over the degrees the spectral command samples and one past the box,
+    each fibre class pairs each d_i with both masks nonzero once, and two
+    degrees share one pages object exactly when their alive masks agree."""
+    family = [MonomialIdeal(2, [(2, 0), (1, 1)]), MonomialIdeal(2, [(0, 2), (1, 0)])]
+    filtered = build_filtration(tensor([gcomplex.resolution(i) for i in family]),
+                                kind="interior")
+    box = family_box(family)
+    degrees = cli._sample_degrees(box) + [Multidegree(tuple(b + 1 for b in box))]
+    pairing = _Counter(spectral.persistence_pairs)
+    monkeypatch.setattr(spectral, "persistence_pairs", pairing)
+    got = [pages(filtered, gamma) for gamma in degrees]
+    masks = [filtered.total.alive_masks(gamma) for gamma in degrees]
+    classes = {tuple(alive.values()): alive for alive in masks}
+    assert 1 < len(classes) < len(degrees)
+    paired = [(tuple(alive.values()), i) for _, i, alive, _ in pairing.calls]
+    assert sorted(paired) == sorted(
+        (cls, i) for cls, alive in classes.items()
+        for i, mask in alive.items() if mask and alive.get(i - 1))
+    for (a, ma), (b, mb) in itertools.product(zip(got, masks), repeat=2):
+        assert (a is b) == (ma == mb)
+
+
+def test_page_table_is_keyed_by_the_field():
+    """d = 2 is an isomorphism over GF(3) and zero over GF(2), at one degree
+    of one filtered total."""
+    filtered = FilteredTotal(free_complex({0: 1, 1: 1}, {1: [(0, 0, 2)]}),
+                             {0: [0], 1: [1]}, 1)
+    over2, over3 = pages(filtered, (0,), GF(2)), pages(filtered, (0,), GF(3))
+    assert over2.e_infinity == {(0, 0): 1, (1, 0): 1} and over3.e_infinity == {}
+    assert pages(filtered, (0,), GF(2)) is over2
+
+
+def test_spectral_pages_are_frozen():
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        _pages({0: 1}, {}, {0: [0]}, 1).r_stab = 3
 
 
 class _Counter:
