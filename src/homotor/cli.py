@@ -505,7 +505,7 @@ def main(argv=None) -> int:
     parser.add_argument("--timing", action="store_true",
                         help="include wall-clock timing (breaks byte-stability)")
     parser.add_argument("--version", action="version", version=__version__)
-    args = parser.parse_args(argv)
+    args = parser.parse_intermixed_args(argv)
 
     flags = {k: v for k, v in vars(args).items() if k not in ("command", "problem")}
     try:

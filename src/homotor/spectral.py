@@ -1,10 +1,10 @@
 """Spectral sequences of filtered graded complexes over GF(p).
 
 Every filtration here is a coordinate filtration of a filtered total: each
-summand of term i has one level in 0..N, and F_p is spanned by the summands
-of level <= p.  The levels are checked once per total, over Z, on every
-entry of its differential.  The fibre at a degree gamma is read through the
-total's alive masks, and all its pages come from one filtered reduction,
+summand of term i has a level in 0..N, N the largest, and F_p is spanned
+by the summands of level <= p.  Levels are checked once per total, over Z,
+on every entry of its differential.  The fibre at a degree gamma is read
+through the alive masks, and all its pages come from one filtered reduction,
 the level-ordered persistence pairing (Edelsbrunner-Letscher-Zomorodian,
 Topological persistence and simplification, 2002).  For each term i, the
 alive block of d_i is column-reduced by ``exactlin.pivot_pairs``, sources
@@ -58,25 +58,25 @@ from .multicomplex import Multicomplex, hypercube_extend, koszul_cone
 class FilteredTotal:
     """A graded complex with a coordinate filtration F_0 ⊆ ... ⊆ F_N.
 
-    ``levels[i][k]`` is the level (0..N) of summand k of term i; a term
-    missing from the ``levels`` argument has every summand at level 0.  The
-    differential must respect the filtration: no nonzero integer entry of
-    d_i may map a summand into a higher level, whichever degrees the
-    summands are alive at.
+    ``levels[i][k]`` is the level (a non-negative int) of summand k of term
+    i, and N is the largest level; a term missing from the ``levels``
+    argument has every summand at level 0.  The differential must respect
+    the filtration: no nonzero integer entry of d_i may map a summand into
+    a higher level, whichever degrees the summands are alive at.
     """
 
-    def __init__(self, total: GradedComplex, levels: dict, N: int):
+    def __init__(self, total: GradedComplex, levels: dict):
         self.total = total
-        self.N = int(N)
         for i, lv in levels.items():
             if len(lv) != len(total.summands(i)):
                 raise FiltrationViolation(
                     f"{len(lv)} levels for the {len(total.summands(i))} summands "
                     f"of term {i}"
                 )
-            if any(not 0 <= v <= self.N for v in lv):
-                raise FiltrationViolation(f"a level at term {i} is outside 0..{self.N}")
+            if any(v < 0 for v in lv):
+                raise FiltrationViolation(f"a level at term {i} is negative")
         self.levels = {i: levels.get(i, [0] * len(ss)) for i, ss in total.terms.items()}
+        self.N = max((v for lv in self.levels.values() for v in lv), default=0)
         # laid out once: the summands of each level of term i, as one mask
         self._level_masks = {i: [0] * (self.N + 1) for i in self.levels}
         for i, lv in self.levels.items():
@@ -248,11 +248,11 @@ def _check_page(r, dims, ranks, page_tables, rank_tables):
 # Filtration builders for the four multicomplex spectral sequences
 
 
-def _by_weight(m: Multicomplex, weight, N: int) -> FilteredTotal:
+def _by_weight(m: Multicomplex, weight) -> FilteredTotal:
     """``m.total`` filtered by position: each summand sits at level
     weight(q) of the position q that ``m.layout`` lists for it."""
     levels = {i: [weight(q) for q in qs] for i, qs in m.layout.items()}
-    return FilteredTotal(m.total, levels, N)
+    return FilteredTotal(m.total, levels)
 
 
 def build_filtration(m: Multicomplex, *, kind: str) -> FilteredTotal:
@@ -269,12 +269,12 @@ def build_filtration(m: Multicomplex, *, kind: str) -> FilteredTotal:
     """
     n = m.n_axes
     if kind == "kcone":
-        return _by_weight(koszul_cone(m), lambda q: q[-1], n)
+        return _by_weight(koszul_cone(m), lambda q: q[-1])
     if kind == "kcone_augmented":
         return _by_weight(koszul_cone(hypercube_extend(m), face_axes=n),
-                          lambda q: q[-1], n)
+                          lambda q: q[-1])
     if kind == "interior":
-        return _by_weight(m, lambda q: sum(1 for v in q if v), n)
+        return _by_weight(m, lambda q: sum(1 for v in q if v))
     if kind == "interior_augmented":
-        return _by_weight(hypercube_extend(m), lambda q: sum(1 for v in q[:n] if v), n)
+        return _by_weight(hypercube_extend(m), lambda q: sum(1 for v in q[:n] if v))
     raise InvalidKind(f"unknown filtration kind {kind!r}")

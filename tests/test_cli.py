@@ -158,6 +158,17 @@ def test_cli_field_and_box_flags(problem_path, capsys):
     assert report["box"] == [2, 2]
 
 
+@pytest.mark.parametrize("command, flag", [("tor", ["--field", "3"]),
+                                           ("spectral", ["--kind", "kcone"])])
+def test_cli_flag_before_the_problem_file(problem_path, capsys, command, flag):
+    """A flag may come before or after the problem file: both orders print
+    the same report."""
+    assert main([command, *flag, problem_path]) == 0
+    before = capsys.readouterr().out
+    assert main([command, problem_path, *flag]) == 0
+    assert capsys.readouterr().out == before
+
+
 def test_cli_spectral_command(problem_path, capsys):
     assert main(["spectral", problem_path, "--kind", "interior_augmented"]) == 0
     report = json.loads(capsys.readouterr().out)

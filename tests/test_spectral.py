@@ -36,20 +36,20 @@ P = GF().p
 ID = {1: [(0, 0, 1)]}
 
 
-def _pages(dims, diffs, levels, N, fld=GF()):
-    return pages(FilteredTotal(free_complex(dims, diffs), levels, N), (0,), fld)
+def _pages(dims, diffs, levels, fld=GF()):
+    return pages(FilteredTotal(free_complex(dims, diffs), levels), (0,), fld)
 
 
 def test_zero_differential_gives_associated_graded():
     levels = {0: [0, 1], 1: [0, 0, 1]}
-    pg = _pages({0: 2, 1: 3}, {}, levels, 1)
+    pg = _pages({0: 2, 1: 3}, {}, levels)
     assert pg.e1 == {(0, 0): 1, (1, -1): 1, (0, 1): 2, (1, 0): 1}
     assert pg.e_infinity == pg.e1
     assert pg.converged
 
 
 def test_identity_complex_two_step_filtration():
-    pg = _pages({0: 1, 1: 1}, ID, {0: [0], 1: [1]}, 1)
+    pg = _pages({0: 1, 1: 1}, ID, {0: [0], 1: [1]})
     assert pg.e1 == {(0, 0): 1, (1, 0): 1}
     assert pg.ranks[0] == {(1, 0): 1}  # d^1 is an isomorphism
     assert pg.page(2) == {}
@@ -58,11 +58,11 @@ def test_identity_complex_two_step_filtration():
 
 def test_filtration_violation_detected():
     with pytest.raises(FiltrationViolation):
-        FilteredTotal(free_complex({0: 1, 1: 1}, ID), {0: [1], 1: [0]}, 1)
+        FilteredTotal(free_complex({0: 1, 1: 1}, ID), {0: [1], 1: [0]})
     # checked over Z: an entry that vanishes mod p still raises the level
     total = free_complex({0: 1, 1: 1}, {1: [(0, 0, P)]})
     with pytest.raises(FiltrationViolation):
-        FilteredTotal(total, {0: [1], 1: [0]}, 1)
+        FilteredTotal(total, {0: [1], 1: [0]})
 
 
 def test_filtration_checked_on_summands_dead_at_every_evaluated_degree():
@@ -72,19 +72,19 @@ def test_filtration_checked_on_summands_dead_at_every_evaluated_degree():
     total = GradedComplex(1, terms, {1: [(0, 0, 1), (1, 1, 1)]})
     assert total.alive_masks((0,)) == {0: 0b01, 1: 0b01}
     with pytest.raises(FiltrationViolation):
-        FilteredTotal(total, {0: [0, 1], 1: [0, 0]}, 1)
-    FilteredTotal(total, {0: [0, 1], 1: [0, 1]}, 1)
+        FilteredTotal(total, {0: [0, 1], 1: [0, 0]})
+    FilteredTotal(total, {0: [0, 1], 1: [0, 1]})
 
 
 def test_non_exhaustive_filtration_rejected():
     total = free_complex({0: 2})
-    for levels in ({0: [0, 2]}, {0: [0, -1]}, {0: [0]}, {0: [0, 0, 0]}, {1: [0]}):
+    for levels in ({0: [0, -1]}, {0: [0]}, {0: [0, 0, 0]}, {1: [0]}):
         with pytest.raises(FiltrationViolation):
-            FilteredTotal(total, levels, 1)
+            FilteredTotal(total, levels)
 
 
 def test_missing_degree_sits_at_level_zero():
-    pg = _pages({0: 1, 1: 1}, ID, {1: [0]}, 2)
+    pg = _pages({0: 1, 1: 1}, ID, {1: [0]})
     assert pg.e1 == {} and pg.r_stab == 2 and pg.converged
 
 
@@ -93,7 +93,7 @@ def test_broken_block_rank_is_an_invariant_failure(monkeypatch):
     monkeypatch.setattr(GradedComplex, "_masked_rank", lambda c, i, s, t, fld: (
         masked_rank(c, i, s, t, fld) + bool(c._block(i, s, t, fld.p))))
     with pytest.raises(InvariantBroken):
-        _pages({0: 1, 1: 1}, ID, {0: [0], 1: [1]}, 1)
+        _pages({0: 1, 1: 1}, ID, {0: [0], 1: [1]})
 
 
 def test_dropped_pair_is_an_invariant_failure(monkeypatch):
@@ -103,7 +103,7 @@ def test_dropped_pair_is_an_invariant_failure(monkeypatch):
     pairing = spectral.persistence_pairs
     monkeypatch.setattr(spectral, "persistence_pairs", lambda *a: pairing(*a)[:-1])
     with pytest.raises(InvariantBroken):
-        _pages({0: 1, 1: 1}, ID, {0: [0], 1: [1]}, 1)
+        _pages({0: 1, 1: 1}, ID, {0: [0], 1: [1]})
 
 
 def test_pairs_follow_the_level_order():
@@ -111,7 +111,7 @@ def test_pairs_follow_the_level_order():
     by (level, index), so the level-0 source 1 pairs with the target of
     highest (level, index), target 1, and source 0 reduces to zero."""
     total = free_complex({0: 2, 1: 2}, {1: [(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)]})
-    filtered = FilteredTotal(total, {0: [0, 0], 1: [1, 0]}, 1)
+    filtered = FilteredTotal(total, {0: [0, 0], 1: [1, 0]})
     alive = total.alive_masks((0,))
     assert spectral.persistence_pairs(filtered, 1, alive) == [(1, 1)]
     pg = pages(filtered, (0,))
@@ -223,7 +223,7 @@ def test_pages_against_enumeration():
     rng = random.Random(3)
     for _ in range(80):
         terms, diffs, levels, N, dims, d = _random_filtered_complex(rng)
-        pg = _pages(terms, diffs, levels, N, fld)
+        pg = _pages(terms, diffs, levels, fld)
         want = _pages_by_enumeration(levels, N, dims, d, p)
         moving = [s for s, (_, ranks) in enumerate(want, 1) if ranks]
         assert pg.r_stab == max([2] + [s + 2 for s in moving])
@@ -602,9 +602,9 @@ def test_pairing_equals_the_block_oracle(seed, family, with_module):
     filtered matrix complex and on the six builder totals of a family, over
     GF(2), GF(3) and GF(32003), for every d_i at the sampled degrees of the
     total's box and one past it."""
-    terms, diffs, levels, N, _, _ = _random_filtered_complex(random.Random(seed))
+    terms, diffs, levels, _, _, _ = _random_filtered_complex(random.Random(seed))
     coefficient = family[-1] if with_module else None
-    totals = [FilteredTotal(free_complex(terms, diffs), levels, N)]
+    totals = [FilteredTotal(free_complex(terms, diffs), levels)]
     totals += [build_filtration(tensor([taylor_resolution(i) for i in family]), kind=kind)
                for kind in KINDS]
     totals += [mv_total_complex(kind, family, coefficient)
@@ -648,7 +648,7 @@ def test_page_table_is_keyed_by_the_field():
     """d = 2 is an isomorphism over GF(3) and zero over GF(2), at one degree
     of one filtered total."""
     filtered = FilteredTotal(free_complex({0: 1, 1: 1}, {1: [(0, 0, 2)]}),
-                             {0: [0], 1: [1]}, 1)
+                             {0: [0], 1: [1]})
     over2, over3 = pages(filtered, (0,), GF(2)), pages(filtered, (0,), GF(3))
     assert over2.e_infinity == {(0, 0): 1, (1, 0): 1} and over3.e_infinity == {}
     assert pages(filtered, (0,), GF(2)) is over2
@@ -656,7 +656,7 @@ def test_page_table_is_keyed_by_the_field():
 
 def test_spectral_pages_are_frozen():
     with pytest.raises(dataclasses.FrozenInstanceError):
-        _pages({0: 1}, {}, {0: [0]}, 1).r_stab = 3
+        _pages({0: 1}, {}, {0: [0]}).r_stab = 3
 
 
 class _Counter:

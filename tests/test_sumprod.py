@@ -21,7 +21,15 @@ from homotor.cli import random_instance
 from homotor.errors import UnitIdeal, ValidationError
 from homotor.exactlin import GF
 from homotor.gcomplex import module_homology_table, resolution, taylor_resolution
-from homotor.monomial import MonomialIdeal, Multidegree, combine, iter_box, lcm_deg
+from homotor.monomial import (
+    MonomialIdeal,
+    Multidegree,
+    check_family,
+    combine,
+    iter_box,
+    lcm_deg,
+    membership,
+)
 from homotor.multicomplex import hypercube_augment, tensor
 from homotor.spectral import build_filtration, pages
 from homotor.sumprod import (
@@ -239,6 +247,54 @@ def test_verify_identities_on_filtered_stream():
         if rep.context["strict_subfamilies_independent"]:
             checked += 1
     assert checked >= 15  # every pair plus any independent triples
+
+
+@st.composite
+def families_of_two_to_four(draw):
+    """2-4 ideals of 0-2 generators (0 gives the zero ideal), exponents
+    0..2, in 2-3 variables."""
+    n = draw(st.integers(2, 3))
+    exponent = st.tuples(*[st.integers(0, 2)] * n).filter(any)
+    ideal = st.lists(exponent, max_size=2).map(lambda gens: MonomialIdeal(n, gens))
+    return draw(st.lists(ideal, min_size=2, max_size=4))
+
+
+@settings(deadline=None, max_examples=40)
+@given(families_of_two_to_four(), st.sampled_from([2, 3, 32003]))
+def test_four_term_left_side_is_h0_minus_h1_of_s(family, p):
+    """In each fibre dim ker d^1 = H^1(S) + rank d^0 and rank d^0 = S^0 -
+    H^0(S), so S^0 - H^1(S_-) = H^0(S) - H^1(S) at every box cell, with S^0
+    read by membership in the product and H^1(S_-) off ``truncated``:
+    independent strict subfamilies or not."""
+    fld, n = GF(p), len(family)
+    box = check_family(family)[1]
+    s = build_s_complex(family)
+    s_tab = complex_homology_table(s, fld, box)
+    h1_minus = module_homology_table(sumprod.truncated(s), fld, box).slice(n - 1)
+    product = combine(family, "product")
+    for g in map(tuple, iter_box(box)):
+        s0 = 0 if membership(g, product) else 1
+        assert s0 - h1_minus.get(g, 0) == s_tab.dim(0, g) - s_tab.dim(1, g), g
+
+
+def test_verify_identities_builds_no_truncation_and_walks_no_box(kxy, kxyz, monkeypatch):
+    """The four-term assertions read S off its table: verify_identities
+    builds no S_-, tests no membership in the product and iterates no box
+    (a complex's own validation still tests membership), and still reports
+    what its reference reports."""
+    families = [[kxy["x"], kxy["y"]], [kxy["m"], kxy["m"]],
+                [kxyz["x"], kxyz["y"], kxyz["z"]], [kxyz["x"], kxyz["y"], kxyz["xy"]]]
+    want = [verify_identities_oracle(fam).to_json() for fam in families]
+
+    def refused(*args):
+        raise AssertionError("called by verify_identities")
+
+    for name in ("truncated", "membership", "iter_box"):
+        monkeypatch.setattr(sumprod, name, refused, raising=False)
+    got = [verify_identities(fam).to_json() for fam in families]
+    assert got == want
+    checked = {a["name"]: a["checked"] for a in got[2]["assertions"]}
+    assert checked["four_term_bookkeeping"] and checked["four_term_product"]
 
 
 def test_augmented_interior_rows(kxy):

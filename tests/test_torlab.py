@@ -399,6 +399,35 @@ def test_multi_tor_matches_the_diagonal_oracle(case, p, data):
         assert diagonal_tor(family, coefficient, g, p) == expected, g
 
 
+@st.composite
+def three_modules(draw):
+    """Three modules in 2-3 variables, each R/I with I of 1-3 generators
+    of exponents 0..2: three ideals, or two ideals and a coefficient."""
+    n = draw(st.integers(2, 3))
+    exponent = st.tuples(*[st.integers(0, 2)] * n).filter(any)
+    ideal = st.lists(exponent, min_size=1, max_size=3).map(lambda g: MonomialIdeal(n, g))
+    family = [draw(ideal), draw(ideal)]
+    if draw(st.booleans()):
+        return family + [draw(ideal)], None
+    return family, draw(ideal)
+
+
+@pytest.mark.slow
+@settings(deadline=None, max_examples=300)
+@given(three_modules(), st.sampled_from([2, 3, 32003]), st.data())
+def test_multi_tor_matches_the_diagonal_oracle_on_three_modules(case, p, data):
+    """The diagonal oracle against multi_tor on three modules, at one or
+    two nonzero cells and at most one more degree of the box."""
+    family, coefficient = case
+    table = multi_tor(family, coefficient, GF(p))
+    cells = sorted(table.support())
+    degrees = [tuple(g) for g in iter_box(table.box)]
+    for g in set(data.draw(st.lists(st.sampled_from(cells), min_size=1, max_size=2))
+                 + data.draw(st.lists(st.sampled_from(degrees), max_size=1))):
+        expected = {i: d for (i, h), d in table.entries.items() if h == g}
+        assert diagonal_tor(family, coefficient, g, p) == expected, g
+
+
 @settings(deadline=None)
 @given(families_and_coefficients())
 def test_the_family_box_is_the_stable_box_of_the_tor_total(case):
