@@ -185,10 +185,11 @@ def membership(gamma, ideal: MonomialIdeal) -> bool:
 def check_degree(gamma, n: int) -> None:
     """Refuse a degree to read a complex or table at: one of length other
     than n with ``LengthMismatch``, one with a negative exponent with
-    ``ValidationError``."""
+    ``ValidationError``.  A Multidegree has no negative exponent, so only
+    its length is checked."""
     if len(gamma) != n:
         raise LengthMismatch(f"degree length {len(gamma)} != {n}")
-    if any(g < 0 for g in gamma):
+    if type(gamma) is not Multidegree and any(g < 0 for g in gamma):
         raise ValidationError(f"negative exponent in {tuple(gamma)}")
 
 

@@ -35,6 +35,12 @@ from .gcomplex import (
 from .monomial import Multidegree, combine
 
 
+def _position(q) -> tuple:
+    """q as a tuple of ints: q itself when it is one already, as every
+    builder's positions are."""
+    return q if type(q) is tuple and {*map(type, q)} <= {int} else tuple(map(int, q))
+
+
 class Multicomplex:
     """Finite family of cyclic summand terms indexed by N^n with n
     commuting differentials; ``diffs[(q, k)]`` maps term q to term q - e_k.
@@ -55,17 +61,17 @@ class Multicomplex:
         self.n_vars = int(n_vars)
         self.terms = {}
         for q, summands in terms.items():
-            q = tuple(int(v) for v in q)
+            q = _position(q)
             if len(q) != self.n_axes:
                 raise LengthMismatch(f"position {q} has wrong arity")
-            if any(v < 0 for v in q):
+            if min(q, default=0) < 0:
                 raise ValidationError(f"position {q} outside N^n")
             summands = tuple(summands)
             if summands:
                 self.terms[q] = summands
         self.diffs = {}
         for (q, k), es in diffs.items():
-            q = tuple(int(v) for v in q)
+            q = _position(q)
             k = int(k)
             if len(q) != self.n_axes:
                 raise LengthMismatch(f"map key {q} has wrong arity")
@@ -171,13 +177,13 @@ def _product_summand(combo) -> Summand:
     return Summand(shift, ideals[0] if len(ideals) == 1 else combine(ideals, "sum"))
 
 
-def _compose_chain(m: Multicomplex, q, axes_desc) -> dict:
-    """Entries of d_{.,a1} ∘ ... ∘ d_{q,ap} starting at position q, applying
-    the axes in the order given (each step lowers that coordinate): the
-    identity of m_q when no axis is given."""
-    acc = {(i, i): 1 for i in range(len(m.terms.get(q, ())))}
+def _compose_chain(m: Multicomplex, q, axes_desc) -> list:
+    """The (src, tgt, coefficient) entries of d_{.,a1} ∘ ... ∘ d_{q,ap}
+    starting at position q, applying the axes in the order given (each step
+    lowers that coordinate): the identity of m_q when no axis is given."""
+    acc = [(i, i, 1) for i in range(len(m.terms.get(q, ())))]
     for k in axes_desc:
-        acc = _compose({(s, t): c for s, t, c in m.diffs.get((q, k), ())}, acc)
+        acc = [(s, t, c) for (s, t), c in _compose(m.diffs.get((q, k), ()), acc).items()]
         q = Multicomplex._step(q, k)
     return acc
 
@@ -201,7 +207,7 @@ def _attach_corner(m: Multicomplex, vertices):
                     diffs[(c + (0,), k)] = ident
             if c + (1,) in terms:
                 psi = _compose_chain(m, c, [i for i in reversed(range(n)) if c[i]])
-                diffs[(c + (1,), n)] = [(s, t, v) for (s, t), v in sorted(psi.items())]
+                diffs[(c + (1,), n)] = sorted(psi)
     return terms, diffs
 
 

@@ -228,6 +228,11 @@ def verify_identities(ideals, fld: PrimeField = GF()) -> CheckReport:
     hypothesis is satisfied, exactly, over the common stability box.  The
     four-term side S^0 - H^1(S_-) is read off S's table as H^0(S) - H^1(S):
     in each fibre dim ker d^1 = H^1(S) + rank d^0 = H^1(S) + S^0 - H^0(S).
+    At n >= 3 the four-term assertions, gated on strict-subfamily
+    independence, have only been seen to run on strongly independent
+    monomial families (none other in a scan of 3,000 random 3-4-ideal
+    families), where H^1(S) and Tor_{n-2} read 0: those two terms are not
+    yet exercised by any family.
     """
     ideals, box = check_family(ideals)
     n = len(ideals)

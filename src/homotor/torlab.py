@@ -213,7 +213,8 @@ def rigidity_check(ideals, fld: PrimeField = GF()) -> RigidityReport:
     ideals, box = check_family(ideals)
     table = multi_tor(ideals, fld=fld)
     max_index = sum(len(i.gens) for i in ideals)
-    vanishing = {i: table.is_zero(i) for i in range(max_index + 1)}
+    nonzero = set(table.nonzero_indices())
+    vanishing = {i: i not in nonzero for i in range(max_index + 1)}
     violations = []
     seen_zero = None
     for i in range(1, max_index + 1):

@@ -176,7 +176,7 @@ def augment_in_two_steps(m):
     return GradedComplex(
         m.n_vars,
         {**total.terms, n - 1: m.terms.get((0,) * n, ())},
-        {**total.entries, n: [(s, t, sign * c) for (s, t), c in sorted(psi.items())]},
+        {**total.entries, n: [(s, t, sign * c) for s, t, c in sorted(psi)]},
     )
 
 
@@ -187,7 +187,7 @@ def axes_oracle(m):
     None when every axis squares to zero and every pair commutes.  The
     reference for the one d∘d = 0 check of the total of a ``Multicomplex``."""
     def entry_map(q, k):
-        return {(s, t): c for s, t, c in m.diffs.get((q, k), ())}
+        return m.diffs.get((q, k), ())
 
     step = Multicomplex._step
     for q in m.terms:

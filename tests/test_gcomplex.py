@@ -9,7 +9,14 @@ import weakref
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import masked_rank_oracle, stream, summand_alive, unit_koszul, with_coefficient
+from conftest import (
+    lcm_by_zip,
+    masked_rank_oracle,
+    stream,
+    summand_alive,
+    unit_koszul,
+    with_coefficient,
+)
 from homotor.errors import (
     BoxTooSmall,
     CompositionNonzero,
@@ -607,3 +614,92 @@ def test_cancel_units_keeps_every_fibre(c):
     again = cancel_units(reduced)
     assert again.terms == reduced.terms
     assert again.entries == reduced.entries
+
+
+def _unit_pairs(c):
+    """The entries of c with coefficient ±1 between two summands of equal
+    shift and equal generators, compared as plain tuples: the entries
+    ``cancel_units`` may cancel."""
+    return [(i, s, t) for i, es in c.entries.items() for s, t, v in es
+            if abs(v) == 1
+            and tuple(c.terms[i][s].shift) == tuple(c.terms[i - 1][t].shift)
+            and c.terms[i][s].ideal.gens == c.terms[i - 1][t].ideal.gens]
+
+
+@settings(max_examples=300, deadline=None)
+@given(resolutions_to_reduce())
+def test_cancel_units_returns_its_input_exactly_when_nothing_cancels(c):
+    """``cancel_units(c) is c`` exactly when c has no unit pair; otherwise
+    the result is a new complex with fewer summands."""
+    reduced = cancel_units(c)
+    if _unit_pairs(c):
+        assert reduced is not c
+        assert sum(map(len, reduced.terms.values())) < sum(map(len, c.terms.values()))
+    else:
+        assert reduced is c
+    assert not _unit_pairs(reduced)
+    assert cancel_units(reduced) is reduced
+
+
+def test_a_cancelling_resolution_keeps_the_taylor_tables():
+    """A pinned ideal whose Taylor resolution cancels (several lcms
+    coincide) has, reduced, the Taylor resolution's table over GF(2),
+    GF(3) and GF(32003); a Koszul complex on variables cancels nothing."""
+    ideal = MonomialIdeal(3, [(2, 0, 0), (1, 1, 0), (0, 2, 0), (0, 1, 1), (0, 0, 2)])
+    taylor = taylor_resolution(ideal)
+    reduced = resolution(ideal)
+    assert reduced is not taylor
+    assert ranks_of(reduced) == {0: 1, 1: 5, 2: 6, 3: 2}
+    assert ranks_of(taylor) == {0: 1, 1: 5, 2: 10, 3: 10, 4: 5, 5: 1}
+    for p in (2, 3, 32003):
+        table = module_homology_table(reduced, GF(p))
+        assert table == module_homology_table(taylor, GF(p), table.box)
+        for i in range(-1, 7):
+            assert table.is_zero(i) == (not table.slice(i))
+    koszul = taylor_resolution(MonomialIdeal.variables(3, [0, 1, 2]))
+    assert resolution(MonomialIdeal.variables(3, [0, 1, 2])).terms == koszul.terms
+    assert cancel_units(koszul) is koszul
+
+
+def test_the_sweep_reads_each_state_once(monkeypatch):
+    """On the fixed tensor of the class test above, module_homology_table
+    reads the fibre class of each distinct swept state once: ``_alive`` runs
+    exactly once per distinct state, though the runs repeat states."""
+    family = [MonomialIdeal(3, [(2, 0, 0), (1, 1, 0), (0, 1, 1)]),
+              MonomialIdeal(3, [(0, 0, 2), (1, 0, 1)]),
+              MonomialIdeal(3, [(0, 2, 0), (1, 1, 1)])]
+    c = tensor([resolution(family[0]), resolution(family[1]),
+                quotient_complex(family[2])]).total
+    states = [state for _, state in c._mask_runs(c.stable_box())]
+    assert len(set(states)) < len(states)
+    alive = GradedComplex._alive
+    read = []
+
+    def counted_alive(self, state):
+        read.append(state)
+        return alive(self, state)
+
+    monkeypatch.setattr(GradedComplex, "_alive", counted_alive)
+    table = module_homology_table(c)
+    assert sorted(read) == sorted(set(states))
+    assert table.entries == {(i, tuple(gamma)): h for gamma in iter_box(table.box)
+                             for i, h in c.homology_at(gamma).items() if h}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.lists(
+    st.tuples(*[st.integers(0, 3)] * n).filter(any), min_size=1, max_size=6)))
+def test_taylor_shifts_are_the_lcms_and_share_one_zero_ideal(gens):
+    """Each Taylor summand on a subset of the (at most 6) minimal
+    generators is free, shifted by the lcm of the subset, as a fold of the
+    reference lcm; all summands share one zero ideal."""
+    ideal = MonomialIdeal(len(gens[0]), gens)
+    c = taylor_resolution(ideal)
+    zero = Multidegree.zero(ideal.n)
+    ideals = {id(s.ideal) for ss in c.terms.values() for s in ss}
+    assert len(ideals) == 1
+    assert c.terms[0][0].ideal.is_zero()
+    for p, ss in c.terms.items():
+        subsets = itertools.combinations(ideal.gens, p)
+        assert [s.shift for s in ss] == [functools.reduce(lcm_by_zip, sub, zero)
+                                         for sub in subsets]

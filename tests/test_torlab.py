@@ -11,6 +11,7 @@ from homotor import torlab
 from homotor.exactlin import GF
 from homotor.errors import BoxTooSmall, EmptyInput, LengthMismatch, UnitIdeal
 from homotor.gcomplex import (
+    GradedComplex,
     cancel_units,
     module_homology_table,
     resolution,
@@ -535,3 +536,28 @@ def test_tor1_oracle_refuses_a_box_below_the_family_box():
         tor1_oracle([x, x], box=(0, 0))
     with pytest.raises(BoxTooSmall, match=r"^box \(0, 0\) does not dominate \(2, 0\)$"):
         multi_tor([x, x], box=(0, 0))
+
+
+def test_multi_tor_builds_each_complex_once(monkeypatch):
+    """A pinned three-ideal multi_tor builds exactly five GradedComplexes:
+    the Taylor resolution of (x^2, xy, y^2) and its reduction, the Koszul
+    complex on (x, z), which has nothing to cancel and is used as built, the
+    quotient R/I of the largest ideal, left unresolved, and the total of
+    the tensor.  A rebuild that comes back, of an unreduced resolution say,
+    changes the count."""
+    family = [MonomialIdeal(3, [(2, 0, 0), (1, 1, 0), (0, 2, 0)]),
+              MonomialIdeal(3, [(1, 0, 0), (0, 0, 1)]),
+              MonomialIdeal(3, [(0, 1, 2), (3, 0, 0), (1, 1, 1), (0, 0, 3)])]
+    init = GradedComplex.__init__
+    built = []
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(GradedComplex, "__init__", counted)
+    table = multi_tor(family)
+    assert len(built) == 5
+    monkeypatch.undo()
+    assert table == module_homology_table(
+        tensor_total(family[:2], family[2]), box=table.box)
