@@ -1,4 +1,7 @@
-"""Exception hierarchy shared by all homotor modules."""
+"""Exception hierarchy shared by all homotor modules, and the one integer
+rule of their arguments."""
+
+import operator
 
 
 class HomotorError(Exception):
@@ -61,3 +64,25 @@ class ValidationError(HomotorError):
 
 class UnknownCommand(HomotorError):
     """An unrecognised CLI command."""
+
+
+def as_int(value, what: str) -> int:
+    """value as an int, for an argument that must be one: an exponent, a
+    count, an index, a position, a level.  ``operator.index`` takes ints,
+    bools and numpy integers as they are; a float or a string is refused
+    with ``ValidationError``, never truncated or parsed."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{what} {value!r} is not an integer") from None
+
+
+def as_ints(values, what: str) -> tuple:
+    """values, a sequence of integers such as a degree or a position, as a
+    tuple of ints by ``as_int``; a value that is not a sequence is refused
+    with ``ValidationError`` too."""
+    try:
+        items = iter(values)
+    except TypeError:
+        raise ValidationError(f"{what}s {values!r} are not a sequence") from None
+    return tuple(as_int(v, what) for v in items)

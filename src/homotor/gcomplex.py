@@ -29,6 +29,7 @@ from .errors import (
     LengthMismatch,
     ParamOutOfRange,
     ValidationError,
+    as_int,
 )
 from .exactlin import GF, PrimeField, pivot_pairs
 from .monomial import (
@@ -159,12 +160,13 @@ class GradedComplex:
     """
 
     def __init__(self, n: int, terms: dict, entries: dict, kind: str = CYCLIC):
-        self.n = int(n)
+        self.n = as_int(n, "variable count")
         if kind not in (CYCLIC, IDEAL):
             raise InvalidKind(f"unknown summand kind {kind!r}")
         self.kind = kind
         self.terms = {
-            int(i): tuple(summands) for i, summands in terms.items() if summands
+            as_int(i, "term index"): tuple(summands)
+            for i, summands in terms.items() if summands
         }
         for ss in self.terms.values():
             for s in ss:
@@ -177,7 +179,7 @@ class GradedComplex:
                     raise LengthMismatch("summand length != variable count")
         cleaned: dict = {}
         for i, es in entries.items():
-            i = int(i)
+            i = as_int(i, "term index")
             src_terms = self.terms.get(i, ())
             tgt_terms = self.terms.get(i - 1, ())
             merged: dict = {}
@@ -186,7 +188,8 @@ class GradedComplex:
                     raise ValidationError(
                         f"coefficient {coeff!r} at degree {i} is not an int"
                     )
-                merged[(src, tgt)] = merged.get((src, tgt), 0) + coeff
+                key = (as_int(src, "summand index"), as_int(tgt, "summand index"))
+                merged[key] = merged.get(key, 0) + coeff
             out = []
             for (src, tgt), coeff in sorted(merged.items()):
                 if coeff == 0:

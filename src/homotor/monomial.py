@@ -20,6 +20,8 @@ from .errors import (
     ParamOutOfRange,
     UnitIdeal,
     ValidationError,
+    as_int,
+    as_ints,
 )
 
 MAX_VARS_FOR_DIMENSION = 16
@@ -38,11 +40,12 @@ class Multidegree(tuple):
     remain lexicographic and are not used for divisibility.
 
     A degree is validated where it is built from outside values: every
-    exponent goes through ``int`` and a negative one raises
-    ``ValidationError``.  A Multidegree is immutable and already valid, so
-    ``Multidegree(m)`` returns ``m`` itself, and sums (``add``), maxima
-    (``lcm_deg``) and differences (``sub``, after its one sign test) of
-    Multidegrees are built without a second check.  An operand that is not
+    exponent goes through ``errors.as_int``, and one that is not an
+    integer, or is negative, raises ``ValidationError``.  A Multidegree is
+    immutable and already valid, so ``Multidegree(m)`` returns ``m``
+    itself, and sums (``add``), maxima (``lcm_deg``) and differences
+    (``sub``, after its one sign test) of Multidegrees are built without a
+    second check.  An operand that is not
     a Multidegree still goes through the validating constructor, and every
     operation still checks that the lengths match.
     """
@@ -50,7 +53,7 @@ class Multidegree(tuple):
     def __new__(cls, exponents):
         if type(exponents) is Multidegree:
             return exponents
-        exps = tuple(int(e) for e in exponents)
+        exps = as_ints(exponents, "exponent")
         if any(e < 0 for e in exps):
             raise ValidationError(f"negative exponent in {exps}")
         return super().__new__(cls, exps)
@@ -88,10 +91,11 @@ class Multidegree(tuple):
 
     @classmethod
     def zero(cls, n: int) -> "Multidegree":
-        return _valid((0,) * n)
+        return _valid((0,) * as_int(n, "variable count"))
 
     @classmethod
     def unit(cls, n: int, i: int) -> "Multidegree":
+        i = as_int(i, "variable index")
         if not 0 <= i < n:
             raise ParamOutOfRange(f"variable index {i} outside 0..{n - 1}")
         return _valid(1 if j == i else 0 for j in range(n))
@@ -128,7 +132,7 @@ class MonomialIdeal:
     __slots__ = ("n", "gens")
 
     def __init__(self, n: int, generators=()):
-        self.n = int(n)
+        self.n = as_int(n, "variable count")
         gens = []
         for g in generators:
             g = Multidegree(g)

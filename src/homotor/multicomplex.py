@@ -24,6 +24,8 @@ from .errors import (
     MixedKinds,
     ParamOutOfRange,
     ValidationError,
+    as_int,
+    as_ints,
 )
 from .gcomplex import (
     IDEAL,
@@ -38,7 +40,9 @@ from .monomial import Multidegree, combine
 def _position(q) -> tuple:
     """q as a tuple of ints: q itself when it is one already, as every
     builder's positions are."""
-    return q if type(q) is tuple and {*map(type, q)} <= {int} else tuple(map(int, q))
+    if type(q) is tuple and {*map(type, q)} <= {int}:
+        return q
+    return as_ints(q, "position coordinate")
 
 
 class Multicomplex:
@@ -57,8 +61,8 @@ class Multicomplex:
 
     def __init__(self, n_axes: int, n_vars: int, terms: dict, diffs: dict,
                  shift: int = 0):
-        self.n_axes = int(n_axes)
-        self.n_vars = int(n_vars)
+        self.n_axes = as_int(n_axes, "axis count")
+        self.n_vars = as_int(n_vars, "variable count")
         self.terms = {}
         for q, summands in terms.items():
             q = _position(q)
@@ -72,7 +76,7 @@ class Multicomplex:
         self.diffs = {}
         for (q, k), es in diffs.items():
             q = _position(q)
-            k = int(k)
+            k = as_int(k, "axis")
             if len(q) != self.n_axes:
                 raise LengthMismatch(f"map key {q} has wrong arity")
             if not 0 <= k < self.n_axes:
@@ -85,6 +89,7 @@ class Multicomplex:
             n_src, n_tgt = len(self.terms[q]), len(self.terms[tgt])
             merged: dict = {}
             for src, dst, coeff in es:
+                src, dst = as_int(src, "summand index"), as_int(dst, "summand index")
                 if not (0 <= src < n_src and 0 <= dst < n_tgt):
                     raise ValidationError(f"axis {k} entry {src} -> {dst} at {q} "
                                           f"outside its {n_src} -> {n_tgt} summands")
@@ -94,7 +99,7 @@ class Multicomplex:
             )
             if out:
                 self.diffs[(q, k)] = out
-        self.shift = int(shift)
+        self.shift = as_int(shift, "shift")
         self.layout = {}
         terms: dict = {}
         start = {}  # q -> the index in its term of its first summand
@@ -240,7 +245,7 @@ def koszul_cone(m: Multicomplex, face_axes: int | None = None) -> Multicomplex:
     supported away from S; the new differential is the unit Koszul map,
     the signed faces of ``exterior_complex``.  It has m's shift."""
     n = m.n_axes
-    fa = n if face_axes is None else int(face_axes)
+    fa = n if face_axes is None else as_int(face_axes, "face_axes")
     if not 0 <= fa <= n:
         raise ParamOutOfRange(f"face_axes {fa} outside 0..{n}")
     subsets, entries = exterior_complex(fa, tuple)

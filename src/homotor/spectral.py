@@ -7,8 +7,9 @@ on every entry of its differential.  The fibre at a degree gamma is read
 through the alive masks, and all its pages come from one filtered reduction,
 the level-ordered persistence pairing (Edelsbrunner-Letscher-Zomorodian,
 Topological persistence and simplification, 2002).  For each term i, the
-alive block of d_i is column-reduced by ``exactlin.pivot_pairs``, sources
-in (level, index) order; each column left nonzero pairs its source d (in
+alive block of d_i, read by ``GradedComplex._block`` like every block of
+the total, is column-reduced by ``exactlin.pivot_pairs``, sources in
+(level, index) order; each column left nonzero pairs its source d (in
 term i) with its pivot b (in term i-1), its alive target of highest
 (level, index).  The gap of the pair is level(d) - level(b).  The pages
 are read off the pairs (Basu-Parida, Spectral sequences, exact couples and
@@ -22,18 +23,19 @@ persistent homology of filtrations, 2017):
 
 and d^r = 0 for r beyond the largest gap.  Every page is checked against
 the page-bookkeeping identity, the pairs of each term against the rank of
-the unfiltered block of d_i (the same block eliminated in index order), and
-the abutment against the total's homology of the fibre; those ranks are
-the ones ``homology_at`` caches in the total.
+the unfiltered block of d_i, and the abutment against the total's homology
+of the fibre.  Those ranks come from ``GradedComplex._masked_rank``, which
+eliminates the same block in index order and caches each rank in the
+total: one block reader, two elimination orders.
 
 What depends only on the filtration is laid out once, when the filtered
 total is built: the summands of each level of a term as one bitmask, and
-d_i grouped by source, sources in (level, index) order, each entry with
-its target's pivot key.  A reduction then only drops the dead sources and
-targets.  Degrees with the same alive masks have the same pages, so a
-filtered total keeps a page table, {(p, alive masks): pages}, and computes
-each (field, fibre class) once, like the block ranks its total caches;
-both live as long as the total.
+each summand's key, which orders the sources of a block and keys its
+targets for the pivot rule.  The filtered total keeps no copy of d_i.
+Degrees with the same alive masks have the same pages, so a filtered
+total keeps a page table, {(p, alive masks): pages}, and computes each
+(field, fibre class) once, like the block ranks its total caches; both
+live as long as the total.
 
 ``build_filtration`` produces the four filtrations attached to an N^n
 multicomplex (Koszul cone, its hypercube-augmented variant, the
@@ -49,7 +51,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import FiltrationViolation, InvalidKind, InvariantBroken
+from .errors import FiltrationViolation, InvalidKind, InvariantBroken, as_int, as_ints
 from .exactlin import GF, PrimeField, pivot_pairs
 from .gcomplex import GradedComplex
 from .multicomplex import Multicomplex, hypercube_extend, koszul_cone
@@ -58,15 +60,20 @@ from .multicomplex import Multicomplex, hypercube_extend, koszul_cone
 class FilteredTotal:
     """A graded complex with a coordinate filtration F_0 ⊆ ... ⊆ F_N.
 
-    ``levels[i][k]`` is the level (a non-negative int) of summand k of term
-    i, and N is the largest level; a term missing from the ``levels``
-    argument has every summand at level 0.  The differential must respect
+    ``levels[i][k]`` is the level of summand k of term i, a non-negative
+    integer (``errors.as_int`` refuses a float or a string), and N is the
+    largest level; a term missing from the ``levels`` argument has every
+    summand at level 0.  The differential must respect
     the filtration: no nonzero integer entry of d_i may map a summand into
-    a higher level, whichever degrees the summands are alive at.
+    a higher level, whichever degrees the summands are alive at.  That is
+    checked once, here; the differential itself is read only through
+    ``total``.
     """
 
     def __init__(self, total: GradedComplex, levels: dict):
         self.total = total
+        levels = {as_int(i, "term index"): list(as_ints(lv, "level"))
+                  for i, lv in levels.items()}
         for i, lv in levels.items():
             if len(lv) != len(total.summands(i)):
                 raise FiltrationViolation(
@@ -77,27 +84,23 @@ class FilteredTotal:
                 raise FiltrationViolation(f"a level at term {i} is negative")
         self.levels = {i: levels.get(i, [0] * len(ss)) for i, ss in total.terms.items()}
         self.N = max((v for lv in self.levels.values() for v in lv), default=0)
-        # laid out once: the summands of each level of term i, as one mask
+        # laid out once: the summands of each level of term i, as one mask,
+        # and the key of each summand, -(level·n + index) with n its term's
+        # size: the lowest key is the summand of highest (level, index)
         self._level_masks = {i: [0] * (self.N + 1) for i in self.levels}
+        self._keys = {}
         for i, lv in self.levels.items():
             for k, v in enumerate(lv):
                 self._level_masks[i][v] |= 1 << k
-        # d_i by source, sources in (level, index) order; each entry carries
-        # its target's pivot key, lowest for the target of highest (level, index)
-        self._columns: dict = {}
+            self._keys[i] = [-(v * len(lv) + k) for k, v in enumerate(lv)]
         for i, es in total.entries.items():
             src, tgt = self.levels[i], self.levels[i - 1]
-            n = len(tgt)
-            rows: dict = {}
-            for s, t, c in es:
+            for s, t, _ in es:
                 if tgt[t] > src[s]:
                     raise FiltrationViolation(
                         f"d(F_{src[s]}) not inside F_{src[s]} between terms "
                         f"{i} and {i - 1}"
                     )
-                rows.setdefault(s, []).append((t, -(tgt[t] * n + t), c))
-            self._columns[i] = [(s, rows[s])
-                                for s in sorted(rows, key=lambda s: (src[s], s))]
         self._pages: dict = {}  # {(p, alive masks): SpectralPages}, filled by ``pages``
 
 
@@ -136,21 +139,19 @@ def _diagonal_sums(table: dict) -> dict:
 def persistence_pairs(filtered: FilteredTotal, i: int, alive: dict,
                       fld: PrimeField = GF()) -> list:
     """The pairs (b, d) of the level-ordered reduction of the alive block of
-    d_i: d a summand of term i, b its pivot in term i-1."""
-    p, n = fld.p, len(filtered.levels[i - 1])
+    d_i: d a summand of term i, b its pivot in term i-1.  The block is the
+    one ``GradedComplex._block`` reads for the total's ranks, each row
+    re-keyed by its targets' keys and the sources taken in (level, index)
+    order; an empty block, as at the lowest term, has no pairs."""
     src_mask, tgt_mask = alive.get(i, 0), alive.get(i - 1, 0)
-    columns = []
-    for s, row in filtered._columns.get(i, ()):
-        if src_mask >> s & 1:
-            column = {}
-            for t, key, c in row:
-                if tgt_mask >> t & 1:
-                    c %= p
-                    if c:
-                        column[key] = c
-            if column:
-                columns.append((s, column))
-    return [(-key % n, s) for s, key in pivot_pairs(columns, p)]
+    if not (src_mask and tgt_mask):
+        return []
+    block = filtered.total._block(i, src_mask, tgt_mask, fld.p)
+    src_keys, tgt_keys = filtered._keys[i], filtered._keys[i - 1]
+    columns = [(s, {tgt_keys[t]: c for t, c in block[s].items()})
+               for s in sorted(block, key=src_keys.__getitem__, reverse=True)]
+    n = len(tgt_keys)
+    return [(-key % n, s) for s, key in pivot_pairs(columns, fld.p)]
 
 
 def pages(filtered: FilteredTotal, gamma, fld: PrimeField = GF()) -> SpectralPages:
@@ -179,7 +180,7 @@ def pages(filtered: FilteredTotal, gamma, fld: PrimeField = GF()) -> SpectralPag
         if not alive.get(i - 1):
             continue
         pairs = persistence_pairs(filtered, i, alive, fld)
-        # the unfiltered block: the key homology_at caches for this fibre
+        # the same block eliminated in index order, its rank cached in the total
         rank = total._masked_rank(i, alive[i], alive[i - 1], fld)
         if len(pairs) != rank:
             raise InvariantBroken(

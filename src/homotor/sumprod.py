@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .errors import EmptySelection, InvalidKind, ValidationError
+from .errors import EmptySelection, InvalidKind, ValidationError, as_int
 from .exactlin import GF, PrimeField
 from .gcomplex import (
     CYCLIC,
@@ -137,7 +137,7 @@ def augmented_interior_H(ideals, subset, coefficient: MonomialIdeal | None = Non
     ``quotient_complex``, and the box defaults to the stability box of the
     chosen ideals and the coefficient, both as in ``multi_tor``."""
     ideals, _ = check_family(ideals, coefficient)
-    subset = sorted(set(subset))
+    subset = sorted({as_int(i, "subset index") for i in subset})
     if not subset:
         raise EmptySelection("augmented_interior_H needs a nonempty subset")
     if subset[0] < 0 or subset[-1] >= len(ideals):

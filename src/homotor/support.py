@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 
-from .errors import ParamOutOfRange, ValidationError
+from .errors import ParamOutOfRange, ValidationError, as_int
 from .exactlin import GF, PrimeField
 from .gcomplex import TorTable
 from .monomial import (
@@ -89,7 +89,7 @@ def supportoftors_check(ideals, coefficient: MonomialIdeal | None, ps,
         raise ValidationError("supportoftors_check needs nonzero ideals generated "
                               "by single variables, in pairwise disjoint blocks")
     s = len(ideals)
-    ps = list(ps)
+    ps = [as_int(p, "p") for p in ps]
     for p in ps:
         if not 1 <= p <= s:
             raise ParamOutOfRange(f"p={p} outside 1..{s}")

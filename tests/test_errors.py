@@ -1,20 +1,26 @@
 """Every error the package raises is typed, a family of ideals is refused
-in one place, every GF(p) elimination goes through one kernel, d∘d = 0 is
-checked in one place, and complexes are built only by the builders that
-make new ones."""
+in one place, every integer argument is read by one rule, every GF(p)
+elimination goes through one kernel and reads its block through one
+reader, d∘d = 0 is checked in one place, and complexes are built only by
+the builders that make new ones."""
 
 import ast
 import graphlib
 import inspect
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import homotor
-from homotor import errors
-from homotor.errors import EmptyInput, LengthMismatch, UnitIdeal
-from homotor.monomial import MonomialIdeal
+from homotor import errors, gcomplex, spectral
+from homotor.errors import EmptyInput, LengthMismatch, UnitIdeal, ValidationError
+from homotor.gcomplex import GradedComplex, free_summand, resolution
+from homotor.monomial import MonomialIdeal, Multidegree, iter_box
+from homotor.multicomplex import Multicomplex, koszul_cone, tensor
+from homotor.spectral import FilteredTotal, build_filtration, pages
 from homotor.sumprod import (
     augmented_interior_H,
     build_p_complex,
@@ -113,6 +119,55 @@ def test_every_raise_names_a_homotor_error():
                 untyped.append(f"{path.name}:{node.lineno}: {line.strip()}")
     assert not untyped, untyped
     assert allowed == [("quotient_dimension", "AssertionError")]
+
+
+def _integer_arguments(bad):
+    """(the argument's name in the error, a call passing ``bad`` where an
+    entry point takes an integer) for each integer argument of the library:
+    exponents, counts, term and summand indices, positions, axes, levels,
+    ``ps`` and ``subset``."""
+    x, y = MonomialIdeal(2, [(1, 0)]), MonomialIdeal(2, [(0, 1)])
+    one = free_summand((0,))
+    pair = {0: [one], 1: [one]}
+    total = GradedComplex(1, pair, {1: [(0, 0, 1)]})
+    line = Multicomplex(1, 1, {(0,): [one], (1,): [one]}, {((1,), 0): [(0, 0, 1)]})
+    return [
+        ("variable count", lambda: MonomialIdeal(bad, [])),
+        ("exponent", lambda: MonomialIdeal(2, [(bad, 1)])),
+        ("exponent", lambda: Multidegree((1, bad))),
+        ("variable index", lambda: Multidegree.unit(2, bad)),
+        ("exponent", lambda: multi_tor([x, y], box=(bad, 3))),
+        ("variable count", lambda: GradedComplex(bad, {}, {})),
+        ("term index", lambda: GradedComplex(1, {bad: [one]}, {})),
+        ("term index", lambda: GradedComplex(1, pair, {bad: [(0, 0, 1)]})),
+        ("summand index", lambda: GradedComplex(1, pair, {1: [(bad, 0, 1)]})),
+        ("axis count", lambda: Multicomplex(bad, 1, {}, {})),
+        ("position coordinate", lambda: Multicomplex(1, 1, {(bad,): [one]}, {})),
+        ("axis", lambda: Multicomplex(1, 1, line.terms, {((1,), bad): [(0, 0, 1)]})),
+        ("summand index",
+         lambda: Multicomplex(1, 1, line.terms, {((1,), 0): [(0, bad, 1)]})),
+        ("shift", lambda: Multicomplex(1, 1, line.terms, {}, bad)),
+        ("face_axes", lambda: koszul_cone(line, face_axes=bad)),
+        ("level", lambda: FilteredTotal(total, {1: [bad]})),
+        ("term index", lambda: FilteredTotal(total, {bad: [0]})),
+        ("p", lambda: supportoftors_check([x, y], None, [bad])),
+        ("subset index", lambda: augmented_interior_H([x, y], [bad])),
+    ]
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.one_of(st.floats(), st.text()))
+def test_one_integer_rule(bad):
+    """Every integer argument goes through ``errors.as_int``: a float, even
+    a whole one, or a string, even of digits, is refused with
+    ``ValidationError``, never truncated by ``int`` or parsed, and never
+    let through to a raw TypeError."""
+    for what, call in _integer_arguments(bad):
+        with pytest.raises(ValidationError, match="is not an integer") as refused:
+            call()
+        assert str(refused.value).startswith(f"{what} "), what
+    with pytest.raises(ValidationError, match="is not an integer"):
+        multi_tor([MonomialIdeal(2, [(1, 0)])], box="ab")
 
 
 class _Elimination(ast.NodeVisitor):
@@ -325,6 +380,56 @@ def test_the_packed_layout_stays_in_gcomplex():
     for name in ("_tables", "_alive", "_split"):
         paths = {path for path, _, _ in _call_sites(name)}
         assert paths == {"gcomplex.py"}, name
+
+
+class _Reads(_Sites):
+    """Every read of the attribute ``name`` (``obj.name``)."""
+
+    def __init__(self, name):
+        super().__init__()
+        self.name = name
+
+    def visit_Attribute(self, node):
+        if node.attr == self.name:
+            self.add(node)
+        self.generic_visit(node)
+
+
+def _tally(counts, name, fn):
+    """fn, counting its calls in ``counts[name]``."""
+    def counted(*args):
+        counts[name] += 1
+        return fn(*args)
+    return counted
+
+
+def test_one_block_reader(monkeypatch):
+    """Every alive block of a differential is read by one method,
+    ``GradedComplex._block``, and eliminated in one of two orders: by
+    ``_masked_rank`` in index order, for ranks, and by
+    ``spectral.persistence_pairs`` in (level, index) order, for pairs.  In
+    spectral.py only ``FilteredTotal.__init__``, which checks the
+    filtration, reads a differential's ``entries``.  So on the pages of a
+    3-ideal kcone family, over its whole box, each elimination that
+    gcomplex and spectral run reads exactly one block."""
+    assert sorted((path, func) for path, func, _ in _call_sites("_block")) == [
+        ("gcomplex.py", "GradedComplex._masked_rank"), ("spectral.py", "persistence_pairs")]
+    reads = _Reads("entries")
+    reads.visit(ast.parse((Path(homotor.__file__).parent / "spectral.py").read_text()))
+    assert {func for func, _ in reads.found} == {"FilteredTotal.__init__"}
+
+    counts = Counter()
+    monkeypatch.setattr(GradedComplex, "_block", _tally(counts, "_block", GradedComplex._block))
+    for module in (gcomplex, spectral):
+        monkeypatch.setattr(module, "pivot_pairs",
+                            _tally(counts, module.__name__, module.pivot_pairs))
+    family = [MonomialIdeal(3, [(2, 0, 0), (1, 1, 0)]), MonomialIdeal(3, [(0, 1, 0)]),
+              MonomialIdeal(3, [(0, 0, 1), (1, 0, 1)])]
+    filtered = build_filtration(tensor([resolution(i) for i in family]), kind="kcone")
+    for gamma in iter_box(filtered.total.stable_box()):
+        pages(filtered, gamma)
+    ranks, pairings = counts["homotor.gcomplex"], counts["homotor.spectral"]
+    assert ranks and pairings and counts["_block"] == ranks + pairings
 
 
 def _homotor_imports(tree):

@@ -3,6 +3,7 @@
 import itertools
 from functools import reduce
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -53,6 +54,22 @@ def test_multidegree_validation():
         Multidegree((-1, 0))
     with pytest.raises(ValidationError):
         Multidegree((1, 0)).sub(Multidegree((2, 0)))
+
+
+def test_a_non_integer_exponent_is_refused_not_truncated():
+    """``int`` would read (0.5, 1) as (0, 1), making this ideal (y), and
+    (1.7, 0) as (1, 0); both are refused, as is a degree that is no
+    sequence at all.  numpy integers pass, as ints."""
+    with pytest.raises(ValidationError, match=r"^exponent 0\.5 is not an integer$"):
+        MonomialIdeal(2, [(0.5, 1)])
+    with pytest.raises(ValidationError, match=r"^exponent 1\.7 is not an integer$"):
+        Multidegree((1.7, 0))
+    for exponents in (1.5, 3, None):
+        with pytest.raises(ValidationError, match="are not a sequence"):
+            Multidegree(exponents)
+    m = Multidegree((np.int64(1), np.uint8(2)))
+    assert m == (1, 2) and all(type(e) is int for e in m)
+    assert MonomialIdeal(np.int32(2), [m]) == MonomialIdeal(2, [(1, 2)])
 
 
 def test_variable_indices_outside_the_ring_are_refused():

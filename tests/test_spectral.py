@@ -119,6 +119,20 @@ def test_pairs_follow_the_level_order():
     assert pg.r_stab == 2 and pg.converged
 
 
+def test_the_lowest_term_has_no_pairs():
+    """Term 0 of the interior filtration of (x) ⊗ (y) has no term below it:
+    its block is empty, as ``_masked_rank`` reads it, so it has no pairs at
+    any degree of the box, and neither has d_1 where term 0 is dead."""
+    x, y = MonomialIdeal(2, [(1, 0)]), MonomialIdeal(2, [(0, 1)])
+    filtered = build_filtration(
+        tensor([gcomplex.resolution(x), gcomplex.resolution(y)]), kind="interior")
+    assert min(filtered.levels) == 0
+    for gamma in iter_box(filtered.total.stable_box()):
+        alive = filtered.total.alive_masks(gamma)
+        assert spectral.persistence_pairs(filtered, 0, alive) == []
+        assert spectral.persistence_pairs(filtered, 1, {**alive, 0: 0}) == []
+
+
 # -- the pages against their definitions, by enumeration over GF(3) ----------
 
 
@@ -597,8 +611,9 @@ def test_pairing_matches_block_rank_oracle(family, with_module):
 @settings(deadline=None, max_examples=25)
 @given(st.integers(0, 2**32 - 1), families(), st.booleans())
 def test_pairing_equals_the_block_oracle(seed, family, with_module):
-    """The pairs read off the layout a filtered total keeps equal, list for
-    list, those of the re-keyed and sorted block of its total: on a random
+    """The pairs of ``persistence_pairs``, from the keys a filtered total
+    lays out once, equal, list for list, those of the oracle, which re-keys
+    and sorts its total's block from the levels on every call: on a random
     filtered matrix complex and on the six builder totals of a family, over
     GF(2), GF(3) and GF(32003), for every d_i at the sampled degrees of the
     total's box and one past it."""
