@@ -80,7 +80,9 @@ def as_int(value, what: str) -> int:
 def as_ints(values, what: str) -> tuple:
     """values, a sequence of integers such as a degree or a position, as a
     tuple of ints by ``as_int``; a value that is not a sequence is refused
-    with ``ValidationError`` too."""
+    with ``ValidationError`` too.  A tuple of ints is returned as it is."""
+    if type(values) is tuple and {*map(type, values)} <= {int}:
+        return values
     try:
         items = iter(values)
     except TypeError:

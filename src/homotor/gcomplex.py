@@ -1,7 +1,9 @@
 """Multigraded complexes of twisted cyclic quotient or ideal summands.
 
 A ``GradedComplex`` stores, per homological index, an ordered list of
-summands, and per adjacent index pair a sparse list of scalar coefficients.
+summands, and per adjacent index pair its differential as a sparse map,
+{source: [(target, coefficient), ...]} of scalar coefficients: the one form
+of every differential and axis map, normalised by ``_rows``.
 A summand is a shift and an ideal; whether it stands for the quotient
 R/J(-shift) or the ideal J(-shift) is one ``kind`` per complex, and the
 free module R(-shift) is the quotient R/0(-shift).
@@ -85,18 +87,42 @@ def _entry_valid(src: Summand, tgt: Summand) -> bool:
     return all(tgt.ideal.contains(g.add(delta)) for g in src.ideal.gens)
 
 
-def _compose(second, first) -> dict:
-    """The nonzero entries {(src, tgt): coefficient} of second ∘ first, both
-    lists of (src, tgt, coefficient) with no (src, tgt) twice, in the order
-    of first's entries."""
-    out_of: dict = {}
-    for m, t, c2 in second:
-        out_of.setdefault(m, []).append((t, c2))
-    acc: dict = {}
-    for s, m, c1 in first:
-        for t, c2 in out_of.get(m, ()):
-            acc[(s, t)] = acc.get((s, t), 0) + c1 * c2
-    return {k: v for k, v in acc.items() if v}
+def _rows(rows: dict, n_src: int, n_tgt: int, where) -> dict:
+    """A map from n_src to n_tgt summands, {source: [(target, coefficient),
+    ...]}, normalised: indices by ``as_int``, int coefficients, every entry
+    in range, repeated targets summed, zero sums and empty rows dropped, and
+    sources and targets in index order from one sort; ``where()``, called
+    only to refuse an entry, names the map."""
+    merged: dict = {}
+    for s, row in rows.items():
+        s = as_int(s, "summand index")
+        for t, c in row:
+            t = as_int(t, "summand index")
+            if not isinstance(c, int):
+                raise ValidationError(f"{where()}: coefficient {c!r} is not an int")
+            if not (0 <= s < n_src and 0 <= t < n_tgt):
+                raise ValidationError(f"{where()}: entry {s} -> {t} outside its "
+                                      f"{n_src} -> {n_tgt} summands")
+            merged[s, t] = merged.get((s, t), 0) + c
+    out: dict = {}
+    for (s, t), c in sorted(merged.items()):
+        if c:
+            out.setdefault(s, []).append((t, c))
+    return out
+
+
+def _compose(second: dict, first: dict) -> dict:
+    """second ∘ first of two maps {source: [(target, coefficient), ...]}, in
+    that form: its nonzero rows in first's order, targets unsorted."""
+    out = {}
+    for s, row in first.items():
+        acc: dict = {}
+        for m, c1 in row:
+            for t, c2 in second.get(m, ()):
+                acc[t] = acc.get(t, 0) + c1 * c2
+        if any(acc.values()):
+            out[s] = [(t, c) for t, c in acc.items() if c]
+    return out
 
 
 def _fibre_tables(terms: dict, n: int):
@@ -159,7 +185,7 @@ class GradedComplex:
     R/J(-shift), or ``IDEAL``, the ideal J(-shift).
     """
 
-    def __init__(self, n: int, terms: dict, entries: dict, kind: str = CYCLIC):
+    def __init__(self, n: int, terms: dict, d: dict, kind: str = CYCLIC):
         self.n = as_int(n, "variable count")
         if kind not in (CYCLIC, IDEAL):
             raise InvalidKind(f"unknown summand kind {kind!r}")
@@ -177,36 +203,20 @@ class GradedComplex:
                     )
                 if s.shift.n != self.n or s.ideal.n != self.n:
                     raise LengthMismatch("summand length != variable count")
-        cleaned: dict = {}
-        for i, es in entries.items():
+        self.d = {}  # {i: d_i as {source: [(target, coefficient), ...]}}
+        for i, rows in d.items():
             i = as_int(i, "term index")
-            src_terms = self.terms.get(i, ())
-            tgt_terms = self.terms.get(i - 1, ())
-            merged: dict = {}
-            for src, tgt, coeff in es:
-                if not isinstance(coeff, int):
-                    raise ValidationError(
-                        f"coefficient {coeff!r} at degree {i} is not an int"
-                    )
-                key = (as_int(src, "summand index"), as_int(tgt, "summand index"))
-                merged[key] = merged.get(key, 0) + coeff
-            out = []
-            for (src, tgt), coeff in sorted(merged.items()):
-                if coeff == 0:
-                    continue
-                if not (0 <= src < len(src_terms) and 0 <= tgt < len(tgt_terms)):
-                    raise ValidationError(
-                        f"entry ({src},{tgt}) out of range at degree {i}"
-                    )
-                if not _entry_valid(src_terms[src], tgt_terms[tgt]):
-                    raise ValidationError(
-                        f"inhomogeneous or ill-defined entry at degree {i}: "
-                        f"{src_terms[src]} -> {tgt_terms[tgt]}"
-                    )
-                out.append((src, tgt, coeff))
-            if out:
-                cleaned[i] = tuple(out)
-        self.entries = cleaned
+            src_terms, tgt_terms = self.terms.get(i, ()), self.terms.get(i - 1, ())
+            rows = _rows(rows, len(src_terms), len(tgt_terms), lambda: f"d_{i}")
+            for s, row in rows.items():
+                for t, _ in row:
+                    if not _entry_valid(src_terms[s], tgt_terms[t]):
+                        raise ValidationError(
+                            f"inhomogeneous or ill-defined entry at degree {i}: "
+                            f"{src_terms[s]} -> {tgt_terms[t]}"
+                        )
+            if rows:
+                self.d[i] = rows
         self._check_dd_zero()
         self._rank_cache: dict = {}
         self._thresholds = None  # built by the first _tables call
@@ -222,10 +232,10 @@ class GradedComplex:
         return self.terms.get(i, ())
 
     def _check_dd_zero(self):
-        for i, es in self.entries.items():
-            below = self.entries.get(i - 1)
+        for i, rows in self.d.items():
+            below = self.d.get(i - 1)
             if below:
-                bad = _compose(below, es)
+                bad = _compose(below, rows)
                 if bad:
                     raise CompositionNonzero(f"d∘d != 0 from degree {i}: {bad}")
 
@@ -259,7 +269,7 @@ class GradedComplex:
     def alive_masks(self, gamma) -> dict:
         """{i: bitmask of the summands of term i alive at gamma}: the split
         of the fibre class of gamma's state."""
-        check_degree(gamma, self.n)
+        gamma = check_degree(gamma, self.n)
         cuts, state, rows = self._tables()[:3]
         for cut, row, g in zip(cuts, rows, gamma):
             state &= row[bisect_right(cut, g) - 1]
@@ -292,14 +302,19 @@ class GradedComplex:
 
     def _block(self, i: int, src_mask: int, tgt_mask: int, p: int) -> dict:
         """{s: {t: d_i(s -> t) mod p}} over the alive sources and targets of
-        the masks, sources in index order, entries zero mod p dropped.  The
-        dicts are fresh: ``pivot_pairs`` consumes its rows."""
+        the masks, read from the rows of the alive sources in index order,
+        entries zero mod p dropped; fresh dicts, as ``pivot_pairs`` consumes them."""
         block: dict = {}
-        for s, t, c in self.entries.get(i, ()):
-            if src_mask >> s & 1 and tgt_mask >> t & 1:
-                c %= p
-                if c:
-                    block.setdefault(s, {})[t] = c
+        for s, row in self.d.get(i, {}).items():
+            if src_mask >> s & 1:
+                kept = {}
+                for t, c in row:
+                    if tgt_mask >> t & 1:
+                        c %= p
+                        if c:
+                            kept[t] = c
+                if kept:
+                    block[s] = kept
         return block
 
     def _masked_rank(self, i: int, src_mask: int, tgt_mask: int, field: PrimeField) -> int:
@@ -353,8 +368,7 @@ class TorTable:
     def clamp(self, gamma) -> tuple:
         """min(gamma, box): the box is a stability box, so a degree beyond
         it has the fibre of its clamp."""
-        check_degree(gamma, len(self.box))
-        return tuple(map(min, gamma, self.box))
+        return tuple(map(min, check_degree(gamma, len(self.box)), self.box))
 
     def dim(self, i: int, gamma) -> int:
         """dim H_i at gamma, read at its clamp."""
@@ -463,14 +477,15 @@ def cancel_units(c: GradedComplex) -> GradedComplex:
     ``resolution``.
     """
     if not any(_unit(v, c.terms[i][s], c.terms[i - 1][t])
-               for i, es in c.entries.items() for s, t, v in es):
+               for i, rows in c.d.items() for s, row in rows.items() for t, v in row):
         return c
-    out = {i: {} for i in c.entries}  # out[i][s] = {t: d_i(s -> t)}
-    into = {i: {} for i in c.entries}  # into[i][t] = {s: d_i(s -> t)}
-    for i, es in c.entries.items():
-        for s, t, v in es:
-            out[i].setdefault(s, {})[t] = v
-            into[i].setdefault(t, {})[s] = v
+    # out[i][s] = {t: d_i(s -> t)} and into[i][t] = {s: d_i(s -> t)}
+    out = {i: {s: dict(row) for s, row in rows.items()} for i, rows in c.d.items()}
+    into = {i: {} for i in c.d}
+    for i, rows in c.d.items():
+        for s, row in rows.items():
+            for t, v in row:
+                into[i].setdefault(t, {})[s] = v
 
     def drop(i, rows, cols, k):
         """Delete the entries of d_i in row k of ``rows``."""
@@ -512,12 +527,10 @@ def cancel_units(c: GradedComplex) -> GradedComplex:
     kept = {i: [k for k in range(len(ss)) if k not in gone[i]] for i, ss in c.terms.items()}
     position = {i: {k: p for p, k in enumerate(ks)} for i, ks in kept.items()}
     terms = {i: [c.terms[i][k] for k in ks] for i, ks in kept.items()}
-    entries = {
-        i: [(position[i][s], position[i - 1][t], v)
-            for s, row in rows.items() for t, v in row.items()]
-        for i, rows in out.items()
-    }
-    return GradedComplex(c.n, terms, entries, c.kind)
+    d = {i: {position[i][s]: [(position[i - 1][t], v) for t, v in row.items()]
+             for s, row in rows.items()}
+         for i, rows in out.items()}
+    return GradedComplex(c.n, terms, d, c.kind)
 
 
 # ---------------------------------------------------------------------------
@@ -525,32 +538,30 @@ def cancel_units(c: GradedComplex) -> GradedComplex:
 
 
 def exterior_complex(m: int, summand, orientation: str = "chain"):
-    """Terms and entries of an exterior-algebra complex on m generators.
+    """Terms and differentials of an exterior-algebra complex on m generators.
 
     ``summand(S)`` gives the summand on each subset S of range(m), a sorted
     tuple; subsets of one size are listed in ``itertools.combinations``
     order.  The chain differential is d(e_S) = sum_l (-1)^l e_{S - S[l]}, and
     the cochain complex is its transpose with size-p subsets at index -p.
     """
+    if orientation not in ("chain", "cochain"):
+        raise InvalidKind(f"bad orientation {orientation!r}")
     terms = {}
     index = {}
     for p in range(m + 1):
         subs = list(itertools.combinations(range(m), p))
         terms[p] = tuple(summand(s) for s in subs)
         index.update((s, k) for k, s in enumerate(subs))
-    entries = {p: [] for p in range(1, m + 1)}
+    d = {p: {} for p in range(1, m + 1)}  # the cochain rows are keyed by face
     for s, k in index.items():
         for l in range(len(s)):
-            face = index[s[:l] + s[l + 1:]]
-            entries[len(s)].append((k, face, -1 if l % 2 else 1))
+            face, sign = index[s[:l] + s[l + 1:]], -1 if l % 2 else 1
+            src, tgt = (k, face) if orientation == "chain" else (face, k)
+            d[len(s)].setdefault(src, []).append((tgt, sign))
     if orientation == "chain":
-        return terms, entries
-    if orientation == "cochain":
-        return (
-            {-p: ss for p, ss in terms.items()},
-            {1 - p: [(t, s, c) for s, t, c in es] for p, es in entries.items()},
-        )
-    raise InvalidKind(f"bad orientation {orientation!r}")
+        return terms, d
+    return {-p: ss for p, ss in terms.items()}, {1 - p: rows for p, rows in d.items()}
 
 
 def taylor_resolution(ideal: MonomialIdeal) -> GradedComplex:
@@ -576,8 +587,8 @@ def taylor_resolution(ideal: MonomialIdeal) -> GradedComplex:
             lcms[s] = lcm_deg(lcms[s[:-1]], gens[s[-1]])
         return Summand(lcms[s], zero)
 
-    terms, entries = exterior_complex(len(gens), free)
-    return GradedComplex(ideal.n, terms, entries)
+    terms, d = exterior_complex(len(gens), free)
+    return GradedComplex(ideal.n, terms, d)
 
 
 def resolution(ideal: MonomialIdeal) -> GradedComplex:

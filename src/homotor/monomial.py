@@ -182,19 +182,24 @@ class MonomialIdeal:
 
 def membership(gamma, ideal: MonomialIdeal) -> bool:
     """True iff x^gamma lies in the ideal (some generator divides gamma)."""
-    check_degree(gamma, ideal.n)
+    gamma = check_degree(gamma, ideal.n)
     return any(all(map(operator.le, g, gamma)) for g in ideal.gens)
 
 
-def check_degree(gamma, n: int) -> None:
-    """Refuse a degree to read a complex or table at: one of length other
-    than n with ``LengthMismatch``, one with a negative exponent with
-    ``ValidationError``.  A Multidegree has no negative exponent, so only
-    its length is checked."""
+def check_degree(gamma, n: int) -> tuple:
+    """gamma, a degree to read a complex or table at, as a tuple of ints by
+    ``as_ints``, so a float or a string is refused with ``ValidationError``
+    and never read; one of length other than n is refused with
+    ``LengthMismatch``, one with a negative exponent with
+    ``ValidationError``.  A Multidegree is valid already, so it is returned
+    as it is and only its length is checked."""
+    if type(gamma) is not Multidegree:
+        gamma = as_ints(gamma, "degree")
     if len(gamma) != n:
         raise LengthMismatch(f"degree length {len(gamma)} != {n}")
-    if type(gamma) is not Multidegree and any(g < 0 for g in gamma):
-        raise ValidationError(f"negative exponent in {tuple(gamma)}")
+    if type(gamma) is not Multidegree and min(gamma, default=0) < 0:
+        raise ValidationError(f"negative exponent in {gamma}")
+    return gamma
 
 
 def refuse_unit(ideal: MonomialIdeal) -> None:

@@ -32,22 +32,16 @@ from .gcomplex import (
     GradedComplex,
     Summand,
     _compose,
+    _rows,
     exterior_complex,
 )
 from .monomial import Multidegree, combine
 
 
-def _position(q) -> tuple:
-    """q as a tuple of ints: q itself when it is one already, as every
-    builder's positions are."""
-    if type(q) is tuple and {*map(type, q)} <= {int}:
-        return q
-    return as_ints(q, "position coordinate")
-
-
 class Multicomplex:
     """Finite family of cyclic summand terms indexed by N^n with n
-    commuting differentials; ``diffs[(q, k)]`` maps term q to term q - e_k.
+    commuting differentials; ``diffs[(q, k)]`` maps term q to term q - e_k,
+    in the one form of a map, {source: [(target, coefficient), ...]}.
 
     ``layout`` is the one order rule of the total: {i: [the position q of
     each summand of term i]}, positions in sorted order, the summands of
@@ -65,7 +59,7 @@ class Multicomplex:
         self.n_vars = as_int(n_vars, "variable count")
         self.terms = {}
         for q, summands in terms.items():
-            q = _position(q)
+            q = as_ints(q, "position coordinate")
             if len(q) != self.n_axes:
                 raise LengthMismatch(f"position {q} has wrong arity")
             if min(q, default=0) < 0:
@@ -74,8 +68,8 @@ class Multicomplex:
             if summands:
                 self.terms[q] = summands
         self.diffs = {}
-        for (q, k), es in diffs.items():
-            q = _position(q)
+        for (q, k), rows in diffs.items():
+            q = as_ints(q, "position coordinate")
             k = as_int(k, "axis")
             if len(q) != self.n_axes:
                 raise LengthMismatch(f"map key {q} has wrong arity")
@@ -86,19 +80,10 @@ class Multicomplex:
             tgt = self._step(q, k)
             if q not in self.terms or tgt not in self.terms:
                 continue
-            n_src, n_tgt = len(self.terms[q]), len(self.terms[tgt])
-            merged: dict = {}
-            for src, dst, coeff in es:
-                src, dst = as_int(src, "summand index"), as_int(dst, "summand index")
-                if not (0 <= src < n_src and 0 <= dst < n_tgt):
-                    raise ValidationError(f"axis {k} entry {src} -> {dst} at {q} "
-                                          f"outside its {n_src} -> {n_tgt} summands")
-                merged[(src, dst)] = merged.get((src, dst), 0) + coeff
-            out = tuple(
-                (s, t, c) for (s, t), c in sorted(merged.items()) if c
-            )
-            if out:
-                self.diffs[(q, k)] = out
+            rows = _rows(rows, len(self.terms[q]), len(self.terms[tgt]),
+                         lambda: f"axis {k} map at {q}")
+            if rows:
+                self.diffs[(q, k)] = rows
         self.shift = as_int(shift, "shift")
         self.layout = {}
         terms: dict = {}
@@ -108,14 +93,16 @@ class Multicomplex:
             start[q] = len(terms.setdefault(i, []))
             terms[i].extend(self.terms[q])
             self.layout.setdefault(i, []).extend([q] * len(self.terms[q]))
-        entries: dict = {}
-        for (q, k), es in self.diffs.items():
+        d: dict = {}  # the total, put together source by source
+        for (q, k), rows in self.diffs.items():
             sign = (-1) ** (sum(q[:k]) % 2)
             a, b = start[q], start[self._step(q, k)]
-            entries.setdefault(sum(q) + self.shift, []).extend(
-                (a + src, b + tgt, sign * coeff) for src, tgt, coeff in es
-            )
-        self.total = GradedComplex(self.n_vars, terms, entries)
+            total = d.setdefault(sum(q) + self.shift, {})
+            for s, row in rows.items():
+                out = total.setdefault(a + s, [])
+                for t, c in row:
+                    out.append((b + t, sign * c))
+        self.total = GradedComplex(self.n_vars, terms, d)
 
     @staticmethod
     def _step(q, k):
@@ -162,17 +149,17 @@ def tensor(factors) -> Multicomplex:
     for q in terms:
         sizes = [len(f.terms[qi]) for f, qi in zip(factors, q)]
         for k, f in enumerate(factors):
-            es = f.entries.get(q[k])
-            if not es:
+            rows = f.d.get(q[k])
+            if not rows:
                 continue
             m_src, m_tgt = sizes[k], len(f.terms[q[k] - 1])
             low = math.prod(sizes[k + 1:])
-            diffs[(q, k)] = [
-                ((h * m_src + s) * low + l, (h * m_tgt + t) * low + l, coeff)
+            diffs[(q, k)] = {
+                (h * m_src + s) * low + l: [((h * m_tgt + t) * low + l, c) for t, c in row]
                 for h in range(math.prod(sizes[:k]))
-                for s, t, coeff in es
+                for s, row in rows.items()
                 for l in range(low)
-            ]
+            }
     return Multicomplex(len(factors), n_vars, terms, diffs)
 
 
@@ -182,19 +169,19 @@ def _product_summand(combo) -> Summand:
     return Summand(shift, ideals[0] if len(ideals) == 1 else combine(ideals, "sum"))
 
 
-def _compose_chain(m: Multicomplex, q, axes_desc) -> list:
-    """The (src, tgt, coefficient) entries of d_{.,a1} ∘ ... ∘ d_{q,ap}
-    starting at position q, applying the axes in the order given (each step
-    lowers that coordinate): the identity of m_q when no axis is given."""
-    acc = [(i, i, 1) for i in range(len(m.terms.get(q, ())))]
+def _compose_chain(m: Multicomplex, q, axes_desc) -> dict:
+    """The map d_{.,a1} ∘ ... ∘ d_{q,ap} starting at position q, applying
+    the axes in the order given (each step lowers that coordinate): the
+    identity of m_q when no axis is given."""
+    acc = {i: [(i, 1)] for i in range(len(m.terms.get(q, ())))}
     for k in axes_desc:
-        acc = [(s, t, c) for (s, t), c in _compose(m.diffs.get((q, k), ()), acc).items()]
+        acc = _compose(m.diffs.get((q, k), {}), acc)
         q = Multicomplex._step(q, k)
     return acc
 
 
 def _attach_corner(m: Multicomplex, vertices):
-    """The terms and axis entries of the mapping cylinder of m along one
+    """The terms and axis maps of the mapping cylinder of m along one
     extra (last) axis, with the corner at the given vertices of {0, 1}^n:
     level 1 carries m, level 0 a copy of the corner term m_0 on each of
     those vertices c, joined by identity maps, and the level map out of c
@@ -202,17 +189,17 @@ def _attach_corner(m: Multicomplex, vertices):
     n = m.n_axes
     corner = m.terms.get((0,) * n, ())
     terms = {q + (1,): ss for q, ss in m.terms.items()}
-    diffs = {(q + (1,), k): es for (q, k), es in m.diffs.items()}
+    diffs = {(q + (1,), k): rows for (q, k), rows in m.diffs.items()}
     if corner:
-        ident = [(i, i, 1) for i in range(len(corner))]
+        ident = {i: [(i, 1)] for i in range(len(corner))}
         for c in vertices:
             terms[c + (0,)] = corner
             for k in range(n):
                 if c[k]:
                     diffs[(c + (0,), k)] = ident
             if c + (1,) in terms:
-                psi = _compose_chain(m, c, [i for i in reversed(range(n)) if c[i]])
-                diffs[(c + (1,), n)] = sorted(psi)
+                diffs[(c + (1,), n)] = _compose_chain(
+                    m, c, [i for i in reversed(range(n)) if c[i]])
     return terms, diffs
 
 
@@ -248,9 +235,10 @@ def koszul_cone(m: Multicomplex, face_axes: int | None = None) -> Multicomplex:
     fa = n if face_axes is None else as_int(face_axes, "face_axes")
     if not 0 <= fa <= n:
         raise ParamOutOfRange(f"face_axes {fa} outside 0..{n}")
-    subsets, entries = exterior_complex(fa, tuple)
-    faces = {p: [(subsets[p][s], subsets[p - 1][t], c) for s, t, c in es]
-             for p, es in entries.items()}  # (S, a face of S, its sign)
+    subsets, d = exterior_complex(fa, tuple)
+    faces = {p: {subsets[p][s]: [(subsets[p - 1][t], c) for t, c in row]
+                 for s, row in rows.items()}
+             for p, rows in d.items()}  # S: (a face of S, its sign)
     terms = {}
     start = {}  # (q, S) -> the index in term q + (p,) of the copy of m_q on S
     for q, ss in m.terms.items():
@@ -261,18 +249,18 @@ def koszul_cone(m: Multicomplex, face_axes: int | None = None) -> Multicomplex:
                 start[(q, S)] = j * len(ss)
             terms[q + (p,)] = ss * len(compatible)  # Multicomplex drops empty terms
     diffs = {}
-    for (q, k), es in m.diffs.items():
+    for (q, k), rows in m.diffs.items():
         tgt_q = Multicomplex._step(q, k)
         for p in range(fa + 1):
-            out = [(start[(q, S)] + src, start[(tgt_q, S)] + tgt, coeff)
-                   for S in subsets[p] if (q, S) in start for src, tgt, coeff in es]
+            out = {start[(q, S)] + s: [(start[(tgt_q, S)] + t, c) for t, c in row]
+                   for S in subsets[p] if (q, S) in start for s, row in rows.items()}
             if out:
                 diffs[(q + (p,), k)] = out
     for q, ss in m.terms.items():
         for p in range(1, fa + 1):
-            out = [(start[(q, S)] + idx, start[(q, face)] + idx, c)
-                   for S, face, c in faces[p] if (q, S) in start
-                   for idx in range(len(ss))]
+            out = {start[(q, S)] + idx: [(start[(q, face)] + idx, c) for face, c in row]
+                   for S, row in faces[p].items() if (q, S) in start
+                   for idx in range(len(ss))}
             if out:
                 diffs[(q + (p,), n)] = out
     return Multicomplex(n + 1, m.n_vars, terms, diffs, m.shift)

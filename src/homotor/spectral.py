@@ -1,19 +1,20 @@
 """Spectral sequences of filtered graded complexes over GF(p).
 
 Every filtration here is a coordinate filtration of a filtered total: each
-summand of term i has a level in 0..N, N the largest, and F_p is spanned
-by the summands of level <= p.  Levels are checked once per total, over Z,
-on every entry of its differential.  The fibre at a degree gamma is read
-through the alive masks, and all its pages come from one filtered reduction,
-the level-ordered persistence pairing (Edelsbrunner-Letscher-Zomorodian,
-Topological persistence and simplification, 2002).  For each term i, the
-alive block of d_i, read by ``GradedComplex._block`` like every block of
-the total, is column-reduced by ``exactlin.pivot_pairs``, sources in
-(level, index) order; each column left nonzero pairs its source d (in
-term i) with its pivot b (in term i-1), its alive target of highest
-(level, index).  The gap of the pair is level(d) - level(b).  The pages
-are read off the pairs (Basu-Parida, Spectral sequences, exact couples and
-persistent homology of filtrations, 2017):
+summand of term i has a level in 0..N, N the largest, and F_p is spanned by
+the summands of level <= p.  Levels are checked once per total, over Z, on
+every entry of its differential, read row by row from ``total.d``.  The
+fibre at a degree gamma is read through the alive masks, and all its pages
+come from one filtered reduction, the level-ordered persistence pairing
+(Edelsbrunner-Letscher-Zomorodian, Topological persistence and
+simplification, 2002).  For each term i, the alive block of d_i, read by
+``GradedComplex._block`` like every block of the total, is column-reduced
+by ``exactlin.pivot_pairs``, sources in (level, index) order; each column
+left nonzero pairs its source d (in term i) with its pivot b (in term i-1),
+its alive target of highest (level, index).  The gap of the pair is
+level(d) - level(b).  The pages are read off the pairs (Basu-Parida,
+Spectral sequences, exact couples and persistent homology of filtrations,
+2017):
 
     dim E^r_{p,i-p} = the unpaired alive term-i summands at level p
                       + the pairs with gap >= r having an end (b or d)
@@ -66,8 +67,8 @@ class FilteredTotal:
     summand at level 0.  The differential must respect
     the filtration: no nonzero integer entry of d_i may map a summand into
     a higher level, whichever degrees the summands are alive at.  That is
-    checked once, here; the differential itself is read only through
-    ``total``.
+    checked once, here, on the rows of ``total.d``; after that the
+    differential is read only through ``total._block``.
     """
 
     def __init__(self, total: GradedComplex, levels: dict):
@@ -93,10 +94,10 @@ class FilteredTotal:
             for k, v in enumerate(lv):
                 self._level_masks[i][v] |= 1 << k
             self._keys[i] = [-(v * len(lv) + k) for k, v in enumerate(lv)]
-        for i, es in total.entries.items():
+        for i, rows in total.d.items():
             src, tgt = self.levels[i], self.levels[i - 1]
-            for s, t, _ in es:
-                if tgt[t] > src[s]:
+            for s, row in rows.items():
+                if any(tgt[t] > src[s] for t, _ in row):
                     raise FiltrationViolation(
                         f"d(F_{src[s]}) not inside F_{src[s]} between terms "
                         f"{i} and {i - 1}"

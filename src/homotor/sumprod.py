@@ -55,12 +55,12 @@ def build_s_complex(ideals, variant: str = "quotient") -> GradedComplex:
 def _s_complex(ideals, n_vars: int, kind: str) -> GradedComplex:
     """``build_s_complex`` of a family its caller checked, in n_vars variables."""
     bottom = combine(ideals, "product")
-    terms, entries = exterior_complex(
+    terms, d = exterior_complex(
         len(ideals),
         lambda s: summand(combine([ideals[i] for i in s], "sum") if s else bottom),
         "cochain",
     )
-    return GradedComplex(n_vars, terms, entries, kind)
+    return GradedComplex(n_vars, terms, d, kind)
 
 
 def truncated(s: GradedComplex) -> GradedComplex:
@@ -69,8 +69,8 @@ def truncated(s: GradedComplex) -> GradedComplex:
     kind of s, for the sum_to_product Mayer-Vietoris total only."""
     n = -min(s.terms)
     terms = {i + n: ss for i, ss in s.terms.items() if i != 0}
-    entries = {i + n: es for i, es in s.entries.items() if i != 0}
-    return GradedComplex(s.n, terms, entries, s.kind)
+    d = {i + n: rows for i, rows in s.d.items() if i != 0}
+    return GradedComplex(s.n, terms, d, s.kind)
 
 
 def build_p_complex(ideals, variant: str = "quotient") -> GradedComplex:
@@ -84,13 +84,13 @@ def build_p_complex(ideals, variant: str = "quotient") -> GradedComplex:
 def _p_complex(ideals, n_vars: int, kind: str) -> GradedComplex:
     """``build_p_complex`` of a family its caller checked, in n_vars variables."""
     bottom = MonomialIdeal.unit(n_vars)
-    terms, entries = exterior_complex(
+    terms, d = exterior_complex(
         len(ideals),
         lambda s: summand(combine([ideals[i] for i in s], "product") if s else bottom),
     )
     if kind == CYCLIC:
-        del terms[0], entries[1]  # P_0 = R/R is zero
-    return GradedComplex(n_vars, terms, entries, kind)
+        del terms[0], d[1]  # P_0 = R/R is zero
+    return GradedComplex(n_vars, terms, d, kind)
 
 
 def mv_total_complex(kind: str, ideals, coefficient: MonomialIdeal | None = None

@@ -95,15 +95,15 @@ def with_coefficient(c, coefficient):
     terms = {i: tuple(summand(combine([s.ideal, coefficient], "sum"), s.shift)
                       for s in ss)
              for i, ss in c.terms.items()}
-    return GradedComplex(c.n, terms, dict(c.entries))
+    return GradedComplex(c.n, terms, dict(c.d))
 
 
 def tensor_by_search(factors):
     """The tensor multicomplex of ``factors`` (cyclic, in non-negative
-    degrees), its entries found by scanning every combo of
-    summand indices against every entry of the acting factor and placing
-    each combo by its position in the product order: the reference for the
-    mixed-radix indexing of ``tensor``."""
+    degrees), its entries found by scanning every combo of summand indices,
+    reading the acting factor's row of its summand in that combo, and
+    placing each combo by its position in the product order: the reference
+    for the mixed-radix indexing of ``tensor``."""
     factors = list(factors)
     n_vars = factors[0].n
     windows = [sorted(f.terms) for f in factors]
@@ -132,14 +132,13 @@ def tensor_by_search(factors):
             if tgt_q not in terms:
                 continue
             ranges = [range(len(fac.terms[qi])) for fac, qi in zip(factors, q)]
-            es = [
-                (pos(q, combo), pos(tgt_q, combo[:k] + (tgt,) + combo[k + 1:]), coeff)
-                for combo in itertools.product(*ranges)
-                for src, tgt, coeff in f.entries.get(q[k], ())
-                if combo[k] == src
-            ]
-            if es:
-                diffs[(q, k)] = es
+            rows = {}
+            for combo in itertools.product(*ranges):
+                for tgt, coeff in f.d.get(q[k], {}).get(combo[k], ()):
+                    rows.setdefault(pos(q, combo), []).append(
+                        (pos(tgt_q, combo[:k] + (tgt,) + combo[k + 1:]), coeff))
+            if rows:
+                diffs[(q, k)] = rows
     return Multicomplex(len(factors), n_vars, terms, diffs)
 
 
@@ -148,7 +147,7 @@ def shifted_oracle(c, k):
     at index i - k.  The reference for the shift a ``Multicomplex`` and
     ``truncated`` build their complexes at."""
     return GradedComplex(c.n, {i + k: ss for i, ss in c.terms.items()},
-                         {i + k: es for i, es in c.entries.items()}, c.kind)
+                         {i + k: rows for i, rows in c.d.items()}, c.kind)
 
 
 def truncated_cochain(s):
@@ -156,8 +155,8 @@ def truncated_cochain(s):
     index -p (index 0 dropped): the reference for the chain complex S_-
     that ``truncated`` builds at once, S^p at index n - p."""
     terms = {i: ss for i, ss in s.terms.items() if i != 0}
-    entries = {i: es for i, es in s.entries.items() if i != 0}
-    return GradedComplex(s.n, terms, entries, s.kind)
+    d = {i: rows for i, rows in s.d.items() if i != 0}
+    return GradedComplex(s.n, terms, d, s.kind)
 
 
 def augment_in_two_steps(m):
@@ -176,7 +175,7 @@ def augment_in_two_steps(m):
     return GradedComplex(
         m.n_vars,
         {**total.terms, n - 1: m.terms.get((0,) * n, ())},
-        {**total.entries, n: [(s, t, sign * c) for s, t, c in sorted(psi)]},
+        {**total.d, n: {s: [(t, sign * c) for t, c in row] for s, row in psi.items()}},
     )
 
 
@@ -185,9 +184,14 @@ def axes_oracle(m):
     ``n_axes``, ``terms`` and ``diffs``, as (q, j, k): j == k when d_k does
     not square to zero at q, j < k when d_j and d_k do not commute there;
     None when every axis squares to zero and every pair commutes.  The
-    reference for the one d∘d = 0 check of the total of a ``Multicomplex``."""
+    reference for the one d∘d = 0 check of the total of a ``Multicomplex``.
+    Two composites are compared as {source: {target: coefficient}}, since
+    ``_compose`` leaves each row's targets unsorted."""
     def entry_map(q, k):
-        return m.diffs.get((q, k), ())
+        return m.diffs.get((q, k), {})
+
+    def composite(second, first):
+        return {s: dict(row) for s, row in _compose(second, first).items()}
 
     step = Multicomplex._step
     for q in m.terms:
@@ -196,8 +200,8 @@ def axes_oracle(m):
                 return q, k, k
         for j, k in itertools.combinations(range(m.n_axes), 2):
             if q[j] and q[k] and (
-                    _compose(entry_map(step(q, j), k), entry_map(q, j))
-                    != _compose(entry_map(step(q, k), j), entry_map(q, k))):
+                    composite(entry_map(step(q, j), k), entry_map(q, j))
+                    != composite(entry_map(step(q, k), j), entry_map(q, k))):
                 return q, j, k
     return None
 
@@ -500,8 +504,8 @@ def unit_koszul(n, orientation="chain"):
     """K(1,...,1;R) on n exterior generators (or its cochain dual, at
     non-positive indices); exact."""
     zero = Multidegree.zero(n)
-    terms, entries = exterior_complex(n, lambda s: free_summand(zero), orientation)
-    return GradedComplex(n, terms, entries)
+    terms, d = exterior_complex(n, lambda s: free_summand(zero), orientation)
+    return GradedComplex(n, terms, d)
 
 
 def region(m, keep):
@@ -546,21 +550,25 @@ def direct_e1(factors, gamma, kind):
 def free_complex(dims, diffs=None):
     """The free complex in one variable with dims[i] zero-shift summands in
     term i and d_i = diffs[i], a list of (row, col, value) triples of its
-    matrix, rows in term i - 1 and columns in term i: its fibre at (0,) is
-    the matrix complex itself."""
+    matrix, rows in term i - 1 and columns in term i, so column c is the
+    row of source c in d_i's form: its fibre at (0,) is the matrix complex
+    itself."""
     terms = {i: [free_summand((0,))] * d for i, d in dims.items()}
-    entries = {i: [(c, r, v) for r, c, v in d] for i, d in (diffs or {}).items()}
-    return GradedComplex(1, terms, entries)
+    d = {}
+    for i, matrix in (diffs or {}).items():
+        for r, c, v in matrix:
+            d.setdefault(i, {}).setdefault(c, []).append((r, v))
+    return GradedComplex(1, terms, d)
 
 
 def masked_rank_oracle(c, i, src_mask, tgt_mask, p):
     """The rank over GF(p) of the block of d_i between the alive sources
-    and targets of the masks, read off ``c.entries`` as dense rows and
-    ranked by ``_rank_mod``: the reference for ``_masked_rank``."""
+    and targets of the masks, read off ``c.d`` as dense rows and ranked by
+    ``_rank_mod``: the reference for ``_masked_rank``."""
     sources = [s for s in range(len(c.summands(i))) if src_mask >> s & 1]
     targets = [t for t in range(len(c.summands(i - 1))) if tgt_mask >> t & 1]
-    d = {(s, t): v for s, t, v in c.entries.get(i, ())}
-    return _rank_mod([[d.get((s, t), 0) for t in targets] for s in sources], p)
+    rows = {s: dict(row) for s, row in c.d.get(i, {}).items()}
+    return _rank_mod([[rows.get(s, {}).get(t, 0) for t in targets] for s in sources], p)
 
 
 def support_check_at(partitions, coefficient, p, fld=GF()):

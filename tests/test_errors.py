@@ -1,8 +1,8 @@
 """Every error the package raises is typed, a family of ideals is refused
-in one place, every integer argument is read by one rule, every GF(p)
-elimination goes through one kernel and reads its block through one
-reader, d∘d = 0 is checked in one place, and complexes are built only by
-the builders that make new ones."""
+in one place, every integer argument is read by one rule, every sparse map
+is normalised in one place, every GF(p) elimination goes through one
+kernel and reads its block through one reader, d∘d = 0 is checked in one
+place, and complexes are built only by the builders that make new ones."""
 
 import ast
 import graphlib
@@ -125,12 +125,14 @@ def _integer_arguments(bad):
     """(the argument's name in the error, a call passing ``bad`` where an
     entry point takes an integer) for each integer argument of the library:
     exponents, counts, term and summand indices, positions, axes, levels,
-    ``ps`` and ``subset``."""
+    ``ps`` and ``subset``, and the degree a complex, a table, a filtration
+    or an ideal is read at."""
     x, y = MonomialIdeal(2, [(1, 0)]), MonomialIdeal(2, [(0, 1)])
     one = free_summand((0,))
     pair = {0: [one], 1: [one]}
-    total = GradedComplex(1, pair, {1: [(0, 0, 1)]})
-    line = Multicomplex(1, 1, {(0,): [one], (1,): [one]}, {((1,), 0): [(0, 0, 1)]})
+    total = GradedComplex(1, pair, {1: {0: [(0, 1)]}})
+    line = Multicomplex(1, 1, {(0,): [one], (1,): [one]}, {((1,), 0): {0: [(0, 1)]}})
+    table = multi_tor([x, y])
     return [
         ("variable count", lambda: MonomialIdeal(bad, [])),
         ("exponent", lambda: MonomialIdeal(2, [(bad, 1)])),
@@ -139,19 +141,25 @@ def _integer_arguments(bad):
         ("exponent", lambda: multi_tor([x, y], box=(bad, 3))),
         ("variable count", lambda: GradedComplex(bad, {}, {})),
         ("term index", lambda: GradedComplex(1, {bad: [one]}, {})),
-        ("term index", lambda: GradedComplex(1, pair, {bad: [(0, 0, 1)]})),
-        ("summand index", lambda: GradedComplex(1, pair, {1: [(bad, 0, 1)]})),
+        ("term index", lambda: GradedComplex(1, pair, {bad: {0: [(0, 1)]}})),
+        ("summand index", lambda: GradedComplex(1, pair, {1: {bad: [(0, 1)]}})),
         ("axis count", lambda: Multicomplex(bad, 1, {}, {})),
         ("position coordinate", lambda: Multicomplex(1, 1, {(bad,): [one]}, {})),
-        ("axis", lambda: Multicomplex(1, 1, line.terms, {((1,), bad): [(0, 0, 1)]})),
+        ("axis", lambda: Multicomplex(1, 1, line.terms, {((1,), bad): {0: [(0, 1)]}})),
         ("summand index",
-         lambda: Multicomplex(1, 1, line.terms, {((1,), 0): [(0, bad, 1)]})),
+         lambda: Multicomplex(1, 1, line.terms, {((1,), 0): {0: [(bad, 1)]}})),
         ("shift", lambda: Multicomplex(1, 1, line.terms, {}, bad)),
         ("face_axes", lambda: koszul_cone(line, face_axes=bad)),
         ("level", lambda: FilteredTotal(total, {1: [bad]})),
         ("term index", lambda: FilteredTotal(total, {bad: [0]})),
         ("p", lambda: supportoftors_check([x, y], None, [bad])),
         ("subset index", lambda: augmented_interior_H([x, y], [bad])),
+        ("degree", lambda: table.dim(0, (bad, 0))),
+        ("degree", lambda: table.clamp((0, bad))),
+        ("degree", lambda: total.alive_masks((bad,))),
+        ("degree", lambda: total.homology_at((bad,))),
+        ("degree", lambda: pages(FilteredTotal(total, {}), (bad,))),
+        ("degree", lambda: x.contains((bad, 0))),
     ]
 
 
@@ -161,13 +169,20 @@ def test_one_integer_rule(bad):
     """Every integer argument goes through ``errors.as_int``: a float, even
     a whole one, or a string, even of digits, is refused with
     ``ValidationError``, never truncated by ``int`` or parsed, and never
-    let through to a raw TypeError."""
+    let through to a raw TypeError.  A degree is read by the same rule, so
+    Tor_0(R/(x), R/(y)) at (0.5, 0) is refused, not read as 0."""
     for what, call in _integer_arguments(bad):
         with pytest.raises(ValidationError, match="is not an integer") as refused:
             call()
         assert str(refused.value).startswith(f"{what} "), what
     with pytest.raises(ValidationError, match="is not an integer"):
         multi_tor([MonomialIdeal(2, [(1, 0)])], box="ab")
+    table = multi_tor([MonomialIdeal(2, [(1, 0)]), MonomialIdeal(2, [(0, 1)])])
+    assert table.dim(0, (0, 0)) == 1
+    with pytest.raises(ValidationError, match=r"^degree 0\.5 is not an integer$"):
+        table.dim(0, (0.5, 0))
+    with pytest.raises(ValidationError, match="^degree 'a' is not an integer$"):
+        resolution(MonomialIdeal(2, [(1, 0)])).homology_at(("a", 1))
 
 
 class _Elimination(ast.NodeVisitor):
@@ -395,6 +410,16 @@ class _Reads(_Sites):
         self.generic_visit(node)
 
 
+def _attribute_reads(name: str) -> set:
+    """(file, enclosing function) of every read of the attribute ``name``."""
+    sites = set()
+    for path in sorted(Path(homotor.__file__).parent.glob("*.py")):
+        reads = _Reads(name)
+        reads.visit(ast.parse(path.read_text()))
+        sites |= {(path.name, func) for func, _ in reads.found}
+    return sites
+
+
 def _tally(counts, name, fn):
     """fn, counting its calls in ``counts[name]``."""
     def counted(*args):
@@ -409,14 +434,13 @@ def test_one_block_reader(monkeypatch):
     ``_masked_rank`` in index order, for ranks, and by
     ``spectral.persistence_pairs`` in (level, index) order, for pairs.  In
     spectral.py only ``FilteredTotal.__init__``, which checks the
-    filtration, reads a differential's ``entries``.  So on the pages of a
+    filtration, reads a differential ``d``.  So on the pages of a
     3-ideal kcone family, over its whole box, each elimination that
     gcomplex and spectral run reads exactly one block."""
     assert sorted((path, func) for path, func, _ in _call_sites("_block")) == [
         ("gcomplex.py", "GradedComplex._masked_rank"), ("spectral.py", "persistence_pairs")]
-    reads = _Reads("entries")
-    reads.visit(ast.parse((Path(homotor.__file__).parent / "spectral.py").read_text()))
-    assert {func for func, _ in reads.found} == {"FilteredTotal.__init__"}
+    assert {func for path, func in _attribute_reads("d") if path == "spectral.py"} == {
+        "FilteredTotal.__init__"}
 
     counts = Counter()
     monkeypatch.setattr(GradedComplex, "_block", _tally(counts, "_block", GradedComplex._block))
@@ -463,3 +487,41 @@ def test_imports_are_at_module_level_and_acyclic():
     assert not deferred, deferred
     assert set().union(*graph.values()) <= set(graph)
     list(graphlib.TopologicalSorter(graph).static_order())  # CycleError names a cycle
+
+
+def test_one_sparse_map_form():
+    """Every differential and axis map has one form, {source: [(target,
+    coefficient), ...]}, normalised in one place: ``_rows`` is called only
+    by the two constructors, ``GradedComplex`` has no second copy of d in
+    another form, and outside gcomplex.py a complex's ``d`` is read only
+    by ``tensor``, ``truncated`` and ``FilteredTotal.__init__``."""
+    assert sorted((path, func) for path, func, _ in _call_sites("_rows")) == [
+        ("gcomplex.py", "GradedComplex.__init__"), ("multicomplex.py", "Multicomplex.__init__")]
+    assert {site for site in _attribute_reads("d") if site[0] != "gcomplex.py"} == {
+        ("multicomplex.py", "tensor"), ("sumprod.py", "truncated"),
+        ("spectral.py", "FilteredTotal.__init__")}
+    c = resolution(MonomialIdeal(2, [(1, 0), (0, 1)]))
+    assert not hasattr(c, "entries")
+    assert c.d == {1: {0: [(0, 1)], 1: [(0, 1)]}, 2: {0: [(0, -1), (1, 1)]}}
+
+
+def test_one_refusal_rule_for_map_entries():
+    """A complex and a multicomplex refuse the same map entries, with one
+    message: a summand index out of range is refused even when its
+    coefficients sum to 0 or its coefficient is 0, and so is a coefficient
+    that is not an int."""
+    one = free_summand((0,))
+    pair = {0: (one,), 1: (one,)}
+    line = {(0,): (one,), (1,): (one,)}
+    for rows in ({5: [(0, 1), (0, -1)], 0: [(0, 1)]}, {0: [(5, 1), (5, -1), (0, 1)]},
+                 {-1: [(0, 2), (0, -2)]}, {0: [(1, 0)]}):
+        with pytest.raises(ValidationError, match="^d_1: entry .* outside its 1 -> 1 summands$"):
+            GradedComplex(1, pair, {1: rows})
+        with pytest.raises(ValidationError,
+                           match=r"^axis 0 map at \(1,\): entry .* outside its 1 -> 1 summands$"):
+            Multicomplex(1, 1, line, {((1,), 0): rows})
+    for bad in (1.0, "1", None):
+        with pytest.raises(ValidationError, match="is not an int$"):
+            GradedComplex(1, pair, {1: {0: [(0, bad)]}})
+        with pytest.raises(ValidationError, match="is not an int$"):
+            Multicomplex(1, 1, line, {((1,), 0): {0: [(0, bad)]}})

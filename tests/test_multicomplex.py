@@ -142,7 +142,7 @@ def tensor_factors(draw):
 @given(tensor_factors())
 def test_tensor_matches_the_combo_search(factors):
     """The mixed-radix entries of ``tensor`` are the ones found by scanning
-    every combo against every entry of the acting factor."""
+    every combo and reading the acting factor's row of its summand."""
     m, want = tensor(factors), tensor_by_search(factors)
     assert m.terms == want.terms
     assert m.diffs == want.diffs
@@ -175,7 +175,7 @@ def test_hypercube_augment_matches_the_two_step_build(factors):
     m = tensor(factors)
     aug, want = hypercube_augment(m), augment_in_two_steps(m)
     assert aug.terms == want.terms
-    assert aug.entries == want.entries
+    assert aug.d == want.d
 
 
 @settings(deadline=None)
@@ -188,20 +188,20 @@ def test_one_summand_quotient_factor_is_with_coefficient(factors, seed):
     quotient = GradedComplex(total.n, {0: (summand(j),)}, {})
     got, want = tensor([total, quotient]).total, with_coefficient(total, j)
     assert got.terms == want.terms
-    assert got.entries == want.entries
+    assert got.d == want.d
 
 
 def test_axis_checks_raise_composition_nonzero():
     one = (free_summand((0,)),)
     with pytest.raises(CompositionNonzero, match="d∘d != 0 from degree 2"):
         Multicomplex(1, 1, {(0,): one, (1,): one, (2,): one},
-                     {((1,), 0): [(0, 0, 1)], ((2,), 0): [(0, 0, 1)]})
+                     {((1,), 0): {0: [(0, 1)]}, ((2,), 0): {0: [(0, 1)]}})
     square = {q: one for q in ((0, 0), (1, 0), (0, 1), (1, 1))}
-    edges = {((1, 0), 0): [(0, 0, 1)], ((0, 1), 1): [(0, 0, 1)],
-             ((1, 1), 0): [(0, 0, 1)]}
-    Multicomplex(2, 1, square, {**edges, ((1, 1), 1): [(0, 0, 1)]})
+    edges = {((1, 0), 0): {0: [(0, 1)]}, ((0, 1), 1): {0: [(0, 1)]},
+             ((1, 1), 0): {0: [(0, 1)]}}
+    Multicomplex(2, 1, square, {**edges, ((1, 1), 1): {0: [(0, 1)]}})
     with pytest.raises(CompositionNonzero, match="d∘d != 0 from degree 2"):
-        Multicomplex(2, 1, square, {**edges, ((1, 1), 1): [(0, 0, -1)]})
+        Multicomplex(2, 1, square, {**edges, ((1, 1), 1): {0: [(0, -1)]}})
 
 
 @st.composite
@@ -213,11 +213,13 @@ def perturbed_multicomplexes(draw):
     m = build(tensor(draw(tensor_factors())))
     assume(m.diffs)
     key = draw(st.sampled_from(sorted(m.diffs)))
-    at = draw(st.integers(0, len(m.diffs[key]) - 1))
-    s, t, c = m.diffs[key][at]
-    es = list(m.diffs[key])
-    es[at] = (s, t, c + draw(st.sampled_from([-2, -1, 1, 2])))
-    return m, {**m.diffs, key: es}
+    rows = m.diffs[key]
+    s, at = draw(st.sampled_from([(s, at) for s, row in rows.items()
+                                  for at in range(len(row))]))
+    row = list(rows[s])
+    t, c = row[at]
+    row[at] = (t, c + draw(st.sampled_from([-2, -1, 1, 2])))
+    return m, {**m.diffs, key: {**rows, s: row}}
 
 
 @settings(deadline=None)
@@ -245,24 +247,24 @@ def test_maps_that_cannot_be_axis_maps_are_refused():
              (0, 1): (free_summand((1,)),)}
     # (0, 1) holds one summand: source index 1 would land on the summand of
     # (1, 0) in the total
-    for entry in ((1, 0, 1), (0, 1, 1), (-1, 0, 1)):
+    for s, t in ((1, 0), (0, 1), (-1, 0)):
         with pytest.raises(ValidationError, match="outside its 1 -> 1 summands"):
-            Multicomplex(2, 1, terms, {((0, 1), 1): [entry]})
+            Multicomplex(2, 1, terms, {((0, 1), 1): {s: [(t, 1)]}})
     with pytest.raises(LengthMismatch, match="wrong arity"):
-        Multicomplex(2, 1, terms, {((1,), 0): [(0, 0, 1)]})
+        Multicomplex(2, 1, terms, {((1,), 0): {0: [(0, 1)]}})
     for key in (((0, 1), 0), ((-1, 1), 1)):
         with pytest.raises(ValidationError, match=r"outside N\^n"):
-            Multicomplex(2, 1, terms, {key: [(0, 0, 1)]})
-    m = Multicomplex(2, 1, terms, {((0, 1), 1): [(0, 0, 1)],
-                                   ((1, 1), 0): [(0, 0, 1)], ((2, 0), 0): [(5, 5, 1)]})
-    assert m.diffs == {((0, 1), 1): ((0, 0, 1),)}
+            Multicomplex(2, 1, terms, {key: {0: [(0, 1)]}})
+    m = Multicomplex(2, 1, terms, {((0, 1), 1): {0: [(0, 1)]},
+                                   ((1, 1), 0): {0: [(0, 1)]}, ((2, 0), 0): {5: [(5, 1)]}})
+    assert m.diffs == {((0, 1), 1): {0: [(0, 1)]}}
 
 
 def test_inhomogeneous_axis_entry_refused_at_construction():
     """R(0) at position 1 cannot map to R(-1) at position 0."""
     with pytest.raises(ValidationError, match="inhomogeneous"):
         Multicomplex(1, 1, {(1,): (free_summand((0,)),), (0,): (free_summand((1,)),)},
-                     {((1,), 0): [(0, 0, 1)]})
+                     {((1,), 0): {0: [(0, 1)]}})
 
 
 def test_multicomplex_builds_its_total_once(monkeypatch):
@@ -325,12 +327,12 @@ def test_totals_are_built_at_the_degrees_they_are_read(factors, family):
         plain = Multicomplex(built.n_axes, built.n_vars, built.terms, built.diffs)
         want = shifted_oracle(plain.total, -1)
         assert built.total.terms == want.terms
-        assert built.total.entries == want.entries
+        assert built.total.d == want.d
         assert built.layout == {i - 1: qs for i, qs in plain.layout.items()}
     s = build_s_complex(family)
     got, want = truncated(s), shifted_oracle(truncated_cochain(s), len(family))
     assert got.terms == want.terms
-    assert got.entries == want.entries
+    assert got.d == want.d
 
 
 def test_axis_indices_are_checked():
@@ -339,7 +341,7 @@ def test_axis_indices_are_checked():
     one = (free_summand((0,)),)
     for k in (-1, 1):
         with pytest.raises(ValidationError, match="axis"):
-            Multicomplex(1, 1, {(0,): one, (1,): one}, {((1,), k): [(0, 0, 1)]})
+            Multicomplex(1, 1, {(0,): one, (1,): one}, {((1,), k): {0: [(0, 1)]}})
     m = tensor([res((1, 0)), res((0, 1))])
     for fa in (-1, 3):
         with pytest.raises(ParamOutOfRange, match="face_axes"):

@@ -69,7 +69,7 @@ def test_filtration_checked_on_summands_dead_at_every_evaluated_degree():
     """The entry between the shift-1 summands raises the level; no degree
     where only the zero-shift summands are alive can hide it."""
     terms = {i: [free_summand((0,)), free_summand((1,))] for i in (0, 1)}
-    total = GradedComplex(1, terms, {1: [(0, 0, 1), (1, 1, 1)]})
+    total = GradedComplex(1, terms, {1: {0: [(0, 1)], 1: [(1, 1)]}})
     assert total.alive_masks((0,)) == {0: 0b01, 1: 0b01}
     with pytest.raises(FiltrationViolation):
         FilteredTotal(total, {0: [0, 1], 1: [0, 0]})
@@ -366,15 +366,14 @@ def test_kcone_columns_exact_off_interior():
     n = m.n_axes
     for q in m.terms:
         terms = {}
-        entries = {}
+        d = {}
         for p in range(n + 1):
             pos = q + (p,)
             if pos in cone.terms:
                 terms[p] = cone.terms[pos]
-                es = cone.diffs.get((pos, n))
-                if es:
-                    entries[p] = list(es)
-        column = GradedComplex(m.n_vars, terms, entries)
+                if (pos, n) in cone.diffs:
+                    d[p] = cone.diffs[(pos, n)]
+        column = GradedComplex(m.n_vars, terms, d)
         if all(v > 0 for v in q):
             assert set(terms) == {0}
             assert len(terms[0]) == len(m.terms[q])

@@ -58,7 +58,7 @@ def test_s_complex_pair_shape(kxy):
 def test_s_complex_single_ideal(kxy):
     s = build_s_complex([kxy["x2xy"]])
     assert ranks_of(s) == {-1: 1, 0: 1}
-    assert s.entries[0] == ((0, 0, 1),)
+    assert s.d[0] == {0: [(0, 1)]}
     assert complex_homology_table(s).records() == []
 
 
@@ -67,14 +67,15 @@ def test_s_complex_triple_matrix_pattern(kxyz):
     sign normalization of the bases."""
     family = [kxyz["x"], kxyz["y"], kxyz["z"]]
     s = build_s_complex(family)
-    entries = s.entries[-1]
+    rows = s.d[-1]
     mat = np.zeros((3, 3), dtype=int)
     # target k is R/(sum over the k-th pair): (0, 1), (0, 2), (1, 2)
     targets = [s.summands(-2)[k].ideal for k in range(3)]
     assert targets == [combine([family[i] for i in pair], "sum")
                        for pair in itertools.combinations(range(3), 2)]
-    for src, tgt, coeff in entries:
-        mat[tgt, src] = coeff
+    for src, row in rows.items():
+        for tgt, coeff in row:
+            mat[tgt, src] = coeff
     # reorder rows to complement order (target (1,2) pairs with source 0 ...)
     reordered = mat[[2, 1, 0], :]
     intro = np.array([[0, 1, -1], [-1, 0, 1], [1, -1, 0]])
@@ -124,9 +125,9 @@ def test_s_and_p_carry_the_unit_koszul_differentials():
                         combine([family[j] for j in S], op) if S else bottom[op]
                         for S in itertools.combinations(range(n), abs(i))
                     ]
-                shared = {i: es for i, es in koszul.entries.items()
+                shared = {i: rows for i, rows in koszul.d.items()
                           if i in built.terms and i - 1 in built.terms}
-                assert built.entries == shared
+                assert built.d == shared
 
 
 def test_h1_of_p_is_quotient_by_sum_on_stream():
@@ -275,6 +276,48 @@ def test_four_term_left_side_is_h0_minus_h1_of_s(family, p):
     for g in map(tuple, iter_box(box)):
         s0 = 0 if membership(g, product) else 1
         assert s0 - h1_minus.get(g, 0) == s_tab.dim(0, g) - s_tab.dim(1, g), g
+
+
+def test_verify_identities_compares_the_stated_ranges(monkeypatch):
+    """Each slice assertion of ``verify_identities`` compares exactly the
+    indices i of the range its comment states, on strongly independent
+    families of 2, 3 and 4 ideals (p* = n - 1, s_max = 0, 0 and 1):
+    H^i(S) = Tor_{n-i-1} for 2 <= i <= n-2, H^n(S) = 0 and for n >= 3
+    H^{n-1}(S) = 0, Tor_{n+i} = H_{n+i}(augmented interior) for
+    0 <= i <= s_max, H_i(P) = Tor_{i-1} for 1 <= i <= n, Tor_i = H_{i+1}(P)
+    for 1 <= i <= p*, and H_i(P) = H^{n-i}(S) at i = 0 and 2 <= i <= n-2."""
+    compared = {}
+    compare = sumprod._compare_slices
+
+    def recorded(report, name, checked, pairs):
+        if checked:
+            pairs = list(pairs)
+            compared[name] = [i for i, _, _ in pairs]
+        compare(report, name, checked, pairs)
+
+    monkeypatch.setattr(sumprod, "_compare_slices", recorded)
+
+    def variables(n_vars, *blocks):
+        return [MonomialIdeal(n_vars, [tuple(int(k == j) for k in range(n_vars))
+                                       for j in block]) for block in blocks]
+
+    want = {
+        2: {"sum_homology_vs_tor": [], "sum_top_vanishing": [2],
+            "top_tor_vs_augmented": [0], "product_homology_vs_tor": [1, 2],
+            "partial_product_range": [1], "product_vs_sum_homology": [0]},
+        3: {"sum_homology_vs_tor": [], "sum_top_vanishing": [3, 2],
+            "top_tor_vs_augmented": [0], "product_homology_vs_tor": [1, 2, 3],
+            "partial_product_range": [1, 2], "product_vs_sum_homology": [0]},
+        4: {"sum_homology_vs_tor": [2], "sum_top_vanishing": [4, 3],
+            "top_tor_vs_augmented": [0, 1], "product_homology_vs_tor": [1, 2, 3, 4],
+            "partial_product_range": [1, 2, 3], "product_vs_sum_homology": [0, 2]},
+    }
+    for family in (variables(2, [0], [1]), variables(3, [0], [1], [2]),
+                   variables(5, [0], [1], [2], [3, 4])):
+        compared.clear()
+        report = verify_identities(family)
+        assert report.passed and report.context["partial_independence_bound"] == len(family) - 1
+        assert compared == want[len(family)], len(family)
 
 
 def test_verify_identities_builds_no_truncation_and_walks_no_box(kxy, kxyz, monkeypatch):
@@ -469,13 +512,25 @@ def test_exactness_resolves_each_ideal_once_and_builds_each_tensor_once(monkeypa
 
 
 def test_exactness_equivalences_truth_values(kxy, kxyz):
+    """The four conditions, pinned: all hold on x, y, z; on (x), (x) and on
+    (x), (xy), (z) the pair (0, 1) is dependent, its P has H_2 and its S
+    has H^0, while every q >= 0 row stays exact, so both equivalences
+    hold with (1) false."""
     rep = exactness_equivalences([kxyz["x"], kxyz["y"], kxyz["z"]])
-    assert rep.context["strongly_independent"]
-    assert rep.context["rows_exact"] and rep.context["product_rows_exact"]
-    assert rep.context["sum_rows_exact"]
+    assert rep.context == {"strongly_independent": True, "rows_exact": True,
+                           "product_rows_exact": True, "sum_rows_exact": True}
+    dependent = {"strongly_independent": False, "rows_exact": True,
+                 "product_rows_exact": False, "sum_rows_exact": False}
     rep = exactness_equivalences([kxy["x"], kxy["x"]])
-    assert not rep.context["strongly_independent"]
-    assert not (rep.context["product_rows_exact"] and rep.context["rows_exact"])
+    assert rep.context == dependent
+    assert [a["witnesses"] for a in rep.assertions] == [
+        [{"subfamily": [0, 1], "i": 2}], [{"subfamily": [0, 1], "i": 0}]]
+    rep = exactness_equivalences([kxyz["x"], kxyz["xy"], kxyz["z"]])
+    assert rep.context == dependent
+    assert [a["witnesses"] for a in rep.assertions] == [
+        [{"subfamily": [0, 1], "i": 2}, {"subfamily": [0, 1, 2], "i": 2}],
+        [{"subfamily": [0, 1], "i": 0}, {"subfamily": [0, 1, 2], "i": 0}]]
+    assert rep.passed
 
 
 # -- documented statement-boundary regressions --------------------------------

@@ -305,7 +305,7 @@ def test_rp2_betti_tables_depend_on_the_characteristic():
         assert rep.pd == pd == rep.betti.max_nonzero_index()
         assert [rep.betti.dim(i, top) for i in (3, 4)] == ([1, 1] if p == 2 else [0, 0])
     r = resolution(ideal)
-    assert [(i, abs(v)) for i, es in r.entries.items() for s, t, v in es
+    assert [(i, abs(v)) for i, rows in r.d.items() for s, row in rows.items() for t, v in row
             if r.terms[i][s].shift == r.terms[i - 1][t].shift] == [(4, 2)]
 
 
