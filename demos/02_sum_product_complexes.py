@@ -44,11 +44,15 @@ print("\ntilde-S bottom term ideal:", st.summands(0)[0].ideal)
 
 # verify_identities figures out which hypotheses a family satisfies and
 # checks every identification whose hypothesis holds, degree by degree.
-rep = verify_identities([m, m])
-print("\nverify_identities on (m, m):")
-for a in rep.assertions:
-    status = "skipped" if not a["checked"] else ("ok" if a["passed"] else "FAIL")
-    print(f"  {a['name']}: {status}")
+# Every checker returns a CheckReport of named assertions, so strong
+# independence (its one assertion: the subset and recursion criteria
+# agree) reads the same way.
+for name, rep in (("verify_identities on (m, m)", verify_identities([m, m])),
+                  ("independence of (x), (y)", independence([x, y], strong=True))):
+    print(f"\n{name}:")
+    for a in rep.assertions:
+        status = "skipped" if not a["checked"] else ("ok" if a["passed"] else "FAIL")
+        print(f"  {a['name']}: {status}")
 
 # Strong Tor-independence is equivalent to exactness of the spectral rows
 # plus either side's complex being exact; the checker confirms the

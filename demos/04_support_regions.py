@@ -17,6 +17,7 @@ from homotor import (
     serre_a8_check,
     supportoftors_check,
 )
+from homotor.torlab import A8_CONDITIONS
 
 x = MonomialIdeal(2, [(1, 0)])
 y = MonomialIdeal(2, [(0, 1)])
@@ -39,14 +40,19 @@ for p, report in reports.items():
 
 # Rigidity: once a Tor module vanishes, all higher ones must, vanishing
 # passes to prefixes, and dim R + top index - sum of projective dimensions
-# stays non-negative.
+# stays non-negative.  Like every checker, rigidity_check returns a
+# CheckReport: what it computed in its context, and named assertions whose
+# witnesses are the violations.
 m = MonomialIdeal(2, [(1, 0), (0, 1)])
 rep = rigidity_check([m, m])
-print("\nrigidity on (m, m): top index =", rep.top_index,
-      " epsilon =", rep.epsilon, " violations =", rep.violations)
+print("\nrigidity on (m, m): top index =", rep.context["top_index"],
+      " epsilon =", rep.context["epsilon"],
+      " violations =", rep.context["violations"])
+print("assertions:", [(a["name"], a["passed"]) for a in rep.assertions])
 
 # The proper-intersection equivalence: all three conditions flip together.
 for fam, label in (([x, y], "(x),(y)"), ([x, x], "(x),(x)")):
     rep = serre_a8_check(fam)
-    print(f"three-way equivalence for {label}: triple = {rep.triple}, "
+    triple = tuple(rep.context[c] for c in A8_CONDITIONS)
+    print(f"three-way equivalence for {label}: triple = {triple}, "
           f"consistent = {rep.passed}")

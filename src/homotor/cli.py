@@ -42,6 +42,7 @@ from .sumprod import (
 )
 from .support import region_compare, supportoftors_check, variable_blocks
 from .torlab import (
+    A8_CONDITIONS,
     betti_table,
     family_box,
     independence,
@@ -240,10 +241,8 @@ def _betti(problem, flags, fld, box, report):
 
 def _indep(problem, flags, fld, box, report):
     strong = flags.get("strong", FLAG_DEFAULTS["strong"])
-    rep = independence(problem.family(), fld=fld, strong=strong)
-    report["results"]["independence"] = rep.to_json()
-    if rep.strong:
-        report["assertions"].append(_assertion("criteria_agree", rep.agreement))
+    _checks(partial(independence, strong=strong), "independence",
+            problem, flags, fld, box, report)
 
 
 def _complex(build, problem, flags, fld, box, report):
@@ -255,10 +254,11 @@ def _complex(build, problem, flags, fld, box, report):
     report["results"]["homology"] = table.records()
 
 
-def _checks(check, problem, flags, fld, box, report):
-    """verify and equiv-exactness: the context and assertions of a CheckReport."""
+def _checks(check, key, problem, flags, fld, box, report):
+    """Every checker's report: the context of its CheckReport under
+    ``results[key]``, and its assertions, a skipped one passing."""
     rep = check(problem.family(), fld)
-    report["results"]["context"] = rep.context
+    report["results"][key] = rep.context
     report["assertions"] = [
         _assertion(a["name"], a["passed"], a["witnesses"]) if a["checked"] else
         {"name": a["name"], "passed": True, "skipped": True, "witnesses": []}
@@ -329,23 +329,6 @@ def _support(problem, flags, fld, box, report):
             report["results"]["compare_first_two"] = region_compare(*tables[:2])
 
 
-def _rigidity(problem, flags, fld, box, report):
-    rep = rigidity_check(problem.family(), fld)
-    report["results"]["rigidity"] = rep.to_json()
-    report["assertions"].append(
-        _assertion("no_rigidity_violations", rep.passed, rep.violations)
-    )
-
-
-def _a8(problem, flags, fld, box, report):
-    rep = serre_a8_check(problem.family(), fld)
-    report["results"]["a8"] = rep.to_json()
-    report["assertions"].append(
-        _assertion("three_way_equivalence", rep.passed,
-                   [] if rep.passed else [{"triple": list(rep.triple)}])
-    )
-
-
 def _selftest(problem, flags, fld, box, report):
     """Deterministic random-instance sweep over the main checkers."""
     seed = flags.get("seed", FLAG_DEFAULTS["seed"])
@@ -365,10 +348,11 @@ def _selftest(problem, flags, fld, box, report):
         rep = rigidity_check(family, fld)
         if not rep.passed:
             failures.append({"trial": t, "check": "rigidity",
-                             "violations": rep.violations[:2]})
+                             "violations": rep.context["violations"][:2]})
         a8 = serre_a8_check(family, fld)
         if not a8.passed:
-            failures.append({"trial": t, "check": "a8", "triple": list(a8.triple)})
+            failures.append({"trial": t, "check": "a8",
+                             "triple": [a8.context[c] for c in A8_CONDITIONS]})
     report["assertions"].append(_assertion("selftest", not failures, failures[:8]))
     summary["failures"] = len(failures)
     report["results"]["summary"] = summary
@@ -383,12 +367,12 @@ COMMANDS = {
     "indep": (("strong",), _indep),
     "scomplex": (("box", "kind"), partial(_complex, build_s_complex)),
     "pcomplex": (("box", "kind"), partial(_complex, build_p_complex)),
-    "verify": ((), partial(_checks, verify_identities)),
+    "verify": ((), partial(_checks, verify_identities, "context")),
     "spectral": (("box", "kind", "module"), _spectral),
     "support": (("subset", "module"), _support),
-    "rigidity": ((), _rigidity),
-    "a8": ((), _a8),
-    "equiv-exactness": ((), partial(_checks, exactness_equivalences)),
+    "rigidity": ((), partial(_checks, rigidity_check, "rigidity")),
+    "a8": ((), partial(_checks, serre_a8_check, "a8")),
+    "equiv-exactness": ((), partial(_checks, exactness_equivalences, "context")),
     "selftest": (("seed", "trials"), _selftest),
 }
 

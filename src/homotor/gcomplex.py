@@ -92,18 +92,22 @@ def _rows(rows: dict, n_src: int, n_tgt: int, where) -> dict:
     ...]}, normalised: indices by ``as_int``, int coefficients, every entry
     in range, repeated targets summed, zero sums and empty rows dropped, and
     sources and targets in index order from one sort; ``where()``, called
-    only to refuse an entry, names the map."""
+    only to refuse an entry or a map of another shape, names the map."""
     merged: dict = {}
-    for s, row in rows.items():
-        s = as_int(s, "summand index")
-        for t, c in row:
-            t = as_int(t, "summand index")
-            if not isinstance(c, int):
-                raise ValidationError(f"{where()}: coefficient {c!r} is not an int")
-            if not (0 <= s < n_src and 0 <= t < n_tgt):
-                raise ValidationError(f"{where()}: entry {s} -> {t} outside its "
-                                      f"{n_src} -> {n_tgt} summands")
-            merged[s, t] = merged.get((s, t), 0) + c
+    try:
+        for s, row in rows.items():
+            s = as_int(s, "summand index")
+            for t, c in row:
+                t = as_int(t, "summand index")
+                if not isinstance(c, int):
+                    raise ValidationError(f"{where()}: coefficient {c!r} is not an int")
+                if not (0 <= s < n_src and 0 <= t < n_tgt):
+                    raise ValidationError(f"{where()}: entry {s} -> {t} outside its "
+                                          f"{n_src} -> {n_tgt} summands")
+                merged[s, t] = merged.get((s, t), 0) + c
+    except (AttributeError, TypeError, ValueError):
+        raise ValidationError(f"{where()}: a map must be "
+                              "{source: [(target, coefficient), ...]}") from None
     out: dict = {}
     for (s, t), c in sorted(merged.items()):
         if c:

@@ -13,7 +13,6 @@ class degree by degree.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
 from .errors import EmptySelection, InvalidKind, ValidationError, as_int
 from .exactlin import GF, PrimeField
@@ -31,7 +30,7 @@ from .gcomplex import (
 from .monomial import MonomialIdeal, check_family, combine
 from .multicomplex import hypercube_augment, tensor
 from .spectral import FilteredTotal, _by_weight, build_filtration, pages
-from .torlab import _table_independent, multi_tor
+from .torlab import CheckReport, _table_independent, multi_tor
 
 
 def _variant_kind(variant: str) -> str:
@@ -166,31 +165,6 @@ def _interior_table(m, coefficient, fld, box) -> TorTable:
 # Verification suite
 
 
-@dataclass
-class CheckReport:
-    assertions: list = field(default_factory=list)
-    context: dict = field(default_factory=dict)
-
-    def add(self, name, checked, passed, witnesses=None):
-        self.assertions.append(
-            {
-                "name": name,
-                "checked": bool(checked),
-                "passed": bool(passed) if checked else None,
-                "witnesses": witnesses or [],
-                "note": None,
-            }
-        )
-
-    @property
-    def passed(self) -> bool:
-        return all(a["passed"] for a in self.assertions if a["checked"])
-
-    def to_json(self):
-        return {"context": self.context, "assertions": self.assertions,
-                "passed": self.passed}
-
-
 def diff_tables(lhs, rhs, limit=4):
     """Witnesses where two gamma -> dim maps differ."""
     witnesses = []
@@ -225,14 +199,14 @@ def verify_identities(ideals, fld: PrimeField = GF()) -> CheckReport:
 
     Determines which hypotheses hold (strict-subfamily Tor-independence, the
     partial vanishing conditions V_t) and checks every conclusion whose
-    hypothesis is satisfied, exactly, over the common stability box.  The
-    four-term side S^0 - H^1(S_-) is read off S's table as H^0(S) - H^1(S):
-    in each fibre dim ker d^1 = H^1(S) + rank d^0 = H^1(S) + S^0 - H^0(S).
-    At n >= 3 the four-term assertions, gated on strict-subfamily
-    independence, have only been seen to run on strongly independent
-    monomial families (none other in a scan of 3,000 random 3-4-ideal
-    families), where H^1(S) and Tor_{n-2} read 0: those two terms are not
-    yet exercised by any family.
+    hypothesis is satisfied, exactly, over the common stability box.
+
+    The four-term bookkeeping S^0 - H^1(S_-) = T_j - T_{j-1} (T_j = Tor_{n-1}
+    or H_n(P)) is checked as H^0(S) = T_j, since dim ker d^1 = H^1(S) + S^0
+    - H^0(S) in each fibre and H^1(S) = T_{j-1} = 0 wherever it runs: by
+    Mayer-Vietoris at n = 2 (no T_{j-1} is read), and at n >= 3 because
+    pairwise Tor-independent monomial ideals lie in disjoint variables, where
+    S is fibrewise exact and T_{j-1} = 0 by Künneth.
     """
     ideals, box = check_family(ideals)
     n = len(ideals)
@@ -260,17 +234,13 @@ def verify_identities(ideals, fld: PrimeField = GF()) -> CheckReport:
     # H_{n,q} = H_{n+q}(augmented interior) of the whole family, keyed by q
     aug_tab = augmented_interior_H(ideals, range(n), None, fld, box)
     s_max = max(sum(len(i.gens) for i in ideals) - n, 0)
-    h0, h1 = s_tab.slice(0), s_tab.slice(1)
-    s_side = {g: h0.get(g, 0) - h1.get(g, 0) for g in h0.keys() | h1.keys()}
 
     def four_term(name, table, j):
-        """H^0(S) - H^1(S) against table_j - table_{j-1}; table_j at n = 2."""
+        """H^0(S) against table_j."""
         if not (strict_ok and n >= 2):
             report.add(name, False, None)
             return
-        upper, lower = table.slice(j), (table.slice(j - 1) if n >= 3 else {})
-        wit = diff_tables(s_side, {g: upper.get(g, 0) - lower.get(g, 0)
-                                   for g in upper.keys() | lower.keys()})
+        wit = diff_tables(s_tab.slice(0), table.slice(j))
         report.add(name, True, not wit, wit)
 
     # sum-side identification H^i(S) = Tor_{n-i-1}; it carries content for
@@ -286,7 +256,7 @@ def verify_identities(ideals, fld: PrimeField = GF()) -> CheckReport:
                     ((i, s_tab.slice(i), {}) for i in ([n, n - 1] if n >= 3 else [n])))
 
     # four-term bookkeeping for S^0 and H^1(S_-); at n = 2 the closing map to Tor_0 is
-    # carried by S^1 on the first page, so the count closes with Tor_1 alone
+    # carried by S^1 on the first page, so the count closes with Tor_1
     four_term("four_term_bookkeeping", tor, n - 1)
 
     # top range: Tor_{n+i} = H_{n+i}(augmented interior)

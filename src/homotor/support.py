@@ -28,8 +28,8 @@ from .monomial import (
     lcm_deg,
 )
 from .spectral import pages
-from .sumprod import CheckReport, mv_total_complex
-from .torlab import multi_tor
+from .sumprod import mv_total_complex
+from .torlab import CheckReport, multi_tor
 
 SPECTRAL_DEGREES = 8  # support cells cross-checked through both MV sequences
 

@@ -88,25 +88,30 @@ def tor1_oracle(ideals, fld: PrimeField = GF(), box=None) -> TorTable:
 
 
 @dataclass
-class IndependenceReport:
-    independent: bool
-    strong: bool
-    subset_results: dict = field(default_factory=dict)
-    recursion_results: dict = field(default_factory=dict)
-    agreement: bool = True
+class CheckReport:
+    """The report of a checker: named assertions, each with its witnesses,
+    and the context the checker computed on the way."""
+    assertions: list = field(default_factory=list)
+    context: dict = field(default_factory=dict)
+
+    def add(self, name, checked, passed, witnesses=None):
+        self.assertions.append(
+            {
+                "name": name,
+                "checked": bool(checked),
+                "passed": bool(passed) if checked else None,
+                "witnesses": witnesses or [],
+                "note": None,
+            }
+        )
 
     @property
     def passed(self) -> bool:
-        return self.agreement
+        return all(a["passed"] for a in self.assertions if a["checked"])
 
     def to_json(self):
-        return {
-            "independent": self.independent,
-            "strong": self.strong,
-            "subsets": {str(list(k)): v for k, v in sorted(self.subset_results.items())},
-            "recursion": {str(list(k)): v for k, v in sorted(self.recursion_results.items())},
-            "agreement": self.agreement,
-        }
+        return {"context": self.context, "assertions": self.assertions,
+                "passed": self.passed}
 
 
 def _table_independent(table: TorTable) -> bool:
@@ -114,14 +119,18 @@ def _table_independent(table: TorTable) -> bool:
 
 
 def independence(ideals, fld: PrimeField = GF(), strong: bool = False
-                 ) -> IndependenceReport:
+                 ) -> CheckReport:
     """Tor-independence of the family; in strong mode every subset is tested
     and the answer is cross-validated against the pairwise recursion
-    criterion (largest index against the sum of the others)."""
+    criterion (largest index against the sum of the others), the one
+    assertion ``criteria_agree``."""
     ideals, _ = check_family(ideals)
+    report = CheckReport()
     if not strong:
         ok = _table_independent(multi_tor(ideals, fld=fld))
-        return IndependenceReport(independent=ok, strong=False)
+        report.context.update(independent=ok, strong=False, subsets={},
+                              recursion={}, agreement=True)
+        return report
     s = len(ideals)
     subset_results = {}
     recursion_results = {}
@@ -132,14 +141,16 @@ def independence(ideals, fld: PrimeField = GF(), strong: bool = False
             pair = [family[-1], combine(family[:-1], "sum")]
             recursion_results[sub] = _table_independent(multi_tor(pair, fld=fld))
     by_subsets = all(subset_results.values())
-    by_recursion = all(recursion_results.values())
-    return IndependenceReport(
+    agreement = by_subsets == all(recursion_results.values())
+    report.context.update(
         independent=by_subsets,
         strong=True,
-        subset_results=subset_results,
-        recursion_results=recursion_results,
-        agreement=by_subsets == by_recursion,
+        subsets={str(list(k)): v for k, v in sorted(subset_results.items())},
+        recursion={str(list(k)): v for k, v in sorted(recursion_results.items())},
+        agreement=agreement,
     )
+    report.add("criteria_agree", True, agreement)
+    return report
 
 
 @dataclass
@@ -181,35 +192,12 @@ def betti_table(ideal: MonomialIdeal, fld: PrimeField = GF()) -> BettiReport:
     return BettiReport(table, pd, depth, dim, codim, is_cm=depth == dim)
 
 
-@dataclass
-class RigidityReport:
-    vanishing: dict
-    top_index: int
-    epsilon: int
-    sum_pd: int
-    artinian_top: bool
-    violations: list = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-    def to_json(self):
-        return {
-            "vanishing": {str(i): v for i, v in sorted(self.vanishing.items())},
-            "top_index": self.top_index,
-            "epsilon": self.epsilon,
-            "sum_pd": self.sum_pd,
-            "artinian_top": self.artinian_top,
-            "violations": self.violations,
-        }
-
-
-def rigidity_check(ideals, fld: PrimeField = GF()) -> RigidityReport:
+def rigidity_check(ideals, fld: PrimeField = GF()) -> CheckReport:
     """Empirical falsification of the rigidity statements: once some Tor_i
     vanishes all higher ones must; vanishing passes to prefix subfamilies;
     and 0 <= eps := dim R + j - sum pd, with eps = 0 forced when the top Tor
-    is artinian.  Any violation is reported with a witness."""
+    is artinian.  Every violation is a witness of the one assertion
+    ``no_rigidity_violations``."""
     ideals, box = check_family(ideals)
     table = multi_tor(ideals, fld=fld)
     max_index = sum(len(i.gens) for i in ideals)
@@ -257,39 +245,29 @@ def rigidity_check(ideals, fld: PrimeField = GF()) -> RigidityReport:
         violations.append(
             {"rule": "epsilon_upper_bound", "epsilon": epsilon, "dim_top": 0}
         )
-    return RigidityReport(vanishing, j, epsilon, sum_pd, artinian, violations)
+    report = CheckReport(context={
+        "vanishing": {str(i): v for i, v in sorted(vanishing.items())},
+        "top_index": j,
+        "epsilon": epsilon,
+        "sum_pd": sum_pd,
+        "artinian_top": artinian,
+        "violations": violations,
+    })
+    report.add("no_rigidity_violations", True, not violations, violations)
+    return report
 
 
-@dataclass
-class SerreReport:
-    cond_tor1_cm: bool
-    cond_codim_pd: bool
-    cond_proper_cm: bool
-    details: dict = field(default_factory=dict)
-
-    @property
-    def triple(self):
-        return (self.cond_tor1_cm, self.cond_codim_pd, self.cond_proper_cm)
-
-    @property
-    def passed(self) -> bool:
-        return len(set(self.triple)) == 1
-
-    def to_json(self):
-        return {
-            "tor1_vanishes_and_tensor_cm": self.cond_tor1_cm,
-            "codim_equals_sum_pd": self.cond_codim_pd,
-            "proper_intersection_all_cm": self.cond_proper_cm,
-            "equivalent": self.passed,
-            "details": self.details,
-        }
+#: The three conditions of ``serre_a8_check``, as its report names them.
+A8_CONDITIONS = ("tor1_vanishes_and_tensor_cm", "codim_equals_sum_pd",
+                 "proper_intersection_all_cm")
 
 
-def serre_a8_check(ideals, fld: PrimeField = GF()) -> SerreReport:
+def serre_a8_check(ideals, fld: PrimeField = GF()) -> CheckReport:
     """Three-way equivalence for the quotients R/I_i: (1) Tor_1 of the family
     vanishes and the tensor product is CM; (2) its codimension equals the sum
     of the projective dimensions; (3) the intersection is proper and every
-    quotient is CM.  The three truth values must coincide."""
+    quotient is CM.  The three truth values must coincide: the assertion
+    ``three_way_equivalence``, whose witness is the triple when they do not."""
     ideals, _ = check_family(ideals)
     table = multi_tor(ideals, fld=fld)
     sum_ideal = combine(ideals, "sum")
@@ -308,4 +286,10 @@ def serre_a8_check(ideals, fld: PrimeField = GF()) -> SerreReport:
         "sum_codim": sum_codim,
         "parts_cm": [p.is_cm for p in parts],
     }
-    return SerreReport(cond1, cond2, cond3, details)
+    triple = [cond1, cond2, cond3]
+    equivalent = len(set(triple)) == 1
+    report = CheckReport(context={**dict(zip(A8_CONDITIONS, triple)),
+                                  "equivalent": equivalent, "details": details})
+    report.add("three_way_equivalence", True, equivalent,
+               [] if equivalent else [{"triple": triple}])
+    return report

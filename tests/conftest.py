@@ -35,7 +35,6 @@ from homotor.multicomplex import (
 )
 from homotor.spectral import SpectralPages, _check_page, build_filtration, pages
 from homotor.sumprod import (
-    CheckReport,
     _compare_slices,
     augmented_interior_H,
     build_p_complex,
@@ -45,7 +44,7 @@ from homotor.sumprod import (
 )
 from homotor.support import SPECTRAL_DEGREES
 from homotor.torlab import (
-    IndependenceReport,
+    CheckReport,
     _table_independent,
     family_box,
     multi_tor,
@@ -837,7 +836,7 @@ def exactness_equivalences_oracle(ideals, fld: PrimeField = GF()) -> CheckReport
     n = len(ideals)
     report = CheckReport()
 
-    cond1 = independence_oracle(ideals, fld=fld, strong=True).independent
+    cond1 = independence_oracle(ideals, fld=fld, strong=True).context["independent"]
 
     h_tables = {}
     for size in range(2, n + 1):
@@ -932,14 +931,17 @@ def exactness_equivalences_oracle(ideals, fld: PrimeField = GF()) -> CheckReport
 
 
 def independence_oracle(ideals, fld: PrimeField = GF(), strong: bool = False
-                        ) -> IndependenceReport:
+                        ) -> CheckReport:
     """Tor-independence of the family, in strong mode with one loop over the
     subsets for their tables and a second for the recursion criterion: the
     reference for ``independence``."""
     ideals, n = check_family(ideals)
+    report = CheckReport()
     if not strong:
         ok = _table_independent(multi_tor(ideals, fld=fld))
-        return IndependenceReport(independent=ok, strong=False)
+        report.context.update(independent=ok, strong=False, subsets={},
+                              recursion={}, agreement=True)
+        return report
     s = len(ideals)
     subset_results = {}
     for size in range(2, s + 1):
@@ -957,13 +959,15 @@ def independence_oracle(ideals, fld: PrimeField = GF(), strong: bool = False
                 multi_tor(pair, fld=fld)
             )
     by_recursion = all(recursion_results.values())
-    return IndependenceReport(
+    report.context.update(
         independent=by_subsets,
         strong=True,
-        subset_results=subset_results,
-        recursion_results=recursion_results,
+        subsets={str(list(k)): v for k, v in sorted(subset_results.items())},
+        recursion={str(list(k)): v for k, v in sorted(recursion_results.items())},
         agreement=by_subsets == by_recursion,
     )
+    report.add("criteria_agree", True, by_subsets == by_recursion)
+    return report
 
 
 @pytest.fixture

@@ -20,6 +20,7 @@ from homotor.sumprod import (
 )
 from homotor.support import supportoftors_check
 from homotor.torlab import (
+    A8_CONDITIONS,
     family_box,
     independence,
     multi_tor,
@@ -193,7 +194,7 @@ def test_criterion_6_variable_partitions_independent():
             fam = [MonomialIdeal.variables(n, block) for block in part]
             count += 1
             rep = independence(fam, strong=True)
-            if not (rep.independent and rep.agreement):
+            if not (rep.context["independent"] and rep.passed):
                 failures.append(("independence", n, part))
             s_tab = complex_homology_table(build_s_complex(fam))
             if s_tab.nonzero_indices():
@@ -232,13 +233,16 @@ def test_criterion_8_rigidity_falsification():
         rep = rigidity_check(fam)
         count += 1
         if not rep.passed:
-            failures.append(([i.gens for i in fam], rep.violations[:2]))
+            failures.append(([i.gens for i in fam], rep.context["violations"][:2]))
     assert count >= 500
     report(8, f"rigidity and epsilon bounds on {count} seeded instances",
            failures)
 
 
 def test_criterion_9_serre_equivalence():
+    def triple(rep):
+        return [rep.context[c] for c in A8_CONDITIONS]
+
     failures = []
     count = 0
     for t in range(205):
@@ -248,12 +252,12 @@ def test_criterion_9_serre_equivalence():
         rep = serre_a8_check(fam)
         count += 1
         if not rep.passed:
-            failures.append(([i.gens for i in fam], rep.triple))
+            failures.append(([i.gens for i in fam], triple(rep)))
     x = MonomialIdeal(2, [(1, 0)])
     y = MonomialIdeal(2, [(0, 1)])
-    if serre_a8_check([x, y]).triple != (True, True, True):
+    if triple(serre_a8_check([x, y])) != [True, True, True]:
         failures.append("curated positive case broke")
-    if serre_a8_check([x, x]).triple != (False, False, False):
+    if triple(serre_a8_check([x, x])) != [False, False, False]:
         failures.append("curated negative case broke")
     assert count >= 200
     report(9, f"three-way proper-intersection equivalence on {count} instances",

@@ -9,14 +9,16 @@ import graphlib
 import inspect
 import re
 from collections import Counter
+from functools import partial
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import homotor
-from homotor import errors, gcomplex, spectral
+from homotor import cli, errors, gcomplex, spectral
 from homotor.errors import EmptyInput, LengthMismatch, UnitIdeal, ValidationError
+from homotor.exactlin import GF
 from homotor.gcomplex import GradedComplex, free_summand, resolution
 from homotor.monomial import MonomialIdeal, Multidegree, iter_box
 from homotor.multicomplex import Multicomplex, koszul_cone, tensor
@@ -31,6 +33,7 @@ from homotor.sumprod import (
 )
 from homotor.support import supportoftors_check
 from homotor.torlab import (
+    CheckReport,
     family_box,
     independence,
     multi_tor,
@@ -509,7 +512,9 @@ def test_one_refusal_rule_for_map_entries():
     """A complex and a multicomplex refuse the same map entries, with one
     message: a summand index out of range is refused even when its
     coefficients sum to 0 or its coefficient is 0, and so is a coefficient
-    that is not an int."""
+    that is not an int, and a map not of the form {source: [(target,
+    coefficient), ...]}, such as a flat list of (source, target,
+    coefficient) triples."""
     one = free_summand((0,))
     pair = {0: (one,), 1: (one,)}
     line = {(0,): (one,), (1,): (one,)}
@@ -525,3 +530,42 @@ def test_one_refusal_rule_for_map_entries():
             GradedComplex(1, pair, {1: {0: [(0, bad)]}})
         with pytest.raises(ValidationError, match="is not an int$"):
             Multicomplex(1, 1, line, {((1,), 0): {0: [(0, bad)]}})
+    for rows in ([(0, 0, 1)], {0: [(0, 0, 1)]}, {0: 5}, {0: [5]}):
+        with pytest.raises(ValidationError, match=r"^d_1: a map must be \{source: \[\(target"):
+            GradedComplex(1, pair, {1: rows})
+        with pytest.raises(ValidationError,
+                           match=r"^axis 0 map at \(1,\): a map must be \{source: "):
+            Multicomplex(1, 1, line, {((1,), 0): rows})
+
+
+def test_one_checker_report(kxy):
+    """Every checker returns a ``CheckReport``, the one report class with
+    assertions (``BettiReport`` is data): torlab, sumprod and support
+    define no other ``*Report`` class.  The CLI serialises every checker
+    through ``_checks``, the one reader of ``.assertions`` in cli.py: the
+    context goes under its results key, the assertions in order."""
+    for module in ("torlab.py", "sumprod.py", "support.py"):
+        tree = ast.parse((Path(homotor.__file__).parent / module).read_text())
+        assert {node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+                and node.name.endswith("Report")} <= {"CheckReport", "BettiReport"}
+    assert {site for site in _attribute_reads("assertions") if site[0] == "cli.py"} == {
+        ("cli.py", "_checks")}
+    assert [(path, func) for path, func, _ in _call_sites("_checks")] == [("cli.py", "_indep")]
+
+    family = [kxy["x"], kxy["m"]]
+    problem = cli.ProblemFile(32003, ["x", "y"], {"A": family[0], "B": family[1]})
+    for command, key, check in (
+            ("verify", "context", verify_identities),
+            ("equiv-exactness", "context", exactness_equivalences),
+            ("rigidity", "rigidity", rigidity_check),
+            ("a8", "a8", serre_a8_check),
+            ("indep", "independence", partial(independence, strong=True))):
+        handler = cli.COMMANDS[command][1]
+        assert command == "indep" or handler.func is cli._checks
+        rep = check(family, GF(32003))
+        assert isinstance(rep, CheckReport)
+        report = cli.run(command, problem, {**cli.FLAG_DEFAULTS, "strong": command == "indep"})
+        assert report["results"] == {key: rep.context}
+        assert [a["name"] for a in report["assertions"]] == [a["name"] for a in rep.assertions]
+    reps = supportoftors_check([kxy["x"], kxy["y"]], None, [1, 2])
+    assert all(isinstance(rep, CheckReport) for rep in reps.values())

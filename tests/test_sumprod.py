@@ -5,7 +5,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import (
     exactness_equivalences_oracle,
@@ -37,6 +37,7 @@ from homotor.sumprod import (
     build_p_complex,
     build_s_complex,
     complex_homology_table,
+    diff_tables,
     exactness_equivalences,
     mv_total_complex,
     verify_identities,
@@ -266,7 +267,9 @@ def test_four_term_left_side_is_h0_minus_h1_of_s(family, p):
     """In each fibre dim ker d^1 = H^1(S) + rank d^0 and rank d^0 = S^0 -
     H^0(S), so S^0 - H^1(S_-) = H^0(S) - H^1(S) at every box cell, with S^0
     read by membership in the product and H^1(S_-) off ``truncated``:
-    independent strict subfamilies or not."""
+    independent strict subfamilies or not.  For a pair H^1(S) = 0 (the
+    Mayer-Vietoris sequence), so the four-term assertions read H^0(S)
+    alone."""
     fld, n = GF(p), len(family)
     box = check_family(family)[1]
     s = build_s_complex(family)
@@ -276,6 +279,58 @@ def test_four_term_left_side_is_h0_minus_h1_of_s(family, p):
     for g in map(tuple, iter_box(box)):
         s0 = 0 if membership(g, product) else 1
         assert s0 - h1_minus.get(g, 0) == s_tab.dim(0, g) - s_tab.dim(1, g), g
+    assert n > 2 or not s_tab.slice(1)
+
+
+@st.composite
+def families_of_three_or_four(draw):
+    """3-4 ideals of 1-2 generators, exponents 0..2, in 3-5 variables.
+    Variable k is ideal k's own for k < n; each further one is owned by one
+    ideal or shared by all.  An ideal's generators use only its own and the
+    shared variables, so most families are pairwise Tor-independent and the
+    rest overlap in a shared variable."""
+    n = draw(st.integers(3, 4))
+    n_vars = draw(st.integers(n, 5))
+    owner = [*range(n), *draw(st.lists(st.integers(0, n), min_size=n_vars - n,
+                                       max_size=n_vars - n))]
+
+    def ideal(k):
+        exponent = st.tuples(*[st.integers(0, 2) if owner[v] in (k, n) else st.just(0)
+                               for v in range(n_vars)]).filter(any)
+        return MonomialIdeal(n_vars, draw(st.lists(exponent, min_size=1, max_size=2)))
+    return [ideal(k) for k in range(n)]
+
+
+@settings(deadline=None, max_examples=60)
+@given(families_of_three_or_four(), st.sampled_from([2, 3, 32003]))
+def test_pairwise_independent_families_zero_the_lower_four_term_terms(family, p):
+    """At n >= 3 the four-term assertions read H^0(S) alone because, when
+    every pair is Tor-independent, H^1(S) = 0, Tor_{n-2} = 0 and H_{n-1}(P)
+    = 0: the pairs lie in disjoint variables (test_monomial_tor1_criterion),
+    so each fibre of S is the augmented cochain complex of a simplex and
+    Tor_k = 0 for every k >= 1 by Künneth."""
+    fld, n = GF(p), len(family)
+    pairs_independent = all(multi_tor([a, b], fld=fld).is_zero(1)
+                            for a, b in itertools.combinations(family, 2))
+    assume(pairs_independent)
+    box = check_family(family)[1]
+    s_tab = complex_homology_table(build_s_complex(family), fld, box)
+    p_tab = complex_homology_table(build_p_complex(family), fld, box)
+    tor = multi_tor(family, fld=fld, box=box)
+    assert not s_tab.slice(1)
+    assert tor.nonzero_indices() == [0]
+    assert not p_tab.slice(n - 1)
+
+
+def test_diff_tables_reads_a_missing_degree_as_zero():
+    """A degree on one side only is compared with 0 on the other, and its
+    witness says so; witnesses come in degree order, at most ``limit``."""
+    assert diff_tables({(1,): 2}, {}) == [{"degree": [1], "expected": 0, "actual": 2}]
+    assert diff_tables({(1,): 1}, {(0,): 1, (1,): 1}) == [
+        {"degree": [0], "expected": 1, "actual": 0}]
+    assert diff_tables({(k,): 1 for k in range(5)}, {}, limit=2) == [
+        {"degree": [0], "expected": 0, "actual": 1},
+        {"degree": [1], "expected": 0, "actual": 1}]
 
 
 def test_verify_identities_compares_the_stated_ranges(monkeypatch):

@@ -12,15 +12,17 @@ from homotor.exactlin import GF
 from homotor.errors import BoxTooSmall, EmptyInput, LengthMismatch, UnitIdeal
 from homotor.gcomplex import (
     GradedComplex,
+    TorTable,
     cancel_units,
     module_homology_table,
     resolution,
     taylor_resolution,
 )
-from homotor.monomial import MonomialIdeal, check_family, iter_box
+from homotor.monomial import MonomialIdeal, check_family, combine, iter_box
 from homotor.multicomplex import tensor
 from homotor.sumprod import build_s_complex
 from homotor.torlab import (
+    A8_CONDITIONS,
     betti_table,
     family_box,
     independence,
@@ -130,20 +132,67 @@ def test_tor1_oracle_equals_multi_tor_on_stream():
             assert table.dim(1, g) == oracle.dim(1, g), (fam, tuple(g))
 
 
+@st.composite
+def ideal_pairs(draw):
+    """Two ideals, each zero or with 1-3 generators of exponents 0..2, in
+    1-3 variables."""
+    n = draw(st.integers(1, 3))
+    exponent = st.tuples(*[st.integers(0, 2)] * n).filter(any)
+    gens = st.lists(exponent, max_size=3)
+    return MonomialIdeal(n, draw(gens)), MonomialIdeal(n, draw(gens))
+
+
+@settings(deadline=None)
+@given(ideal_pairs(), st.sampled_from([2, 3, 32003]))
+def test_monomial_tor1_criterion(pair, p):
+    """Tor_1(R/I, R/J) = (I ∩ J)/IJ for monomial ideals, and it is 0 iff
+    no variable divides both a minimal generator of I and one of J.
+
+    The isomorphism: tensoring 0 -> I -> R -> R/I -> 0 with R/J gives
+    Tor_1(R/I, R/J) = ker(I/IJ -> R/J) = (I ∩ J)/IJ, whose fibres are 0 or
+    1-dimensional over any field.
+
+    <=: ideals in disjoint variables have Tor_i = 0 for i >= 1 by
+    Künneth.  =>: among the pairs (m, n) of minimal generators of I and J
+    that share a variable, take one whose L = lcm(m, n) is minimal for
+    divisibility.  L lies in I ∩ J; suppose m'n' | L for minimal generators
+    m' of I and n' of J.  If m', n' shared a variable, minimality would give
+    lcm(m', n') = L, which m'n' cannot divide; so m' and n' are coprime.  If
+    m' and n shared a variable, minimality would give lcm(m', n) = L, so
+    on the variables of n' (not those of m') n' divides n: n' = n, which
+    shares a variable with m'.  So m' is coprime to n, hence divides m:
+    m' = m, which shares a variable with n.  So L is not in IJ.
+
+    verify_identities rests on it: at n >= 3 its four-term assertions run
+    only when every pair is independent, so the ideals lie in pairwise
+    disjoint variables."""
+    i, j = pair
+    table = multi_tor([i, j], fld=GF(p))
+    product = combine([i, j], "product")
+    for g in iter_box(table.box):
+        meet = i.contains(g) and j.contains(g)
+        assert table.dim(1, g) == (meet and not product.contains(g)), (i, j, g)
+    overlap = {v for g in i.gens for v in g.support()} & \
+        {v for g in j.gens for v in g.support()}
+    assert table.is_zero(1) == (not overlap)
+
+
 def test_independence_examples(kxyz):
     rep = independence([kxyz["x"], kxyz["y"], kxyz["z"]], strong=True)
-    assert rep.independent and rep.agreement
+    assert rep.context["independent"] and rep.context["agreement"]
+    assert [(a["name"], a["passed"]) for a in rep.assertions] == [("criteria_agree", True)]
     x1 = MonomialIdeal(1, [(1,)])
-    assert not independence([x1, x1]).independent
+    rep = independence([x1, x1])
+    assert not rep.context["independent"] and rep.assertions == []
     rep = independence([MonomialIdeal(2, [(1, 0), (0, 1)]),
-                        MonomialIdeal(2, [(1, 0)])]).independent
-    assert not rep
+                        MonomialIdeal(2, [(1, 0)])])
+    assert not rep.context["independent"]
 
 
 def test_independence_recursion_agreement_on_stream():
     for fam in stream(12000, 25, n_vars=2, n_ideals=3, max_gens=2, max_exp=2):
         rep = independence(fam, strong=True)
-        assert rep.agreement, [i.gens for i in fam]
+        assert rep.context["agreement"] and rep.passed, [i.gens for i in fam]
 
 
 def test_betti_examples(kxy):
@@ -159,15 +208,17 @@ def test_betti_examples(kxy):
 
 
 def test_rigidity_examples(kxy):
+    def read(rep):
+        assert [a["name"] for a in rep.assertions] == ["no_rigidity_violations"]
+        assert rep.assertions[0]["witnesses"] == rep.context["violations"] == []
+        return rep.passed, rep.context["top_index"], rep.context["epsilon"]
+
     rep = rigidity_check([kxy["x"], kxy["y"]])
-    assert rep.passed and rep.top_index == 0 and rep.epsilon == 0
-    assert rep.sum_pd == 2
+    assert read(rep) == (True, 0, 0) and rep.context["sum_pd"] == 2
     rep = rigidity_check([kxy["m"], kxy["m"]])
-    assert rep.passed and rep.top_index == 2 and rep.epsilon == 0
-    assert rep.sum_pd == 4
+    assert read(rep) == (True, 2, 0) and rep.context["sum_pd"] == 4
     x1 = MonomialIdeal(1, [(1,)])
-    rep = rigidity_check([x1, x1])
-    assert rep.passed and rep.top_index == 1 and rep.epsilon == 0
+    assert read(rigidity_check([x1, x1])) == (True, 1, 0)
 
 
 def test_rigidity_tabulates_no_one_ideal_prefix(kxyz, monkeypatch):
@@ -189,13 +240,57 @@ def test_rigidity_tabulates_no_one_ideal_prefix(kxyz, monkeypatch):
     assert all(real([ideal]).nonzero_indices() == [0] for ideal in family)
 
 
+def test_rigidity_check_reports_every_rule(monkeypatch):
+    """Rigidity holds over a polynomial ring, so no family makes the
+    falsification checker fire: here it reads made-up Tor tables of three
+    ideals and reports each rule with its exact witness.  The whole family
+    has Tor_0 and Tor_2 only (zero at 1, nonzero at 2: rigidity), its
+    prefix of two ideals Tor_1 and Tor_3, where the family vanishes
+    (prefix vanishing, both of them, the top index included), and the top
+    cells lie inside the box with eps = 2 + 2 - 3 = 1 (the upper bound)."""
+    cells = {(0, 0): 1, (1, 0): 2}
+    whole = TorTable({(i, g): d for i in (0, 2) for g, d in cells.items()}, (2, 1))
+    prefix = TorTable({(i, g): d for i in (0, 1, 3) for g, d in cells.items()}, (2, 1))
+    real = torlab.multi_tor
+
+    def made_up(ideals, coefficient=None, *args, **kwargs):
+        if coefficient is not None:  # betti_table's Tor against the residue field
+            return real(ideals, coefficient, *args, **kwargs)
+        return whole if len(ideals) == 3 else prefix
+
+    monkeypatch.setattr(torlab, "multi_tor", made_up)
+    x, y = MonomialIdeal(2, [(1, 0)]), MonomialIdeal(2, [(0, 1)])
+    rep = rigidity_check([x, y, x])
+    violations = [
+        {"rule": "rigidity", "zero_at": 1, "nonzero_at": 2,
+         "witness": {"degree": [0, 0], "dim": 1}},
+        {"rule": "prefix_vanishing", "index": 1, "subfamily": [0, 1],
+         "witness": {"degree": [0, 0]}},
+        {"rule": "prefix_vanishing", "index": 3, "subfamily": [0, 1],
+         "witness": {"degree": [0, 0]}},
+        {"rule": "epsilon_upper_bound", "epsilon": 1, "dim_top": 0},
+    ]
+    assert rep.context == {
+        "vanishing": {"0": False, "1": True, "2": False, "3": True},
+        "top_index": 2, "epsilon": 1, "sum_pd": 3, "artinian_top": True,
+        "violations": violations}
+    assert not rep.passed
+    assert [(a["name"], a["witnesses"]) for a in rep.assertions] == [
+        ("no_rigidity_violations", violations)]
+
+
 def test_serre_examples(kxy):
-    assert serre_a8_check([kxy["x"], kxy["y"]]).triple == (True, True, True)
+    def triple(rep):
+        assert rep.context["equivalent"] == rep.passed
+        return tuple(rep.context[c] for c in A8_CONDITIONS)
+
+    assert triple(serre_a8_check([kxy["x"], kxy["y"]])) == (True, True, True)
     x1 = MonomialIdeal(2, [(1, 0)])
-    assert serre_a8_check([x1, x1]).triple == (False, False, False)
+    assert triple(serre_a8_check([x1, x1])) == (False, False, False)
     rep = serre_a8_check([kxy["m"], kxy["x2xy"]])
-    assert rep.triple == (False, False, False)
-    assert rep.passed
+    assert triple(rep) == (False, False, False)
+    assert rep.passed and rep.assertions[0]["name"] == "three_way_equivalence"
+    assert rep.assertions[0]["witnesses"] == []
 
 
 def test_family_box_with_coefficient(kxy):
