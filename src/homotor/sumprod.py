@@ -103,16 +103,23 @@ def mv_total_complex(kind: str, ideals, coefficient: MonomialIdeal | None = None
     E^1_{n-p,q} = ⊕ Tor_q(M, R/(sum of a p-subset)).  product_to_sum:
     X = P, P_p ⊗ F_q in degree p + q, weight p; E^1_{p,q} = ⊕ Tor_q(M,
     R/(product of a p-subset)).
+
+    A coefficient of None or the zero ideal means M = R, and then the total
+    is X itself, filtered by its own index, with no tensor built: F is
+    ``resolution`` of the zero ideal, R(0) at index 0, so every position is
+    (q_0, 0); ``_product_summand`` keeps X's summand; axis 0 carries the
+    sign +1; and a summand's total index is q_0, which is also its weight.
+    This is the rule by which ``multi_tor`` leaves a zero coefficient out.
     """
     ideals, box = check_family(ideals, coefficient)
-    if coefficient is None:
-        coefficient = MonomialIdeal.zero(box.n)
     if kind == "sum_to_product":
         x = truncated(_s_complex(ideals, box.n, CYCLIC))
     elif kind == "product_to_sum":
         x = _p_complex(ideals, box.n, CYCLIC)
     else:
         raise InvalidKind(f"unknown mv kind {kind!r}")
+    if coefficient is None or coefficient.is_zero():
+        return FilteredTotal(x, {i: [i] * len(ss) for i, ss in x.terms.items()})
     return _by_weight(tensor([x, resolution(coefficient)]), lambda q: q[0])
 
 

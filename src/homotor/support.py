@@ -79,11 +79,13 @@ def supportoftors_check(ideals, coefficient: MonomialIdeal | None, ps,
     ideals of a ``variable_blocks`` family, for all p-subsets, plus the
     spectral-sequence containment cross-checks: ``{p: CheckReport}`` for
     each p in ``ps``, from one pass that computes each Tor table and
-    Mayer-Vietoris total once for every p; a total computes each of its
-    pages once.  A coefficient of None or the zero ideal means M = R, as in
-    ``multi_tor``; both pass ``check_family`` before ``variable_blocks`` is
-    asked, and every table is over the box it returns, which reaches every
-    subset's product and sum."""
+    Mayer-Vietoris total once and checks each (kind, subset, degree)
+    containment once, for every p that lists it; which degrees are tested
+    depends on p, but one check's witnesses do not.  A coefficient of None
+    or the zero ideal means M = R, as in ``multi_tor``; both pass
+    ``check_family`` before ``variable_blocks`` is asked, and every table
+    is over the box it returns, which reaches every subset's product and
+    sum."""
     ideals, box = check_family(ideals, coefficient)
     if not variable_blocks(ideals):
         raise ValidationError("supportoftors_check needs nonzero ideals generated "
@@ -112,22 +114,44 @@ def supportoftors_check(ideals, coefficient: MonomialIdeal | None, ps,
                 by_ideal[ideal] = multi_tor([ideal], coefficient=coefficient,
                                             fld=fld, box=box)
         tor[T] = tuple(by_ideal[ideal] for ideal in pair)
-    totals: dict = {}
+    totals: dict = {}  # {(kind, T): its Mayer-Vietoris total}
+    found: dict = {}  # {(kind, T, g): the witnesses of that containment}
 
-    def spectrum(kind, T, g):
-        """The pages of the (kind, T) Mayer-Vietoris total at g: each total
-        is built once, for every p that asks, and keeps its pages by fibre
-        class."""
-        if (kind, T) not in totals:
-            totals[(kind, T)] = mv_total_complex(kind, [ideals[i] for i in T], coefficient)
-        return pages(totals[(kind, T)], g, fld)
+    def witnesses(kind, T, g):
+        """The witnesses of the (kind, T) containment at g: each total is
+        built once and each (kind, T, g) checked once, for every p that
+        tests g."""
+        if (kind, T, g) not in found:
+            if (kind, T) not in totals:
+                totals[(kind, T)] = mv_total_complex(kind, [ideals[i] for i in T],
+                                                     coefficient)
+            found[(kind, T, g)] = _containment(kind, T, g, tor[T],
+                                               pages(totals[(kind, T)], g, fld))
+        return found[(kind, T, g)]
 
-    return {p: _support_report([T for T in combos if len(T) <= p], box, tor, spectrum)
+    return {p: _support_report([T for T in combos if len(T) <= p], box, tor, witnesses)
             for p in ps}
 
 
-def _support_report(combos, box, tor, spectrum) -> CheckReport:
-    """The report of one p, whose subsets of size at most p are ``combos``."""
+def _containment(kind, T, g, tables, pg) -> list:
+    """The witnesses of one spectral containment: the sum-to-product
+    sequence abuts (here, under the strong independence of disjoint
+    variable ideals) to Tor against the product, moved up by u - 1 for a
+    u-subset, the product-to-sum one to Tor against the sum, moved up by 1."""
+    offset, table = (len(T) - 1, tables[0]) if kind == "sum_to_product" else (1, tables[1])
+    where = {"kind": kind, "subset": list(T), "degree": list(g)}
+    if not pg.converged:
+        return [{**where, "reason": "not convergent"}]
+    totals = pg.total_dims()
+    expected = {j + offset: table.dim(j, g) for j in table.nonzero_indices()}
+    return [{**where, "i": i, "actual": totals.get(i, 0), "expected": expected.get(i, 0)}
+            for i in sorted(set(totals) | set(expected))
+            if totals.get(i, 0) != expected.get(i, 0)]
+
+
+def _support_report(combos, box, tor, witnesses) -> CheckReport:
+    """The report of one p, whose subsets of size at most p are ``combos``;
+    ``witnesses(kind, T, g)`` gives those of one containment check."""
     report = CheckReport()
     report.context["box"] = list(box)
     # every table is over the one box, so the unions are plain cell sets
@@ -138,32 +162,15 @@ def _support_report(combos, box, tor, spectrum) -> CheckReport:
         {"side": "product_only", "cells": [list(c) for c in sorted(left - right)]},
         {"side": "sum_only", "cells": [list(c) for c in sorted(right - left)]}])
 
-    # spectral cross-checks: the sum-to-product sequence abuts (here, under
-    # the strong independence of disjoint variable ideals) to Tor against
-    # the product, moved up by u - 1 for a u-subset, the product-to-sum one
-    # to Tor against the sum, moved up by 1
+    # spectral cross-checks at the first few cells of the union
     tested = sorted(left | right)[:SPECTRAL_DEGREES]
     if not tested:
         tested = [tuple(Multidegree.zero(box.n))]
-    witnesses = {"sum_to_product": [], "product_to_sum": []}
+    found = {"sum_to_product": [], "product_to_sum": []}
     for T in combos:
-        for kind, offset, table in (("sum_to_product", len(T) - 1, tor[T][0]),
-                                    ("product_to_sum", 1, tor[T][1])):
-            indices = table.nonzero_indices()
+        for kind in found:
             for g in tested:
-                pg = spectrum(kind, T, g)
-                where = {"kind": kind, "subset": list(T), "degree": list(g)}
-                if not pg.converged:
-                    witnesses[kind].append({**where, "reason": "not convergent"})
-                    continue
-                totals = pg.total_dims()
-                expected = {j + offset: table.dim(j, g) for j in indices}
-                witnesses[kind].extend(
-                    {**where, "i": i, "actual": totals.get(i, 0),
-                     "expected": expected.get(i, 0)}
-                    for i in sorted(set(totals) | set(expected))
-                    if totals.get(i, 0) != expected.get(i, 0)
-                )
-    for kind, found in witnesses.items():
-        report.add(f"{kind}_containment", True, not found, found)
+                found[kind].extend(witnesses(kind, T, g))
+    for kind, cells in found.items():
+        report.add(f"{kind}_containment", True, not cells, cells)
     return report

@@ -33,14 +33,14 @@ from homotor.multicomplex import (
     hypercube_augment,
     tensor,
 )
-from homotor.spectral import SpectralPages, _check_page, build_filtration, pages
+from homotor.spectral import SpectralPages, _by_weight, _check_page, build_filtration, pages
 from homotor.sumprod import (
     _compare_slices,
     augmented_interior_H,
     build_p_complex,
     build_s_complex,
     complex_homology_table,
-    mv_total_complex,
+    truncated,
 )
 from homotor.support import SPECTRAL_DEGREES
 from homotor.torlab import (
@@ -570,6 +570,19 @@ def masked_rank_oracle(c, i, src_mask, tgt_mask, p):
     return _rank_mod([[rows.get(s, {}).get(t, 0) for t in targets] for s in sources], p)
 
 
+def mv_tensor_total(kind, ideals, coefficient=None):
+    """The Mayer-Vietoris total built as a tensor for every M: X (S_- for
+    sum_to_product, P for product_to_sum) tensored with the resolution of
+    M, of the zero ideal when M = R, and filtered by X's position.  The
+    oracle of ``mv_total_complex``, which takes X itself when M = R."""
+    if kind == "sum_to_product":
+        x = truncated(build_s_complex(ideals))
+    else:
+        x = build_p_complex(ideals)
+    m = MonomialIdeal.zero(x.n) if coefficient is None else coefficient
+    return _by_weight(tensor([x, resolution(m)]), lambda q: q[0])
+
+
 def support_check_at(partitions, coefficient, p, fld=GF()):
     """The support union-equality report of one p, every subset of size at
     most p built from scratch: a Tor table per product and per sum, the
@@ -622,7 +635,7 @@ def support_check_at(partitions, coefficient, p, fld=GF()):
         family = [ideals[i] for i in T]
         for kind, offset, table in (("sum_to_product", len(T) - 1, prod_tables[T]),
                                     ("product_to_sum", 1, sum_tables[T])):
-            filtered = mv_total_complex(kind, family, coeff)
+            filtered = mv_tensor_total(kind, family, coeff)
             for g in tested:
                 pg = pages(filtered, g, fld)
                 where = {"kind": kind, "subset": list(T), "degree": list(g)}

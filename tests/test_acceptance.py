@@ -4,7 +4,7 @@ Every check is exact (integer dimension equality over the stated boxes);
 random families are drawn from the seeded deterministic generator.
 """
 
-from conftest import direct_e1, pair_intersection, set_partitions, stream
+from conftest import direct_e1, mv_tensor_total, pair_intersection, set_partitions, stream
 from homotor.cli import random_instance
 from homotor.gcomplex import module_homology_table, taylor_resolution
 from homotor.monomial import MonomialIdeal, Multidegree, combine, iter_box
@@ -15,7 +15,6 @@ from homotor.sumprod import (
     build_s_complex,
     complex_homology_table,
     exactness_equivalences,
-    mv_total_complex,
     verify_identities,
 )
 from homotor.support import supportoftors_check
@@ -110,7 +109,7 @@ def test_criterion_3_spectral_convergence():
                                            pg.abutment_check.values()):
                     failures.append((kind, [i.gens for i in fam], g))
         for kind in ("sum_to_product", "product_to_sum"):
-            filtered = mv_total_complex(kind, fam, coeff)
+            filtered = mv_tensor_total(kind, fam, coeff)
             for g in _test_degrees(family_box(fam)):
                 pg = pages(filtered, Multidegree(g))
                 checked += 1

@@ -5,8 +5,10 @@ the recorded code.
 The corpus covers ``scomplex`` and ``pcomplex`` with each ``--kind``,
 ``selftest``, ``tor`` over a user box larger than the stable one (with and
 without ``--module``), ``support`` on a family that is not made of variable
-blocks (per-ideal regions), and one exit-2 report for each typed input error
-the CLI reports.  The digests, sha256 of stdout, live in
+blocks (per-ideal regions) and, with ``--module``, on one that is (the
+union check, whose Mayer-Vietoris totals then tensor X with the resolution
+of M), ``spectral --kind sum_to_product --module``, and one exit-2 report
+for each typed input error the CLI reports.  The digests, sha256 of stdout, live in
 ``tests/golden/cli.json``.  Record them again only from code whose reports
 are the reference:
 
@@ -33,6 +35,11 @@ PROBLEMS = {
         "variables": ["x", "y", "z"],
         "ideals": {"I1": [[2, 0, 0], [1, 1, 0]], "I2": [[0, 1, 1], [0, 0, 2]],
                    "I3": [[1, 0, 1], [0, 2, 0]]},
+    },
+    "blocks": {
+        "variables": ["x", "y", "z", "w"],
+        "ideals": {"I1": [[1, 0, 0, 0]], "I2": [[0, 1, 0, 0], [0, 0, 1, 0]],
+                   "I3": [[0, 0, 0, 1]]},
     },
     "pair": {
         "variables": ["x", "y"],
@@ -75,6 +82,9 @@ CASES = [
     ("taylor-17", "seventeen", ["tor"]),
     ("unread-flag", "pair", ["verify", "--box", "1,1"]),
     ("support-regions", "family", ["support"]),
+    ("support-module", "blocks", ["support", "--module", "I3"]),
+    ("spectral-mv-module", "family", ["spectral", "--kind", "sum_to_product",
+                                      "--module", "I3"]),
     ("spectral-small-box", "family", ["spectral", "--kind", "interior", "--box", "0,0,0"]),
 ]
 

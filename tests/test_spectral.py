@@ -679,18 +679,22 @@ class _Counter:
     def __init__(self, fn):
         self.fn = fn
         self.calls = []
+        self.results = []
 
     def __call__(self, *args, **kwargs):
         self.calls.append(args)
-        return self.fn(*args, **kwargs)
+        self.results.append(self.fn(*args, **kwargs))
+        return self.results[-1]
 
 
 @pytest.mark.parametrize("kind", KINDS + ["sum_to_product", "product_to_sum"])
 def test_spectral_command_builds_one_total(kind, monkeypatch):
-    totals = _Counter(spectral._by_weight)
+    """One ``FilteredTotal`` per command, the Mayer-Vietoris ones
+    included, which for M = R filter X itself without ``_by_weight``."""
+    totals = _Counter(FilteredTotal)
     mv_totals = _Counter(cli.mv_total_complex)
     for module in (spectral, sumprod):  # sumprod filters the Mayer-Vietoris totals
-        monkeypatch.setattr(module, "_by_weight", totals)
+        monkeypatch.setattr(module, "FilteredTotal", totals)
     monkeypatch.setattr(cli, "mv_total_complex", mv_totals)
     problem = cli.ProblemFile(32003, ["x", "y"], {
         "I": MonomialIdeal(2, [(2, 0), (1, 1)]),
@@ -705,14 +709,19 @@ def test_spectral_command_builds_one_total(kind, monkeypatch):
 
 
 def test_support_check_builds_one_mv_total_per_kind_and_subset(monkeypatch):
-    """One call over p = 1, 2, 3 builds each total and each Tor table once:
-    a singleton's product and sum are one ideal."""
+    """One call over p = 1, 2, 3 builds each total and each Tor table once,
+    a singleton's product and sum being one ideal, and reads the pages of
+    each (kind, subset, degree) once; with M = R no total is a tensor."""
     mv_totals = _Counter(support.mv_total_complex)
     tors = _Counter(support.multi_tor)
+    paged = _Counter(support.pages)
+    tensors = _Counter(sumprod.tensor)
     monkeypatch.setattr(support, "mv_total_complex", mv_totals)
     monkeypatch.setattr(support, "multi_tor", tors)
-    reports = support.supportoftors_check(
-        [MonomialIdeal.variables(3, [i]) for i in range(3)], None, [1, 2, 3])
+    monkeypatch.setattr(support, "pages", paged)
+    monkeypatch.setattr(sumprod, "tensor", tensors)
+    family = [MonomialIdeal.variables(3, [i]) for i in range(3)]
+    reports = support.supportoftors_check(family, None, [1, 2, 3])
     assert list(reports) == [1, 2, 3]
     assert all(r.passed for r in reports.values())
     assert len(reports[3].context["union_cells"]) > 1
@@ -720,6 +729,19 @@ def test_support_check_builds_one_mv_total_per_kind_and_subset(monkeypatch):
     assert len(built) == len(set(built)) == 2 * 7  # two kinds, 7 nonempty subsets
     tabled = [tuple(ideals) for (ideals,) in tors.calls]
     assert len(tabled) == len(set(tabled)) == 7 + 4  # 7 products, 4 sums with |T| >= 2
+    # the pages of each (kind, subset, degree) that some p tests, read once
+    subset = {id(total): (kind, tuple(ideals)) for (kind, ideals, _), total
+              in zip(mv_totals.calls, mv_totals.results)}
+    read = [(*subset[id(total)], tuple(g)) for total, g, _ in paged.calls]
+    tested = {(kind, tuple(family[i] for i in T), tuple(g))
+              for p, report in reports.items()
+              for T in itertools.chain(*(itertools.combinations(range(3), u)
+                                         for u in range(1, p + 1)))
+              for kind in ("sum_to_product", "product_to_sum")
+              for g in report.context["union_cells"][:support.SPECTRAL_DEGREES]}
+    assert len(read) == len(set(read)) and set(read) == tested
+    # M = R: each total is X itself, and sumprod builds no Multicomplex
+    assert tensors.calls == []
 
 
 def test_exactness_check_builds_one_total_per_subfamily(monkeypatch):

@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 from conftest import (
     exactness_equivalences_oracle,
     independence_oracle,
+    mv_tensor_total,
     stream,
     tensor_total,
     unit_koszul,
@@ -375,6 +376,42 @@ def test_verify_identities_compares_the_stated_ranges(monkeypatch):
         assert compared == want[len(family)], len(family)
 
 
+def test_verify_assertions_compare_nonzero_sides_on_a_pinned_pair(monkeypatch):
+    """On I = J = (x, y) six assertions of ``verify_identities`` compare a
+    nonzero side with a nonzero side and pass.  The other three compare
+    zero with zero on every monomial family, as the README says:
+    sum_top_vanishing states a vanishing; product_vs_sum_homology reads
+    H_0(P) = 0 (P_0 = R/R is dropped) against H^n(S) = 0; and the range
+    2 <= i <= n-2 of both needs n >= 4, where the pairwise independent
+    ideals lie in disjoint variables, S is exact and Tor_i = 0 for i > 0."""
+    compared = {}
+    compare = sumprod._compare_slices
+
+    def recorded(report, name, checked, pairs):
+        pairs = list(pairs) if checked else []
+        compared[name] = [(i, bool(lhs), bool(rhs)) for i, lhs, rhs in pairs]
+        compare(report, name, checked, pairs)
+
+    monkeypatch.setattr(sumprod, "_compare_slices", recorded)
+    m = MonomialIdeal(2, [(1, 0), (0, 1)])
+    family = [m, m]
+    report = verify_identities(family)
+    assert all(a["checked"] and a["passed"] for a in report.assertions)
+    live = {name: [i for i, lhs, rhs in pairs if lhs and rhs]
+            for name, pairs in compared.items()}
+    assert live == {"sum_homology_vs_tor": [], "sum_top_vanishing": [],
+                    "top_tor_vs_augmented": [0], "product_homology_vs_tor": [1, 2],
+                    "partial_product_range": [1], "product_vs_sum_homology": []}
+    # four_term_bookkeeping: H^0(S) = Tor_1; four_term_product: H^0(S) =
+    # H_2(P); surjection_injection_bounds at s = 0: Tor_2 = H_{2,0}
+    box = family_box(family)
+    tor = multi_tor(family, box=box)
+    s0 = complex_homology_table(build_s_complex(family), box=box).slice(0)
+    p2 = complex_homology_table(build_p_complex(family), box=box).slice(2)
+    aug0 = augmented_interior_H(family, [0, 1], box=box).slice(0)
+    assert all([s0, tor.slice(1), p2, tor.slice(2), aug0])
+
+
 def test_verify_identities_builds_no_truncation_and_walks_no_box(kxy, kxyz, monkeypatch):
     """The four-term assertions read S off its table: verify_identities
     builds no S_-, tests no membership in the product and iterates no box
@@ -627,6 +664,25 @@ def test_product_vs_sum_at_index_one_fails(kxyz):
 
 
 # -- raw Taylor factors against reduced ones ------------------------------------
+
+
+@settings(deadline=None)
+@given(families(), st.sampled_from(["sum_to_product", "product_to_sum"]),
+       st.booleans())
+def test_mv_total_with_m_equal_r_is_x_itself(family, kind, zero_ideal):
+    """For M = R, given as None or as the zero ideal, ``mv_total_complex``
+    is the total of X tensored with the resolution of the zero ideal: the
+    same terms, differential and levels, and the same pages at every degree
+    of the box over three fields."""
+    coefficient = MonomialIdeal.zero(family[0].n) if zero_ideal else None
+    total = mv_total_complex(kind, family, coefficient)
+    oracle = mv_tensor_total(kind, family)
+    assert total.total.terms == oracle.total.terms
+    assert total.total.d == oracle.total.d
+    assert total.levels == oracle.levels
+    for g in iter_box(family_box(family)):
+        for fld in (GF(2), GF(3), GF(32003)):
+            assert pages(total, g, fld) == pages(oracle, g, fld)
 
 
 @st.composite

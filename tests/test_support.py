@@ -12,6 +12,7 @@ from conftest import (
     support_check_at,
     table_cells,
 )
+from homotor import support
 from homotor.cli import random_instance
 from homotor.errors import (
     BoxTooSmall,
@@ -21,7 +22,8 @@ from homotor.errors import (
     ValidationError,
 )
 from homotor.gcomplex import TorTable
-from homotor.monomial import MonomialIdeal, check_family
+from homotor.monomial import MonomialIdeal, Multidegree, check_family
+from homotor.spectral import SpectralPages
 from homotor.support import region_compare, supportoftors_check, variable_blocks
 from homotor.torlab import family_box, multi_tor
 
@@ -191,6 +193,59 @@ def test_one_pass_reports_equal_the_per_p_oracle(n):
             u = len(chosen)
             assert (supportoftors_check(blocks(n, chosen), coeff, [u])[u].to_json()
                     == support_check_at(chosen, coeff, u).to_json())
+
+
+def test_supportoftors_tables_only_the_subsets_of_the_asked_sizes(monkeypatch):
+    """p = 1 on three blocks tables and totals the singletons alone, and no
+    p tables nothing."""
+    tabled = []
+    monkeypatch.setattr(support, "multi_tor",
+                        lambda ideals, **kw: tabled.append(ideals) or multi_tor(ideals, **kw))
+    family = blocks(3, [[0], [1], [2]])
+    assert supportoftors_check(family, None, []) == {} and tabled == []
+    assert list(supportoftors_check(family, None, [1])) == [1]
+    assert tabled == [[ideal] for ideal in family]
+
+
+def test_support_report_fails_on_made_up_tables():
+    """No variable-block family fails the check, so the failure paths run
+    on made-up tables and pages: a product and a sum of different
+    supports; then a total that differs from its expected Tor at one
+    index, lacks it at one and has homology at one where none is expected,
+    while an index whose Tor is 0 at the degree agrees; and a sequence
+    that does not converge."""
+    box = Multidegree((1, 1))
+    product = TorTable({(0, (0, 0)): 1, (1, (1, 0)): 1}, box)
+    total_sum = TorTable({(0, (0, 0)): 1, (1, (0, 1)): 1}, box)
+    asked = []
+    report = support._support_report(
+        [(0,)], box, {(0,): (product, total_sum)},
+        lambda kind, T, g: asked.append((kind, T, g)) or [{"at": list(g)}])
+    assert report.context["union_cells"] == [[0, 0], [1, 0]]
+    assert report.assertions[0]["witnesses"] == [
+        {"side": "product_only", "cells": [[1, 0]]},
+        {"side": "sum_only", "cells": [[0, 1]]}]
+    tested = [(0, 0), (0, 1), (1, 0)]
+    assert asked == [(kind, (0,), g) for kind in ("sum_to_product", "product_to_sum")
+                     for g in tested]
+    assert [(a["name"], a["passed"], a["witnesses"]) for a in report.assertions[1:]] == [
+        (f"{kind}_containment", False, [{"at": list(g)} for g in tested])
+        for kind in ("sum_to_product", "product_to_sum")]
+
+    # Tor against the sum at (1, 1): 2 at index 0, 1 at index 1, and index
+    # 2 nonzero elsewhere only; the product-to-sum total is moved up by 1
+    tor_sum = TorTable({(0, (1, 1)): 2, (1, (1, 1)): 1, (2, (0, 0)): 1}, box)
+    e_inf = {(1, 0): 1, (2, 2): 1}  # total dims {1: 1, 4: 1}
+    pg = SpectralPages([e_inf], [{}], e_inf, {}, True, 1)
+    where = {"kind": "product_to_sum", "subset": [0, 1], "degree": [1, 1]}
+    assert support._containment("product_to_sum", (0, 1), (1, 1), (None, tor_sum), pg) == [
+        {**where, "i": 1, "actual": 1, "expected": 2},
+        {**where, "i": 2, "actual": 0, "expected": 1},
+        {**where, "i": 4, "actual": 1, "expected": 0}]
+    stuck = SpectralPages([e_inf], [{}], e_inf, {}, False, 1)
+    assert support._containment("sum_to_product", (0,), (1, 1), (tor_sum, None), stuck) == [
+        {"kind": "sum_to_product", "subset": [0], "degree": [1, 1],
+         "reason": "not convergent"}]
 
 
 def test_support_box_is_the_same_for_every_p():
