@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from homotor import sumprod
 from homotor.cli import random_instance
 from homotor.errors import UnitIdeal, ValidationError
 from homotor.exactlin import GF
-from homotor.gcomplex import module_homology_table, resolution, taylor_resolution
+from homotor.gcomplex import TorTable, module_homology_table, resolution, taylor_resolution
 from homotor.monomial import (
     MonomialIdeal,
     Multidegree,
@@ -412,6 +413,96 @@ def test_verify_assertions_compare_nonzero_sides_on_a_pinned_pair(monkeypatch):
     assert all([s0, tor.slice(1), p2, tor.slice(2), aug0])
 
 
+def _disjoint_families(seed, count):
+    """count families of 3-4 ideals in pairwise disjoint variables: each of
+    n..5 variables belongs to one ideal, and each ideal has 1-2 generators
+    in its own variables, exponents 0..2."""
+    rng = random.Random(seed)
+    families = []
+    for _ in range(count):
+        n = rng.randint(3, 4)
+        owner = [*range(n), *(rng.randrange(n) for _ in range(rng.randint(0, 5 - n)))]
+        family = []
+        for k in range(n):
+            own = [v for v, o in enumerate(owner) if o == k]
+            gens = []
+            for _ in range(rng.randint(1, 2)):
+                exponent = [rng.randint(0, 2) if o == k else 0 for o in owner]
+                exponent[rng.choice(own)] = rng.randint(1, 2)
+                gens.append(tuple(exponent))
+            family.append(MonomialIdeal(len(owner), gens))
+        families.append(family)
+    return families
+
+
+def test_v_t_is_strict_subfamily_independence():
+    """V_t (t >= 1), Tor_q = 0 for 1 <= q < p + t on every strict subfamily
+    of size p >= 2, is the strict-subfamily independence verify_identities
+    reports, so surjection_injection_bounds checks every s under it with ==.
+    At n >= 3, V_t asks Tor_1 = 0 of every pair, the ideals then lie in
+    pairwise disjoint variables (test_monomial_tor1_criterion), and every
+    strict subfamily is independent by Künneth.  Seeded 3-4-ideal families,
+    random and pairwise disjoint, over three fields, at t = 1, 2, 3."""
+    families = (stream(39000, 6, n_vars=3, n_ideals=3)
+                + stream(39100, 4, n_vars=4, n_ideals=4, max_gens=1)
+                + _disjoint_families(39200, 5))
+    seen = set()
+    for family in families:
+        n = len(family)
+        for fld in (GF(2), GF(3), GF(32003)):
+            tables = {sub: multi_tor([family[i] for i in sub], fld=fld)
+                      for size in range(2, n)
+                      for sub in itertools.combinations(range(n), size)}
+            strict_ok = verify_identities(family, fld).context[
+                "strict_subfamilies_independent"]
+            seen.add(strict_ok)
+            for t in (1, 2, 3):
+                v_t = all(table.is_zero(q) for sub, table in tables.items()
+                          for q in range(1, len(sub) + t))
+                assert v_t == strict_ok, ([i.gens for i in family], fld.p, t)
+    assert seen == {True, False}
+
+
+def test_surjection_bounds_relabel_the_top_range_witnesses(kxyz, monkeypatch):
+    """With six cells added to the augmented interior at q = 0 and 1 of
+    I = J = (x, y), both top-range assertions fail, and
+    surjection_injection_bounds lists the first four mismatches in (s,
+    degree) order, the first four top_tor_vs_augmented witnesses
+    relabelled; where strict_ok is false it is unchecked, with no witness."""
+    table = sumprod.augmented_interior_H
+
+    def padded(*args):
+        t = table(*args)
+        entries = dict(t.entries)
+        for q in (0, 1):
+            for g in sorted(map(tuple, iter_box(t.box)))[:3]:
+                entries[q, g] = entries.get((q, g), 0) + 1
+        return TorTable(entries, t.box)
+
+    monkeypatch.setattr(sumprod, "augmented_interior_H", padded)
+    m = MonomialIdeal(2, [(1, 0), (0, 1)])
+    family = [m, m]
+    box = family_box(family)
+    tor, aug = multi_tor(family, box=box), padded(family, [0, 1], None, GF(), box)
+    want = [{"s": s, "degree": list(g), "tor": tor.dim(2 + s, g), "aug": aug.dim(s, g),
+             "iso_expected": True}
+            for s in range(3) for g in sorted(set(tor.slice(2 + s)) | set(aug.slice(s)))
+            if tor.dim(2 + s, g) != aug.dim(s, g)]
+    assert len(want) == 6
+    by_name = {a["name"]: a for a in verify_identities(family).assertions}
+    top, bounds = by_name["top_tor_vs_augmented"], by_name["surjection_injection_bounds"]
+    assert top["checked"] and not top["passed"] and len(top["witnesses"]) == 6
+    assert bounds["checked"] and not bounds["passed"]
+    assert bounds["witnesses"] == want[:4]
+    assert bounds["witnesses"] == [
+        {"s": w["i"], "degree": w["degree"], "tor": w["actual"], "aug": w["expected"],
+         "iso_expected": True} for w in top["witnesses"][:4]]
+    rep = verify_identities([kxyz["x"], kxyz["xy"], kxyz["y"]])
+    assert not rep.context["strict_subfamilies_independent"]
+    assert rep.assertions[-1] == {"name": "surjection_injection_bounds", "checked": False,
+                                  "passed": None, "witnesses": [], "note": None}
+
+
 def test_verify_identities_builds_no_truncation_and_walks_no_box(kxy, kxyz, monkeypatch):
     """The four-term assertions read S off its table: verify_identities
     builds no S_-, tests no membership in the product and iterates no box
@@ -607,7 +698,9 @@ def test_exactness_equivalences_truth_values(kxy, kxyz):
     """The four conditions, pinned: all hold on x, y, z; on (x), (x) and on
     (x), (xy), (z) the pair (0, 1) is dependent, its P has H_2 and its S
     has H^0, while every q >= 0 row stays exact, so both equivalences
-    hold with (1) false."""
+    hold with (1) false.  On (y^2, xy), (x^2, y^2) all four fail, and the
+    pair's own page E^2_{2,0} at (2, 3) is the row witness, which reading
+    only the degrees of subfamilies of size >= 3 would miss."""
     rep = exactness_equivalences([kxyz["x"], kxyz["y"], kxyz["z"]])
     assert rep.context == {"strongly_independent": True, "rows_exact": True,
                            "product_rows_exact": True, "sum_rows_exact": True}
@@ -623,6 +716,30 @@ def test_exactness_equivalences_truth_values(kxy, kxyz):
         [{"subfamily": [0, 1], "i": 2}, {"subfamily": [0, 1, 2], "i": 2}],
         [{"subfamily": [0, 1], "i": 0}, {"subfamily": [0, 1, 2], "i": 0}]]
     assert rep.passed
+    rep = exactness_equivalences([MonomialIdeal(2, [(0, 2), (1, 1)]),
+                                  MonomialIdeal(2, [(2, 0), (0, 2)])])
+    assert rep.context == {"strongly_independent": False, "rows_exact": False,
+                           "product_rows_exact": False, "sum_rows_exact": False}
+    rows = {"subfamily": [0, 1], "degree": [2, 3], "p": 2, "q": 0}
+    assert [a["witnesses"] for a in rep.assertions] == [
+        [rows, {"subfamily": [0, 1], "i": 2}], [rows, {"subfamily": [0, 1], "i": 0}]]
+    assert rep.passed
+
+
+def test_exactness_rows_are_read_on_the_second_page():
+    """Row exactness reads E^2, not a later page: on (x^2yz^2, x^2y^2z),
+    (y^2, x^2z^2), (x^2), (y) the whole family's first row witness is
+    E^2_{2,0} at (4, 3, 3), which d_2 kills, so E^3 has no q >= 0 entry at
+    p >= 2 there."""
+    family = [MonomialIdeal(3, [(2, 1, 2), (2, 2, 1)]), MonomialIdeal(3, [(0, 2, 0), (2, 0, 2)]),
+              MonomialIdeal(3, [(2, 0, 0)]), MonomialIdeal(3, [(0, 1, 0)])]
+    rep = exactness_equivalences(family)
+    assert {"subfamily": [0, 1, 2, 3], "degree": [4, 3, 3], "p": 2, "q": 0} in (
+        rep.assertions[0]["witnesses"])
+    filtered = build_filtration(tensor([resolution(i) for i in family]),
+                                kind="interior_augmented")
+    third = pages(filtered, (4, 3, 3), GF()).page(3)
+    assert not any(d for (p, q), d in third.items() if p >= 2 and q >= 0)
 
 
 # -- documented statement-boundary regressions --------------------------------
