@@ -9,7 +9,8 @@ constructions on it (the Koszul cone, its hypercube-augmented version, the
 support-count filtration and its augmentation) produce convergent spectral
 sequences; two more arise from the Mayer-Vietoris double complexes built
 from the sum and product complexes.  All pages are computed fiberwise over
-GF(p) and convergence is checked against the homology of the total complex.
+GF(p); their abutment, E_inf summed by total degree, is the homology of the
+total complex.
 """
 
 from homotor import (
@@ -28,10 +29,12 @@ multi = tensor([resolution(i) for i in family])
 gamma = Multidegree((1, 1))
 
 for kind in ("kcone", "kcone_augmented", "interior", "interior_augmented"):
-    pg = pages(build_filtration(multi, kind=kind), gamma)
+    filtered = build_filtration(multi, kind=kind)
+    pg = pages(filtered, gamma)
     print(f"{kind:20s} E1 = {pg.e1}")
-    print(f"{'':20s} E_inf = {pg.e_infinity}, stabilized at page {pg.r_stab}, "
-          f"convergent = {pg.converged}")
+    print(f"{'':20s} E_inf = {pg.e_infinity}, stabilized at page {pg.r_stab}")
+    print(f"{'':20s} E_inf by total degree = {pg.total_dims()}, "
+          f"H(total) = {filtered.total.homology_at(gamma)}")
 
 # The Mayer-Vietoris double complexes relate Tor against sums of subfamilies
 # to Tor against products.  First pages list those Tor dimensions; the

@@ -23,11 +23,11 @@ Spectral sequences, exact couples and persistent homology of filtrations,
                                   term i at level p
 
 and d^r = 0 for r beyond the largest gap.  Every page is checked against
-the page-bookkeeping identity, the pairs of each term against the rank of
-the unfiltered block of d_i, and the abutment against the total's homology
-of the fibre.  Those ranks come from ``GradedComplex._masked_rank``, which
-eliminates the same block in index order and caches each rank in the
-total: one block reader, two elimination orders.
+the page-bookkeeping identity, and the pairs of each term against the rank
+of the unfiltered block of d_i, so E^infinity sums to the abutment, the
+total's homology of the fibre.  Those ranks come from the total's
+``_masked_rank``, which eliminates the same block in index order and
+caches each rank: one block reader, two elimination orders.
 
 What depends only on the filtration is laid out once, when the filtered
 total is built: the summands of each level of a term as one bitmask, and
@@ -108,13 +108,11 @@ class FilteredTotal:
 @dataclass(frozen=True)
 class SpectralPages:
     """Dimension tables E^r_{p,q} for r = 1..r_stab, the page-differential
-    ranks, the stabilized table, and the abutment comparison."""
+    ranks and the stabilized table, whose diagonal sums are the abutment."""
 
     pages: list
     ranks: list
     e_infinity: dict
-    abutment_check: dict
-    converged: bool
     r_stab: int
 
     @property
@@ -125,16 +123,11 @@ class SpectralPages:
         return self.pages[min(r, self.r_stab) - 1]
 
     def total_dims(self) -> dict:
-        return _diagonal_sums(self.e_infinity)
-
-
-def _diagonal_sums(table: dict) -> dict:
-    """{p + q: the sum of the dimensions of table on that diagonal} of a
-    (p, q)-keyed page."""
-    out: dict = {}
-    for (p, q), d in table.items():
-        out[p + q] = out.get(p + q, 0) + d
-    return out
+        """{p + q: the dimensions of E^infinity on that diagonal, summed}."""
+        out: dict = {}
+        for (p, q), d in self.e_infinity.items():
+            out[p + q] = out.get(p + q, 0) + d
+        return out
 
 
 def persistence_pairs(filtered: FilteredTotal, i: int, alive: dict,
@@ -157,15 +150,19 @@ def persistence_pairs(filtered: FilteredTotal, i: int, alive: dict,
 
 def pages(filtered: FilteredTotal, gamma, fld: PrimeField = GF()) -> SpectralPages:
     """All pages of the filtration spectral sequence of the fibre of filtered
-    at gamma, with convergence verified against the homology of that fibre.
+    at gamma.
 
     Pages are kept up to r_stab = max(2, largest gap + 2), the least r >= 2
     with d^s = 0 for every s >= r - 1.  Raises InvariantBroken if the pairs
     of a term disagree with the rank of its unfiltered block or a page
-    breaks the page bookkeeping.  The pages depend on gamma only through its
-    alive masks: each (p, masks) is computed and checked once, kept in the
-    filtered total's page table, and the same frozen object is returned for
-    every degree of that fibre class.
+    breaks the page bookkeeping.  The first check is the abutment's too:
+    E^infinity sums to alive_i - #pairs(d_i) - #pairs(d_{i+1}) on diagonal
+    i, the total's homology is alive_i - rank d_i - rank d_{i+1}, so equal
+    pair counts give equal sums, and equal sums at every i give equal
+    counts by induction from the lowest term.  The pages depend on gamma
+    only through its alive masks: each (p, masks) is computed and checked
+    once, kept in the filtered total's page table, and the same frozen
+    object is returned for every degree of that fibre class.
     """
     total, levels = filtered.total, filtered.levels
     alive = total.alive_masks(gamma)
@@ -178,11 +175,9 @@ def pages(filtered: FilteredTotal, gamma, fld: PrimeField = GF()) -> SpectralPag
             for i in window for p, mask in enumerate(filtered._level_masks[i])}
     moving = []  # (i, level of b, level of d) of each pair of d_i with a positive gap
     for i in window:
-        if not alive.get(i - 1):
-            continue
         pairs = persistence_pairs(filtered, i, alive, fld)
         # the same block eliminated in index order, its rank cached in the total
-        rank = total._masked_rank(i, alive[i], alive[i - 1], fld)
+        rank = total._masked_rank(i, alive[i], alive.get(i - 1, 0), fld)
         if len(pairs) != rank:
             raise InvariantBroken(
                 f"{len(pairs)} persistence pairs for the rank {rank} of d_{i}"
@@ -209,16 +204,10 @@ def pages(filtered: FilteredTotal, gamma, fld: PrimeField = GF()) -> SpectralPag
         _check_page(r, dims, ranks, page_tables, rank_tables)
         page_tables.append(dims)
         rank_tables.append(ranks)
-    e_inf = page_tables[-1]
-    base_h = {i: h for i, h in total._homology(alive, fld).items() if alive.get(i)}
-    totals = _diagonal_sums(e_inf)
-    check = {i: (totals.get(i, 0), base_h.get(i, 0)) for i in set(base_h) | set(totals)}
     pg = filtered._pages[key] = SpectralPages(
         pages=page_tables,
         ranks=rank_tables,
-        e_infinity=e_inf,
-        abutment_check=check,
-        converged=all(lhs == rhs for lhs, rhs in check.values()),
+        e_infinity=page_tables[-1],
         r_stab=r_stab,
     )
     return pg

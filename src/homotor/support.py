@@ -4,12 +4,13 @@ A region is a table's ``support()``: its nonzero cells inside the table's
 box, a stability box, so a cell touching a box face represents every degree
 beyond it in that direction and any degree is read at its clamp
 min(gamma, box).  ``region_compare`` compares two tables' regions over the
-lcm of their boxes.  The union-equality checker compares supports
-of Tor against products with Tor against sums and cross-checks both
-containments through the two Mayer-Vietoris spectral sequences.  It takes
-the families that ``variable_blocks`` accepts, nonzero ideals generated by
-single variables in pairwise disjoint blocks; the CLI asks the same
-function whether a family gets the union check or per-ideal regions.
+lcm of their boxes.  The union-equality checker compares supports of Tor
+against products with Tor against sums and cross-checks both containments
+against the abutment, the total's homology, of the two Mayer-Vietoris
+spectral sequences.  It takes the families that ``variable_blocks``
+accepts, nonzero ideals generated by single variables in pairwise disjoint
+blocks; the CLI asks the same function whether a family gets the union
+check or per-ideal regions.
 """
 
 from __future__ import annotations
@@ -27,11 +28,10 @@ from .monomial import (
     iter_box,
     lcm_deg,
 )
-from .spectral import pages
 from .sumprod import mv_total_complex
 from .torlab import CheckReport, multi_tor
 
-SPECTRAL_DEGREES = 8  # support cells cross-checked through both MV sequences
+SPECTRAL_DEGREES = 8  # support cells cross-checked against both MV abutments
 
 
 def region_compare(a: TorTable, b: TorTable) -> dict:
@@ -125,28 +125,27 @@ def supportoftors_check(ideals, coefficient: MonomialIdeal | None, ps,
             if (kind, T) not in totals:
                 totals[(kind, T)] = mv_total_complex(kind, [ideals[i] for i in T],
                                                      coefficient)
-            found[(kind, T, g)] = _containment(kind, T, g, tor[T],
-                                               pages(totals[(kind, T)], g, fld))
+            found[(kind, T, g)] = _containment(
+                kind, T, g, tor[T], totals[(kind, T)].total.homology_at(g, fld))
         return found[(kind, T, g)]
 
     return {p: _support_report([T for T in combos if len(T) <= p], box, tor, witnesses)
             for p in ps}
 
 
-def _containment(kind, T, g, tables, pg) -> list:
-    """The witnesses of one spectral containment: the sum-to-product
-    sequence abuts (here, under the strong independence of disjoint
-    variable ideals) to Tor against the product, moved up by u - 1 for a
-    u-subset, the product-to-sum one to Tor against the sum, moved up by 1."""
+def _containment(kind, T, g, tables, homology) -> list:
+    """The witnesses of one spectral containment, read off {i: dim H_i} of
+    the Mayer-Vietoris total at g, its sequence's abutment: the
+    sum-to-product sequence abuts (here, under the strong independence of
+    disjoint variable ideals) to Tor against the product, moved up by u - 1
+    for a u-subset, the product-to-sum one to Tor against the sum, by 1."""
     offset, table = (len(T) - 1, tables[0]) if kind == "sum_to_product" else (1, tables[1])
     where = {"kind": kind, "subset": list(T), "degree": list(g)}
-    if not pg.converged:
-        return [{**where, "reason": "not convergent"}]
-    totals = pg.total_dims()
     expected = {j + offset: table.dim(j, g) for j in table.nonzero_indices()}
-    return [{**where, "i": i, "actual": totals.get(i, 0), "expected": expected.get(i, 0)}
-            for i in sorted(set(totals) | set(expected))
-            if totals.get(i, 0) != expected.get(i, 0)]
+    return [{**where, "i": i, "actual": homology.get(i, 0),
+             "expected": expected.get(i, 0)}
+            for i in sorted(set(homology) | set(expected))
+            if homology.get(i, 0) != expected.get(i, 0)]
 
 
 def _support_report(combos, box, tor, witnesses) -> CheckReport:

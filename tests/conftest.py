@@ -8,6 +8,7 @@ from homotor import MonomialIdeal, Multidegree
 from homotor.cli import random_instance
 from homotor.errors import (
     BoxTooSmall,
+    InvariantBroken,
     LengthMismatch,
     MixedKinds,
     UnitIdeal,
@@ -284,7 +285,10 @@ def block_rank_pages(filtered, gamma, fld=GF()):
     the bracket that of (d(F_{p+r-1}) ∩ F_p + F_{p-1}) / F_{p-1}, and E^r_p
     is the first over the second.  Pages are computed for r = 1..N+2 and
     kept up to r_stab, the least r >= 2 with d^s = 0 for every s >= r - 1.
-    The reference for the persistence pairing of ``spectral.pages``.
+    Raises InvariantBroken unless the diagonal sums of E^infinity are the
+    homology of the fibre, from the unfiltered block ranks: here the pages
+    and the abutment are two computations.  The reference for the
+    persistence pairing of ``spectral.pages``.
     """
     total, N = filtered.total, filtered.N
     below = {
@@ -335,15 +339,22 @@ def block_rank_pages(filtered, gamma, fld=GF()):
     totals = {}
     for (p, q), d in e_inf.items():
         totals[p + q] = totals.get(p + q, 0) + d
-    check = {i: (totals.get(i, 0), base_h.get(i, 0)) for i in set(base_h) | set(totals)}
+    if totals != {i: h for i, h in base_h.items() if h}:
+        raise InvariantBroken(f"E^infinity sums {totals} for the homology {base_h}")
     return SpectralPages(
         pages=page_tables,
         ranks=rank_tables,
         e_infinity=e_inf,
-        abutment_check=check,
-        converged=all(lhs == rhs for lhs, rhs in check.values()),
         r_stab=r_stab,
     )
+
+
+def abuts_to_the_total(pg, filtered, gamma, fld=GF()) -> bool:
+    """Whether the diagonal sums of pg's E^infinity are the nonzero
+    homology of filtered's total at gamma: the abutment, compared here
+    rather than by ``spectral.pages``, whose pair-count check implies it."""
+    h = filtered.total.homology_at(gamma, fld)
+    return pg.total_dims() == {i: d for i, d in h.items() if d}
 
 
 def persistence_pairs_oracle(filtered, i, alive, fld=GF()):
@@ -639,9 +650,6 @@ def support_check_at(partitions, coefficient, p, fld=GF()):
             for g in tested:
                 pg = pages(filtered, g, fld)
                 where = {"kind": kind, "subset": list(T), "degree": list(g)}
-                if not pg.converged:
-                    witnesses[kind].append({**where, "reason": "not convergent"})
-                    continue
                 totals = pg.total_dims()
                 expected = {j + offset: d for (j, gm), d in table.entries.items() if gm == g}
                 witnesses[kind].extend(

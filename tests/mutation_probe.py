@@ -5,9 +5,12 @@ Each mutant changes one site of the module: it swaps ``<``/``<=``,
 or 2 by one.  The probe samples a budget of sites with a fixed seed, runs
 the selection with ``-x`` against each mutant in a copy of the repository
 made in a new temporary directory, removed when the run ends (the working
-tree is never written), and writes the mutants no test kills as JSON:
-file, line, enclosing function, mutation, and the tests that ran.  A
-mutant whose run outlasts TIMEOUT_S seconds counts as killed.
+tree is never written), and writes every mutant, survivor or killed, as
+JSON: file, line, column, site index, enclosing function, mutation, and
+the tests that ran.  The site index is the mutant's place in ``sites()``
+and the column that of its constant or of the operand right of its
+operator, so two mutants of one line are told apart.  A mutant whose run
+outlasts TIMEOUT_S seconds counts as killed.
 
 Not a gate: the file is not collected by pytest.  Run it by hand, e.g.
 
@@ -40,8 +43,9 @@ SYMBOLS = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=",
 
 
 def sites(tree) -> list:
-    """(node, operator index or None, line, function, mutation) of every
-    mutable site, in source order."""
+    """(node, operator index or None, line, column, function, mutation) of
+    every mutable site, in source order; the column is that of the
+    constant, or of the operand right of the operator."""
     found = []
 
     def walk(node, where):
@@ -50,12 +54,14 @@ def sites(tree) -> list:
         if isinstance(node, ast.Compare):
             for k, op in enumerate(node.ops):
                 if type(op) in SWAPS:
-                    found.append((node, k, node.lineno, where, _swap_text(op)))
+                    found.append((node, k, node.lineno, node.comparators[k].col_offset,
+                                  where, _swap_text(op)))
         elif isinstance(node, ast.BinOp) and type(node.op) in SWAPS:
-            found.append((node, None, node.lineno, where, _swap_text(node.op)))
+            found.append((node, None, node.lineno, node.right.col_offset, where,
+                          _swap_text(node.op)))
         elif isinstance(node, ast.Constant) and type(node.value) is int \
                 and node.value in (0, 1, 2):
-            found.append((node, None, node.lineno, where,
+            found.append((node, None, node.lineno, node.col_offset, where,
                           f"{node.value} -> {node.value + 1}"))
         for child in ast.iter_child_nodes(node):
             walk(child, where)
@@ -112,13 +118,14 @@ def probe(workdir: Path, args) -> dict:
                "survivors": [], "killed": []}
     for index in chosen:
         tree = ast.parse(source)
-        node, k, line, where, mutation = sites(tree)[index]
+        node, k, line, col, where, mutation = sites(tree)[index]
         mutate(node, k)
         target.write_text(ast.unparse(tree) + "\n")
         side = "survivors" if run_tests(workdir, args.tests) else "killed"
-        outcome[side].append({"file": str(relative), "line": line,
-                              "function": where, "mutation": mutation})
-        print(f"line {line} {where}: {mutation}: {side}", file=sys.stderr)
+        outcome[side].append({"file": str(relative), "line": line, "col": col,
+                              "site": index, "function": where, "mutation": mutation})
+        print(f"site {index} line {line}:{col} {where}: {mutation}: {side}",
+              file=sys.stderr)
     return outcome
 
 

@@ -4,7 +4,14 @@ Every check is exact (integer dimension equality over the stated boxes);
 random families are drawn from the seeded deterministic generator.
 """
 
-from conftest import direct_e1, mv_tensor_total, pair_intersection, set_partitions, stream
+from conftest import (
+    abuts_to_the_total,
+    direct_e1,
+    mv_tensor_total,
+    pair_intersection,
+    set_partitions,
+    stream,
+)
 from homotor.cli import random_instance
 from homotor.gcomplex import module_homology_table, taylor_resolution
 from homotor.monomial import MonomialIdeal, Multidegree, combine, iter_box
@@ -105,15 +112,14 @@ def test_criterion_3_spectral_convergence():
             for g in _test_degrees(family_box(fam)):
                 pg = pages(filtered, Multidegree(g))
                 checked += 1
-                if not pg.converged or any(a != b for a, b in
-                                           pg.abutment_check.values()):
+                if not abuts_to_the_total(pg, filtered, g):
                     failures.append((kind, [i.gens for i in fam], g))
         for kind in ("sum_to_product", "product_to_sum"):
             filtered = mv_tensor_total(kind, fam, coeff)
             for g in _test_degrees(family_box(fam)):
                 pg = pages(filtered, Multidegree(g))
                 checked += 1
-                if not pg.converged:
+                if not abuts_to_the_total(pg, filtered, g):
                     failures.append((kind, [i.gens for i in fam], g))
     assert checked >= 200
     report(3, f"spectral convergence, {checked} page computations across six kinds",

@@ -19,7 +19,11 @@ from homotor.cli import (
     run,
 )
 from homotor.errors import ParamOutOfRange, ParseError, UnknownCommand, ValidationError
+from homotor.gcomplex import resolution
 from homotor.monomial import MonomialIdeal, iter_box
+from homotor.multicomplex import tensor
+from homotor.spectral import build_filtration
+from homotor.sumprod import mv_total_complex
 from homotor.support import supportoftors_check
 from homotor.torlab import family_box
 
@@ -179,6 +183,19 @@ def test_cli_spectral_command(problem_path, capsys):
     capsys.readouterr()
 
 
+def _assert_abutment(report, filtered):
+    """Each sampled degree's E^infinity records sum, diagonal by diagonal,
+    to the nonzero homology of the filtered total at that degree."""
+    for key, pg in report["results"]["pages"].items():
+        sums = {}
+        for cell in pg["e_infinity"]:
+            i = cell["p"] + cell["q"]
+            sums[i] = sums.get(i, 0) + cell["dim"]
+        h = filtered.total.homology_at(tuple(int(g) for g in key.split(",")))
+        assert sums == {i: d for i, d in h.items() if d}, key
+        assert pg["converged"] is True
+
+
 def test_cli_spectral_converges_past_a_zero_d2(tmp_path, capsys):
     """At degree (0, 3) kcone has d^1 = d^2 = 0 but d^3 != 0."""
     path = tmp_path / "prob.json"
@@ -189,7 +206,9 @@ def test_cli_spectral_converges_past_a_zero_d2(tmp_path, capsys):
     }))
     assert main(["spectral", str(path), "--kind", "kcone"]) == 0
     report = json.loads(capsys.readouterr().out)
-    assert all(pg["converged"] for pg in report["results"]["pages"].values())
+    family = parse_problem(str(path)).family()
+    _assert_abutment(report, build_filtration(
+        tensor([resolution(i) for i in family]), kind="kcone"))
     assert report["results"]["pages"]["0,3"]["r_stab"] == 5
 
 
@@ -208,7 +227,9 @@ def test_cli_spectral_sum_to_product_with_a_module(tmp_path, capsys):
     assert main(["spectral", str(path), "--kind", "sum_to_product",
                  "--module", "M"]) == 0
     report = json.loads(capsys.readouterr().out)
-    assert all(pg["converged"] for pg in report["results"]["pages"].values())
+    problem = parse_problem(str(path))
+    _assert_abutment(report, mv_total_complex("sum_to_product", problem.family(),
+                                              problem.ideals["M"]))
 
 
 @pytest.mark.parametrize("flags", [

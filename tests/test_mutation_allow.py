@@ -38,4 +38,4 @@ def test_every_allowed_mutant_still_has_its_site(entry):
     lines = range(first, first + entry["code"].count("\n") + 1)
     mutation = entry["mutation"].split(" (")[0]
     assert any(line in lines and where == entry["function"] and text == mutation
-               for _, _, line, where, text in sites(ast.parse(source))), entry
+               for _, _, line, _, where, text in sites(ast.parse(source))), entry

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    abuts_to_the_total,
     block_rank_pages,
     direct_e1,
     free_complex,
@@ -16,7 +17,7 @@ from conftest import (
     persistence_pairs_oracle,
     region,
 )
-from homotor import cli, gcomplex, spectral, sumprod, support
+from homotor import cli, gcomplex, spectral, sumprod, support, torlab
 from homotor.errors import (
     EmptyInput,
     FiltrationViolation,
@@ -30,7 +31,7 @@ from homotor.monomial import MonomialIdeal, Multidegree, iter_box
 from homotor.multicomplex import hypercube_augment, hypercube_extend, koszul_cone, tensor
 from homotor.spectral import FilteredTotal, build_filtration, pages
 from homotor.sumprod import build_p_complex, build_s_complex, mv_total_complex, truncated
-from homotor.torlab import family_box
+from homotor.torlab import family_box, multi_tor
 
 P = GF().p
 ID = {1: [(0, 0, 1)]}
@@ -40,20 +41,27 @@ def _pages(dims, diffs, levels, fld=GF()):
     return pages(FilteredTotal(free_complex(dims, diffs), levels), (0,), fld)
 
 
+def _abuts(dims, diffs, levels, fld=GF()):
+    """The pages of ``_pages`` and whether they abut to their total's homology."""
+    filtered = FilteredTotal(free_complex(dims, diffs), levels)
+    pg = pages(filtered, (0,), fld)
+    return pg, abuts_to_the_total(pg, filtered, (0,), fld)
+
+
 def test_zero_differential_gives_associated_graded():
     levels = {0: [0, 1], 1: [0, 0, 1]}
-    pg = _pages({0: 2, 1: 3}, {}, levels)
+    pg, abuts = _abuts({0: 2, 1: 3}, {}, levels)
     assert pg.e1 == {(0, 0): 1, (1, -1): 1, (0, 1): 2, (1, 0): 1}
     assert pg.e_infinity == pg.e1
-    assert pg.converged
+    assert abuts and pg.total_dims() == {0: 2, 1: 3}
 
 
 def test_identity_complex_two_step_filtration():
-    pg = _pages({0: 1, 1: 1}, ID, {0: [0], 1: [1]})
+    pg, abuts = _abuts({0: 1, 1: 1}, ID, {0: [0], 1: [1]})
     assert pg.e1 == {(0, 0): 1, (1, 0): 1}
     assert pg.ranks[0] == {(1, 0): 1}  # d^1 is an isomorphism
     assert pg.page(2) == {}
-    assert pg.converged
+    assert abuts and pg.total_dims() == {}
 
 
 def test_filtration_violation_detected():
@@ -63,6 +71,13 @@ def test_filtration_violation_detected():
     total = free_complex({0: 1, 1: 1}, {1: [(0, 0, P)]})
     with pytest.raises(FiltrationViolation):
         FilteredTotal(total, {0: [1], 1: [0]})
+
+
+def test_filtration_violation_names_the_level_and_the_terms():
+    """The level-1 source of d_1 hits a level-2 target."""
+    with pytest.raises(FiltrationViolation) as caught:
+        FilteredTotal(free_complex({0: 1, 1: 1}, ID), {0: [2], 1: [1]})
+    assert str(caught.value) == "d(F_1) not inside F_1 between terms 1 and 0"
 
 
 def test_filtration_checked_on_summands_dead_at_every_evaluated_degree():
@@ -84,8 +99,8 @@ def test_non_exhaustive_filtration_rejected():
 
 
 def test_missing_degree_sits_at_level_zero():
-    pg = _pages({0: 1, 1: 1}, ID, {1: [0]})
-    assert pg.e1 == {} and pg.r_stab == 2 and pg.converged
+    pg, abuts = _abuts({0: 1, 1: 1}, ID, {1: [0]})
+    assert pg.e1 == {} and pg.r_stab == 2 and abuts
 
 
 def test_broken_block_rank_is_an_invariant_failure(monkeypatch):
@@ -106,6 +121,40 @@ def test_dropped_pair_is_an_invariant_failure(monkeypatch):
         _pages({0: 1, 1: 1}, ID, {0: [0], 1: [1]})
 
 
+@pytest.mark.parametrize("r, dims, ranks, before, message", [
+    # a negative rank
+    (1, {(1, 0): 1, (0, 0): 1}, {(1, 0): -1}, ([], []),
+     "rank -1 of d^1 out of (p,q)=(1, 0) at r=1"),
+    # a rank above the dimension of its source, here 0
+    (1, {(0, 0): 1}, {(1, 0): 1}, ([], []), "rank 1 of d^1 out of (p,q)=(1, 0) at r=1"),
+    # a rank above the dimension of its target, (p - r, q + r - 1), here 0
+    (2, {(2, 0): 2, (0, 0): 1}, {(2, 0): 1}, ([{(2, 0): 2, (0, 0): 1}], [{}]),
+     "rank 1 of d^2 out of (p,q)=(2, 0) at r=2"),
+    # a negative dimension
+    (1, {(0, 0): -1}, {}, ([], []), "negative page dimension at r=1, (p,q)=(0, 0)"),
+    # a place of page 2 that page 1 has not
+    (2, {(0, 0): 1}, {}, ([{}], [{}]), "page bookkeeping broken at r=2, (p,q)=(0, 0)"),
+    # a place of page 1 gone from page 2 with no rank of d^1 out of or into it
+    (2, {}, {}, ([{(0, 0): 1}], [{}]), "page bookkeeping broken at r=2, (p,q)=(0, 0)"),
+])
+def test_check_page_refuses_each_broken_rule(r, dims, ranks, before, message):
+    """Each rule of the page check on made-up pages, which ``pages`` never
+    builds: the checked pages of every other test keep them all."""
+    with pytest.raises(InvariantBroken) as caught:
+        spectral._check_page(r, dims, ranks, *before)
+    assert str(caught.value) == message
+
+
+def test_check_page_accepts_the_boundary_cases():
+    """A rank of 0, a rank equal to both its dimensions, a dimension of 0,
+    and a place of page 1 that d^1 empties into page 2 all pass: the
+    inequalities of the rules are strict where they must be."""
+    spectral._check_page(1, {(1, 0): 1, (0, 0): 1, (5, 5): 0},
+                         {(1, 0): 1, (3, 3): 0}, [], [])
+    spectral._check_page(2, {(2, 0): 1}, {}, [{(1, 0): 1, (0, 0): 1, (2, 0): 1}],
+                         [{(1, 0): 1}])
+
+
 def test_pairs_follow_the_level_order():
     """d_1 sends both sources to the sum of the targets.  Sources are taken
     by (level, index), so the level-0 source 1 pairs with the target of
@@ -116,21 +165,26 @@ def test_pairs_follow_the_level_order():
     assert spectral.persistence_pairs(filtered, 1, alive) == [(1, 1)]
     pg = pages(filtered, (0,))
     assert pg.e1 == {(0, 0): 1, (1, 0): 1} == pg.e_infinity
-    assert pg.r_stab == 2 and pg.converged
+    assert pg.r_stab == 2 and abuts_to_the_total(pg, filtered, (0,))
 
 
 def test_the_lowest_term_has_no_pairs():
     """Term 0 of the interior filtration of (x) ⊗ (y) has no term below it:
     its block is empty, as ``_masked_rank`` reads it, so it has no pairs at
-    any degree of the box, and neither has d_1 where term 0 is dead."""
+    any degree of the box, and neither has d_1 where term 0 is dead, or
+    where term 1 is missing from the masks."""
     x, y = MonomialIdeal(2, [(1, 0)]), MonomialIdeal(2, [(0, 1)])
     filtered = build_filtration(
         tensor([gcomplex.resolution(x), gcomplex.resolution(y)]), kind="interior")
     assert min(filtered.levels) == 0
+    paired = 0
     for gamma in iter_box(filtered.total.stable_box()):
         alive = filtered.total.alive_masks(gamma)
+        paired += len(spectral.persistence_pairs(filtered, 1, alive))
         assert spectral.persistence_pairs(filtered, 0, alive) == []
         assert spectral.persistence_pairs(filtered, 1, {**alive, 0: 0}) == []
+        assert spectral.persistence_pairs(filtered, 1, {0: alive[0]}) == []
+    assert paired
 
 
 # -- the pages against their definitions, by enumeration over GF(3) ----------
@@ -237,14 +291,14 @@ def test_pages_against_enumeration():
     rng = random.Random(3)
     for _ in range(80):
         terms, diffs, levels, N, dims, d = _random_filtered_complex(rng)
-        pg = _pages(terms, diffs, levels, fld)
+        pg, abuts = _abuts(terms, diffs, levels, fld)
         want = _pages_by_enumeration(levels, N, dims, d, p)
         moving = [s for s, (_, ranks) in enumerate(want, 1) if ranks]
         assert pg.r_stab == max([2] + [s + 2 for s in moving])
         for r, (page, ranks) in enumerate(want, 1):
             assert pg.page(r) == page, (levels, d, r)
             assert (pg.ranks[r - 1] if r <= pg.r_stab else {}) == ranks, (levels, d, r)
-        assert pg.converged
+        assert abuts, (levels, d)
 
 
 def res(*gens):
@@ -282,7 +336,7 @@ def test_builder_e1_and_convergence(kind):
         filtered = build_filtration(m, kind=kind)
         for gamma in gammas:
             pg = pages(filtered, gamma)
-            assert pg.converged, (gens, kind, tuple(gamma), pg.abutment_check)
+            assert abuts_to_the_total(pg, filtered, gamma), (gens, kind, tuple(gamma))
             assert pg.e1 == direct_e1(factors, gamma, kind), (gens, kind, tuple(gamma))
 
 
@@ -398,7 +452,7 @@ def test_kcone_on_one_axis_degenerates():
     kcone = build_filtration(m, kind="kcone")
     for g in ((0,), (1,)):
         pg = pages(kcone, Multidegree(g))
-        assert pg.converged
+        assert abuts_to_the_total(pg, kcone, g)
         assert pg.page(2) == pg.e_infinity
     pg = pages(kcone, Multidegree((1,)))
     assert pg.e1 == pg.e_infinity
@@ -410,10 +464,11 @@ def test_kcone_on_one_axis_degenerates():
 def test_mv_product_to_sum_pair():
     x = MonomialIdeal(2, [(1, 0)])
     y = MonomialIdeal(2, [(0, 1)])
-    pg = pages(mv_total_complex("product_to_sum", [x, y]), Multidegree((0, 0)))
+    pts = mv_total_complex("product_to_sum", [x, y])
+    pg = pages(pts, Multidegree((0, 0)))
     # E^1 row: P_1 (two summands alive) and P_2 (one), at q = 0
     assert pg.e1 == {(1, 0): 2, (2, 0): 1}
-    assert pg.converged
+    assert abuts_to_the_total(pg, pts, (0, 0))
     # abutment: Tor_{i-1}(R, R/(x,y)): only Tor_0 = k at the origin survives
     assert pg.total_dims() == {1: 1}
 
@@ -424,7 +479,7 @@ def test_mv_sum_to_product_pair_in_one_variable():
     table = {}
     for g in ((0,), (1,), (2,)):
         pg = pages(stp, Multidegree(g))
-        assert pg.converged
+        assert abuts_to_the_total(pg, stp, g)
         table[g] = pg.total_dims()
     # abutment of the S-side double complex is H(S_- tensor R), computed to
     # ker/coker of R/x + R/x -> R/x: one class at degree 0
@@ -444,7 +499,8 @@ def test_mv_e1_matches_tor_of_sums_and_products():
     for gamma in [(0, 0), (1, 1), (2, 2)]:
         stp = pages(stp_total, Multidegree(gamma))
         pts = pages(pts_total, Multidegree(gamma))
-        assert stp.converged and pts.converged
+        assert abuts_to_the_total(stp, stp_total, gamma)
+        assert abuts_to_the_total(pts, pts_total, gamma)
         # column totals: sum over subsets of Tor_q dims
         for (w, q), dim in stp.e1.items():
             p = n - w
@@ -473,7 +529,7 @@ def test_mv_degenerates_for_disjoint_variables():
         pg = pages(stp, Multidegree(g))
         assert all(q == 0 for (_, q) in pg.e1)
         assert pg.page(2) == pg.e_infinity
-        assert pg.converged
+        assert abuts_to_the_total(pg, stp, g)
 
 
 def test_mv_rejects_unit_ideal():
@@ -551,8 +607,8 @@ def _beyond(box):
 
 
 def _same_pages(a, b):
-    return (a.pages, a.ranks, a.e_infinity, a.r_stab, a.converged) == (
-        b.pages, b.ranks, b.e_infinity, b.r_stab, b.converged
+    return (a.pages, a.ranks, a.e_infinity, a.r_stab) == (
+        b.pages, b.ranks, b.e_infinity, b.r_stab
     )
 
 
@@ -607,6 +663,66 @@ def test_pairing_matches_block_rank_oracle(family, with_module):
                 assert _same_pages(got, want), (p, tuple(gamma))
 
 
+def _six_totals(family, coefficient=None):
+    """{kind: its filtered total} of the family, the four multicomplex
+    kinds over the Taylor resolutions and the two Mayer-Vietoris kinds
+    against R/coefficient."""
+    m = tensor([taylor_resolution(i) for i in family])
+    totals = {kind: build_filtration(m, kind=kind) for kind in KINDS}
+    totals.update((kind, mv_total_complex(kind, family, coefficient)) for kind in cli.MV_KINDS)
+    return totals
+
+
+@pytest.mark.parametrize("kind", KINDS + list(cli.MV_KINDS))
+@settings(deadline=None, max_examples=10)
+@given(families(), st.booleans())
+def test_abutment_is_the_total_homology(kind, family, with_module):
+    """E^infinity sums, diagonal by diagonal, to the homology of the total
+    at the degrees the spectral command samples and one past the box, over
+    GF(2), GF(3) and GF(32003): the comparison that ``pages`` leaves to its
+    check of each term's pairs against the rank of its block."""
+    coefficient = family[-1] if with_module and kind in cli.MV_KINDS else None
+    filtered = _six_totals(family, coefficient)[kind]
+    box = family_box(family, coefficient)
+    for p in (2, 3, 32003):
+        for gamma in cli._sample_degrees(box) + [Multidegree(tuple(b + 1 for b in box))]:
+            pg = pages(filtered, gamma, GF(p))
+            assert abuts_to_the_total(pg, filtered, gamma, GF(p)), (p, tuple(gamma))
+
+
+@settings(deadline=None, max_examples=25)
+@given(families().flatmap(lambda f: st.tuples(st.just(f), st.permutations(f))),
+       st.sampled_from([2, 3, 32003]))
+def test_permuting_the_family_keeps_tor_and_pages(families_pair, p):
+    """A permuted family has the same ``multi_tor`` table and, at every
+    sampled degree, the same pages of all six kinds: Tor, the interior and
+    cone filtrations and the Mayer-Vietoris sequences are symmetric in the
+    family, whichever module ``multi_tor`` leaves unresolved."""
+    family, permuted = families_pair
+    fld = GF(p)
+    a, b = multi_tor(family, fld=fld), multi_tor(permuted, fld=fld)
+    assert (a.entries, a.box) == (b.entries, b.box)
+    before, after = _six_totals(family), _six_totals(permuted)
+    for kind, filtered in before.items():
+        for gamma in cli._sample_degrees(family_box(family)):
+            assert _same_pages(pages(filtered, gamma, fld),
+                               pages(after[kind], gamma, fld)), (kind, tuple(gamma))
+
+
+def test_permuting_a_tie_changes_the_unresolved_module(monkeypatch):
+    """(x, y) and (x^2, y^2) have two generators each, so ``multi_tor``
+    leaves the first of them unresolved: the two orders tensor different
+    complexes and still give one table."""
+    unresolved = []
+    quotient = torlab.quotient_complex
+    monkeypatch.setattr(torlab, "quotient_complex",
+                        lambda ideal: unresolved.append(ideal) or quotient(ideal))
+    m, squares = MonomialIdeal(2, [(1, 0), (0, 1)]), MonomialIdeal(2, [(2, 0), (0, 2)])
+    a, b = multi_tor([m, squares]), multi_tor([squares, m])
+    assert unresolved == [m, squares]
+    assert (a.entries, a.box) == (b.entries, b.box) and a.entries
+
+
 @settings(deadline=None, max_examples=25)
 @given(st.integers(0, 2**32 - 1), families(), st.booleans())
 def test_pairing_equals_the_block_oracle(seed, family, with_module):
@@ -637,7 +753,7 @@ def test_pairing_equals_the_block_oracle(seed, family, with_module):
 
 def test_pages_are_computed_once_per_fibre_class(monkeypatch):
     """Over the degrees the spectral command samples and one past the box,
-    each fibre class pairs each d_i with both masks nonzero once, and two
+    each fibre class pairs each d_i out of an alive term once, and two
     degrees share one pages object exactly when their alive masks agree."""
     family = [MonomialIdeal(2, [(2, 0), (1, 1)]), MonomialIdeal(2, [(0, 2), (1, 0)])]
     filtered = build_filtration(tensor([gcomplex.resolution(i) for i in family]),
@@ -652,8 +768,7 @@ def test_pages_are_computed_once_per_fibre_class(monkeypatch):
     assert 1 < len(classes) < len(degrees)
     paired = [(tuple(alive.values()), i) for _, i, alive, _ in pairing.calls]
     assert sorted(paired) == sorted(
-        (cls, i) for cls, alive in classes.items()
-        for i, mask in alive.items() if mask and alive.get(i - 1))
+        (cls, i) for cls, alive in classes.items() for i, mask in alive.items() if mask)
     for (a, ma), (b, mb) in itertools.product(zip(got, masks), repeat=2):
         assert (a is b) == (ma == mb)
 
@@ -710,16 +825,18 @@ def test_spectral_command_builds_one_total(kind, monkeypatch):
 
 def test_support_check_builds_one_mv_total_per_kind_and_subset(monkeypatch):
     """One call over p = 1, 2, 3 builds each total and each Tor table once,
-    a singleton's product and sum being one ideal, and reads the pages of
-    each (kind, subset, degree) once; with M = R no total is a tensor."""
+    a singleton's product and sum being one ideal, and reads the homology
+    of each (kind, subset, degree) once; with M = R no total is a tensor."""
     mv_totals = _Counter(support.mv_total_complex)
     tors = _Counter(support.multi_tor)
-    paged = _Counter(support.pages)
     tensors = _Counter(sumprod.tensor)
+    homology_at = GradedComplex.homology_at
+    read = []  # (complex, degree) of each homology_at call
     monkeypatch.setattr(support, "mv_total_complex", mv_totals)
     monkeypatch.setattr(support, "multi_tor", tors)
-    monkeypatch.setattr(support, "pages", paged)
     monkeypatch.setattr(sumprod, "tensor", tensors)
+    monkeypatch.setattr(GradedComplex, "homology_at", lambda c, g, fld=GF(): (
+        read.append((c, tuple(g))) or homology_at(c, g, fld)))
     family = [MonomialIdeal.variables(3, [i]) for i in range(3)]
     reports = support.supportoftors_check(family, None, [1, 2, 3])
     assert list(reports) == [1, 2, 3]
@@ -729,10 +846,10 @@ def test_support_check_builds_one_mv_total_per_kind_and_subset(monkeypatch):
     assert len(built) == len(set(built)) == 2 * 7  # two kinds, 7 nonempty subsets
     tabled = [tuple(ideals) for (ideals,) in tors.calls]
     assert len(tabled) == len(set(tabled)) == 7 + 4  # 7 products, 4 sums with |T| >= 2
-    # the pages of each (kind, subset, degree) that some p tests, read once
-    subset = {id(total): (kind, tuple(ideals)) for (kind, ideals, _), total
+    # the homology of each (kind, subset, degree) that some p tests, read once
+    subset = {id(total.total): (kind, tuple(ideals)) for (kind, ideals, _), total
               in zip(mv_totals.calls, mv_totals.results)}
-    read = [(*subset[id(total)], tuple(g)) for total, g, _ in paged.calls]
+    read = [(*subset[id(c)], g) for c, g in read]
     tested = {(kind, tuple(family[i] for i in T), tuple(g))
               for p, report in reports.items()
               for T in itertools.chain(*(itertools.combinations(range(3), u)

@@ -23,7 +23,6 @@ from homotor.errors import (
 )
 from homotor.gcomplex import TorTable
 from homotor.monomial import MonomialIdeal, Multidegree, check_family
-from homotor.spectral import SpectralPages
 from homotor.support import region_compare, supportoftors_check, variable_blocks
 from homotor.torlab import family_box, multi_tor
 
@@ -209,11 +208,11 @@ def test_supportoftors_tables_only_the_subsets_of_the_asked_sizes(monkeypatch):
 
 def test_support_report_fails_on_made_up_tables():
     """No variable-block family fails the check, so the failure paths run
-    on made-up tables and pages: a product and a sum of different
+    on made-up tables and homology: a product and a sum of different
     supports; then a total that differs from its expected Tor at one
     index, lacks it at one and has homology at one where none is expected,
-    while an index whose Tor is 0 at the degree agrees; and a sequence
-    that does not converge."""
+    while an index whose Tor is 0 at the degree agrees, and so does an
+    index with neither."""
     box = Multidegree((1, 1))
     product = TorTable({(0, (0, 0)): 1, (1, (1, 0)): 1}, box)
     total_sum = TorTable({(0, (0, 0)): 1, (1, (0, 1)): 1}, box)
@@ -235,17 +234,13 @@ def test_support_report_fails_on_made_up_tables():
     # Tor against the sum at (1, 1): 2 at index 0, 1 at index 1, and index
     # 2 nonzero elsewhere only; the product-to-sum total is moved up by 1
     tor_sum = TorTable({(0, (1, 1)): 2, (1, (1, 1)): 1, (2, (0, 0)): 1}, box)
-    e_inf = {(1, 0): 1, (2, 2): 1}  # total dims {1: 1, 4: 1}
-    pg = SpectralPages([e_inf], [{}], e_inf, {}, True, 1)
+    homology = {0: 0, 1: 1, 4: 1}  # index 2 missing: read as 0
     where = {"kind": "product_to_sum", "subset": [0, 1], "degree": [1, 1]}
-    assert support._containment("product_to_sum", (0, 1), (1, 1), (None, tor_sum), pg) == [
+    assert support._containment("product_to_sum", (0, 1), (1, 1), (None, tor_sum),
+                                homology) == [
         {**where, "i": 1, "actual": 1, "expected": 2},
         {**where, "i": 2, "actual": 0, "expected": 1},
         {**where, "i": 4, "actual": 1, "expected": 0}]
-    stuck = SpectralPages([e_inf], [{}], e_inf, {}, False, 1)
-    assert support._containment("sum_to_product", (0,), (1, 1), (tor_sum, None), stuck) == [
-        {"kind": "sum_to_product", "subset": [0], "degree": [1, 1],
-         "reason": "not convergent"}]
 
 
 def test_support_box_is_the_same_for_every_p():
