@@ -28,7 +28,7 @@ from .errors import (
     UnknownCommand,
     ValidationError,
 )
-from .exactlin import GF
+from .exactlin import DEFAULT_CHARACTERISTIC, GF
 from .monomial import MonomialIdeal, Multidegree, dominating_box
 from .spectral import build_filtration, pages
 from .sumprod import (
@@ -109,7 +109,7 @@ def parse_problem(path) -> ProblemFile:
         raise ParseError(f"{path}:{exc.lineno}: {exc.msg}") from exc
     if not isinstance(raw, dict):
         raise ValidationError("problem file must be a JSON object")
-    char = GF(raw.get("characteristic", GF().p)).p
+    char = GF(raw.get("characteristic", DEFAULT_CHARACTERISTIC)).p
     variables = raw.get("variables")
     if not isinstance(variables, list) or not variables or \
             any(isinstance(v, (list, dict)) for v in variables) or \
@@ -391,7 +391,7 @@ def run(command: str, problem: ProblemFile | None, flags: dict) -> dict:
             raise ValidationError(f"{command} reads no {key}, so its problem file sets none")
     field = flags.get("field")
     if field is None:
-        field = problem.characteristic if problem else GF().p
+        field = problem.characteristic if problem else DEFAULT_CHARACTERISTIC
     report = {
         "command": command,
         "inputs": {

@@ -6,7 +6,9 @@ summands, and per adjacent index pair its differential as a sparse map,
 of every differential and axis map, normalised by ``_rows``.
 A summand is a shift and an ideal; whether it stands for the quotient
 R/J(-shift) or the ideal J(-shift) is one ``kind`` per complex, and the
-free module R(-shift) is the quotient R/0(-shift).
+free module R(-shift) is the quotient R/0(-shift), and a cyclic complex
+tensored with a quotient R/J is its ``base_change``: each summand's ideal
+gains J.
 The monomial factor of every differential entry is implicit: homogeneity
 forces it to x^(shift_src - shift_tgt), so fibers are pure scalar matrices.
 
@@ -39,6 +41,7 @@ from .monomial import (
     Multidegree,
     check_box_size,
     check_degree,
+    combine,
     dominating_box,
     lcm_deg,
     refuse_unit,
@@ -279,31 +282,6 @@ class GradedComplex:
             state &= row[bisect_right(cut, g) - 1]
         return self._split(self._alive(state))
 
-    def _mask_runs(self, box):
-        """(degrees, fibre state) over the box in lexicographic order, from
-        one flat walk.  For every prefix of values of the leading
-        coordinates, the full state is narrowed by the row of each value's
-        cut (one AND each), then one run is yielded per cut of the last
-        coordinate, narrowed by that cut's row.  A run is the consecutive
-        degrees, plain tuples, that share one cut of the last coordinate, so
-        share a state; ``_alive`` reads its fibre class.  The degrees are
-        a lazy iterable, so a run whose homology is zero builds none."""
-        cuts, full, rows = self._tables()[:3]
-        if not self.n:  # the box is the one empty degree
-            yield [()], full
-            return
-        # the row of each value of every leading coordinate
-        narrow = [[row[v] for v, values in _runs(cut, top) for _ in values]
-                  for cut, row, top in zip(cuts[:-1], rows[:-1], box[:-1])]
-        last = [(rows[-1][v], [(g,) for g in values])
-                for v, values in _runs(cuts[-1], box[-1])]
-        for prefix, prefix_rows in zip(
-                itertools.product(*(range(top + 1) for top in box[:-1])),
-                itertools.product(*narrow)):
-            state = reduce(and_, prefix_rows, full)
-            for row, ends in last:
-                yield map(prefix.__add__, ends), state & row
-
     def _block(self, i: int, src_mask: int, tgt_mask: int, p: int) -> dict:
         """{s: {t: d_i(s -> t) mod p}} over the alive sources and targets of
         the masks, read from the rows of the alive sources in index order,
@@ -418,35 +396,46 @@ def module_homology_table(c: GradedComplex, field: PrimeField = GF(),
     """Dimensions of H_i(c)_gamma for every i in the window and gamma <= box.
 
     The box defaults to the stability box; a user box must dominate it so
-    that module-level vanishing remains decidable from the table.  One
-    sweep gives the packed fibre state of every run of degrees of the box.
-    Two dicts live for this call only: ``states`` maps each distinct state
-    to its dims, so ``_alive`` reads the fibre class of a state once, and
-    ``classes`` maps each class to its dims, so homology is computed once
-    per fibre class (degrees with the same alive summands have the same
-    fibre), from the class's split into term masks.  Only a run with
-    nonzero dims builds its degrees.  Entries are listed by degree,
-    lexicographically, then by i.  A box of more than ``MAX_BOX_POINTS``
-    degrees is refused before the sweep.
+    that module-level vanishing remains decidable from the table.  One loop
+    walks the box: per prefix of values of the leading coordinates, the
+    packed fibre state is narrowed by each value's row (one AND each), then
+    once per run of the last coordinate, the values sharing one cut, so
+    one state.  ``states`` maps each distinct state to its dims, so
+    ``_alive`` reads its fibre class once, and ``classes`` each class to
+    its dims, so homology is computed once per fibre class, from its split
+    into term masks.  Degree tuples are built only in a run with nonzero
+    dims.  Entries are listed by degree, lexicographically, then by i.  A
+    box of more than ``MAX_BOX_POINTS`` degrees is refused before the walk.
     """
     box = dominating_box(c.stable_box(), box)
     check_box_size(box)
-    states = {}
-    classes = {}
-    entries = {}
-    for degrees, state in c._mask_runs(box):
-        dims = states.get(state)
-        if dims is None:
-            alive = c._alive(state)
-            dims = classes.get(alive)
+    cuts, full, rows = c._tables()[:3]
+    # per value of each leading coordinate its row; per run of the last its
+    # row and values as 1-tuples (no coordinate: the one empty degree)
+    narrow = [[row[v] for v, values in _runs(cut, top) for _ in values]
+              for cut, row, top in zip(cuts[:-1], rows[:-1], box[:-1])]
+    last = [(rows[-1][v], [(g,) for g in values])
+            for v, values in _runs(cuts[-1], box[-1])] if c.n else [(full, [()])]
+    states, classes, entries = {}, {}, {}
+    for prefix, prefix_rows in zip(
+            itertools.product(*(range(top + 1) for top in box[:-1])),
+            itertools.product(*narrow)):
+        state = reduce(and_, prefix_rows, full)
+        for row, ends in last:
+            run = state & row
+            dims = states.get(run)
             if dims is None:
-                homology = c._homology(c._split(alive), field)
-                dims = classes[alive] = [(i, h) for i, h in homology.items() if h]
-            states[state] = dims
-        if dims:
-            for gamma in degrees:
-                for i, h in dims:
-                    entries[(i, gamma)] = h
+                alive = c._alive(run)
+                dims = classes.get(alive)
+                if dims is None:
+                    homology = c._homology(c._split(alive), field)
+                    dims = classes[alive] = [(i, h) for i, h in homology.items() if h]
+                states[run] = dims
+            if dims:
+                for end in ends:
+                    gamma = prefix + end
+                    for i, h in dims:
+                        entries[(i, gamma)] = h
     return TorTable(entries, box)
 
 
@@ -612,7 +601,22 @@ def resolution(ideal: MonomialIdeal) -> GradedComplex:
     return cancel_units(taylor_resolution(ideal))
 
 
-def quotient_complex(ideal: MonomialIdeal) -> GradedComplex:
-    """R/I as a complex, for a tensor factor left unresolved: R/I in degree 0."""
+def _product_summand(combo) -> Summand:
+    """The one rule for a product of cyclic summands R/J_k(-a_k):
+    R/(sum of the J_k)(-(sum of the a_k)), a lone nonzero J_k kept as it is."""
+    shift = reduce(Multidegree.add, (s.shift for s in combo))
+    ideals = [s.ideal for s in combo if s.ideal.gens] or [combo[0].ideal]
+    return Summand(shift, ideals[0] if len(ideals) == 1 else combine(ideals, "sum"))
+
+
+def base_change(c: GradedComplex, ideal: MonomialIdeal) -> GradedComplex:
+    """c ⊗ R/ideal for a cyclic complex c, as a module left unresolved
+    enters a Tor table.  The total of ``tensor([c, R/ideal])``, R/ideal one
+    summand in degree 0, is c term for term: a constant 0 coordinate keeps
+    the order of positions, a one-summand factor adds the mixed-radix digit
+    0, and no axis sign changes.  So R/J(-a) becomes the product summand
+    R/(J + ideal)(-a), and d is unchanged.  The unit ideal is refused."""
     refuse_unit(ideal)
-    return GradedComplex(ideal.n, {0: (summand(ideal),)}, {})
+    factor = summand(ideal)
+    terms = {i: [_product_summand((s, factor)) for s in ss] for i, ss in c.terms.items()}
+    return GradedComplex(c.n, terms, c.d)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import reduce
 
 from .errors import (
     EmptyInput,
@@ -30,12 +29,11 @@ from .errors import (
 from .gcomplex import (
     IDEAL,
     GradedComplex,
-    Summand,
     _compose,
+    _product_summand,
     _rows,
     exterior_complex,
 )
-from .monomial import Multidegree, combine
 
 
 class Multicomplex:
@@ -161,12 +159,6 @@ def tensor(factors) -> Multicomplex:
                 for l in range(low)
             }
     return Multicomplex(len(factors), n_vars, terms, diffs)
-
-
-def _product_summand(combo) -> Summand:
-    shift = reduce(Multidegree.add, (s.shift for s in combo))
-    ideals = [s.ideal for s in combo if s.ideal.gens] or [combo[0].ideal]
-    return Summand(shift, ideals[0] if len(ideals) == 1 else combine(ideals, "sum"))
 
 
 def _compose_chain(m: Multicomplex, q, axes_desc) -> dict:

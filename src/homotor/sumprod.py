@@ -21,9 +21,9 @@ from .gcomplex import (
     IDEAL,
     GradedComplex,
     TorTable,
+    base_change,
     exterior_complex,
     module_homology_table,
-    quotient_complex,
     resolution,
     summand,
 )
@@ -139,8 +139,8 @@ def augmented_interior_H(ideals, subset, coefficient: MonomialIdeal | None = Non
                          fld: PrimeField = GF(), box=None) -> TorTable:
     """The table H_{p,q} = H_{p+q}(augmented interior complex ⊗ M) for the
     chosen subset of the family, keyed by q (so q = -1 row reproduces the
-    M ⊗ P_p dimensions).  M = R/coefficient is tensored on as its
-    ``quotient_complex``, and the box defaults to the stability box of the
+    M ⊗ P_p dimensions).  M = R/coefficient is tensored on by
+    ``base_change``, and the box defaults to the stability box of the
     chosen ideals and the coefficient, both as in ``multi_tor``."""
     ideals, _ = check_family(ideals, coefficient)
     subset = sorted({as_int(i, "subset index") for i in subset})
@@ -162,7 +162,7 @@ def _interior_table(m, coefficient, fld, box) -> TorTable:
     chosen ideals' resolutions, over the box."""
     aug = hypercube_augment(m)
     if coefficient is not None and not coefficient.is_zero():
-        aug = tensor([aug, quotient_complex(coefficient)]).total
+        aug = base_change(aug, coefficient)
     table = module_homology_table(aug, fld, box)
     entries = {(i - m.n_axes, gam): d for (i, gam), d in table.entries.items()}
     return TorTable(entries, table.box)

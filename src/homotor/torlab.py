@@ -12,16 +12,18 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import and_, or_
 
 from .exactlin import GF, PrimeField, pivot_pairs
-from .gcomplex import TorTable, module_homology_table, quotient_complex, resolution
+from .gcomplex import TorTable, base_change, module_homology_table, resolution
 from .monomial import (
     MonomialIdeal,
     Multidegree,
+    check_box_size,
     check_family,
     combine,
     dominating_box,
-    iter_box,
     quotient_dimension,
 )
 from .multicomplex import tensor
@@ -43,47 +45,71 @@ def multi_tor(ideals, coefficient: MonomialIdeal | None = None,
     with that last module itself.  The one left unresolved is picked first:
     the module, R/coefficient included unless the coefficient is zero, with
     the most minimal generators (its Taylor size 2^g bounds its reduced
-    size; the first in family order on a tie, R/coefficient last).  It
-    enters as its ``quotient_complex``, the others as their ``resolution``.
-    Family and coefficient pass ``check_family`` first, box given or not."""
+    size; the first in family order on a tie, R/coefficient last).  The
+    others' ``resolution``s are tensored (a lone one is its own total, and
+    none is R(0), the zero ideal's), then ``base_change`` takes the total
+    to the unresolved module.  Family and coefficient pass
+    ``check_family`` first, box given or not."""
     ideals, stable = check_family(ideals, coefficient)
     modules = list(ideals)
     if coefficient is not None and not coefficient.is_zero():
         modules.append(coefficient)
     sizes = [len(ideal.gens) for ideal in modules]
     u = sizes.index(max(sizes))
-    factors = [
-        quotient_complex(ideal) if k == u else resolution(ideal)
-        for k, ideal in enumerate(modules)
-    ]
-    return module_homology_table(tensor(factors).total, fld,
+    resolved = [resolution(ideal) for k, ideal in enumerate(modules) if k != u] \
+        or [resolution(MonomialIdeal.zero(stable.n))]
+    total = resolved[0] if len(resolved) == 1 else tensor(resolved).total
+    return module_homology_table(base_change(total, modules[u]), fld,
                                  stable if box is None else box)
 
 
 def tor1_oracle(ideals, fld: PrimeField = GF(), box=None) -> TorTable:
     """Tor_1 of the family computed combinatorially, independent of any
     resolution: per degree, the kernel of the sum map on the surviving
-    coordinates modulo the span of the pairwise product relations.  A
-    given box must dominate ``family_box``, so that, as in every table,
-    the fibre beyond the box is the fibre at min(gamma, box)."""
+    coordinates (the ideals containing it) modulo the span of the pairwise
+    product relations.  A given box must dominate ``family_box``, so that,
+    as in every table, the fibre beyond the box is the fibre at
+    min(gamma, box).  Each generator of the ideals and pair products owns a
+    bit, and a degree's state, the bits of those dividing it, takes one AND
+    per degree in a lexicographic walk; survivors and the elimination are
+    computed once per distinct state."""
     ideals, stable = check_family(ideals)
     box = dominating_box(stable, box)
-    s = len(ideals)
-    pair_products = {
-        (i, j): combine([ideals[i], ideals[j]], "product")
-        for i, j in itertools.combinations(range(s), 2)
-    }
+    check_box_size(box)
+    s, p = len(ideals), fld.p
+    pairs = list(itertools.combinations(range(s), 2))
+    members = ideals + [combine([ideals[i], ideals[j]], "product") for i, j in pairs]
+    masks = []  # per member, the bits of its generators
+    at = [{} for _ in box]  # per coordinate, value -> the generators there
+    bit = 0
+    for member in members:
+        masks.append(0)
+        for g in member.gens:
+            masks[-1] |= 1 << bit
+            for v, bits in zip(g, at):
+                bits[v] = bits.get(v, 0) | 1 << bit
+            bit += 1
+    rows = [list(itertools.accumulate((bits.get(v, 0) for v in range(top + 1)), or_))
+            for bits, top in zip(at, box)]
+    full = (1 << bit) - 1
+    last = list(zip([(g,) for g in range(box[-1] + 1)], rows[-1])) if box.n \
+        else [((), full)]
+    dims = {}
     entries = {}
-    for gamma in iter_box(box):
-        survivors = [i for i in range(s) if ideals[i].contains(gamma)]
-        if not survivors:
-            continue
-        pos = {i: k for k, i in enumerate(survivors)}
-        rows = [((i, j), {pos[i]: 1, pos[j]: fld.p - 1})
-                for (i, j), prod in pair_products.items() if prod.contains(gamma)]
-        d = len(survivors) - 1 - len(pivot_pairs(rows, fld.p))
-        if d:
-            entries[(1, tuple(gamma))] = d
+    for prefix, prefix_rows in zip(
+            itertools.product(*(range(top + 1) for top in box[:-1])),
+            itertools.product(*rows[:-1])):
+        state = reduce(and_, prefix_rows, full)
+        for end, row in last:
+            inside = state & row
+            d = dims.get(inside)
+            if d is None:
+                pos = {i: k for k, i in enumerate(i for i in range(s) if inside & masks[i])}
+                relations = [((i, j), {pos[i]: 1, pos[j]: p - 1})
+                             for (i, j), mask in zip(pairs, masks[s:]) if inside & mask]
+                d = dims[inside] = len(pos) - 1 - len(pivot_pairs(relations, p)) if pos else 0
+            if d:
+                entries[(1, prefix + end)] = d
     return TorTable(entries, box)
 
 

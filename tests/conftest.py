@@ -18,6 +18,7 @@ from homotor.exactlin import GF, PrimeField, pivot_pairs
 from homotor.gcomplex import (
     IDEAL,
     GradedComplex,
+    TorTable,
     _compose,
     cancel_units,
     exterior_complex,
@@ -81,6 +82,33 @@ def tensor_total(ideals, coefficient=None):
     if coefficient is not None and not coefficient.is_zero():
         total = with_coefficient(total, coefficient)
     return total
+
+
+def tor1_per_degree(ideals, fld=GF(), box=None):
+    """The Tor_1 table of the family degree by degree: at each degree of
+    the box, the survivors are the ideals that contain it, and Tor_1 is the
+    kernel of the sum map on them modulo the span of the pairwise product
+    relations that hold there.  The reference for ``tor1_oracle``, which
+    computes each distinct membership state once."""
+    ideals, stable = check_family(ideals)
+    box = Multidegree(stable if box is None else box)
+    s = len(ideals)
+    pair_products = {
+        (i, j): combine([ideals[i], ideals[j]], "product")
+        for i, j in itertools.combinations(range(s), 2)
+    }
+    entries = {}
+    for gamma in iter_box(box):
+        survivors = [i for i in range(s) if ideals[i].contains(gamma)]
+        if not survivors:
+            continue
+        pos = {i: k for k, i in enumerate(survivors)}
+        rows = [((i, j), {pos[i]: 1, pos[j]: fld.p - 1})
+                for (i, j), prod in pair_products.items() if prod.contains(gamma)]
+        d = len(survivors) - 1 - len(pivot_pairs(rows, fld.p))
+        if d:
+            entries[(1, tuple(gamma))] = d
+    return TorTable(entries, box)
 
 
 def with_coefficient(c, coefficient):

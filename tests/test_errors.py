@@ -362,8 +362,8 @@ def test_one_summand_shape():
 #: Every function that may build a GradedComplex: each makes a complex with
 #: new terms or entries, which its constructor checks.
 BUILDERS = [
+    ("gcomplex.py", "base_change"),
     ("gcomplex.py", "cancel_units"),
-    ("gcomplex.py", "quotient_complex"),
     ("gcomplex.py", "taylor_resolution"),
     ("multicomplex.py", "Multicomplex.__init__"),
     ("sumprod.py", "_p_complex"),

@@ -5,6 +5,7 @@ import functools
 import gc
 import itertools
 import weakref
+from bisect import bisect_right
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,11 +34,11 @@ from homotor.gcomplex import (
     MAX_TAYLOR_GENERATORS,
     GradedComplex,
     Summand,
+    base_change,
     cancel_units,
     exterior_complex,
     free_summand,
     module_homology_table,
-    quotient_complex,
     resolution,
     summand,
     taylor_resolution,
@@ -234,12 +235,14 @@ def test_module_homology_table_box_guard():
 
 
 def test_module_homology_table_refuses_a_huge_box_before_the_sweep(monkeypatch):
+    """A box of more than MAX_BOX_POINTS degrees is refused before the walk
+    lists a run or a row of the box."""
     t = taylor_resolution(MonomialIdeal(2, [(1, 0), (0, 1)]))
 
-    def sweep(self, box):
-        raise AssertionError("the box was swept")
+    def runs(cut, top):
+        raise AssertionError("the box was walked")
 
-    monkeypatch.setattr(GradedComplex, "_mask_runs", sweep)
+    monkeypatch.setattr(gcomplex, "_runs", runs)
     with pytest.raises(ParamOutOfRange):
         module_homology_table(t, box=(1000, 1000))
 
@@ -258,15 +261,53 @@ def test_with_coefficient_matches_longer_family():
     assert direct.entries == coeff.entries
 
 
-def test_quotient_complex_is_one_cyclic_summand():
-    """R/I as a tensor factor is the one summand R/I in degree 0; the unit
-    ideal, whose quotient is zero, is refused."""
+def test_base_change_of_r_is_one_cyclic_summand():
+    """R/I as a complex is the base change of R(0), the resolution of the
+    zero ideal: the one summand R/I in degree 0.  The unit ideal, whose
+    quotient is zero, is refused."""
     i = MonomialIdeal(2, [(2, 0), (1, 1)])
-    c = quotient_complex(i)
+    c = base_change(resolution(MonomialIdeal.zero(2)), i)
     assert c.terms == {0: (summand(i),)}
     assert c.d == {}
     with pytest.raises(UnitIdeal):
-        quotient_complex(MonomialIdeal.unit(2))
+        base_change(taylor_resolution(i), MonomialIdeal.unit(2))
+
+
+@st.composite
+def cyclic_complexes_and_ideals(draw):
+    """A cyclic complex in non-negative degrees, free or not (resolutions,
+    a tensor total, a resolution with a coefficient, the quotient P
+    complex), and an ideal to change its base by: zero or proper."""
+    n = draw(st.integers(1, 3))
+    a, b = draw(st.lists(proper_ideals(n), min_size=2, max_size=2))
+    x = draw(st.sampled_from([
+        lambda: taylor_resolution(a), lambda: resolution(a),
+        lambda: tensor([resolution(a), taylor_resolution(b)]).total,
+        lambda: with_coefficient(taylor_resolution(a), b),
+        lambda: build_p_complex([a, b])]))()
+    j = draw(st.one_of(st.just(MonomialIdeal.zero(n)), proper_ideals(n)))
+    return x, j
+
+
+@settings(deadline=None, max_examples=40)
+@given(cyclic_complexes_and_ideals())
+def test_base_change_is_the_total_of_the_tensor_with_one_summand(case):
+    """base_change(x, J) is, term for term and entry for entry, the total of
+    the tensor of x with the one-summand complex R/J in degree 0, and
+    tensoring x alone gives x back: the two identities that let a Tor table
+    tensor only the modules it resolves.  Each summand becomes
+    R/(its ideal + J) at its shift, as ``with_coefficient`` builds it."""
+    x, j = case
+    one = GradedComplex(x.n, {0: (summand(j),)}, {})
+    changed = base_change(x, j)
+    total = tensor([x, one]).total
+    assert (changed.terms, changed.d) == (total.terms, total.d)
+    assert changed.d == x.d
+    reference = with_coefficient(x, j)
+    assert {i: [(s.shift, s.ideal) for s in ss] for i, ss in changed.terms.items()} \
+        == {i: [(s.shift, s.ideal) for s in ss] for i, ss in reference.terms.items()}
+    alone = tensor([x]).total
+    assert (alone.terms, alone.d) == (x.terms, x.d)
 
 
 def test_rebuilt_complexes_keep_their_kind():
@@ -372,19 +413,38 @@ def test_table_sweep_matches_the_per_degree_walk(case):
     GF(3) and GF(32003); a box short of the stable box is refused."""
     c, growth = case
     stable = c.stable_box()
-    for box in (None, tuple(b + g for b, g in zip(stable, growth))):
-        for p in (2, 3, 32003):
-            table = module_homology_table(c, GF(p), box)
-            walk = {(i, tuple(gamma)): h for gamma in iter_box(table.box)
-                    for i, h in c.homology_at(gamma, GF(p)).items() if h}
-            assert table.entries == walk
-            assert list(table.entries) == list(walk)
+    _assert_table_is_the_walk(c, [None, tuple(b + g for b, g in zip(stable, growth))])
     for k, b in enumerate(stable):
         if b:
             short = list(stable)
             short[k] -= 1
             with pytest.raises(BoxTooSmall):
                 module_homology_table(c, box=short)
+
+
+def _assert_table_is_the_walk(c, boxes):
+    """Over each box and GF(2), GF(3) and GF(32003), module_homology_table
+    equals homology_at at every degree, entries in the same order (degree,
+    then i)."""
+    for box in boxes:
+        for p in (2, 3, 32003):
+            table = module_homology_table(c, GF(p), box)
+            walk = {(i, tuple(gamma)): h for gamma in iter_box(table.box)
+                    for i, h in c.homology_at(gamma, GF(p)).items() if h}
+            assert table.entries == walk
+            assert list(table.entries) == list(walk)
+
+
+def test_long_runs_sweep_as_the_per_degree_walk():
+    """(x^40, y) makes runs of 40 degrees in x: its resolution, alone and
+    with the coefficient (x^3 y), tabulates as the per-degree walk over the
+    stable box and over it grown by 1-2."""
+    ideal = MonomialIdeal(2, [(40, 0), (0, 1)])
+    for c in (resolution(ideal), base_change(resolution(ideal), MonomialIdeal(2, [(3, 1)]))):
+        stable = c.stable_box()
+        assert max(stable) >= 40
+        _assert_table_is_the_walk(c, [None] + [tuple(b + g for b in stable) for g in (1, 2)]
+                                  + [(stable[0] + 1, stable[1] + 2)])
 
 
 def test_a_swept_complex_is_freed_without_a_gc_pass():
@@ -407,18 +467,19 @@ def test_a_swept_complex_is_freed_without_a_gc_pass():
 
 
 def test_the_sweep_computes_homology_once_per_class_int(monkeypatch):
-    """On a fixed tensor of three ideals, two resolved and one a quotient,
-    module_homology_table computes homology once per distinct class int
-    (_alive of a swept state), from that class's split into term masks.
-    The class ints are exactly as many as the distinct masks tuples of the
-    per-summand oracle, so the int is the same equivalence, and fewer than
-    the distinct states, which are fewer than the runs."""
+    """On a fixed Tor complex of three ideals, two resolved and one changed
+    into by ``base_change``, module_homology_table computes homology once
+    per distinct class int (_alive of a swept state), from that class's
+    split into term masks.  The class ints are exactly as many as the
+    distinct masks tuples of the per-summand oracle, so the int is the same
+    equivalence, and fewer than the distinct states, which are fewer than
+    the degrees."""
     family = [MonomialIdeal(3, [(2, 0, 0), (1, 1, 0), (0, 1, 1)]),
               MonomialIdeal(3, [(0, 0, 2), (1, 0, 1)]),
               MonomialIdeal(3, [(0, 2, 0), (1, 1, 1)])]
-    c = tensor([resolution(family[0]), resolution(family[1]),
-                quotient_complex(family[2])]).total
-    states = [state for _, state in c._mask_runs(c.stable_box())]
+    c = base_change(tensor([resolution(family[0]), resolution(family[1])]).total,
+                    family[2])
+    states = _degree_states(c, c.stable_box())
     classes = {c._alive(state) for state in states}
     oracle = {tuple(_summand_masks(c, gamma).values()) for gamma in iter_box(c.stable_box())}
     assert len(classes) == len(oracle) < len(set(states)) < len(states)
@@ -441,8 +502,8 @@ def test_the_sweep_ranks_no_empty_block(monkeypatch):
     family = [MonomialIdeal(3, [(2, 0, 0), (1, 1, 0), (0, 1, 1)]),
               MonomialIdeal(3, [(0, 0, 2), (1, 0, 1)]),
               MonomialIdeal(3, [(0, 2, 0), (1, 1, 1)])]
-    c = tensor([resolution(family[0]), resolution(family[1]),
-                quotient_complex(family[2])]).total
+    c = base_change(tensor([resolution(family[0]), resolution(family[1])]).total,
+                    family[2])
     eliminate = gcomplex.pivot_pairs
     rows_per_call = []
 
@@ -473,14 +534,42 @@ def _assert_masks_match_summands(c, degrees=None):
         assert c.alive_masks(gamma) == _summand_masks(c, gamma), tuple(gamma)
 
 
+def _degree_states(c, box):
+    """The packed fibre state of each degree of the box, in lexicographic
+    order, narrowed coordinate by coordinate as ``alive_masks`` narrows it:
+    the states the sweep must read."""
+    cuts, full, rows = c._tables()[:3]
+    states = []
+    for gamma in iter_box(box):
+        state = full
+        for cut, row, g in zip(cuts, rows, gamma):
+            state &= row[bisect_right(cut, g) - 1]
+        states.append(state)
+    return states
+
+
+def _swept_masks(c, box) -> dict:
+    """{degree: the term masks module_homology_table hands ``_homology``
+    there}, degrees in the order of the table's entries.  ``_homology`` is
+    replaced by one that gives every term the dim 1 + its mask, so each
+    degree has an entry per term and the entries spell out the masks."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(GradedComplex, "_homology",
+                      lambda self, masks, field: {i: 1 + m for i, m in masks.items()})
+        table = module_homology_table(c, box=box)
+    swept = {}
+    for (i, gamma), h in table.entries.items():
+        swept.setdefault(gamma, {})[i] = h - 1
+    return swept
+
+
 def _assert_sweep_matches_summands(c, box):
-    """The sweep over ``box`` visits each degree once, in lexicographic
-    order, and the split of the class int of the state it yields for a
-    degree, like alive_masks there, is bit for bit the per-summand oracle."""
-    swept = [(gamma, c._split(c._alive(state)))
-             for degrees, state in c._mask_runs(box) for gamma in degrees]
-    assert [gamma for gamma, _ in swept] == [tuple(g) for g in iter_box(box)]
-    for gamma, masks in swept:
+    """The sweep over ``box`` lists each degree once, in lexicographic
+    order, and the term masks it computes homology from at a degree, like
+    alive_masks there, are bit for bit the per-summand oracle."""
+    swept = _swept_masks(c, box)
+    assert list(swept) == [tuple(g) for g in iter_box(box)]
+    for gamma, masks in swept.items():
         expected = _summand_masks(c, gamma)
         assert masks == expected, gamma
         assert c.alive_masks(gamma) == expected, gamma
@@ -664,15 +753,16 @@ def test_a_cancelling_resolution_keeps_the_taylor_tables():
 
 
 def test_the_sweep_reads_each_state_once(monkeypatch):
-    """On the fixed tensor of the class test above, module_homology_table
-    reads the fibre class of each distinct swept state once: ``_alive`` runs
-    exactly once per distinct state, though the runs repeat states."""
+    """On the fixed complex of the class test above, module_homology_table
+    reads the fibre class of each distinct state once: ``_alive`` runs
+    exactly once per distinct state of the box's degrees, though the
+    degrees repeat states."""
     family = [MonomialIdeal(3, [(2, 0, 0), (1, 1, 0), (0, 1, 1)]),
               MonomialIdeal(3, [(0, 0, 2), (1, 0, 1)]),
               MonomialIdeal(3, [(0, 2, 0), (1, 1, 1)])]
-    c = tensor([resolution(family[0]), resolution(family[1]),
-                quotient_complex(family[2])]).total
-    states = [state for _, state in c._mask_runs(c.stable_box())]
+    c = base_change(tensor([resolution(family[0]), resolution(family[1])]).total,
+                    family[2])
+    states = _degree_states(c, c.stable_box())
     assert len(set(states)) < len(states)
     alive = GradedComplex._alive
     read = []

@@ -711,12 +711,13 @@ def test_permuting_the_family_keeps_tor_and_pages(families_pair, p):
 
 def test_permuting_a_tie_changes_the_unresolved_module(monkeypatch):
     """(x, y) and (x^2, y^2) have two generators each, so ``multi_tor``
-    leaves the first of them unresolved: the two orders tensor different
-    complexes and still give one table."""
+    leaves the first of them unresolved, the ideal its ``base_change``
+    takes: the two orders build different complexes and still give one
+    table."""
     unresolved = []
-    quotient = torlab.quotient_complex
-    monkeypatch.setattr(torlab, "quotient_complex",
-                        lambda ideal: unresolved.append(ideal) or quotient(ideal))
+    change = torlab.base_change
+    monkeypatch.setattr(torlab, "base_change",
+                        lambda c, ideal: unresolved.append(ideal) or change(c, ideal))
     m, squares = MonomialIdeal(2, [(1, 0), (0, 1)]), MonomialIdeal(2, [(2, 0), (0, 2)])
     a, b = multi_tor([m, squares]), multi_tor([squares, m])
     assert unresolved == [m, squares]

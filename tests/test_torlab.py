@@ -6,7 +6,14 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import diagonal_tor, koszul_betti, stream, tensor_total, with_coefficient
+from conftest import (
+    diagonal_tor,
+    koszul_betti,
+    stream,
+    tensor_total,
+    tor1_per_degree,
+    with_coefficient,
+)
 from homotor import torlab
 from homotor.exactlin import GF
 from homotor.errors import BoxTooSmall, EmptyInput, LengthMismatch, UnitIdeal
@@ -130,6 +137,27 @@ def test_tor1_oracle_equals_multi_tor_on_stream():
         oracle = tor1_oracle(fam, box=box)
         for g in iter_box(box):
             assert table.dim(1, g) == oracle.dim(1, g), (fam, tuple(g))
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(st.tuples(*[st.integers(0, 2)] * n), max_size=3)
+             .map(lambda gens: MonomialIdeal(n, gens)).filter(lambda i: not i.is_unit()),
+             min_size=1, max_size=4),
+    st.lists(st.integers(0, 2), min_size=n, max_size=n))))
+def test_tor1_oracle_equals_the_per_degree_oracle(case):
+    """The Tor_1 oracle, one walk and one elimination per membership state,
+    equals the per-degree one, which tests every ideal and pair product at
+    every degree: entries in the same order and the box, on the family box
+    and on it grown by 0-2 per coordinate, over GF(2), GF(3) and GF(32003),
+    with zero ideals and repeated ones."""
+    family, growth = case
+    stable = family_box(family)
+    for box in (None, [b + g for b, g in zip(stable, growth)]):
+        for p in (2, 3, 32003):
+            table, expected = tor1_oracle(family, GF(p), box), tor1_per_degree(family, GF(p), box)
+            assert table.box == expected.box
+            assert list(table.entries.items()) == list(expected.entries.items())
 
 
 @st.composite
@@ -636,9 +664,10 @@ def test_tor1_oracle_refuses_a_box_below_the_family_box():
 def test_multi_tor_builds_each_complex_once(monkeypatch):
     """A pinned three-ideal multi_tor builds exactly five GradedComplexes:
     the Taylor resolution of (x^2, xy, y^2) and its reduction, the Koszul
-    complex on (x, z), which has nothing to cancel and is used as built, the
-    quotient R/I of the largest ideal, left unresolved, and the total of
-    the tensor.  A rebuild that comes back, of an unreduced resolution say,
+    complex on (x, z), which has nothing to cancel and is used as built,
+    the total of the tensor of the two, and its base change by the largest
+    ideal, left unresolved.  A rebuild that comes back, of an unreduced
+    resolution or of a tensor with the unresolved module as a factor say,
     changes the count."""
     family = [MonomialIdeal(3, [(2, 0, 0), (1, 1, 0), (0, 2, 0)]),
               MonomialIdeal(3, [(1, 0, 0), (0, 0, 1)]),
@@ -656,3 +685,43 @@ def test_multi_tor_builds_each_complex_once(monkeypatch):
     monkeypatch.undo()
     assert table == module_homology_table(
         tensor_total(family[:2], family[2]), box=table.box)
+
+
+def _fresh_variable(ideal):
+    """The ideal in one more variable, which none of its generators uses."""
+    return MonomialIdeal(ideal.n + 1, [tuple(g) + (0,) for g in ideal.gens])
+
+
+@settings(deadline=None, max_examples=30)
+@given(families_and_coefficients())
+def test_a_fresh_variable_adds_a_trailing_zero(case):
+    """A variable that no ideal and no coefficient uses changes no Tor
+    table but its shape: every entry, and the box, gains a trailing
+    coordinate 0, over GF(2), GF(3) and GF(32003)."""
+    family, coefficient = case
+    wide = [_fresh_variable(i) for i in family]
+    wide_coefficient = None if coefficient is None else _fresh_variable(coefficient)
+    for p in (2, 3, 32003):
+        table = multi_tor(family, coefficient, GF(p))
+        grown = multi_tor(wide, wide_coefficient, GF(p))
+        assert tuple(grown.box) == tuple(table.box) + (0,)
+        assert grown.entries == {(i, g + (0,)): d for (i, g), d in table.entries.items()}
+
+
+@settings(deadline=None, max_examples=30)
+@given(families_and_coefficients())
+def test_adjoining_a_fresh_variable_ideal_keeps_tor(case):
+    """Adjoining the ideal (z) in a fresh variable z to the family keeps
+    every Tor_i, at z-degree 0, by base change along the regular element
+    z: the box gains a coordinate 1, and no entry lives at z-degree 1.
+    (z) has one generator, so which module stays unresolved varies with
+    the family, over GF(2), GF(3) and GF(32003)."""
+    family, coefficient = case
+    n = family[0].n
+    wide = [_fresh_variable(i) for i in family] + [MonomialIdeal.variables(n + 1, [n])]
+    wide_coefficient = None if coefficient is None else _fresh_variable(coefficient)
+    for p in (2, 3, 32003):
+        table = multi_tor(family, coefficient, GF(p))
+        grown = multi_tor(wide, wide_coefficient, GF(p))
+        assert tuple(grown.box) == tuple(table.box) + (1,)
+        assert grown.entries == {(i, g + (0,)): d for (i, g), d in table.entries.items()}
