@@ -31,6 +31,7 @@ from .errors import (
     CompositionNonzero,
     InvalidKind,
     LengthMismatch,
+    MixedKinds,
     ParamOutOfRange,
     ValidationError,
     as_int,
@@ -615,7 +616,10 @@ def base_change(c: GradedComplex, ideal: MonomialIdeal) -> GradedComplex:
     summand in degree 0, is c term for term: a constant 0 coordinate keeps
     the order of positions, a one-summand factor adds the mixed-radix digit
     0, and no axis sign changes.  So R/J(-a) becomes the product summand
-    R/(J + ideal)(-a), and d is unchanged.  The unit ideal is refused."""
+    R/(J + ideal)(-a), and d is unchanged.  The unit ideal, and a complex
+    of ideal summands, as ``tensor`` refuses it, are refused."""
+    if c.kind == IDEAL:
+        raise MixedKinds("base change needs a complex of cyclic summands")
     refuse_unit(ideal)
     factor = summand(ideal)
     terms = {i: [_product_summand((s, factor)) for s in ss] for i, ss in c.terms.items()}

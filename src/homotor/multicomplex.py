@@ -32,8 +32,14 @@ from .gcomplex import (
     _compose,
     _product_summand,
     _rows,
-    exterior_complex,
 )
+
+
+#: Most summands a tensor is built with, the product of its factors'
+#: summand counts: eight 4-summand resolutions, a 9-ideal ``multi_tor``,
+#: reach it, and their tensor takes 3.6 s and 325 MB to build (one core of
+#: a 2-vCPU Xeon virtual machine, Python 3.11).
+MAX_TENSOR_SUMMANDS = 2 ** 16
 
 
 class Multicomplex:
@@ -119,6 +125,8 @@ def tensor(factors) -> Multicomplex:
 
     Axis k applies factor k's differential with no extra sign.  A product
     of summands R/J_k(-a_k) is R/(sum of the J_k)(-(sum of the a_k)).
+    Factors whose summand counts multiply past ``MAX_TENSOR_SUMMANDS`` are
+    refused before any product summand is built.
     """
     factors = list(factors)
     if not factors:
@@ -128,6 +136,12 @@ def tensor(factors) -> Multicomplex:
             raise MixedKinds("tensor factors must consist of cyclic summands")
         if min(f.window(), default=0) < 0:
             raise ValidationError("tensor factors must live in non-negative degrees")
+    size = math.prod(sum(map(len, f.terms.values())) for f in factors)
+    if size > MAX_TENSOR_SUMMANDS:
+        raise ParamOutOfRange(
+            f"tensor supports at most {MAX_TENSOR_SUMMANDS} summands, "
+            f"its factors make {size}"
+        )
     n_vars = factors[0].n
     if any(f.n != n_vars for f in factors):
         raise LengthMismatch("factors live in different variable counts")
@@ -219,40 +233,23 @@ def hypercube_extend(m: Multicomplex) -> Multicomplex:
 
 
 def koszul_cone(m: Multicomplex, face_axes: int | None = None) -> Multicomplex:
-    """The Koszul-cone multicomplex: one extra (last) axis p collects, per
-    size-p subset S of the leading ``face_axes`` axes, the sub-multicomplex
-    supported away from S; the new differential is the unit Koszul map,
-    the signed faces of ``exterior_complex``.  It has m's shift."""
+    """The Koszul-cone multicomplex: m with one 0/1 axis n + j per face
+    axis j < ``face_axes``.  Position (q, s) holds m_q when no face axis
+    has both s_j = 1 and q_j != 0, with m's axis maps, and axis n + j maps
+    (q, s) to (q, s - e_j) by the identity; totalization signs it
+    (-1)^(|q| + the face axes before j at 1).  It has m's shift."""
     n = m.n_axes
     fa = n if face_axes is None else as_int(face_axes, "face_axes")
     if not 0 <= fa <= n:
         raise ParamOutOfRange(f"face_axes {fa} outside 0..{n}")
-    subsets, d = exterior_complex(fa, tuple)
-    faces = {p: {subsets[p][s]: [(subsets[p - 1][t], c) for t, c in row]
-                 for s, row in rows.items()}
-             for p, rows in d.items()}  # S: (a face of S, its sign)
-    terms = {}
-    start = {}  # (q, S) -> the index in term q + (p,) of the copy of m_q on S
+    cube = list(itertools.product((0, 1), repeat=fa))
+    terms, diffs = {}, {}
     for q, ss in m.terms.items():
-        supp = {i for i in range(fa) if q[i]}
-        for p in range(fa + 1):
-            compatible = [S for S in subsets[p] if not supp & set(S)]
-            for j, S in enumerate(compatible):
-                start[(q, S)] = j * len(ss)
-            terms[q + (p,)] = ss * len(compatible)  # Multicomplex drops empty terms
-    diffs = {}
+        ident = {i: [(i, 1)] for i in range(len(ss))}
+        for s in cube:
+            if not any(map(min, q, s)):
+                terms[q + s] = ss
+                diffs.update(((q + s, n + j), ident) for j in range(fa) if s[j])
     for (q, k), rows in m.diffs.items():
-        tgt_q = Multicomplex._step(q, k)
-        for p in range(fa + 1):
-            out = {start[(q, S)] + s: [(start[(tgt_q, S)] + t, c) for t, c in row]
-                   for S in subsets[p] if (q, S) in start for s, row in rows.items()}
-            if out:
-                diffs[(q + (p,), k)] = out
-    for q, ss in m.terms.items():
-        for p in range(1, fa + 1):
-            out = {start[(q, S)] + idx: [(start[(q, face)] + idx, c) for face, c in row]
-                   for S, row in faces[p].items() if (q, S) in start
-                   for idx in range(len(ss))}
-            if out:
-                diffs[(q + (p,), n)] = out
-    return Multicomplex(n + 1, m.n_vars, terms, diffs, m.shift)
+        diffs.update(((q + s, k), rows) for s in cube if q + s in terms)
+    return Multicomplex(n + fa, m.n_vars, terms, diffs, m.shift)

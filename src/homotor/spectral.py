@@ -39,8 +39,9 @@ total keeps a page table, {(p, alive masks): pages}, and computes each
 live as long as the total.
 
 ``build_filtration`` produces the four filtrations attached to an N^n
-multicomplex (Koszul cone, its hypercube-augmented variant, the
-support-count filtration and its augmented variant); the two
+multicomplex (Koszul cone and its hypercube-augmented variant, by the
+number of face coordinates at 1; the support-count filtration and its
+augmented variant, by the number of nonzero coordinates); the two
 Mayer-Vietoris double complexes are built next to S and P, by
 ``sumprod.mv_total_complex``.  This module knows nothing of ideals: it
 filters multicomplexes by position.  Each builder returns a new filtered
@@ -249,9 +250,10 @@ def _by_weight(m: Multicomplex, weight) -> FilteredTotal:
 def build_filtration(m: Multicomplex, *, kind: str) -> FilteredTotal:
     """The filtered total of one of the four filtrations attached to m.
 
-    kcone / kcone_augmented filter the (augmented) Koszul-cone construction
-    by the cone index; interior / interior_augmented filter the (augmented)
-    multicomplex by the number of nonzero coordinates.  Each filters the
+    kcone / kcone_augmented filter the Koszul cone of m (of its extension)
+    by the number of face coordinates at 1; interior / interior_augmented
+    filter the (augmented) multicomplex by the number of nonzero coordinates
+    (of the first n).  Each filters the
     ``total`` of one multicomplex, built and checked once at the degrees it
     is read: m's for ``interior``, the new one's for the others.  A caller
     evaluating many degrees builds the filtration once and hands it to
@@ -260,10 +262,10 @@ def build_filtration(m: Multicomplex, *, kind: str) -> FilteredTotal:
     """
     n = m.n_axes
     if kind == "kcone":
-        return _by_weight(koszul_cone(m), lambda q: q[-1])
+        return _by_weight(koszul_cone(m), lambda q: sum(q[n:]))
     if kind == "kcone_augmented":
         return _by_weight(koszul_cone(hypercube_extend(m), face_axes=n),
-                          lambda q: q[-1])
+                          lambda q: sum(q[n + 1:]))
     if kind == "interior":
         return _by_weight(m, lambda q: sum(1 for v in q if v))
     if kind == "interior_augmented":

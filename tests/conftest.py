@@ -207,6 +207,69 @@ def augment_in_two_steps(m):
     )
 
 
+def packed_koszul_cone(m, face_axes):
+    """The Koszul cone with every size-p subset S of the face axes packed
+    into one last axis: position (q, p) holds a copy of m_q for each S
+    (in ``itertools.combinations`` order) that misses the support of q,
+    m's axis maps act copy by copy, and the last axis maps the copy on S
+    to the copy on each face of S, signed as ``exterior_complex`` signs
+    it.  The reference for ``koszul_cone``, whose total is this one with
+    the summands of each term reordered; ``packed_cone_labels`` names each
+    summand of either as (q, S, index in m_q)."""
+    n = m.n_axes
+    subsets, d = exterior_complex(face_axes, tuple)
+    faces = {p: {subsets[p][s]: [(subsets[p - 1][t], c) for t, c in row]
+                 for s, row in rows.items()}
+             for p, rows in d.items()}
+    terms = {}
+    start = {}  # (q, S) -> the index in term q + (p,) of the copy of m_q on S
+    for q, ss in m.terms.items():
+        supp = {i for i in range(face_axes) if q[i]}
+        for p in range(face_axes + 1):
+            compatible = [S for S in subsets[p] if not supp & set(S)]
+            for j, S in enumerate(compatible):
+                start[(q, S)] = j * len(ss)
+            terms[q + (p,)] = ss * len(compatible)
+    diffs = {}
+    for (q, k), rows in m.diffs.items():
+        tgt_q = Multicomplex._step(q, k)
+        for p in range(face_axes + 1):
+            out = {start[(q, S)] + s: [(start[(tgt_q, S)] + t, c) for t, c in row]
+                   for S in subsets[p] if (q, S) in start for s, row in rows.items()}
+            if out:
+                diffs[(q + (p,), k)] = out
+    for q, ss in m.terms.items():
+        for p in range(1, face_axes + 1):
+            out = {start[(q, S)] + idx: [(start[(q, face)] + idx, c) for face, c in row]
+                   for S, row in faces[p].items() if (q, S) in start
+                   for idx in range(len(ss))}
+            if out:
+                diffs[(q + (p,), n)] = out
+    return Multicomplex(n + 1, m.n_vars, terms, diffs, m.shift)
+
+
+def packed_cone_labels(cone, n, face_axes, packed):
+    """{i: the label (q, S, index in m_q) of each summand of term i} of
+    the total of a Koszul cone over an n-axis multicomplex: for
+    ``koszul_cone``'s cube, S is the face axes at 1; for
+    ``packed_koszul_cone``'s (``packed`` true), S is the subset whose copy
+    holds the summand, the copies in combinations order of the size-p
+    subsets that miss the support of q."""
+    labels = {}
+    for i, positions in cone.layout.items():
+        out = labels[i] = []
+        for pos in dict.fromkeys(positions):
+            q = pos[:n]
+            if packed:
+                copies = [S for S in itertools.combinations(range(face_axes), pos[n])
+                          if not any(q[j] for j in S)]
+            else:
+                copies = [tuple(j for j in range(face_axes) if pos[n + j])]
+            size = len(cone.terms[pos]) // len(copies)
+            out.extend((q, S, k) for S in copies for k in range(size))
+    return labels
+
+
 def axes_oracle(m):
     """The first failing square of m, anything with a multicomplex's
     ``n_axes``, ``terms`` and ``diffs``, as (q, j, k): j == k when d_k does

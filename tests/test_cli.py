@@ -20,6 +20,7 @@ from homotor.cli import (
 )
 from homotor.errors import ParamOutOfRange, ParseError, UnknownCommand, ValidationError
 from homotor.gcomplex import resolution
+from homotor import multicomplex
 from homotor.monomial import MonomialIdeal, iter_box
 from homotor.multicomplex import tensor
 from homotor.spectral import build_filtration
@@ -415,6 +416,39 @@ def test_cli_huge_box_exits_2(problem_path, capsys, command):
 def test_cli_flag_read_where_accepted(problem_path, capsys, argv):
     assert main([argv[0], problem_path, *argv[1:]]) == 0
     assert json.loads(capsys.readouterr().out)["inputs"]["flags"][argv[1][2:]] == argv[2]
+
+
+def test_cli_tor_refuses_a_tensor_past_the_bound(tmp_path, capsys, monkeypatch):
+    """Ten 2-generator ideals leave nine 4-summand resolutions to tensor,
+    4^9 summands, past MAX_TENSOR_SUMMANDS: tor exits 2 with
+    ParamOutOfRange before any product summand or multicomplex is built.
+    The counters are live: a 2-ideal tor builds both."""
+    built = {"products": 0, "multicomplexes": 0}
+    product, init = multicomplex._product_summand, multicomplex.Multicomplex.__init__
+
+    def counted_product(combo):
+        built["products"] += 1
+        return product(combo)
+
+    def counted_init(self, *args, **kwargs):
+        built["multicomplexes"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(multicomplex, "_product_summand", counted_product)
+    monkeypatch.setattr(multicomplex.Multicomplex, "__init__", counted_init)
+    path = tmp_path / "ten.json"
+    ideals = {f"I{k}": [[k + 1, 0, 0], [0, 1, k + 1]] for k in range(10)}
+    path.write_text(json.dumps({"variables": ["x", "y", "z"], "ideals": ideals}))
+    assert main(["tor", str(path)]) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["type"] == "ParamOutOfRange"
+    assert f"at most {multicomplex.MAX_TENSOR_SUMMANDS} summands" in error["message"]
+    assert "make 262144" in error["message"]
+    assert built == {"products": 0, "multicomplexes": 0}
+    two = {k: ideals[k] for k in ("I0", "I1", "I2")}
+    path.write_text(json.dumps({"variables": ["x", "y", "z"], "ideals": two}))
+    assert main(["tor", str(path)]) == 0
+    assert built["products"] > 0 and built["multicomplexes"] == 1
 
 
 @pytest.mark.parametrize("fields", [

@@ -346,7 +346,8 @@ def test_one_summand_shape():
     """A summand is a shift and an ideal, and quotient-or-ideal is one kind
     per complex: ``Summand`` declares the fields (shift, ideal) only, the
     rebuilds in ``cancel_units`` and ``truncated`` pass their source's kind
-    on, and the one place that refuses an ideal-kind complex is ``tensor``."""
+    on, and the two places that refuse an ideal-kind complex are the two
+    that tensor complexes, ``tensor`` and ``base_change``."""
     gcomplex = ast.parse((Path(homotor.__file__).parent / "gcomplex.py").read_text())
     summand = next(node for node in gcomplex.body
                    if isinstance(node, ast.ClassDef) and node.name == "Summand")
@@ -356,7 +357,8 @@ def test_one_summand_shape():
                 for _, func, node in _call_sites("GradedComplex")
                 if func in ("cancel_units", "truncated")]
     assert sorted(rebuilds) == [("cancel_units", True), ("truncated", True)]
-    assert _raise_sites("MixedKinds") == [("multicomplex.py", "tensor")]
+    assert _raise_sites("MixedKinds") == [("gcomplex.py", "base_change"),
+                                          ("multicomplex.py", "tensor")]
 
 
 #: Every function that may build a GradedComplex: each makes a complex with

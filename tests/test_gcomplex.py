@@ -23,6 +23,7 @@ from homotor.errors import (
     CompositionNonzero,
     InvalidKind,
     LengthMismatch,
+    MixedKinds,
     ParamOutOfRange,
     UnitIdeal,
     ValidationError,
@@ -271,6 +272,20 @@ def test_base_change_of_r_is_one_cyclic_summand():
     assert c.d == {}
     with pytest.raises(UnitIdeal):
         base_change(taylor_resolution(i), MonomialIdeal.unit(2))
+
+
+def test_base_change_refuses_an_ideal_kind_complex():
+    """base_change is c ⊗ R/J for c of cyclic summands; the tilde S
+    complex, of ideal summands, is refused as ``tensor`` refuses it, not
+    returned as a cyclic complex whose summands are read as quotients."""
+    family = [MonomialIdeal(2, [(1, 0)]), MonomialIdeal(2, [(0, 1)])]
+    tilde = build_s_complex(family, "tilde")
+    assert tilde.kind == IDEAL
+    for j in (MonomialIdeal.zero(2), MonomialIdeal(2, [(1, 1)])):
+        with pytest.raises(MixedKinds, match="cyclic summands"):
+            base_change(tilde, j)
+    with pytest.raises(MixedKinds, match="cyclic summands"):
+        tensor([tilde])
 
 
 @st.composite

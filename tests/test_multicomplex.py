@@ -9,6 +9,8 @@ from hypothesis import assume, given, settings, strategies as st
 from conftest import (
     augment_in_two_steps,
     axes_oracle,
+    packed_cone_labels,
+    packed_koszul_cone,
     shifted_oracle,
     tensor_by_search,
     truncated_cochain,
@@ -43,7 +45,7 @@ from homotor.multicomplex import (
     koszul_cone,
     tensor,
 )
-from homotor.spectral import build_filtration
+from homotor.spectral import _by_weight, build_filtration, pages
 from homotor.sumprod import build_p_complex, build_s_complex, truncated
 
 
@@ -337,16 +339,72 @@ def test_totals_are_built_at_the_degrees_they_are_read(factors, family):
 
 def test_axis_indices_are_checked():
     """An entry on an axis outside 0..n_axes - 1, and a face-axis count
-    outside 0..n_axes, are refused."""
+    outside 0..n_axes, are refused; the cone has one axis more per face
+    axis."""
     one = (free_summand((0,)),)
     for k in (-1, 1):
-        with pytest.raises(ValidationError, match="axis"):
+        with pytest.raises(ValidationError, match=rf"axis {k} outside 0\.\.0$"):
             Multicomplex(1, 1, {(0,): one, (1,): one}, {((1,), k): {0: [(0, 1)]}})
     m = tensor([res((1, 0)), res((0, 1))])
     for fa in (-1, 3):
         with pytest.raises(ParamOutOfRange, match="face_axes"):
             koszul_cone(m, face_axes=fa)
-    assert koszul_cone(m, face_axes=0).n_axes == 3
+    for fa in range(3):
+        assert koszul_cone(m, face_axes=fa).n_axes == 2 + fa
+
+
+def _labelled_total(cone, labels):
+    """The total of a Koszul cone keyed by the labels of its summands:
+    {label: summand} and {(source label, target label): coefficient}."""
+    terms = {}
+    for i, ss in cone.total.terms.items():
+        terms.update(zip(labels[i], ss, strict=True))
+    assert len(terms) == sum(map(len, cone.total.terms.values())), "labels repeat"
+    entries = {(labels[i][s], labels[i - 1][t]): c
+               for i, rows in cone.total.d.items() for s, row in rows.items() for t, c in row}
+    return terms, entries
+
+
+@settings(deadline=None, max_examples=30)
+@given(tensor_factors(), st.booleans(), st.data())
+def test_the_cube_cone_is_the_packed_cone_reordered(factors, extend, data):
+    """``koszul_cone``, one 0/1 axis per face axis, is the packed cone of
+    ``packed_koszul_cone`` with the summands of each term reordered:
+    labelled (q, S, index in m_q), the two totals have the same summands,
+    the same entries and the same levels |S|, so the same pages, ranks and
+    r_stab at every degree of the stable box over GF(2) and GF(32003).
+    Both are built on a tensor and on its hypercube extension, with every
+    face-axis count."""
+    m = tensor(factors)
+    if extend:
+        m = hypercube_extend(m)
+    n = m.n_axes
+    fa = data.draw(st.integers(0, n), label="face_axes")
+    cube, packed = koszul_cone(m, face_axes=fa), packed_koszul_cone(m, fa)
+    assert (cube.n_axes, cube.shift) == (n + fa, m.shift)
+    cube_labels = packed_cone_labels(cube, n, fa, packed=False)
+    packed_labels = packed_cone_labels(packed, n, fa, packed=True)
+    assert _labelled_total(cube, cube_labels) == _labelled_total(packed, packed_labels)
+    by_cube = _by_weight(cube, lambda q: sum(q[n:]))
+    by_packed = _by_weight(packed, lambda q: q[-1])
+    for filtered, labels in ((by_cube, cube_labels), (by_packed, packed_labels)):
+        assert filtered.levels == {i: [len(S) for _, S, _ in lab] for i, lab in labels.items()}
+    for gamma in iter_box(cube.total.stable_box()):
+        for fld in (GF(2), GF(32003)):
+            got, want = pages(by_cube, gamma, fld), pages(by_packed, gamma, fld)
+            assert (got.pages, got.ranks, got.r_stab) == (want.pages, want.ranks, want.r_stab)
+
+
+def test_tensor_refuses_factors_past_the_summand_bound(monkeypatch):
+    """The bound is on the product of the factors' summand counts, read
+    before anything is built: eight 4-summand resolutions are at it, a
+    tensor at the bound is built and one past it is refused."""
+    assert multicomplex.MAX_TENSOR_SUMMANDS == 4 ** 8
+    monkeypatch.setattr(multicomplex, "MAX_TENSOR_SUMMANDS", 16)
+    four, two = res((1, 0), (0, 1)), res((1, 1))
+    assert sum(map(len, tensor([four, four]).total.terms.values())) == 16
+    with pytest.raises(ParamOutOfRange, match="at most 16 summands, its factors make 32"):
+        tensor([four, four, two])
 
 
 def test_tensor_of_variable_koszuls_totalizes_to_joint_koszul():
@@ -413,14 +471,17 @@ def test_hypercube_augment_one_axis():
 
 
 def test_hypercube_augment_two_principal():
+    """H_1 has the R/(xy) pattern and nothing else, over every field: psi,
+    the identity of the corner composed with the axis maps, has unit
+    coefficients, so even over GF(2) it stays nonzero."""
     m = tensor([res((1, 0)), res((0, 1))])
     aug = hypercube_augment(m)
-    table = module_homology_table(aug)
-    # H_1 = R/(xy) pattern, nothing else
     prod = MonomialIdeal(2, [(1, 1)])
-    assert table.nonzero_indices() == [1]
-    for gamma in iter_box(table.box):
-        assert table.dim(1, gamma) == (0 if prod.contains(gamma) else 1)
+    for p in (2, 3, 32003):
+        table = module_homology_table(aug, GF(p))
+        assert table.nonzero_indices() == [1]
+        for gamma in iter_box(table.box):
+            assert table.dim(1, gamma) == (0 if prod.contains(gamma) else 1)
 
 
 def test_hypercube_augment_maximal_ideal_pair():

@@ -362,7 +362,9 @@ def test_levels_are_weights_of_the_layout_positions():
     """Each of the six filtered totals is the total of its multicomplex,
     whose layout puts position q in degree |q| + shift (one below for the
     extended multicomplex), and the summand that layout lists at position q
-    sits at level weight(q): the cone index, the number of nonzero
+    sits at level weight(q): the number of face coordinates at 1 (the
+    last n of the cone's, after the n + 1 extended axes for the augmented
+    cone), the number of nonzero
     coordinates (of the first n for the extended multicomplex), or the
     position of the S/P factor."""
     for seed, n in ((3, 2), (4, 3)):
@@ -370,9 +372,9 @@ def test_levels_are_weights_of_the_layout_positions():
         m = tensor([gcomplex.resolution(i) for i in family])
         resolved = gcomplex.resolution(MonomialIdeal.zero(2))
         cases = {
-            "kcone": (koszul_cone(m), 0, lambda q: q[-1]),
+            "kcone": (koszul_cone(m), 0, lambda q: sum(q[n:])),
             "kcone_augmented": (koszul_cone(hypercube_extend(m), face_axes=n), -1,
-                                lambda q: q[-1]),
+                                lambda q: sum(q[n + 1:])),
             "interior": (m, 0, lambda q: sum(1 for v in q if v)),
             "interior_augmented": (hypercube_extend(m), -1,
                                    lambda q: sum(1 for v in q[:n] if v)),
@@ -410,28 +412,26 @@ def test_build_filtration_unknown_kind():
 
 
 def test_kcone_columns_exact_off_interior():
-    """The cone-axis columns are exact unless the position has full support,
-    where they collapse to the single original term."""
+    """At each position q of m, the column of the cone over the face
+    coordinates s, the positions q + s joined by the identity maps of the
+    face axes, is exact unless q has full support, where it collapses to
+    the single original term at s = 0."""
     from homotor.gcomplex import module_homology_table
-    from homotor.multicomplex import koszul_cone
+    from homotor.multicomplex import Multicomplex, koszul_cone
 
     m = build_m([[(1, 0), (0, 1)], [(2, 0)]])
     cone = koszul_cone(m)
     n = m.n_axes
     for q in m.terms:
-        terms = {}
-        d = {}
-        for p in range(n + 1):
-            pos = q + (p,)
-            if pos in cone.terms:
-                terms[p] = cone.terms[pos]
-                if (pos, n) in cone.diffs:
-                    d[p] = cone.diffs[(pos, n)]
-        column = GradedComplex(m.n_vars, terms, d)
+        terms = {pos[n:]: ss for pos, ss in cone.terms.items() if pos[:n] == q}
+        d = {(pos[n:], k - n): rows for (pos, k), rows in cone.diffs.items()
+             if pos[:n] == q and k >= n}
+        column = Multicomplex(n, m.n_vars, terms, d).total
         if all(v > 0 for v in q):
-            assert set(terms) == {0}
-            assert len(terms[0]) == len(m.terms[q])
+            assert list(terms) == [(0,) * n]
+            assert terms[(0,) * n] == m.terms[q]
         else:
+            assert len(terms) == 2 ** sum(1 for v in q if not v), q
             assert not module_homology_table(column).entries, q
 
 
@@ -707,6 +707,33 @@ def test_permuting_the_family_keeps_tor_and_pages(families_pair, p):
         for gamma in cli._sample_degrees(family_box(family)):
             assert _same_pages(pages(filtered, gamma, fld),
                                pages(after[kind], gamma, fld)), (kind, tuple(gamma))
+
+
+@settings(deadline=None, max_examples=25)
+@given(families().flatmap(lambda f: st.tuples(st.just(f), st.permutations(range(f[0].n)))),
+       st.sampled_from([2, 3, 32003]))
+def test_permuting_the_variables_moves_tor_and_pages(family_sigma, p):
+    """Renaming the variables by sigma moves every degree by sigma: the
+    ``multi_tor`` table of the renamed family at sigma(gamma), and the
+    pages of all six kinds there (e1, e-infinity, r_stab and every rank
+    table), are the original ones at gamma, at every sampled degree of the
+    box and one past it."""
+    family, sigma = family_sigma
+    fld = GF(p)
+
+    def moved(v):  # coordinate j of the renamed degree is coordinate sigma[j]
+        return tuple(v[k] for k in sigma)
+
+    renamed = [MonomialIdeal(ideal.n, [moved(g) for g in ideal.gens]) for ideal in family]
+    a, b = multi_tor(family, fld=fld), multi_tor(renamed, fld=fld)
+    assert {(i, moved(gamma)): d for (i, gamma), d in a.entries.items()} == b.entries
+    assert moved(a.box) == tuple(b.box)
+    box = family_box(family)
+    before, after = _six_totals(family), _six_totals(renamed)
+    for kind, filtered in before.items():
+        for gamma in cli._sample_degrees(box) + [tuple(v + 1 for v in box)]:
+            assert _same_pages(pages(filtered, gamma, fld),
+                               pages(after[kind], moved(gamma), fld)), (kind, tuple(gamma))
 
 
 def test_permuting_a_tie_changes_the_unresolved_module(monkeypatch):
