@@ -8,7 +8,9 @@ A summand is a shift and an ideal; whether it stands for the quotient
 R/J(-shift) or the ideal J(-shift) is one ``kind`` per complex, and the
 free module R(-shift) is the quotient R/0(-shift), and a cyclic complex
 tensored with a quotient R/J is its ``base_change``: each summand's ideal
-gains J.
+gains J.  ``unresolved`` picks the one module a Tor table or an augmented
+interior leaves unresolved, and ``ideal_augment`` tensors an ideal onto an
+augmented interior of free summands.
 The monomial factor of every differential entry is implicit: homogeneity
 forces it to x^(shift_src - shift_tgt), so fibers are pure scalar matrices.
 
@@ -624,3 +626,38 @@ def base_change(c: GradedComplex, ideal: MonomialIdeal) -> GradedComplex:
     factor = summand(ideal)
     terms = {i: [_product_summand((s, factor)) for s in ss] for i, ss in c.terms.items()}
     return GradedComplex(c.n, terms, c.d)
+
+
+def unresolved(modules) -> int:
+    """The index of the one module a Tor table or an augmented interior
+    leaves unresolved: the one with the most minimal generators, the first
+    in the given order on a tie.  Tor is balanced (Weibel, An Introduction
+    to Homological Algebra, 2.7), so it is the homology of the tensor of
+    resolutions of all modules but one with that last module itself; the
+    one left out spares the largest resolution, whose Taylor size 2^g
+    bounds its reduced size."""
+    sizes = [len(module.gens) for module in modules]
+    return sizes.index(max(sizes))
+
+
+def ideal_augment(c: GradedComplex, ideal: MonomialIdeal) -> GradedComplex:
+    """The augmented interior c = cone(G -> R) of a tensor G of truncated
+    resolutions, with ``ideal`` tensored onto G, one index up: each free
+    summand R(-a) above c's lowest term becomes ideal(-a), each of the
+    lowest term, the corner R(0), the unit ideal, and d is unchanged.
+
+    For ideals I_k with resolutions F_k, G_k = F_k,>=1 resolves I_k, and
+    the augmented interior of the I_k is cone(G_1 ⊗ ... ⊗ G_n -> R).  The
+    augmentation eps: G_u -> I_u is a quasi-isomorphism, and so is 1 ⊗
+    eps from that tensor to the one with I_u in place of G_u, the other
+    factors being free; by the five lemma, fibre by fibre, the two cones
+    have the same homology.  The second is this complex when c is the
+    augmented interior of the other n - 1 resolutions: I_u sits in degree
+    1, as G_u,1 does.  A complex of ideal or non-free summands is
+    refused."""
+    if c.kind == IDEAL or any(s.ideal.gens for ss in c.terms.values() for s in ss):
+        raise MixedKinds("an ideal is tensored onto a complex of free summands only")
+    low, unit = min(c.terms, default=0), MonomialIdeal.unit(c.n)
+    terms = {i + 1: [Summand(s.shift, unit if i == low else ideal) for s in ss]
+             for i, ss in c.terms.items()}
+    return GradedComplex(c.n, terms, {i + 1: rows for i, rows in c.d.items()}, IDEAL)

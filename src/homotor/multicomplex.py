@@ -18,7 +18,6 @@ import math
 
 from .errors import (
     EmptyInput,
-    EmptySelection,
     LengthMismatch,
     MixedKinds,
     ParamOutOfRange,
@@ -214,10 +213,10 @@ def hypercube_augment(m: Multicomplex) -> GradedComplex:
     of m, the positions with every coordinate nonzero, with the corner
     module m_0 added in degree n - 1 + shift and attached along psi, the
     composed axis map out of (1, ..., 1), with the level axis's Koszul sign
-    (-1)^n.  Only the top vertex gets the corner, so psi is composed once."""
+    (-1)^n.  Only the top vertex gets the corner, so psi is composed once.
+    With no axis, the interior is the one position (), and m_() -> m_() is
+    the identity."""
     n = m.n_axes
-    if not n:
-        raise EmptySelection("hypercube augmentation needs at least one axis")
     terms, diffs = _attach_corner(m, [(1,) * n])
     top = {q: ss for q, ss in terms.items() if all(q[:n])}
     return Multicomplex(n + 1, m.n_vars, top, diffs, m.shift - 1).total

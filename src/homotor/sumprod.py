@@ -1,9 +1,9 @@
 """The sum complex S (quotients by sums, cochain) and product complex P
 (quotients by products, chain) of a family of ideals, their tilde variants
 inside the unit Koszul complex, the two Mayer-Vietoris double complexes
-built from S and P (``mv_total_complex``), and the degreewise
-verification suite for the identities relating their homology to
-multiple Tor.
+built from S and P (``mv_total_complex``; ``mv_total`` unfiltered), the
+augmented interior tables, and the degreewise verification suite for the
+identities relating their homology to multiple Tor.
 
 All isomorphism claims are certified as equalities of fiber dimensions over
 a common stability box: over a field these determine the graded isomorphism
@@ -23,12 +23,15 @@ from .gcomplex import (
     TorTable,
     base_change,
     exterior_complex,
+    free_summand,
+    ideal_augment,
     module_homology_table,
     resolution,
     summand,
+    unresolved,
 )
 from .monomial import MonomialIdeal, check_family, combine
-from .multicomplex import hypercube_augment, tensor
+from .multicomplex import Multicomplex, hypercube_augment, tensor
 from .spectral import FilteredTotal, _by_weight, build_filtration, pages
 from .torlab import CheckReport, _table_independent, multi_tor
 
@@ -92,6 +95,29 @@ def _p_complex(ideals, n_vars: int, kind: str) -> GradedComplex:
     return GradedComplex(n_vars, terms, d, kind)
 
 
+def _mv_x(kind: str, ideals, n_vars: int) -> GradedComplex:
+    """X of the Mayer-Vietoris double complex of the kind, S_- for
+    sum_to_product and P for product_to_sum, of a family its caller
+    checked, in n_vars variables."""
+    if kind == "sum_to_product":
+        return truncated(_s_complex(ideals, n_vars, CYCLIC))
+    if kind == "product_to_sum":
+        return _p_complex(ideals, n_vars, CYCLIC)
+    raise InvalidKind(f"unknown mv kind {kind!r}")
+
+
+def mv_total(kind: str, ideals, coefficient: MonomialIdeal | None = None
+             ) -> GradedComplex:
+    """The total of the S_-/P double complex, unfiltered, for a caller that
+    reads only its homology: X itself when M = R, as in
+    ``mv_total_complex``, else the total of X ⊗ F."""
+    ideals, box = check_family(ideals, coefficient)
+    x = _mv_x(kind, ideals, box.n)
+    if coefficient is None or coefficient.is_zero():
+        return x
+    return tensor([x, resolution(coefficient)]).total
+
+
 def mv_total_complex(kind: str, ideals, coefficient: MonomialIdeal | None = None
                      ) -> FilteredTotal:
     """The filtered total of the S_-/P double complex, the tensor of a
@@ -112,12 +138,7 @@ def mv_total_complex(kind: str, ideals, coefficient: MonomialIdeal | None = None
     This is the rule by which ``multi_tor`` leaves a zero coefficient out.
     """
     ideals, box = check_family(ideals, coefficient)
-    if kind == "sum_to_product":
-        x = truncated(_s_complex(ideals, box.n, CYCLIC))
-    elif kind == "product_to_sum":
-        x = _p_complex(ideals, box.n, CYCLIC)
-    else:
-        raise InvalidKind(f"unknown mv kind {kind!r}")
+    x = _mv_x(kind, ideals, box.n)
     if coefficient is None or coefficient.is_zero():
         return FilteredTotal(x, {i: [i] * len(ss) for i, ss in x.terms.items()})
     return _by_weight(tensor([x, resolution(coefficient)]), lambda q: q[0])
@@ -139,9 +160,11 @@ def augmented_interior_H(ideals, subset, coefficient: MonomialIdeal | None = Non
                          fld: PrimeField = GF(), box=None) -> TorTable:
     """The table H_{p,q} = H_{p+q}(augmented interior complex ⊗ M) for the
     chosen subset of the family, keyed by q (so q = -1 row reproduces the
-    M ⊗ P_p dimensions).  M = R/coefficient is tensored on by
-    ``base_change``, and the box defaults to the stability box of the
-    chosen ideals and the coefficient, both as in ``multi_tor``."""
+    M ⊗ P_p dimensions).  One module is left unresolved, as in
+    ``multi_tor``: R/coefficient, tensored on by ``base_change``, when the
+    coefficient is nonzero, else the chosen ideal ``unresolved`` picks,
+    tensored on by ``ideal_augment``.  The box defaults to the stability
+    box of the chosen ideals and the coefficient."""
     ideals, _ = check_family(ideals, coefficient)
     subset = sorted({as_int(i, "subset index") for i in subset})
     if not subset:
@@ -153,18 +176,28 @@ def augmented_interior_H(ideals, subset, coefficient: MonomialIdeal | None = Non
     chosen = [ideals[i] for i in subset]
     if box is None:
         box = check_family(chosen, coefficient)[1]
-    m = tensor([resolution(i) for i in chosen])
-    return _interior_table(m, coefficient, fld, box)
+    return _interior_table(chosen, [resolution(i) for i in chosen], coefficient, fld, box)
 
 
-def _interior_table(m, coefficient, fld, box) -> TorTable:
-    """The table of ``augmented_interior_H`` from m, the tensor of the
-    chosen ideals' resolutions, over the box."""
-    aug = hypercube_augment(m)
+def _interior_table(chosen, resolved, coefficient, fld, box) -> TorTable:
+    """The table of ``augmented_interior_H`` from the chosen ideals and
+    their resolutions, over the box.  With a nonzero coefficient, every
+    ideal is resolved and R/coefficient is not: an ideal summand has no
+    base change.  Otherwise the augmented interior of the other n - 1
+    resolutions, with no axis at n = 1, takes the unresolved ideal I_u
+    through ``ideal_augment``, so at n = 1 it is I_u -> R."""
+    n = len(chosen)
     if coefficient is not None and not coefficient.is_zero():
-        aug = base_change(aug, coefficient)
+        aug = base_change(hypercube_augment(tensor(resolved)), coefficient)
+    else:
+        u = unresolved(chosen)
+        others = resolved[:u] + resolved[u + 1:]
+        n_vars = chosen[u].n
+        m = tensor(others) if others else Multicomplex(
+            0, n_vars, {(): [free_summand((0,) * n_vars)]}, {})
+        aug = ideal_augment(hypercube_augment(m), chosen[u])
     table = module_homology_table(aug, fld, box)
-    entries = {(i - m.n_axes, gam): d for (i, gam), d in table.entries.items()}
+    entries = {(i - n, gam): d for (i, gam), d in table.entries.items()}
     return TorTable(entries, table.box)
 
 
@@ -311,14 +344,17 @@ def exactness_equivalences(ideals, fld: PrimeField = GF()) -> CheckReport:
     is Tor-independent, its P is the one term R/I at index 1 and its S the
     identity R/I -> R/I, so it can give no witness.  Pages are read wherever
     a q >= 0 row of a subfamily of size >= 2 survives, pairs included: E^1
-    column p is the sum, over the p-subsets S, of the augmented interior of S."""
+    column p is the sum, over the p-subsets S, of the augmented interior of S.
+    A subfamily's H table leaves one ideal unresolved (``_interior_table``),
+    and the tensor of all its resolutions is built only for its pages."""
     ideals, box = check_family(ideals)
     n = len(ideals)
     report = CheckReport()
 
     # each ideal is resolved once and each subfamily visited once, smallest
-    # first, so its subfamilies' H tables are in place; its one tensor feeds
-    # its H table and its page engine
+    # first, so its subfamilies' H tables are in place; its H table leaves
+    # one ideal unresolved, and the full tensor of its resolutions is built
+    # only for its page engine
     resolved = [resolution(ideal) for ideal in ideals]
     cond1 = True
     h_tables = {}
@@ -326,15 +362,16 @@ def exactness_equivalences(ideals, fld: PrimeField = GF()) -> CheckReport:
     for size in range(2, n + 1):
         for sub in itertools.combinations(range(n), size):
             family = [ideals[i] for i in sub]
+            factors = [resolved[i] for i in sub]
             cond1 = cond1 and _table_independent(multi_tor(family, fld=fld))
-            m = tensor([resolved[i] for i in sub])
-            h_tables[sub] = _interior_table(m, None, fld, check_family(family)[1])
+            h_tables[sub] = _interior_table(family, factors, None, fld,
+                                            check_family(family)[1])
             # where a q >= 0 row of a subfamily of sub survives (see above)
             gammas = sorted({g for k in range(2, size + 1)
                              for t in itertools.combinations(sub, k)
                              for (q, g) in h_tables[t].entries if q >= 0})
             if gammas:
-                filtered = build_filtration(m, kind="interior_augmented")
+                filtered = build_filtration(tensor(factors), kind="interior_augmented")
                 witness = next(({"subfamily": list(sub), "degree": list(g), "p": p, "q": q}
                                 for g in gammas
                                 for (p, q), d in pages(filtered, g, fld).page(2).items()

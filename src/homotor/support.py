@@ -28,7 +28,7 @@ from .monomial import (
     iter_box,
     lcm_deg,
 )
-from .sumprod import mv_total_complex
+from .sumprod import mv_total
 from .torlab import CheckReport, multi_tor
 
 SPECTRAL_DEGREES = 8  # support cells cross-checked against both MV abutments
@@ -123,10 +123,9 @@ def supportoftors_check(ideals, coefficient: MonomialIdeal | None, ps,
         tests g."""
         if (kind, T, g) not in found:
             if (kind, T) not in totals:
-                totals[(kind, T)] = mv_total_complex(kind, [ideals[i] for i in T],
-                                                     coefficient)
+                totals[(kind, T)] = mv_total(kind, [ideals[i] for i in T], coefficient)
             found[(kind, T, g)] = _containment(
-                kind, T, g, tor[T], totals[(kind, T)].total.homology_at(g, fld))
+                kind, T, g, tor[T], totals[(kind, T)].homology_at(g, fld))
         return found[(kind, T, g)]
 
     return {p: _support_report([T for T in combos if len(T) <= p], box, tor, witnesses)

@@ -16,7 +16,13 @@ from functools import reduce
 from operator import and_, or_
 
 from .exactlin import GF, PrimeField, pivot_pairs
-from .gcomplex import TorTable, base_change, module_homology_table, resolution
+from .gcomplex import (
+    TorTable,
+    base_change,
+    module_homology_table,
+    resolution,
+    unresolved,
+)
 from .monomial import (
     MonomialIdeal,
     Multidegree,
@@ -40,13 +46,9 @@ def multi_tor(ideals, coefficient: MonomialIdeal | None = None,
     """Tor_i of the family of quotients R/I (optionally against R/coefficient),
     as a table of fiber dimensions over the box, ``family_box`` by default.
 
-    Tor is balanced (Weibel, An Introduction to Homological Algebra, 2.7):
-    it is the homology of the tensor of resolutions of all modules but one
-    with that last module itself.  The one left unresolved is picked first:
-    the module, R/coefficient included unless the coefficient is zero, with
-    the most minimal generators (its Taylor size 2^g bounds its reduced
-    size; the first in family order on a tie, R/coefficient last).  The
-    others' ``resolution``s are tensored (a lone one is its own total, and
+    Tor is balanced, so one module is left unresolved: ``unresolved``
+    picks it among the ideals and, last, R/coefficient unless the
+    coefficient is zero.  The others' ``resolution``s are tensored (a lone one is its own total, and
     none is R(0), the zero ideal's), then ``base_change`` takes the total
     to the unresolved module.  Family and coefficient pass
     ``check_family`` first, box given or not."""
@@ -54,8 +56,7 @@ def multi_tor(ideals, coefficient: MonomialIdeal | None = None,
     modules = list(ideals)
     if coefficient is not None and not coefficient.is_zero():
         modules.append(coefficient)
-    sizes = [len(ideal.gens) for ideal in modules]
-    u = sizes.index(max(sizes))
+    u = unresolved(modules)
     resolved = [resolution(ideal) for k, ideal in enumerate(modules) if k != u] \
         or [resolution(MonomialIdeal.zero(stable.n))]
     total = resolved[0] if len(resolved) == 1 else tensor(resolved).total

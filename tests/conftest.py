@@ -20,6 +20,7 @@ from homotor.gcomplex import (
     GradedComplex,
     TorTable,
     _compose,
+    base_change,
     cancel_units,
     exterior_complex,
     free_summand,
@@ -38,7 +39,6 @@ from homotor.multicomplex import (
 from homotor.spectral import SpectralPages, _by_weight, _check_page, build_filtration, pages
 from homotor.sumprod import (
     _compare_slices,
-    augmented_interior_H,
     build_p_complex,
     build_s_complex,
     complex_homology_table,
@@ -792,11 +792,22 @@ def singleton_box_fold(ideals, coefficient=None):
     return functools.reduce(lcm_deg, (family_box([ideal], coefficient) for ideal in ideals))
 
 
+def full_augmented_interior(ideals, coefficient=None):
+    """The augmented interior of the ideals built from the tensor of all
+    their resolutions, tensored with R/coefficient by ``base_change`` when
+    the coefficient is nonzero: the construction ``augmented_interior_H``
+    replaced, where no ideal is left unresolved, and its reference."""
+    aug = hypercube_augment(tensor([resolution(i) for i in ideals]))
+    if coefficient is not None and not coefficient.is_zero():
+        aug = base_change(aug, coefficient)
+    return aug
+
+
 def verify_identities_oracle(ideals, fld: PrimeField = GF()) -> CheckReport:
     """The sum/product identification report with the strict subfamilies'
     Tor tables tested twice inline, and the augmented interior of the whole
-    family built and tabulated here at its unshifted indices: the reference
-    for ``verify_identities``."""
+    family built by ``full_augmented_interior`` and tabulated here at its
+    unshifted indices: the reference for ``verify_identities``."""
     ideals, n_vars = check_family(ideals)
     n = len(ideals)
     report = CheckReport()
@@ -811,7 +822,7 @@ def verify_identities_oracle(ideals, fld: PrimeField = GF()) -> CheckReport:
     report.context["strict_subfamilies_independent"] = strict_ok
 
     s_complex = build_s_complex(ideals)
-    aug = hypercube_augment(tensor([resolution(i) for i in ideals]))
+    aug = full_augmented_interior(ideals)
     box = family_box(ideals)
     report.context["box"] = list(box)
 
@@ -941,9 +952,10 @@ def verify_identities_oracle(ideals, fld: PrimeField = GF()) -> CheckReport:
 
 def exactness_equivalences_oracle(ideals, fld: PrimeField = GF()) -> CheckReport:
     """The exactness-equivalence report with strong independence (recursion
-    tables included), the surviving degrees clamped to each subfamily's box,
-    and P and S built for every subfamily, single ideals too: the reference
-    for ``exactness_equivalences``."""
+    tables included), the H tables read off ``full_augmented_interior``, the
+    surviving degrees clamped to each subfamily's box, and P and S built for
+    every subfamily, single ideals too: the reference for
+    ``exactness_equivalences``."""
     ideals, n_vars = check_family(ideals)
     n = len(ideals)
     report = CheckReport()
@@ -953,7 +965,11 @@ def exactness_equivalences_oracle(ideals, fld: PrimeField = GF()) -> CheckReport
     h_tables = {}
     for size in range(2, n + 1):
         for sub in itertools.combinations(range(n), size):
-            h_tables[sub] = augmented_interior_H(ideals, list(sub), None, fld)
+            family = [ideals[i] for i in sub]
+            table = module_homology_table(full_augmented_interior(family), fld,
+                                          family_box(family))
+            h_tables[sub] = TorTable({(i - size, g): d for (i, g), d in table.entries.items()},
+                                     table.box)
 
     def rows_vanish(sub):
         """All H_{p,q} entries with q >= 0 vanish over the subfamilies of sub."""

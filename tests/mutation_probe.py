@@ -18,6 +18,8 @@ Not a gate: the file is not collected by pytest.  Run it by hand, e.g.
         --tests tests/test_torlab.py tests/test_acceptance.py \\
                 tests/test_golden.py tests/test_cli_golden.py \\
         --out survivors.json
+
+``--functions`` limits the sample to the sites of the named functions.
 """
 
 from __future__ import annotations
@@ -112,9 +114,11 @@ def probe(workdir: Path, args) -> dict:
         raise SystemExit("the selection fails on the unmutated module")
 
     candidates = sites(ast.parse(source))
-    chosen = sorted(random.Random(args.seed).sample(
-        range(len(candidates)), min(args.sites, len(candidates))))
-    outcome = {"sites_total": len(candidates), "sites_run": len(chosen),
+    scope = [i for i, site in enumerate(candidates)
+             if not args.functions or site[4] in args.functions]
+    chosen = sorted(random.Random(args.seed).sample(scope, min(args.sites, len(scope))))
+    outcome = {"sites_total": len(candidates), "sites_in_scope": len(scope),
+               "sites_run": len(chosen),
                "survivors": [], "killed": []}
     for index in chosen:
         tree = ast.parse(source)
@@ -135,6 +139,9 @@ def main(argv=None) -> int:
     parser.add_argument("--tests", nargs="+", required=True,
                         help="pytest selection, relative to the repository root")
     parser.add_argument("--sites", type=int, default=40, help="site budget")
+    parser.add_argument("--functions", nargs="+",
+                        help="sample only the sites of these functions, named as the "
+                             "records name them (e.g. GradedComplex._block)")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", required=True, help="survivors JSON file")
     args = parser.parse_args(argv)

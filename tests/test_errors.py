@@ -28,6 +28,7 @@ from homotor.sumprod import (
     build_p_complex,
     build_s_complex,
     exactness_equivalences,
+    mv_total,
     mv_total_complex,
     verify_identities,
 )
@@ -231,6 +232,7 @@ FAMILY_FUNCTIONS = {
         lambda f, c, b: mv_total_complex("sum_to_product", f, c), True, False),
     "mv_product_to_sum": (
         lambda f, c, b: mv_total_complex("product_to_sum", f, c), True, False),
+    "mv_total": (lambda f, c, b: mv_total("product_to_sum", f, c), True, False),
     "augmented_interior_H": (
         lambda f, c, b: augmented_interior_H(f, range(len(f)), c, box=b), True, True),
     "verify_identities": (lambda f, c, b: verify_identities(f), False, False),
@@ -277,7 +279,8 @@ def test_one_family_contract():
     function of torlab, sumprod and support with a parameter ``ideals``
     calls ``check_family``, but for the predicate ``variable_blocks`` and
     ``_s_complex`` and ``_p_complex``, the builds of S and P that are
-    handed a family their caller checked."""
+    handed a family their caller checked, as is ``_mv_x``, the X of both
+    Mayer-Vietoris totals."""
     assert _raise_sites("UnitIdeal") == [("monomial.py", "refuse_unit")]
     callers = {(path, func) for path, func, _ in _call_sites("check_family")}
     takers = set()
@@ -286,9 +289,10 @@ def test_one_family_contract():
         takers |= {(name, node.name) for node in ast.walk(tree)
                    if isinstance(node, ast.FunctionDef)
                    and "ideals" in [a.arg for a in node.args.args + node.args.kwonlyargs]}
-    assert len(takers) == 16  # the 13 entry points of FAMILY_FUNCTIONS and the three above
+    assert len(takers) == 18  # the 14 entry points of FAMILY_FUNCTIONS and the four above
     assert takers - callers == {("support.py", "variable_blocks"),
-                                ("sumprod.py", "_s_complex"), ("sumprod.py", "_p_complex")}
+                                ("sumprod.py", "_s_complex"), ("sumprod.py", "_p_complex"),
+                                ("sumprod.py", "_mv_x")}
 
 
 def test_one_family_pass():
@@ -346,8 +350,9 @@ def test_one_summand_shape():
     """A summand is a shift and an ideal, and quotient-or-ideal is one kind
     per complex: ``Summand`` declares the fields (shift, ideal) only, the
     rebuilds in ``cancel_units`` and ``truncated`` pass their source's kind
-    on, and the two places that refuse an ideal-kind complex are the two
-    that tensor complexes, ``tensor`` and ``base_change``."""
+    on, and the three places that refuse an ideal-kind complex are the
+    three that tensor complexes, ``tensor``, ``base_change`` and
+    ``ideal_augment``."""
     gcomplex = ast.parse((Path(homotor.__file__).parent / "gcomplex.py").read_text())
     summand = next(node for node in gcomplex.body
                    if isinstance(node, ast.ClassDef) and node.name == "Summand")
@@ -358,6 +363,7 @@ def test_one_summand_shape():
                 if func in ("cancel_units", "truncated")]
     assert sorted(rebuilds) == [("cancel_units", True), ("truncated", True)]
     assert _raise_sites("MixedKinds") == [("gcomplex.py", "base_change"),
+                                          ("gcomplex.py", "ideal_augment"),
                                           ("multicomplex.py", "tensor")]
 
 
@@ -366,6 +372,7 @@ def test_one_summand_shape():
 BUILDERS = [
     ("gcomplex.py", "base_change"),
     ("gcomplex.py", "cancel_units"),
+    ("gcomplex.py", "ideal_augment"),
     ("gcomplex.py", "taylor_resolution"),
     ("multicomplex.py", "Multicomplex.__init__"),
     ("sumprod.py", "_p_complex"),

@@ -39,13 +39,14 @@ from homotor.gcomplex import (
     cancel_units,
     exterior_complex,
     free_summand,
+    ideal_augment,
     module_homology_table,
     resolution,
     summand,
     taylor_resolution,
 )
 from homotor.monomial import MonomialIdeal, Multidegree, iter_box
-from homotor.multicomplex import tensor
+from homotor.multicomplex import Multicomplex, hypercube_augment, tensor
 from homotor.sumprod import (
     augmented_interior_H,
     build_p_complex,
@@ -286,6 +287,35 @@ def test_base_change_refuses_an_ideal_kind_complex():
             base_change(tilde, j)
     with pytest.raises(MixedKinds, match="cyclic summands"):
         tensor([tilde])
+
+
+def test_ideal_augment_puts_the_ideal_above_the_corner():
+    """On the augmentation of no axis, R -> R by the identity, ideal_augment
+    gives I -> R one index up: I(0) at 1, the unit ideal at 0 and the
+    inclusion, so its homology is R/I at index 0.  On the augmented
+    interior of one resolution, every summand above the corner, at any
+    index, becomes I at its shift and the corner the unit ideal.  A cyclic
+    complex with a non-free summand, and an ideal-kind one, are refused."""
+    i = MonomialIdeal(2, [(2, 0), (1, 1)])
+    point = Multicomplex(0, 2, {(): [free_summand((0, 0))]}, {})
+    c = ideal_augment(hypercube_augment(point), i)
+    assert c.kind == IDEAL
+    assert c.terms == {1: (summand(i),), 0: (summand(MonomialIdeal.unit(2)),)}
+    assert c.d == {1: {0: [(0, 1)]}}
+    table = module_homology_table(c)
+    assert table.entries == {(0, tuple(g)): 1 for g in iter_box(table.box)
+                             if not i.contains(g)}
+    aug = hypercube_augment(tensor([resolution(MonomialIdeal(2, [(1, 0), (0, 1)]))]))
+    c = ideal_augment(aug, i)
+    assert {k - 1: [s.shift for s in ss] for k, ss in c.terms.items()} == \
+        {k: [s.shift for s in ss] for k, ss in aug.terms.items()}
+    low = min(c.terms)
+    assert all(s.ideal == (MonomialIdeal.unit(2) if k == low else i)
+               for k, ss in c.terms.items() for s in ss)
+    assert c.d == {k + 1: rows for k, rows in aug.d.items()}
+    for bad in (base_change(aug, i), build_s_complex([i, i], "tilde")):
+        with pytest.raises(MixedKinds, match="free summands"):
+            ideal_augment(bad, i)
 
 
 @st.composite

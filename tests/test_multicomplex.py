@@ -21,7 +21,6 @@ from homotor.cli import random_instance
 from homotor.errors import (
     CompositionNonzero,
     EmptyInput,
-    EmptySelection,
     LengthMismatch,
     MixedKinds,
     ParamOutOfRange,
@@ -466,8 +465,12 @@ def test_hypercube_augment_one_axis():
     aug = hypercube_augment(m)
     table = module_homology_table(aug)
     assert table.records() == [{"i": 0, "degree": [0], "dim": 1}]
-    with pytest.raises(EmptySelection):
-        hypercube_augment(Multicomplex(0, 1, {(): m.terms[(0,)]}, {}))
+    # with no axis, the interior is m_() itself, joined to the corner m_()
+    # by the identity: R -> R one index down, exact everywhere
+    aug = hypercube_augment(Multicomplex(0, 1, {(): m.terms[(0,)]}, {}))
+    assert aug.terms == {0: m.terms[(0,)], -1: m.terms[(0,)]}
+    assert aug.d == {0: {0: [(0, 1)]}}
+    assert module_homology_table(aug).entries == {}
 
 
 def test_hypercube_augment_two_principal():

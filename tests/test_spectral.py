@@ -854,13 +854,18 @@ def test_spectral_command_builds_one_total(kind, monkeypatch):
 def test_support_check_builds_one_mv_total_per_kind_and_subset(monkeypatch):
     """One call over p = 1, 2, 3 builds each total and each Tor table once,
     a singleton's product and sum being one ideal, and reads the homology
-    of each (kind, subset, degree) once; with M = R no total is a tensor."""
-    mv_totals = _Counter(support.mv_total_complex)
+    of each (kind, subset, degree) once; with M = R no total is a tensor.
+    No total is filtered, with or without a module: only its homology is
+    read."""
+    mv_totals = _Counter(support.mv_total)
     tors = _Counter(support.multi_tor)
     tensors = _Counter(sumprod.tensor)
+    filtered = _Counter(FilteredTotal)
     homology_at = GradedComplex.homology_at
     read = []  # (complex, degree) of each homology_at call
-    monkeypatch.setattr(support, "mv_total_complex", mv_totals)
+    monkeypatch.setattr(support, "mv_total", mv_totals)
+    for module in (spectral, sumprod):
+        monkeypatch.setattr(module, "FilteredTotal", filtered)
     monkeypatch.setattr(support, "multi_tor", tors)
     monkeypatch.setattr(sumprod, "tensor", tensors)
     monkeypatch.setattr(GradedComplex, "homology_at", lambda c, g, fld=GF(): (
@@ -875,7 +880,7 @@ def test_support_check_builds_one_mv_total_per_kind_and_subset(monkeypatch):
     tabled = [tuple(ideals) for (ideals,) in tors.calls]
     assert len(tabled) == len(set(tabled)) == 7 + 4  # 7 products, 4 sums with |T| >= 2
     # the homology of each (kind, subset, degree) that some p tests, read once
-    subset = {id(total.total): (kind, tuple(ideals)) for (kind, ideals, _), total
+    subset = {id(total): (kind, tuple(ideals)) for (kind, ideals, _), total
               in zip(mv_totals.calls, mv_totals.results)}
     read = [(*subset[id(c)], g) for c, g in read]
     tested = {(kind, tuple(family[i] for i in T), tuple(g))
@@ -887,6 +892,21 @@ def test_support_check_builds_one_mv_total_per_kind_and_subset(monkeypatch):
     assert len(read) == len(set(read)) and set(read) == tested
     # M = R: each total is X itself, and sumprod builds no Multicomplex
     assert tensors.calls == []
+    assert support.supportoftors_check(family, family[0], [2])[2].passed
+    assert len(tensors.calls) == 2 * 6 and filtered.calls == []
+
+
+@settings(deadline=None, max_examples=15)
+@given(families(min_size=1), st.booleans())
+def test_the_unfiltered_mv_total_is_the_filtered_one(family, with_module):
+    """``mv_total``, which the support check reads, is the total that
+    ``mv_total_complex`` filters: the same terms and differentials, for
+    both kinds, with M = R and with a module."""
+    coefficient = family[-1] if with_module else None
+    for kind in cli.MV_KINDS:
+        plain = sumprod.mv_total(kind, family, coefficient)
+        total = mv_total_complex(kind, family, coefficient).total
+        assert (plain.terms, plain.d, plain.kind) == (total.terms, total.d, total.kind)
 
 
 def test_exactness_check_builds_one_total_per_subfamily(monkeypatch):

@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conftest import (
     exactness_equivalences_oracle,
+    full_augmented_interior,
     independence_oracle,
     mv_tensor_total,
     stream,
@@ -569,6 +570,45 @@ def test_augmented_interior_coefficient_matches_with_coefficient():
         assert augmented_interior_H(family, subset, coefficient).entries == want
 
 
+@st.composite
+def interior_families(draw, min_size=1, max_size=4):
+    """From min_size to max_size proper ideals in 2-3 variables, exponents
+    0..2, and a coefficient that is None, zero or such an ideal.  An ideal has 1-3
+    generators or, so that ties for the most generators are common, k
+    distinct ones of total degree 2, an antichain, k fixed per family."""
+    n = draw(st.integers(2, 3))
+    exponent = st.tuples(*[st.integers(0, 2)] * n).filter(any)
+    ideal = st.lists(exponent, min_size=1, max_size=3).map(lambda g: MonomialIdeal(n, g))
+    k = draw(st.integers(1, 3))
+    tied = st.lists(exponent.filter(lambda e: sum(e) == 2), min_size=k, max_size=k,
+                    unique=True).map(lambda g: MonomialIdeal(n, g))
+    size = draw(st.integers(min_size, max_size))
+    family = draw(st.lists(st.one_of(ideal, tied), min_size=size, max_size=size))
+    coefficient = draw(st.one_of(st.none(), st.just(MonomialIdeal.zero(n)), ideal))
+    return family, coefficient
+
+
+@settings(deadline=None, max_examples=30)
+@given(interior_families(), st.sampled_from([2, 3, 32003]))
+def test_augmented_interior_matches_the_full_tensor(drawn, p):
+    """``augmented_interior_H``, which leaves one ideal unresolved, has the
+    entries of ``full_augmented_interior``, the augmentation of the tensor
+    of every resolution, shifted by the subset size: for every subset of
+    1-4 ideals, with no coefficient and with the drawn one, over GF(2),
+    GF(3) and GF(32003)."""
+    family, coefficient = drawn
+    fld = GF(p)
+    for size in range(1, len(family) + 1):
+        for subset in itertools.combinations(range(len(family)), size):
+            chosen = [family[i] for i in subset]
+            for coeff in {None, coefficient}:
+                box = family_box(chosen, coeff)
+                want = module_homology_table(full_augmented_interior(chosen, coeff), fld, box)
+                got = augmented_interior_H(family, subset, coeff, fld)
+                assert got.box == box
+                assert got.entries == {(i - size, g): d for (i, g), d in want.entries.items()}
+
+
 def _exactness_curated(kxy, kxyz):
     return [
         [kxy["x"], kxy["y"]],
@@ -608,6 +648,66 @@ def test_checkers_match_their_oracles(kxy, kxyz):
     assert strict == {True, False}
 
 
+def _truths(report):
+    """The context and the (name, checked, passed) of each assertion of a
+    checker report, without the witnesses, which name subfamilies."""
+    return report.context, [(a["name"], a["checked"], a["passed"]) for a in report.assertions]
+
+
+@settings(deadline=None, max_examples=25)
+@given(interior_families(2, 3).flatmap(
+    lambda d: st.tuples(st.just(d), st.permutations(range(len(d[0]))))),
+    st.sampled_from([2, 3, 32003]))
+def test_permuting_the_family_keeps_sp_tables_and_checker_truths(drawn, p):
+    """Relation 1 on the sum/product side: the family permuted by pi has
+    the same S and P homology tables (both variants), the augmented
+    interior table of a subset T equals the original's at pi(T), with and
+    without a coefficient, whichever ideal is left unresolved, and
+    ``verify``, ``equiv-exactness`` and ``indep --strong`` give the same
+    truth values and p*, every subset's independence moved by pi."""
+    (family, coefficient), pi = drawn
+    permuted = [family[k] for k in pi]
+    fld, n = GF(p), len(family)
+    for build in (build_s_complex, build_p_complex):
+        for variant in ("quotient", "tilde"):
+            a = complex_homology_table(build(family, variant), fld)
+            b = complex_homology_table(build(permuted, variant), fld)
+            assert (a.entries, a.box) == (b.entries, b.box), (build.__name__, variant)
+    for size in range(1, n + 1):
+        for subset in itertools.combinations(range(n), size):
+            for coeff in {None, coefficient}:
+                a = augmented_interior_H(permuted, subset, coeff, fld)
+                b = augmented_interior_H(family, [pi[k] for k in subset], coeff, fld)
+                assert (a.entries, a.box) == (b.entries, b.box), (subset, coeff)
+    assert _truths(verify_identities(permuted, fld)) == _truths(verify_identities(family, fld))
+    assert (_truths(exactness_equivalences(permuted, fld))
+            == _truths(exactness_equivalences(family, fld)))
+    a, b = independence(permuted, fld, strong=True), independence(family, fld, strong=True)
+    assert (a.context["independent"], a.context["agreement"]) == (
+        b.context["independent"], b.context["agreement"])
+    for size in range(2, n + 1):
+        for subset in itertools.combinations(range(n), size):
+            moved = sorted(pi[k] for k in subset)
+            assert a.context["subsets"][str(list(subset))] == b.context["subsets"][str(moved)]
+
+
+def test_permuting_a_tie_changes_the_unresolved_ideal(monkeypatch):
+    """(x, y) and (x^2, y^2) have two generators each, so the augmented
+    interior leaves the first of them unresolved, the ideal
+    ``ideal_augment`` takes: the two orders build different complexes and
+    still give one table, with nonzero q >= 0 rows."""
+    unresolved = []
+    augment = sumprod.ideal_augment
+    monkeypatch.setattr(sumprod, "ideal_augment",
+                        lambda c, ideal: unresolved.append(ideal) or augment(c, ideal))
+    m, squares = MonomialIdeal(2, [(1, 0), (0, 1)]), MonomialIdeal(2, [(2, 0), (0, 2)])
+    a = augmented_interior_H([m, squares], [0, 1])
+    b = augmented_interior_H([squares, m], [0, 1])
+    assert unresolved == [m, squares]
+    assert (a.entries, a.box) == (b.entries, b.box)
+    assert any(q >= 0 for q in a.nonzero_indices())
+
+
 def test_checkers_build_once_per_subfamily(kxyz, monkeypatch):
     """On x, y, z, where every subfamily is independent, the exactness check
     makes one Tor table, one P and one S per subfamily of size >= 2 (its
@@ -637,15 +737,16 @@ def test_checkers_build_once_per_subfamily(kxyz, monkeypatch):
 
 def test_exactness_tables_only_for_subfamilies_of_two_or_more(kxyz, monkeypatch):
     """Only subfamilies of size >= 2 have their H tables read: three pairs and
-    the triple, told apart by their number of axes and their family boxes,
-    which differ."""
+    the triple, told apart by their sizes and their family boxes, which
+    differ; each table gets its ideals' resolutions, one each."""
     family = [kxyz["x"], kxyz["y"], kxyz["xy"]]
     calls = []
     table = sumprod._interior_table
 
-    def counted(m, coefficient, fld, box):
-        calls.append((m.n_axes, tuple(box)))
-        return table(m, coefficient, fld, box)
+    def counted(chosen, resolved, coefficient, fld, box):
+        assert len(resolved) == len(chosen) and coefficient is None
+        calls.append((len(chosen), tuple(box)))
+        return table(chosen, resolved, coefficient, fld, box)
 
     monkeypatch.setattr(sumprod, "_interior_table", counted)
     exactness_equivalences(family)
@@ -658,13 +759,14 @@ def test_exactness_tables_only_for_subfamilies_of_two_or_more(kxyz, monkeypatch)
 def test_exactness_resolves_each_ideal_once_and_builds_each_tensor_once(monkeypatch):
     """On (xy^2), (y^2, xy), (y, x^2), where q >= 0 rows of the augmented
     interior survive, so pages are read, the exactness check resolves each
-    of the three ideals once and builds one tensor per subfamily of size
-    >= 2; the page engine of a subfamily reads the very tensor its H table
-    was built from."""
+    of the three ideals once.  Each subfamily of size >= 2 builds one
+    tensor of all its resolutions but the unresolved ideal's for its H
+    table, and the full tensor of its resolutions only where its page
+    engine reads it, from the very resolutions its H table got."""
     family = [MonomialIdeal(2, [(1, 2)]), MonomialIdeal(2, [(0, 2), (1, 1)]),
               MonomialIdeal(2, [(0, 1), (2, 0)])]
-    calls = {"resolution": 0, "tensor": 0}
-    tables, filtered = [], []
+    calls = {"resolution": 0}
+    tensors, tables, filtered = [], [], []
     resolution_, tensor_ = sumprod.resolution, sumprod.tensor
     table, build = sumprod._interior_table, sumprod.build_filtration
 
@@ -672,26 +774,35 @@ def test_exactness_resolves_each_ideal_once_and_builds_each_tensor_once(monkeypa
         calls["resolution"] += 1
         return resolution_(ideal)
 
-    def counted_tensor(factors):
-        calls["tensor"] += 1
-        return tensor_(factors)
+    def kept_tensor(factors):
+        tensors.append((list(factors), tensor_(factors)))
+        return tensors[-1][1]
 
-    def kept_table(m, *args):
-        tables.append(m)
-        return table(m, *args)
+    def kept_table(chosen, resolved, *args):
+        tables.append(list(resolved))
+        return table(chosen, resolved, *args)
 
     def kept_build(m, *, kind):
         filtered.append(m)
         return build(m, kind=kind)
 
+    def same(a, b):
+        return len(a) == len(b) and all(x is y for x, y in zip(a, b))
+
     monkeypatch.setattr(sumprod, "resolution", counted_resolution)
-    monkeypatch.setattr(sumprod, "tensor", counted_tensor)
+    monkeypatch.setattr(sumprod, "tensor", kept_tensor)
     monkeypatch.setattr(sumprod, "_interior_table", kept_table)
     monkeypatch.setattr(sumprod, "build_filtration", kept_build)
     exactness_equivalences(family)
-    assert calls == {"resolution": 3, "tensor": 4}
+    assert calls == {"resolution": 3}
     assert len(tables) == 4 and filtered
-    assert all(any(m is t for t in tables) for m in filtered)
+    full = [factors for factors, m in tensors if any(m is f for f in filtered)]
+    short = [factors for factors, m in tensors if not any(m is f for f in filtered)]
+    assert len(full) == len(filtered) and len(short) == len(tables)
+    assert all(any(same(factors, t) for t in tables) for factors in full)
+    # the k-th table builds the k-th short tensor, of its resolutions but one
+    for factors, t in zip(short, tables):
+        assert len(factors) == len(t) - 1 and all(any(f is r for r in t) for f in factors)
 
 
 def test_exactness_equivalences_truth_values(kxy, kxyz):
