@@ -99,14 +99,26 @@ def _is_natural(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object, refusing a repeated key rather than keep its last value."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValidationError(f"problem file repeats the key {key!r}")
+        out[key] = value
+    return out
+
+
 def parse_problem(path) -> ProblemFile:
     try:
-        with open(path) as fh:
-            raw = json.load(fh)
+        with open(path, encoding="utf-8") as fh:
+            raw = json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}: {exc.msg}") from exc
+    except (UnicodeDecodeError, RecursionError) as exc:  # not UTF-8, or nested too deeply
+        raise ParseError(f"{path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ValidationError("problem file must be a JSON object")
     char = GF(raw.get("characteristic", DEFAULT_CHARACTERISTIC)).p

@@ -43,7 +43,8 @@ multicomplex (Koszul cone and its hypercube-augmented variant, by the
 number of face coordinates at 1; the support-count filtration and its
 augmented variant, by the number of nonzero coordinates); the two
 Mayer-Vietoris double complexes are built next to S and P, by
-``sumprod.mv_total_complex``.  This module knows nothing of ideals: it
+``sumprod.mv_total_complex``, their one builder, whose ``.total`` the
+support check reads unfiltered.  This module knows nothing of ideals: it
 filters multicomplexes by position.  Each builder returns a new filtered
 total; a caller reading many degrees builds it once and passes it to
 ``pages`` at each degree.

@@ -1,7 +1,8 @@
 """The sum complex S (quotients by sums, cochain) and product complex P
 (quotients by products, chain) of a family of ideals, their tilde variants
 inside the unit Koszul complex, the two Mayer-Vietoris double complexes
-built from S and P (``mv_total_complex``; ``mv_total`` unfiltered), the
+built from S and P (``mv_total_complex``, their one builder: the support
+check reads only the homology of its ``.total``, the abutment), the
 augmented interior tables, and the degreewise verification suite for the
 identities relating their homology to multiple Tor.
 
@@ -56,23 +57,18 @@ def build_s_complex(ideals, variant: str = "quotient") -> GradedComplex:
 
 def _s_complex(ideals, n_vars: int, kind: str) -> GradedComplex:
     """``build_s_complex`` of a family its caller checked, in n_vars variables."""
-    bottom = combine(ideals, "product")
-    terms, d = exterior_complex(
-        len(ideals),
-        lambda s: summand(combine([ideals[i] for i in s], "sum") if s else bottom),
+    return GradedComplex(n_vars, *_s_terms(ideals), kind)
+
+
+def _s_terms(family):
+    """The terms and differentials of S, S^p at index -p, of a family its
+    caller checked: the summand rule of S and S_-."""
+    return exterior_complex(
+        len(family),
+        lambda s: summand(combine([family[i] for i in s], "sum") if s
+                          else combine(family, "product")),
         "cochain",
     )
-    return GradedComplex(n_vars, terms, d, kind)
-
-
-def truncated(s: GradedComplex) -> GradedComplex:
-    """S_- = S^1 -> ... -> S^n, the degree-1 truncation of a sum complex
-    S^0 -> ... -> S^n, as a chain complex: S^p at index n - p, of the
-    kind of s, for the sum_to_product Mayer-Vietoris total only."""
-    n = -min(s.terms)
-    terms = {i + n: ss for i, ss in s.terms.items() if i != 0}
-    d = {i + n: rows for i, rows in s.d.items() if i != 0}
-    return GradedComplex(s.n, terms, d, s.kind)
 
 
 def build_p_complex(ideals, variant: str = "quotient") -> GradedComplex:
@@ -95,37 +91,14 @@ def _p_complex(ideals, n_vars: int, kind: str) -> GradedComplex:
     return GradedComplex(n_vars, terms, d, kind)
 
 
-def _mv_x(kind: str, ideals, n_vars: int) -> GradedComplex:
-    """X of the Mayer-Vietoris double complex of the kind, S_- for
-    sum_to_product and P for product_to_sum, of a family its caller
-    checked, in n_vars variables."""
-    if kind == "sum_to_product":
-        return truncated(_s_complex(ideals, n_vars, CYCLIC))
-    if kind == "product_to_sum":
-        return _p_complex(ideals, n_vars, CYCLIC)
-    raise InvalidKind(f"unknown mv kind {kind!r}")
-
-
-def mv_total(kind: str, ideals, coefficient: MonomialIdeal | None = None
-             ) -> GradedComplex:
-    """The total of the S_-/P double complex, unfiltered, for a caller that
-    reads only its homology: X itself when M = R, as in
-    ``mv_total_complex``, else the total of X ⊗ F."""
-    ideals, box = check_family(ideals, coefficient)
-    x = _mv_x(kind, ideals, box.n)
-    if coefficient is None or coefficient.is_zero():
-        return x
-    return tensor([x, resolution(coefficient)]).total
-
-
 def mv_total_complex(kind: str, ideals, coefficient: MonomialIdeal | None = None
                      ) -> FilteredTotal:
     """The filtered total of the S_-/P double complex, the tensor of a
     complex X with the free resolution F of M, filtered by the X position.
 
-    sum_to_product: X is S_- = S^1 -> ... -> S^n, built by ``truncated``
-    with S^p at chain index n - p, so a summand S^p ⊗ F_q sits in degree
-    n - p + q with filtration weight n - p; its first page has
+    sum_to_product: X is S_- = S^1 -> ... -> S^n, built at once from the
+    terms of S with S^p at chain index n - p, so a summand S^p ⊗ F_q sits
+    in degree n - p + q with filtration weight n - p; its first page has
     E^1_{n-p,q} = ⊕ Tor_q(M, R/(sum of a p-subset)).  product_to_sum:
     X = P, P_p ⊗ F_q in degree p + q, weight p; E^1_{p,q} = ⊕ Tor_q(M,
     R/(product of a p-subset)).
@@ -138,7 +111,15 @@ def mv_total_complex(kind: str, ideals, coefficient: MonomialIdeal | None = None
     This is the rule by which ``multi_tor`` leaves a zero coefficient out.
     """
     ideals, box = check_family(ideals, coefficient)
-    x = _mv_x(kind, ideals, box.n)
+    if kind == "sum_to_product":
+        n = len(ideals)
+        terms, d = _s_terms(ideals)  # S^0 at index 0 and d^0 out of it are dropped
+        x = GradedComplex(box.n, {i + n: ss for i, ss in terms.items() if i},
+                          {i + n: rows for i, rows in d.items() if i}, CYCLIC)
+    elif kind == "product_to_sum":
+        x = _p_complex(ideals, box.n, CYCLIC)
+    else:
+        raise InvalidKind(f"unknown mv kind {kind!r}")
     if coefficient is None or coefficient.is_zero():
         return FilteredTotal(x, {i: [i] * len(ss) for i, ss in x.terms.items()})
     return _by_weight(tensor([x, resolution(coefficient)]), lambda q: q[0])

@@ -7,10 +7,12 @@ min(gamma, box).  ``region_compare`` compares two tables' regions over the
 lcm of their boxes.  The union-equality checker compares supports of Tor
 against products with Tor against sums and cross-checks both containments
 against the abutment, the total's homology, of the two Mayer-Vietoris
-spectral sequences.  It takes the families that ``variable_blocks``
-accepts, nonzero ideals generated by single variables in pairwise disjoint
-blocks; the CLI asks the same function whether a family gets the union
-check or per-ideal regions.
+spectral sequences, read off the ``.total`` of ``sumprod.mv_total_complex``,
+their one builder: the filtration it leaves unread costs about what
+building S_- in one pass saves.  It takes the families that
+``variable_blocks`` accepts, nonzero ideals generated by single variables
+in pairwise disjoint blocks; the CLI asks the same function whether a
+family gets the union check or per-ideal regions.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .monomial import (
     iter_box,
     lcm_deg,
 )
-from .sumprod import mv_total
+from .sumprod import mv_total_complex
 from .torlab import CheckReport, multi_tor
 
 SPECTRAL_DEGREES = 8  # support cells cross-checked against both MV abutments
@@ -123,7 +125,8 @@ def supportoftors_check(ideals, coefficient: MonomialIdeal | None, ps,
         tests g."""
         if (kind, T, g) not in found:
             if (kind, T) not in totals:
-                totals[(kind, T)] = mv_total(kind, [ideals[i] for i in T], coefficient)
+                totals[(kind, T)] = mv_total_complex(
+                    kind, [ideals[i] for i in T], coefficient).total
             found[(kind, T, g)] = _containment(
                 kind, T, g, tor[T], totals[(kind, T)].homology_at(g, fld))
         return found[(kind, T, g)]

@@ -42,7 +42,6 @@ from homotor.sumprod import (
     build_p_complex,
     build_s_complex,
     complex_homology_table,
-    truncated,
 )
 from homotor.support import SPECTRAL_DEGREES
 from homotor.torlab import (
@@ -173,18 +172,26 @@ def tensor_by_search(factors):
 def shifted_oracle(c, k):
     """c moved k degrees up, re-keyed and rebuilt: index i holds what sat
     at index i - k.  The reference for the shift a ``Multicomplex`` and
-    ``truncated`` build their complexes at."""
+    the S_- of ``mv_total_complex`` build their complexes at."""
     return GradedComplex(c.n, {i + k: ss for i, ss in c.terms.items()},
                          {i + k: rows for i, rows in c.d.items()}, c.kind)
 
 
 def truncated_cochain(s):
     """S^1 -> ... -> S^n of a sum complex as a cochain complex, S^p at
-    index -p (index 0 dropped): the reference for the chain complex S_-
-    that ``truncated`` builds at once, S^p at index n - p."""
+    index -p (index 0 dropped): with ``s_minus``, the reference for the
+    chain complex S_- that ``mv_total_complex`` builds at once, S^p at
+    index n - p."""
     terms = {i: ss for i, ss in s.terms.items() if i != 0}
     d = {i: rows for i, rows in s.d.items() if i != 0}
     return GradedComplex(s.n, terms, d, s.kind)
+
+
+def s_minus(ideals):
+    """S_- = S^1 -> ... -> S^n of the family, S^p at chain index n - p,
+    built in three checked steps: S, its cochain truncation, the shift by
+    n.  The reference for the one-pass S_- of ``mv_total_complex``."""
+    return shifted_oracle(truncated_cochain(build_s_complex(ideals)), len(ideals))
 
 
 def augment_in_two_steps(m):
@@ -678,7 +685,7 @@ def mv_tensor_total(kind, ideals, coefficient=None):
     M, of the zero ideal when M = R, and filtered by X's position.  The
     oracle of ``mv_total_complex``, which takes X itself when M = R."""
     if kind == "sum_to_product":
-        x = truncated(build_s_complex(ideals))
+        x = s_minus(ideals)
     else:
         x = build_p_complex(ideals)
     m = MonomialIdeal.zero(x.n) if coefficient is None else coefficient

@@ -1,13 +1,17 @@
 """Problem parsing, command dispatch, exit codes, output determinism."""
 
+import contextlib
+import io
 import itertools
 import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from homotor.cli import (
     COMMANDS,
@@ -69,13 +73,42 @@ def test_parse_rejects_composite_characteristic(tmp_path):
         parse_problem(str(path))
 
 
-def test_parse_rejects_garbage(tmp_path):
+NOT_UTF8 = b"\xff\xfe{}"  # a UTF-16 byte-order mark, invalid as UTF-8
+DEEP = b"[" * 200_000  # nested past any recursion limit
+REPEATED = b'{"variables": ["x", "y"], "ideals": {"I": [[1, 0]], "I": [[0, 1]], "J": [[1, 1]]}}'
+
+
+def test_parse_rejects_garbage(tmp_path, capsys):
+    """Text that is not JSON, a missing file, bytes that are not UTF-8 and
+    nesting too deep to parse are one ``ParseError``, which ``main`` exits
+    2 on, never a raw traceback."""
     path = tmp_path / "bad.json"
     path.write_text("{not json")
     with pytest.raises(ParseError):
         parse_problem(str(path))
     with pytest.raises(ParseError):
         parse_problem(str(tmp_path / "missing.json"))
+    for content, message in ((NOT_UTF8, "can't decode byte 0xff"), (DEEP, "recursion")):
+        path.write_bytes(content)
+        with pytest.raises(ParseError, match=message):
+            parse_problem(str(path))
+        assert main(["tor", str(path)]) == 2
+        assert json.loads(capsys.readouterr().out)["error"]["type"] == "ParseError"
+
+
+def test_a_repeated_key_is_refused(tmp_path, capsys):
+    """A key given twice, in the ideals as at the top level, is refused by
+    name rather than collapsed onto its last value."""
+    path = tmp_path / "twice.json"
+    path.write_bytes(REPEATED)
+    with pytest.raises(ValidationError, match="^problem file repeats the key 'I'$"):
+        parse_problem(str(path))
+    assert main(["tor", str(path)]) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == {
+        "type": "ValidationError", "message": "problem file repeats the key 'I'"}
+    path.write_text('{"variables": ["x"], "variables": ["y"], "ideals": {"I": [[1]]}}')
+    with pytest.raises(ValidationError, match="'variables'"):
+        parse_problem(str(path))
 
 
 def test_run_tor_command(problem_path):
@@ -722,3 +755,74 @@ def test_sample_degrees_unranks_the_listed_choice():
     assert (1, 2, 0) in boxes  # 6 cells: all of them are taken
     for box in boxes:
         assert _sample_degrees(box) == _sample_from_the_list(box), box
+
+
+_KEYS = ("characteristic", "variables", "ideals", "module", "grading", "box")
+_NAMES = st.text("xyIJ", max_size=2)
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 40) | st.floats(-2, 4) | _NAMES,
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(_NAMES, kids, max_size=3),
+    max_leaves=6)
+_IDEALS = st.dictionaries(
+    st.sampled_from(["I", "J", "K"]),
+    st.lists(st.lists(st.integers(0, 2), min_size=2, max_size=2), max_size=2),
+    min_size=1, max_size=3)
+
+
+def _render(pairs) -> bytes:
+    """A JSON object written pair by pair, so a key may repeat."""
+    return ("{" + ", ".join(f"{json.dumps(k)}: {json.dumps(v)}" for k, v in pairs) + "}").encode()
+
+
+@st.composite
+def problem_files(draw):
+    """Problem-file bytes: random bytes, deep nesting, or an object whose
+    entries are small, valid or random JSON values, perhaps repeated."""
+    shape = draw(st.sampled_from(["bytes", "deep", "object"]))
+    if shape == "bytes":
+        return draw(st.binary(max_size=24))
+    if shape == "deep":
+        opening = draw(st.sampled_from([b"[", b'{"a": ']))
+        return opening * draw(st.sampled_from([8, 5000, 200_000]))
+    valid = {"variables": ["x", "y"], "ideals": draw(_IDEALS)}
+    pairs = [(k, draw(st.just(valid[k]) | _JSON_VALUES) if k in valid else draw(_JSON_VALUES))
+             for k in draw(st.lists(st.sampled_from(_KEYS), max_size=7))]
+    pairs = [(k, v) for k, v in valid.items() if k not in dict(pairs)] + pairs
+    return _render(pairs)
+
+
+def _repeats_a_key(content: bytes) -> bool:
+    """Whether the content parses as JSON with some object repeating a key."""
+    repeated = []
+
+    def pairs_hook(pairs):
+        repeated.extend(k for k, n in Counter(k for k, _ in pairs).items() if n > 1)
+        return dict(pairs)
+    try:
+        json.loads(content.decode("utf-8"), object_pairs_hook=pairs_hook)
+    except (ValueError, RecursionError):
+        return False
+    return bool(repeated)
+
+
+@settings(deadline=None, max_examples=50)
+@given(content=problem_files(),
+       command=st.sampled_from([["tor"], ["scomplex"], ["support"], ["verify"],
+                                ["spectral", "--kind", "product_to_sum"]]))
+@example(content=NOT_UTF8, command=["tor"])
+@example(content=DEEP, command=["tor"])
+@example(content=REPEATED, command=["tor"])
+def test_any_problem_file_exits_cleanly(tmp_path_factory, content, command):
+    """Whatever a problem file holds, ``main`` exits 0, 1 or 2 and lets no
+    exception escape; it exits 1 only with a failed assertion in its
+    report, and 2 on any file that repeats a key."""
+    path = tmp_path_factory.mktemp("fuzz") / "problem.json"
+    path.write_bytes(content)
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        code = main([command[0], str(path), *command[1:]])
+    out = json.loads(printed.getvalue())
+    assert code in (0, 1, 2)
+    assert (code == 1) == any(a["passed"] is False for a in out.get("assertions", []))
+    if _repeats_a_key(content):
+        assert code == 2 and out["error"]["type"] == "ValidationError"

@@ -28,7 +28,6 @@ from homotor.sumprod import (
     build_p_complex,
     build_s_complex,
     exactness_equivalences,
-    mv_total,
     mv_total_complex,
     verify_identities,
 )
@@ -232,7 +231,6 @@ FAMILY_FUNCTIONS = {
         lambda f, c, b: mv_total_complex("sum_to_product", f, c), True, False),
     "mv_product_to_sum": (
         lambda f, c, b: mv_total_complex("product_to_sum", f, c), True, False),
-    "mv_total": (lambda f, c, b: mv_total("product_to_sum", f, c), True, False),
     "augmented_interior_H": (
         lambda f, c, b: augmented_interior_H(f, range(len(f)), c, box=b), True, True),
     "verify_identities": (lambda f, c, b: verify_identities(f), False, False),
@@ -279,8 +277,7 @@ def test_one_family_contract():
     function of torlab, sumprod and support with a parameter ``ideals``
     calls ``check_family``, but for the predicate ``variable_blocks`` and
     ``_s_complex`` and ``_p_complex``, the builds of S and P that are
-    handed a family their caller checked, as is ``_mv_x``, the X of both
-    Mayer-Vietoris totals."""
+    handed a family their caller checked."""
     assert _raise_sites("UnitIdeal") == [("monomial.py", "refuse_unit")]
     callers = {(path, func) for path, func, _ in _call_sites("check_family")}
     takers = set()
@@ -289,10 +286,9 @@ def test_one_family_contract():
         takers |= {(name, node.name) for node in ast.walk(tree)
                    if isinstance(node, ast.FunctionDef)
                    and "ideals" in [a.arg for a in node.args.args + node.args.kwonlyargs]}
-    assert len(takers) == 18  # the 14 entry points of FAMILY_FUNCTIONS and the four above
+    assert len(takers) == 16  # the 13 entry points of FAMILY_FUNCTIONS and the three above
     assert takers - callers == {("support.py", "variable_blocks"),
-                                ("sumprod.py", "_s_complex"), ("sumprod.py", "_p_complex"),
-                                ("sumprod.py", "_mv_x")}
+                                ("sumprod.py", "_s_complex"), ("sumprod.py", "_p_complex")}
 
 
 def test_one_family_pass():
@@ -348,20 +344,21 @@ def test_one_composition_check():
 
 def test_one_summand_shape():
     """A summand is a shift and an ideal, and quotient-or-ideal is one kind
-    per complex: ``Summand`` declares the fields (shift, ideal) only, the
-    rebuilds in ``cancel_units`` and ``truncated`` pass their source's kind
-    on, and the three places that refuse an ideal-kind complex are the
-    three that tensor complexes, ``tensor``, ``base_change`` and
+    per complex: ``Summand`` declares the fields (shift, ideal) only,
+    ``cancel_units`` is the one rebuild that passes its source's kind on
+    (the only ``GradedComplex`` call whose kind reads a complex's
+    ``kind``), and the three places that refuse an ideal-kind complex are
+    the three that tensor complexes, ``tensor``, ``base_change`` and
     ``ideal_augment``."""
     gcomplex = ast.parse((Path(homotor.__file__).parent / "gcomplex.py").read_text())
     summand = next(node for node in gcomplex.body
                    if isinstance(node, ast.ClassDef) and node.name == "Summand")
     assert [node.target.id for node in summand.body
             if isinstance(node, ast.AnnAssign)] == ["shift", "ideal"]
-    rebuilds = [(func, len(node.args) == 4 or any(k.arg == "kind" for k in node.keywords))
-                for _, func, node in _call_sites("GradedComplex")
-                if func in ("cancel_units", "truncated")]
-    assert sorted(rebuilds) == [("cancel_units", True), ("truncated", True)]
+    rebuilds = [func for _, func, node in _call_sites("GradedComplex")
+                if any(isinstance(v, ast.Attribute) and v.attr == "kind" for v in
+                       node.args[3:] + [k.value for k in node.keywords if k.arg == "kind"])]
+    assert rebuilds == ["cancel_units"]
     assert _raise_sites("MixedKinds") == [("gcomplex.py", "base_change"),
                                           ("gcomplex.py", "ideal_augment"),
                                           ("multicomplex.py", "tensor")]
@@ -377,7 +374,7 @@ BUILDERS = [
     ("multicomplex.py", "Multicomplex.__init__"),
     ("sumprod.py", "_p_complex"),
     ("sumprod.py", "_s_complex"),
-    ("sumprod.py", "truncated"),
+    ("sumprod.py", "mv_total_complex"),
 ]
 
 
@@ -506,12 +503,11 @@ def test_one_sparse_map_form():
     coefficient), ...]}, normalised in one place: ``_rows`` is called only
     by the two constructors, ``GradedComplex`` has no second copy of d in
     another form, and outside gcomplex.py a complex's ``d`` is read only
-    by ``tensor``, ``truncated`` and ``FilteredTotal.__init__``."""
+    by ``tensor`` and ``FilteredTotal.__init__``."""
     assert sorted((path, func) for path, func, _ in _call_sites("_rows")) == [
         ("gcomplex.py", "GradedComplex.__init__"), ("multicomplex.py", "Multicomplex.__init__")]
     assert {site for site in _attribute_reads("d") if site[0] != "gcomplex.py"} == {
-        ("multicomplex.py", "tensor"), ("sumprod.py", "truncated"),
-        ("spectral.py", "FilteredTotal.__init__")}
+        ("multicomplex.py", "tensor"), ("spectral.py", "FilteredTotal.__init__")}
     c = resolution(MonomialIdeal(2, [(1, 0), (0, 1)]))
     assert not hasattr(c, "entries")
     assert c.d == {1: {0: [(0, 1)], 1: [(0, 1)]}, 2: {0: [(0, -1), (1, 1)]}}

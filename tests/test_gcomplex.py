@@ -52,7 +52,6 @@ from homotor.sumprod import (
     build_p_complex,
     build_s_complex,
     complex_homology_table,
-    truncated,
 )
 from homotor.torlab import tor1_oracle
 
@@ -356,14 +355,14 @@ def test_base_change_is_the_total_of_the_tensor_with_one_summand(case):
 
 
 def test_rebuilt_complexes_keep_their_kind():
-    """``truncated`` and ``cancel_units`` rebuild a tilde complex, whose
-    summands are the ideals J(-a), as one of ideal kind: a tilde S with two
-    equal summands (x) loses that pair and keeps its fibres."""
+    """``cancel_units`` rebuilds a tilde complex, whose summands are the
+    ideals J(-a), as one of ideal kind: a tilde S with two equal summands
+    (x) loses that pair and keeps its fibres."""
     family = [MonomialIdeal(1, [(1,)]), MonomialIdeal(1, [(2,)])]
     s = build_s_complex(family, "tilde")
     reduced = cancel_units(s)
     assert ranks_of(reduced) == {0: 1, -1: 1}
-    for c in (truncated(s), reduced, cancel_units(build_p_complex(family, "tilde"))):
+    for c in (reduced, cancel_units(build_p_complex(family, "tilde"))):
         assert c.kind == IDEAL
     box = s.stable_box()
     assert module_homology_table(reduced, box=box) == module_homology_table(s, box=box)

@@ -45,7 +45,7 @@ from homotor.multicomplex import (
     tensor,
 )
 from homotor.spectral import _by_weight, build_filtration, pages
-from homotor.sumprod import build_p_complex, build_s_complex, truncated
+from homotor.sumprod import build_p_complex, build_s_complex, mv_total_complex
 
 
 def res(*gens):
@@ -134,7 +134,7 @@ def tensor_factors(draw):
         family = draw(st.lists(ideals, min_size=2, max_size=3))
         if build == "p":
             return build_p_complex(family)
-        return truncated(build_s_complex(family))
+        return mv_total_complex("sum_to_product", family).total
 
     return [factor() for _ in range(draw(st.integers(1, 3)))]
 
@@ -320,8 +320,9 @@ def s_families(draw):
 def test_totals_are_built_at_the_degrees_they_are_read(factors, family):
     """The total and layout of ``hypercube_extend(m)`` and of
     ``koszul_cone(hypercube_extend(m), face_axes=n)`` are those of the same
-    positions at shift 0 moved by -1, and ``truncated`` S_- is the cochain
-    truncation of S moved up by n: term by term, entry by entry."""
+    positions at shift 0 moved by -1, and the S_- that ``mv_total_complex``
+    builds in one pass is the cochain truncation of S moved up by n: term
+    by term, entry by entry, of the quotient kind."""
     m = tensor(factors)
     for built in (hypercube_extend(m), koszul_cone(hypercube_extend(m), face_axes=m.n_axes)):
         assert built.shift == -1
@@ -331,9 +332,11 @@ def test_totals_are_built_at_the_degrees_they_are_read(factors, family):
         assert built.total.d == want.d
         assert built.layout == {i - 1: qs for i, qs in plain.layout.items()}
     s = build_s_complex(family)
-    got, want = truncated(s), shifted_oracle(truncated_cochain(s), len(family))
+    got = mv_total_complex("sum_to_product", family).total
+    want = shifted_oracle(truncated_cochain(s), len(family))
     assert got.terms == want.terms
     assert got.d == want.d
+    assert got.kind == want.kind
 
 
 def test_axis_indices_are_checked():

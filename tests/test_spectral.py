@@ -16,6 +16,7 @@ from conftest import (
     pair_intersection,
     persistence_pairs_oracle,
     region,
+    s_minus,
 )
 from homotor import cli, gcomplex, spectral, sumprod, support, torlab
 from homotor.errors import (
@@ -30,7 +31,7 @@ from homotor.gcomplex import GradedComplex, free_summand, taylor_resolution
 from homotor.monomial import MonomialIdeal, Multidegree, iter_box
 from homotor.multicomplex import hypercube_augment, hypercube_extend, koszul_cone, tensor
 from homotor.spectral import FilteredTotal, build_filtration, pages
-from homotor.sumprod import build_p_complex, build_s_complex, mv_total_complex, truncated
+from homotor.sumprod import build_p_complex, build_s_complex, mv_total_complex
 from homotor.torlab import family_box, multi_tor
 
 P = GF().p
@@ -379,7 +380,7 @@ def test_levels_are_weights_of_the_layout_positions():
             "interior_augmented": (hypercube_extend(m), -1,
                                    lambda q: sum(1 for v in q[:n] if v)),
             "sum_to_product": (
-                tensor([truncated(build_s_complex(family)), resolved]), 0,
+                tensor([s_minus(family), resolved]), 0,
                 lambda q: q[0]),
             "product_to_sum": (tensor([build_p_complex(family), resolved]), 0,
                                lambda q: q[0]),
@@ -714,26 +715,47 @@ def test_permuting_the_family_keeps_tor_and_pages(families_pair, p):
        st.sampled_from([2, 3, 32003]))
 def test_permuting_the_variables_moves_tor_and_pages(family_sigma, p):
     """Renaming the variables by sigma moves every degree by sigma: the
-    ``multi_tor`` table of the renamed family at sigma(gamma), and the
-    pages of all six kinds there (e1, e-infinity, r_stab and every rank
-    table), are the original ones at gamma, at every sampled degree of the
-    box and one past it."""
+    ``multi_tor`` table of the renamed family at sigma(gamma), the S and P
+    homology tables of both variants there, and the pages of all six kinds
+    there (e1, e-infinity, r_stab and every rank table), are the original
+    ones at gamma, at every sampled degree of the box and one past it.  A
+    fresh variable that no ideal uses adds a trailing coordinate 0 to every
+    entry and box of the same tables, and to every degree of the same
+    pages."""
     family, sigma = family_sigma
     fld = GF(p)
 
     def moved(v):  # coordinate j of the renamed degree is coordinate sigma[j]
         return tuple(v[k] for k in sigma)
 
+    def widened(v):
+        return tuple(v) + (0,)
+
     renamed = [MonomialIdeal(ideal.n, [moved(g) for g in ideal.gens]) for ideal in family]
-    a, b = multi_tor(family, fld=fld), multi_tor(renamed, fld=fld)
-    assert {(i, moved(gamma)): d for (i, gamma), d in a.entries.items()} == b.entries
-    assert moved(a.box) == tuple(b.box)
+    fresh = [MonomialIdeal(ideal.n + 1, [widened(g) for g in ideal.gens]) for ideal in family]
+
+    def tables(fam):
+        out = {"tor": multi_tor(fam, fld=fld)}
+        for build in (build_s_complex, build_p_complex):
+            for variant in ("quotient", "tilde"):
+                out[build.__name__, variant] = sumprod.complex_homology_table(
+                    build(fam, variant), fld)
+        return out
+
+    before = tables(family)
+    for image, move in ((renamed, moved), (fresh, widened)):
+        for name, b in tables(image).items():
+            a = before[name]
+            assert {(i, move(gamma)): d for (i, gamma), d in a.entries.items()} == b.entries, name
+            assert move(a.box) == tuple(b.box), name
     box = family_box(family)
-    before, after = _six_totals(family), _six_totals(renamed)
-    for kind, filtered in before.items():
-        for gamma in cli._sample_degrees(box) + [tuple(v + 1 for v in box)]:
-            assert _same_pages(pages(filtered, gamma, fld),
-                               pages(after[kind], moved(gamma), fld)), (kind, tuple(gamma))
+    totals = _six_totals(family)
+    for image, move in ((renamed, moved), (fresh, widened)):
+        after = _six_totals(image)
+        for kind, filtered in totals.items():
+            for gamma in cli._sample_degrees(box) + [tuple(v + 1 for v in box)]:
+                assert _same_pages(pages(filtered, gamma, fld),
+                                   pages(after[kind], move(gamma), fld)), (kind, tuple(gamma))
 
 
 def test_permuting_a_tie_changes_the_unresolved_module(monkeypatch):
@@ -855,15 +877,16 @@ def test_support_check_builds_one_mv_total_per_kind_and_subset(monkeypatch):
     """One call over p = 1, 2, 3 builds each total and each Tor table once,
     a singleton's product and sum being one ideal, and reads the homology
     of each (kind, subset, degree) once; with M = R no total is a tensor.
-    No total is filtered, with or without a module: only its homology is
-    read."""
-    mv_totals = _Counter(support.mv_total)
+    Each total is ``mv_total_complex``'s, the one Mayer-Vietoris builder,
+    so it is filtered exactly once, with or without a module, and only its
+    ``.total``'s homology is read."""
+    mv_totals = _Counter(support.mv_total_complex)
     tors = _Counter(support.multi_tor)
     tensors = _Counter(sumprod.tensor)
     filtered = _Counter(FilteredTotal)
     homology_at = GradedComplex.homology_at
     read = []  # (complex, degree) of each homology_at call
-    monkeypatch.setattr(support, "mv_total", mv_totals)
+    monkeypatch.setattr(support, "mv_total_complex", mv_totals)
     for module in (spectral, sumprod):
         monkeypatch.setattr(module, "FilteredTotal", filtered)
     monkeypatch.setattr(support, "multi_tor", tors)
@@ -877,10 +900,11 @@ def test_support_check_builds_one_mv_total_per_kind_and_subset(monkeypatch):
     assert len(reports[3].context["union_cells"]) > 1
     built = [(kind, tuple(ideals)) for kind, ideals, _ in mv_totals.calls]
     assert len(built) == len(set(built)) == 2 * 7  # two kinds, 7 nonempty subsets
+    assert len(filtered.calls) == len(built)
     tabled = [tuple(ideals) for (ideals,) in tors.calls]
     assert len(tabled) == len(set(tabled)) == 7 + 4  # 7 products, 4 sums with |T| >= 2
     # the homology of each (kind, subset, degree) that some p tests, read once
-    subset = {id(total): (kind, tuple(ideals)) for (kind, ideals, _), total
+    subset = {id(total.total): (kind, tuple(ideals)) for (kind, ideals, _), total
               in zip(mv_totals.calls, mv_totals.results)}
     read = [(*subset[id(c)], g) for c, g in read]
     tested = {(kind, tuple(family[i] for i in T), tuple(g))
@@ -892,21 +916,10 @@ def test_support_check_builds_one_mv_total_per_kind_and_subset(monkeypatch):
     assert len(read) == len(set(read)) and set(read) == tested
     # M = R: each total is X itself, and sumprod builds no Multicomplex
     assert tensors.calls == []
+    before = len(mv_totals.calls)
     assert support.supportoftors_check(family, family[0], [2])[2].passed
-    assert len(tensors.calls) == 2 * 6 and filtered.calls == []
-
-
-@settings(deadline=None, max_examples=15)
-@given(families(min_size=1), st.booleans())
-def test_the_unfiltered_mv_total_is_the_filtered_one(family, with_module):
-    """``mv_total``, which the support check reads, is the total that
-    ``mv_total_complex`` filters: the same terms and differentials, for
-    both kinds, with M = R and with a module."""
-    coefficient = family[-1] if with_module else None
-    for kind in cli.MV_KINDS:
-        plain = sumprod.mv_total(kind, family, coefficient)
-        total = mv_total_complex(kind, family, coefficient).total
-        assert (plain.terms, plain.d, plain.kind) == (total.terms, total.d, total.kind)
+    assert len(tensors.calls) == len(mv_totals.calls) - before == 2 * 6
+    assert len(filtered.calls) == len(mv_totals.calls)
 
 
 def test_exactness_check_builds_one_total_per_subfamily(monkeypatch):

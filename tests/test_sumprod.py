@@ -13,6 +13,7 @@ from conftest import (
     full_augmented_interior,
     independence_oracle,
     mv_tensor_total,
+    s_minus,
     stream,
     tensor_total,
     unit_koszul,
@@ -23,7 +24,13 @@ from homotor import sumprod
 from homotor.cli import random_instance
 from homotor.errors import UnitIdeal, ValidationError
 from homotor.exactlin import GF
-from homotor.gcomplex import TorTable, module_homology_table, resolution, taylor_resolution
+from homotor.gcomplex import (
+    GradedComplex,
+    TorTable,
+    module_homology_table,
+    resolution,
+    taylor_resolution,
+)
 from homotor.monomial import (
     MonomialIdeal,
     Multidegree,
@@ -269,7 +276,7 @@ def families_of_two_to_four(draw):
 def test_four_term_left_side_is_h0_minus_h1_of_s(family, p):
     """In each fibre dim ker d^1 = H^1(S) + rank d^0 and rank d^0 = S^0 -
     H^0(S), so S^0 - H^1(S_-) = H^0(S) - H^1(S) at every box cell, with S^0
-    read by membership in the product and H^1(S_-) off ``truncated``:
+    read by membership in the product and H^1(S_-) off the reference S_-:
     independent strict subfamilies or not.  For a pair H^1(S) = 0 (the
     Mayer-Vietoris sequence), so the four-term assertions read H^0(S)
     alone."""
@@ -277,7 +284,7 @@ def test_four_term_left_side_is_h0_minus_h1_of_s(family, p):
     box = check_family(family)[1]
     s = build_s_complex(family)
     s_tab = complex_homology_table(s, fld, box)
-    h1_minus = module_homology_table(sumprod.truncated(s), fld, box).slice(n - 1)
+    h1_minus = module_homology_table(s_minus(family), fld, box).slice(n - 1)
     product = combine(family, "product")
     for g in map(tuple, iter_box(box)):
         s0 = 0 if membership(g, product) else 1
@@ -506,7 +513,7 @@ def test_surjection_bounds_relabel_the_top_range_witnesses(kxyz, monkeypatch):
 
 def test_verify_identities_builds_no_truncation_and_walks_no_box(kxy, kxyz, monkeypatch):
     """The four-term assertions read S off its table: verify_identities
-    builds no S_-, tests no membership in the product and iterates no box
+    builds no S_- (no Mayer-Vietoris total), tests no membership in the product and iterates no box
     (a complex's own validation still tests membership), and still reports
     what its reference reports."""
     families = [[kxy["x"], kxy["y"]], [kxy["m"], kxy["m"]],
@@ -516,7 +523,7 @@ def test_verify_identities_builds_no_truncation_and_walks_no_box(kxy, kxyz, monk
     def refused(*args):
         raise AssertionError("called by verify_identities")
 
-    for name in ("truncated", "membership", "iter_box"):
+    for name in ("mv_total_complex", "membership", "iter_box"):
         monkeypatch.setattr(sumprod, name, refused, raising=False)
     got = [verify_identities(fam).to_json() for fam in families]
     assert got == want
@@ -892,6 +899,23 @@ def test_product_vs_sum_at_index_one_fails(kxyz):
 
 
 # -- raw Taylor factors against reduced ones ------------------------------------
+
+
+def test_s_minus_is_built_in_one_pass(monkeypatch):
+    """A sum_to_product total builds S_- with one ``GradedComplex`` call, with
+    and without a module: no S is built first and then truncated.  With
+    M = R the total is that S_-."""
+    built = []
+    monkeypatch.setattr(sumprod, "GradedComplex",
+                        lambda *args: built.append(args) or GradedComplex(*args))
+    family = [MonomialIdeal(2, [(1, 0)]), MonomialIdeal(2, [(0, 1), (1, 1)])]
+    total = mv_total_complex("sum_to_product", family).total
+    assert len(built) == 1
+    built.clear()
+    mv_total_complex("sum_to_product", family, family[1])
+    assert len(built) == 1
+    want = s_minus(family)
+    assert (total.terms, total.d, total.kind) == (want.terms, want.d, want.kind)
 
 
 @settings(deadline=None)
