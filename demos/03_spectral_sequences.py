@@ -23,6 +23,16 @@ from homotor import (
     tensor,
 )
 
+
+
+def by_total_degree(pg):
+    """{p + q: the dimensions of E_inf on that diagonal, summed}."""
+    out = {}
+    for (p, q), d in pg.e_infinity.items():
+        out[p + q] = out.get(p + q, 0) + d
+    return out
+
+
 m = MonomialIdeal(2, [(1, 0), (0, 1)])
 family = [m, m]
 multi = tensor([resolution(i) for i in family])
@@ -33,7 +43,7 @@ for kind in ("kcone", "kcone_augmented", "interior", "interior_augmented"):
     pg = pages(filtered, gamma)
     print(f"{kind:20s} E1 = {pg.e1}")
     print(f"{'':20s} E_inf = {pg.e_infinity}, stabilized at page {pg.r_stab}")
-    print(f"{'':20s} E_inf by total degree = {pg.total_dims()}, "
+    print(f"{'':20s} E_inf by total degree = {by_total_degree(pg)}, "
           f"H(total) = {filtered.total.homology_at(gamma)}")
 
 # The Mayer-Vietoris double complexes relate Tor against sums of subfamilies
@@ -43,12 +53,12 @@ origin = Multidegree((0, 0))
 print("\nsum-to-product double complex at", tuple(origin))
 pg = pages(mv_total_complex("sum_to_product", family), origin)
 print("  E1:", pg.e1)
-print("  E_inf by total degree:", pg.total_dims())
+print("  E_inf by total degree:", by_total_degree(pg))
 
 print("\nproduct-to-sum double complex at", tuple(origin))
 pg = pages(mv_total_complex("product_to_sum", family), origin)
 print("  E1:", pg.e1)
-print("  E_inf by total degree:", pg.total_dims())
+print("  E_inf by total degree:", by_total_degree(pg))
 
 # The classical pair bookkeeping: the abutment of the sum-to-product
 # sequence carries R/(I cap J), so Tor_1 = R/IJ minus that, degree by
@@ -63,7 +73,7 @@ stp = mv_total_complex("sum_to_product", pair)  # one total for every degree
 tor = multi_tor(pair)
 for g in ((0,), (1,)):
     pg = pages(stp, Multidegree(g))
-    h1 = pg.total_dims().get(1, 0)
+    h1 = by_total_degree(pg).get(1, 0)
     dim_rij = 0 if prod.contains(g) else 1
     dim_rint = 0 if x.contains(g) else 1  # (x) cap (x) = (x)
     print(f"degree {g}: H_1(total) = {h1} = dim R/(x cap x) = {dim_rint}, "

@@ -3,10 +3,12 @@
 Problem files are JSON: a prime characteristic, an ordered variable list,
 named ideals as lists of exponent vectors, an optional coefficient module
 (named ideal), an optional coarse grading matrix and an optional box
-override.  The grading is validated and echoed in every report, but no
-command reads it.  Reports echo their inputs and serialize every table as
-a sorted array of {"i", "degree", "dim"} records, so identical inputs
-produce byte-identical output; wall-clock timing is opt-in for that reason.
+override.  The module's ideal stays in the family: ``tor`` on I, J with
+module J tabulates Tor(R/I, R/J; R/J).  The grading is validated and
+echoed in every report, but no command reads it.  Reports echo their
+inputs and serialize every table as a sorted array of {"i", "degree",
+"dim"} records, so identical inputs produce byte-identical output;
+wall-clock timing is opt-in for that reason.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from functools import partial
 from . import __version__
 from .errors import (
     HomotorError,
-    InvariantBroken,
+    InternalError,
     ParamOutOfRange,
     ParseError,
     UnknownCommand,
@@ -520,6 +522,6 @@ def main(argv=None) -> int:
             "error": {"type": type(exc).__name__, "message": str(exc)},
         }
         sys.stdout.write(json.dumps(diag, indent=2, sort_keys=True) + "\n")
-        return 3 if isinstance(exc, InvariantBroken) else 2
+        return 3 if isinstance(exc, InternalError) else 2
     _emit(report, flags, started)
     return 0 if all(a["passed"] for a in report["assertions"]) else 1

@@ -8,11 +8,17 @@ class HomotorError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class InternalError(HomotorError):
+    """Base of the checks on what homotor builds for itself: complexes,
+    filtrations and pages.  No problem file reaches one, so under the CLI
+    one means a bug, and ``cli.main`` exits 3 on it, not 2."""
+
+
 class LengthMismatch(HomotorError):
     """Multidegrees or generator vectors of incompatible lengths."""
 
 
-class CompositionNonzero(HomotorError):
+class CompositionNonzero(InternalError):
     """A complex whose differential does not square to zero."""
 
 
@@ -28,7 +34,7 @@ class BoxTooSmall(HomotorError):
     """A user-supplied degree box does not dominate the stability box."""
 
 
-class MixedKinds(HomotorError):
+class MixedKinds(InternalError):
     """A complex of ideal summands J(-a) where quotient summands R/J(-a)
     are required."""
 
@@ -37,11 +43,11 @@ class EmptySelection(HomotorError):
     """An empty axis set or ideal subset where at least one is required."""
 
 
-class FiltrationViolation(HomotorError):
+class FiltrationViolation(InternalError):
     """A differential does not preserve the given filtration."""
 
 
-class InvariantBroken(HomotorError):
+class InvariantBroken(InternalError):
     """An identity the engine maintains by construction failed: a bug, not bad input."""
 
 
@@ -64,6 +70,19 @@ class ValidationError(HomotorError):
 
 class UnknownCommand(HomotorError):
     """An unrecognised CLI command."""
+
+
+class internal:  # a namespace, lower case to read as ``internal.LengthMismatch``
+    """The constructor checks of complexes and multicomplexes that raise an
+    input class: ``internal.LengthMismatch`` is a ``LengthMismatch`` to a
+    library caller and in a diagnostic's ``type``, and an ``InternalError``
+    to ``cli.main``."""
+
+    class LengthMismatch(LengthMismatch, InternalError):
+        """Summands, positions or factors of another length than the complex."""
+
+    class ValidationError(ValidationError, InternalError):
+        """A summand, a position or a map entry that a complex refuses."""
 
 
 def as_int(value, what: str) -> int:

@@ -32,10 +32,9 @@ from operator import and_, le, or_
 from .errors import (
     CompositionNonzero,
     InvalidKind,
-    LengthMismatch,
     MixedKinds,
     ParamOutOfRange,
-    ValidationError,
+    internal,
     as_int,
 )
 from .exactlin import GF, PrimeField, pivot_pairs
@@ -106,14 +105,14 @@ def _rows(rows: dict, n_src: int, n_tgt: int, where) -> dict:
             for t, c in row:
                 t = as_int(t, "summand index")
                 if not isinstance(c, int):
-                    raise ValidationError(f"{where()}: coefficient {c!r} is not an int")
+                    raise internal.ValidationError(f"{where()}: coefficient {c!r} is not an int")
                 if not (0 <= s < n_src and 0 <= t < n_tgt):
-                    raise ValidationError(f"{where()}: entry {s} -> {t} outside its "
-                                          f"{n_src} -> {n_tgt} summands")
+                    raise internal.ValidationError(f"{where()}: entry {s} -> {t} outside "
+                                                   f"its {n_src} -> {n_tgt} summands")
                 merged[s, t] = merged.get((s, t), 0) + c
     except (AttributeError, TypeError, ValueError):
-        raise ValidationError(f"{where()}: a map must be "
-                              "{source: [(target, coefficient), ...]}") from None
+        raise internal.ValidationError(f"{where()}: a map must be "
+                                       "{source: [(target, coefficient), ...]}") from None
     out: dict = {}
     for (s, t), c in sorted(merged.items()):
         if c:
@@ -208,11 +207,11 @@ class GradedComplex:
             for s in ss:
                 if not (isinstance(s.shift, Multidegree)
                         and isinstance(s.ideal, MonomialIdeal)):
-                    raise ValidationError(
+                    raise internal.ValidationError(
                         f"summand {s!r} needs a Multidegree shift and a MonomialIdeal"
                     )
                 if s.shift.n != self.n or s.ideal.n != self.n:
-                    raise LengthMismatch("summand length != variable count")
+                    raise internal.LengthMismatch("summand length != variable count")
         self.d = {}  # {i: d_i as {source: [(target, coefficient), ...]}}
         for i, rows in d.items():
             i = as_int(i, "term index")
@@ -221,7 +220,7 @@ class GradedComplex:
             for s, row in rows.items():
                 for t, _ in row:
                     if not _entry_valid(src_terms[s], tgt_terms[t]):
-                        raise ValidationError(
+                        raise internal.ValidationError(
                             f"inhomogeneous or ill-defined entry at degree {i}: "
                             f"{src_terms[s]} -> {tgt_terms[t]}"
                         )

@@ -18,10 +18,9 @@ import math
 
 from .errors import (
     EmptyInput,
-    LengthMismatch,
     MixedKinds,
     ParamOutOfRange,
-    ValidationError,
+    internal,
     as_int,
     as_ints,
 )
@@ -64,9 +63,9 @@ class Multicomplex:
         for q, summands in terms.items():
             q = as_ints(q, "position coordinate")
             if len(q) != self.n_axes:
-                raise LengthMismatch(f"position {q} has wrong arity")
+                raise internal.LengthMismatch(f"position {q} has wrong arity")
             if min(q, default=0) < 0:
-                raise ValidationError(f"position {q} outside N^n")
+                raise internal.ValidationError(f"position {q} outside N^n")
             summands = tuple(summands)
             if summands:
                 self.terms[q] = summands
@@ -75,11 +74,11 @@ class Multicomplex:
             q = as_ints(q, "position coordinate")
             k = as_int(k, "axis")
             if len(q) != self.n_axes:
-                raise LengthMismatch(f"map key {q} has wrong arity")
+                raise internal.LengthMismatch(f"map key {q} has wrong arity")
             if not 0 <= k < self.n_axes:
-                raise ValidationError(f"axis {k} outside 0..{self.n_axes - 1}")
+                raise internal.ValidationError(f"axis {k} outside 0..{self.n_axes - 1}")
             if min(q) < 0 or q[k] == 0:
-                raise ValidationError(f"axis {k} map out of {q} lies outside N^n")
+                raise internal.ValidationError(f"axis {k} map out of {q} lies outside N^n")
             tgt = self._step(q, k)
             if q not in self.terms or tgt not in self.terms:
                 continue
@@ -134,7 +133,7 @@ def tensor(factors) -> Multicomplex:
         if f.kind == IDEAL:
             raise MixedKinds("tensor factors must consist of cyclic summands")
         if min(f.window(), default=0) < 0:
-            raise ValidationError("tensor factors must live in non-negative degrees")
+            raise internal.ValidationError("tensor factors must live in non-negative degrees")
     size = math.prod(sum(map(len, f.terms.values())) for f in factors)
     if size > MAX_TENSOR_SUMMANDS:
         raise ParamOutOfRange(
@@ -143,7 +142,7 @@ def tensor(factors) -> Multicomplex:
         )
     n_vars = factors[0].n
     if any(f.n != n_vars for f in factors):
-        raise LengthMismatch("factors live in different variable counts")
+        raise internal.LengthMismatch("factors live in different variable counts")
     windows = [sorted(f.terms) for f in factors]
     terms = {
         q: tuple(

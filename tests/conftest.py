@@ -36,7 +36,7 @@ from homotor.multicomplex import (
     hypercube_augment,
     tensor,
 )
-from homotor.spectral import SpectralPages, _by_weight, _check_page, build_filtration, pages
+from homotor.spectral import SpectralPages, _by_weight, build_filtration, pages
 from homotor.sumprod import (
     _compare_slices,
     build_p_complex,
@@ -367,6 +367,36 @@ def summand_alive(s, gamma, kind) -> bool:
     return member if kind == IDEAL else not member
 
 
+def _check_page(r, dims, ranks, page_tables, rank_tables):
+    """Page r against page r-1: dim E^r = dim E^{r-1} - rank out - rank in,
+    and every dimension and d^r rank nonnegative, each rank at most the
+    dimensions of its source and target.  Raises InvariantBroken."""
+    for (p, q), rk in ranks.items():
+        if rk < 0 or rk > min(dims.get((p, q), 0), dims.get((p - r, q + r - 1), 0)):
+            raise InvariantBroken(f"rank {rk} of d^{r} out of (p,q)={(p, q)} at r={r}")
+    for key, e in dims.items():
+        if e < 0:
+            raise InvariantBroken(f"negative page dimension at r={r}, (p,q)={key}")
+    if not page_tables:
+        return
+    prev_dims, prev_ranks = page_tables[-1], rank_tables[-1]
+    s = r - 1
+    for key in set(prev_dims) | set(dims):
+        p, q = key
+        out_rk = prev_ranks.get(key, 0)
+        in_rk = prev_ranks.get((p + s, q - s + 1), 0)
+        if dims.get(key, 0) != prev_dims.get(key, 0) - out_rk - in_rk:
+            raise InvariantBroken(f"page bookkeeping broken at r={r}, (p,q)={key}")
+
+
+def total_dims(pg) -> dict:
+    """{p + q: the dimensions of pg's E^infinity on that diagonal, summed}."""
+    out: dict = {}
+    for (p, q), d in pg.e_infinity.items():
+        out[p + q] = out.get(p + q, 0) + d
+    return out
+
+
 def block_rank_pages(filtered, gamma, fld=GF()):
     """The pages of filtered at gamma from masked block ranks of d.
 
@@ -452,7 +482,7 @@ def abuts_to_the_total(pg, filtered, gamma, fld=GF()) -> bool:
     homology of filtered's total at gamma: the abutment, compared here
     rather than by ``spectral.pages``, whose pair-count check implies it."""
     h = filtered.total.homology_at(gamma, fld)
-    return pg.total_dims() == {i: d for i, d in h.items() if d}
+    return total_dims(pg) == {i: d for i, d in h.items() if d}
 
 
 def persistence_pairs_oracle(filtered, i, alive, fld=GF()):
@@ -748,7 +778,7 @@ def support_check_at(partitions, coefficient, p, fld=GF()):
             for g in tested:
                 pg = pages(filtered, g, fld)
                 where = {"kind": kind, "subset": list(T), "degree": list(g)}
-                totals = pg.total_dims()
+                totals = total_dims(pg)
                 expected = {j + offset: d for (j, gm), d in table.entries.items() if gm == g}
                 witnesses[kind].extend(
                     {**where, "i": i, "actual": totals.get(i, 0),

@@ -9,6 +9,7 @@ import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -24,13 +25,13 @@ from homotor.cli import (
 )
 from homotor.errors import ParamOutOfRange, ParseError, UnknownCommand, ValidationError
 from homotor.gcomplex import resolution
-from homotor import multicomplex
+from homotor import cli, errors, gcomplex, multicomplex, spectral, sumprod, torlab
 from homotor.monomial import MonomialIdeal, iter_box
 from homotor.multicomplex import tensor
 from homotor.spectral import build_filtration
 from homotor.sumprod import mv_total_complex
 from homotor.support import supportoftors_check
-from homotor.torlab import family_box
+from homotor.torlab import family_box, multi_tor
 
 
 @pytest.fixture
@@ -348,6 +349,22 @@ def test_cli_problem_module_rejected_where_unread(tmp_path, capsys, command):
     assert json.loads(capsys.readouterr().out)["box"] == [1, 2]
 
 
+def test_cli_module_stays_a_family_member(tmp_path, capsys):
+    """The module's ideal is also one of the family: ``tor`` on I = (x),
+    J = (y) with module J tabulates Tor(R/(x), R/(y); R/(y)), whose Tor_1
+    is 1 at (0, 1), not Tor(R/(x); R/(y)), which has Tor_0 only."""
+    path = tmp_path / "prob.json"
+    path.write_text(json.dumps({"variables": ["x", "y"], "module": "J",
+                                "ideals": {"I": [[1, 0]], "J": [[0, 1]]}}))
+    assert main(["tor", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    x, y = MonomialIdeal(2, [(1, 0)]), MonomialIdeal(2, [(0, 1)])
+    assert report["results"]["tor"] == [{"i": 0, "degree": [0, 0], "dim": 1},
+                                        {"i": 1, "degree": [0, 1], "dim": 1}]
+    assert report["results"]["tor"] == multi_tor([x, y], coefficient=y).records()
+    assert multi_tor([x], coefficient=y).nonzero_indices() == [0]
+
+
 def test_cli_betti_reads_the_problem_module(tmp_path, capsys):
     """The problem file's module is the default of --module for betti, as
     for every command that reads a module: it tabulates that ideal alone,
@@ -572,6 +589,85 @@ def test_cli_invariant_failure_exit_code(problem_path, capsys, monkeypatch):
     assert main(["spectral", problem_path, "--kind", "interior"]) == 3
     diag = json.loads(capsys.readouterr().out)
     assert diag["error"]["type"] == "InvariantBroken"
+
+
+def _faulty(fault):
+    """A stand-in maker for ``exterior_complex``: from the original, one
+    that applies fault to the (terms, d) it returns."""
+    def stand_in(orig):
+        def faulty(*args):
+            terms, d = orig(*args)
+            fault(terms, d)
+            return terms, d
+        return faulty
+    return stand_in
+
+
+def _double_the_first_coefficient(terms, d):
+    """The first entry of the last map doubled, so it and the map before
+    no longer compose to 0."""
+    rows = d[max(d)]
+    (t, c), *rest = rows[min(rows)]
+    rows[min(rows)] = [(t, 2 * c), *rest]
+
+
+def _reversed_levels(by_weight):
+    return lambda m, weight: by_weight(m, lambda q: len(q) - weight(q))
+
+
+def _ideal_kind(ideal):
+    return gcomplex.GradedComplex(ideal.n, {0: [gcomplex.summand(ideal)]}, {}, gcomplex.IDEAL)
+
+
+#: (command, what is replaced, its faulty stand-in, from the original, the
+#: diagnostic's type, a piece of its message): one builder made wrong per
+#: internal class and raise site, as only a bug in homotor could make it.
+INTERNAL_FAULTS = {
+    "composition": (["scomplex"], (sumprod, "exterior_complex"),
+                    _faulty(_double_the_first_coefficient),
+                    "CompositionNonzero", "d∘d != 0 from degree"),
+    "levels": (["spectral", "--kind", "interior"], (spectral, "_by_weight"), _reversed_levels,
+               "FiltrationViolation", "not inside"),
+    "tensor kind": (["spectral", "--kind", "interior"], (cli, "resolution"),
+                    lambda orig: _ideal_kind, "MixedKinds", "tensor factors must consist"),
+    "base change kind": (["tor"], (torlab, "resolution"), lambda orig: _ideal_kind,
+                         "MixedKinds", "base change needs"),
+    "ideal_augment kind": (["verify"], (sumprod, "hypercube_augment"),
+                           lambda orig: lambda m: gcomplex.base_change(
+                               orig(m), MonomialIdeal(m.n_vars, [(1,) * m.n_vars])),
+                           "MixedKinds", "free summands only"),
+    "_rows": (["tor"], (gcomplex, "exterior_complex"),
+              _faulty(lambda terms, d: d[1][0].append((99, 1))),
+              "ValidationError", "entry 0 -> 99 outside its"),
+    "_entry_valid": (["tor"], (gcomplex, "exterior_complex"),
+                     _faulty(lambda terms, d: terms.update({0: (gcomplex.free_summand((9, 9)),)})),
+                     "ValidationError", "inhomogeneous or ill-defined entry"),
+    "summand length": (["tor"], (gcomplex, "exterior_complex"), _faulty(
+                           lambda terms, d: terms.update({0: (gcomplex.free_summand((0,) * 3),)})),
+                       "LengthMismatch", "summand length != variable count"),
+    "position arity": (["spectral", "--kind", "interior"], (cli, "tensor"),
+                       lambda orig: lambda fs: multicomplex.Multicomplex(
+                           len(fs) + 1, fs[0].n, orig(fs).terms, {}),
+                       "LengthMismatch", "has wrong arity"),
+}
+
+
+@pytest.mark.parametrize("case", INTERNAL_FAULTS)
+def test_an_internal_failure_exits_3_with_its_type(case, tmp_path, capsys, monkeypatch):
+    """A builder made wrong fails one of the checks no problem file
+    reaches: ``main`` exits 3, not 2, and the diagnostic keeps the
+    concrete class name, while a library caller still catches the input
+    class it has always caught."""
+    argv, (module, name), stand_in, error_type, message = INTERNAL_FAULTS[case]
+    path = tmp_path / "prob.json"
+    path.write_text(json.dumps({"variables": ["x", "y"],
+                                "ideals": {"I": [[1, 0], [0, 1]], "J": [[2, 0], [0, 1]]}}))
+    monkeypatch.setattr(module, name, stand_in(getattr(module, name)))
+    assert main([argv[0], str(path), *argv[1:]]) == 3
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["type"] == error_type and message in error["message"]
+    with pytest.raises(getattr(errors, error_type), match=message):
+        run(argv[0], parse_problem(str(path)), {"kind": argv[2] if argv[1:] else None})
 
 
 def test_cli_support_command(problem_path, capsys):
@@ -815,13 +911,24 @@ def _repeats_a_key(content: bytes) -> bool:
 def test_any_problem_file_exits_cleanly(tmp_path_factory, content, command):
     """Whatever a problem file holds, ``main`` exits 0, 1 or 2 and lets no
     exception escape; it exits 1 only with a failed assertion in its
-    report, and 2 on any file that repeats a key."""
+    report, and 2 on any file that repeats a key.  No input reaches an
+    ``InternalError``, the classes that exit 3: the class raised through
+    ``run`` is read, not only the exit code."""
     path = tmp_path_factory.mktemp("fuzz") / "problem.json"
     path.write_bytes(content)
     printed = io.StringIO()
-    with contextlib.redirect_stdout(printed):
+    raised = []
+
+    def recording_run(*args):
+        try:
+            return run(*args)
+        except Exception as exc:
+            raised.append(exc)
+            raise
+    with contextlib.redirect_stdout(printed), mock.patch.object(cli, "run", recording_run):
         code = main([command[0], str(path), *command[1:]])
     out = json.loads(printed.getvalue())
+    assert not any(isinstance(exc, errors.InternalError) for exc in raised), raised
     assert code in (0, 1, 2)
     assert (code == 1) == any(a["passed"] is False for a in out.get("assertions", []))
     if _repeats_a_key(content):

@@ -97,31 +97,98 @@ def _call_sites(name: str) -> list:
     return sites
 
 
-def test_every_raise_names_a_homotor_error():
-    """Each raise in src/homotor constructs a HomotorError subclass by name.
-    The one exception: quotient_dimension ends in an unreachable
-    AssertionError marked ``pragma: no cover``."""
-    typed = {name for name, cls in inspect.getmembers(errors, inspect.isclass)
-             if issubclass(cls, errors.HomotorError)}
-    untyped, allowed = [], []
+def _error_classes() -> dict:
+    """{name a raise uses, such as ``internal.LengthMismatch``: class} of
+    every HomotorError subclass in ``errors``."""
+    def typed(namespace, prefix=""):
+        return {prefix + name: cls for name, cls in inspect.getmembers(namespace, inspect.isclass)
+                if issubclass(cls, errors.HomotorError)}
+    return {**typed(errors), **typed(errors.internal, "internal.")}
+
+
+def _raises() -> list:
+    """(file, enclosing function, the name of the class constructed or
+    None, node) of every raise statement in src/homotor, in source order."""
+    sites = []
     for path in sorted(Path(homotor.__file__).parent.glob("*.py")):
-        lines = path.read_text().splitlines()
         visitor = _Raises()
         visitor.visit(ast.parse(path.read_text()))
-        for func, node in visitor.found:
-            exc = node.exc
-            named = isinstance(exc, ast.Call) and isinstance(exc.func, ast.Name)
-            called = exc.func.id if named else None
-            line = lines[node.lineno - 1]
-            if called in typed:
-                continue
-            if ((func, called) == ("quotient_dimension", "AssertionError")
-                    and "pragma: no cover" in line):
-                allowed.append((func, called))
-            else:
-                untyped.append(f"{path.name}:{node.lineno}: {line.strip()}")
+        sites += [(path.name, func,
+                   ast.unparse(node.exc.func) if isinstance(node.exc, ast.Call) else None, node)
+                  for func, node in visitor.found]
+    return sites
+
+
+def test_every_raise_names_a_homotor_error():
+    """Each raise in src/homotor constructs a HomotorError subclass by name,
+    such as ``ValidationError`` or ``internal.ValidationError``.  The one
+    exception: quotient_dimension ends in an unreachable AssertionError
+    marked ``pragma: no cover``."""
+    typed = _error_classes()
+    untyped, allowed = [], []
+    for file, func, called, node in _raises():
+        if called in typed:
+            continue
+        line = (Path(homotor.__file__).parent / file).read_text().splitlines()[node.lineno - 1]
+        if ((func, called) == ("quotient_dimension", "AssertionError")
+                and "pragma: no cover" in line):
+            allowed.append((func, called))
+        else:
+            untyped.append(f"{file}:{node.lineno}: {line.strip()}")
     assert not untyped, untyped
     assert allowed == [("quotient_dimension", "AssertionError")]
+
+
+#: The class of each raise, in source order, in every function that raises
+#: an ``InternalError``: the checks on the complexes, filtrations and pages
+#: homotor builds for itself, which no problem file reaches, so that
+#: ``cli.main`` exits 3 on each.  The input classes left among them are
+#: refusals a problem file or a flag can reach (or, for a summand kind,
+#: a keyword): the tensor bound, an empty family, an unknown kind.
+INTERNAL_RAISES = {
+    ("gcomplex.py", "_rows"): ["internal.ValidationError"] * 3,
+    ("gcomplex.py", "GradedComplex.__init__"): [
+        "InvalidKind", "internal.ValidationError", "internal.LengthMismatch",
+        "internal.ValidationError"],
+    ("gcomplex.py", "GradedComplex._check_dd_zero"): ["CompositionNonzero"],
+    ("gcomplex.py", "base_change"): ["MixedKinds"],
+    ("gcomplex.py", "ideal_augment"): ["MixedKinds"],
+    ("multicomplex.py", "Multicomplex.__init__"): [
+        "internal.LengthMismatch", "internal.ValidationError", "internal.LengthMismatch",
+        "internal.ValidationError", "internal.ValidationError"],
+    ("multicomplex.py", "tensor"): [
+        "EmptyInput", "MixedKinds", "internal.ValidationError", "ParamOutOfRange",
+        "internal.LengthMismatch"],
+    ("spectral.py", "FilteredTotal.__init__"): ["FiltrationViolation"] * 3,
+    ("spectral.py", "pages"): ["InvariantBroken"] * 2,
+}
+
+
+def test_every_internal_raise_is_classified():
+    """A new raise of an internal class, or a new raise of any class in a
+    function that has one, must be classified above.  ``pages`` keeps two
+    checks: a term's pair count against its block rank, and no (term,
+    level) with more pair ends than alive summands."""
+    classes, raises = _error_classes(), _raises()
+    internal = {(file, func) for file, func, called, _ in raises
+                if called in classes and issubclass(classes[called], errors.InternalError)}
+    assert internal == set(INTERNAL_RAISES)
+    for site, expected in INTERNAL_RAISES.items():
+        assert [called for file, func, called, _ in raises if (file, func) == site] == expected
+
+
+def test_internal_variants_are_caught_by_their_input_class():
+    """A library caller catches each internal variant by the input class it
+    subclasses, and a diagnostic names it by that class; only ``cli.main``
+    tells them apart, by ``InternalError``."""
+    for name in ("LengthMismatch", "ValidationError"):
+        variant = getattr(errors.internal, name)
+        assert issubclass(variant, getattr(errors, name))
+        assert issubclass(variant, errors.InternalError) and variant.__name__ == name
+        assert not issubclass(getattr(errors, name), errors.InternalError)
+    for cls in (errors.CompositionNonzero, errors.FiltrationViolation, errors.MixedKinds,
+                errors.InvariantBroken):
+        assert issubclass(cls, errors.InternalError)
 
 
 def _integer_arguments(bad):
@@ -324,14 +391,7 @@ def test_one_elimination_path():
 
 def _raise_sites(error: str) -> list:
     """(file, enclosing function) of every raise of ``error`` by name."""
-    sites = []
-    for path in sorted(Path(homotor.__file__).parent.glob("*.py")):
-        visitor = _Raises()
-        visitor.visit(ast.parse(path.read_text()))
-        sites += [(path.name, func) for func, node in visitor.found
-                  if isinstance(node.exc, ast.Call) and isinstance(node.exc.func, ast.Name)
-                  and node.exc.func.id == error]
-    return sites
+    return [(file, func) for file, func, called, _ in _raises() if called == error]
 
 
 def test_one_composition_check():

@@ -14,8 +14,18 @@ LARGEST_PRIME = 2**31 - 1
 
 
 def test_prime_field_rejects_composites():
-    with pytest.raises(ValidationError):
-        PrimeField(6)
+    """Every characteristic below 2,000 is accepted exactly when a sieve
+    finds it prime, squares of primes and odd composites with no factor 3
+    included, and the envelope ends below 2^31."""
+    sieve = [False, False] + [True] * 1998
+    for k in range(2, 45):
+        sieve[k * k::k] = [False] * len(sieve[k * k::k])
+    for n, prime in enumerate(sieve):
+        if prime:
+            assert PrimeField(n).p == n
+        else:
+            with pytest.raises(ValidationError):
+                PrimeField(n)
     # the supported envelope ends below 2^31
     assert PrimeField(LARGEST_PRIME).p == LARGEST_PRIME
     with pytest.raises(ValidationError):

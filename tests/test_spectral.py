@@ -2,13 +2,16 @@
 
 import dataclasses
 import itertools
+import json
 import math
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    _check_page,
     abuts_to_the_total,
     block_rank_pages,
     direct_e1,
@@ -17,6 +20,7 @@ from conftest import (
     persistence_pairs_oracle,
     region,
     s_minus,
+    total_dims,
 )
 from homotor import cli, gcomplex, spectral, sumprod, support, torlab
 from homotor.errors import (
@@ -54,7 +58,7 @@ def test_zero_differential_gives_associated_graded():
     pg, abuts = _abuts({0: 2, 1: 3}, {}, levels)
     assert pg.e1 == {(0, 0): 1, (1, -1): 1, (0, 1): 2, (1, 0): 1}
     assert pg.e_infinity == pg.e1
-    assert abuts and pg.total_dims() == {0: 2, 1: 3}
+    assert abuts and total_dims(pg) == {0: 2, 1: 3}
 
 
 def test_identity_complex_two_step_filtration():
@@ -62,7 +66,7 @@ def test_identity_complex_two_step_filtration():
     assert pg.e1 == {(0, 0): 1, (1, 0): 1}
     assert pg.ranks[0] == {(1, 0): 1}  # d^1 is an isomorphism
     assert pg.page(2) == {}
-    assert abuts and pg.total_dims() == {}
+    assert abuts and total_dims(pg) == {}
 
 
 def test_filtration_violation_detected():
@@ -139,10 +143,11 @@ def test_dropped_pair_is_an_invariant_failure(monkeypatch):
     (2, {}, {}, ([{(0, 0): 1}], [{}]), "page bookkeeping broken at r=2, (p,q)=(0, 0)"),
 ])
 def test_check_page_refuses_each_broken_rule(r, dims, ranks, before, message):
-    """Each rule of the page check on made-up pages, which ``pages`` never
-    builds: the checked pages of every other test keep them all."""
+    """Each rule of the page check that ``block_rank_pages`` runs, on
+    made-up pages that no rank formula builds: the pages of every other
+    test keep them all."""
     with pytest.raises(InvariantBroken) as caught:
-        spectral._check_page(r, dims, ranks, *before)
+        _check_page(r, dims, ranks, *before)
     assert str(caught.value) == message
 
 
@@ -150,10 +155,123 @@ def test_check_page_accepts_the_boundary_cases():
     """A rank of 0, a rank equal to both its dimensions, a dimension of 0,
     and a place of page 1 that d^1 empties into page 2 all pass: the
     inequalities of the rules are strict where they must be."""
-    spectral._check_page(1, {(1, 0): 1, (0, 0): 1, (5, 5): 0},
-                         {(1, 0): 1, (3, 3): 0}, [], [])
-    spectral._check_page(2, {(2, 0): 1}, {}, [{(1, 0): 1, (0, 0): 1, (2, 0): 1}],
-                         [{(1, 0): 1}])
+    _check_page(1, {(1, 0): 1, (0, 0): 1, (5, 5): 0}, {(1, 0): 1, (3, 3): 0}, [], [])
+    _check_page(2, {(2, 0): 1}, {}, [{(1, 0): 1, (0, 0): 1, (2, 0): 1}], [{(1, 0): 1}])
+
+
+def _counted_pages(free, moving):
+    """``pages``' counting loop on a made-up free count per (term, level)
+    and made-up pairs (term of d, level of b, level of d) of positive gap:
+    (page tables, rank tables, r_stab)."""
+    r_stab = max([2] + [ld - lb + 2 for _, lb, ld in moving])
+    page_tables, rank_tables = [], []
+    for r in range(1, r_stab + 1):
+        counts = dict(free)
+        ranks = {}
+        for i, lb, ld in moving:
+            if ld - lb >= r:
+                counts[(i - 1, lb)] += 1
+                counts[(i, ld)] += 1
+            if ld - lb == r:
+                ranks[(ld, i - ld)] = ranks.get((ld, i - ld), 0) + 1
+        page_tables.append({(p, i - p): e for (i, p), e in counts.items() if e})
+        rank_tables.append(ranks)
+    return page_tables, rank_tables, r_stab
+
+
+def _pages_of_made_up_pairs(free, moving):
+    """``pages`` on a complex with no differential whose term-i, level-p
+    summands number free[(i, p)] + the pair ends there, paired as moving
+    says by a stand-in pairing, with the rank check fed the pair counts;
+    None if some place would need fewer than 0 summands, or ends with none."""
+    ends = {place: 0 for place in free}
+    for i, lb, ld in moving:
+        ends[(i - 1, lb)] += 1
+        ends[(i, ld)] += 1
+    sizes = {place: free[place] + ends[place] for place in free}
+    if any(n < 0 or (n == 0 and ends[place]) for place, n in sizes.items()):
+        return None
+    index, levels = {}, {}
+    for (i, p), n in sorted(sizes.items()):
+        index[(i, p)] = len(levels.setdefault(i, []))
+        levels[i] += [p] * n
+    taken = dict.fromkeys(free, 0)
+
+    def end(place):  # the next summand at place, round the place's summands
+        k = index[place] + taken[place] % sizes[place]
+        taken[place] += 1
+        return k
+    pairs = {}
+    for i, lb, ld in moving:
+        pairs.setdefault(i, []).append((end((i - 1, lb)), end((i, ld))))
+    filtered = FilteredTotal(free_complex({i: len(lv) for i, lv in levels.items()}), levels)
+    filtered.total._masked_rank = lambda i, src, tgt, fld: len(pairs.get(i, []))
+    with mock.patch.object(spectral, "persistence_pairs",
+                           lambda f, i, alive, fld: pairs.get(i, [])):
+        return pages(filtered, (0,))
+
+
+_PLACES = [(i, p) for i in range(3) for p in range(3)]
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.fixed_dictionaries({place: st.integers(-1, 2) for place in _PLACES}),
+       st.lists(st.tuples(st.integers(1, 2), st.integers(0, 2), st.integers(0, 2))
+                .filter(lambda t: t[1] < t[2]), max_size=6))
+def test_the_page_rules_fail_exactly_on_a_negative_free_count(free, moving):
+    """Under ``pages``' formulas the four page rules fail on some r <= r_stab
+    exactly when some free count is negative, the one rule ``pages`` keeps;
+    and ``pages`` itself, fed the same pairs, refuses exactly those inputs
+    and otherwise builds the counted pages."""
+    page_tables, rank_tables, r_stab = _counted_pages(free, moving)
+    negative = any(e < 0 for e in free.values())
+    refused = False
+    try:
+        for r in range(1, r_stab + 1):
+            _check_page(r, page_tables[r - 1], rank_tables[r - 1],
+                        page_tables[:r - 1], rank_tables[:r - 1])
+    except InvariantBroken:
+        refused = True
+    assert refused == negative
+    try:
+        pg = _pages_of_made_up_pairs(free, moving)
+    except InvariantBroken as exc:
+        assert negative and "more pair ends than summands" in str(exc)
+    else:
+        if pg is not None:
+            assert not negative
+            assert (pg.pages, pg.ranks, pg.r_stab) == (page_tables, rank_tables, r_stab)
+
+
+def test_a_summand_ending_two_pairs_is_an_invariant_failure(monkeypatch):
+    """d_1 the identity on two summands per term, the level-0 target made
+    the pivot of both sources: the pair count is still the rank, but term 0
+    has one level-0 summand and two pair ends there."""
+    pairing = spectral.persistence_pairs
+    monkeypatch.setattr(spectral, "persistence_pairs",
+                        lambda *a: [(0, d) for _, d in pairing(*a)])
+    with pytest.raises(InvariantBroken,
+                       match="^term 0, level 0: 1 more pair ends than summands$"):
+        _pages({0: 2, 1: 2}, {1: [(0, 0, 1), (1, 1, 1)]}, {0: [0, 1], 1: [1, 1]})
+
+
+def test_spectral_command_exits_3_on_a_summand_ending_two_pairs(tmp_path, capsys, monkeypatch):
+    """Every pivot of a term redirected to its first pair's: on the kcone
+    pages of (x, y) twice, some (term, level) gets more pair ends than
+    summands, and ``homotor spectral`` exits 3 with ``InvariantBroken``."""
+    pairing = spectral.persistence_pairs
+
+    def first_pivot(*args):
+        pairs = pairing(*args)
+        return [(pairs[0][0], d) for _, d in pairs]
+    monkeypatch.setattr(spectral, "persistence_pairs", first_pivot)
+    path = tmp_path / "prob.json"
+    path.write_text(json.dumps({"variables": ["x", "y"],
+                                "ideals": {"I": [[1, 0], [0, 1]], "J": [[1, 0], [0, 1]]}}))
+    assert cli.main(["spectral", str(path), "--kind", "kcone"]) == 3
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["type"] == "InvariantBroken"
+    assert error["message"].endswith("more pair ends than summands")
 
 
 def test_pairs_follow_the_level_order():
@@ -348,13 +466,13 @@ def test_builder_abutments_match_target_complexes():
         for kind in ("kcone", "kcone_augmented", "interior_augmented")
     )
     for gamma in iter_box(m.total.stable_box()):
-        got = pages(kcone, gamma).total_dims()
+        got = total_dims(pages(kcone, gamma))
         h = region(m, all).total.homology_at(gamma)
         assert got == {i: d for i, d in h.items() if d}
-        got = pages(kcone_aug, gamma).total_dims()
+        got = total_dims(pages(kcone_aug, gamma))
         h = hypercube_augment(m).homology_at(gamma)
         assert got == {i: d for i, d in h.items() if d}
-        got = pages(interior_aug, gamma).total_dims()
+        got = total_dims(pages(interior_aug, gamma))
         want = {i: d for i, d in m.total.homology_at(gamma).items() if d}
         assert got == want
 
@@ -471,7 +589,7 @@ def test_mv_product_to_sum_pair():
     assert pg.e1 == {(1, 0): 2, (2, 0): 1}
     assert abuts_to_the_total(pg, pts, (0, 0))
     # abutment: Tor_{i-1}(R, R/(x,y)): only Tor_0 = k at the origin survives
-    assert pg.total_dims() == {1: 1}
+    assert total_dims(pg) == {1: 1}
 
 
 def test_mv_sum_to_product_pair_in_one_variable():
@@ -481,7 +599,7 @@ def test_mv_sum_to_product_pair_in_one_variable():
     for g in ((0,), (1,), (2,)):
         pg = pages(stp, Multidegree(g))
         assert abuts_to_the_total(pg, stp, g)
-        table[g] = pg.total_dims()
+        table[g] = total_dims(pg)
     # abutment of the S-side double complex is H(S_- tensor R), computed to
     # ker/coker of R/x + R/x -> R/x: one class at degree 0
     assert table == {(0,): {1: 1}, (1,): {}, (2,): {}}
@@ -564,7 +682,7 @@ def test_pair_tor1_recovered_from_sum_to_product():
         assert tor.dim(1, g) == dim_rij - dim_rint
         # the H_1 of the sum-to-product total complex carries R/(I cap J)
         pg = pages(stp, g)
-        assert pg.total_dims().get(1, 0) == dim_rint
+        assert total_dims(pg).get(1, 0) == dim_rint
 
 
 # -- totals built once per command ---------------------------------------------
