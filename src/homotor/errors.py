@@ -2,6 +2,7 @@
 rule of their arguments."""
 
 import operator
+from typing import NoReturn
 
 
 class HomotorError(Exception):
@@ -85,25 +86,36 @@ class internal:  # a namespace, lower case to read as ``internal.LengthMismatch`
         """A summand, a position or a map entry that a complex refuses."""
 
 
-def as_int(value, what: str) -> int:
+def _refuse(message: str, built: bool) -> NoReturn:
+    """Refuse an integer argument: with ``internal.ValidationError`` when
+    homotor built the value for itself (an index, a position, an axis or a
+    level a constructor of a complex reads), else with ``ValidationError``."""
+    if built:
+        raise internal.ValidationError(message) from None
+    raise ValidationError(message) from None
+
+
+def as_int(value, what: str, built: bool = False) -> int:
     """value as an int, for an argument that must be one: an exponent, a
     count, an index, a position, a level.  ``operator.index`` takes ints,
     bools and numpy integers as they are; a float or a string is refused
-    with ``ValidationError``, never truncated or parsed."""
+    with ``ValidationError``, never truncated or parsed, and with its
+    ``internal`` variant when ``built`` says that homotor built the value,
+    so that the CLI exits 3 on it, not 2."""
     try:
         return operator.index(value)
     except TypeError:
-        raise ValidationError(f"{what} {value!r} is not an integer") from None
+        _refuse(f"{what} {value!r} is not an integer", built)
 
 
-def as_ints(values, what: str) -> tuple:
+def as_ints(values, what: str, built: bool = False) -> tuple:
     """values, a sequence of integers such as a degree or a position, as a
     tuple of ints by ``as_int``; a value that is not a sequence is refused
-    with ``ValidationError`` too.  A tuple of ints is returned as it is."""
+    by the same rule.  A tuple of ints is returned as it is."""
     if type(values) is tuple and {*map(type, values)} <= {int}:
         return values
     try:
         items = iter(values)
     except TypeError:
-        raise ValidationError(f"{what}s {values!r} are not a sequence") from None
-    return tuple(as_int(v, what) for v in items)
+        _refuse(f"{what}s {values!r} are not a sequence", built)
+    return tuple(as_int(v, what, built) for v in items)

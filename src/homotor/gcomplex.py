@@ -101,9 +101,9 @@ def _rows(rows: dict, n_src: int, n_tgt: int, where) -> dict:
     merged: dict = {}
     try:
         for s, row in rows.items():
-            s = as_int(s, "summand index")
+            s = as_int(s, "summand index", built=True)
             for t, c in row:
-                t = as_int(t, "summand index")
+                t = as_int(t, "summand index", built=True)
                 if not isinstance(c, int):
                     raise internal.ValidationError(f"{where()}: coefficient {c!r} is not an int")
                 if not (0 <= s < n_src and 0 <= t < n_tgt):
@@ -195,12 +195,12 @@ class GradedComplex:
     """
 
     def __init__(self, n: int, terms: dict, d: dict, kind: str = CYCLIC):
-        self.n = as_int(n, "variable count")
+        self.n = as_int(n, "variable count", built=True)
         if kind not in (CYCLIC, IDEAL):
             raise InvalidKind(f"unknown summand kind {kind!r}")
         self.kind = kind
         self.terms = {
-            as_int(i, "term index"): tuple(summands)
+            as_int(i, "term index", built=True): tuple(summands)
             for i, summands in terms.items() if summands
         }
         for ss in self.terms.values():
@@ -214,7 +214,7 @@ class GradedComplex:
                     raise internal.LengthMismatch("summand length != variable count")
         self.d = {}  # {i: d_i as {source: [(target, coefficient), ...]}}
         for i, rows in d.items():
-            i = as_int(i, "term index")
+            i = as_int(i, "term index", built=True)
             src_terms, tgt_terms = self.terms.get(i, ()), self.terms.get(i - 1, ())
             rows = _rows(rows, len(src_terms), len(tgt_terms), lambda: f"d_{i}")
             for s, row in rows.items():
@@ -601,6 +601,17 @@ def resolution(ideal: MonomialIdeal) -> GradedComplex:
     equals a generator, so the degree-1 summands all survive, and their
     shifts reach the lcm of all generators in every coordinate."""
     return cancel_units(taylor_resolution(ideal))
+
+
+def resolve(ideal: MonomialIdeal, resolutions: dict) -> GradedComplex:
+    """``resolution(ideal)`` from ``resolutions``, the map {ideal: its
+    resolution} of one checker call, which it fills on first use: every
+    table the call builds reads that one map, so each distinct ideal is
+    resolved at most once per call, and the map dies with the call."""
+    c = resolutions.get(ideal)
+    if c is None:
+        c = resolutions[ideal] = resolution(ideal)
+    return c
 
 
 def _product_summand(combo) -> Summand:

@@ -57,11 +57,11 @@ class Multicomplex:
 
     def __init__(self, n_axes: int, n_vars: int, terms: dict, diffs: dict,
                  shift: int = 0):
-        self.n_axes = as_int(n_axes, "axis count")
-        self.n_vars = as_int(n_vars, "variable count")
+        self.n_axes = as_int(n_axes, "axis count", built=True)
+        self.n_vars = as_int(n_vars, "variable count", built=True)
         self.terms = {}
         for q, summands in terms.items():
-            q = as_ints(q, "position coordinate")
+            q = as_ints(q, "position coordinate", built=True)
             if len(q) != self.n_axes:
                 raise internal.LengthMismatch(f"position {q} has wrong arity")
             if min(q, default=0) < 0:
@@ -71,8 +71,8 @@ class Multicomplex:
                 self.terms[q] = summands
         self.diffs = {}
         for (q, k), rows in diffs.items():
-            q = as_ints(q, "position coordinate")
-            k = as_int(k, "axis")
+            q = as_ints(q, "position coordinate", built=True)
+            k = as_int(k, "axis", built=True)
             if len(q) != self.n_axes:
                 raise internal.LengthMismatch(f"map key {q} has wrong arity")
             if not 0 <= k < self.n_axes:
@@ -86,7 +86,7 @@ class Multicomplex:
                          lambda: f"axis {k} map at {q}")
             if rows:
                 self.diffs[(q, k)] = rows
-        self.shift = as_int(shift, "shift")
+        self.shift = as_int(shift, "shift", built=True)
         self.layout = {}
         terms: dict = {}
         start = {}  # q -> the index in its term of its first summand

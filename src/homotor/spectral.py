@@ -76,7 +76,7 @@ class FilteredTotal:
 
     def __init__(self, total: GradedComplex, levels: dict):
         self.total = total
-        levels = {as_int(i, "term index"): list(as_ints(lv, "level"))
+        levels = {as_int(i, "term index", built=True): list(as_ints(lv, "level", built=True))
                   for i, lv in levels.items()}
         for i, lv in levels.items():
             if len(lv) != len(total.summands(i)):

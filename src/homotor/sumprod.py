@@ -27,14 +27,14 @@ from .gcomplex import (
     free_summand,
     ideal_augment,
     module_homology_table,
-    resolution,
+    resolve,
     summand,
     unresolved,
 )
 from .monomial import MonomialIdeal, check_family, combine
 from .multicomplex import Multicomplex, hypercube_augment, tensor
 from .spectral import FilteredTotal, _by_weight, build_filtration, pages
-from .torlab import CheckReport, _table_independent, multi_tor
+from .torlab import CheckReport, _multi_tor, _table_independent
 
 
 def _variant_kind(variant: str) -> str:
@@ -110,6 +110,12 @@ def mv_total_complex(kind: str, ideals, coefficient: MonomialIdeal | None = None
     sign +1; and a summand's total index is q_0, which is also its weight.
     This is the rule by which ``multi_tor`` leaves a zero coefficient out.
     """
+    return _mv_total_complex(kind, ideals, coefficient, {})
+
+
+def _mv_total_complex(kind, ideals, coefficient, resolutions) -> FilteredTotal:
+    """``mv_total_complex``, resolving the coefficient through the calling
+    checker's map of resolutions (see ``multi_tor``)."""
     ideals, box = check_family(ideals, coefficient)
     if kind == "sum_to_product":
         n = len(ideals)
@@ -122,7 +128,7 @@ def mv_total_complex(kind: str, ideals, coefficient: MonomialIdeal | None = None
         raise InvalidKind(f"unknown mv kind {kind!r}")
     if coefficient is None or coefficient.is_zero():
         return FilteredTotal(x, {i: [i] * len(ss) for i, ss in x.terms.items()})
-    return _by_weight(tensor([x, resolution(coefficient)]), lambda q: q[0])
+    return _by_weight(tensor([x, resolve(coefficient, resolutions)]), lambda q: q[0])
 
 
 def complex_homology_table(c: GradedComplex, fld: PrimeField = GF(),
@@ -144,8 +150,12 @@ def augmented_interior_H(ideals, subset, coefficient: MonomialIdeal | None = Non
     M ⊗ P_p dimensions).  One module is left unresolved, as in
     ``multi_tor``: R/coefficient, tensored on by ``base_change``, when the
     coefficient is nonzero, else the chosen ideal ``unresolved`` picks,
-    tensored on by ``ideal_augment``.  The box defaults to the stability
-    box of the chosen ideals and the coefficient."""
+    tensored on by ``ideal_augment``.  That ideal is never resolved, so
+    one with more generators than a Taylor resolution takes does not make
+    the table, or ``verify_identities``, refuse the family.  The box
+    defaults to the stability box of the chosen ideals and the
+    coefficient.  ``_interior_table`` is its core: a checker hands it the
+    map of resolutions its other tables read (see ``multi_tor``)."""
     ideals, _ = check_family(ideals, coefficient)
     subset = sorted({as_int(i, "subset index") for i in subset})
     if not subset:
@@ -157,22 +167,24 @@ def augmented_interior_H(ideals, subset, coefficient: MonomialIdeal | None = Non
     chosen = [ideals[i] for i in subset]
     if box is None:
         box = check_family(chosen, coefficient)[1]
-    return _interior_table(chosen, [resolution(i) for i in chosen], coefficient, fld, box)
+    return _interior_table(chosen, coefficient, fld, box, {})
 
 
-def _interior_table(chosen, resolved, coefficient, fld, box) -> TorTable:
-    """The table of ``augmented_interior_H`` from the chosen ideals and
-    their resolutions, over the box.  With a nonzero coefficient, every
-    ideal is resolved and R/coefficient is not: an ideal summand has no
-    base change.  Otherwise the augmented interior of the other n - 1
-    resolutions, with no axis at n = 1, takes the unresolved ideal I_u
-    through ``ideal_augment``, so at n = 1 it is I_u -> R."""
+def _interior_table(chosen, coefficient, fld, box, resolutions) -> TorTable:
+    """The table of ``augmented_interior_H`` of the chosen ideals over the
+    box, their resolutions taken from the map ``resolutions``.  With a
+    nonzero coefficient, every ideal is resolved and R/coefficient is not:
+    an ideal summand has no base change.  Otherwise the augmented interior
+    of the other n - 1 resolutions, with no axis at n = 1, takes the
+    unresolved ideal I_u through ``ideal_augment``, so at n = 1 it is
+    I_u -> R, and I_u is never resolved."""
     n = len(chosen)
     if coefficient is not None and not coefficient.is_zero():
+        resolved = [resolve(ideal, resolutions) for ideal in chosen]
         aug = base_change(hypercube_augment(tensor(resolved)), coefficient)
     else:
         u = unresolved(chosen)
-        others = resolved[:u] + resolved[u + 1:]
+        others = [resolve(ideal, resolutions) for k, ideal in enumerate(chosen) if k != u]
         n_vars = chosen[u].n
         m = tensor(others) if others else Multicomplex(
             0, n_vars, {(): [free_summand((0,) * n_vars)]}, {})
@@ -236,17 +248,22 @@ def verify_identities(ideals, fld: PrimeField = GF()) -> CheckReport:
     every pair Tor_1-independent, so the supports are pairwise disjoint
     (test_monomial_tor1_criterion) and every strict subfamily is independent
     by Künneth, as the rigidity of multiple Tor gives for any ideals.
+
+    Its Tor tables and its augmented interior share one map of
+    resolutions (see ``multi_tor``); S and P need none.
     """
     ideals, box = check_family(ideals)
     n = len(ideals)
     report = CheckReport()
+    resolutions: dict = {}
 
     # p* = the largest p < n such that every subfamily of size <= p is
     # independent: one less than the size of the first dependent strict
     # subfamily, smallest first
     p_star = next((size - 1 for size in range(2, n)
                    for sub in itertools.combinations(range(n), size)
-                   if not _table_independent(multi_tor([ideals[i] for i in sub], fld=fld))),
+                   if not _table_independent(_multi_tor([ideals[i] for i in sub], None, fld,
+                                                        None, resolutions))),
                   max(n - 1, 1))
     strict_ok = p_star >= n - 1
     report.context["strict_subfamilies_independent"] = strict_ok
@@ -254,11 +271,11 @@ def verify_identities(ideals, fld: PrimeField = GF()) -> CheckReport:
     s_complex = _s_complex(ideals, box.n, CYCLIC)
     report.context["box"] = list(box)
 
-    tor = multi_tor(ideals, fld=fld, box=box)
+    tor = _multi_tor(ideals, None, fld, box, resolutions)
     s_tab = complex_homology_table(s_complex, fld, box)
     p_tab = complex_homology_table(_p_complex(ideals, box.n, CYCLIC), fld, box)
     # H_{n,q} = H_{n+q}(augmented interior) of the whole family, keyed by q
-    aug_tab = augmented_interior_H(ideals, range(n), None, fld, box)
+    aug_tab = _interior_table(ideals, None, fld, box, resolutions)
     s_max = max(sum(len(i.gens) for i in ideals) - n, 0)
 
     def four_term(name, table, j):
@@ -327,31 +344,34 @@ def exactness_equivalences(ideals, fld: PrimeField = GF()) -> CheckReport:
     a q >= 0 row of a subfamily of size >= 2 survives, pairs included: E^1
     column p is the sum, over the p-subsets S, of the augmented interior of S.
     A subfamily's H table leaves one ideal unresolved (``_interior_table``),
-    and the tensor of all its resolutions is built only for its pages."""
+    and the tensor of all its resolutions is built only for its pages.
+    Every table reads one map of resolutions (see ``multi_tor``), so each
+    ideal is resolved at most once, and only if some table reads it."""
     ideals, box = check_family(ideals)
     n = len(ideals)
     report = CheckReport()
 
-    # each ideal is resolved once and each subfamily visited once, smallest
-    # first, so its subfamilies' H tables are in place; its H table leaves
-    # one ideal unresolved, and the full tensor of its resolutions is built
-    # only for its page engine
-    resolved = [resolution(ideal) for ideal in ideals]
+    # each ideal is resolved at most once and each subfamily visited once,
+    # smallest first, so its subfamilies' H tables are in place; its H table
+    # leaves one ideal unresolved, and the full tensor of its resolutions is
+    # built only for its page engine
+    resolutions: dict = {}
     cond1 = True
     h_tables = {}
     cond2_witness, cond3_witness, cond4_witness = [], [], []
     for size in range(2, n + 1):
         for sub in itertools.combinations(range(n), size):
             family = [ideals[i] for i in sub]
-            factors = [resolved[i] for i in sub]
-            cond1 = cond1 and _table_independent(multi_tor(family, fld=fld))
-            h_tables[sub] = _interior_table(family, factors, None, fld,
-                                            check_family(family)[1])
+            cond1 = cond1 and _table_independent(
+                _multi_tor(family, None, fld, None, resolutions))
+            h_tables[sub] = _interior_table(family, None, fld, check_family(family)[1],
+                                            resolutions)
             # where a q >= 0 row of a subfamily of sub survives (see above)
             gammas = sorted({g for k in range(2, size + 1)
                              for t in itertools.combinations(sub, k)
                              for (q, g) in h_tables[t].entries if q >= 0})
             if gammas:
+                factors = [resolve(ideal, resolutions) for ideal in family]
                 filtered = build_filtration(tensor(factors), kind="interior_augmented")
                 witness = next(({"subfamily": list(sub), "degree": list(g), "p": p, "q": q}
                                 for g in gammas

@@ -30,8 +30,8 @@ from .monomial import (
     iter_box,
     lcm_deg,
 )
-from .sumprod import mv_total_complex
-from .torlab import CheckReport, multi_tor
+from .sumprod import _mv_total_complex
+from .torlab import CheckReport, _multi_tor
 
 SPECTRAL_DEGREES = 8  # support cells cross-checked against both MV abutments
 
@@ -87,7 +87,8 @@ def supportoftors_check(ideals, coefficient: MonomialIdeal | None, ps,
     or the zero ideal means M = R, as in ``multi_tor``; both pass
     ``check_family`` before ``variable_blocks`` is asked, and every table
     is over the box it returns, which reaches every subset's product and
-    sum."""
+    sum.  The Tor tables and the totals share one map of resolutions (see
+    ``torlab.multi_tor``), so the coefficient is resolved at most once."""
     ideals, box = check_family(ideals, coefficient)
     if not variable_blocks(ideals):
         raise ValidationError("supportoftors_check needs nonzero ideals generated "
@@ -106,6 +107,7 @@ def supportoftors_check(ideals, coefficient: MonomialIdeal | None, ps,
         T for size in range(1, max(ps, default=0) + 1)
         for T in itertools.combinations(range(s), size)
     ]
+    resolutions: dict = {}
     by_ideal: dict = {}  # a singleton's product and sum are one ideal
     tor = {}  # {T: (Tor against the product, Tor against the sum)}
     for T in combos:
@@ -113,8 +115,7 @@ def supportoftors_check(ideals, coefficient: MonomialIdeal | None, ps,
         pair = (combine(family, "product"), combine(family, "sum"))
         for ideal in pair:
             if ideal not in by_ideal:
-                by_ideal[ideal] = multi_tor([ideal], coefficient=coefficient,
-                                            fld=fld, box=box)
+                by_ideal[ideal] = _multi_tor([ideal], coefficient, fld, box, resolutions)
         tor[T] = tuple(by_ideal[ideal] for ideal in pair)
     totals: dict = {}  # {(kind, T): its Mayer-Vietoris total}
     found: dict = {}  # {(kind, T, g): the witnesses of that containment}
@@ -125,8 +126,8 @@ def supportoftors_check(ideals, coefficient: MonomialIdeal | None, ps,
         tests g."""
         if (kind, T, g) not in found:
             if (kind, T) not in totals:
-                totals[(kind, T)] = mv_total_complex(
-                    kind, [ideals[i] for i in T], coefficient).total
+                totals[(kind, T)] = _mv_total_complex(
+                    kind, [ideals[i] for i in T], coefficient, resolutions).total
             found[(kind, T, g)] = _containment(
                 kind, T, g, tor[T], totals[(kind, T)].homology_at(g, fld))
         return found[(kind, T, g)]

@@ -20,7 +20,7 @@ from .gcomplex import (
     TorTable,
     base_change,
     module_homology_table,
-    resolution,
+    resolve,
     unresolved,
 )
 from .monomial import (
@@ -48,17 +48,31 @@ def multi_tor(ideals, coefficient: MonomialIdeal | None = None,
 
     Tor is balanced, so one module is left unresolved: ``unresolved``
     picks it among the ideals and, last, R/coefficient unless the
-    coefficient is zero.  The others' ``resolution``s are tensored (a lone one is its own total, and
-    none is R(0), the zero ideal's), then ``base_change`` takes the total
-    to the unresolved module.  Family and coefficient pass
-    ``check_family`` first, box given or not."""
+    coefficient is zero.  The others' resolutions are tensored (a lone one
+    is its own total, and none is R(0), the zero ideal's), then
+    ``base_change`` takes the total to the unresolved module.  Family and
+    coefficient pass ``check_family`` first, box given or not.
+
+    Each call resolves a module at most once, through a map {ideal: its
+    resolution} filled on first use (``gcomplex.resolve``), so a module
+    that is both a family member and the coefficient is resolved once.  A
+    checker builds many tables: it makes one map per call and hands it to
+    every table it builds, through ``_multi_tor``, so each distinct ideal
+    is resolved at most once per checker call.  The map is an argument,
+    never stored: it dies with the call."""
+    return _multi_tor(ideals, coefficient, fld, box, {})
+
+
+def _multi_tor(ideals, coefficient, fld, box, resolutions) -> TorTable:
+    """``multi_tor``, taking its resolutions from the map ``resolutions``
+    of the calling checker and putting the ones it builds there."""
     ideals, stable = check_family(ideals, coefficient)
     modules = list(ideals)
     if coefficient is not None and not coefficient.is_zero():
         modules.append(coefficient)
     u = unresolved(modules)
-    resolved = [resolution(ideal) for k, ideal in enumerate(modules) if k != u] \
-        or [resolution(MonomialIdeal.zero(stable.n))]
+    resolved = [resolve(ideal, resolutions) for k, ideal in enumerate(modules) if k != u] \
+        or [resolve(MonomialIdeal.zero(stable.n), resolutions)]
     total = resolved[0] if len(resolved) == 1 else tensor(resolved).total
     return module_homology_table(base_change(total, modules[u]), fld,
                                  stable if box is None else box)
@@ -150,7 +164,13 @@ def independence(ideals, fld: PrimeField = GF(), strong: bool = False
     """Tor-independence of the family; in strong mode every subset is tested
     and the answer is cross-validated against the pairwise recursion
     criterion (largest index against the sum of the others), the one
-    assertion ``criteria_agree``."""
+    assertion ``criteria_agree``.
+
+    Strong mode makes one map of resolutions for the call and hands it to
+    every subset and recursion table (see ``multi_tor``).  A 2-subset
+    takes its recursion verdict from its subset table: its recursion pair
+    is the same two modules in the other order, and Tor is symmetric and
+    balanced, so the two tables are equal."""
     ideals, _ = check_family(ideals)
     report = CheckReport()
     if not strong:
@@ -159,14 +179,20 @@ def independence(ideals, fld: PrimeField = GF(), strong: bool = False
                               recursion={}, agreement=True)
         return report
     s = len(ideals)
+    resolutions: dict = {}
     subset_results = {}
     recursion_results = {}
     for size in range(2, s + 1):
         for sub in itertools.combinations(range(s), size):
             family = [ideals[i] for i in sub]
-            subset_results[sub] = _table_independent(multi_tor(family, fld=fld))
+            subset_results[sub] = _table_independent(
+                _multi_tor(family, None, fld, None, resolutions))
+            if size == 2:  # the recursion pair is this pair: see above
+                recursion_results[sub] = subset_results[sub]
+                continue
             pair = [family[-1], combine(family[:-1], "sum")]
-            recursion_results[sub] = _table_independent(multi_tor(pair, fld=fld))
+            recursion_results[sub] = _table_independent(
+                _multi_tor(pair, None, fld, None, resolutions))
     by_subsets = all(subset_results.values())
     agreement = by_subsets == all(recursion_results.values())
     report.context.update(
@@ -211,9 +237,15 @@ def betti_table(ideal: MonomialIdeal, fld: PrimeField = GF()) -> BettiReport:
     the reduced resolution of R/I with every summand R(-a) turned into
     k(-a), which lives only at degree a.  Only one of the two is resolved.
     Its box is lcm(gens) + (1, ..., 1)."""
+    return _betti_table(ideal, fld, {})
+
+
+def _betti_table(ideal, fld, resolutions) -> BettiReport:
+    """``betti_table``, reading and filling the calling checker's map of
+    resolutions, as ``_multi_tor`` does."""
     n = ideal.n
     dim, codim = quotient_dimension(ideal)  # first: it refuses (1) and bounds n
-    table = multi_tor([ideal], MonomialIdeal.variables(n, range(n)), fld)
+    table = _multi_tor([ideal], MonomialIdeal.variables(n, range(n)), fld, None, resolutions)
     pd = table.max_nonzero_index() or 0
     depth = n - pd
     return BettiReport(table, pd, depth, dim, codim, is_cm=depth == dim)
@@ -224,9 +256,11 @@ def rigidity_check(ideals, fld: PrimeField = GF()) -> CheckReport:
     vanishes all higher ones must; vanishing passes to prefix subfamilies;
     and 0 <= eps := dim R + j - sum pd, with eps = 0 forced when the top Tor
     is artinian.  Every violation is a witness of the one assertion
-    ``no_rigidity_violations``."""
+    ``no_rigidity_violations``.  Its Tor and Betti tables share one map
+    of resolutions (see ``multi_tor``)."""
     ideals, box = check_family(ideals)
-    table = multi_tor(ideals, fld=fld)
+    resolutions: dict = {}
+    table = _multi_tor(ideals, None, fld, None, resolutions)
     max_index = sum(len(i.gens) for i in ideals)
     nonzero = set(table.nonzero_indices())
     vanishing = {i: i not in nonzero for i in range(max_index + 1)}
@@ -247,7 +281,7 @@ def rigidity_check(ideals, fld: PrimeField = GF()) -> CheckReport:
             )
     # a prefix of one ideal has Tor_i = 0 for every i >= 1: start at two
     for t in range(2, len(ideals)):
-        sub_table = multi_tor(ideals[:t], fld=fld)
+        sub_table = _multi_tor(ideals[:t], None, fld, None, resolutions)
         for i in range(1, max_index + 1):
             if vanishing[i] and not sub_table.is_zero(i):
                 gamma = sorted(sub_table.slice(i))[0]
@@ -260,7 +294,7 @@ def rigidity_check(ideals, fld: PrimeField = GF()) -> CheckReport:
                     }
                 )
     j = table.max_nonzero_index() or 0
-    sum_pd = sum(betti_table(i, fld).pd for i in ideals)
+    sum_pd = sum(_betti_table(i, fld, resolutions).pd for i in ideals)
     epsilon = box.n + j - sum_pd
     if epsilon < 0:
         violations.append({"rule": "epsilon_nonnegative", "epsilon": epsilon})
@@ -294,12 +328,14 @@ def serre_a8_check(ideals, fld: PrimeField = GF()) -> CheckReport:
     vanishes and the tensor product is CM; (2) its codimension equals the sum
     of the projective dimensions; (3) the intersection is proper and every
     quotient is CM.  The three truth values must coincide: the assertion
-    ``three_way_equivalence``, whose witness is the triple when they do not."""
+    ``three_way_equivalence``, whose witness is the triple when they do not.
+    Its Tor and Betti tables share one map of resolutions (see
+    ``multi_tor``)."""
     ideals, _ = check_family(ideals)
-    table = multi_tor(ideals, fld=fld)
-    sum_ideal = combine(ideals, "sum")
-    tensor_report = betti_table(sum_ideal, fld)
-    parts = [betti_table(i, fld) for i in ideals]
+    resolutions: dict = {}
+    table = _multi_tor(ideals, None, fld, None, resolutions)
+    tensor_report = _betti_table(combine(ideals, "sum"), fld, resolutions)
+    parts = [_betti_table(i, fld, resolutions) for i in ideals]
     sum_pd = sum(p.pd for p in parts)
     sum_codim = sum(p.codim for p in parts)
     cond1 = table.is_zero(1) and tensor_report.is_cm

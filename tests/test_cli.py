@@ -25,7 +25,7 @@ from homotor.cli import (
 )
 from homotor.errors import ParamOutOfRange, ParseError, UnknownCommand, ValidationError
 from homotor.gcomplex import resolution
-from homotor import cli, errors, gcomplex, multicomplex, spectral, sumprod, torlab
+from homotor import cli, errors, gcomplex, multicomplex, spectral, sumprod
 from homotor.monomial import MonomialIdeal, iter_box
 from homotor.multicomplex import tensor
 from homotor.spectral import build_filtration
@@ -630,7 +630,7 @@ INTERNAL_FAULTS = {
                "FiltrationViolation", "not inside"),
     "tensor kind": (["spectral", "--kind", "interior"], (cli, "resolution"),
                     lambda orig: _ideal_kind, "MixedKinds", "tensor factors must consist"),
-    "base change kind": (["tor"], (torlab, "resolution"), lambda orig: _ideal_kind,
+    "base change kind": (["tor"], (gcomplex, "resolution"), lambda orig: _ideal_kind,
                          "MixedKinds", "base change needs"),
     "ideal_augment kind": (["verify"], (sumprod, "hypercube_augment"),
                            lambda orig: lambda m: gcomplex.base_change(
@@ -642,6 +642,9 @@ INTERNAL_FAULTS = {
     "_entry_valid": (["tor"], (gcomplex, "exterior_complex"),
                      _faulty(lambda terms, d: terms.update({0: (gcomplex.free_summand((9, 9)),)})),
                      "ValidationError", "inhomogeneous or ill-defined entry"),
+    "float index": (["tor"], (gcomplex, "exterior_complex"),
+                    _faulty(lambda terms, d: d[1].update({0.0: d[1].pop(0)})),
+                    "ValidationError", "summand index 0.0 is not an integer"),
     "summand length": (["tor"], (gcomplex, "exterior_complex"), _faulty(
                            lambda terms, d: terms.update({0: (gcomplex.free_summand((0,) * 3),)})),
                        "LengthMismatch", "summand length != variable count"),
@@ -668,6 +671,60 @@ def test_an_internal_failure_exits_3_with_its_type(case, tmp_path, capsys, monke
     assert error["type"] == error_type and message in error["message"]
     with pytest.raises(getattr(errors, error_type), match=message):
         run(argv[0], parse_problem(str(path)), {"kind": argv[2] if argv[1:] else None})
+
+
+#: Families on which each checker command counts its resolutions: three
+#: 2-generator ideals whose sums and products repeat, a drawn family, and a
+#: family that lists one ideal twice.
+RESOLVED_FAMILIES = [
+    {"I": [[2, 0, 0], [1, 1, 0]], "J": [[0, 2, 0], [0, 1, 1]], "K": [[1, 0, 1], [0, 0, 2]]},
+    {f"I{k}": [list(g) for g in ideal.gens]
+     for k, ideal in enumerate(random_instance(7, n_vars=3, n_ideals=3, max_gens=3))},
+    {"I": [[1, 0, 0], [0, 1, 0]], "J": [[1, 0, 0], [0, 1, 0]], "K": [[0, 0, 2]]},
+]
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("verify", {}), ("equiv-exactness", {}), ("indep", {"strong": True}),
+    ("rigidity", {}), ("a8", {}), ("support", {}), ("support", {"module": "B"})])
+def test_each_checker_resolves_each_ideal_at_most_once(command, flags, tmp_path,
+                                                       monkeypatch):
+    """A checker makes one map of resolutions per call and hands it to every
+    Tor table, Betti table, augmented interior and Mayer-Vietoris total it
+    builds, so no command resolves an ideal twice; the support check also
+    resolves its module once for all its tables and totals."""
+    resolved = []
+    real = gcomplex.resolution
+    monkeypatch.setattr(gcomplex, "resolution",
+                        lambda ideal: resolved.append(ideal) or real(ideal))
+    families = RESOLVED_FAMILIES if command != "support" else [
+        {"A": [[1, 0, 0, 0]], "B": [[0, 1, 0, 0], [0, 0, 1, 0]], "C": [[0, 0, 0, 1]]}]
+    for ideals in families:
+        n = len(next(iter(ideals.values()))[0])
+        path = tmp_path / "prob.json"
+        path.write_text(json.dumps({"variables": ["x", "y", "z", "w"][:n], "ideals": ideals}))
+        resolved.clear()
+        run(command, parse_problem(str(path)), flags)
+        assert resolved and max(Counter(resolved).values()) == 1, (ideals, resolved)
+
+
+def test_verify_takes_a_family_with_an_ideal_past_the_taylor_bound(tmp_path, capsys):
+    """verify leaves the ideal with the most generators unresolved in its Tor
+    table and its augmented interior alike, and S and P resolve nothing,
+    so a family with one 17-generator ideal passes; tor on two such ideals
+    must resolve one of them and is still refused with exit 2."""
+    degree5 = [list(g) for g in itertools.product(range(6), repeat=3) if sum(g) == 5][:17]
+    path = tmp_path / "prob.json"
+    path.write_text(json.dumps({"variables": ["x", "y", "z"],
+                                "ideals": {"I": degree5, "J": [[1, 0, 0], [0, 2, 0]]}}))
+    assert main(["verify", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert all(a["passed"] for a in report["assertions"])
+    path.write_text(json.dumps({"variables": ["x", "y", "z"],
+                                "ideals": {"I": degree5, "J": degree5[::-1]}}))
+    assert main(["tor", str(path)]) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["type"] == "ParamOutOfRange" and "at most 16 generators" in error["message"]
 
 
 def test_cli_support_command(problem_path, capsys):

@@ -144,8 +144,11 @@ def test_every_raise_names_a_homotor_error():
 #: homotor builds for itself, which no problem file reaches, so that
 #: ``cli.main`` exits 3 on each.  The input classes left among them are
 #: refusals a problem file or a flag can reach (or, for a summand kind,
-#: a keyword): the tensor bound, an empty family, an unknown kind.
+#: a keyword): the tensor bound, an empty family, an unknown kind, and an
+#: integer read from input, which ``errors._refuse`` refuses with the input
+#: class unless a constructor of a complex read it.
 INTERNAL_RAISES = {
+    ("errors.py", "_refuse"): ["internal.ValidationError", "ValidationError"],
     ("gcomplex.py", "_rows"): ["internal.ValidationError"] * 3,
     ("gcomplex.py", "GradedComplex.__init__"): [
         "InvalidKind", "internal.ValidationError", "internal.LengthMismatch",
@@ -193,10 +196,11 @@ def test_internal_variants_are_caught_by_their_input_class():
 
 def _integer_arguments(bad):
     """(the argument's name in the error, a call passing ``bad`` where an
-    entry point takes an integer) for each integer argument of the library:
-    exponents, counts, term and summand indices, positions, axes, levels,
-    ``ps`` and ``subset``, and the degree a complex, a table, a filtration
-    or an ideal is read at."""
+    entry point takes an integer, and True for an integer a constructor of
+    a complex reads, which homotor builds for itself) for each integer
+    argument of the library: exponents, counts, term and summand indices,
+    positions, axes, levels, ``ps`` and ``subset``, and the degree a
+    complex, a table, a filtration or an ideal is read at."""
     x, y = MonomialIdeal(2, [(1, 0)]), MonomialIdeal(2, [(0, 1)])
     one = free_summand((0,))
     pair = {0: [one], 1: [one]}
@@ -204,32 +208,32 @@ def _integer_arguments(bad):
     line = Multicomplex(1, 1, {(0,): [one], (1,): [one]}, {((1,), 0): {0: [(0, 1)]}})
     table = multi_tor([x, y])
     return [
-        ("variable count", lambda: MonomialIdeal(bad, [])),
-        ("exponent", lambda: MonomialIdeal(2, [(bad, 1)])),
-        ("exponent", lambda: Multidegree((1, bad))),
-        ("variable index", lambda: Multidegree.unit(2, bad)),
-        ("exponent", lambda: multi_tor([x, y], box=(bad, 3))),
-        ("variable count", lambda: GradedComplex(bad, {}, {})),
-        ("term index", lambda: GradedComplex(1, {bad: [one]}, {})),
-        ("term index", lambda: GradedComplex(1, pair, {bad: {0: [(0, 1)]}})),
-        ("summand index", lambda: GradedComplex(1, pair, {1: {bad: [(0, 1)]}})),
-        ("axis count", lambda: Multicomplex(bad, 1, {}, {})),
-        ("position coordinate", lambda: Multicomplex(1, 1, {(bad,): [one]}, {})),
-        ("axis", lambda: Multicomplex(1, 1, line.terms, {((1,), bad): {0: [(0, 1)]}})),
+        ("variable count", lambda: MonomialIdeal(bad, []), False),
+        ("exponent", lambda: MonomialIdeal(2, [(bad, 1)]), False),
+        ("exponent", lambda: Multidegree((1, bad)), False),
+        ("variable index", lambda: Multidegree.unit(2, bad), False),
+        ("exponent", lambda: multi_tor([x, y], box=(bad, 3)), False),
+        ("variable count", lambda: GradedComplex(bad, {}, {}), True),
+        ("term index", lambda: GradedComplex(1, {bad: [one]}, {}), True),
+        ("term index", lambda: GradedComplex(1, pair, {bad: {0: [(0, 1)]}}), True),
+        ("summand index", lambda: GradedComplex(1, pair, {1: {bad: [(0, 1)]}}), True),
+        ("axis count", lambda: Multicomplex(bad, 1, {}, {}), True),
+        ("position coordinate", lambda: Multicomplex(1, 1, {(bad,): [one]}, {}), True),
+        ("axis", lambda: Multicomplex(1, 1, line.terms, {((1,), bad): {0: [(0, 1)]}}), True),
         ("summand index",
-         lambda: Multicomplex(1, 1, line.terms, {((1,), 0): {0: [(bad, 1)]}})),
-        ("shift", lambda: Multicomplex(1, 1, line.terms, {}, bad)),
-        ("face_axes", lambda: koszul_cone(line, face_axes=bad)),
-        ("level", lambda: FilteredTotal(total, {1: [bad]})),
-        ("term index", lambda: FilteredTotal(total, {bad: [0]})),
-        ("p", lambda: supportoftors_check([x, y], None, [bad])),
-        ("subset index", lambda: augmented_interior_H([x, y], [bad])),
-        ("degree", lambda: table.dim(0, (bad, 0))),
-        ("degree", lambda: table.clamp((0, bad))),
-        ("degree", lambda: total.alive_masks((bad,))),
-        ("degree", lambda: total.homology_at((bad,))),
-        ("degree", lambda: pages(FilteredTotal(total, {}), (bad,))),
-        ("degree", lambda: x.contains((bad, 0))),
+         lambda: Multicomplex(1, 1, line.terms, {((1,), 0): {0: [(bad, 1)]}}), True),
+        ("shift", lambda: Multicomplex(1, 1, line.terms, {}, bad), True),
+        ("face_axes", lambda: koszul_cone(line, face_axes=bad), False),
+        ("level", lambda: FilteredTotal(total, {1: [bad]}), True),
+        ("term index", lambda: FilteredTotal(total, {bad: [0]}), True),
+        ("p", lambda: supportoftors_check([x, y], None, [bad]), False),
+        ("subset index", lambda: augmented_interior_H([x, y], [bad]), False),
+        ("degree", lambda: table.dim(0, (bad, 0)), False),
+        ("degree", lambda: table.clamp((0, bad)), False),
+        ("degree", lambda: total.alive_masks((bad,)), False),
+        ("degree", lambda: total.homology_at((bad,)), False),
+        ("degree", lambda: pages(FilteredTotal(total, {}), (bad,)), False),
+        ("degree", lambda: x.contains((bad, 0)), False),
     ]
 
 
@@ -240,11 +244,14 @@ def test_one_integer_rule(bad):
     a whole one, or a string, even of digits, is refused with
     ``ValidationError``, never truncated by ``int`` or parsed, and never
     let through to a raw TypeError.  A degree is read by the same rule, so
-    Tor_0(R/(x), R/(y)) at (0.5, 0) is refused, not read as 0."""
-    for what, call in _integer_arguments(bad):
+    Tor_0(R/(x), R/(y)) at (0.5, 0) is refused, not read as 0.  What a
+    constructor of a complex reads is refused with the ``internal``
+    variant, so that the CLI exits 3 on it; an input, with the input class."""
+    for what, call, built in _integer_arguments(bad):
         with pytest.raises(ValidationError, match="is not an integer") as refused:
             call()
         assert str(refused.value).startswith(f"{what} "), what
+        assert isinstance(refused.value, errors.InternalError) == built, what
     with pytest.raises(ValidationError, match="is not an integer"):
         multi_tor([MonomialIdeal(2, [(1, 0)])], box="ab")
     table = multi_tor([MonomialIdeal(2, [(1, 0)]), MonomialIdeal(2, [(0, 1)])])
@@ -342,9 +349,10 @@ def test_one_family_contract():
     """A family of ideals and its coefficient are refused in one place:
     ``UnitIdeal`` is raised only by ``monomial.refuse_unit``, and every
     function of torlab, sumprod and support with a parameter ``ideals``
-    calls ``check_family``, but for the predicate ``variable_blocks`` and
+    calls ``check_family``, but for the predicate ``variable_blocks``,
     ``_s_complex`` and ``_p_complex``, the builds of S and P that are
-    handed a family their caller checked."""
+    handed a family their caller checked, and ``multi_tor`` and
+    ``mv_total_complex``, which hand it to their cores."""
     assert _raise_sites("UnitIdeal") == [("monomial.py", "refuse_unit")]
     callers = {(path, func) for path, func, _ in _call_sites("check_family")}
     takers = set()
@@ -353,8 +361,15 @@ def test_one_family_contract():
         takers |= {(name, node.name) for node in ast.walk(tree)
                    if isinstance(node, ast.FunctionDef)
                    and "ideals" in [a.arg for a in node.args.args + node.args.kwonlyargs]}
-    assert len(takers) == 16  # the 13 entry points of FAMILY_FUNCTIONS and the three above
-    assert takers - callers == {("support.py", "variable_blocks"),
+    # the 13 entry points of FAMILY_FUNCTIONS, the cores ``_multi_tor`` and
+    # ``_mv_total_complex`` that read a checker's resolutions, and the three above
+    assert len(takers) == 18
+    # two entry points hand the family to their cores, which check it
+    cores = {("torlab.py", "multi_tor"): "_multi_tor",
+             ("sumprod.py", "mv_total_complex"): "_mv_total_complex"}
+    for site, core in cores.items():
+        assert site in {(path, func) for path, func, _ in _call_sites(core)}
+    assert takers - callers == {("support.py", "variable_blocks"), *cores,
                                 ("sumprod.py", "_s_complex"), ("sumprod.py", "_p_complex")}
 
 
@@ -432,9 +447,9 @@ BUILDERS = [
     ("gcomplex.py", "ideal_augment"),
     ("gcomplex.py", "taylor_resolution"),
     ("multicomplex.py", "Multicomplex.__init__"),
+    ("sumprod.py", "_mv_total_complex"),
     ("sumprod.py", "_p_complex"),
     ("sumprod.py", "_s_complex"),
-    ("sumprod.py", "mv_total_complex"),
 ]
 
 

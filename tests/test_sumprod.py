@@ -3,6 +3,7 @@
 import functools
 import itertools
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -20,9 +21,9 @@ from conftest import (
     verify_identities_oracle,
     with_coefficient,
 )
-from homotor import sumprod
+from homotor import gcomplex, sumprod, torlab
 from homotor.cli import random_instance
-from homotor.errors import UnitIdeal, ValidationError
+from homotor.errors import ParamOutOfRange, UnitIdeal, ValidationError
 from homotor.exactlin import GF
 from homotor.gcomplex import (
     GradedComplex,
@@ -30,6 +31,7 @@ from homotor.gcomplex import (
     module_homology_table,
     resolution,
     taylor_resolution,
+    unresolved,
 )
 from homotor.monomial import (
     MonomialIdeal,
@@ -52,7 +54,7 @@ from homotor.sumprod import (
     mv_total_complex,
     verify_identities,
 )
-from homotor.torlab import family_box, independence, multi_tor
+from homotor.torlab import betti_table, family_box, independence, multi_tor
 
 
 def ranks_of(c):
@@ -477,7 +479,7 @@ def test_surjection_bounds_relabel_the_top_range_witnesses(kxyz, monkeypatch):
     surjection_injection_bounds lists the first four mismatches in (s,
     degree) order, the first four top_tor_vs_augmented witnesses
     relabelled; where strict_ok is false it is unchecked, with no witness."""
-    table = sumprod.augmented_interior_H
+    table = sumprod._interior_table
 
     def padded(*args):
         t = table(*args)
@@ -487,11 +489,11 @@ def test_surjection_bounds_relabel_the_top_range_witnesses(kxyz, monkeypatch):
                 entries[q, g] = entries.get((q, g), 0) + 1
         return TorTable(entries, t.box)
 
-    monkeypatch.setattr(sumprod, "augmented_interior_H", padded)
+    monkeypatch.setattr(sumprod, "_interior_table", padded)
     m = MonomialIdeal(2, [(1, 0), (0, 1)])
     family = [m, m]
     box = family_box(family)
-    tor, aug = multi_tor(family, box=box), padded(family, [0, 1], None, GF(), box)
+    tor, aug = multi_tor(family, box=box), padded(family, None, GF(), box, {})
     want = [{"s": s, "degree": list(g), "tor": tor.dim(2 + s, g), "aug": aug.dim(s, g),
              "iso_expected": True}
             for s in range(3) for g in sorted(set(tor.slice(2 + s)) | set(aug.slice(s)))
@@ -616,6 +618,73 @@ def test_augmented_interior_matches_the_full_tensor(drawn, p):
                 assert got.entries == {(i - size, g): d for (i, g), d in want.entries.items()}
 
 
+def test_augmented_interior_leaves_an_ideal_past_the_taylor_bound_unresolved():
+    """An ideal of 17 degree-5 generators has no Taylor resolution, and the
+    augmented interior of it and J = (x, y^2) never asks for one: it is the
+    ideal left unresolved.  The table is the top range of their Tor,
+    Tor_{2+q} = H_{2,q}, which ``multi_tor`` also gets without resolving
+    it."""
+    big = MonomialIdeal(3, [g for g in itertools.product(range(6), repeat=3)
+                            if sum(g) == 5][:17])
+    j = MonomialIdeal(3, [(1, 0, 0), (0, 2, 0)])
+    with pytest.raises(ParamOutOfRange, match="at most 16 generators"):
+        taylor_resolution(big)
+    aug = augmented_interior_H([big, j], [0, 1])
+    tor = multi_tor([big, j])
+    assert aug.box == tor.box == family_box([big, j])
+    assert aug.nonzero_indices() == [-1, 0] and tor.nonzero_indices() == [0, 1, 2]
+    assert all(aug.slice(q) == tor.slice(2 + q) for q in range(len(big.gens) + 2))
+
+
+@settings(deadline=None, max_examples=30)
+@given(interior_families(2, 4), st.sampled_from([2, 3, 32003]))
+def test_tables_from_a_shared_map_match_fresh_ones(drawn, p):
+    """Every table a checker builds from its one map of resolutions equals
+    the one built with a fresh map, the path each entry point keeps: for
+    every subfamily of 2-4 ideals, its Tor table, with no coefficient and
+    with the drawn one, and its augmented interior, then the Betti table
+    of each ideal and of the sum, all from one map filled as they go,
+    over GF(2), GF(3) and GF(32003)."""
+    family, coefficient = drawn
+    fld, shared = GF(p), {}
+    for size in range(1, len(family) + 1):
+        for subset in itertools.combinations(range(len(family)), size):
+            chosen = [family[i] for i in subset]
+            for coeff in {None, coefficient}:
+                assert torlab._multi_tor(chosen, coeff, fld, None, shared) == \
+                    multi_tor(chosen, coeff, fld)
+                box = family_box(chosen, coeff)
+                assert sumprod._interior_table(chosen, coeff, fld, box, shared) == \
+                    augmented_interior_H(family, subset, coeff, fld)
+    for ideal in [*family, combine(family, "sum")]:
+        assert torlab._betti_table(ideal, fld, shared).to_json() == \
+            betti_table(ideal, fld).to_json()
+    assert all((c.terms, c.d) == (resolution(ideal).terms, resolution(ideal).d)
+               for ideal, c in shared.items())
+
+
+@settings(deadline=None, max_examples=30)
+@given(interior_families())
+def test_augmented_interior_never_resolves_the_unresolved_ideal(drawn):
+    """With no coefficient, ``augmented_interior_H`` resolves each chosen
+    ideal but the one ``unresolved`` picks, once: that one is resolved only
+    when the subset chooses it again at another place."""
+    family, _ = drawn
+    resolved = []
+    real = gcomplex.resolution
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gcomplex, "resolution",
+                      lambda ideal: resolved.append(ideal) or real(ideal))
+        for size in range(1, len(family) + 1):
+            for subset in itertools.combinations(range(len(family)), size):
+                chosen = [family[i] for i in subset]
+                u = unresolved(chosen)
+                resolved.clear()
+                augmented_interior_H(family, subset)
+                assert Counter(resolved) == Counter(
+                    {ideal for k, ideal in enumerate(chosen) if k != u})
+
+
 def _exactness_curated(kxy, kxyz):
     return [
         [kxy["x"], kxy["y"]],
@@ -719,7 +788,7 @@ def test_checkers_build_once_per_subfamily(kxyz, monkeypatch):
     """On x, y, z, where every subfamily is independent, the exactness check
     makes one Tor table, one P and one S per subfamily of size >= 2 (its
     reference makes 8, 7 and 7), and verify_identities takes its augmented
-    interior from one augmented_interior_H call."""
+    interior from one _interior_table call."""
     calls = {}
 
     def count(module, name):
@@ -731,63 +800,65 @@ def test_checkers_build_once_per_subfamily(kxyz, monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
 
-    for name in ("multi_tor", "_p_complex", "_s_complex"):
+    for name in ("_multi_tor", "_p_complex", "_s_complex"):
         count(sumprod, name)
     family = [kxyz["x"], kxyz["y"], kxyz["z"]]
     assert exactness_equivalences(family).passed
-    assert calls == {"multi_tor": 4, "_p_complex": 4, "_s_complex": 4}
+    assert calls == {"_multi_tor": 4, "_p_complex": 4, "_s_complex": 4}
     calls.clear()
-    count(sumprod, "augmented_interior_H")
+    count(sumprod, "_interior_table")
     assert verify_identities(family).passed
-    assert calls["augmented_interior_H"] == 1
+    assert calls["_interior_table"] == 1
 
 
 def test_exactness_tables_only_for_subfamilies_of_two_or_more(kxyz, monkeypatch):
     """Only subfamilies of size >= 2 have their H tables read: three pairs and
     the triple, told apart by their sizes and their family boxes, which
-    differ; each table gets its ideals' resolutions, one each."""
+    differ; every table reads the call's one map of resolutions."""
     family = [kxyz["x"], kxyz["y"], kxyz["xy"]]
-    calls = []
+    calls, maps = [], set()
     table = sumprod._interior_table
 
-    def counted(chosen, resolved, coefficient, fld, box):
-        assert len(resolved) == len(chosen) and coefficient is None
+    def counted(chosen, coefficient, fld, box, resolutions):
+        assert coefficient is None
         calls.append((len(chosen), tuple(box)))
-        return table(chosen, resolved, coefficient, fld, box)
+        maps.add(id(resolutions))
+        return table(chosen, coefficient, fld, box, resolutions)
 
     monkeypatch.setattr(sumprod, "_interior_table", counted)
     exactness_equivalences(family)
+    assert len(maps) == 1
     expected = sorted((len(sub), tuple(family_box([family[i] for i in sub])))
                       for sub in [(0, 1), (0, 1, 2), (0, 2), (1, 2)])
     assert len({box for _, box in expected}) == 4
     assert sorted(calls) == expected
 
 
-def test_exactness_resolves_each_ideal_once_and_builds_each_tensor_once(monkeypatch):
+def test_exactness_resolves_each_ideal_at_most_once_and_builds_each_tensor_once(monkeypatch):
     """On (xy^2), (y^2, xy), (y, x^2), where q >= 0 rows of the augmented
     interior survive, so pages are read, the exactness check resolves each
-    of the three ideals once.  Each subfamily of size >= 2 builds one
-    tensor of all its resolutions but the unresolved ideal's for its H
-    table, and the full tensor of its resolutions only where its page
-    engine reads it, from the very resolutions its H table got."""
+    ideal at most once, into the one map that all its tables read.  Each
+    subfamily of size >= 2 builds one tensor for its H table, of the map's
+    resolutions of its ideals but the unresolved one, and the full tensor
+    of the map's resolutions of its ideals only where its page engine reads
+    it."""
     family = [MonomialIdeal(2, [(1, 2)]), MonomialIdeal(2, [(0, 2), (1, 1)]),
               MonomialIdeal(2, [(0, 1), (2, 0)])]
-    calls = {"resolution": 0}
-    tensors, tables, filtered = [], [], []
-    resolution_, tensor_ = sumprod.resolution, sumprod.tensor
+    resolved, tensors, tables, filtered = [], [], [], []
+    resolution_, tensor_ = gcomplex.resolution, sumprod.tensor
     table, build = sumprod._interior_table, sumprod.build_filtration
 
     def counted_resolution(ideal):
-        calls["resolution"] += 1
+        resolved.append(ideal)
         return resolution_(ideal)
 
     def kept_tensor(factors):
         tensors.append((list(factors), tensor_(factors)))
         return tensors[-1][1]
 
-    def kept_table(chosen, resolved, *args):
-        tables.append(list(resolved))
-        return table(chosen, resolved, *args)
+    def kept_table(chosen, coefficient, fld, box, resolutions):
+        tables.append((list(chosen), resolutions))
+        return table(chosen, coefficient, fld, box, resolutions)
 
     def kept_build(m, *, kind):
         filtered.append(m)
@@ -796,20 +867,23 @@ def test_exactness_resolves_each_ideal_once_and_builds_each_tensor_once(monkeypa
     def same(a, b):
         return len(a) == len(b) and all(x is y for x, y in zip(a, b))
 
-    monkeypatch.setattr(sumprod, "resolution", counted_resolution)
+    monkeypatch.setattr(gcomplex, "resolution", counted_resolution)
     monkeypatch.setattr(sumprod, "tensor", kept_tensor)
     monkeypatch.setattr(sumprod, "_interior_table", kept_table)
     monkeypatch.setattr(sumprod, "build_filtration", kept_build)
     exactness_equivalences(family)
-    assert calls == {"resolution": 3}
-    assert len(tables) == 4 and filtered
+    assert len(resolved) == len(set(resolved)) and len(tables) == 4 and filtered
+    (resolutions,) = {id(r): r for _, r in tables}.values()
+    assert set(resolutions) == set(resolved)
     full = [factors for factors, m in tensors if any(m is f for f in filtered)]
     short = [factors for factors, m in tensors if not any(m is f for f in filtered)]
     assert len(full) == len(filtered) and len(short) == len(tables)
-    assert all(any(same(factors, t) for t in tables) for factors in full)
+    assert all(any(same(factors, [resolutions[i] for i in chosen]) for chosen, _ in tables)
+               for factors in full)
     # the k-th table builds the k-th short tensor, of its resolutions but one
-    for factors, t in zip(short, tables):
-        assert len(factors) == len(t) - 1 and all(any(f is r for r in t) for f in factors)
+    for factors, (chosen, _) in zip(short, tables):
+        u = unresolved(chosen)
+        assert same(factors, [resolutions[i] for k, i in enumerate(chosen) if k != u])
 
 
 def test_exactness_equivalences_truth_values(kxy, kxyz):
@@ -991,7 +1065,7 @@ def test_raw_and_reduced_factors_agree(monkeypatch):
         shrunk.append([sum(map(len, c.terms.values())) for c in raw]
                       != [sum(map(len, c.terms.values())) for c in reduced])
         with monkeypatch.context() as patch:
-            patch.setattr(sumprod, "resolution", taylor_resolution)
+            patch.setattr(gcomplex, "resolution", taylor_resolution)
             want = answers(family, coefficient, raw)
         assert answers(family, coefficient, reduced) == want
 

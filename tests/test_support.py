@@ -198,8 +198,9 @@ def test_supportoftors_tables_only_the_subsets_of_the_asked_sizes(monkeypatch):
     """p = 1 on three blocks tables and totals the singletons alone, and no
     p tables nothing."""
     tabled = []
-    monkeypatch.setattr(support, "multi_tor",
-                        lambda ideals, **kw: tabled.append(ideals) or multi_tor(ideals, **kw))
+    tor = support._multi_tor
+    monkeypatch.setattr(support, "_multi_tor",
+                        lambda ideals, *args: tabled.append(ideals) or tor(ideals, *args))
     family = blocks(3, [[0], [1], [2]])
     assert supportoftors_check(family, None, []) == {} and tabled == []
     assert list(supportoftors_check(family, None, [1])) == [1]

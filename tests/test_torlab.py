@@ -8,13 +8,14 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (
     diagonal_tor,
+    independence_oracle,
     koszul_betti,
     stream,
     tensor_total,
     tor1_per_degree,
     with_coefficient,
 )
-from homotor import torlab
+from homotor import gcomplex, torlab
 from homotor.exactlin import GF
 from homotor.errors import BoxTooSmall, EmptyInput, LengthMismatch, UnitIdeal
 from homotor.gcomplex import (
@@ -223,6 +224,18 @@ def test_independence_recursion_agreement_on_stream():
         assert rep.context["agreement"] and rep.passed, [i.gens for i in fam]
 
 
+def test_strong_independence_pairs_the_last_ideal_with_the_sum_of_the_rest():
+    """A subset's recursion pair is its last ideal against the sum of the
+    others: (y^2) is independent of (x) but not of (x) + (y), so the
+    triple's recursion verdict is False, and each 2-subset's is its own
+    table's, the same two modules in the other order."""
+    x, y, y2 = (MonomialIdeal(2, [g]) for g in [(1, 0), (0, 1), (0, 2)])
+    rep = independence([x, y, y2], strong=True)
+    verdicts = {"[0, 1]": True, "[0, 1, 2]": False, "[0, 2]": True, "[1, 2]": False}
+    assert rep.context["subsets"] == rep.context["recursion"] == verdicts
+    assert rep.to_json() == independence_oracle([x, y, y2], strong=True).to_json()
+
+
 def test_betti_examples(kxy):
     b = betti_table(kxy["m"])
     assert (b.pd, b.depth, b.dim, b.is_cm) == (2, 0, 0, True)
@@ -255,17 +268,17 @@ def test_rigidity_tabulates_no_one_ideal_prefix(kxyz, monkeypatch):
     tabulates its family and its prefixes of two or more ideals only."""
     family = [kxyz["x"], kxyz["xy"], kxyz["z"]]
     calls = []
-    real = torlab.multi_tor
+    real = torlab._multi_tor
 
-    def counted(ideals, coefficient=None, *args, **kwargs):
+    def counted(ideals, coefficient, *args):
         if coefficient is None:
             calls.append(len(ideals))
-        return real(ideals, coefficient, *args, **kwargs)
+        return real(ideals, coefficient, *args)
 
-    monkeypatch.setattr(torlab, "multi_tor", counted)
+    monkeypatch.setattr(torlab, "_multi_tor", counted)
     assert rigidity_check(family).passed
     assert calls == [3, 2]
-    assert all(real([ideal]).nonzero_indices() == [0] for ideal in family)
+    assert all(multi_tor([ideal]).nonzero_indices() == [0] for ideal in family)
 
 
 def test_rigidity_check_reports_every_rule(monkeypatch):
@@ -279,14 +292,14 @@ def test_rigidity_check_reports_every_rule(monkeypatch):
     cells = {(0, 0): 1, (1, 0): 2}
     whole = TorTable({(i, g): d for i in (0, 2) for g, d in cells.items()}, (2, 1))
     prefix = TorTable({(i, g): d for i in (0, 1, 3) for g, d in cells.items()}, (2, 1))
-    real = torlab.multi_tor
+    real = torlab._multi_tor
 
-    def made_up(ideals, coefficient=None, *args, **kwargs):
+    def made_up(ideals, coefficient, *args):
         if coefficient is not None:  # betti_table's Tor against the residue field
-            return real(ideals, coefficient, *args, **kwargs)
+            return real(ideals, coefficient, *args)
         return whole if len(ideals) == 3 else prefix
 
-    monkeypatch.setattr(torlab, "multi_tor", made_up)
+    monkeypatch.setattr(torlab, "_multi_tor", made_up)
     x, y = MonomialIdeal(2, [(1, 0)]), MonomialIdeal(2, [(0, 1)])
     rep = rigidity_check([x, y, x])
     violations = [
@@ -391,7 +404,7 @@ def test_multi_tor_against_the_maximal_ideal_matches_the_koszul_oracle(
         calls.append(ideal)
         return resolution(ideal)
 
-    monkeypatch.setattr(torlab, "resolution", counting)
+    monkeypatch.setattr(gcomplex, "resolution", counting)
     ideals = [fam[0] for fam in stream(17000, 40, n_vars=2, n_ideals=1, max_gens=3)
               if (len(fam[0].gens) >= 2) == unresolved]
     assert len(ideals) >= 5
@@ -612,7 +625,7 @@ def test_only_the_modules_the_tensor_uses_are_resolved(monkeypatch):
         calls.append(ideal)
         return resolution(ideal)
 
-    monkeypatch.setattr(torlab, "resolution", counting)
+    monkeypatch.setattr(gcomplex, "resolution", counting)
     seven = MonomialIdeal(3, [(3, 0, 0), (0, 3, 0), (0, 0, 3), (2, 1, 0),
                               (1, 2, 0), (0, 2, 1), (1, 1, 1)])
     betti_table(seven)
