@@ -45,7 +45,8 @@ from .sumprod import (
 from .support import region_compare, supportoftors_check, variable_blocks
 from .torlab import (
     A8_CONDITIONS,
-    betti_table,
+    _betti_table,
+    _multi_tor,
     family_box,
     independence,
     multi_tor,
@@ -247,10 +248,14 @@ def _tor1_oracle(problem, flags, fld, box, report):
 
 
 def _betti(problem, flags, fld, box, report):
+    """The Betti table of the module, or of every ideal, all from one map of
+    resolutions (see ``multi_tor``), so the residue field's is built once."""
     name = _module_name(problem, flags)
     names = [name] if name else list(problem.ideals)
+    resolutions: dict = {}
     for name in names:
-        report["results"][name] = betti_table(_named_ideal(problem, name), fld).to_json()
+        report["results"][name] = _betti_table(_named_ideal(problem, name), fld,
+                                               resolutions).to_json()
 
 
 def _indep(problem, flags, fld, box, report):
@@ -333,10 +338,10 @@ def _support(problem, flags, fld, box, report):
         report["assertions"].append(_assertion(
             "support_union_equality", all(rep.passed for rep in reps.values())
         ))
-    else:
-        tables = []
+    else:  # per-ideal regions, from one map of resolutions (see ``multi_tor``)
+        tables, resolutions = [], {}
         for name, ideal in problem.ideals.items():
-            tables.append(multi_tor([ideal], coefficient=coeff, fld=fld))
+            tables.append(_multi_tor([ideal], coeff, fld, None, resolutions))
             report["results"][name] = [list(c) for c in sorted(tables[-1].support())]
         if len(tables) >= 2:
             report["results"]["compare_first_two"] = region_compare(*tables[:2])

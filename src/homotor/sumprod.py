@@ -52,12 +52,7 @@ def build_s_complex(ideals, variant: str = "quotient") -> GradedComplex:
     at index -p.  The tilde variant keeps the ideals themselves inside
     K^(1,...,1;R), so its bottom term is the product of the ideals."""
     ideals, box = check_family(ideals)
-    return _s_complex(ideals, box.n, _variant_kind(variant))
-
-
-def _s_complex(ideals, n_vars: int, kind: str) -> GradedComplex:
-    """``build_s_complex`` of a family its caller checked, in n_vars variables."""
-    return GradedComplex(n_vars, *_s_terms(ideals), kind)
+    return GradedComplex(box.n, *_s_terms(ideals), _variant_kind(variant))
 
 
 def _s_terms(family):
@@ -76,19 +71,15 @@ def build_p_complex(ideals, variant: str = "quotient") -> GradedComplex:
     with unit Koszul differentials.  The tilde variant keeps the ideals, and
     its bottom term is R, so the quotient variant has P_0 = R/R = 0."""
     ideals, box = check_family(ideals)
-    return _p_complex(ideals, box.n, _variant_kind(variant))
-
-
-def _p_complex(ideals, n_vars: int, kind: str) -> GradedComplex:
-    """``build_p_complex`` of a family its caller checked, in n_vars variables."""
-    bottom = MonomialIdeal.unit(n_vars)
+    kind = _variant_kind(variant)
+    bottom = MonomialIdeal.unit(box.n)
     terms, d = exterior_complex(
         len(ideals),
         lambda s: summand(combine([ideals[i] for i in s], "product") if s else bottom),
     )
     if kind == CYCLIC:
         del terms[0], d[1]  # P_0 = R/R is zero
-    return GradedComplex(n_vars, terms, d, kind)
+    return GradedComplex(box.n, terms, d, kind)
 
 
 def mv_total_complex(kind: str, ideals, coefficient: MonomialIdeal | None = None
@@ -123,7 +114,7 @@ def _mv_total_complex(kind, ideals, coefficient, resolutions) -> FilteredTotal:
         x = GradedComplex(box.n, {i + n: ss for i, ss in terms.items() if i},
                           {i + n: rows for i, rows in d.items() if i}, CYCLIC)
     elif kind == "product_to_sum":
-        x = _p_complex(ideals, box.n, CYCLIC)
+        x = build_p_complex(ideals)
     else:
         raise InvalidKind(f"unknown mv kind {kind!r}")
     if coefficient is None or coefficient.is_zero():
@@ -164,32 +155,31 @@ def augmented_interior_H(ideals, subset, coefficient: MonomialIdeal | None = Non
         raise ValidationError(
             f"subset {subset} names an ideal outside 0..{len(ideals) - 1}"
         )
-    chosen = [ideals[i] for i in subset]
-    if box is None:
-        box = check_family(chosen, coefficient)[1]
-    return _interior_table(chosen, coefficient, fld, box, {})
+    return _interior_table([ideals[i] for i in subset], coefficient, fld, box, {})
 
 
-def _interior_table(chosen, coefficient, fld, box, resolutions) -> TorTable:
-    """The table of ``augmented_interior_H`` of the chosen ideals over the
-    box, their resolutions taken from the map ``resolutions``.  With a
-    nonzero coefficient, every ideal is resolved and R/coefficient is not:
-    an ideal summand has no base change.  Otherwise the augmented interior
-    of the other n - 1 resolutions, with no axis at n = 1, takes the
-    unresolved ideal I_u through ``ideal_augment``, so at n = 1 it is
-    I_u -> R, and I_u is never resolved."""
-    n = len(chosen)
+def _interior_table(ideals, coefficient, fld, box, resolutions) -> TorTable:
+    """The table of ``augmented_interior_H`` of the chosen ideals, which it
+    checks as a family with the coefficient, over the box, by default the
+    stability box that check returns; their resolutions are taken from the
+    map ``resolutions``.  With a nonzero coefficient, every ideal is resolved
+    and R/coefficient is not: an ideal summand has no base change.
+    Otherwise the augmented interior of the other n - 1 resolutions, with
+    no axis at n = 1, takes the unresolved ideal I_u through
+    ``ideal_augment``, so at n = 1 it is I_u -> R, and I_u is never
+    resolved."""
+    ideals, stable = check_family(ideals, coefficient)
+    n = len(ideals)
     if coefficient is not None and not coefficient.is_zero():
-        resolved = [resolve(ideal, resolutions) for ideal in chosen]
+        resolved = [resolve(ideal, resolutions) for ideal in ideals]
         aug = base_change(hypercube_augment(tensor(resolved)), coefficient)
     else:
-        u = unresolved(chosen)
-        others = [resolve(ideal, resolutions) for k, ideal in enumerate(chosen) if k != u]
-        n_vars = chosen[u].n
+        u = unresolved(ideals)
+        others = [resolve(ideal, resolutions) for k, ideal in enumerate(ideals) if k != u]
         m = tensor(others) if others else Multicomplex(
-            0, n_vars, {(): [free_summand((0,) * n_vars)]}, {})
-        aug = ideal_augment(hypercube_augment(m), chosen[u])
-    table = module_homology_table(aug, fld, box)
+            0, stable.n, {(): [free_summand((0,) * stable.n)]}, {})
+        aug = ideal_augment(hypercube_augment(m), ideals[u])
+    table = module_homology_table(aug, fld, stable if box is None else box)
     entries = {(i - n, gam): d for (i, gam), d in table.entries.items()}
     return TorTable(entries, table.box)
 
@@ -268,12 +258,11 @@ def verify_identities(ideals, fld: PrimeField = GF()) -> CheckReport:
     strict_ok = p_star >= n - 1
     report.context["strict_subfamilies_independent"] = strict_ok
 
-    s_complex = _s_complex(ideals, box.n, CYCLIC)
     report.context["box"] = list(box)
 
     tor = _multi_tor(ideals, None, fld, box, resolutions)
-    s_tab = complex_homology_table(s_complex, fld, box)
-    p_tab = complex_homology_table(_p_complex(ideals, box.n, CYCLIC), fld, box)
+    s_tab = complex_homology_table(build_s_complex(ideals), fld, box)
+    p_tab = complex_homology_table(build_p_complex(ideals), fld, box)
     # H_{n,q} = H_{n+q}(augmented interior) of the whole family, keyed by q
     aug_tab = _interior_table(ideals, None, fld, box, resolutions)
     s_max = max(sum(len(i.gens) for i in ideals) - n, 0)
@@ -347,7 +336,7 @@ def exactness_equivalences(ideals, fld: PrimeField = GF()) -> CheckReport:
     and the tensor of all its resolutions is built only for its pages.
     Every table reads one map of resolutions (see ``multi_tor``), so each
     ideal is resolved at most once, and only if some table reads it."""
-    ideals, box = check_family(ideals)
+    ideals, _ = check_family(ideals)
     n = len(ideals)
     report = CheckReport()
 
@@ -364,8 +353,7 @@ def exactness_equivalences(ideals, fld: PrimeField = GF()) -> CheckReport:
             family = [ideals[i] for i in sub]
             cond1 = cond1 and _table_independent(
                 _multi_tor(family, None, fld, None, resolutions))
-            h_tables[sub] = _interior_table(family, None, fld, check_family(family)[1],
-                                            resolutions)
+            h_tables[sub] = _interior_table(family, None, fld, None, resolutions)
             # where a q >= 0 row of a subfamily of sub survives (see above)
             gammas = sorted({g for k in range(2, size + 1)
                              for t in itertools.combinations(sub, k)
@@ -379,12 +367,11 @@ def exactness_equivalences(ideals, fld: PrimeField = GF()) -> CheckReport:
                                 if q >= 0 and p >= 2 and d), None)
                 if witness:
                     cond2_witness.append(witness)
-            p_tab = complex_homology_table(_p_complex(family, box.n, CYCLIC), fld)
+            p_tab = complex_homology_table(build_p_complex(family), fld)
             i = next((i for i in p_tab.nonzero_indices() if i >= 2), None)
             if i is not None:
                 cond3_witness.append({"subfamily": list(sub), "i": i})
-            s_nonzero = complex_homology_table(_s_complex(family, box.n, CYCLIC), fld
-                                               ).nonzero_indices()
+            s_nonzero = complex_homology_table(build_s_complex(family), fld).nonzero_indices()
             if s_nonzero:
                 cond4_witness.append({"subfamily": list(sub), "i": s_nonzero[0]})
     cond2, cond3, cond4 = not cond2_witness, not cond3_witness, not cond4_witness

@@ -683,22 +683,36 @@ RESOLVED_FAMILIES = [
     {"I": [[1, 0, 0], [0, 1, 0]], "J": [[1, 0, 0], [0, 1, 0]], "K": [[0, 0, 2]]},
 ]
 
+#: A family of variable blocks, which ``support`` gives its union check.
+BLOCK_FAMILY = {"A": [[1, 0, 0, 0]], "B": [[0, 1, 0, 0], [0, 0, 1, 0]], "C": [[0, 0, 0, 1]]}
+
+#: A family on which ``betti`` and ``support --module J`` build one table per
+#: ideal: I = (x^2, y^2), J = (xy, x^3), K = (y^3, x^2 y), not variable
+#: blocks, each with as many generators as variables, so every Betti table
+#: resolves the residue field's ideal (x, y).
+LOOPED_FAMILY = {"I": [[2, 0], [0, 2]], "J": [[1, 1], [3, 0]], "K": [[0, 3], [2, 1]]}
+
 
 @pytest.mark.parametrize("command, flags", [
     ("verify", {}), ("equiv-exactness", {}), ("indep", {"strong": True}),
-    ("rigidity", {}), ("a8", {}), ("support", {}), ("support", {"module": "B"})])
+    ("rigidity", {}), ("a8", {}), ("support", {}), ("support", {"module": "B"}),
+    ("betti", {}), ("support", {"module": "J"})])
 def test_each_checker_resolves_each_ideal_at_most_once(command, flags, tmp_path,
                                                        monkeypatch):
     """A checker makes one map of resolutions per call and hands it to every
     Tor table, Betti table, augmented interior and Mayer-Vietoris total it
     builds, so no command resolves an ideal twice; the support check also
-    resolves its module once for all its tables and totals."""
+    resolves its module once for all its tables and totals.  The CLI's own
+    loops do the same: ``betti`` over every ideal and ``support`` over the
+    ideals of a family that is not made of variable blocks."""
     resolved = []
     real = gcomplex.resolution
     monkeypatch.setattr(gcomplex, "resolution",
                         lambda ideal: resolved.append(ideal) or real(ideal))
-    families = RESOLVED_FAMILIES if command != "support" else [
-        {"A": [[1, 0, 0, 0]], "B": [[0, 1, 0, 0], [0, 0, 1, 0]], "C": [[0, 0, 0, 1]]}]
+    if command == "betti" or flags.get("module") == "J":
+        families = [LOOPED_FAMILY]
+    else:
+        families = [BLOCK_FAMILY] if command == "support" else RESOLVED_FAMILIES
     for ideals in families:
         n = len(next(iter(ideals.values()))[0])
         path = tmp_path / "prob.json"
@@ -792,10 +806,12 @@ def partition_path(tmp_path):
 
 @pytest.mark.parametrize("subset", ["0,1,2", "0,0", "2"])
 def test_cli_support_bad_subset_exit_2(partition_path, capsys, subset):
-    """--subset names distinct ideals of the family; its length is p."""
+    """--subset names distinct ideals of the family, by the indices of the
+    message; its length is p."""
     assert main(["support", partition_path, "--subset", subset]) == 2
     diag = json.loads(capsys.readouterr().out)
     assert diag["error"]["type"] == "ValidationError"
+    assert diag["error"]["message"] == "--subset must name distinct ideal indices in 0..1"
 
 
 def test_cli_support_subset_sets_p(partition_path, capsys):

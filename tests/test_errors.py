@@ -349,10 +349,11 @@ def test_one_family_contract():
     """A family of ideals and its coefficient are refused in one place:
     ``UnitIdeal`` is raised only by ``monomial.refuse_unit``, and every
     function of torlab, sumprod and support with a parameter ``ideals``
-    calls ``check_family``, but for the predicate ``variable_blocks``,
-    ``_s_complex`` and ``_p_complex``, the builds of S and P that are
-    handed a family their caller checked, and ``multi_tor`` and
-    ``mv_total_complex``, which hand it to their cores."""
+    calls ``check_family``, but for the predicate ``variable_blocks`` and
+    ``multi_tor`` and ``mv_total_complex``, which hand it to their cores.
+    No builder is handed a family its caller checked: S and P have one
+    checked builder each, and ``_interior_table`` checks the ideals it is
+    handed and reads its default box off that check."""
     assert _raise_sites("UnitIdeal") == [("monomial.py", "refuse_unit")]
     callers = {(path, func) for path, func, _ in _call_sites("check_family")}
     takers = set()
@@ -361,16 +362,17 @@ def test_one_family_contract():
         takers |= {(name, node.name) for node in ast.walk(tree)
                    if isinstance(node, ast.FunctionDef)
                    and "ideals" in [a.arg for a in node.args.args + node.args.kwonlyargs]}
-    # the 13 entry points of FAMILY_FUNCTIONS, the cores ``_multi_tor`` and
-    # ``_mv_total_complex`` that read a checker's resolutions, and the three above
-    assert len(takers) == 18
+    # the 13 entry points of FAMILY_FUNCTIONS, the cores ``_multi_tor``,
+    # ``_mv_total_complex`` and ``_interior_table`` that read a checker's
+    # resolutions, and ``variable_blocks``
+    assert len(takers) == 17
     # two entry points hand the family to their cores, which check it
     cores = {("torlab.py", "multi_tor"): "_multi_tor",
              ("sumprod.py", "mv_total_complex"): "_mv_total_complex"}
     for site, core in cores.items():
         assert site in {(path, func) for path, func, _ in _call_sites(core)}
-    assert takers - callers == {("support.py", "variable_blocks"), *cores,
-                                ("sumprod.py", "_s_complex"), ("sumprod.py", "_p_complex")}
+    assert ("sumprod.py", "_interior_table") in takers & callers
+    assert takers - callers == {("support.py", "variable_blocks"), *cores}
 
 
 def test_one_family_pass():
@@ -448,8 +450,8 @@ BUILDERS = [
     ("gcomplex.py", "taylor_resolution"),
     ("multicomplex.py", "Multicomplex.__init__"),
     ("sumprod.py", "_mv_total_complex"),
-    ("sumprod.py", "_p_complex"),
-    ("sumprod.py", "_s_complex"),
+    ("sumprod.py", "build_p_complex"),
+    ("sumprod.py", "build_s_complex"),
 ]
 
 

@@ -26,6 +26,7 @@ from homotor.errors import (
 )
 from homotor.monomial import (
     MAX_BOX_POINTS,
+    MAX_VARS_FOR_DIMENSION,
     MonomialIdeal,
     Multidegree,
     combine,
@@ -74,12 +75,13 @@ def test_a_non_integer_exponent_is_refused_not_truncated():
 
 def test_variable_indices_outside_the_ring_are_refused():
     """A variable index outside 0..n-1 names no variable: it is refused,
-    not read as the degree 0 (which would make the unit ideal)."""
+    with that range, not read as the degree 0 (which would make the unit
+    ideal)."""
     assert MonomialIdeal.variables(2, [1]) == MonomialIdeal(2, [(0, 1)])
     for i in (5, 2, -1):
-        with pytest.raises(ParamOutOfRange):
+        with pytest.raises(ParamOutOfRange, match=rf"variable index {i} outside 0\.\.1$"):
             Multidegree.unit(2, i)
-        with pytest.raises(ParamOutOfRange):
+        with pytest.raises(ParamOutOfRange, match=r"outside 0\.\.1$"):
             MonomialIdeal.variables(2, [0, i])
 
 
@@ -170,6 +172,12 @@ def test_quotient_dimension_examples():
     assert quotient_dimension(MonomialIdeal.zero(3)) == (3, 0)
     with pytest.raises(UnitIdeal):
         quotient_dimension(MonomialIdeal.unit(2))
+    # the search takes up to MAX_VARS_FOR_DIMENSION variables, and no more
+    x0 = [(1,) + (0,) * (MAX_VARS_FOR_DIMENSION - 1)]
+    assert quotient_dimension(MonomialIdeal(MAX_VARS_FOR_DIMENSION, x0)) == (
+        MAX_VARS_FOR_DIMENSION - 1, 1)
+    with pytest.raises(ParamOutOfRange, match="at most"):
+        quotient_dimension(MonomialIdeal(MAX_VARS_FOR_DIMENSION + 1, [x0[0] + (0,)]))
 
 
 @given(st.lists(

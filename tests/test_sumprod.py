@@ -800,11 +800,11 @@ def test_checkers_build_once_per_subfamily(kxyz, monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
 
-    for name in ("_multi_tor", "_p_complex", "_s_complex"):
+    for name in ("_multi_tor", "build_p_complex", "build_s_complex"):
         count(sumprod, name)
     family = [kxyz["x"], kxyz["y"], kxyz["z"]]
     assert exactness_equivalences(family).passed
-    assert calls == {"_multi_tor": 4, "_p_complex": 4, "_s_complex": 4}
+    assert calls == {"_multi_tor": 4, "build_p_complex": 4, "build_s_complex": 4}
     calls.clear()
     count(sumprod, "_interior_table")
     assert verify_identities(family).passed
@@ -814,16 +814,18 @@ def test_checkers_build_once_per_subfamily(kxyz, monkeypatch):
 def test_exactness_tables_only_for_subfamilies_of_two_or_more(kxyz, monkeypatch):
     """Only subfamilies of size >= 2 have their H tables read: three pairs and
     the triple, told apart by their sizes and their family boxes, which
-    differ; every table reads the call's one map of resolutions."""
+    differ; each table is over the box its own family check gives, and
+    every table reads the call's one map of resolutions."""
     family = [kxyz["x"], kxyz["y"], kxyz["xy"]]
     calls, maps = [], set()
     table = sumprod._interior_table
 
-    def counted(chosen, coefficient, fld, box, resolutions):
+    def counted(ideals, coefficient, fld, box, resolutions):
         assert coefficient is None
-        calls.append((len(chosen), tuple(box)))
         maps.add(id(resolutions))
-        return table(chosen, coefficient, fld, box, resolutions)
+        t = table(ideals, coefficient, fld, box, resolutions)
+        calls.append((len(ideals), tuple(t.box)))
+        return t
 
     monkeypatch.setattr(sumprod, "_interior_table", counted)
     exactness_equivalences(family)
