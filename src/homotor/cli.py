@@ -45,8 +45,7 @@ from .sumprod import (
 from .support import region_compare, supportoftors_check, variable_blocks
 from .torlab import (
     A8_CONDITIONS,
-    _betti_table,
-    _multi_tor,
+    betti_table,
     family_box,
     independence,
     multi_tor,
@@ -254,8 +253,8 @@ def _betti(problem, flags, fld, box, report):
     names = [name] if name else list(problem.ideals)
     resolutions: dict = {}
     for name in names:
-        report["results"][name] = _betti_table(_named_ideal(problem, name), fld,
-                                               resolutions).to_json()
+        report["results"][name] = betti_table(_named_ideal(problem, name), fld,
+                                              resolutions=resolutions).to_json()
 
 
 def _indep(problem, flags, fld, box, report):
@@ -341,7 +340,7 @@ def _support(problem, flags, fld, box, report):
     else:  # per-ideal regions, from one map of resolutions (see ``multi_tor``)
         tables, resolutions = [], {}
         for name, ideal in problem.ideals.items():
-            tables.append(_multi_tor([ideal], coeff, fld, None, resolutions))
+            tables.append(multi_tor([ideal], coeff, fld, resolutions=resolutions))
             report["results"][name] = [list(c) for c in sorted(tables[-1].support())]
         if len(tables) >= 2:
             report["results"]["compare_first_two"] = region_compare(*tables[:2])

@@ -33,11 +33,22 @@ from .gcomplex import (
 )
 
 
-#: Most summands a tensor is built with, the product of its factors'
-#: summand counts: eight 4-summand resolutions, a 9-ideal ``multi_tor``,
-#: reach it, and their tensor takes 3.6 s and 325 MB to build (one core of
+#: Most summands a tensor, a Koszul cone or a hypercube extension is built
+#: with, counted before any position is built: eight 4-summand
+#: resolutions, a 9-ideal ``multi_tor``, reach it, and their tensor takes
+#: 3.6 s and 325 MB to build; the ``kcone`` cone of 10 principal ideals in
+#: 3 variables (3^10 = 59,049 summands) takes 9 s and 454 MB (one core of
 #: a 2-vCPU Xeon virtual machine, Python 3.11).
 MAX_TENSOR_SUMMANDS = 2 ** 16
+
+
+def _check_summands(builder: str, parts: str, size: int):
+    """Refuse a multicomplex of more than ``MAX_TENSOR_SUMMANDS`` summands."""
+    if size > MAX_TENSOR_SUMMANDS:
+        raise ParamOutOfRange(
+            f"{builder} supports at most {MAX_TENSOR_SUMMANDS} summands, "
+            f"its {parts} make {size}"
+        )
 
 
 class Multicomplex:
@@ -134,12 +145,8 @@ def tensor(factors) -> Multicomplex:
             raise MixedKinds("tensor factors must consist of cyclic summands")
         if min(f.window(), default=0) < 0:
             raise internal.ValidationError("tensor factors must live in non-negative degrees")
-    size = math.prod(sum(map(len, f.terms.values())) for f in factors)
-    if size > MAX_TENSOR_SUMMANDS:
-        raise ParamOutOfRange(
-            f"tensor supports at most {MAX_TENSOR_SUMMANDS} summands, "
-            f"its factors make {size}"
-        )
+    _check_summands("tensor", "factors",
+                    math.prod(sum(map(len, f.terms.values())) for f in factors))
     n_vars = factors[0].n
     if any(f.n != n_vars for f in factors):
         raise internal.LengthMismatch("factors live in different variable counts")
@@ -225,7 +232,12 @@ def hypercube_extend(m: Multicomplex) -> Multicomplex:
     """The mapping-cylinder multicomplex of ``_attach_corner`` over every
     vertex of the unit cube, with the level differential psi into the
     corner.  Its shift is one below m's, so m's positions keep their
-    degrees in the total."""
+    degrees in the total.  It has m's summands and 2^n copies of the
+    corner's, and is refused past ``MAX_TENSOR_SUMMANDS`` before any
+    position is built."""
+    corner = m.terms.get((0,) * m.n_axes, ())
+    _check_summands("hypercube_extend", "copies",
+                    sum(map(len, m.terms.values())) + 2 ** m.n_axes * len(corner))
     cube = itertools.product((0, 1), repeat=m.n_axes)
     return Multicomplex(m.n_axes + 1, m.n_vars, *_attach_corner(m, cube), m.shift - 1)
 
@@ -235,11 +247,16 @@ def koszul_cone(m: Multicomplex, face_axes: int | None = None) -> Multicomplex:
     axis j < ``face_axes``.  Position (q, s) holds m_q when no face axis
     has both s_j = 1 and q_j != 0, with m's axis maps, and axis n + j maps
     (q, s) to (q, s - e_j) by the identity; totalization signs it
-    (-1)^(|q| + the face axes before j at 1).  It has m's shift."""
+    (-1)^(|q| + the face axes before j at 1).  It has m's shift, and m_q
+    has one copy per s, 2^(the face axes j with q_j = 0) of them, so the
+    cone is refused past ``MAX_TENSOR_SUMMANDS`` before any position is
+    built."""
     n = m.n_axes
     fa = n if face_axes is None else as_int(face_axes, "face_axes")
     if not 0 <= fa <= n:
         raise ParamOutOfRange(f"face_axes {fa} outside 0..{n}")
+    _check_summands("koszul_cone", "copies",
+                    sum(len(ss) * 2 ** q[:fa].count(0) for q, ss in m.terms.items()))
     cube = list(itertools.product((0, 1), repeat=fa))
     terms, diffs = {}, {}
     for q, ss in m.terms.items():

@@ -34,7 +34,7 @@ from .gcomplex import (
 from .monomial import MonomialIdeal, check_family, combine
 from .multicomplex import Multicomplex, hypercube_augment, tensor
 from .spectral import FilteredTotal, _by_weight, build_filtration, pages
-from .torlab import CheckReport, _multi_tor, _table_independent
+from .torlab import CheckReport, _table_independent, multi_tor
 
 
 def _variant_kind(variant: str) -> str:
@@ -82,8 +82,8 @@ def build_p_complex(ideals, variant: str = "quotient") -> GradedComplex:
     return GradedComplex(box.n, terms, d, kind)
 
 
-def mv_total_complex(kind: str, ideals, coefficient: MonomialIdeal | None = None
-                     ) -> FilteredTotal:
+def mv_total_complex(kind: str, ideals, coefficient: MonomialIdeal | None = None,
+                     *, resolutions=None) -> FilteredTotal:
     """The filtered total of the S_-/P double complex, the tensor of a
     complex X with the free resolution F of M, filtered by the X position.
 
@@ -100,13 +100,10 @@ def mv_total_complex(kind: str, ideals, coefficient: MonomialIdeal | None = None
     (q_0, 0); ``_product_summand`` keeps X's summand; axis 0 carries the
     sign +1; and a summand's total index is q_0, which is also its weight.
     This is the rule by which ``multi_tor`` leaves a zero coefficient out.
+    Otherwise the coefficient's resolution is taken from ``resolutions``,
+    by default a fresh map, as in ``multi_tor``.
     """
-    return _mv_total_complex(kind, ideals, coefficient, {})
-
-
-def _mv_total_complex(kind, ideals, coefficient, resolutions) -> FilteredTotal:
-    """``mv_total_complex``, resolving the coefficient through the calling
-    checker's map of resolutions (see ``multi_tor``)."""
+    resolutions = {} if resolutions is None else resolutions
     ideals, box = check_family(ideals, coefficient)
     if kind == "sum_to_product":
         n = len(ideals)
@@ -135,18 +132,20 @@ def complex_homology_table(c: GradedComplex, fld: PrimeField = GF(),
 
 
 def augmented_interior_H(ideals, subset, coefficient: MonomialIdeal | None = None,
-                         fld: PrimeField = GF(), box=None) -> TorTable:
+                         fld: PrimeField = GF(), box=None, *, resolutions=None
+                         ) -> TorTable:
     """The table H_{p,q} = H_{p+q}(augmented interior complex ⊗ M) for the
     chosen subset of the family, keyed by q (so q = -1 row reproduces the
-    M ⊗ P_p dimensions).  One module is left unresolved, as in
-    ``multi_tor``: R/coefficient, tensored on by ``base_change``, when the
-    coefficient is nonzero, else the chosen ideal ``unresolved`` picks,
-    tensored on by ``ideal_augment``.  That ideal is never resolved, so
-    one with more generators than a Taylor resolution takes does not make
-    the table, or ``verify_identities``, refuse the family.  The box
-    defaults to the stability box of the chosen ideals and the
-    coefficient.  ``_interior_table`` is its core: a checker hands it the
-    map of resolutions its other tables read (see ``multi_tor``)."""
+    M ⊗ P_p dimensions), over the box, by default the stability box of the
+    chosen ideals and the coefficient.  One module is left unresolved, and
+    the others' resolutions come from ``resolutions``, as in ``multi_tor``:
+    R/coefficient, when nonzero, tensored on by ``base_change`` (an ideal
+    summand has none), else the chosen ideal I_u that ``unresolved`` picks,
+    taken by the augmented interior of the other n - 1 resolutions (no axis
+    at n = 1, so I_u -> R) through ``ideal_augment``.  One with more
+    generators than a Taylor resolution takes does not make the table, or
+    ``verify_identities``, refuse the family."""
+    resolutions = {} if resolutions is None else resolutions
     ideals, _ = check_family(ideals, coefficient)
     subset = sorted({as_int(i, "subset index") for i in subset})
     if not subset:
@@ -155,20 +154,7 @@ def augmented_interior_H(ideals, subset, coefficient: MonomialIdeal | None = Non
         raise ValidationError(
             f"subset {subset} names an ideal outside 0..{len(ideals) - 1}"
         )
-    return _interior_table([ideals[i] for i in subset], coefficient, fld, box, {})
-
-
-def _interior_table(ideals, coefficient, fld, box, resolutions) -> TorTable:
-    """The table of ``augmented_interior_H`` of the chosen ideals, which it
-    checks as a family with the coefficient, over the box, by default the
-    stability box that check returns; their resolutions are taken from the
-    map ``resolutions``.  With a nonzero coefficient, every ideal is resolved
-    and R/coefficient is not: an ideal summand has no base change.
-    Otherwise the augmented interior of the other n - 1 resolutions, with
-    no axis at n = 1, takes the unresolved ideal I_u through
-    ``ideal_augment``, so at n = 1 it is I_u -> R, and I_u is never
-    resolved."""
-    ideals, stable = check_family(ideals, coefficient)
+    ideals, stable = check_family([ideals[i] for i in subset], coefficient)
     n = len(ideals)
     if coefficient is not None and not coefficient.is_zero():
         resolved = [resolve(ideal, resolutions) for ideal in ideals]
@@ -252,19 +238,20 @@ def verify_identities(ideals, fld: PrimeField = GF()) -> CheckReport:
     # subfamily, smallest first
     p_star = next((size - 1 for size in range(2, n)
                    for sub in itertools.combinations(range(n), size)
-                   if not _table_independent(_multi_tor([ideals[i] for i in sub], None, fld,
-                                                        None, resolutions))),
+                   if not _table_independent(multi_tor([ideals[i] for i in sub], fld=fld,
+                                                       resolutions=resolutions))),
                   max(n - 1, 1))
     strict_ok = p_star >= n - 1
     report.context["strict_subfamilies_independent"] = strict_ok
 
     report.context["box"] = list(box)
 
-    tor = _multi_tor(ideals, None, fld, box, resolutions)
+    tor = multi_tor(ideals, fld=fld, box=box, resolutions=resolutions)
     s_tab = complex_homology_table(build_s_complex(ideals), fld, box)
     p_tab = complex_homology_table(build_p_complex(ideals), fld, box)
     # H_{n,q} = H_{n+q}(augmented interior) of the whole family, keyed by q
-    aug_tab = _interior_table(ideals, None, fld, box, resolutions)
+    aug_tab = augmented_interior_H(ideals, range(n), fld=fld, box=box,
+                                   resolutions=resolutions)
     s_max = max(sum(len(i.gens) for i in ideals) - n, 0)
 
     def four_term(name, table, j):
@@ -332,7 +319,7 @@ def exactness_equivalences(ideals, fld: PrimeField = GF()) -> CheckReport:
     identity R/I -> R/I, so it can give no witness.  Pages are read wherever
     a q >= 0 row of a subfamily of size >= 2 survives, pairs included: E^1
     column p is the sum, over the p-subsets S, of the augmented interior of S.
-    A subfamily's H table leaves one ideal unresolved (``_interior_table``),
+    A subfamily's H table leaves one ideal unresolved (``augmented_interior_H``),
     and the tensor of all its resolutions is built only for its pages.
     Every table reads one map of resolutions (see ``multi_tor``), so each
     ideal is resolved at most once, and only if some table reads it."""
@@ -352,8 +339,9 @@ def exactness_equivalences(ideals, fld: PrimeField = GF()) -> CheckReport:
         for sub in itertools.combinations(range(n), size):
             family = [ideals[i] for i in sub]
             cond1 = cond1 and _table_independent(
-                _multi_tor(family, None, fld, None, resolutions))
-            h_tables[sub] = _interior_table(family, None, fld, None, resolutions)
+                multi_tor(family, fld=fld, resolutions=resolutions))
+            h_tables[sub] = augmented_interior_H(family, range(size), fld=fld,
+                                                 resolutions=resolutions)
             # where a q >= 0 row of a subfamily of sub survives (see above)
             gammas = sorted({g for k in range(2, size + 1)
                              for t in itertools.combinations(sub, k)

@@ -30,8 +30,8 @@ from .monomial import (
     iter_box,
     lcm_deg,
 )
-from .sumprod import _mv_total_complex
-from .torlab import CheckReport, _multi_tor
+from .sumprod import mv_total_complex
+from .torlab import CheckReport, multi_tor
 
 SPECTRAL_DEGREES = 8  # support cells cross-checked against both MV abutments
 
@@ -115,7 +115,8 @@ def supportoftors_check(ideals, coefficient: MonomialIdeal | None, ps,
         pair = (combine(family, "product"), combine(family, "sum"))
         for ideal in pair:
             if ideal not in by_ideal:
-                by_ideal[ideal] = _multi_tor([ideal], coefficient, fld, box, resolutions)
+                by_ideal[ideal] = multi_tor([ideal], coefficient, fld, box,
+                                            resolutions=resolutions)
         tor[T] = tuple(by_ideal[ideal] for ideal in pair)
     totals: dict = {}  # {(kind, T): its Mayer-Vietoris total}
     found: dict = {}  # {(kind, T, g): the witnesses of that containment}
@@ -126,8 +127,9 @@ def supportoftors_check(ideals, coefficient: MonomialIdeal | None, ps,
         tests g."""
         if (kind, T, g) not in found:
             if (kind, T) not in totals:
-                totals[(kind, T)] = _mv_total_complex(
-                    kind, [ideals[i] for i in T], coefficient, resolutions).total
+                totals[(kind, T)] = mv_total_complex(
+                    kind, [ideals[i] for i in T], coefficient,
+                    resolutions=resolutions).total
             found[(kind, T, g)] = _containment(
                 kind, T, g, tor[T], totals[(kind, T)].homology_at(g, fld))
         return found[(kind, T, g)]

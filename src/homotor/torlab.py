@@ -42,7 +42,7 @@ def family_box(ideals, coefficient: MonomialIdeal | None = None) -> Multidegree:
 
 
 def multi_tor(ideals, coefficient: MonomialIdeal | None = None,
-              fld: PrimeField = GF(), box=None) -> TorTable:
+              fld: PrimeField = GF(), box=None, *, resolutions=None) -> TorTable:
     """Tor_i of the family of quotients R/I (optionally against R/coefficient),
     as a table of fiber dimensions over the box, ``family_box`` by default.
 
@@ -53,19 +53,14 @@ def multi_tor(ideals, coefficient: MonomialIdeal | None = None,
     ``base_change`` takes the total to the unresolved module.  Family and
     coefficient pass ``check_family`` first, box given or not.
 
-    Each call resolves a module at most once, through a map {ideal: its
-    resolution} filled on first use (``gcomplex.resolve``), so a module
-    that is both a family member and the coefficient is resolved once.  A
-    checker builds many tables: it makes one map per call and hands it to
-    every table it builds, through ``_multi_tor``, so each distinct ideal
-    is resolved at most once per checker call.  The map is an argument,
-    never stored: it dies with the call."""
-    return _multi_tor(ideals, coefficient, fld, box, {})
-
-
-def _multi_tor(ideals, coefficient, fld, box, resolutions) -> TorTable:
-    """``multi_tor``, taking its resolutions from the map ``resolutions``
-    of the calling checker and putting the ones it builds there."""
+    Each resolution is taken from ``resolutions``, a map {ideal: its
+    resolution} filled on first use (``gcomplex.resolve``), by default a
+    fresh one, so a module that is both a family member and the
+    coefficient is resolved once.  A checker builds many tables: it makes
+    one map per call and hands it to every table it builds, so each
+    distinct ideal is resolved at most once per checker call.  The map is
+    an argument, never stored: it dies with the call."""
+    resolutions = {} if resolutions is None else resolutions
     ideals, stable = check_family(ideals, coefficient)
     modules = list(ideals)
     if coefficient is not None and not coefficient.is_zero():
@@ -186,13 +181,13 @@ def independence(ideals, fld: PrimeField = GF(), strong: bool = False
         for sub in itertools.combinations(range(s), size):
             family = [ideals[i] for i in sub]
             subset_results[sub] = _table_independent(
-                _multi_tor(family, None, fld, None, resolutions))
+                multi_tor(family, fld=fld, resolutions=resolutions))
             if size == 2:  # the recursion pair is this pair: see above
                 recursion_results[sub] = subset_results[sub]
                 continue
             pair = [family[-1], combine(family[:-1], "sum")]
             recursion_results[sub] = _table_independent(
-                _multi_tor(pair, None, fld, None, resolutions))
+                multi_tor(pair, fld=fld, resolutions=resolutions))
     by_subsets = all(subset_results.values())
     agreement = by_subsets == all(recursion_results.values())
     report.context.update(
@@ -226,26 +221,23 @@ class BettiReport:
         }
 
 
-def betti_table(ideal: MonomialIdeal, fld: PrimeField = GF()) -> BettiReport:
+def betti_table(ideal: MonomialIdeal, fld: PrimeField = GF(), *,
+                resolutions=None) -> BettiReport:
     """Graded Betti numbers beta_{i,gamma} = dim Tor_i(R/I, k)_gamma together
     with pd, depth (Auslander-Buchsbaum), Krull dimension and the CM flag.
 
     The residue field is k = R/(x_1, ..., x_n), so the table is ``multi_tor``
-    of R/I against that coefficient, the balanced tensor of the two.  When
-    I has at least n minimal generators, R/I stays unresolved and the table
-    is the Koszul homology H(K(x) ⊗ R/I), K(x) resolving k; otherwise it is
-    the reduced resolution of R/I with every summand R(-a) turned into
-    k(-a), which lives only at degree a.  Only one of the two is resolved.
-    Its box is lcm(gens) + (1, ..., 1)."""
-    return _betti_table(ideal, fld, {})
-
-
-def _betti_table(ideal, fld, resolutions) -> BettiReport:
-    """``betti_table``, reading and filling the calling checker's map of
-    resolutions, as ``_multi_tor`` does."""
+    of R/I against that coefficient, the balanced tensor of the two, which
+    reads and fills ``resolutions`` as ``multi_tor`` does.  When I has at
+    least n minimal generators, R/I stays unresolved and the table is the
+    Koszul homology H(K(x) ⊗ R/I), K(x) resolving k; otherwise it is the
+    reduced resolution of R/I with every summand R(-a) turned into k(-a),
+    which lives only at degree a.  Only one of the two is resolved.  Its
+    box is lcm(gens) + (1, ..., 1)."""
     n = ideal.n
     dim, codim = quotient_dimension(ideal)  # first: it refuses (1) and bounds n
-    table = _multi_tor([ideal], MonomialIdeal.variables(n, range(n)), fld, None, resolutions)
+    table = multi_tor([ideal], MonomialIdeal.variables(n, range(n)), fld,
+                      resolutions=resolutions)
     pd = table.max_nonzero_index() or 0
     depth = n - pd
     return BettiReport(table, pd, depth, dim, codim, is_cm=depth == dim)
@@ -260,7 +252,7 @@ def rigidity_check(ideals, fld: PrimeField = GF()) -> CheckReport:
     of resolutions (see ``multi_tor``)."""
     ideals, box = check_family(ideals)
     resolutions: dict = {}
-    table = _multi_tor(ideals, None, fld, None, resolutions)
+    table = multi_tor(ideals, fld=fld, resolutions=resolutions)
     max_index = sum(len(i.gens) for i in ideals)
     nonzero = set(table.nonzero_indices())
     vanishing = {i: i not in nonzero for i in range(max_index + 1)}
@@ -281,7 +273,7 @@ def rigidity_check(ideals, fld: PrimeField = GF()) -> CheckReport:
             )
     # a prefix of one ideal has Tor_i = 0 for every i >= 1: start at two
     for t in range(2, len(ideals)):
-        sub_table = _multi_tor(ideals[:t], None, fld, None, resolutions)
+        sub_table = multi_tor(ideals[:t], fld=fld, resolutions=resolutions)
         for i in range(1, max_index + 1):
             if vanishing[i] and not sub_table.is_zero(i):
                 gamma = sorted(sub_table.slice(i))[0]
@@ -294,7 +286,7 @@ def rigidity_check(ideals, fld: PrimeField = GF()) -> CheckReport:
                     }
                 )
     j = table.max_nonzero_index() or 0
-    sum_pd = sum(_betti_table(i, fld, resolutions).pd for i in ideals)
+    sum_pd = sum(betti_table(i, fld, resolutions=resolutions).pd for i in ideals)
     epsilon = box.n + j - sum_pd
     if epsilon < 0:
         violations.append({"rule": "epsilon_nonnegative", "epsilon": epsilon})
@@ -333,9 +325,9 @@ def serre_a8_check(ideals, fld: PrimeField = GF()) -> CheckReport:
     ``multi_tor``)."""
     ideals, _ = check_family(ideals)
     resolutions: dict = {}
-    table = _multi_tor(ideals, None, fld, None, resolutions)
-    tensor_report = _betti_table(combine(ideals, "sum"), fld, resolutions)
-    parts = [_betti_table(i, fld, resolutions) for i in ideals]
+    table = multi_tor(ideals, fld=fld, resolutions=resolutions)
+    tensor_report = betti_table(combine(ideals, "sum"), fld, resolutions=resolutions)
+    parts = [betti_table(i, fld, resolutions=resolutions) for i in ideals]
     sum_pd = sum(p.pd for p in parts)
     sum_codim = sum(p.codim for p in parts)
     cond1 = table.is_zero(1) and tensor_report.is_cm

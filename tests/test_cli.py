@@ -501,6 +501,37 @@ def test_cli_tor_refuses_a_tensor_past_the_bound(tmp_path, capsys, monkeypatch):
     assert built["products"] > 0 and built["multicomplexes"] == 1
 
 
+def test_cli_spectral_refuses_a_cone_past_the_bound(tmp_path, capsys, monkeypatch):
+    """The kcone cone of 11 principal ideals has 3^11 summands and the
+    kcone_augmented cone of 10 has 2 * 3^10, both past MAX_TENSOR_SUMMANDS:
+    spectral exits 2 with ParamOutOfRange, and the only multicomplexes
+    built are the cone's inputs, the tensor of the resolutions (2^n
+    summands) and, for kcone_augmented, its hypercube extension (2^(n+1)).
+    The kcone cone of 10 ideals is admitted by the count (3^10 summands)."""
+    built = []
+    init = multicomplex.Multicomplex.__init__
+
+    def counted_init(self, n_axes, n_vars, terms, *args, **kwargs):
+        built.append(sum(map(len, terms.values())))
+        init(self, n_axes, n_vars, terms, *args, **kwargs)
+
+    monkeypatch.setattr(multicomplex.Multicomplex, "__init__", counted_init)
+    path = tmp_path / "principal.json"
+    for kind, n, size, inputs in (("kcone", 11, 3 ** 11, [2 ** 11]),
+                                  ("kcone_augmented", 10, 2 * 3 ** 10,
+                                   [2 ** 10, 2 ** 11])):
+        built.clear()
+        ideals = {f"I{k}": [[k + 1, 0, 1]] for k in range(n)}
+        path.write_text(json.dumps({"variables": ["x", "y", "z"], "ideals": ideals}))
+        assert main(["spectral", str(path), "--kind", kind]) == 2
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error == {"type": "ParamOutOfRange", "message": (
+            f"koszul_cone supports at most {multicomplex.MAX_TENSOR_SUMMANDS} "
+            f"summands, its copies make {size}")}
+        assert built == inputs
+    assert 3 ** 10 <= multicomplex.MAX_TENSOR_SUMMANDS < 2 * 3 ** 10
+
+
 @pytest.mark.parametrize("fields", [
     {"ideals": {"I": [[True, 0]]}},
     {"ideals": {"I": [[1, False]]}},

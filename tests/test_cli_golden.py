@@ -9,7 +9,8 @@ blocks (per-ideal regions) and, with ``--module``, on one that is (the
 union check, whose Mayer-Vietoris totals then tensor X with the resolution
 of M), ``spectral --kind sum_to_product --module``, and one exit-2 report
 for each typed input error the CLI reports, and for each bound on a family's
-size (a Taylor resolution's generators, a tensor's summands).  The digests, sha256 of stdout, live in
+size (a Taylor resolution's generators, a tensor's summands, a Koszul
+cone's summands).  The digests, sha256 of stdout, live in
 ``tests/golden/cli.json``.  Record them again only from code whose reports
 are the reference:
 
@@ -62,6 +63,10 @@ PROBLEMS = {
         "variables": ["x", "y", "z"],
         "ideals": {f"I{k}": [[k + 1, 0, 0], [0, 1, k + 1]] for k in range(10)},
     },
+    "eleven": {
+        "variables": ["x", "y", "z"],
+        "ideals": {f"I{k}": [[k + 1, 0, 1]] for k in range(11)},
+    },
     "seventeen": {
         "variables": ["x", "y"],
         "ideals": {"I1": [[i, 16 - i] for i in range(17)],
@@ -86,6 +91,7 @@ CASES = [
     ("huge-box", "pair", ["tor", "--box", "1000,1000"]),
     ("taylor-17", "seventeen", ["tor"]),
     ("tensor-bound", "ten", ["tor"]),
+    ("cone-bound", "eleven", ["spectral", "--kind", "kcone"]),
     ("unread-flag", "pair", ["verify", "--box", "1,1"]),
     ("support-regions", "family", ["support"]),
     ("support-module", "blocks", ["support", "--module", "I3"]),
@@ -119,7 +125,7 @@ def test_cli_reports_match_the_golden_digests(case_id, problem, argv, tmp_path):
 def test_the_corpus_has_one_exit_2_case_per_error_and_no_stale_digest():
     golden = json.loads(GOLDEN.read_text())
     assert sorted(golden) == sorted(c[0] for c in CASES)
-    assert sum(entry["exit"] == 2 for entry in golden.values()) == 9
+    assert sum(entry["exit"] == 2 for entry in golden.values()) == 10
 
 
 if __name__ == "__main__":

@@ -144,9 +144,11 @@ def test_every_raise_names_a_homotor_error():
 #: homotor builds for itself, which no problem file reaches, so that
 #: ``cli.main`` exits 3 on each.  The input classes left among them are
 #: refusals a problem file or a flag can reach (or, for a summand kind,
-#: a keyword): the tensor bound, an empty family, an unknown kind, and an
-#: integer read from input, which ``errors._refuse`` refuses with the input
-#: class unless a constructor of a complex read it.
+#: a keyword): an empty family, an unknown kind, and an integer read from
+#: input, which ``errors._refuse`` refuses with the input class unless a
+#: constructor of a complex read it.  The summand bound of ``tensor`` and
+#: the cones is raised by ``multicomplex._check_summands``, which raises
+#: nothing internal.
 INTERNAL_RAISES = {
     ("errors.py", "_refuse"): ["internal.ValidationError", "ValidationError"],
     ("gcomplex.py", "_rows"): ["internal.ValidationError"] * 3,
@@ -160,8 +162,7 @@ INTERNAL_RAISES = {
         "internal.LengthMismatch", "internal.ValidationError", "internal.LengthMismatch",
         "internal.ValidationError", "internal.ValidationError"],
     ("multicomplex.py", "tensor"): [
-        "EmptyInput", "MixedKinds", "internal.ValidationError", "ParamOutOfRange",
-        "internal.LengthMismatch"],
+        "EmptyInput", "MixedKinds", "internal.ValidationError", "internal.LengthMismatch"],
     ("spectral.py", "FilteredTotal.__init__"): ["FiltrationViolation"] * 3,
     ("spectral.py", "pages"): ["InvariantBroken"] * 2,
 }
@@ -349,11 +350,11 @@ def test_one_family_contract():
     """A family of ideals and its coefficient are refused in one place:
     ``UnitIdeal`` is raised only by ``monomial.refuse_unit``, and every
     function of torlab, sumprod and support with a parameter ``ideals``
-    calls ``check_family``, but for the predicate ``variable_blocks`` and
-    ``multi_tor`` and ``mv_total_complex``, which hand it to their cores.
+    calls ``check_family``, but for the predicate ``variable_blocks``.
     No builder is handed a family its caller checked: S and P have one
-    checked builder each, and ``_interior_table`` checks the ideals it is
-    handed and reads its default box off that check."""
+    checked builder each, each table has one function, which checks the
+    family itself, and ``augmented_interior_H`` checks the ideals its
+    subset chooses and reads its default box off that check."""
     assert _raise_sites("UnitIdeal") == [("monomial.py", "refuse_unit")]
     callers = {(path, func) for path, func, _ in _call_sites("check_family")}
     takers = set()
@@ -362,17 +363,40 @@ def test_one_family_contract():
         takers |= {(name, node.name) for node in ast.walk(tree)
                    if isinstance(node, ast.FunctionDef)
                    and "ideals" in [a.arg for a in node.args.args + node.args.kwonlyargs]}
-    # the 13 entry points of FAMILY_FUNCTIONS, the cores ``_multi_tor``,
-    # ``_mv_total_complex`` and ``_interior_table`` that read a checker's
-    # resolutions, and ``variable_blocks``
-    assert len(takers) == 17
-    # two entry points hand the family to their cores, which check it
-    cores = {("torlab.py", "multi_tor"): "_multi_tor",
-             ("sumprod.py", "mv_total_complex"): "_mv_total_complex"}
-    for site, core in cores.items():
-        assert site in {(path, func) for path, func, _ in _call_sites(core)}
-    assert ("sumprod.py", "_interior_table") in takers & callers
-    assert takers - callers == {("support.py", "variable_blocks"), *cores}
+    # the 13 entry points of FAMILY_FUNCTIONS and ``variable_blocks``
+    assert len(takers) == 14
+    assert takers - callers == {("support.py", "variable_blocks")}
+
+
+def test_one_function_per_table():
+    """A table has one function, which the checkers share: no module of
+    the package defines both ``f`` and ``_f``, and every function that
+    takes a map of resolutions is public and takes it as the keyword-only
+    ``resolutions=None``, a fresh map when not given.  The one exception is
+    the map's reader ``gcomplex.resolve(ideal, resolutions)``, which is
+    always handed one."""
+    takers = []
+    for path in sorted(Path(homotor.__file__).parent.glob("*.py")):
+        defs = [node for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+        names = {node.name for node in defs}
+        assert {name for name in names if "_" + name in names} == set(), path.name
+        for node in defs:
+            if isinstance(node, ast.FunctionDef):
+                args = node.args
+                positional = [a.arg for a in args.posonlyargs + args.args]
+                if "resolutions" in positional:
+                    assert (path.name, node.name) == ("gcomplex.py", "resolve")
+                keyword = [a.arg for a in args.kwonlyargs]
+                if "resolutions" in keyword:
+                    default = args.kw_defaults[keyword.index("resolutions")]
+                    assert isinstance(default, ast.Constant) and default.value is None
+                    takers.append((path.name, node.name))
+    assert all(not name.startswith("_") for _, name in takers)
+    assert sorted(takers) == [("sumprod.py", "augmented_interior_H"),
+                              ("sumprod.py", "mv_total_complex"),
+                              ("torlab.py", "betti_table"),
+                              ("torlab.py", "multi_tor")]
 
 
 def test_one_family_pass():
@@ -449,9 +473,9 @@ BUILDERS = [
     ("gcomplex.py", "ideal_augment"),
     ("gcomplex.py", "taylor_resolution"),
     ("multicomplex.py", "Multicomplex.__init__"),
-    ("sumprod.py", "_mv_total_complex"),
     ("sumprod.py", "build_p_complex"),
     ("sumprod.py", "build_s_complex"),
+    ("sumprod.py", "mv_total_complex"),
 ]
 
 

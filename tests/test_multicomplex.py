@@ -409,6 +409,61 @@ def test_tensor_refuses_factors_past_the_summand_bound(monkeypatch):
         tensor([four, four, two])
 
 
+def _counted_inits(mp):
+    """Patch ``Multicomplex.__init__`` to count its calls in the list returned."""
+    calls, init = [], Multicomplex.__init__
+
+    def counted(self, *args, **kwargs):
+        calls.append(args[0])
+        init(self, *args, **kwargs)
+
+    mp.setattr(Multicomplex, "__init__", counted)
+    return calls
+
+
+def _summands(m):
+    return sum(map(len, m.terms.values()))
+
+
+@settings(deadline=None, max_examples=40)
+@given(tensor_factors(), st.data())
+def test_cones_are_refused_past_the_summand_bound(factors, data):
+    """``koszul_cone`` (any face axes) and ``hypercube_extend`` count their
+    summands before any position is built, exactly: a bound at the built
+    cone's count admits it, and one below it refuses it with that count,
+    with no Multicomplex built first."""
+    m = tensor(factors)
+    face_axes = data.draw(st.integers(0, m.n_axes))
+    for name, build in (("koszul_cone", lambda: koszul_cone(m, face_axes)),
+                        ("hypercube_extend", lambda: hypercube_extend(m))):
+        size = _summands(build())
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(multicomplex, "MAX_TENSOR_SUMMANDS", size)
+            assert _summands(build()) == size
+            mp.setattr(multicomplex, "MAX_TENSOR_SUMMANDS", size - 1)
+            built = _counted_inits(mp)
+            with pytest.raises(ParamOutOfRange, match=(
+                    f"^{name} supports at most {size - 1} summands, its copies make {size}$")):
+                build()
+            assert built == []
+
+
+def test_cones_refuse_many_axes_before_building():
+    """Under the real bound, a one-summand multicomplex on 17 axes gives
+    2^17 cone copies, and 2^17 corner copies plus itself to the hypercube
+    extension: both are refused, and neither builds a Multicomplex."""
+    m = Multicomplex(17, 1, {(0,) * 17: [free_summand((0,))]}, {})
+    with pytest.MonkeyPatch.context() as mp:
+        built = _counted_inits(mp)
+        with pytest.raises(ParamOutOfRange, match=f"^koszul_cone supports at most "
+                           f"{multicomplex.MAX_TENSOR_SUMMANDS} summands, its copies make "
+                           f"{2 ** 17}$"):
+            koszul_cone(m)
+        with pytest.raises(ParamOutOfRange, match=f"its copies make {2 ** 17 + 1}$"):
+            hypercube_extend(m)
+        assert built == []
+
+
 def test_tensor_of_variable_koszuls_totalizes_to_joint_koszul():
     kx = taylor_resolution(MonomialIdeal.variables(2, [0]))
     ky = taylor_resolution(MonomialIdeal.variables(2, [1]))

@@ -957,15 +957,18 @@ def test_spectral_pages_are_frozen():
 
 
 class _Counter:
-    """Wraps a builder and records the arguments of every call."""
+    """Wraps a builder and records the arguments of every call, the
+    positional ones in ``calls`` and the keywords in ``keywords``."""
 
     def __init__(self, fn):
         self.fn = fn
         self.calls = []
+        self.keywords = []
         self.results = []
 
     def __call__(self, *args, **kwargs):
         self.calls.append(args)
+        self.keywords.append(kwargs)
         self.results.append(self.fn(*args, **kwargs))
         return self.results[-1]
 
@@ -995,20 +998,20 @@ def test_support_check_builds_one_mv_total_per_kind_and_subset(monkeypatch):
     """One call over p = 1, 2, 3 builds each total and each Tor table once,
     a singleton's product and sum being one ideal, and reads the homology
     of each (kind, subset, degree) once; with M = R no total is a tensor.
-    Each total is built by ``_mv_total_complex``, the core of the one
-    Mayer-Vietoris builder, so it is filtered exactly once, with or without
-    a module, and only its ``.total``'s homology is read.  Every table and
-    total reads the call's one map of resolutions."""
-    mv_totals = _Counter(support._mv_total_complex)
-    tors = _Counter(support._multi_tor)
+    Each total is built by ``mv_total_complex``, the one Mayer-Vietoris
+    builder, so it is filtered exactly once, with or without a module, and
+    only its ``.total``'s homology is read.  Every table and total reads
+    the call's one map of resolutions."""
+    mv_totals = _Counter(support.mv_total_complex)
+    tors = _Counter(support.multi_tor)
     tensors = _Counter(sumprod.tensor)
     filtered = _Counter(FilteredTotal)
     homology_at = GradedComplex.homology_at
     read = []  # (complex, degree) of each homology_at call
-    monkeypatch.setattr(support, "_mv_total_complex", mv_totals)
+    monkeypatch.setattr(support, "mv_total_complex", mv_totals)
     for module in (spectral, sumprod):
         monkeypatch.setattr(module, "FilteredTotal", filtered)
-    monkeypatch.setattr(support, "_multi_tor", tors)
+    monkeypatch.setattr(support, "multi_tor", tors)
     monkeypatch.setattr(sumprod, "tensor", tensors)
     monkeypatch.setattr(GradedComplex, "homology_at", lambda c, g, fld=GF(): (
         read.append((c, tuple(g))) or homology_at(c, g, fld)))
@@ -1023,7 +1026,7 @@ def test_support_check_builds_one_mv_total_per_kind_and_subset(monkeypatch):
     tabled = [tuple(ideals) for ideals, *_ in tors.calls]
     assert len(tabled) == len(set(tabled)) == 7 + 4  # 7 products, 4 sums with |T| >= 2
     # the homology of each (kind, subset, degree) that some p tests, read once
-    assert len({id(args[-1]) for args in mv_totals.calls + tors.calls}) == 1
+    assert len({id(kw["resolutions"]) for kw in mv_totals.keywords + tors.keywords}) == 1
     subset = {id(total.total): (kind, tuple(ideals)) for (kind, ideals, *_), total
               in zip(mv_totals.calls, mv_totals.results)}
     read = [(*subset[id(c)], g) for c, g in read]

@@ -21,7 +21,7 @@ from conftest import (
     verify_identities_oracle,
     with_coefficient,
 )
-from homotor import gcomplex, sumprod, torlab
+from homotor import gcomplex, sumprod
 from homotor.cli import random_instance
 from homotor.errors import ParamOutOfRange, UnitIdeal, ValidationError
 from homotor.exactlin import GF
@@ -479,21 +479,21 @@ def test_surjection_bounds_relabel_the_top_range_witnesses(kxyz, monkeypatch):
     surjection_injection_bounds lists the first four mismatches in (s,
     degree) order, the first four top_tor_vs_augmented witnesses
     relabelled; where strict_ok is false it is unchecked, with no witness."""
-    table = sumprod._interior_table
+    table = sumprod.augmented_interior_H
 
-    def padded(*args):
-        t = table(*args)
+    def padded(*args, **kwargs):
+        t = table(*args, **kwargs)
         entries = dict(t.entries)
         for q in (0, 1):
             for g in sorted(map(tuple, iter_box(t.box)))[:3]:
                 entries[q, g] = entries.get((q, g), 0) + 1
         return TorTable(entries, t.box)
 
-    monkeypatch.setattr(sumprod, "_interior_table", padded)
+    monkeypatch.setattr(sumprod, "augmented_interior_H", padded)
     m = MonomialIdeal(2, [(1, 0), (0, 1)])
     family = [m, m]
     box = family_box(family)
-    tor, aug = multi_tor(family, box=box), padded(family, None, GF(), box, {})
+    tor, aug = multi_tor(family, box=box), padded(family, [0, 1], box=box)
     want = [{"s": s, "degree": list(g), "tor": tor.dim(2 + s, g), "aug": aug.dim(s, g),
              "iso_expected": True}
             for s in range(3) for g in sorted(set(tor.slice(2 + s)) | set(aug.slice(s)))
@@ -640,8 +640,8 @@ def test_augmented_interior_leaves_an_ideal_past_the_taylor_bound_unresolved():
 @given(interior_families(2, 4), st.sampled_from([2, 3, 32003]))
 def test_tables_from_a_shared_map_match_fresh_ones(drawn, p):
     """Every table a checker builds from its one map of resolutions equals
-    the one built with a fresh map, the path each entry point keeps: for
-    every subfamily of 2-4 ideals, its Tor table, with no coefficient and
+    the one built with a fresh map, what each table makes when no map is
+    given: for every subfamily of 2-4 ideals, its Tor table, with no coefficient and
     with the drawn one, and its augmented interior, then the Betti table
     of each ideal and of the sum, all from one map filled as they go,
     over GF(2), GF(3) and GF(32003)."""
@@ -651,13 +651,14 @@ def test_tables_from_a_shared_map_match_fresh_ones(drawn, p):
         for subset in itertools.combinations(range(len(family)), size):
             chosen = [family[i] for i in subset]
             for coeff in {None, coefficient}:
-                assert torlab._multi_tor(chosen, coeff, fld, None, shared) == \
+                assert multi_tor(chosen, coeff, fld, resolutions=shared) == \
                     multi_tor(chosen, coeff, fld)
                 box = family_box(chosen, coeff)
-                assert sumprod._interior_table(chosen, coeff, fld, box, shared) == \
+                assert augmented_interior_H(family, subset, coeff, fld, box,
+                                            resolutions=shared) == \
                     augmented_interior_H(family, subset, coeff, fld)
     for ideal in [*family, combine(family, "sum")]:
-        assert torlab._betti_table(ideal, fld, shared).to_json() == \
+        assert betti_table(ideal, fld, resolutions=shared).to_json() == \
             betti_table(ideal, fld).to_json()
     assert all((c.terms, c.d) == (resolution(ideal).terms, resolution(ideal).d)
                for ideal, c in shared.items())
@@ -788,7 +789,7 @@ def test_checkers_build_once_per_subfamily(kxyz, monkeypatch):
     """On x, y, z, where every subfamily is independent, the exactness check
     makes one Tor table, one P and one S per subfamily of size >= 2 (its
     reference makes 8, 7 and 7), and verify_identities takes its augmented
-    interior from one _interior_table call."""
+    interior from one augmented_interior_H call."""
     calls = {}
 
     def count(module, name):
@@ -800,15 +801,15 @@ def test_checkers_build_once_per_subfamily(kxyz, monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
 
-    for name in ("_multi_tor", "build_p_complex", "build_s_complex"):
+    for name in ("multi_tor", "build_p_complex", "build_s_complex"):
         count(sumprod, name)
     family = [kxyz["x"], kxyz["y"], kxyz["z"]]
     assert exactness_equivalences(family).passed
-    assert calls == {"_multi_tor": 4, "build_p_complex": 4, "build_s_complex": 4}
+    assert calls == {"multi_tor": 4, "build_p_complex": 4, "build_s_complex": 4}
     calls.clear()
-    count(sumprod, "_interior_table")
+    count(sumprod, "augmented_interior_H")
     assert verify_identities(family).passed
-    assert calls["_interior_table"] == 1
+    assert calls["augmented_interior_H"] == 1
 
 
 def test_exactness_tables_only_for_subfamilies_of_two_or_more(kxyz, monkeypatch):
@@ -818,16 +819,16 @@ def test_exactness_tables_only_for_subfamilies_of_two_or_more(kxyz, monkeypatch)
     every table reads the call's one map of resolutions."""
     family = [kxyz["x"], kxyz["y"], kxyz["xy"]]
     calls, maps = [], set()
-    table = sumprod._interior_table
+    table = sumprod.augmented_interior_H
 
-    def counted(ideals, coefficient, fld, box, resolutions):
-        assert coefficient is None
+    def counted(ideals, subset, coefficient=None, fld=GF(), box=None, *, resolutions):
+        assert coefficient is None and box is None and list(subset) == list(range(len(ideals)))
         maps.add(id(resolutions))
-        t = table(ideals, coefficient, fld, box, resolutions)
+        t = table(ideals, subset, coefficient, fld, box, resolutions=resolutions)
         calls.append((len(ideals), tuple(t.box)))
         return t
 
-    monkeypatch.setattr(sumprod, "_interior_table", counted)
+    monkeypatch.setattr(sumprod, "augmented_interior_H", counted)
     exactness_equivalences(family)
     assert len(maps) == 1
     expected = sorted((len(sub), tuple(family_box([family[i] for i in sub])))
@@ -848,7 +849,7 @@ def test_exactness_resolves_each_ideal_at_most_once_and_builds_each_tensor_once(
               MonomialIdeal(2, [(0, 1), (2, 0)])]
     resolved, tensors, tables, filtered = [], [], [], []
     resolution_, tensor_ = gcomplex.resolution, sumprod.tensor
-    table, build = sumprod._interior_table, sumprod.build_filtration
+    table, build = sumprod.augmented_interior_H, sumprod.build_filtration
 
     def counted_resolution(ideal):
         resolved.append(ideal)
@@ -858,9 +859,9 @@ def test_exactness_resolves_each_ideal_at_most_once_and_builds_each_tensor_once(
         tensors.append((list(factors), tensor_(factors)))
         return tensors[-1][1]
 
-    def kept_table(chosen, coefficient, fld, box, resolutions):
+    def kept_table(chosen, subset, *args, resolutions, **kwargs):
         tables.append((list(chosen), resolutions))
-        return table(chosen, coefficient, fld, box, resolutions)
+        return table(chosen, subset, *args, resolutions=resolutions, **kwargs)
 
     def kept_build(m, *, kind):
         filtered.append(m)
@@ -871,7 +872,7 @@ def test_exactness_resolves_each_ideal_at_most_once_and_builds_each_tensor_once(
 
     monkeypatch.setattr(gcomplex, "resolution", counted_resolution)
     monkeypatch.setattr(sumprod, "tensor", kept_tensor)
-    monkeypatch.setattr(sumprod, "_interior_table", kept_table)
+    monkeypatch.setattr(sumprod, "augmented_interior_H", kept_table)
     monkeypatch.setattr(sumprod, "build_filtration", kept_build)
     exactness_equivalences(family)
     assert len(resolved) == len(set(resolved)) and len(tables) == 4 and filtered

@@ -198,9 +198,9 @@ def test_supportoftors_tables_only_the_subsets_of_the_asked_sizes(monkeypatch):
     """p = 1 on three blocks tables and totals the singletons alone, and no
     p tables nothing."""
     tabled = []
-    tor = support._multi_tor
-    monkeypatch.setattr(support, "_multi_tor",
-                        lambda ideals, *args: tabled.append(ideals) or tor(ideals, *args))
+    tor = support.multi_tor
+    monkeypatch.setattr(support, "multi_tor", lambda ideals, *args, **kwargs: (
+        tabled.append(ideals) or tor(ideals, *args, **kwargs)))
     family = blocks(3, [[0], [1], [2]])
     assert supportoftors_check(family, None, []) == {} and tabled == []
     assert list(supportoftors_check(family, None, [1])) == [1]
