@@ -59,10 +59,12 @@ def pivot_pairs(rows, p: int) -> list:
 
     ``rows`` are (key, {col: val}) pairs with values reduced mod p, taken in
     the order given: each row is reduced against the earlier pivot rows,
-    keyed by their lowest column and normalised to 1 there, until its own
-    lowest column has no pivot row, and then becomes that column's pivot
-    row.  Returns the (key, col) pair of every row that became a pivot row;
-    there are rank many.  The row dicts are consumed.
+    keyed by their lowest column, until its own lowest column has no pivot
+    row, and then becomes that column's pivot row.  A pivot row is kept as
+    it was reduced, with the inverse of its lowest entry, so a later row
+    with value v at that column is reduced by the factor v * inverse; no
+    scaled copy is made.  Returns the (key, col) pair of every row that
+    became a pivot row; there are rank many.  The row dicts are consumed.
     """
     pivots = {}
     pairs = []
@@ -71,11 +73,11 @@ def pivot_pairs(rows, p: int) -> list:
             col = min(row)
             pivot = pivots.get(col)
             if pivot is None:
-                inv = pow(row[col], p - 2, p)
-                pivots[col] = {c: v * inv % p for c, v in row.items()}
+                pivots[col] = (row, pow(row[col], p - 2, p))
                 pairs.append((key, col))
                 break
-            factor = row[col]
+            pivot, inv = pivot
+            factor = row[col] * inv % p
             for c, v in pivot.items():
                 nv = (row.get(c, 0) - factor * v) % p
                 if nv:

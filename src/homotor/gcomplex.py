@@ -97,7 +97,36 @@ def _rows(rows: dict, n_src: int, n_tgt: int, where) -> dict:
     ...]}, normalised: indices by ``as_int``, int coefficients, every entry
     in range, repeated targets summed, zero sums and empty rows dropped, and
     sources and targets in index order from one sort; ``where()``, called
-    only to refuse an entry or a map of another shape, names the map."""
+    only to refuse an entry or a map of another shape, names the map.
+
+    A map already in that form is found by one linear scan and copied as
+    it is: int sources ascending and in range, each row a non-empty list of
+    (target, coefficient) tuples, int targets strictly ascending and in
+    range, nonzero int coefficients.  Anything else, and every refusal,
+    goes through the merge and the sort, which give the same map."""
+    out: dict = {}
+    last = -1
+    try:
+        for s, row in rows.items():
+            if type(s) is not int or not last < s < n_src or type(row) is not list or not row:
+                break
+            prev = -1
+            for entry in row:
+                if type(entry) is not tuple:
+                    break
+                t, c = entry
+                if type(t) is not int or not prev < t < n_tgt or type(c) is not int or not c:
+                    break
+                prev = t
+            else:
+                out[s] = row[:]
+                last = s
+                continue
+            break
+        else:
+            return out
+    except (AttributeError, TypeError, ValueError):
+        pass
     merged: dict = {}
     try:
         for s, row in rows.items():
@@ -113,7 +142,7 @@ def _rows(rows: dict, n_src: int, n_tgt: int, where) -> dict:
     except (AttributeError, TypeError, ValueError):
         raise internal.ValidationError(f"{where()}: a map must be "
                                        "{source: [(target, coefficient), ...]}") from None
-    out: dict = {}
+    out = {}
     for (s, t), c in sorted(merged.items()):
         if c:
             out.setdefault(s, []).append((t, c))

@@ -9,12 +9,17 @@ d∘d from q to q - 2e_k is d_k∘d_k, and the one to q - e_j - e_k is
 ±(d_j d_k - d_k d_j).  Distinct positions hold distinct summands, so
 nothing cancels across them, and the total's d∘d = 0 (checked symbolically
 over the integers by ``GradedComplex``) is exactly the axis conditions.
+The total is assembled in layout order, so its rows reach ``_rows`` in
+normal form and are copied in one scan.  ``koszul_cone`` also takes the
+unchecked ``Parts`` of a multicomplex, whose entries its own checks cover,
+so the Koszul cone of the hypercube extension is one multicomplex.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import namedtuple
 
 from .errors import (
     EmptyInput,
@@ -49,6 +54,11 @@ def _check_summands(builder: str, parts: str, size: int):
             f"{builder} supports at most {MAX_TENSOR_SUMMANDS} summands, "
             f"its {parts} make {size}"
         )
+
+
+#: The arguments of ``Multicomplex.__init__``, unchecked: what
+#: ``koszul_cone`` reads of the multicomplex it cones.
+Parts = namedtuple("Parts", "n_axes n_vars terms diffs shift")
 
 
 class Multicomplex:
@@ -101,20 +111,27 @@ class Multicomplex:
         self.layout = {}
         terms: dict = {}
         start = {}  # q -> the index in its term of its first summand
-        for q in sorted(self.terms):
+        positions = sorted(self.terms)
+        for q in positions:
             i = sum(q) + self.shift
             start[q] = len(terms.setdefault(i, []))
             terms[i].extend(self.terms[q])
             self.layout.setdefault(i, []).extend([q] * len(self.terms[q]))
-        d: dict = {}  # the total, put together source by source
-        for (q, k), rows in self.diffs.items():
-            sign = (-1) ** (sum(q[:k]) % 2)
-            a, b = start[q], start[self._step(q, k)]
-            total = d.setdefault(sum(q) + self.shift, {})
-            for s, row in rows.items():
-                out = total.setdefault(a + s, [])
-                for t, c in row:
-                    out.append((b + t, sign * c))
+        # the total, put together source by source in layout order, each
+        # source's axes ascending: the target blocks q - e_0 < q - e_1 < ...
+        # then come in layout order too, so every row of d arrives in the
+        # normal form that ``_rows`` copies in one scan
+        d: dict = {}
+        for q in positions:
+            axes = [((-1) ** (sum(q[:k]) % 2), start[self._step(q, k)], rows)
+                    for k in range(self.n_axes) if (rows := self.diffs.get((q, k)))]
+            if not axes:
+                continue
+            a, total = start[q], d.setdefault(sum(q) + self.shift, {})
+            for s in range(len(self.terms[q])):
+                row = [(b + t, sign * c) for sign, b, rows in axes for t, c in rows.get(s, ())]
+                if row:
+                    total[a + s] = row
         self.total = GradedComplex(self.n_vars, terms, d)
 
     @staticmethod
@@ -228,21 +245,30 @@ def hypercube_augment(m: Multicomplex) -> GradedComplex:
     return Multicomplex(n + 1, m.n_vars, top, diffs, m.shift - 1).total
 
 
-def hypercube_extend(m: Multicomplex) -> Multicomplex:
-    """The mapping-cylinder multicomplex of ``_attach_corner`` over every
-    vertex of the unit cube, with the level differential psi into the
-    corner.  Its shift is one below m's, so m's positions keep their
-    degrees in the total.  It has m's summands and 2^n copies of the
-    corner's, and is refused past ``MAX_TENSOR_SUMMANDS`` before any
-    position is built."""
+def _extension(m: Multicomplex) -> Parts:
+    """The parts of ``hypercube_extend(m)``, unchecked: the mapping
+    cylinder of ``_attach_corner`` over every vertex of the unit cube, with
+    the level differential psi into the corner, at one shift below m's.
+    Only the summand bound runs here, before any psi is composed: m's
+    summands and 2^n copies of the corner's, at most
+    ``MAX_TENSOR_SUMMANDS``."""
     corner = m.terms.get((0,) * m.n_axes, ())
     _check_summands("hypercube_extend", "copies",
                     sum(map(len, m.terms.values())) + 2 ** m.n_axes * len(corner))
     cube = itertools.product((0, 1), repeat=m.n_axes)
-    return Multicomplex(m.n_axes + 1, m.n_vars, *_attach_corner(m, cube), m.shift - 1)
+    return Parts(m.n_axes + 1, m.n_vars, *_attach_corner(m, cube), m.shift - 1)
 
 
-def koszul_cone(m: Multicomplex, face_axes: int | None = None) -> Multicomplex:
+def hypercube_extend(m: Multicomplex) -> Multicomplex:
+    """The multicomplex of ``_extension(m)``: m at level 1 of a new last
+    axis, a copy of its corner on each vertex of {0, 1}^n at level 0, and
+    psi between them.  Its shift is one below m's, so m's positions keep
+    their degrees in the total.  It is refused past
+    ``MAX_TENSOR_SUMMANDS`` before any position is built."""
+    return Multicomplex(*_extension(m))
+
+
+def koszul_cone(m: Multicomplex | Parts, face_axes: int | None = None) -> Multicomplex:
     """The Koszul-cone multicomplex: m with one 0/1 axis n + j per face
     axis j < ``face_axes``.  Position (q, s) holds m_q when no face axis
     has both s_j = 1 and q_j != 0, with m's axis maps, and axis n + j maps
@@ -250,7 +276,10 @@ def koszul_cone(m: Multicomplex, face_axes: int | None = None) -> Multicomplex:
     (-1)^(|q| + the face axes before j at 1).  It has m's shift, and m_q
     has one copy per s, 2^(the face axes j with q_j = 0) of them, so the
     cone is refused past ``MAX_TENSOR_SUMMANDS`` before any position is
-    built."""
+    built.  m is a multicomplex or the unchecked ``Parts`` of one, such as
+    ``_extension``'s: the cone reads only those five fields, copies m's
+    maps as they are and checks every copy, the one at s = 0 being m as a
+    subcomplex of the cone's total (see ``spectral.build_filtration``)."""
     n = m.n_axes
     fa = n if face_axes is None else as_int(face_axes, "face_axes")
     if not 0 <= fa <= n:

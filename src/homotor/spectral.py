@@ -58,7 +58,13 @@ from dataclasses import dataclass
 from .errors import FiltrationViolation, InvalidKind, InvariantBroken, as_int, as_ints
 from .exactlin import GF, PrimeField, pivot_pairs
 from .gcomplex import GradedComplex
-from .multicomplex import Multicomplex, hypercube_extend, koszul_cone
+from .multicomplex import (
+    Multicomplex,
+    _check_summands,
+    _extension,
+    hypercube_extend,
+    koszul_cone,
+)
 
 
 class FilteredTotal:
@@ -238,12 +244,27 @@ def build_filtration(m: Multicomplex, *, kind: str) -> FilteredTotal:
     evaluating many degrees builds the filtration once and hands it to
     ``pages`` for each, so they share its block ranks.  Degrees beyond the
     stability box have the alive masks of the box.
+
+    kcone_augmented cones the unchecked ``_extension(m)``, not a built
+    extension, and loses no check.  The cone's s = 0 copy holds every
+    position and map of the extension, and no face-axis map leaves it, so
+    it is a subcomplex of the cone's total with the extension's signs: the
+    cone's ``_rows``, ``_entry_valid`` and d∘d checks cover every entry the
+    extension's would have.  The extension's summand bound still runs in
+    ``_extension``, after the cone's, which is counted on m before any psi
+    is composed: each m_q once per face vector with no s_j = 1 where
+    q_j != 0, 2^(zeros of q) copies, and the corner once per vertex c of
+    the cube and face vector below its zeros, 3^n copies in all.
     """
     n = m.n_axes
     if kind == "kcone":
         return _by_weight(koszul_cone(m), lambda q: sum(q[n:]))
     if kind == "kcone_augmented":
-        return _by_weight(koszul_cone(hypercube_extend(m), face_axes=n),
+        corner = m.terms.get((0,) * n, ())
+        _check_summands("koszul_cone", "copies",
+                        sum(len(ss) * 2 ** q.count(0) for q, ss in m.terms.items())
+                        + len(corner) * 3 ** n)
+        return _by_weight(koszul_cone(_extension(m), face_axes=n),
                           lambda q: sum(q[n + 1:]))
     if kind == "interior":
         return _by_weight(m, lambda q: sum(1 for v in q if v))

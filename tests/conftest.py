@@ -500,6 +500,31 @@ def persistence_pairs_oracle(filtered, i, alive, fld=GF()):
     return [(-key % n, s) for s, key in pivot_pairs(columns, fld.p)]
 
 
+def pivot_pairs_scaled(rows, p):
+    """``exactlin.pivot_pairs`` with each pivot row stored as a copy scaled
+    to 1 at its lowest column, a later row reduced by its own value there:
+    the kernel's earlier form, the reference for the unscaled one."""
+    pivots = {}
+    pairs = []
+    for key, row in rows:
+        while row:
+            col = min(row)
+            pivot = pivots.get(col)
+            if pivot is None:
+                inv = pow(row[col], p - 2, p)
+                pivots[col] = {c: v * inv % p for c, v in row.items()}
+                pairs.append((key, col))
+                break
+            factor = row[col]
+            for c, v in pivot.items():
+                nv = (row.get(c, 0) - factor * v) % p
+                if nv:
+                    row[c] = nv
+                else:
+                    row.pop(c, None)
+    return pairs
+
+
 def _rank_mod(rows, p):
     """The rank over GF(p) of a list of integer rows of one length, by dense
     Gaussian elimination: a reference that shares no code with exactlin."""
@@ -560,16 +585,31 @@ def diagonal_tor(ideals, coefficient, gamma, p):
     def inside(b, ideal):
         return any(all(x >= g for x, g in zip(b, gen)) for gen in ideal.gens)
 
-    def splits(c, mods):
-        """Every tuple of degrees, one outside each ideal of mods, summing to c."""
-        if len(mods) == 1:
-            return [] if inside(c, mods[0]) else [(c,)]
-        out = []
-        for b in itertools.product(*(range(x + 1) for x in c)):
-            if not inside(b, mods[0]):
-                rest = tuple(x - y for x, y in zip(c, b))
-                out.extend((b,) + t for t in splits(rest, mods[1:]))
+    def below_outside(c, ideal):
+        """Every degree b <= c outside ideal, built coordinate by coordinate:
+        a coordinate stops growing once b, its later coordinates at 0, lands
+        in the ideal, since every b above that one is in it too."""
+        out = [()]
+        for k, x in enumerate(c):
+            zeros = (0,) * (len(c) - k - 1)
+            grown = []
+            for b in out:
+                for v in range(x + 1):
+                    if inside(b + (v,) + zeros, ideal):
+                        break
+                    grown.append(b + (v,))
+            out = grown
         return out
+
+    @functools.cache
+    def splits(c, k):
+        """Every tuple of degrees, one outside each ideal of modules[k:],
+        summing to c: each part is pruned as soon as it lands in its ideal,
+        and each (c, k) is split once."""
+        if k == m - 1:
+            return [] if inside(c, modules[k]) else [(c,)]
+        return [(b,) + t for b in below_outside(c, modules[k])
+                for t in splits(tuple(x - y for x, y in zip(c, b)), k + 1)]
 
     diffs = [(j, s) for s in range(m - 1) for j in range(n)]
     bases = []
@@ -580,7 +620,7 @@ def diagonal_tor(ideals, coefficient, gamma, p):
             for t in S:
                 c[diffs[t][0]] -= 1
             if min(c) >= 0:
-                basis.extend((S, bs) for bs in splits(tuple(c), modules))
+                basis.extend((S, bs) for bs in splits(tuple(c), 0))
         bases.append(basis)
     ranks = [0] * (len(bases) + 1)  # ranks[i]: the rank of d_i: K_i -> K_{i-1}
     for i in range(1, len(bases)):
@@ -598,7 +638,8 @@ def diagonal_tor(ideals, coefficient, gamma, p):
                         col = index[(face, tuple(b))]
                         row[col] = row.get(col, 0) + sign
             rows.append(row)
-        ranks[i] = _sparse_rank(rows, p)
+        # the last basis element first: the same rank with far less fill-in
+        ranks[i] = _sparse_rank(rows[::-1], p)
     dims = {i: len(basis) - ranks[i] - ranks[i + 1] for i, basis in enumerate(bases)}
     return {i: d for i, d in dims.items() if d}
 

@@ -34,7 +34,7 @@ and its printed report is compared with an oracle's:
 - `tor-box` and `tor-module-box` with ``diagonal_tor``, which shares no
   code with homotor.  `tor-box` is read at its nonzero cells and a seeded
   sample of zero cells in tier-1, and at every cell under ``slow`` (its
-  150 cells take the oracle about 7 s on one core of a 2-vCPU Xeon virtual
+  150 cells take the oracle about 4 s on one core of a 2-vCPU Xeon virtual
   machine, the nonzero ones 0.25 s); `tor-module-box`,
   four quotients, only under ``slow``, at its nonzero cells and a seeded
   sample of the others.

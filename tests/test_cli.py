@@ -504,10 +504,11 @@ def test_cli_tor_refuses_a_tensor_past_the_bound(tmp_path, capsys, monkeypatch):
 def test_cli_spectral_refuses_a_cone_past_the_bound(tmp_path, capsys, monkeypatch):
     """The kcone cone of 11 principal ideals has 3^11 summands and the
     kcone_augmented cone of 10 has 2 * 3^10, both past MAX_TENSOR_SUMMANDS:
-    spectral exits 2 with ParamOutOfRange, and the only multicomplexes
-    built are the cone's inputs, the tensor of the resolutions (2^n
-    summands) and, for kcone_augmented, its hypercube extension (2^(n+1)).
-    The kcone cone of 10 ideals is admitted by the count (3^10 summands)."""
+    spectral exits 2 with ParamOutOfRange, and the only multicomplex built
+    is the cone's input, the tensor of the resolutions (2^n summands).
+    kcone_augmented counts its cone on that tensor, so no psi is composed
+    for an extension.  The kcone cone of 10 ideals is admitted by the
+    count (3^10 summands)."""
     built = []
     init = multicomplex.Multicomplex.__init__
 
@@ -515,11 +516,14 @@ def test_cli_spectral_refuses_a_cone_past_the_bound(tmp_path, capsys, monkeypatc
         built.append(sum(map(len, terms.values())))
         init(self, n_axes, n_vars, terms, *args, **kwargs)
 
+    def composed(*args):
+        raise AssertionError("psi composed for a refused cone")
+
     monkeypatch.setattr(multicomplex.Multicomplex, "__init__", counted_init)
+    monkeypatch.setattr(multicomplex, "_compose_chain", composed)
     path = tmp_path / "principal.json"
     for kind, n, size, inputs in (("kcone", 11, 3 ** 11, [2 ** 11]),
-                                  ("kcone_augmented", 10, 2 * 3 ** 10,
-                                   [2 ** 10, 2 ** 11])):
+                                  ("kcone_augmented", 10, 2 * 3 ** 10, [2 ** 10])):
         built.clear()
         ideals = {f"I{k}": [[k + 1, 0, 1]] for k in range(n)}
         path.write_text(json.dumps({"variables": ["x", "y", "z"], "ideals": ideals}))
@@ -530,6 +534,28 @@ def test_cli_spectral_refuses_a_cone_past_the_bound(tmp_path, capsys, monkeypatc
             f"summands, its copies make {size}")}
         assert built == inputs
     assert 3 ** 10 <= multicomplex.MAX_TENSOR_SUMMANDS < 2 * 3 ** 10
+
+
+def test_cli_kcone_augmented_refuses_a_broken_extension(problem_path, capsys, monkeypatch):
+    """kcone_augmented cones the extension's unchecked parts, and the cone
+    checks them: with one coefficient of psi at the top vertex doubled,
+    the corner square no longer commutes, and spectral exits 3 with
+    CompositionNonzero, as a built extension would.  The unbroken
+    extension is admitted."""
+    assert main(["spectral", problem_path, "--kind", "kcone_augmented"]) == 0
+    capsys.readouterr()
+    attach = multicomplex._attach_corner
+
+    def broken(m, vertices):
+        terms, diffs = attach(m, vertices)
+        psi = diffs[((1,) * m.n_axes + (1,), m.n_axes)]
+        s = min(psi)
+        psi[s] = [(t, 2 * c) for t, c in psi[s]]
+        return terms, diffs
+
+    monkeypatch.setattr(multicomplex, "_attach_corner", broken)
+    assert main(["spectral", problem_path, "--kind", "kcone_augmented"]) == 3
+    assert json.loads(capsys.readouterr().out)["error"]["type"] == "CompositionNonzero"
 
 
 @pytest.mark.parametrize("fields", [

@@ -644,6 +644,39 @@ def test_one_refusal_rule_for_map_entries():
             Multicomplex(1, 1, line, {((1,), 0): rows})
 
 
+@pytest.mark.parametrize("rows, normal", [
+    ({0: [(-1, 1)]}, None),
+    ({-1: [(0, 1)]}, None),
+    ({2: [(0, 1)]}, None),
+    ({0: [(2, 1)]}, None),
+    ({0: [(0, 1.0)]}, None),
+    ({0: [(0, 0), (1, 1)]}, {0: [(1, 1)]}),
+    ({0: [(0, True)]}, {0: [(0, 1)]}),
+    ({True: [(0, 1)]}, {1: [(0, 1)]}),
+    ({0: [(False, 1)]}, {0: [(0, 1)]}),
+    ({0: [[0, 1]]}, {0: [(0, 1)]}),
+    ({0: ((0, 1),)}, {0: [(0, 1)]}),
+    ({1: [(0, 1)], 0: [(1, 1)]}, {0: [(1, 1)], 1: [(0, 1)]}),
+    ({0: [(1, 1), (0, 1)]}, {0: [(0, 1), (1, 1)]}),
+    ({0: [(0, 1), (0, 1)]}, {0: [(0, 2)]}),
+    ({0: [], 1: [(0, 1)]}, {1: [(0, 1)]}),
+])
+def test_a_map_one_entry_off_normal_form_takes_the_merge_and_the_sort(rows, normal):
+    """A map of 2 -> 2 summands that is normal but for one source, row or
+    entry is not copied by ``_rows``' scan: it is refused with the one
+    message, or normalised to ints, sources and targets in order, repeats
+    summed and zeros dropped, like any other map."""
+    if normal is None:
+        with pytest.raises(ValidationError, match="^map: (entry .* outside its 2 -> 2 "
+                                                  "summands|coefficient .* is not an int)$"):
+            gcomplex._rows(rows, 2, 2, lambda: "map")
+        return
+    out = gcomplex._rows(rows, 2, 2, lambda: "map")
+    assert list(out.items()) == list(normal.items())
+    assert all(type(v) is int for row in out.values() for e in row for v in e)
+    assert {*map(type, out)} <= {int}
+
+
 def test_one_checker_report(kxy):
     """Every checker returns a ``CheckReport``, the one report class with
     assertions (``BettiReport`` is data): torlab, sumprod and support

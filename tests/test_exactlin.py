@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import free_complex
+from conftest import free_complex, pivot_pairs_scaled
 from homotor.errors import ValidationError
 from homotor.exactlin import GF, PrimeField, pivot_pairs
 
@@ -63,6 +63,19 @@ def test_pivot_pairs_take_rows_in_the_given_order():
     assert pivot_pairs(rows, 5) == [("a", 0), ("c", 1)]
     rows = [("c", {1: 3, 2: 1}), ("b", {0: 2, 1: 2}), ("a", {0: 1, 1: 1})]
     assert pivot_pairs(rows, 5) == [("c", 1), ("b", 0)]
+
+
+@settings(max_examples=150)
+@given(st.sampled_from([2, 3, 32003]), st.data())
+def test_unscaled_pivot_rows_give_the_scaled_kernels_pairs(p, data):
+    """Keeping each pivot row as reduced, with the inverse of its lowest
+    entry, gives the pairs of the kernel that stores a copy scaled to 1,
+    for rows taken in the order given: the same rows become the pivot rows
+    of the same columns, in the same order."""
+    rows = data.draw(st.lists(st.dictionaries(st.integers(0, 7), st.integers(1, p - 1),
+                                              max_size=6), max_size=10))
+    assert pivot_pairs([(k, dict(r)) for k, r in enumerate(rows)], p) == \
+        pivot_pairs_scaled([(k, dict(r)) for k, r in enumerate(rows)], p)
 
 
 @given(

@@ -219,6 +219,46 @@ def test_dd_zero_checked_symbolically():
         GradedComplex(2, terms, {1: {0: [(0, 1)]}, 2: {0: [(0, 1)]}})
 
 
+@st.composite
+def maps_and_variants(draw):
+    """(n_src, n_tgt, a map in normal form, the same map with its sources
+    and each row's targets shuffled, some coefficients split in two, some
+    zero sums added, in rows of their own too, and some entries as lists)."""
+    n_src, n_tgt = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    coefficient = st.integers(-3, 3).filter(bool)
+    sources = draw(st.dictionaries(st.integers(0, n_src - 1),
+                                   st.sets(st.integers(0, n_tgt - 1), min_size=1)))
+    normal = {s: [(t, draw(coefficient)) for t in sorted(ts)] for s, ts in sorted(sources.items())}
+    target = st.integers(0, n_tgt - 1)
+    variant = {}
+    for s in draw(st.permutations(range(n_src))):
+        row = []
+        for t, c in normal.get(s, ()):
+            k = draw(st.integers(-2, 2))
+            row += [(t, c - k), (t, k)] if k else [(t, c)]
+        for t, k in draw(st.lists(st.tuples(target, coefficient), max_size=2)):
+            row += [(t, k), (t, -k)]
+        row = [list(e) if draw(st.booleans()) else e for e in draw(st.permutations(row))]
+        if row or draw(st.booleans()):
+            variant[s] = row
+    return n_src, n_tgt, normal, variant
+
+
+@settings(max_examples=200)
+@given(maps_and_variants())
+def test_the_one_scan_and_the_merge_sort_give_one_normal_form(case):
+    """A map in normal form is copied by ``_rows``' scan, and the same map
+    shuffled, split, padded with zero sums or with entries as lists goes
+    through the merge and the sort: both give the normal map, sources in
+    order, its rows new lists of (target, coefficient) tuples."""
+    n_src, n_tgt, normal, variant = case
+    scanned = gcomplex._rows(normal, n_src, n_tgt, lambda: "map")
+    assert list(scanned.items()) == list(normal.items())
+    assert all(scanned[s] is not normal[s] for s in normal)
+    merged = gcomplex._rows(variant, n_src, n_tgt, lambda: "map")
+    assert list(merged.items()) == list(normal.items())
+
+
 def test_ideal_summand_fiber():
     j = summand(MonomialIdeal(2, [(1, 0)]))
     assert not summand_alive(j, Multidegree((0, 1)), IDEAL)

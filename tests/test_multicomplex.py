@@ -273,7 +273,8 @@ def test_multicomplex_builds_its_total_once(monkeypatch):
     shift.  ``hypercube_augment``, ``hypercube_extend``, ``koszul_cone``
     after it and ``build_filtration`` of every kind build no complex beyond
     the total of each multicomplex they build: ``hypercube_augment`` builds
-    one multicomplex, the top level of the extension, and its total."""
+    one multicomplex, the top level of the extension, and its total, and
+    ``kcone_augmented`` one, the cone of the extension's unchecked parts."""
     factors = [res((1, 0), (0, 1)), res((1, 1), (2, 0))]
     builds = {"graded": 0, "multi": 0}
 
@@ -295,7 +296,7 @@ def test_multicomplex_builds_its_total_once(monkeypatch):
         "koszul_cone∘hypercube_extend":
             (lambda: koszul_cone(hypercube_extend(m), face_axes=2), 2),
         **{kind: (lambda kind=kind: build_filtration(m, kind=kind), multis)
-           for kind, multis in (("kcone", 1), ("kcone_augmented", 2),
+           for kind, multis in (("kcone", 1), ("kcone_augmented", 1),
                                 ("interior", 0), ("interior_augmented", 1))},
     }
     for name, (build, multis) in cases.items():
@@ -428,24 +429,29 @@ def _summands(m):
 @settings(deadline=None, max_examples=40)
 @given(tensor_factors(), st.data())
 def test_cones_are_refused_past_the_summand_bound(factors, data):
-    """``koszul_cone`` (any face axes) and ``hypercube_extend`` count their
-    summands before any position is built, exactly: a bound at the built
-    cone's count admits it, and one below it refuses it with that count,
-    with no Multicomplex built first."""
+    """``koszul_cone`` (any face axes), ``hypercube_extend`` and the
+    ``kcone_augmented`` filtration, which counts the cone of the extension
+    on m, count their summands before any position is built, exactly: a
+    bound at the built cone's count admits it, and one below it refuses it
+    with that count, with no Multicomplex built and no corner attached
+    first."""
     m = tensor(factors)
     face_axes = data.draw(st.integers(0, m.n_axes))
     for name, build in (("koszul_cone", lambda: koszul_cone(m, face_axes)),
-                        ("hypercube_extend", lambda: hypercube_extend(m))):
+                        ("hypercube_extend", lambda: hypercube_extend(m)),
+                        ("koszul_cone",
+                         lambda: build_filtration(m, kind="kcone_augmented").total)):
         size = _summands(build())
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(multicomplex, "MAX_TENSOR_SUMMANDS", size)
             assert _summands(build()) == size
             mp.setattr(multicomplex, "MAX_TENSOR_SUMMANDS", size - 1)
-            built = _counted_inits(mp)
+            built, attached = _counted_inits(mp), []
+            mp.setattr(multicomplex, "_attach_corner", lambda *args: attached.append(args))
             with pytest.raises(ParamOutOfRange, match=(
                     f"^{name} supports at most {size - 1} summands, its copies make {size}$")):
                 build()
-            assert built == []
+            assert built == [] and attached == []
 
 
 def test_cones_refuse_many_axes_before_building():
