@@ -40,10 +40,6 @@ class MixedKinds(InternalError):
     are required."""
 
 
-class EmptySelection(HomotorError):
-    """An empty axis set or ideal subset where at least one is required."""
-
-
 class FiltrationViolation(InternalError):
     """A differential does not preserve the given filtration."""
 

@@ -232,6 +232,18 @@ def check_family(ideals, coefficient: MonomialIdeal | None = None):
     return ideals, _valid(map(sum, zip((0,) * n, *lcms)))
 
 
+def subfamilies(members, sizes):
+    """(indices, chosen) for every subset of members whose size is in
+    sizes, chosen the tuple of the members at the indices: the one order
+    in which the checkers visit subfamilies, by size in the order sizes
+    gives, then in ``itertools.combinations`` order, which fixes the order
+    of their witnesses.  Lazy, so a scan that stops early visits no more."""
+    members = tuple(members)
+    for size in sizes:
+        for indices in itertools.combinations(range(len(members)), size):
+            yield indices, tuple(members[i] for i in indices)
+
+
 def dominating_box(stable: Multidegree, box=None) -> Multidegree:
     """The box a table is read over: the stable box, or a given box that
     dominates it, so that the fibre beyond the box is the fibre at min(gamma, box)."""

@@ -17,8 +17,6 @@ family gets the union check or per-ideal regions.
 
 from __future__ import annotations
 
-import itertools
-
 from .errors import ParamOutOfRange, ValidationError, as_int
 from .exactlin import GF, PrimeField
 from .gcomplex import TorTable
@@ -29,6 +27,7 @@ from .monomial import (
     combine,
     iter_box,
     lcm_deg,
+    subfamilies,
 )
 from .sumprod import mv_total_complex
 from .torlab import CheckReport, multi_tor
@@ -103,15 +102,11 @@ def supportoftors_check(ideals, coefficient: MonomialIdeal | None, ps,
     # its own sub-subsets, so the union equality is cumulative over subset
     # sizes up to p (with a fixed size it already fails for M = R, two
     # singleton blocks and p = 2)
-    combos = [
-        T for size in range(1, max(ps, default=0) + 1)
-        for T in itertools.combinations(range(s), size)
-    ]
+    combos = dict(subfamilies(ideals, range(1, max(ps, default=0) + 1)))  # {T: its ideals}
     resolutions: dict = {}
     by_ideal: dict = {}  # a singleton's product and sum are one ideal
     tor = {}  # {T: (Tor against the product, Tor against the sum)}
-    for T in combos:
-        family = [ideals[i] for i in T]
+    for T, family in combos.items():
         pair = (combine(family, "product"), combine(family, "sum"))
         for ideal in pair:
             if ideal not in by_ideal:
@@ -128,8 +123,7 @@ def supportoftors_check(ideals, coefficient: MonomialIdeal | None, ps,
         if (kind, T, g) not in found:
             if (kind, T) not in totals:
                 totals[(kind, T)] = mv_total_complex(
-                    kind, [ideals[i] for i in T], coefficient,
-                    resolutions=resolutions).total
+                    kind, combos[T], coefficient, resolutions=resolutions).total
             found[(kind, T, g)] = _containment(
                 kind, T, g, tor[T], totals[(kind, T)].homology_at(g, fld))
         return found[(kind, T, g)]

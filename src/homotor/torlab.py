@@ -31,6 +31,7 @@ from .monomial import (
     combine,
     dominating_box,
     quotient_dimension,
+    subfamilies,
 )
 from .multicomplex import tensor
 
@@ -87,8 +88,8 @@ def tor1_oracle(ideals, fld: PrimeField = GF(), box=None) -> TorTable:
     box = dominating_box(stable, box)
     check_box_size(box)
     s, p = len(ideals), fld.p
-    pairs = list(itertools.combinations(range(s), 2))
-    members = ideals + [combine([ideals[i], ideals[j]], "product") for i, j in pairs]
+    pairs = dict(subfamilies(ideals, [2]))  # {(i, j): (I_i, I_j)}
+    members = ideals + [combine(pair, "product") for pair in pairs.values()]
     masks = []  # per member, the bits of its generators
     at = [{} for _ in box]  # per coordinate, value -> the generators there
     bit = 0
@@ -177,17 +178,15 @@ def independence(ideals, fld: PrimeField = GF(), strong: bool = False
     resolutions: dict = {}
     subset_results = {}
     recursion_results = {}
-    for size in range(2, s + 1):
-        for sub in itertools.combinations(range(s), size):
-            family = [ideals[i] for i in sub]
-            subset_results[sub] = _table_independent(
-                multi_tor(family, fld=fld, resolutions=resolutions))
-            if size == 2:  # the recursion pair is this pair: see above
-                recursion_results[sub] = subset_results[sub]
-                continue
-            pair = [family[-1], combine(family[:-1], "sum")]
-            recursion_results[sub] = _table_independent(
-                multi_tor(pair, fld=fld, resolutions=resolutions))
+    for sub, family in subfamilies(ideals, range(2, s + 1)):
+        subset_results[sub] = _table_independent(
+            multi_tor(family, fld=fld, resolutions=resolutions))
+        if len(sub) == 2:  # the recursion pair is this pair: see above
+            recursion_results[sub] = subset_results[sub]
+            continue
+        pair = [family[-1], combine(family[:-1], "sum")]
+        recursion_results[sub] = _table_independent(
+            multi_tor(pair, fld=fld, resolutions=resolutions))
     by_subsets = all(subset_results.values())
     agreement = by_subsets == all(recursion_results.values())
     report.context.update(

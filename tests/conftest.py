@@ -357,6 +357,25 @@ def membership_by_leq(gamma, ideal) -> bool:
     return any(leq_by_zip(g, gamma) for g in ideal.gens)
 
 
+def s_closed_form(ideals, gamma) -> dict:
+    """{i: dim H^i(S)_gamma} of the quotient variant of S, nonzero only, by
+    its closed form: H^0(S)_gamma = k iff gamma lies in every ideal and not
+    in their product, and every other entry is 0, so H(S) = (∩ I_i)/(∏ I_i).
+    It reads membership only, the product's as a choice of one generator
+    per ideal whose sum divides gamma: no complex and no rank.
+
+    Proof: let A = {i : gamma not in I_i}.  A summand T of S^p, p >= 1, is
+    alive at gamma iff T ⊆ A, and S^0 iff gamma is not in the product.  If
+    A is nonempty, gamma is not in the product, and the fibre is the
+    augmented cochain complex of the full simplex on A, which is exact; if
+    A is empty, only S^0 can be alive."""
+    if not all(membership_by_leq(gamma, ideal) for ideal in ideals):
+        return {}
+    in_product = any(all(sum(column) <= g for column, g in zip(zip(*choice), gamma))
+                     for choice in itertools.product(*(ideal.gens for ideal in ideals)))
+    return {} if in_product else {0: 1}
+
+
 def summand_alive(s, gamma, kind) -> bool:
     """Whether the summand s of a complex of the given kind contributes one
     basis vector at degree gamma, read off its shift and ideal: the

@@ -62,15 +62,19 @@ def _pd(ideal, p) -> int:
     return max(i for i, _ in koszul_betti(ideal, p))
 
 
+def _dim(ideal) -> int:
+    """The Krull dimension of R/I: the most variables a set can hold with
+    no generator supported inside it."""
+    supports = [{j for j, e in enumerate(g) if e} for g in ideal.gens]
+    return max(len(s) for k in range(ideal.n + 1)
+               for s in map(set, itertools.combinations(range(ideal.n), k))
+               if not any(g <= s for g in supports))
+
+
 def _is_cm(ideal, p) -> bool:
     """R/I is Cohen-Macaulay: depth n - pd (Auslander-Buchsbaum) equals
-    dim R/I, the most variables a set can hold with no generator supported
-    inside it."""
-    supports = [{j for j, e in enumerate(g) if e} for g in ideal.gens]
-    dim = max(len(s) for k in range(ideal.n + 1)
-              for s in map(set, itertools.combinations(range(ideal.n), k))
-              if not any(g <= s for g in supports))
-    return ideal.n - _pd(ideal, p) == dim
+    dim R/I."""
+    return ideal.n - _pd(ideal, p) == _dim(ideal)
 
 
 def _uncertified(seed, tmp_path):

@@ -16,7 +16,9 @@ oracle's:
 - `tor1-oracle` (every `checker_stream` job): its ``tor1`` records with
   ``conftest.tor1_per_degree``, which shares ``pivot_pairs`` and the
   kernel formula with ``tor1_oracle``.  So it certifies the packed walk
-  over membership states, not the formula.
+  over membership states, not the formula.  The formula is certified by
+  the H_2 slice of P's table over the report's box, a construction that
+  shares neither the walk nor the formula.
 - `support` (every `checker_stream` job): each per-p report with
   ``conftest.support_check_at``, which rebuilds every Tor table and
   Mayer-Vietoris total for each p from ``multi_tor`` and the page engine.
@@ -44,7 +46,9 @@ and its printed report is compared with an oracle's:
   ``conftest.summand_alive`` and each block ranked by ``_rank_mod``.  It
   shares the complex's terms and maps, so it certifies the fibre tables
   and the elimination, not the construction; the term ranks are checked
-  against the subset counts.
+  against the subset counts.  `scomplex-quotient` is also checked against
+  ``conftest.s_closed_form``, which reads membership only and so certifies
+  the construction too.
 - `spectral-mv-module`: every sampled page with ``block_rank_pages`` on
   the filtered total the command built (the pairing, as in
   ``test_certified_pages.py``), and E¹ with ``block_rank_pages`` on
@@ -58,8 +62,11 @@ and its printed report is compared with an oracle's:
   module.
 - `selftest`: both Tor₁ tables each trial compared, ``multi_tor``'s and
   ``tor1_oracle``'s, with ``tor1_per_degree`` (which shares
-  ``pivot_pairs``), so the verdict of no Tor₁ mismatch is right; the
-  rigidity and A8 verdicts are not certified here.
+  ``pivot_pairs``), so the verdict of no Tor₁ mismatch is right; each
+  trial's rigidity and A8 verdicts are recomputed from Tor by
+  ``diagonal_tor``, projective dimensions by ``koszul_betti`` and Krull
+  dimensions by a search over variable subsets, the oracles of
+  ``test_certified_checkers.py``.
 """
 
 import contextlib
@@ -80,13 +87,17 @@ from conftest import (
     masked_rank_oracle,
     mv_tensor_total,
     region_compare_oracle,
+    s_closed_form,
     summand_alive,
     support_check_at,
     tor1_per_degree,
 )
 from homotor import cli
 from homotor.exactlin import GF
-from homotor.monomial import MonomialIdeal, iter_box
+from homotor.monomial import MonomialIdeal, combine, iter_box
+from homotor.sumprod import build_p_complex, complex_homology_table
+from homotor.torlab import family_box
+from test_certified_checkers import _dim, _is_cm, _pd
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 if str(BENCH) not in sys.path:
@@ -197,6 +208,24 @@ def test_seed_0_tor1_and_support_reports_match_the_oracles(tmp_path):
     assert not wrong, [w[:2] for w in wrong[:3]]
 
 
+def test_seed_0_tor1_oracle_reports_are_h2_of_p(tmp_path):
+    """Each `tor1-oracle` report of the seed-0 `checker_stream` list equals
+    the H_2 slice of the family's P over the report's box: H_2(P)_gamma is
+    the reduced H_0 of the graph of the ideals holding gamma joined where
+    their product does, the oracle's count per degree."""
+    wrong, compared, cells = [], 0, 0
+    for k, job, problem in _jobs("checker_stream", 0, tmp_path, ("tor1-oracle",)):
+        report = cli.run(job.command, problem, job.flags)
+        family, fld = problem.family(), GF(problem.characteristic)
+        p_tab = complex_homology_table(build_p_complex(family), fld, report["box"])
+        expected = {(1, g): d for g, d in p_tab.slice(2).items()}
+        if _cells(report["results"]["tor1"]) != expected:
+            wrong.append(k)
+        compared, cells = compared + 1, cells + len(expected)
+    assert (compared, cells) == (32, 547)
+    assert not wrong, wrong
+
+
 @pytest.mark.slow
 def test_seed_0_every_tor_table_matches_the_oracle(tmp_path):
     wrong, compared = _uncertified_tables(0, tmp_path, lambda k, kind: True)
@@ -304,6 +333,15 @@ def _dense_homology(c, gamma, p) -> dict:
     return {i: d for i, d in dims.items() if d}
 
 
+def test_golden_scomplex_quotient_has_the_closed_form(tmp_path, monkeypatch):
+    """Every cell of the `scomplex-quotient` report against
+    ``s_closed_form``: H(S) = (∩ I_i)/(∏ I_i), in degree 0."""
+    report, family, _, _, _ = _golden_case("scomplex-quotient", tmp_path, monkeypatch)
+    expected = {(i, tuple(g)): d for g in iter_box(report["box"])
+                for i, d in s_closed_form(family, g).items()}
+    assert expected and _cells(report["results"]["homology"]) == expected
+
+
 @pytest.mark.parametrize("case_id", ["scomplex-quotient", "scomplex-tilde",
                                      "pcomplex-quotient", "pcomplex-tilde"])
 def test_golden_s_and_p_complexes_match_a_fibrewise_dense_oracle(case_id, tmp_path,
@@ -390,6 +428,61 @@ def test_golden_selftest_tor1_matches_tor1_per_degree(tmp_path, monkeypatch):
         assert {k: d for k, d in table.entries.items() if k[0] == 1} == want.entries
         assert (oracle.entries, oracle.box) == (want.entries, want.box)
     assert report["assertions"] == [{"name": "selftest", "passed": True, "witnesses": []}]
+
+
+def _tor_indices(family, box, p) -> dict:
+    """{i: the degrees of the box where Tor_i of the family is nonzero}, by
+    ``diagonal_tor``."""
+    found: dict = {}
+    for g in iter_box(box):
+        for i in diagonal_tor(family, None, tuple(g), p):
+            found.setdefault(i, []).append(tuple(g))
+    return found
+
+
+def _rigidity_holds(family, box, p) -> bool:
+    """The rigidity verdict from oracles: the nonzero Tor_i, i >= 1, are
+    those of 1..j for the top index j; no prefix of 2..n-1 ideals has a
+    nonzero Tor_i, i >= 1, where the family's is zero; and epsilon = n + j
+    - (sum of the pds) is at least 0, and 0 when every top cell lies
+    inside the box, away from its faces."""
+    tor = _tor_indices(family, box, p)
+    j = max(tor)
+    prefixes_ok = all(i in tor for t in range(2, len(family))
+                      for i in _tor_indices(family[:t], box, p) if i >= 1)
+    epsilon = len(box) + j - sum(_pd(ideal, p) for ideal in family)
+    artinian = all(all(map(int.__lt__, g, box)) for g in tor[j])
+    return (set(tor) - {0} == set(range(1, j + 1)) and prefixes_ok and epsilon >= 0
+            and not (artinian and epsilon != 0))
+
+
+def _a8_holds(family, box, p) -> bool:
+    """The A8 verdict from oracles: Tor_1 = 0 with R/(sum) CM, codim of the
+    sum = the sum of the pds, and the codims adding up with every R/I_i CM
+    hold or fail together; each codim is n - the Krull dimension."""
+    total = combine(family, "sum")
+    codim = total.n - _dim(total)
+    triple = [1 not in _tor_indices(family, box, p) and _is_cm(total, p),
+              codim == sum(_pd(ideal, p) for ideal in family),
+              sum(ideal.n - _dim(ideal) for ideal in family) == codim
+              and all(_is_cm(ideal, p) for ideal in family)]
+    return len(set(triple)) == 1
+
+
+def test_golden_selftest_rigidity_and_a8_verdicts_match_the_oracles(tmp_path, monkeypatch):
+    """Each trial's rigidity and A8 reports pass, and so do the verdicts
+    recomputed from ``diagonal_tor``, ``koszul_betti`` and the Krull
+    dimension search on the family the report lists."""
+    report, _, _, fld, calls = _golden_case("selftest", tmp_path, monkeypatch,
+                                            "rigidity_check", "serre_a8_check")
+    families = report["results"]["summary"]["families"]
+    assert len(families) == len(calls["rigidity_check"]) == len(calls["serre_a8_check"]) == 3
+    for gens, (_, _, rigidity), (_, _, a8) in zip(
+            families, calls["rigidity_check"], calls["serre_a8_check"]):
+        family = [MonomialIdeal(len(g[0]), [tuple(x) for x in g]) for g in gens]
+        box = tuple(family_box(family))
+        assert rigidity.passed and _rigidity_holds(family, box, fld.p)
+        assert a8.passed and _a8_holds(family, box, fld.p)
 
 
 def test_every_exit_0_golden_case_is_certified():

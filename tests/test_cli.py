@@ -536,6 +536,43 @@ def test_cli_spectral_refuses_a_cone_past_the_bound(tmp_path, capsys, monkeypatc
     assert 3 ** 10 <= multicomplex.MAX_TENSOR_SUMMANDS < 2 * 3 ** 10
 
 
+def test_cli_s_and_p_are_refused_past_the_ideal_bound(tmp_path, capsys, monkeypatch):
+    """S, S_- and P have one summand per subset of the family: on
+    MAX_SP_IDEALS + 1 principal ideals, scomplex and pcomplex of both
+    kinds and both Mayer-Vietoris spectral kinds, with and without a
+    module, exit 2 with ParamOutOfRange before ``exterior_complex`` runs,
+    so no GradedComplex is built.  On MAX_SP_IDEALS ideals the three
+    builders are admitted."""
+    built, laid_out = [], []
+    init, exterior = gcomplex.GradedComplex.__init__, sumprod.exterior_complex
+
+    def counted_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(gcomplex.GradedComplex, "__init__", counted_init)
+    monkeypatch.setattr(sumprod, "exterior_complex",
+                        lambda m, *args: laid_out.append(m) or exterior(m, *args))
+    bound = sumprod.MAX_SP_IDEALS
+    path = tmp_path / "principal.json"
+    ideals = {f"I{k}": [[k + 1, 0, 1]] for k in range(bound + 1)}
+    path.write_text(json.dumps({"variables": ["x", "y", "z"], "ideals": ideals}))
+    for command, *flags in (["scomplex"], ["scomplex", "--kind", "tilde"], ["pcomplex"],
+                            ["pcomplex", "--kind", "tilde"],
+                            ["spectral", "--kind", "sum_to_product"],
+                            ["spectral", "--kind", "product_to_sum", "--module", "I0"]):
+        assert main([command, str(path), *flags]) == 2
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error == {"type": "ParamOutOfRange", "message": (
+            f"S and P support at most {bound} ideals, the family has {bound + 1}")}
+        assert built == laid_out == [], (command, flags)
+    family = [MonomialIdeal(3, [(k + 1, 0, 1)]) for k in range(bound)]
+    assert len(sumprod.build_s_complex(family).terms) == bound + 1
+    assert len(sumprod.build_p_complex(family).terms) == bound
+    assert len(mv_total_complex("sum_to_product", family).total.terms) == bound
+    assert laid_out == [bound] * 3
+
+
 def test_cli_kcone_augmented_refuses_a_broken_extension(problem_path, capsys, monkeypatch):
     """kcone_augmented cones the extension's unchecked parts, and the cone
     checks them: with one coefficient of psi at the top vertex doubled,

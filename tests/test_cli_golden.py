@@ -10,8 +10,8 @@ union check, whose Mayer-Vietoris totals then tensor X with the resolution
 of M), ``spectral --kind sum_to_product --module``, and one exit-2 report
 for each typed input error the CLI reports, and for each bound on a family's
 size (a Taylor resolution's generators, a tensor's summands, a Koszul
-cone's summands).  The digests, sha256 of stdout, live in
-``tests/golden/cli.json``.  Record them again only from code whose reports
+cone's summands, the ideals of S and P).  The digests, sha256 of stdout,
+live in ``tests/golden/cli.json``.  Record them again only from code whose reports
 are the reference:
 
     PYTHONPATH=src python tests/test_cli_golden.py
@@ -21,6 +21,8 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -92,6 +94,7 @@ CASES = [
     ("taylor-17", "seventeen", ["tor"]),
     ("tensor-bound", "ten", ["tor"]),
     ("cone-bound", "eleven", ["spectral", "--kind", "kcone"]),
+    ("sp-bound", "eleven", ["pcomplex"]),
     ("unread-flag", "pair", ["verify", "--box", "1,1"]),
     ("support-regions", "family", ["support"]),
     ("support-module", "blocks", ["support", "--module", "I3"]),
@@ -122,10 +125,30 @@ def test_cli_reports_match_the_golden_digests(case_id, problem, argv, tmp_path):
     assert digest == expected["sha256"]
 
 
+@pytest.mark.parametrize("hash_seed", ["7", "99"])
+def test_reports_do_not_depend_on_the_hash_seed(hash_seed, tmp_path):
+    """Two exit-0 cases whose reports walk sets and dicts of hashed keys,
+    the union check's cells and totals and a Mayer-Vietoris filtration's
+    pages, print their recorded bytes through ``python -m homotor`` in a
+    process with ``PYTHONHASHSEED`` 7 or 99."""
+    golden = json.loads(GOLDEN.read_text())
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": hash_seed}
+    for case_id, problem, argv in CASES:
+        if case_id not in ("support-module", "spectral-mv-module"):
+            continue
+        path = tmp_path / f"{problem}.json"
+        path.write_text(json.dumps(PROBLEMS[problem]))
+        done = subprocess.run([sys.executable, "-m", "homotor", argv[0], str(path), *argv[1:]],
+                              capture_output=True, env=env)
+        assert done.returncode == golden[case_id]["exit"] == 0, case_id
+        assert hashlib.sha256(done.stdout).hexdigest() == golden[case_id]["sha256"], case_id
+
+
 def test_the_corpus_has_one_exit_2_case_per_error_and_no_stale_digest():
     golden = json.loads(GOLDEN.read_text())
     assert sorted(golden) == sorted(c[0] for c in CASES)
-    assert sum(entry["exit"] == 2 for entry in golden.values()) == 10
+    assert sum(entry["exit"] == 2 for entry in golden.values()) == 11
 
 
 if __name__ == "__main__":

@@ -2,7 +2,8 @@
 in one place, every integer argument is read by one rule, every sparse map
 is normalised in one place, every GF(p) elimination goes through one
 kernel and reads its block through one reader, d∘d = 0 is checked in one
-place, and complexes are built only by the builders that make new ones."""
+place, subfamilies are visited by one walker, and complexes are built only
+by the builders that make new ones."""
 
 import ast
 import graphlib
@@ -200,7 +201,7 @@ def _integer_arguments(bad):
     entry point takes an integer, and True for an integer a constructor of
     a complex reads, which homotor builds for itself) for each integer
     argument of the library: exponents, counts, term and summand indices,
-    positions, axes, levels, ``ps`` and ``subset``, and the degree a
+    positions, axes, levels and ``ps``, and the degree a
     complex, a table, a filtration or an ideal is read at."""
     x, y = MonomialIdeal(2, [(1, 0)]), MonomialIdeal(2, [(0, 1)])
     one = free_summand((0,))
@@ -228,7 +229,6 @@ def _integer_arguments(bad):
         ("level", lambda: FilteredTotal(total, {1: [bad]}), True),
         ("term index", lambda: FilteredTotal(total, {bad: [0]}), True),
         ("p", lambda: supportoftors_check([x, y], None, [bad]), False),
-        ("subset index", lambda: augmented_interior_H([x, y], [bad]), False),
         ("degree", lambda: table.dim(0, (bad, 0)), False),
         ("degree", lambda: table.clamp((0, bad)), False),
         ("degree", lambda: total.alive_masks((bad,)), False),
@@ -307,7 +307,7 @@ FAMILY_FUNCTIONS = {
     "mv_product_to_sum": (
         lambda f, c, b: mv_total_complex("product_to_sum", f, c), True, False),
     "augmented_interior_H": (
-        lambda f, c, b: augmented_interior_H(f, range(len(f)), c, box=b), True, True),
+        lambda f, c, b: augmented_interior_H(f, c, box=b), True, True),
     "verify_identities": (lambda f, c, b: verify_identities(f), False, False),
     "exactness_equivalences": (lambda f, c, b: exactness_equivalences(f), False, False),
     "supportoftors_check": (lambda f, c, b: supportoftors_check(f, c, [1]), True, False),
@@ -319,9 +319,7 @@ def test_every_family_function_keeps_the_family_contract(name):
     """An empty family, ideals in different variable counts (in either
     order), the unit ideal, and a coefficient that is the unit ideal or
     lives in another variable count, zero or not, with or without a box,
-    get one error type and one message wherever a family is taken.
-    augmented_interior_H checks the whole family, not only the ideals its
-    subset chooses."""
+    get one error type and one message wherever a family is taken."""
     call, takes_coefficient, takes_box = FAMILY_FUNCTIONS[name]
     x, y = MonomialIdeal(2, [(1, 0)]), MonomialIdeal(2, [(0, 1)])
     z = MonomialIdeal(3, [(0, 1, 1)])
@@ -339,24 +337,19 @@ def test_every_family_function_keeps_the_family_contract(name):
         for box in [None, (3, 3)] if takes_box and coefficient is not None else [None]:
             with pytest.raises(error, match=f"^{re.escape(message)}$"):
                 call(family, coefficient, box)
-    if name == "augmented_interior_H":
-        for family, (error, message) in (([x, MonomialIdeal.unit(2)], unit),
-                                         ([x, z], mixed)):
-            with pytest.raises(error, match=f"^{re.escape(message)}$"):
-                augmented_interior_H(family, [0])
 
 
 def test_one_family_contract():
     """A family of ideals and its coefficient are refused in one place:
     ``UnitIdeal`` is raised only by ``monomial.refuse_unit``, and every
     function of torlab, sumprod and support with a parameter ``ideals``
-    calls ``check_family``, but for the predicate ``variable_blocks``.
+    calls ``check_family`` once, but for the predicate ``variable_blocks``.
     No builder is handed a family its caller checked: S and P have one
-    checked builder each, each table has one function, which checks the
-    family itself, and ``augmented_interior_H`` checks the ideals its
-    subset chooses and reads its default box off that check."""
+    checked builder each, and each table has one function, which checks
+    the family itself, ``augmented_interior_H`` the ideals it tabulates,
+    and reads its default box off that check."""
     assert _raise_sites("UnitIdeal") == [("monomial.py", "refuse_unit")]
-    callers = {(path, func) for path, func, _ in _call_sites("check_family")}
+    callers = Counter((path, func) for path, func, _ in _call_sites("check_family"))
     takers = set()
     for name in ("torlab.py", "sumprod.py", "support.py"):
         tree = ast.parse((Path(homotor.__file__).parent / name).read_text())
@@ -365,7 +358,8 @@ def test_one_family_contract():
                    and "ideals" in [a.arg for a in node.args.args + node.args.kwonlyargs]}
     # the 13 entry points of FAMILY_FUNCTIONS and ``variable_blocks``
     assert len(takers) == 14
-    assert takers - callers == {("support.py", "variable_blocks")}
+    assert takers - set(callers) == {("support.py", "variable_blocks")}
+    assert all(callers[taker] == 1 for taker in takers & set(callers))
 
 
 def test_one_function_per_table():
@@ -397,6 +391,17 @@ def test_one_function_per_table():
                               ("sumprod.py", "mv_total_complex"),
                               ("torlab.py", "betti_table"),
                               ("torlab.py", "multi_tor")]
+
+
+def test_one_subfamily_walker():
+    """Every checker visits its subfamilies through ``monomial.subfamilies``,
+    whose order fixes the order of their witnesses: no other function of
+    the package calls ``itertools.combinations`` but the two whose subsets
+    are a layout, not a visit, ``gcomplex.exterior_complex`` (one summand
+    per subset) and ``monomial.quotient_dimension`` (its variable covers)."""
+    assert sorted({(path, func) for path, func, _ in _call_sites("combinations")}) == [
+        ("gcomplex.py", "exterior_complex"), ("monomial.py", "quotient_dimension"),
+        ("monomial.py", "subfamilies")]
 
 
 def test_one_family_pass():

@@ -202,8 +202,8 @@ def test_every_table_builder_meets_the_tor_table_precondition():
             module_homology_table(tensor([resolution(i) for i in family]).total),
             complex_homology_table(build_s_complex(family)),
             complex_homology_table(build_p_complex(family)),
-            augmented_interior_H(family, [0, 1, 2]),
-            augmented_interior_H(family[1:], [0, 1], coefficient),
+            augmented_interior_H(family),
+            augmented_interior_H(family[1:], coefficient),
             tor1_oracle(family),
         ]
         for table in tables:

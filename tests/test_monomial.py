@@ -34,6 +34,7 @@ from homotor.monomial import (
     lcm_deg,
     membership,
     quotient_dimension,
+    subfamilies,
 )
 
 degrees2 = st.tuples(st.integers(0, 3), st.integers(0, 3)).map(Multidegree)
@@ -211,6 +212,29 @@ def test_iter_box_refuses_more_than_max_box_points_when_called():
 def test_iter_box_order():
     cells = list(iter_box((1, 1)))
     assert cells == [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+
+@given(st.lists(st.integers(0, 9), max_size=6),
+       st.lists(st.integers(0, 7), max_size=4, unique=True))
+def test_subfamilies_visit_by_size_then_lexicographically(members, sizes):
+    """Every subset whose size is listed, by size in the order given, then
+    in lexicographic order of the indices, each with the tuple of its
+    members: against the subsets read off the bits of 0 .. 2^n - 1."""
+    n = len(members)
+    subsets = [tuple(i for i in range(n) if mask >> i & 1) for mask in range(1 << n)]
+    want = [(s, tuple(members[i] for i in s))
+            for size in sizes for s in sorted(s for s in subsets if len(s) == size)]
+    assert list(subfamilies(members, sizes)) == want
+
+
+def test_subfamilies_is_lazy():
+    """The walk reads a size only when it reaches it, so a scan that stops
+    at its first hit visits no later subset."""
+    read = []
+    walk = subfamilies("abc", (read.append(size) or size for size in range(1, 4)))
+    assert read == []
+    assert next(walk) == ((0,), ("a",)) and read == [1]
+    assert [indices for indices, _ in walk][2:4] == [(0, 1), (0, 2)] and read == [1, 2, 3]
 
 
 def _outcome(f, *args):

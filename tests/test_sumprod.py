@@ -14,6 +14,7 @@ from conftest import (
     full_augmented_interior,
     independence_oracle,
     mv_tensor_total,
+    s_closed_form,
     s_minus,
     stream,
     tensor_total,
@@ -23,7 +24,7 @@ from conftest import (
 )
 from homotor import gcomplex, sumprod
 from homotor.cli import random_instance
-from homotor.errors import ParamOutOfRange, UnitIdeal, ValidationError
+from homotor.errors import ParamOutOfRange, UnitIdeal
 from homotor.exactlin import GF
 from homotor.gcomplex import (
     GradedComplex,
@@ -419,7 +420,7 @@ def test_verify_assertions_compare_nonzero_sides_on_a_pinned_pair(monkeypatch):
     tor = multi_tor(family, box=box)
     s0 = complex_homology_table(build_s_complex(family), box=box).slice(0)
     p2 = complex_homology_table(build_p_complex(family), box=box).slice(2)
-    aug0 = augmented_interior_H(family, [0, 1], box=box).slice(0)
+    aug0 = augmented_interior_H(family, box=box).slice(0)
     assert all([s0, tor.slice(1), p2, tor.slice(2), aug0])
 
 
@@ -493,7 +494,7 @@ def test_surjection_bounds_relabel_the_top_range_witnesses(kxyz, monkeypatch):
     m = MonomialIdeal(2, [(1, 0), (0, 1)])
     family = [m, m]
     box = family_box(family)
-    tor, aug = multi_tor(family, box=box), padded(family, [0, 1], box=box)
+    tor, aug = multi_tor(family, box=box), padded(family, box=box)
     want = [{"s": s, "degree": list(g), "tor": tor.dim(2 + s, g), "aug": aug.dim(s, g),
              "iso_expected": True}
             for s in range(3) for g in sorted(set(tor.slice(2 + s)) | set(aug.slice(s)))
@@ -536,17 +537,17 @@ def test_verify_identities_builds_no_truncation_and_walks_no_box(kxy, kxyz, monk
 def test_augmented_interior_rows(kxy):
     # q = -1 row reproduces P_p dimensions
     fam = [kxy["x"], kxy["y"]]
-    t = augmented_interior_H(fam, [0, 1])
+    t = augmented_interior_H(fam)
     prod = combine(fam, "product")
     for g in iter_box(t.box):
         assert t.dim(-1, g) == (0 if prod.contains(g) else 1)
     # independence kills q = 0: kernel of I1 (x) I2 -> I1 I2 vanishes
     assert t.slice(0) == {}
     # m, m: the kernel is 1-dimensional in degree (1,1)
-    t = augmented_interior_H([kxy["m"], kxy["m"]], [0, 1])
+    t = augmented_interior_H([kxy["m"], kxy["m"]])
     assert t.slice(0) == {(1, 1): 1}
     # single-axis augmentation gives back the quotient pattern
-    t = augmented_interior_H([kxy["x2xy"]], [0])
+    t = augmented_interior_H([kxy["x2xy"]])
     for g in iter_box(t.box):
         assert t.dim(-1, g) == (0 if kxy["x2xy"].contains(g) else 1)
 
@@ -554,15 +555,7 @@ def test_augmented_interior_rows(kxy):
 def test_augmented_interior_unit_coefficient_raises(kxy):
     """The same error and message as multi_tor's."""
     with pytest.raises(UnitIdeal, match="^R/I is zero for the unit ideal$"):
-        augmented_interior_H([kxy["x"], kxy["y"]], [0, 1], MonomialIdeal.unit(2))
-
-
-@pytest.mark.parametrize("subset", [[-1], [2], [0, 5]])
-def test_augmented_interior_refuses_indices_outside_the_family(kxy, subset):
-    """An index outside the family is refused, not read from the end of
-    the list or raised as an IndexError."""
-    with pytest.raises(ValidationError, match=r"outside 0\.\.1$"):
-        augmented_interior_H([kxy["x"], kxy["y"]], subset)
+        augmented_interior_H([kxy["x"], kxy["y"]], MonomialIdeal.unit(2))
 
 
 def test_augmented_interior_coefficient_matches_with_coefficient():
@@ -570,13 +563,12 @@ def test_augmented_interior_coefficient_matches_with_coefficient():
     the one of the augmentation with R/J applied summand by summand."""
     for t, family in enumerate(stream(17200, 12, n_vars=2, n_ideals=3)):
         coefficient = family.pop()
-        subset = [0, 1] if t % 2 else [1]
-        aug = hypercube_augment(tensor([resolution(family[i]) for i in subset]))
+        chosen = family if t % 2 else family[1:]
+        aug = hypercube_augment(tensor([resolution(ideal) for ideal in chosen]))
         table = module_homology_table(with_coefficient(aug, coefficient),
-                                      box=family_box([family[i] for i in subset],
-                                                     coefficient))
-        want = {(i - len(subset), g): d for (i, g), d in table.entries.items()}
-        assert augmented_interior_H(family, subset, coefficient).entries == want
+                                      box=family_box(chosen, coefficient))
+        want = {(i - len(chosen), g): d for (i, g), d in table.entries.items()}
+        assert augmented_interior_H(chosen, coefficient).entries == want
 
 
 @st.composite
@@ -597,6 +589,19 @@ def interior_families(draw, min_size=1, max_size=4):
     return family, coefficient
 
 
+@settings(deadline=None, max_examples=40)
+@given(interior_families(), st.sampled_from([2, 3, 32003]))
+def test_s_has_the_closed_form(drawn, p):
+    """Every cell of the quotient S's table over its box is
+    ``s_closed_form``'s, which reads membership only: H(S) is (∩ I_i)/(∏ I_i)
+    in degree 0, over GF(2), GF(3) and GF(32003), for families of 1-4
+    ideals in 2-3 variables."""
+    family, _ = drawn
+    table = complex_homology_table(build_s_complex(family), GF(p))
+    assert table.entries == {(i, tuple(g)): d for g in iter_box(table.box)
+                             for i, d in s_closed_form(family, g).items()}
+
+
 @settings(deadline=None, max_examples=30)
 @given(interior_families(), st.sampled_from([2, 3, 32003]))
 def test_augmented_interior_matches_the_full_tensor(drawn, p):
@@ -613,7 +618,7 @@ def test_augmented_interior_matches_the_full_tensor(drawn, p):
             for coeff in {None, coefficient}:
                 box = family_box(chosen, coeff)
                 want = module_homology_table(full_augmented_interior(chosen, coeff), fld, box)
-                got = augmented_interior_H(family, subset, coeff, fld)
+                got = augmented_interior_H(chosen, coeff, fld)
                 assert got.box == box
                 assert got.entries == {(i - size, g): d for (i, g), d in want.entries.items()}
 
@@ -629,7 +634,7 @@ def test_augmented_interior_leaves_an_ideal_past_the_taylor_bound_unresolved():
     j = MonomialIdeal(3, [(1, 0, 0), (0, 2, 0)])
     with pytest.raises(ParamOutOfRange, match="at most 16 generators"):
         taylor_resolution(big)
-    aug = augmented_interior_H([big, j], [0, 1])
+    aug = augmented_interior_H([big, j])
     tor = multi_tor([big, j])
     assert aug.box == tor.box == family_box([big, j])
     assert aug.nonzero_indices() == [-1, 0] and tor.nonzero_indices() == [0, 1, 2]
@@ -654,9 +659,9 @@ def test_tables_from_a_shared_map_match_fresh_ones(drawn, p):
                 assert multi_tor(chosen, coeff, fld, resolutions=shared) == \
                     multi_tor(chosen, coeff, fld)
                 box = family_box(chosen, coeff)
-                assert augmented_interior_H(family, subset, coeff, fld, box,
+                assert augmented_interior_H(chosen, coeff, fld, box,
                                             resolutions=shared) == \
-                    augmented_interior_H(family, subset, coeff, fld)
+                    augmented_interior_H(chosen, coeff, fld)
     for ideal in [*family, combine(family, "sum")]:
         assert betti_table(ideal, fld, resolutions=shared).to_json() == \
             betti_table(ideal, fld).to_json()
@@ -681,7 +686,7 @@ def test_augmented_interior_never_resolves_the_unresolved_ideal(drawn):
                 chosen = [family[i] for i in subset]
                 u = unresolved(chosen)
                 resolved.clear()
-                augmented_interior_H(family, subset)
+                augmented_interior_H(chosen)
                 assert Counter(resolved) == Counter(
                     {ideal for k, ideal in enumerate(chosen) if k != u})
 
@@ -753,8 +758,9 @@ def test_permuting_the_family_keeps_sp_tables_and_checker_truths(drawn, p):
     for size in range(1, n + 1):
         for subset in itertools.combinations(range(n), size):
             for coeff in {None, coefficient}:
-                a = augmented_interior_H(permuted, subset, coeff, fld)
-                b = augmented_interior_H(family, [pi[k] for k in subset], coeff, fld)
+                a = augmented_interior_H([permuted[k] for k in subset], coeff, fld)
+                b = augmented_interior_H([family[i] for i in sorted(pi[k] for k in subset)],
+                                         coeff, fld)
                 assert (a.entries, a.box) == (b.entries, b.box), (subset, coeff)
     assert _truths(verify_identities(permuted, fld)) == _truths(verify_identities(family, fld))
     assert (_truths(exactness_equivalences(permuted, fld))
@@ -778,8 +784,8 @@ def test_permuting_a_tie_changes_the_unresolved_ideal(monkeypatch):
     monkeypatch.setattr(sumprod, "ideal_augment",
                         lambda c, ideal: unresolved.append(ideal) or augment(c, ideal))
     m, squares = MonomialIdeal(2, [(1, 0), (0, 1)]), MonomialIdeal(2, [(2, 0), (0, 2)])
-    a = augmented_interior_H([m, squares], [0, 1])
-    b = augmented_interior_H([squares, m], [0, 1])
+    a = augmented_interior_H([m, squares])
+    b = augmented_interior_H([squares, m])
     assert unresolved == [m, squares]
     assert (a.entries, a.box) == (b.entries, b.box)
     assert any(q >= 0 for q in a.nonzero_indices())
@@ -821,10 +827,10 @@ def test_exactness_tables_only_for_subfamilies_of_two_or_more(kxyz, monkeypatch)
     calls, maps = [], set()
     table = sumprod.augmented_interior_H
 
-    def counted(ideals, subset, coefficient=None, fld=GF(), box=None, *, resolutions):
-        assert coefficient is None and box is None and list(subset) == list(range(len(ideals)))
+    def counted(ideals, coefficient=None, fld=GF(), box=None, *, resolutions):
+        assert coefficient is None and box is None
         maps.add(id(resolutions))
-        t = table(ideals, subset, coefficient, fld, box, resolutions=resolutions)
+        t = table(ideals, coefficient, fld, box, resolutions=resolutions)
         calls.append((len(ideals), tuple(t.box)))
         return t
 
@@ -859,9 +865,9 @@ def test_exactness_resolves_each_ideal_at_most_once_and_builds_each_tensor_once(
         tensors.append((list(factors), tensor_(factors)))
         return tensors[-1][1]
 
-    def kept_table(chosen, subset, *args, resolutions, **kwargs):
+    def kept_table(chosen, *args, resolutions, **kwargs):
         tables.append((list(chosen), resolutions))
-        return table(chosen, subset, *args, resolutions=resolutions, **kwargs)
+        return table(chosen, *args, resolutions=resolutions, **kwargs)
 
     def kept_build(m, *, kind):
         filtered.append(m)
@@ -1054,8 +1060,7 @@ def test_raw_and_reduced_factors_agree(monkeypatch):
                     pg = pages(total, g, fld)
                     out[kind, fld.p, g] = (pg.pages, pg.ranks, pg.r_stab)
             for coeff in (None, coefficient):
-                out["aug", fld.p, coeff] = augmented_interior_H(
-                    family, [0, 1], coeff, fld)
+                out["aug", fld.p, coeff] = augmented_interior_H(family, coeff, fld)
             out["verify", fld.p] = verify_identities(family, fld).to_json()
         return out
 

@@ -28,7 +28,7 @@ from homotor.gcomplex import (
 )
 from homotor.monomial import MonomialIdeal, check_family, combine, iter_box
 from homotor.multicomplex import tensor
-from homotor.sumprod import build_s_complex
+from homotor.sumprod import build_p_complex, build_s_complex, complex_homology_table
 from homotor.torlab import (
     A8_CONDITIONS,
     betti_table,
@@ -140,12 +140,17 @@ def test_tor1_oracle_equals_multi_tor_on_stream():
             assert table.dim(1, g) == oracle.dim(1, g), (fam, tuple(g))
 
 
-@settings(deadline=None, max_examples=40)
-@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+#: 1-4 ideals, zero or with up to 3 generators of exponents 0..2, in 1-3
+#: variables, and a growth of 0-2 per coordinate for a box past the family's.
+TOR1_CASES = st.integers(1, 3).flatmap(lambda n: st.tuples(
     st.lists(st.lists(st.tuples(*[st.integers(0, 2)] * n), max_size=3)
              .map(lambda gens: MonomialIdeal(n, gens)).filter(lambda i: not i.is_unit()),
              min_size=1, max_size=4),
-    st.lists(st.integers(0, 2), min_size=n, max_size=n))))
+    st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+
+
+@settings(deadline=None, max_examples=40)
+@given(TOR1_CASES)
 def test_tor1_oracle_equals_the_per_degree_oracle(case):
     """The Tor_1 oracle, one walk and one elimination per membership state,
     equals the per-degree one, which tests every ideal and pair product at
@@ -159,6 +164,25 @@ def test_tor1_oracle_equals_the_per_degree_oracle(case):
             table, expected = tor1_oracle(family, GF(p), box), tor1_per_degree(family, GF(p), box)
             assert table.box == expected.box
             assert list(table.entries.items()) == list(expected.entries.items())
+
+
+@settings(deadline=None, max_examples=40)
+@given(TOR1_CASES)
+def test_tor1_oracle_is_h2_of_p(case):
+    """Tor_1 of the family is H_2 of its product complex P: at gamma, P's
+    fibre is the chains of the simplex on the ideals modulo those of
+    Delta(gamma), the subsets whose product holds gamma, so H_2(P)_gamma is
+    the reduced H_0 of Delta(gamma)'s pair graph, the oracle's count.  The
+    oracle's Tor_1 equals the H_2 slice of P's table over the same box, the
+    family box and one grown past it, over GF(2), GF(3) and GF(32003): the
+    oracle's walk and P's construction certify each other."""
+    family, growth = case
+    stable = family_box(family)
+    for box in (None, [b + g for b, g in zip(stable, growth)]):
+        for p in (2, 3, 32003):
+            table = tor1_oracle(family, GF(p), box)
+            p_tab = complex_homology_table(build_p_complex(family), GF(p), table.box)
+            assert table.slice(1) == p_tab.slice(2)
 
 
 @st.composite
