@@ -53,7 +53,10 @@ class InvalidKind(HomotorError):
 
 
 class ParamOutOfRange(HomotorError):
-    """Random-instance parameters outside the supported bounds."""
+    """A parameter or an input size outside its supported bound: the
+    random-instance parameters, a variable index or support p, the box,
+    Taylor, tensor/cone and S/P size bounds, the Krull-dimension search and
+    ``face_axes``."""
 
 
 class ParseError(HomotorError):

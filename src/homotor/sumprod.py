@@ -20,7 +20,6 @@ from .gcomplex import (
     IDEAL,
     GradedComplex,
     TorTable,
-    base_change,
     exterior_complex,
     free_summand,
     ideal_augment,
@@ -46,7 +45,8 @@ MAX_SP_IDEALS = 10
 
 def _check_sp_size(family):
     """Refuse S, S_- or P of more than ``MAX_SP_IDEALS`` ideals with
-    ``ParamOutOfRange``, before ``exterior_complex`` runs."""
+    ``ParamOutOfRange``, before ``exterior_complex`` runs, and a checker
+    that builds them before it visits any subfamily."""
     if len(family) > MAX_SP_IDEALS:
         raise ParamOutOfRange(f"S and P support at most {MAX_SP_IDEALS} ideals, "
                               f"the family has {len(family)}")
@@ -148,32 +148,25 @@ def complex_homology_table(c: GradedComplex, fld: PrimeField = GF(),
     return table
 
 
-def augmented_interior_H(ideals, coefficient: MonomialIdeal | None = None,
-                         fld: PrimeField = GF(), box=None, *, resolutions=None
-                         ) -> TorTable:
-    """The table H_{p,q} = H_{p+q}(augmented interior complex ⊗ M) of the
-    family, keyed by q (so q = -1 row reproduces the M ⊗ P_p dimensions),
-    over the box, by default the stability box of the ideals and the
-    coefficient.  One module is left unresolved, and
-    the others' resolutions come from ``resolutions``, as in ``multi_tor``:
-    R/coefficient, when nonzero, tensored on by ``base_change`` (an ideal
-    summand has none), else the ideal I_u that ``unresolved`` picks,
-    taken by the augmented interior of the other n - 1 resolutions (no axis
-    at n = 1, so I_u -> R) through ``ideal_augment``.  One with more
-    generators than a Taylor resolution takes does not make the table, or
-    ``verify_identities``, refuse the family."""
+def augmented_interior_H(ideals, fld: PrimeField = GF(), box=None, *,
+                         resolutions=None) -> TorTable:
+    """The table H_{p,q} = H_{p+q}(augmented interior complex) of the
+    family, keyed by q (so q = -1 row reproduces the P_p dimensions), over
+    the box, by default the stability box of the ideals.  The ideal I_u
+    that ``unresolved`` picks is left unresolved, and the augmented interior
+    of the other n - 1 resolutions (no axis at n = 1, so I_u -> R), taken
+    from ``resolutions`` as in ``multi_tor``, is augmented to it by
+    ``ideal_augment``.  One with more generators than a Taylor resolution
+    takes does not make the table, or ``verify_identities``, refuse the
+    family."""
     resolutions = {} if resolutions is None else resolutions
-    ideals, stable = check_family(ideals, coefficient)
+    ideals, stable = check_family(ideals)
     n = len(ideals)
-    if coefficient is not None and not coefficient.is_zero():
-        resolved = [resolve(ideal, resolutions) for ideal in ideals]
-        aug = base_change(hypercube_augment(tensor(resolved)), coefficient)
-    else:
-        u = unresolved(ideals)
-        others = [resolve(ideal, resolutions) for k, ideal in enumerate(ideals) if k != u]
-        m = tensor(others) if others else Multicomplex(
-            0, stable.n, {(): [free_summand((0,) * stable.n)]}, {})
-        aug = ideal_augment(hypercube_augment(m), ideals[u])
+    u = unresolved(ideals)
+    others = [resolve(ideal, resolutions) for k, ideal in enumerate(ideals) if k != u]
+    m = tensor(others) if others else Multicomplex(
+        0, stable.n, {(): [free_summand((0,) * stable.n)]}, {})
+    aug = ideal_augment(hypercube_augment(m), ideals[u])
     table = module_homology_table(aug, fld, stable if box is None else box)
     entries = {(i - n, gam): d for (i, gam), d in table.entries.items()}
     return TorTable(entries, table.box)
@@ -238,6 +231,7 @@ def verify_identities(ideals, fld: PrimeField = GF()) -> CheckReport:
     resolutions (see ``multi_tor``); S and P need none.
     """
     ideals, box = check_family(ideals)
+    _check_sp_size(ideals)
     n = len(ideals)
     report = CheckReport()
     resolutions: dict = {}
@@ -331,29 +325,29 @@ def exactness_equivalences(ideals, fld: PrimeField = GF()) -> CheckReport:
     Every table reads one map of resolutions (see ``multi_tor``), so each
     ideal is resolved at most once, and only if some table reads it."""
     ideals, _ = check_family(ideals)
+    _check_sp_size(ideals)
     n = len(ideals)
     report = CheckReport()
 
     # each ideal is resolved at most once and each subfamily visited once,
-    # smallest first, so its subfamilies' H tables are in place; its H table
-    # leaves one ideal unresolved, and the full tensor of its resolutions is
-    # built only for its page engine
+    # smallest first; surviving[sub] is the set of degrees of the q >= 0
+    # entries of the H tables of the subfamilies of sub of size >= 2: its
+    # own, united with the sets of sub minus one index, already in place
     resolutions: dict = {}
     cond1 = True
-    h_tables = {}
+    surviving = {}
     cond2_witness, cond3_witness, cond4_witness = [], [], []
     for sub, family in subfamilies(ideals, range(2, n + 1)):
         cond1 = cond1 and _table_independent(
             multi_tor(family, fld=fld, resolutions=resolutions))
-        h_tables[sub] = augmented_interior_H(family, fld=fld, resolutions=resolutions)
-        # where a q >= 0 row of a subfamily of sub survives (see above)
-        gammas = sorted({g for _, t in subfamilies(sub, range(2, len(sub) + 1))
-                         for (q, g) in h_tables[t].entries if q >= 0})
-        if gammas:
+        h_tab = augmented_interior_H(family, fld=fld, resolutions=resolutions)
+        surviving[sub] = {g for (q, g) in h_tab.entries if q >= 0}.union(
+            *(surviving.get(sub[:k] + sub[k + 1:], ()) for k in range(len(sub))))
+        if surviving[sub]:
             factors = [resolve(ideal, resolutions) for ideal in family]
             filtered = build_filtration(tensor(factors), kind="interior_augmented")
             witness = next(({"subfamily": list(sub), "degree": list(g), "p": p, "q": q}
-                            for g in gammas
+                            for g in sorted(surviving[sub])
                             for (p, q), d in pages(filtered, g, fld).page(2).items()
                             if q >= 0 and p >= 2 and d), None)
             if witness:

@@ -20,7 +20,6 @@ from homotor.gcomplex import (
     GradedComplex,
     TorTable,
     _compose,
-    base_change,
     cancel_units,
     exterior_complex,
     free_summand,
@@ -376,6 +375,26 @@ def s_closed_form(ideals, gamma) -> dict:
     return {} if in_product else {0: 1}
 
 
+def p_simplicial(ideals, gamma, p) -> dict:
+    """{i: dim H_i(P)_gamma} of the quotient variant of P over GF(p),
+    nonzero only, by its simplicial form H_i(P)_gamma = H~_{i-2}(Δ(gamma)),
+    Δ(gamma) = {T ⊆ [n] : gamma in the product of the I_t, t in T}.  The
+    empty face is in Δ(gamma) (its product is R), and H~_{-1}({∅}) = k.
+    It reads membership of gamma in the products of ``combine`` and takes
+    ``reduced_homology`` of Δ(gamma), over at most 2^n faces: no complex
+    and no homotor rank.
+
+    Proof: the summand T of P_|T| is alive at gamma iff T is nonempty and
+    not in Δ(gamma), so the fibre is the relative chain complex of the full
+    simplex on [n] modulo Δ(gamma), P_i on the faces of i vertices; the
+    simplex is acyclic, so H_i(P) = H_{i-1}(simplex, Δ) = H~_{i-2}(Δ)."""
+    n = len(ideals)
+    faces = [[t for t in itertools.combinations(range(n), k)
+              if not t or membership_by_leq(gamma, combine([ideals[j] for j in t], "product"))]
+             for k in range(n + 1)]
+    return {k + 1: d for k, d in reduced_homology(faces, p).items()}
+
+
 def summand_alive(s, gamma, kind) -> bool:
     """Whether the summand s of a complex of the given kind contributes one
     basis vector at degree gamma, read off its shift and ideal: the
@@ -683,19 +702,25 @@ def koszul_betti(ideal, p):
              if any(all(g[j] <= b[j] - (j in tau) for j in range(ideal.n)) for g in gens)]
             for k in range(len(support) + 1)
         ]
-        index = {tau: k for fs in faces for k, tau in enumerate(fs)}
-        ranks = [0] * (len(faces) + 1)  # ranks[k]: boundary of the k-faces
-        for k in range(1, len(faces)):
-            rows = [[0] * len(faces[k - 1]) for _ in faces[k]]
-            for row, tau in zip(rows, faces[k]):
-                for l in range(k):
-                    row[index[tau[:l] + tau[l + 1:]]] = (-1) ** l
-            ranks[k] = _rank_mod(rows, p)
-        for k, fs in enumerate(faces):
-            h = len(fs) - ranks[k] - ranks[k + 1]
-            if h:
-                out[(k + 1, b)] = h
+        out.update({(k + 1, b): h for k, h in reduced_homology(faces, p).items()})
     return out
+
+
+def reduced_homology(faces, p) -> dict:
+    """{k: dim H~_{k-1}(Δ)} over GF(p), nonzero only, of the simplicial
+    complex Δ whose faces of k vertices, as increasing tuples, are
+    faces[k], the empty face at k = 0: each boundary map ranked by
+    ``_rank_mod``."""
+    index = {tau: k for fs in faces for k, tau in enumerate(fs)}
+    ranks = [0] * (len(faces) + 1)  # ranks[k]: boundary of the faces of k vertices
+    for k in range(1, len(faces)):
+        rows = [[0] * len(faces[k - 1]) for _ in faces[k]]
+        for row, tau in zip(rows, faces[k]):
+            for l in range(k):
+                row[index[tau[:l] + tau[l + 1:]]] = (-1) ** l
+        ranks[k] = _rank_mod(rows, p)
+    dims = {k: len(fs) - ranks[k] - ranks[k + 1] for k, fs in enumerate(faces)}
+    return {k: d for k, d in dims.items() if d}
 
 
 def unit_koszul(n, orientation="chain"):
@@ -889,15 +914,11 @@ def singleton_box_fold(ideals, coefficient=None):
     return functools.reduce(lcm_deg, (family_box([ideal], coefficient) for ideal in ideals))
 
 
-def full_augmented_interior(ideals, coefficient=None):
+def full_augmented_interior(ideals):
     """The augmented interior of the ideals built from the tensor of all
-    their resolutions, tensored with R/coefficient by ``base_change`` when
-    the coefficient is nonzero: the construction ``augmented_interior_H``
-    replaced, where no ideal is left unresolved, and its reference."""
-    aug = hypercube_augment(tensor([resolution(i) for i in ideals]))
-    if coefficient is not None and not coefficient.is_zero():
-        aug = base_change(aug, coefficient)
-    return aug
+    their resolutions: the construction ``augmented_interior_H`` replaced,
+    where no ideal is left unresolved, and its reference."""
+    return hypercube_augment(tensor([resolution(i) for i in ideals]))
 
 
 def verify_identities_oracle(ideals, fld: PrimeField = GF()) -> CheckReport:

@@ -48,7 +48,9 @@ and its printed report is compared with an oracle's:
   and the elimination, not the construction; the term ranks are checked
   against the subset counts.  `scomplex-quotient` is also checked against
   ``conftest.s_closed_form``, which reads membership only and so certifies
-  the construction too.
+  the construction too, and `pcomplex-quotient` against
+  ``conftest.p_simplicial``, which reads membership in the products and
+  ranks the boundary maps of a simplicial complex.
 - `spectral-mv-module`: every sampled page with ``block_rank_pages`` on
   the filtered total the command built (the pairing, as in
   ``test_certified_pages.py``), and E¹ with ``block_rank_pages`` on
@@ -86,6 +88,7 @@ from conftest import (
     koszul_betti,
     masked_rank_oracle,
     mv_tensor_total,
+    p_simplicial,
     region_compare_oracle,
     s_closed_form,
     summand_alive,
@@ -339,6 +342,16 @@ def test_golden_scomplex_quotient_has_the_closed_form(tmp_path, monkeypatch):
     report, family, _, _, _ = _golden_case("scomplex-quotient", tmp_path, monkeypatch)
     expected = {(i, tuple(g)): d for g in iter_box(report["box"])
                 for i, d in s_closed_form(family, g).items()}
+    assert expected and _cells(report["results"]["homology"]) == expected
+
+
+def test_golden_pcomplex_quotient_has_the_simplicial_form(tmp_path, monkeypatch):
+    """Every cell of the `pcomplex-quotient` report against
+    ``p_simplicial``: H_i(P)_gamma = H~_{i-2}(Δ(gamma)), Δ(gamma) the
+    subfamilies whose product holds gamma."""
+    report, family, _, fld, _ = _golden_case("pcomplex-quotient", tmp_path, monkeypatch)
+    expected = {(i, tuple(g)): d for g in iter_box(report["box"])
+                for i, d in p_simplicial(family, g, fld.p).items()}
     assert expected and _cells(report["results"]["homology"]) == expected
 
 

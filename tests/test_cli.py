@@ -573,6 +573,39 @@ def test_cli_s_and_p_are_refused_past_the_ideal_bound(tmp_path, capsys, monkeypa
     assert laid_out == [bound] * 3
 
 
+def test_cli_checkers_refuse_past_the_ideal_bound_before_any_table(tmp_path, capsys,
+                                                                   monkeypatch):
+    """``verify`` and ``equiv-exactness`` build S and P of the whole family,
+    so on MAX_SP_IDEALS + 1 principal ideals both refuse the family with
+    ParamOutOfRange, exit 2, before they visit a subfamily: no ideal is
+    resolved and no Tor table, H table, GradedComplex or Multicomplex is
+    built first."""
+    work = []
+    for module, name in ((sumprod, "multi_tor"), (sumprod, "augmented_interior_H"),
+                         (gcomplex, "resolution")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, real=real, name=name, **k:
+                            work.append(name) or real(*a, **k))
+    for cls in (gcomplex.GradedComplex, multicomplex.Multicomplex):
+        init = cls.__init__
+        monkeypatch.setattr(cls, "__init__", lambda self, *a, init=init, cls=cls, **k:
+                            work.append(cls.__name__) or init(self, *a, **k))
+    bound = sumprod.MAX_SP_IDEALS
+    message = f"S and P support at most {bound} ideals, the family has {bound + 1}"
+    path = tmp_path / "principal.json"
+    ideals = {f"I{k}": [[k + 1, 0, 1]] for k in range(bound + 1)}
+    path.write_text(json.dumps({"variables": ["x", "y", "z"], "ideals": ideals}))
+    for command in ("verify", "equiv-exactness"):
+        assert main([command, str(path)]) == 2
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error == {"type": "ParamOutOfRange", "message": message}
+    family = [MonomialIdeal(3, [(k + 1, 0, 1)]) for k in range(bound + 1)]
+    for checker in (sumprod.verify_identities, sumprod.exactness_equivalences):
+        with pytest.raises(ParamOutOfRange, match=f"^{message}$"):
+            checker(family)
+    assert work == []
+
+
 def test_cli_kcone_augmented_refuses_a_broken_extension(problem_path, capsys, monkeypatch):
     """kcone_augmented cones the extension's unchecked parts, and the cone
     checks them: with one coefficient of psi at the top vertex doubled,

@@ -307,7 +307,7 @@ FAMILY_FUNCTIONS = {
     "mv_product_to_sum": (
         lambda f, c, b: mv_total_complex("product_to_sum", f, c), True, False),
     "augmented_interior_H": (
-        lambda f, c, b: augmented_interior_H(f, c, box=b), True, True),
+        lambda f, c, b: augmented_interior_H(f, box=b), False, True),
     "verify_identities": (lambda f, c, b: verify_identities(f), False, False),
     "exactness_equivalences": (lambda f, c, b: exactness_equivalences(f), False, False),
     "supportoftors_check": (lambda f, c, b: supportoftors_check(f, c, [1]), True, False),

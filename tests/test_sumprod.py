@@ -14,17 +14,17 @@ from conftest import (
     full_augmented_interior,
     independence_oracle,
     mv_tensor_total,
+    p_simplicial,
     s_closed_form,
     s_minus,
     stream,
     tensor_total,
     unit_koszul,
     verify_identities_oracle,
-    with_coefficient,
 )
 from homotor import gcomplex, sumprod
 from homotor.cli import random_instance
-from homotor.errors import ParamOutOfRange, UnitIdeal
+from homotor.errors import ParamOutOfRange
 from homotor.exactlin import GF
 from homotor.gcomplex import (
     GradedComplex,
@@ -552,75 +552,71 @@ def test_augmented_interior_rows(kxy):
         assert t.dim(-1, g) == (0 if kxy["x2xy"].contains(g) else 1)
 
 
-def test_augmented_interior_unit_coefficient_raises(kxy):
-    """The same error and message as multi_tor's."""
-    with pytest.raises(UnitIdeal, match="^R/I is zero for the unit ideal$"):
-        augmented_interior_H([kxy["x"], kxy["y"]], MonomialIdeal.unit(2))
+def _exponents(n):
+    """Nonzero exponent vectors in n variables, entries 0..2."""
+    return st.tuples(*[st.integers(0, 2)] * n).filter(any)
 
 
-def test_augmented_interior_coefficient_matches_with_coefficient():
-    """The coefficient enters as the one-summand factor R/J; the table is
-    the one of the augmentation with R/J applied summand by summand."""
-    for t, family in enumerate(stream(17200, 12, n_vars=2, n_ideals=3)):
-        coefficient = family.pop()
-        chosen = family if t % 2 else family[1:]
-        aug = hypercube_augment(tensor([resolution(ideal) for ideal in chosen]))
-        table = module_homology_table(with_coefficient(aug, coefficient),
-                                      box=family_box(chosen, coefficient))
-        want = {(i - len(chosen), g): d for (i, g), d in table.entries.items()}
-        assert augmented_interior_H(chosen, coefficient).entries == want
+def _ideals(n):
+    """Proper ideals in n variables of 1-3 generators with entries 0..2."""
+    return st.lists(_exponents(n), min_size=1, max_size=3).map(lambda g: MonomialIdeal(n, g))
 
 
 @st.composite
 def interior_families(draw, min_size=1, max_size=4):
     """From min_size to max_size proper ideals in 2-3 variables, exponents
-    0..2, and a coefficient that is None, zero or such an ideal.  An ideal has 1-3
-    generators or, so that ties for the most generators are common, k
-    distinct ones of total degree 2, an antichain, k fixed per family."""
+    0..2.  An ideal has 1-3 generators or, so that ties for the most
+    generators are common, k distinct ones of total degree 2, an antichain,
+    k fixed per family."""
     n = draw(st.integers(2, 3))
-    exponent = st.tuples(*[st.integers(0, 2)] * n).filter(any)
-    ideal = st.lists(exponent, min_size=1, max_size=3).map(lambda g: MonomialIdeal(n, g))
     k = draw(st.integers(1, 3))
-    tied = st.lists(exponent.filter(lambda e: sum(e) == 2), min_size=k, max_size=k,
+    tied = st.lists(_exponents(n).filter(lambda e: sum(e) == 2), min_size=k, max_size=k,
                     unique=True).map(lambda g: MonomialIdeal(n, g))
     size = draw(st.integers(min_size, max_size))
-    family = draw(st.lists(st.one_of(ideal, tied), min_size=size, max_size=size))
-    coefficient = draw(st.one_of(st.none(), st.just(MonomialIdeal.zero(n)), ideal))
-    return family, coefficient
+    return draw(st.lists(st.one_of(_ideals(n), tied), min_size=size, max_size=size))
 
 
 @settings(deadline=None, max_examples=40)
 @given(interior_families(), st.sampled_from([2, 3, 32003]))
-def test_s_has_the_closed_form(drawn, p):
+def test_s_has_the_closed_form(family, p):
     """Every cell of the quotient S's table over its box is
     ``s_closed_form``'s, which reads membership only: H(S) is (∩ I_i)/(∏ I_i)
     in degree 0, over GF(2), GF(3) and GF(32003), for families of 1-4
     ideals in 2-3 variables."""
-    family, _ = drawn
     table = complex_homology_table(build_s_complex(family), GF(p))
     assert table.entries == {(i, tuple(g)): d for g in iter_box(table.box)
                              for i, d in s_closed_form(family, g).items()}
 
 
+@settings(deadline=None, max_examples=40)
+@given(interior_families(), st.sampled_from([2, 3, 32003]))
+def test_p_has_the_simplicial_form(family, p):
+    """Every cell of the quotient P's table over its box is
+    ``p_simplicial``'s, which reads membership in the products and ranks
+    the boundary maps of Δ(gamma): H_i(P)_gamma = H~_{i-2}(Δ(gamma)), over
+    GF(2), GF(3) and GF(32003), for families of 1-4 ideals in 2-3
+    variables."""
+    table = complex_homology_table(build_p_complex(family), GF(p))
+    assert table.entries == {(i, tuple(g)): d for g in iter_box(table.box)
+                             for i, d in p_simplicial(family, g, p).items()}
+
+
 @settings(deadline=None, max_examples=30)
 @given(interior_families(), st.sampled_from([2, 3, 32003]))
-def test_augmented_interior_matches_the_full_tensor(drawn, p):
+def test_augmented_interior_matches_the_full_tensor(family, p):
     """``augmented_interior_H``, which leaves one ideal unresolved, has the
     entries of ``full_augmented_interior``, the augmentation of the tensor
     of every resolution, shifted by the subset size: for every subset of
-    1-4 ideals, with no coefficient and with the drawn one, over GF(2),
-    GF(3) and GF(32003)."""
-    family, coefficient = drawn
+    1-4 ideals, over GF(2), GF(3) and GF(32003)."""
     fld = GF(p)
     for size in range(1, len(family) + 1):
         for subset in itertools.combinations(range(len(family)), size):
             chosen = [family[i] for i in subset]
-            for coeff in {None, coefficient}:
-                box = family_box(chosen, coeff)
-                want = module_homology_table(full_augmented_interior(chosen, coeff), fld, box)
-                got = augmented_interior_H(chosen, coeff, fld)
-                assert got.box == box
-                assert got.entries == {(i - size, g): d for (i, g), d in want.entries.items()}
+            box = family_box(chosen)
+            want = module_homology_table(full_augmented_interior(chosen), fld, box)
+            got = augmented_interior_H(chosen, fld)
+            assert got.box == box
+            assert got.entries == {(i - size, g): d for (i, g), d in want.entries.items()}
 
 
 def test_augmented_interior_leaves_an_ideal_past_the_taylor_bound_unresolved():
@@ -642,15 +638,17 @@ def test_augmented_interior_leaves_an_ideal_past_the_taylor_bound_unresolved():
 
 
 @settings(deadline=None, max_examples=30)
-@given(interior_families(2, 4), st.sampled_from([2, 3, 32003]))
-def test_tables_from_a_shared_map_match_fresh_ones(drawn, p):
+@given(interior_families(2, 4), st.data(), st.sampled_from([2, 3, 32003]))
+def test_tables_from_a_shared_map_match_fresh_ones(family, data, p):
     """Every table a checker builds from its one map of resolutions equals
     the one built with a fresh map, what each table makes when no map is
-    given: for every subfamily of 2-4 ideals, its Tor table, with no coefficient and
-    with the drawn one, and its augmented interior, then the Betti table
-    of each ideal and of the sum, all from one map filled as they go,
-    over GF(2), GF(3) and GF(32003)."""
-    family, coefficient = drawn
+    given: for every subfamily of 2-4 ideals, its Tor table, with no
+    coefficient and with a drawn one that is zero or a proper ideal, and
+    its augmented interior, then the Betti table of each ideal and of the
+    sum, all from one map filled as they go, over GF(2), GF(3) and
+    GF(32003)."""
+    n = family[0].n
+    coefficient = data.draw(st.one_of(st.none(), st.just(MonomialIdeal.zero(n)), _ideals(n)))
     fld, shared = GF(p), {}
     for size in range(1, len(family) + 1):
         for subset in itertools.combinations(range(len(family)), size):
@@ -658,10 +656,8 @@ def test_tables_from_a_shared_map_match_fresh_ones(drawn, p):
             for coeff in {None, coefficient}:
                 assert multi_tor(chosen, coeff, fld, resolutions=shared) == \
                     multi_tor(chosen, coeff, fld)
-                box = family_box(chosen, coeff)
-                assert augmented_interior_H(chosen, coeff, fld, box,
-                                            resolutions=shared) == \
-                    augmented_interior_H(chosen, coeff, fld)
+            assert augmented_interior_H(chosen, fld, family_box(chosen),
+                                        resolutions=shared) == augmented_interior_H(chosen, fld)
     for ideal in [*family, combine(family, "sum")]:
         assert betti_table(ideal, fld, resolutions=shared).to_json() == \
             betti_table(ideal, fld).to_json()
@@ -671,11 +667,10 @@ def test_tables_from_a_shared_map_match_fresh_ones(drawn, p):
 
 @settings(deadline=None, max_examples=30)
 @given(interior_families())
-def test_augmented_interior_never_resolves_the_unresolved_ideal(drawn):
-    """With no coefficient, ``augmented_interior_H`` resolves each chosen
-    ideal but the one ``unresolved`` picks, once: that one is resolved only
-    when the subset chooses it again at another place."""
-    family, _ = drawn
+def test_augmented_interior_never_resolves_the_unresolved_ideal(family):
+    """``augmented_interior_H`` resolves each chosen ideal but the one
+    ``unresolved`` picks, once: that one is resolved only when the subset
+    chooses it again at another place."""
     resolved = []
     real = gcomplex.resolution
     with pytest.MonkeyPatch.context() as patch:
@@ -738,16 +733,16 @@ def _truths(report):
 
 @settings(deadline=None, max_examples=25)
 @given(interior_families(2, 3).flatmap(
-    lambda d: st.tuples(st.just(d), st.permutations(range(len(d[0]))))),
+    lambda d: st.tuples(st.just(d), st.permutations(range(len(d))))),
     st.sampled_from([2, 3, 32003]))
 def test_permuting_the_family_keeps_sp_tables_and_checker_truths(drawn, p):
     """Relation 1 on the sum/product side: the family permuted by pi has
     the same S and P homology tables (both variants), the augmented
-    interior table of a subset T equals the original's at pi(T), with and
-    without a coefficient, whichever ideal is left unresolved, and
+    interior table of a subset T equals the original's at pi(T),
+    whichever ideal is left unresolved, and
     ``verify``, ``equiv-exactness`` and ``indep --strong`` give the same
     truth values and p*, every subset's independence moved by pi."""
-    (family, coefficient), pi = drawn
+    family, pi = drawn
     permuted = [family[k] for k in pi]
     fld, n = GF(p), len(family)
     for build in (build_s_complex, build_p_complex):
@@ -757,11 +752,9 @@ def test_permuting_the_family_keeps_sp_tables_and_checker_truths(drawn, p):
             assert (a.entries, a.box) == (b.entries, b.box), (build.__name__, variant)
     for size in range(1, n + 1):
         for subset in itertools.combinations(range(n), size):
-            for coeff in {None, coefficient}:
-                a = augmented_interior_H([permuted[k] for k in subset], coeff, fld)
-                b = augmented_interior_H([family[i] for i in sorted(pi[k] for k in subset)],
-                                         coeff, fld)
-                assert (a.entries, a.box) == (b.entries, b.box), (subset, coeff)
+            a = augmented_interior_H([permuted[k] for k in subset], fld)
+            b = augmented_interior_H([family[i] for i in sorted(pi[k] for k in subset)], fld)
+            assert (a.entries, a.box) == (b.entries, b.box), subset
     assert _truths(verify_identities(permuted, fld)) == _truths(verify_identities(family, fld))
     assert (_truths(exactness_equivalences(permuted, fld))
             == _truths(exactness_equivalences(family, fld)))
@@ -827,10 +820,10 @@ def test_exactness_tables_only_for_subfamilies_of_two_or_more(kxyz, monkeypatch)
     calls, maps = [], set()
     table = sumprod.augmented_interior_H
 
-    def counted(ideals, coefficient=None, fld=GF(), box=None, *, resolutions):
-        assert coefficient is None and box is None
+    def counted(ideals, fld=GF(), box=None, *, resolutions):
+        assert box is None
         maps.add(id(resolutions))
-        t = table(ideals, coefficient, fld, box, resolutions=resolutions)
+        t = table(ideals, fld, box, resolutions=resolutions)
         calls.append((len(ideals), tuple(t.box)))
         return t
 
@@ -1039,7 +1032,7 @@ def wide_families(draw):
 def test_raw_and_reduced_factors_agree(monkeypatch):
     """Every consumer of ``resolution`` gives the answers of the raw Taylor
     resolution it replaced: the pages, page-differential ranks and r_stab
-    of all six kinds, augmented_interior_H with and without a coefficient,
+    of all six kinds, augmented_interior_H,
     and the verify_identities report, over three fields."""
     fields = [GF(2), GF(3), GF(32003)]
     shrunk = []
@@ -1059,8 +1052,7 @@ def test_raw_and_reduced_factors_agree(monkeypatch):
                 for g in degrees:
                     pg = pages(total, g, fld)
                     out[kind, fld.p, g] = (pg.pages, pg.ranks, pg.r_stab)
-            for coeff in (None, coefficient):
-                out["aug", fld.p, coeff] = augmented_interior_H(family, coeff, fld)
+            out["aug", fld.p] = augmented_interior_H(family, fld)
             out["verify", fld.p] = verify_identities(family, fld).to_json()
         return out
 
