@@ -290,14 +290,15 @@ def _spectral(problem, flags, fld, box, report):
         raise ValidationError(f"--kind must be one of {SPECTRAL_KINDS + MV_KINDS}")
     family = problem.family()
     coeff = _flag_coefficient(problem, flags)
+    if kind in SPECTRAL_KINDS and coeff is not None:
+        raise ValidationError(f"--kind {kind} takes no module")
+    # the family and the box are checked before anything is built
+    use_box = dominating_box(family_box(family, coeff), box)
+    report["box"] = list(use_box)
     if kind in SPECTRAL_KINDS:
-        if coeff is not None:
-            raise ValidationError(f"--kind {kind} takes no module")
         filtered = build_filtration(tensor([resolution(i) for i in family]), kind=kind)
     else:
         filtered = mv_total_complex(kind, family, coeff)
-    use_box = dominating_box(family_box(family, coeff), box)
-    report["box"] = list(use_box)
     out = {}
     for gamma in _sample_degrees(use_box):
         pg = pages(filtered, gamma, fld)

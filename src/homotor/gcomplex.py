@@ -205,13 +205,6 @@ def _fibre_tables(terms: dict, n: int):
     return cuts, full, rows, layout, (1 << m) - 1, [j * m for j in range(1, width + 1)]
 
 
-def _runs(cut, top: int):
-    """(cut position, values) for the values 0..top, grouped by the last cut
-    at or below them."""
-    bounds = [c for c in cut if c <= top] + [top + 1]
-    return [(v, range(lo, hi)) for v, (lo, hi) in enumerate(zip(bounds, bounds[1:]))]
-
-
 class GradedComplex:
     """A finite complex with terms indexed by integers; d lowers index by 1.
 
@@ -430,43 +423,40 @@ def module_homology_table(c: GradedComplex, field: PrimeField = GF(),
     that module-level vanishing remains decidable from the table.  One loop
     walks the box: per prefix of values of the leading coordinates, the
     packed fibre state is narrowed by each value's row (one AND each), then
-    once per run of the last coordinate, the values sharing one cut, so
-    one state.  ``states`` maps each distinct state to its dims, so
-    ``_alive`` reads its fibre class once, and ``classes`` each class to
-    its dims, so homology is computed once per fibre class, from its split
-    into term masks.  Degree tuples are built only in a run with nonzero
-    dims.  Entries are listed by degree, lexicographically, then by i.  A
-    box of more than ``MAX_BOX_POINTS`` degrees is refused before the walk.
+    once per value of the last coordinate by its row.  ``states`` maps each
+    distinct state to its dims, so ``_alive`` reads its fibre class once,
+    and ``classes`` each class to its dims, so homology is computed once
+    per fibre class, from its split into term masks.  Entries are listed by
+    degree, lexicographically, then by i.  A box of more than
+    ``MAX_BOX_POINTS`` degrees is refused before the walk.
     """
     box = dominating_box(c.stable_box(), box)
     check_box_size(box)
     cuts, full, rows = c._tables()[:3]
-    # per value of each leading coordinate its row; per run of the last its
-    # row and values as 1-tuples (no coordinate: the one empty degree)
-    narrow = [[row[v] for v, values in _runs(cut, top) for _ in values]
-              for cut, row, top in zip(cuts[:-1], rows[:-1], box[:-1])]
-    last = [(rows[-1][v], [(g,) for g in values])
-            for v, values in _runs(cuts[-1], box[-1])] if c.n else [(full, [()])]
+    # per value of each coordinate the row of the last cut at or below it
+    narrow = [[row[bisect_right(cut, v) - 1] for v in range(top + 1)]
+              for cut, row, top in zip(cuts, rows, box)]
+    # the last coordinate's rows and values (no coordinate: one empty degree)
+    last = [(row, (v,)) for v, row in enumerate(narrow.pop())] if c.n else [(full, ())]
     states, classes, entries = {}, {}, {}
     for prefix, prefix_rows in zip(
             itertools.product(*(range(top + 1) for top in box[:-1])),
             itertools.product(*narrow)):
         state = reduce(and_, prefix_rows, full)
-        for row, ends in last:
-            run = state & row
-            dims = states.get(run)
+        for row, end in last:
+            at = state & row
+            dims = states.get(at)
             if dims is None:
-                alive = c._alive(run)
+                alive = c._alive(at)
                 dims = classes.get(alive)
                 if dims is None:
                     homology = c._homology(c._split(alive), field)
                     dims = classes[alive] = [(i, h) for i, h in homology.items() if h]
-                states[run] = dims
+                states[at] = dims
             if dims:
-                for end in ends:
-                    gamma = prefix + end
-                    for i, h in dims:
-                        entries[(i, gamma)] = h
+                gamma = prefix + end
+                for i, h in dims:
+                    entries[(i, gamma)] = h
     return TorTable(entries, box)
 
 

@@ -148,11 +148,11 @@ def complex_homology_table(c: GradedComplex, fld: PrimeField = GF(),
     return table
 
 
-def augmented_interior_H(ideals, fld: PrimeField = GF(), box=None, *,
+def augmented_interior_H(ideals, fld: PrimeField = GF(), *,
                          resolutions=None) -> TorTable:
     """The table H_{p,q} = H_{p+q}(augmented interior complex) of the
     family, keyed by q (so q = -1 row reproduces the P_p dimensions), over
-    the box, by default the stability box of the ideals.  The ideal I_u
+    the stability box of the ideals.  The ideal I_u
     that ``unresolved`` picks is left unresolved, and the augmented interior
     of the other n - 1 resolutions (no axis at n = 1, so I_u -> R), taken
     from ``resolutions`` as in ``multi_tor``, is augmented to it by
@@ -167,7 +167,7 @@ def augmented_interior_H(ideals, fld: PrimeField = GF(), box=None, *,
     m = tensor(others) if others else Multicomplex(
         0, stable.n, {(): [free_summand((0,) * stable.n)]}, {})
     aug = ideal_augment(hypercube_augment(m), ideals[u])
-    table = module_homology_table(aug, fld, stable if box is None else box)
+    table = module_homology_table(aug, fld, stable)
     entries = {(i - n, gam): d for (i, gam), d in table.entries.items()}
     return TorTable(entries, table.box)
 
@@ -252,7 +252,7 @@ def verify_identities(ideals, fld: PrimeField = GF()) -> CheckReport:
     s_tab = complex_homology_table(build_s_complex(ideals), fld, box)
     p_tab = complex_homology_table(build_p_complex(ideals), fld, box)
     # H_{n,q} = H_{n+q}(augmented interior) of the whole family, keyed by q
-    aug_tab = augmented_interior_H(ideals, fld=fld, box=box, resolutions=resolutions)
+    aug_tab = augmented_interior_H(ideals, fld=fld, resolutions=resolutions)
     s_max = max(sum(len(i.gens) for i in ideals) - n, 0)
 
     def four_term(name, table, j):

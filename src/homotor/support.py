@@ -17,6 +17,8 @@ family gets the union check or per-ideal regions.
 
 from __future__ import annotations
 
+from functools import cache
+
 from .errors import ParamOutOfRange, ValidationError, as_int
 from .exactlin import GF, PrimeField
 from .gcomplex import TorTable
@@ -104,29 +106,27 @@ def supportoftors_check(ideals, coefficient: MonomialIdeal | None, ps,
     # singleton blocks and p = 2)
     combos = dict(subfamilies(ideals, range(1, max(ps, default=0) + 1)))  # {T: its ideals}
     resolutions: dict = {}
-    by_ideal: dict = {}  # a singleton's product and sum are one ideal
-    tor = {}  # {T: (Tor against the product, Tor against the sum)}
-    for T, family in combos.items():
-        pair = (combine(family, "product"), combine(family, "sum"))
-        for ideal in pair:
-            if ideal not in by_ideal:
-                by_ideal[ideal] = multi_tor([ideal], coefficient, fld, box,
-                                            resolutions=resolutions)
-        tor[T] = tuple(by_ideal[ideal] for ideal in pair)
-    totals: dict = {}  # {(kind, T): its Mayer-Vietoris total}
-    found: dict = {}  # {(kind, T, g): the witnesses of that containment}
 
+    @cache
+    def tor_of(ideal):
+        """The Tor table of one ideal: a singleton's product and sum are one
+        ideal, tabulated once."""
+        return multi_tor([ideal], coefficient, fld, box, resolutions=resolutions)
+
+    @cache
+    def total(kind, T):
+        """The Mayer-Vietoris total of (kind, T), built once."""
+        return mv_total_complex(kind, combos[T], coefficient, resolutions=resolutions).total
+
+    @cache
     def witnesses(kind, T, g):
-        """The witnesses of the (kind, T) containment at g: each total is
-        built once and each (kind, T, g) checked once, for every p that
-        tests g."""
-        if (kind, T, g) not in found:
-            if (kind, T) not in totals:
-                totals[(kind, T)] = mv_total_complex(
-                    kind, combos[T], coefficient, resolutions=resolutions).total
-            found[(kind, T, g)] = _containment(
-                kind, T, g, tor[T], totals[(kind, T)].homology_at(g, fld))
-        return found[(kind, T, g)]
+        """The witnesses of the (kind, T) containment at g, checked once for
+        every p that tests g."""
+        return _containment(kind, T, g, tor[T], total(kind, T).homology_at(g, fld))
+
+    # {T: (Tor against the product, Tor against the sum)}
+    tor = {T: (tor_of(combine(family, "product")), tor_of(combine(family, "sum")))
+           for T, family in combos.items()}
 
     return {p: _support_report([T for T in combos if len(T) <= p], box, tor, witnesses)
             for p in ps}

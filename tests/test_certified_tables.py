@@ -50,7 +50,9 @@ and its printed report is compared with an oracle's:
   ``conftest.s_closed_form``, which reads membership only and so certifies
   the construction too, and `pcomplex-quotient` against
   ``conftest.p_simplicial``, which reads membership in the products and
-  ranks the boundary maps of a simplicial complex.
+  ranks the boundary maps of a simplicial complex; the tilde cases
+  against the same two oracles moved by one index, H^i(S̃) = H^{i-1}(S)
+  and H_i(P̃) = H_{i+1}(P).
 - `spectral-mv-module`: every sampled page with ``block_rank_pages`` on
   the filtered total the command built (the pairing, as in
   ``test_certified_pages.py``), and E¹ with ``block_rank_pages`` on
@@ -352,6 +354,21 @@ def test_golden_pcomplex_quotient_has_the_simplicial_form(tmp_path, monkeypatch)
     report, family, _, fld, _ = _golden_case("pcomplex-quotient", tmp_path, monkeypatch)
     expected = {(i, tuple(g)): d for g in iter_box(report["box"])
                 for i, d in p_simplicial(family, g, fld.p).items()}
+    assert expected and _cells(report["results"]["homology"]) == expected
+
+
+@pytest.mark.parametrize("case_id, oracle, shift", [
+    ("scomplex-tilde", lambda family, g, p: s_closed_form(family, g), 1),
+    ("pcomplex-tilde", p_simplicial, -1)], ids=["scomplex-tilde", "pcomplex-tilde"])
+def test_golden_tilde_complexes_are_the_quotients_shifted(case_id, oracle, shift,
+                                                          tmp_path, monkeypatch):
+    """Every cell of the `scomplex-tilde` and `pcomplex-tilde` reports
+    against the tilde lemma, H^i(tilde S) = H^{i-1}(S) and H_i(tilde P) =
+    H_{i+1}(P): ``s_closed_form`` one index up, ``p_simplicial`` one
+    index down."""
+    report, family, _, fld, _ = _golden_case(case_id, tmp_path, monkeypatch)
+    expected = {(i + shift, tuple(g)): d for g in iter_box(report["box"])
+                for i, d in oracle(family, g, fld.p).items()}
     assert expected and _cells(report["results"]["homology"]) == expected
 
 

@@ -426,6 +426,25 @@ def test_cli_spectral_refuses_a_box_below_the_family_box(tmp_path, capsys, kind)
     assert json.loads(capsys.readouterr().out)["box"] == [2, 3]
 
 
+@pytest.mark.parametrize("kind", cli.SPECTRAL_KINDS + cli.MV_KINDS)
+def test_cli_spectral_checks_the_family_and_box_before_it_builds(tmp_path, capsys,
+                                                                 monkeypatch, kind):
+    """spectral checks the family and refuses a box below the family box
+    before it builds a complex: --box 0,0,0 exits 2 with BoxTooSmall, and
+    no Multicomplex or GradedComplex is constructed."""
+    def built(self, *args, **kwargs):
+        raise AssertionError("a complex was built before the box was checked")
+
+    monkeypatch.setattr(multicomplex.Multicomplex, "__init__", built)
+    monkeypatch.setattr(gcomplex.GradedComplex, "__init__", built)
+    path = tmp_path / "prob.json"
+    path.write_text(json.dumps({"variables": ["x", "y", "z"],
+                                "ideals": {"I1": [[1, 0, 0]], "I2": [[0, 1, 1]]}}))
+    assert main(["spectral", str(path), "--kind", kind, "--box", "0,0,0"]) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == {
+        "type": "BoxTooSmall", "message": "box (0, 0, 0) does not dominate (1, 1, 1)"}
+
+
 def test_cli_defaults_of_unread_flags_are_echoed(problem_path, capsys):
     """main fills --strong, --seed and --trials in after the check, so every
     report echoes them; run takes those defaults from any command, as the

@@ -125,24 +125,43 @@ def test_cli_reports_match_the_golden_digests(case_id, problem, argv, tmp_path):
     assert digest == expected["sha256"]
 
 
-@pytest.mark.parametrize("hash_seed", ["7", "99"])
-def test_reports_do_not_depend_on_the_hash_seed(hash_seed, tmp_path):
-    """Two exit-0 cases whose reports walk sets and dicts of hashed keys,
-    the union check's cells and totals and a Mayer-Vietoris filtration's
-    pages, print their recorded bytes through ``python -m homotor`` in a
-    process with ``PYTHONHASHSEED`` 7 or 99."""
+def _assert_hash_seed_free(case_ids, hash_seed, tmp_path):
+    """Each named case prints its recorded bytes, and exits 0, through
+    ``python -m homotor`` in a process with ``PYTHONHASHSEED`` hash_seed."""
     golden = json.loads(GOLDEN.read_text())
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": hash_seed}
     for case_id, problem, argv in CASES:
-        if case_id not in ("support-module", "spectral-mv-module"):
+        if case_id not in case_ids:
             continue
-        path = tmp_path / f"{problem}.json"
-        path.write_text(json.dumps(PROBLEMS[problem]))
-        done = subprocess.run([sys.executable, "-m", "homotor", argv[0], str(path), *argv[1:]],
+        args = list(argv)
+        if problem is not None:
+            path = tmp_path / f"{problem}.json"
+            path.write_text(json.dumps(PROBLEMS[problem]))
+            args.insert(1, str(path))
+        done = subprocess.run([sys.executable, "-m", "homotor", *args],
                               capture_output=True, env=env)
         assert done.returncode == golden[case_id]["exit"] == 0, case_id
         assert hashlib.sha256(done.stdout).hexdigest() == golden[case_id]["sha256"], case_id
+
+
+@pytest.mark.parametrize("hash_seed", ["7", "99"])
+def test_reports_do_not_depend_on_the_hash_seed(hash_seed, tmp_path):
+    """Two exit-0 cases whose reports walk sets and dicts of hashed keys,
+    the union check's cells and totals and a Mayer-Vietoris filtration's
+    pages, print their recorded bytes under ``PYTHONHASHSEED`` 7 or 99."""
+    _assert_hash_seed_free({"support-module", "spectral-mv-module"}, hash_seed, tmp_path)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("hash_seed", ["7", "99"])
+def test_every_exit_0_report_is_independent_of_the_hash_seed(hash_seed, tmp_path):
+    """Every exit-0 case of the corpus prints its recorded bytes under
+    ``PYTHONHASHSEED`` 7 or 99."""
+    golden = json.loads(GOLDEN.read_text())
+    exit_0 = {case_id for case_id, entry in golden.items() if entry["exit"] == 0}
+    assert len(exit_0) == 10
+    _assert_hash_seed_free(exit_0, hash_seed, tmp_path)
 
 
 def test_the_corpus_has_one_exit_2_case_per_error_and_no_stale_digest():

@@ -306,8 +306,7 @@ FAMILY_FUNCTIONS = {
         lambda f, c, b: mv_total_complex("sum_to_product", f, c), True, False),
     "mv_product_to_sum": (
         lambda f, c, b: mv_total_complex("product_to_sum", f, c), True, False),
-    "augmented_interior_H": (
-        lambda f, c, b: augmented_interior_H(f, box=b), False, True),
+    "augmented_interior_H": (lambda f, c, b: augmented_interior_H(f), False, False),
     "verify_identities": (lambda f, c, b: verify_identities(f), False, False),
     "exactness_equivalences": (lambda f, c, b: exactness_equivalences(f), False, False),
     "supportoftors_check": (lambda f, c, b: supportoftors_check(f, c, [1]), True, False),
@@ -347,7 +346,7 @@ def test_one_family_contract():
     No builder is handed a family its caller checked: S and P have one
     checked builder each, and each table has one function, which checks
     the family itself, ``augmented_interior_H`` the ideals it tabulates,
-    and reads its default box off that check."""
+    and reads its box off that check."""
     assert _raise_sites("UnitIdeal") == [("monomial.py", "refuse_unit")]
     callers = Counter((path, func) for path, func, _ in _call_sites("check_family"))
     takers = set()

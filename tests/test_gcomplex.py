@@ -275,13 +275,13 @@ def test_module_homology_table_box_guard():
 
 def test_module_homology_table_refuses_a_huge_box_before_the_sweep(monkeypatch):
     """A box of more than MAX_BOX_POINTS degrees is refused before the walk
-    lists a run or a row of the box."""
+    looks up the row of any value of the box."""
     t = taylor_resolution(MonomialIdeal(2, [(1, 0), (0, 1)]))
 
-    def runs(cut, top):
+    def bisect_right(cut, v):
         raise AssertionError("the box was walked")
 
-    monkeypatch.setattr(gcomplex, "_runs", runs)
+    monkeypatch.setattr(gcomplex, "bisect_right", bisect_right)
     with pytest.raises(ParamOutOfRange):
         module_homology_table(t, box=(1000, 1000))
 
